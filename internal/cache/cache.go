@@ -5,19 +5,33 @@
 // them in); all latency accounting lives in the system model that drives
 // them.
 //
-// Storage is struct-of-arrays: the resident tags live in one contiguous
-// []uint64 scanned by the hot Lookup/Probe path, with coherence state,
-// VM tag and LRU age in parallel arrays touched only on a hit. Callers
-// address a resident line through a Way handle; a handle is invalidated
-// by any later Lookup or Insert on the same cache (Lookup rotates the
-// hit line to way 0, Insert reuses slots), so hold it only across
-// side-effect-free calls.
+// Storage is one []uint64 per cache, a set's ways contiguous and each way
+// one packed slot: tag<<32 | vm<<8 | state, an all-ones tag marking an
+// empty way. Host-memory latency, not compares, is what a set walk costs,
+// so everything a hit, a fill or an eviction needs sits in the words the
+// tag scan already pulled in (a 16-way set is two host cache lines).
+//
+// Recency invariant: every set is kept in recency order — way 0 is the
+// MRU line, each deeper way is older, and empty ways are compacted to the
+// tail. A hit at depth i slides ways 0..i-1 down one slot and lands the
+// line at way 0; a fill takes the first empty way, else the last way (the
+// LRU), and lands at way 0 the same way; Invalidate closes the gap so the
+// hole moves to the tail. That order *is* the LRU state: there is no
+// clock and no per-way age.
+//
+// Callers address a resident line through a Way handle, the line's slot
+// index. Any Lookup hit, Insert, InsertIfAbsent fill or Invalidate on the
+// same cache may move the lines of the set it touches, so a handle is
+// good only across Probe, State, SetState, WayTag and WayVM. One
+// exception the access walk relies on: the handle Lookup, Insert and an
+// inserting InsertIfAbsent return is way 0, and way 0 is moved only by
+// the next hit or fill in its set or by invalidating that very line — an
+// Invalidate of a *different* line leaves it in place. A Probe handle to
+// a deeper way has no such guarantee.
 package cache
 
 import (
 	"fmt"
-	"sort"
-	"unsafe"
 
 	"consim/internal/sim"
 )
@@ -69,8 +83,8 @@ type Line struct {
 	VM    uint8 // virtual machine that inserted the line (occupancy accounting)
 }
 
-// Way is a handle to a resident line: the line's global slot index. It
-// stays valid only until the next Lookup or Insert on the same cache.
+// Way is a handle to a resident line: the line's global slot index. See
+// the package comment for how long it stays valid.
 type Way int32
 
 // Config sizes a cache.
@@ -105,14 +119,24 @@ func (c Config) Validate() error {
 // collide with a real tag.
 const invalidTag = ^uint32(0)
 
-// slot packs one way's line tag and LRU tick into eight bytes. The tag is
-// the 32-bit line number (supporting a quarter-terabyte modeled physical
-// space); packing the tick beside it means the replacement scan reads one
-// memory stream instead of two, and a set's whole scan state fits in half
-// the cache lines of the previous split uint64 arrays.
-type slot struct {
-	tag  uint32
-	used uint32
+// Slot layout: the 32-bit line number (a quarter-terabyte of modeled
+// physical space) in the high word, the inserting VM and the coherence
+// state in the low word's two low bytes.
+const (
+	tagShift  = 32
+	vmShift   = 8
+	stateMask = 0xff
+	emptySlot = uint64(invalidTag) << tagShift
+)
+
+func pack(tag uint32, st State, vm uint8) uint64 {
+	return uint64(tag)<<tagShift | uint64(vm)<<vmShift | uint64(st)
+}
+
+func slotTag(v uint64) uint32 { return uint32(v >> tagShift) }
+
+func slotLine(v uint64) Line {
+	return Line{Tag: sim.Addr(v >> tagShift << sim.LineShift), State: State(v), VM: uint8(v >> vmShift)}
 }
 
 // Cache is a set-associative, LRU-replacement cache array.
@@ -120,16 +144,11 @@ type Cache struct {
 	cfg     Config
 	assoc   int
 	setMask uint64
-	tick    uint32 // global LRU clock; renormalized on wrap
-	quota   []int  // per-VM way quotas (nil = unpartitioned)
+	quota   []int // per-VM way quotas (nil = unpartitioned)
 
-	// Struct-of-arrays storage, indexed set*assoc+way. meta is the only
-	// array the miss-dominated scan and replacement loops touch;
-	// states/vms are read on hits and evictions only. A slot is resident
-	// iff its tag differs from invalidTag.
-	meta   []slot
-	states []State
-	vms    []uint8
+	// slots holds every way, indexed set*assoc+way, each set in recency
+	// order with its empty ways last (see the package comment).
+	slots []uint64
 
 	// Stats are plain counters; the driving model reads them directly.
 	Accesses  uint64
@@ -157,30 +176,16 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nLines := cfg.SizeBytes / sim.LineBytes
-	nSets := nLines / cfg.Assoc
-	// states and vms share one backing: a simulated machine builds dozens
-	// of cache instances, and fewer allocations each is measurable in the
-	// bench harness's construction-inclusive allocation budget.
-	bytes := make([]uint8, 2*nLines)
 	c := &Cache{
 		cfg:     cfg,
 		assoc:   cfg.Assoc,
-		setMask: uint64(nSets - 1),
-		meta:    make([]slot, nLines),
-		states:  unsafeStates(bytes[:nLines:nLines]),
-		vms:     bytes[nLines:],
+		setMask: uint64(nLines/cfg.Assoc - 1),
+		slots:   make([]uint64, nLines),
 	}
-	for i := range c.meta {
-		c.meta[i].tag = invalidTag
+	for i := range c.slots {
+		c.slots[i] = emptySlot
 	}
 	return c
-}
-
-// unsafeStates views a byte slice as coherence states (State is uint8,
-// so the layouts are identical); copying into a fresh []State would
-// defeat the shared-backing allocation.
-func unsafeStates(b []uint8) []State {
-	return unsafe.Slice((*State)(unsafe.Pointer(&b[0])), len(b))
 }
 
 // Config returns the geometry the cache was built with.
@@ -190,83 +195,42 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Latency() sim.Cycle { return c.cfg.Latency }
 
 // Lines returns the total line capacity.
-func (c *Cache) Lines() int { return len(c.meta) }
+func (c *Cache) Lines() int { return len(c.slots) }
 
 // State returns the coherence state of the line at w.
-func (c *Cache) State(w Way) State { return c.states[w] }
+func (c *Cache) State(w Way) State { return State(c.slots[w]) }
 
 // SetState updates the coherence state of the line at w.
-func (c *Cache) SetState(w Way, st State) { c.states[w] = st }
+func (c *Cache) SetState(w Way, st State) {
+	c.slots[w] = c.slots[w]&^stateMask | uint64(st)
+}
 
 // WayTag returns the line address held at w.
-func (c *Cache) WayTag(w Way) sim.Addr {
-	return sim.Addr(uint64(c.meta[w].tag) << sim.LineShift)
-}
+func (c *Cache) WayTag(w Way) sim.Addr { return slotLine(c.slots[w]).Tag }
 
 // WayVM returns the inserting VM of the line at w.
-func (c *Cache) WayVM(w Way) uint8 { return c.vms[w] }
+func (c *Cache) WayVM(w Way) uint8 { return uint8(c.slots[w] >> vmShift) }
 
-func (c *Cache) setBase(block uint32) int {
-	return int(uint64(block)&c.setMask) * c.assoc
+// set returns the ways of the set that block maps to, and the set's
+// first slot index.
+func (c *Cache) set(block uint32) ([]uint64, int) {
+	base := int(uint64(block)&c.setMask) * c.assoc
+	return c.slots[base : base+c.assoc : base+c.assoc], base
 }
 
-// tickNext advances the LRU clock. On the (astronomically rare) 32-bit
-// wrap it renormalizes every stored tick first, preserving recency order
-// exactly.
-func (c *Cache) tickNext() uint32 {
-	c.tick++
-	if c.tick == 0 {
-		c.renormalizeTicks()
-	}
-	return c.tick
-}
-
-// renormalizeTicks compacts the LRU clock after 2^32 advances: ways are
-// re-ticked densely in their existing recency order, so every later
-// replacement decision matches what an unbounded clock would have made.
-func (c *Cache) renormalizeTicks() {
-	order := make([]int, len(c.meta))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return c.meta[order[a]].used < c.meta[order[b]].used
-	})
-	for r, i := range order {
-		c.meta[i].used = uint32(r + 1)
-	}
-	c.tick = uint32(len(c.meta)) + 1
-}
-
-// Lookup probes for the line containing addr. On a hit it refreshes LRU
-// state, rotates the line into way 0 of its set (so the next access to
-// the set's MRU line matches on the first compare) and returns its
-// handle. It does not allocate on miss.
+// Lookup probes for the line containing addr. On a hit it moves the line
+// to way 0 — the set's MRU position — and returns its handle. It does
+// not allocate on miss.
 func (c *Cache) Lookup(addr sim.Addr) (Way, bool) {
 	t := blockOf(addr)
 	c.Accesses++
-	base := c.setBase(t)
-	m := c.meta[base : base+c.assoc : base+c.assoc]
-	if m[0].tag == t {
-		// MRU fast path: way 0 holds the set's last-hit line.
-		m[0].used = c.tickNext()
-		c.Hits++
-		return Way(base), true
-	}
-	for i := 1; i < len(m); i++ {
-		if m[i].tag != t {
+	s, base := c.set(t)
+	for i, v := range s {
+		if slotTag(v) != t {
 			continue
 		}
-		// Rotate the hit line into way 0. Ways within a set are
-		// symmetric (LRU order lives in used, not in slot order), so the
-		// swap is invisible to replacement and snapshot accounting.
-		j := base + i
-		m[i].tag = m[0].tag
-		m[0].tag = t
-		c.states[j], c.states[base] = c.states[base], c.states[j]
-		c.vms[j], c.vms[base] = c.vms[base], c.vms[j]
-		m[i].used = m[0].used
-		m[0].used = c.tickNext()
+		copy(s[1:i+1], s[:i])
+		s[0] = v
 		c.Hits++
 		return Way(base), true
 	}
@@ -274,16 +238,13 @@ func (c *Cache) Lookup(addr sim.Addr) (Way, bool) {
 	return -1, false
 }
 
-// Probe checks residency without touching LRU state, slot order or
-// stats. Used by the coherence layer for remote snoops and by snapshot
-// accounting; the returned handle survives other Probes but not a
-// Lookup or Insert.
+// Probe checks residency without touching recency order or stats. Used
+// by the coherence layer for remote snoops and by snapshot accounting.
 func (c *Cache) Probe(addr sim.Addr) (Way, bool) {
 	t := blockOf(addr)
-	base := c.setBase(t)
-	m := c.meta[base : base+c.assoc : base+c.assoc]
-	for i := range m {
-		if m[i].tag == t {
+	s, base := c.set(t)
+	for i, v := range s {
+		if slotTag(v) == t {
 			return Way(base + i), true
 		}
 	}
@@ -296,108 +257,56 @@ func (c *Cache) Probe(addr sim.Addr) (Way, bool) {
 // newly inserted line. Inserting a line that is already resident is a
 // programming error in the protocol driver and panics.
 func (c *Cache) Insert(addr sim.Addr, st State, vm uint8) (victim Line, evicted bool, w Way) {
-	la := blockOf(addr)
-	base := c.setBase(la)
-	m := c.meta[base : base+c.assoc : base+c.assoc]
-	wi := -1
-	minUsed := ^uint32(0)
-	for i := range m {
-		tg := m[i].tag
-		if tg == invalidTag {
-			wi = i
-			break
-		}
-		if tg == la {
-			panic(fmt.Sprintf("cache: double insert of line %#x", la))
-		}
-		if u := m[i].used; wi < 0 || u < minUsed {
-			wi, minUsed = i, u
-		}
+	victim, evicted, w, inserted := c.InsertIfAbsent(addr, st, vm)
+	if !inserted {
+		panic(fmt.Sprintf("cache: double insert of line %#x", blockOf(addr)))
 	}
-	if c.quota != nil && m[wi].tag != invalidTag {
-		if pv := c.partitionVictim(base, vm); pv >= 0 {
-			wi = pv
-		} else {
-			// An invalid way exists; find it.
-			for i := range m {
-				if m[i].tag == invalidTag {
-					wi = i
-					break
-				}
-			}
-		}
-	}
-	j := base + wi
-	if m[wi].tag != invalidTag {
-		victim = Line{Tag: sim.Addr(uint64(m[wi].tag) << sim.LineShift), State: c.states[j], VM: c.vms[j]}
-		evicted = true
-		c.Evictions++
-	}
-	m[wi] = slot{tag: la, used: c.tickNext()}
-	c.states[j] = st
-	c.vms[j] = vm
-	return victim, evicted, Way(j)
+	return victim, evicted, w
 }
 
 // InsertIfAbsent installs the line containing addr unless it is already
-// resident, in one set scan (against Probe-then-Insert's two). It
-// mirrors Insert's replacement choice exactly; on a pre-existing line it
-// is a no-op, like the Probe it replaces (no stats, no LRU refresh).
+// resident, in one set scan (against Probe-then-Insert's two). On a
+// pre-existing line it is a no-op, like the Probe it replaces (no stats,
+// no recency refresh).
 func (c *Cache) InsertIfAbsent(addr sim.Addr, st State, vm uint8) (victim Line, evicted bool, w Way, inserted bool) {
 	la := blockOf(addr)
-	base := c.setBase(la)
-	m := c.meta[base : base+c.assoc : base+c.assoc]
-	wi := -1
-	for i := range m {
-		tg := m[i].tag
-		if tg == la {
+	s, base := c.set(la)
+	vi := len(s) - 1
+	for i, v := range s {
+		if slotTag(v) == la {
 			return Line{}, false, Way(base + i), false
 		}
-		if tg == invalidTag {
-			if wi < 0 || m[wi].tag != invalidTag {
-				wi = i
-			}
-			continue
-		}
-		if wi >= 0 && m[wi].tag == invalidTag {
-			continue // an invalid way always wins over any LRU victim
-		}
-		if wi < 0 || m[i].used < m[wi].used {
-			wi = i
+		if slotTag(v) == invalidTag {
+			// Empty ways are compacted to the tail: nothing resident
+			// lies beyond the first one.
+			vi = i
+			break
 		}
 	}
-	if c.quota != nil && m[wi].tag != invalidTag {
-		if pv := c.partitionVictim(base, vm); pv >= 0 {
-			wi = pv
+	if slotTag(s[vi]) != invalidTag {
+		if c.quota != nil {
+			vi = c.partitionVictim(s, vm)
 		}
-	}
-	j := base + wi
-	if m[wi].tag != invalidTag {
-		victim = Line{Tag: sim.Addr(uint64(m[wi].tag) << sim.LineShift), State: c.states[j], VM: c.vms[j]}
-		evicted = true
+		victim, evicted = slotLine(s[vi]), true
 		c.Evictions++
 	}
-	m[wi] = slot{tag: la, used: c.tickNext()}
-	c.states[j] = st
-	c.vms[j] = vm
-	return victim, evicted, Way(j), true
+	copy(s[1:vi+1], s[:vi])
+	s[0] = pack(la, st, vm)
+	return victim, evicted, Way(base), true
 }
 
 // Invalidate removes the line containing addr if resident and returns the
-// removed copy. Used for coherence invalidations and inclusive
+// removed copy, sliding the deeper ways up one slot so the hole lands at
+// the set's tail. Used for coherence invalidations and inclusive
 // back-invalidation.
 func (c *Cache) Invalidate(addr sim.Addr) (Line, bool) {
 	t := blockOf(addr)
-	base := c.setBase(t)
-	m := c.meta[base : base+c.assoc : base+c.assoc]
-	for i := range m {
-		if m[i].tag == t {
-			j := base + i
-			old := Line{Tag: sim.Addr(uint64(t) << sim.LineShift), State: c.states[j], VM: c.vms[j]}
-			m[i] = slot{tag: invalidTag}
-			c.states[j] = Invalid
-			c.vms[j] = 0
-			return old, true
+	s, _ := c.set(t)
+	for i, v := range s {
+		if slotTag(v) == t {
+			copy(s[i:], s[i+1:])
+			s[len(s)-1] = emptySlot
+			return slotLine(v), true
 		}
 	}
 	return Line{}, false
@@ -427,22 +336,18 @@ func (c *Cache) ResetStats() {
 // is sized to maxVM+1 entries.
 func (c *Cache) OccupancyByVM(maxVM int) []int {
 	occ := make([]int, maxVM+1)
-	for i := range c.meta {
-		if c.meta[i].tag != invalidTag && int(c.vms[i]) <= maxVM {
-			occ[c.vms[i]]++
+	c.ForEach(func(l *Line) {
+		if int(l.VM) <= maxVM {
+			occ[l.VM]++
 		}
-	}
+	})
 	return occ
 }
 
 // Resident returns the number of valid lines.
 func (c *Cache) Resident() int {
 	n := 0
-	for i := range c.meta {
-		if c.meta[i].tag != invalidTag {
-			n++
-		}
-	}
+	c.ForEach(func(*Line) { n++ })
 	return n
 }
 
@@ -450,12 +355,11 @@ func (c *Cache) Resident() int {
 // must not insert or invalidate lines; mutations of the snapshot are not
 // written back.
 func (c *Cache) ForEach(fn func(*Line)) {
-	for i := range c.meta {
-		tg := c.meta[i].tag
-		if tg == invalidTag {
+	for _, v := range c.slots {
+		if slotTag(v) == invalidTag {
 			continue
 		}
-		l := Line{Tag: sim.Addr(uint64(tg) << sim.LineShift), State: c.states[i], VM: c.vms[i]}
+		l := slotLine(v)
 		fn(&l)
 	}
 }

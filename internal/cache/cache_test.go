@@ -1,6 +1,10 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -257,5 +261,366 @@ func TestAgainstReferenceModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// lruOracle is the timestamp-LRU array the recency-ordered layout
+// replaced, kept as the reference the property test and FuzzCacheOps
+// compare against: ways never move, every touch stamps the way with a
+// global clock, and a fill takes the first empty way, else the way with
+// the oldest stamp (per partition rule under quotas).
+type lruOracle struct {
+	assoc   int
+	setMask uint64
+	ways    []oracleWay // set*assoc + way
+	tick    uint64
+	quota   []int
+
+	accesses, hits, misses, evictions uint64
+}
+
+type oracleWay struct {
+	line  Line
+	used  uint64
+	valid bool
+}
+
+func newOracle(cfg Config) *lruOracle {
+	lines := cfg.SizeBytes / sim.LineBytes
+	return &lruOracle{assoc: cfg.Assoc, setMask: uint64(lines/cfg.Assoc - 1), ways: make([]oracleWay, lines)}
+}
+
+func (o *lruOracle) set(addr sim.Addr) []oracleWay {
+	base := int(uint64(addr)>>sim.LineShift&o.setMask) * o.assoc
+	return o.ways[base : base+o.assoc]
+}
+
+func (o *lruOracle) find(addr sim.Addr) *oracleWay {
+	tag := addr >> sim.LineShift << sim.LineShift
+	s := o.set(addr)
+	for i := range s {
+		if s[i].valid && s[i].line.Tag == tag {
+			return &s[i]
+		}
+	}
+	return nil
+}
+
+func (o *lruOracle) lookup(addr sim.Addr) bool {
+	o.accesses++
+	w := o.find(addr)
+	if w == nil {
+		o.misses++
+		return false
+	}
+	o.tick++
+	w.used = o.tick
+	o.hits++
+	return true
+}
+
+func (o *lruOracle) quotaOf(vm uint8) int {
+	if o.quota == nil || int(vm) >= len(o.quota) {
+		return o.assoc
+	}
+	return max(o.quota[vm], 1)
+}
+
+// victim is the replacement choice of the old Insert: first empty way,
+// else LRU of the inserter's own lines when it is at quota, else LRU of
+// any over-quota VM's lines, else global LRU.
+func (o *lruOracle) victim(s []oracleWay, vm uint8) *oracleWay {
+	var counts [256]int
+	var own, over, lru *oracleWay
+	for i := range s {
+		if !s[i].valid {
+			return &s[i]
+		}
+		counts[s[i].line.VM]++
+	}
+	older := func(w, than *oracleWay) bool { return than == nil || w.used < than.used }
+	for i := range s {
+		w := &s[i]
+		if older(w, lru) {
+			lru = w
+		}
+		if o.quota == nil {
+			continue
+		}
+		if w.line.VM == vm && older(w, own) {
+			own = w
+		}
+		if counts[w.line.VM] > o.quotaOf(w.line.VM) && older(w, over) {
+			over = w
+		}
+	}
+	switch {
+	case own != nil && counts[vm] >= o.quotaOf(vm):
+		return own
+	case over != nil:
+		return over
+	}
+	return lru
+}
+
+func (o *lruOracle) insertIfAbsent(addr sim.Addr, st State, vm uint8) (victim Line, evicted, inserted bool) {
+	if o.find(addr) != nil {
+		return Line{}, false, false
+	}
+	w := o.victim(o.set(addr), vm)
+	if w.valid {
+		victim, evicted = w.line, true
+		o.evictions++
+	}
+	o.tick++
+	*w = oracleWay{line: Line{Tag: addr >> sim.LineShift << sim.LineShift, State: st, VM: vm}, used: o.tick, valid: true}
+	return victim, evicted, true
+}
+
+func (o *lruOracle) invalidate(addr sim.Addr) (Line, bool) {
+	w := o.find(addr)
+	if w == nil {
+		return Line{}, false
+	}
+	l := w.line
+	*w = oracleWay{}
+	return l, true
+}
+
+// recency returns every set's resident lines, MRU first.
+func (o *lruOracle) recency() [][]Line {
+	var out [][]Line
+	for base := 0; base < len(o.ways); base += o.assoc {
+		s := append([]oracleWay(nil), o.ways[base:base+o.assoc]...)
+		sort.Slice(s, func(a, b int) bool { return s[a].used > s[b].used })
+		var lines []Line
+		for _, w := range s {
+			if w.valid {
+				lines = append(lines, w.line)
+			}
+		}
+		out = append(out, lines)
+	}
+	return out
+}
+
+// recency returns every set's resident lines in slot order, failing the
+// test if an empty way precedes a resident one.
+func (c *Cache) recency(t testing.TB) [][]Line {
+	var out [][]Line
+	for base := 0; base < len(c.slots); base += c.assoc {
+		var lines []Line
+		for i, v := range c.slots[base : base+c.assoc] {
+			if slotTag(v) == invalidTag {
+				continue
+			}
+			if i != len(lines) {
+				t.Fatalf("set at slot %d: resident way %d follows an empty one", base, i)
+			}
+			lines = append(lines, slotLine(v))
+		}
+		out = append(out, lines)
+	}
+	return out
+}
+
+// cacheOpsGeometry is the machine every driven sequence runs on: four
+// sets, and three times as many distinct lines per set as there are ways,
+// so sets fill, thrash and (through Invalidate) carry empty ways.
+const (
+	opsSets        = 4
+	opsLinesPerWay = 3
+	opsVMs         = 4
+)
+
+// driveCacheOps decodes ops three bytes at a time into
+// Lookup/Probe/Insert/InsertIfAbsent/Invalidate/SetState/SetPartition
+// calls, applies each to a Cache and to the timestamp-LRU oracle, and
+// fails on any difference in results, victims, counters, resident lines
+// or recency order.
+func driveCacheOps(t testing.TB, assoc int, partitioned bool, ops []byte) {
+	cfg := Config{SizeBytes: opsSets * assoc * sim.LineBytes, Assoc: assoc}
+	c, o := New(cfg), newOracle(cfg)
+	// VM 0 is squeezed to one way, VM 1 to half the set, VM 2 gets a
+	// quota it can never exceed and VM 3 is unlisted (unconstrained).
+	quota := []int{1, max(assoc/2, 1), assoc}
+	setPartition := func(on bool) {
+		if on {
+			c.SetPartition(quota)
+			o.quota = quota
+		} else {
+			c.SetPartition(nil)
+			o.quota = nil
+		}
+	}
+	setPartition(partitioned)
+
+	for n := 0; n+2 < len(ops); n += 3 {
+		kind, sel, arg := ops[n], ops[n+1], ops[n+2]
+		addr := sim.Addr(int(sel)%(opsSets*assoc*opsLinesPerWay)) << sim.LineShift
+		st, vm := State(1+arg%4), arg/4%opsVMs
+		fail := func(format string, a ...any) {
+			t.Helper()
+			t.Fatalf("%d-way partitioned=%v op %d (kind %d, %#x): %s", assoc, o.quota != nil, n/3, kind%9, addr, fmt.Sprintf(format, a...))
+		}
+		switch kind % 9 {
+		case 0, 1, 2:
+			w, hit := c.Lookup(addr)
+			if hit != o.lookup(addr) {
+				fail("Lookup hit = %v", hit)
+			}
+			if hit && (c.WayTag(w) != addr || c.State(w) != o.find(addr).line.State) {
+				fail("Lookup handle reads %#x/%v", c.WayTag(w), c.State(w))
+			}
+		case 3:
+			w, hit := c.Probe(addr)
+			ow := o.find(addr)
+			if hit != (ow != nil) {
+				fail("Probe hit = %v", hit)
+			}
+			if hit && (Line{c.WayTag(w), c.State(w), c.WayVM(w)}) != ow.line {
+				fail("Probe handle reads %+v, want %+v", Line{c.WayTag(w), c.State(w), c.WayVM(w)}, ow.line)
+			}
+		case 4:
+			if o.find(addr) != nil {
+				continue // Insert of a resident line panics; covered directly
+			}
+			v, ev, w := c.Insert(addr, st, vm)
+			ov, oev, _ := o.insertIfAbsent(addr, st, vm)
+			if v != ov || ev != oev {
+				fail("Insert victim %+v/%v, want %+v/%v", v, ev, ov, oev)
+			}
+			if c.WayTag(w) != addr || c.State(w) != st || c.WayVM(w) != vm {
+				fail("Insert handle reads %#x/%v/%d", c.WayTag(w), c.State(w), c.WayVM(w))
+			}
+		case 5:
+			v, ev, w, ins := c.InsertIfAbsent(addr, st, vm)
+			ov, oev, oins := o.insertIfAbsent(addr, st, vm)
+			if v != ov || ev != oev || ins != oins {
+				fail("InsertIfAbsent = %+v/%v/%v, want %+v/%v/%v", v, ev, ins, ov, oev, oins)
+			}
+			if c.WayTag(w) != addr {
+				fail("InsertIfAbsent handle reads %#x", c.WayTag(w))
+			}
+		case 6:
+			l, ok := c.Invalidate(addr)
+			ol, ook := o.invalidate(addr)
+			if l != ol || ok != ook {
+				fail("Invalidate = %+v/%v, want %+v/%v", l, ok, ol, ook)
+			}
+		case 7:
+			if w, ok := c.Probe(addr); ok {
+				c.SetState(w, st)
+				o.find(addr).line.State = st
+			}
+		case 8:
+			if arg%8 == 0 { // rare, so sequences run long under each regime
+				setPartition(o.quota == nil)
+			}
+		}
+		if c.Accesses != o.accesses || c.Hits != o.hits || c.Misses != o.misses || c.Evictions != o.evictions {
+			fail("counters %d/%d/%d/%d, want %d/%d/%d/%d", c.Accesses, c.Hits, c.Misses, c.Evictions, o.accesses, o.hits, o.misses, o.evictions)
+		}
+		// Slot order must be the oracle's stamp order: same lines, same
+		// states and VMs, same recency rank, empty ways last.
+		if got, want := c.recency(t), o.recency(); !reflect.DeepEqual(got, want) {
+			fail("recency order\n got %+v\nwant %+v", got, want)
+		}
+	}
+
+	// The public views agree with the oracle's resident multiset.
+	var got, want []Line
+	c.ForEach(func(l *Line) { got = append(got, *l) })
+	occ := make([]int, opsVMs)
+	for _, w := range o.ways {
+		if w.valid {
+			want = append(want, w.line)
+			occ[w.line.VM]++
+		}
+	}
+	byTag := func(s []Line) { sort.Slice(s, func(a, b int) bool { return s[a].Tag < s[b].Tag }) }
+	byTag(got)
+	byTag(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d-way: ForEach\n got %+v\nwant %+v", assoc, got, want)
+	}
+	if o := c.OccupancyByVM(opsVMs - 1); !reflect.DeepEqual(o, occ) || c.Resident() != len(want) {
+		t.Fatalf("%d-way: OccupancyByVM %v Resident %d, want %v %d", assoc, o, c.Resident(), occ, len(want))
+	}
+}
+
+// TestRecencyOrderMatchesTimestampLRU is the replacement's property test:
+// random operation sequences at every associativity the machine uses,
+// with and without way quotas.
+func TestRecencyOrderMatchesTimestampLRU(t *testing.T) {
+	for _, assoc := range []int{2, 4, 8, 16} {
+		for _, partitioned := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(assoc)))
+			for round := 0; round < 20; round++ {
+				ops := make([]byte, 3*2000)
+				rng.Read(ops)
+				driveCacheOps(t, assoc, partitioned, ops)
+			}
+		}
+	}
+}
+
+// FuzzCacheOps lets the fuzzer choose the geometry and the sequence.
+func FuzzCacheOps(f *testing.F) {
+	f.Add(uint8(0), []byte{4, 0, 0, 4, 8, 0, 0, 0, 0, 4, 16, 0, 6, 8, 0, 4, 24, 0})
+	f.Add(uint8(5), []byte{5, 1, 4, 5, 9, 4, 5, 17, 0, 8, 0, 0, 5, 25, 8, 0, 1, 0, 6, 9, 0, 5, 33, 12})
+	f.Add(uint8(7), []byte{4, 3, 1, 7, 3, 2, 3, 3, 0, 6, 3, 0, 0, 3, 0})
+	f.Fuzz(func(t *testing.T, shape uint8, ops []byte) {
+		driveCacheOps(t, 2<<(shape%4), shape&4 != 0, ops)
+	})
+}
+
+// TestWayHandleContract pins the handle-validity rule the access walk
+// relies on: way 0 — what Lookup and Insert return — stays put when a
+// different line of its set is invalidated, while a Probe handle to a
+// deeper way goes stale when a shallower line is invalidated.
+func TestWayHandleContract(t *testing.T) {
+	c := New(Config{SizeBytes: 4 * sim.LineBytes, Assoc: 4}) // one set
+	line := func(i int) sim.Addr { return sim.Addr(i) << sim.LineShift }
+	for i := 0; i < 4; i++ {
+		c.Insert(line(i), Shared, 0)
+	}
+	// Recency order is now 3, 2, 1, 0.
+	deep, _ := c.Probe(line(0))
+	mid, _ := c.Probe(line(2))
+	if c.WayTag(deep) != line(0) || c.WayTag(mid) != line(2) {
+		t.Fatalf("Probe handles read %#x, %#x", c.WayTag(deep), c.WayTag(mid))
+	}
+	c.Invalidate(line(2))
+	if c.WayTag(mid) == line(2) {
+		t.Error("handle to an invalidated line still reads it")
+	}
+	if c.WayTag(deep) == line(0) {
+		t.Error("deep Probe handle survived the invalidation of a shallower way; the contract says it moves up")
+	}
+	if w, ok := c.Probe(line(0)); !ok || w != deep-1 {
+		t.Errorf("line 0 at way %d (resident %v) after closing the gap, want way %d", w, ok, deep-1)
+	}
+
+	// The Lookup handle survives invalidations of every other line.
+	w, ok := c.Lookup(line(1))
+	if !ok {
+		t.Fatal("line 1 lost")
+	}
+	c.Invalidate(line(3))
+	c.Invalidate(line(0))
+	if c.WayTag(w) != line(1) {
+		t.Fatalf("Lookup handle reads %#x after unrelated invalidations", c.WayTag(w))
+	}
+	c.SetState(w, Modified)
+	if pw, _ := c.Probe(line(1)); pw != w || c.State(pw) != Modified {
+		t.Errorf("SetState through the Lookup handle missed the line (way %d state %v)", pw, c.State(pw))
+	}
+
+	// So does the Insert handle.
+	_, _, iw := c.Insert(line(5), Exclusive, 2)
+	c.Invalidate(line(1))
+	if c.WayTag(iw) != line(5) || c.State(iw) != Exclusive || c.WayVM(iw) != 2 {
+		t.Fatalf("Insert handle reads %#x/%v/%d after unrelated invalidation", c.WayTag(iw), c.State(iw), c.WayVM(iw))
 	}
 }

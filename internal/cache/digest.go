@@ -14,16 +14,15 @@ func MixDigest(h, v uint64) uint64 {
 const DigestSeed = 14695981039346656037
 
 // StateDigest folds the cache's complete observable state into h: every
-// way's tag, LRU stamp, coherence state and VM tag in slot order, the
-// LRU clock, and the access counters. Two caches that processed the
-// same operation sequence digest identically; any divergence in
-// replacement order, contents or accounting changes the digest.
+// way's packed tag, VM and coherence state in slot order — which is
+// recency order, so the LRU state is in there too — and the access
+// counters. Two caches that processed the same operation sequence digest
+// identically; any divergence in replacement order, contents or
+// accounting changes the digest.
 func (c *Cache) StateDigest(h uint64) uint64 {
-	for i := range c.meta {
-		h = MixDigest(h, uint64(c.meta[i].tag)|uint64(c.meta[i].used)<<32)
-		h = MixDigest(h, uint64(c.states[i])|uint64(c.vms[i])<<8)
+	for _, v := range c.slots {
+		h = MixDigest(h, v)
 	}
-	h = MixDigest(h, uint64(c.tick))
 	h = MixDigest(h, c.Accesses)
 	h = MixDigest(h, c.Hits)
 	h = MixDigest(h, c.Misses)

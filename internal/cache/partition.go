@@ -44,36 +44,27 @@ func (c *Cache) quotaOf(vm uint8) int {
 	return c.quota[vm]
 }
 
-// partitionVictim picks the way index (within the set starting at slot
-// base) to evict for an insertion by vm, honoring quotas. It returns -1
-// if an invalid way exists (no eviction needed).
-func (c *Cache) partitionVictim(base int, vm uint8) int {
+// partitionVictim picks the way of the full set s to evict for an
+// insertion by vm, honoring quotas. The set is in recency order, so each
+// rule's LRU line is the deepest way the rule admits.
+func (c *Cache) partitionVictim(s []uint64, vm uint8) int {
 	var counts [256]int
-	lruOwn, lruOver, lruAny := -1, -1, -1
-	m := c.meta[base : base+c.assoc : base+c.assoc]
-	vms := c.vms[base : base+c.assoc : base+c.assoc]
-	for i := range m {
-		if m[i].tag == invalidTag {
-			return -1
-		}
-		counts[vms[i]]++
-		if lruAny < 0 || m[i].used < m[lruAny].used {
-			lruAny = i
-		}
+	for _, v := range s {
+		counts[uint8(v>>vmShift)]++
 	}
-	for i := range m {
-		if vms[i] == vm && (lruOwn < 0 || m[i].used < m[lruOwn].used) {
-			lruOwn = i
+	atQuota := counts[vm] >= c.quotaOf(vm)
+	over := -1
+	for i := len(s) - 1; i >= 0; i-- {
+		owner := uint8(s[i] >> vmShift)
+		if atQuota && owner == vm {
+			return i
 		}
-		if counts[vms[i]] > c.quotaOf(vms[i]) && (lruOver < 0 || m[i].used < m[lruOver].used) {
-			lruOver = i
+		if over < 0 && counts[owner] > c.quotaOf(owner) {
+			over = i
 		}
 	}
-	if lruOwn >= 0 && counts[vm] >= c.quotaOf(vm) {
-		return lruOwn
+	if over >= 0 {
+		return over
 	}
-	if lruOver >= 0 {
-		return lruOver
-	}
-	return lruAny
+	return len(s) - 1
 }

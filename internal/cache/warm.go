@@ -1,150 +1,30 @@
-// Warm-path entry points for the sampling engine's functional-warming
-// walk. Fast-forward references only need a cache's *contents* to
-// evolve — tags, LRU order, states, counters — exactly as the detailed
-// walk would evolve them; they never consume the Way handles or latency
-// the regular API shapes itself around. These fused calls keep the
-// bookkeeping bit-identical to the Lookup/Insert pairs they replace
-// while halving the set scans on the paths warming actually takes.
+// Read-only set peeks for the warming walk's lookahead prefetch
+// (core/warm.go): they start the host-memory loads a demand access one
+// context rotation later would otherwise serialize.
 package cache
 
 import "consim/internal/sim"
 
-// WarmLookup is Lookup with the miss-fill decision fused in: on a hit it
-// behaves exactly like Lookup (counters, MRU rotation, LRU refresh); on
-// a miss it additionally returns the way Insert would victimize for an
-// insertion by vm, chosen in the same scan. The victim way is valid only
-// while nothing touches this cache instance (other instances are fine) —
-// complete the fill with WarmInsertAt before the next operation here.
-func (c *Cache) WarmLookup(addr sim.Addr, vm uint8) (w Way, hit bool, victim Way) {
-	t := blockOf(addr)
-	c.Accesses++
-	base := c.setBase(t)
-	m := c.meta[base : base+c.assoc : base+c.assoc]
-	if m[0].tag == t {
-		// MRU fast path: way 0 holds the set's last-hit line.
-		m[0].used = c.tickNext()
-		c.Hits++
-		return Way(base), true, -1
-	}
-	// One pass does both jobs: the hit scan over ways 1..assoc-1 and,
-	// for the miss outcome, Insert's exact victim choice — first invalid
-	// way wins (way 0 included), else least-recently-used (first index
-	// on ties). A hit abandons the victim candidates unused, so tracking
-	// them costs the miss path nothing extra and saves it a second scan.
-	inv := -1
-	lru := 0
-	minUsed := m[0].used
-	if m[0].tag == invalidTag {
-		inv = 0
-	}
-	for i := 1; i < len(m); i++ {
-		if m[i].tag == t {
-			// Rotate the hit line into way 0, exactly as Lookup does.
-			j := base + i
-			m[i].tag = m[0].tag
-			m[0].tag = t
-			c.states[j], c.states[base] = c.states[base], c.states[j]
-			c.vms[j], c.vms[base] = c.vms[base], c.vms[j]
-			m[i].used = m[0].used
-			m[0].used = c.tickNext()
-			c.Hits++
-			return Way(base), true, -1
-		}
-		if inv < 0 {
-			if m[i].tag == invalidTag {
-				inv = i
-			} else if m[i].used < minUsed {
-				lru, minUsed = i, m[i].used
-			}
-		}
-	}
-	c.Misses++
-	wi := lru
-	if inv >= 0 {
-		wi = inv
-	}
-	if c.quota != nil && m[wi].tag != invalidTag {
-		if pv := c.partitionVictim(base, vm); pv >= 0 {
-			wi = pv
-		} else {
-			// An invalid way exists; find it.
-			for i := range m {
-				if m[i].tag == invalidTag {
-					wi = i
-					break
-				}
-			}
-		}
-	}
-	return -1, false, Way(base + wi)
-}
-
-// WarmInsertAt completes a WarmLookup miss: it installs addr at the
-// victim way WarmLookup chose, with Insert's exact bookkeeping
-// (eviction capture and counter, LRU stamp). The set and the LRU clock
-// must be untouched since the WarmLookup that produced victim.
-func (c *Cache) WarmInsertAt(victim Way, addr sim.Addr, st State, vm uint8) (out Line, evicted bool) {
-	j := int(victim)
-	if c.meta[j].tag != invalidTag {
-		out = Line{Tag: sim.Addr(uint64(c.meta[j].tag) << sim.LineShift), State: c.states[j], VM: c.vms[j]}
-		evicted = true
-		c.Evictions++
-	}
-	c.meta[j] = slot{tag: blockOf(addr), used: c.tickNext()}
-	c.states[j] = st
-	c.vms[j] = vm
-	return out, evicted
-}
-
-// LookupOrInsert fuses Lookup with a miss-fill in one set scan: a hit is
-// exactly Lookup, a miss installs the line exactly as Insert would
-// (evicting silently) and reports the miss. This is the whole access
-// protocol of the directory tag caches, which discard Way handles and
-// eviction victims alike.
-func (c *Cache) LookupOrInsert(addr sim.Addr, st State, vm uint8) bool {
-	_, hit, victim := c.WarmLookup(addr, vm)
-	if hit {
-		return true
-	}
-	c.WarmInsertAt(victim, addr, st, vm)
-	return false
-}
-
-// PrefetchSet touches addr's set metadata without changing any state:
-// reading the set's first and last way slots pulls the scan's host cache
-// lines in ahead of the demand Lookup, so the warm walk can overlap the
-// DRAM misses of independent arrays instead of paying them serially. It
-// returns the tag bits read so callers can fold them into a sink and
-// keep the loads live.
+// PrefetchSet touches addr's set without changing any state: reading the
+// set's first and last ways pulls the scan's host cache lines in ahead of
+// the demand Lookup. It returns the bits read so callers can fold them
+// into a sink and keep the loads live.
 func (c *Cache) PrefetchSet(addr sim.Addr) uint64 {
-	base := c.setBase(blockOf(addr))
-	return uint64(c.meta[base].tag) + uint64(c.meta[base+c.assoc-1].tag)
+	s, _ := c.set(blockOf(addr))
+	return s[0] + s[len(s)-1]
 }
 
 // PeekVictimTag predicts, without changing any state, the line an
-// insertion of addr by vm would evict from addr's set right now: the
-// same scan as Insert's victim choice (first free way wins — reported
-// as no eviction — else LRU, with the partition override), but
-// read-only. The warm walk's lookahead prefetch uses it to start the
-// victim's directory walk a whole rotation before the eviction happens;
-// a stale prediction only wastes the prefetched line.
+// insertion of addr by vm would evict right now (ok false: a way is
+// free). A stale prediction only wastes the prefetched line.
 func (c *Cache) PeekVictimTag(addr sim.Addr, vm uint8) (sim.Addr, bool) {
-	base := c.setBase(blockOf(addr))
-	m := c.meta[base : base+c.assoc : base+c.assoc]
-	wi := -1
-	minUsed := ^uint32(0)
-	for i := range m {
-		if m[i].tag == invalidTag {
-			return 0, false
-		}
-		if u := m[i].used; wi < 0 || u < minUsed {
-			wi, minUsed = i, u
-		}
+	s, _ := c.set(blockOf(addr))
+	vi := len(s) - 1
+	if slotTag(s[vi]) == invalidTag {
+		return 0, false
 	}
 	if c.quota != nil {
-		if pv := c.partitionVictim(base, vm); pv >= 0 {
-			wi = pv
-		}
+		vi = c.partitionVictim(s, vm)
 	}
-	return sim.Addr(uint64(m[wi].tag) << sim.LineShift), true
+	return slotLine(s[vi]).Tag, true
 }

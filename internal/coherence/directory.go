@@ -457,22 +457,9 @@ func (dc *DirCache) Access(home int, addr sim.Addr) bool {
 	return false
 }
 
-// WarmAccess is Access for the sampling engine's functional-warming
-// walk: identical hit/miss accounting and replacement behaviour, but
-// the tag cache's lookup and miss-fill are fused into one set scan
-// (cache.LookupOrInsert) since warming discards the Way handle anyway.
-func (dc *DirCache) WarmAccess(home int, addr sim.Addr) bool {
-	if dc.per[home].LookupOrInsert(addr, cache.Shared, 0) {
-		dc.Hits++
-		return true
-	}
-	dc.Misses++
-	return false
-}
-
 // PrefetchSet touches home's tag-cache set for addr without changing any
 // state, pulling the set's host cache lines in ahead of the warm walk's
-// demand WarmAccess. Returns the bits read (keep-live sink protocol, as
+// demand Access. Returns the bits read (keep-live sink protocol, as
 // Directory.PrefetchProbe).
 func (dc *DirCache) PrefetchSet(home int, addr sim.Addr) uint64 {
 	return dc.per[home].PrefetchSet(addr)

@@ -11,8 +11,10 @@ import (
 	"fmt"
 	"strings"
 
+	"consim/internal/cache"
 	"consim/internal/coherence"
 	"consim/internal/memctrl"
+	"consim/internal/mesh"
 	"consim/internal/obs"
 	"consim/internal/sched"
 	"consim/internal/sim"
@@ -281,6 +283,9 @@ func (c Config) Validate() error {
 	if c.MeasureRefs == 0 {
 		return fmt.Errorf("core: zero measurement budget")
 	}
+	if err := c.validateUncore(); err != nil {
+		return err
+	}
 	if err := c.validateSample(); err != nil {
 		return err
 	}
@@ -290,6 +295,34 @@ func (c Config) Validate() error {
 	for _, w := range c.Workloads {
 		if err := w.Validate(); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// dirCacheAssoc is the associativity of each home node's directory cache.
+const dirCacheAssoc = 8
+
+// validateUncore checks the memory controllers and the directory caches
+// against the machine the core count derives. Zero values are NewSystem's
+// to default (corner controllers, 32768 entries) and pass.
+func (c Config) validateUncore() error {
+	if c.Mem.Controllers != 0 {
+		if err := c.Mem.Validate(); err != nil {
+			return err
+		}
+		g := mesh.DefaultNetConfig(c.Cores).Geometry
+		for i, n := range c.Mem.Nodes {
+			if n < 0 || n >= g.Nodes() {
+				return fmt.Errorf("core: memory controller %d attaches at node %d, outside the %dx%d mesh of a %d-core machine (leave Mem zero to place controllers at the corners)",
+					i, n, g.Width, g.Height, c.Cores)
+			}
+		}
+	}
+	if c.DirCacheEntries != 0 {
+		dc := cache.Config{SizeBytes: c.DirCacheEntries * sim.LineBytes, Assoc: dirCacheAssoc}
+		if err := dc.Validate(); err != nil {
+			return fmt.Errorf("core: %d directory cache entries per node: %w", c.DirCacheEntries, err)
 		}
 	}
 	return nil

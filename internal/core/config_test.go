@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"consim/internal/memctrl"
 	"consim/internal/sched"
 	"consim/internal/workload"
 )
@@ -209,5 +211,64 @@ func TestSnapshotHelpers(t *testing.T) {
 	empty := Snapshot{}
 	if empty.ReplicationFraction() != 0 {
 		t.Error("empty snapshot not zero-safe")
+	}
+}
+
+// TestValidateUncoreGeometry: configurations that used to reach a hang in
+// the mesh route walk or an index panic (memory controllers attached
+// outside the derived mesh, a directory cache whose set count is not a
+// power of two) are construction errors, and every machine shape the
+// figures, ablations, examples and scaling tests build still validates.
+func TestValidateUncoreGeometry(t *testing.T) {
+	spec := workload.Specs()[workload.TPCH]
+	mod := func(f func(*Config)) Config {
+		c := DefaultConfig(spec)
+		f(&c)
+		return c
+	}
+	bad := map[string]Config{
+		// 3x3 mesh, default controllers at nodes 12 and 15: Latency spun forever.
+		"7 cores, 4x4 controller layout": mod(func(c *Config) { c.Cores, c.GroupSize = 7, 7 }),
+		// 4x3 mesh: route-table index out of range.
+		"12 cores, 4x4 controller layout": mod(func(c *Config) { c.Cores, c.GroupSize = 12, 4 }),
+		"negative attach node":            mod(func(c *Config) { c.Mem.Nodes = []int{0, 3, -1, 15} }),
+		"attach nodes short of controllers": mod(func(c *Config) {
+			c.Mem.Nodes = c.Mem.Nodes[:3]
+		}),
+		// 125 sets: cache.New panicked.
+		"1000 dircache entries":        mod(func(c *Config) { c.DirCacheEntries = 1000 }),
+		"dircache entries under a set": mod(func(c *Config) { c.DirCacheEntries = 4 }),
+		"negative dircache entries":    mod(func(c *Config) { c.DirCacheEntries = -8 }),
+	}
+	for name, c := range bad {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
+		if _, err := NewSystem(c); err == nil {
+			t.Errorf("%s: NewSystem accepted it", name)
+		}
+	}
+
+	good := map[string]Config{
+		"zero Mem on 7 cores":  mod(func(c *Config) { c.Cores, c.GroupSize, c.Mem = 7, 7, memctrl.Config{} }),
+		"zero Mem on 12 cores": mod(func(c *Config) { c.Cores, c.GroupSize, c.Mem = 12, 4, memctrl.Config{} }),
+		"zero dircache":        mod(func(c *Config) { c.DirCacheEntries = 0 }),
+		"8-entry dircache":     mod(func(c *Config) { c.DirCacheEntries = 8 }),
+	}
+	for _, gs := range []int{1, 2, 4, 8, 16} { // every figure's LLC organisation
+		good[fmt.Sprintf("16 cores, groups of %d", gs)] = mod(func(c *Config) { c.GroupSize = gs })
+	}
+	for _, cores := range []int{32, 64} { // scaling study and larger-machine tests
+		good[fmt.Sprintf("%d cores", cores)] = mod(func(c *Config) { c.Cores, c.LLCBytes = cores, cores<<20 })
+	}
+	for n, nodes := range map[int][]int{1: {0}, 2: {0, 15}, 8: {0, 1, 2, 3, 12, 13, 14, 15}} { // ablation A3
+		good[fmt.Sprintf("%d controllers", n)] = mod(func(c *Config) {
+			c.Mem = memctrl.Config{Controllers: n, Latency: DefaultMemLatency, Occupancy: 20, Nodes: nodes}
+		})
+	}
+	for name, c := range good {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }

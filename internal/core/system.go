@@ -205,7 +205,7 @@ func NewSystem(cfg Config) (*System, error) {
 		net:      mesh.NewModel(netCfg.Geometry, cfg.PipeStages),
 		mem:      memctrl.New(cfg.Mem),
 		dir:      coherence.NewDirectory(cfg.Cores),
-		dirCache: coherence.NewDirCache(cfg.Cores, coherence.DirCacheConfig{Entries: cfg.DirCacheEntries, Assoc: 8}),
+		dirCache: coherence.NewDirCache(cfg.Cores, coherence.DirCacheConfig{Entries: cfg.DirCacheEntries, Assoc: dirCacheAssoc}),
 		bankBusy: make([]sim.Cycle, cfg.Cores),
 		dirBusy:  make([]sim.Cycle, cfg.Cores),
 		q:        sim.NewEventQueue(cfg.Cores),

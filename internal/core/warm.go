@@ -14,7 +14,7 @@
 // scratch counters (warm_test.go pins this against the retained ffLoop
 // oracle) — and nothing else.
 //
-// Four things make it fast:
+// Three things make it fast:
 //
 //   - per-core invariants (VM, stats sink, cache pointers, LLC group,
 //     thread id) are hoisted into warmCore contexts built once per run —
@@ -25,9 +25,6 @@
 //     per reference instead of an interface call plus cursor
 //     load/store), refilling through the generator's own cold path so
 //     shared-cursor draws happen at exactly the old refill points;
-//   - the LLC bank and dircache walks use the fused warm entry points
-//     (cache.WarmLookup/WarmInsertAt, DirCache.WarmAccess), which halve
-//     the set scans on the miss paths warming actually takes;
 //   - on footprints too big for the host cache hierarchy, a lookahead
 //     prefetch walks the next ring reference's hit cascade read-only one
 //     context rotation early, starting the DRAM loads (directory bucket,
@@ -355,18 +352,13 @@ func warmMissL0(s *System, wc *warmCore, addr sim.Addr, write bool) {
 
 // warmFetch is fetchTM's functional plane: probe the group bank, then
 // the directory, touch the supplier's state, install in the bank and
-// fill the private hierarchy. The bank lookup and its miss-fill fuse
-// into one set scan (WarmLookup chooses the victim the later
-// WarmInsertAt uses) — sound because nothing between them touches this
-// bank: the dircache and remote banks are distinct cache instances, and
-// a bank-group miss plus the group-inclusion invariant puts any L1 owner
-// (and hence downgradeOwner's bank) outside this group.
+// fill the private hierarchy.
 func warmFetch(s *System, wc *warmCore, addr sim.Addr, write bool) {
 	st := wc.st
 	g := wc.g
 	bank := wc.bank
 
-	bw, bHit, victimWay := bank.WarmLookup(addr, wc.vtag)
+	bw, bHit := bank.Lookup(addr)
 	e := s.dir.Get(addr)
 
 	if bHit {
@@ -387,7 +379,7 @@ func warmFetch(s *System, wc *warmCore, addr sim.Addr, write bool) {
 		// LLC miss for this VM.
 		st.LLCMisses++
 		home := s.dir.Home(addr)
-		s.dirCache.WarmAccess(home, addr)
+		s.dirCache.Access(home, addr)
 
 		switch {
 		case e.L1Owner >= 0:
@@ -415,13 +407,13 @@ func warmFetch(s *System, wc *warmCore, addr sim.Addr, write bool) {
 			st.MemReads++
 		}
 
-		// Install in the local bank at the way WarmLookup chose.
+		// Install in the local bank.
 		bankState := cache.Shared
 		if !e.OnChip() {
 			bankState = cache.Exclusive
 		}
-		victim, evicted := bank.WarmInsertAt(victimWay, addr, bankState, wc.vtag)
-		bw = victimWay
+		victim, evicted, nw := bank.Insert(addr, bankState, wc.vtag)
+		bw = nw
 		if evicted {
 			// The victim's release may backward-shift addr's own slot;
 			// only then is a re-fetch of e needed.
@@ -464,7 +456,7 @@ func warmFetch(s *System, wc *warmCore, addr sim.Addr, write bool) {
 // entry (nothing here reshapes the table).
 func warmInvalidateOthers(s *System, wc *warmCore, addr sim.Addr) *coherence.Entry {
 	home := s.dir.Home(addr)
-	s.dirCache.WarmAccess(home, addr)
+	s.dirCache.Access(home, addr)
 	st := wc.st
 	e := s.dir.Get(addr)
 	// Private copies at other cores (ascending over the sharer mask).

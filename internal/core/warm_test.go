@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"consim/internal/cache"
-	"consim/internal/sim"
 )
 
 // warmStateDigest folds every piece of state fast-forward is allowed to
@@ -140,43 +139,6 @@ func TestWarmWalkFullRunEquivalence(t *testing.T) {
 	}
 }
 
-// TestWarmEntryPointsMatchGeneric pins the fused cache entry points
-// against the Lookup/Insert pairs they replace on a randomized operation
-// stream over two identically-configured caches (with and without a
-// partition quota).
-func TestWarmEntryPointsMatchGeneric(t *testing.T) {
-	for _, quota := range []bool{false, true} {
-		ref := cache.New(cache.Config{SizeBytes: 1 << 14, Assoc: 4})
-		fused := cache.New(cache.Config{SizeBytes: 1 << 14, Assoc: 4})
-		if quota {
-			ref.SetPartition([]int{1, 3})
-			fused.SetPartition([]int{1, 3})
-		}
-		rng := uint64(12345)
-		next := func() uint64 {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			return rng >> 33
-		}
-		for i := 0; i < 200_000; i++ {
-			addr := simAddr(next() % 4096)
-			vm := uint8(next() % 2)
-			refHit := false
-			if _, ok := ref.Lookup(addr); ok {
-				refHit = true
-			} else {
-				ref.Insert(addr, cache.Shared, vm)
-			}
-			fusedHit := fused.LookupOrInsert(addr, cache.Shared, vm)
-			if refHit != fusedHit {
-				t.Fatalf("quota=%v op %d: hit disagreement at %#x: ref %v fused %v", quota, i, addr, refHit, fusedHit)
-			}
-		}
-		if h1, h2 := ref.StateDigest(cache.DigestSeed), fused.StateDigest(cache.DigestSeed); h1 != h2 {
-			t.Fatalf("quota=%v: fused entry points diverged from Lookup/Insert: %#x vs %#x", quota, h1, h2)
-		}
-	}
-}
-
 // BenchmarkWarmWalk measures fast-forward throughput (references per
 // second) for the retained generic ffTiming walk ("generic") and the
 // specialized warming walk ("warm") on the standard sampled test
@@ -213,9 +175,4 @@ func BenchmarkWarmWalk(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/refs, "ns/ref")
 		})
 	}
-}
-
-// simAddr converts a block index into a line-aligned address.
-func simAddr(block uint64) sim.Addr {
-	return sim.Addr(block << sim.LineShift)
 }

@@ -50,7 +50,7 @@ echo "== warm-walk smoke =="
 # generic oracle (cache tags/LRU, directory, dircache, RNG cursor), and
 # an observed -sample -timeseries run must surface the fast-forward
 # phase split and cost ratio in its obs report.
-go test -short -run 'TestWarmWalkDifferential|TestWarmEntryPointsMatchGeneric' ./internal/core
+go test -short -run 'TestWarmWalkDifferential' ./internal/core
 warm_dir=$(mktemp -d /tmp/consim_warm.XXXXXX)
 go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
 	-sample 1000 -sample-ci 0.2 \
@@ -110,6 +110,9 @@ echo "== bench regression gate =="
 # Throughput-only bench run compared against the committed baseline:
 # fails on a >10% refs/sec regression or any allocs/ref growth.
 go run ./cmd/bench -figures "" -iters 2 -out - -baseline BENCH_consim.json >/dev/null
+
+echo "== benchmark module smoke =="
+scripts/bench_smoke.sh
 
 echo "== observability smoke =="
 # A tiny observed run must produce a non-empty Chrome trace and a
