@@ -14,6 +14,7 @@ import (
 	"math/bits"
 
 	"consim/internal/cache"
+	"consim/internal/prefetch"
 	"consim/internal/sim"
 )
 
@@ -279,15 +280,14 @@ func (d *Directory) Release(addr sim.Addr) {
 	}
 }
 
-// PrefetchProbe touches addr's home bucket without changing any state:
-// one read pulls the bucket's host cache line in ahead of the demand
-// Get/ProbeSlot, letting the warm walk overlap the table's DRAM miss
-// with other arrays' instead of paying them serially. Collision chains
-// may extend past the line read, but the first probe is the dominant
-// cost at the table's 3/4 load bound. Returns the key bits read so
-// callers can fold them into a sink and keep the load live.
-func (d *Directory) PrefetchProbe(addr sim.Addr) uint64 {
-	return d.slots[d.idx(sim.BlockID(addr))].key
+// PrefetchProbe starts the host load of addr's home bucket ahead of a
+// coming Get or ProbeSlot, so the table's DRAM miss overlaps other work
+// instead of stalling the walk behind an address only a tag compare
+// reveals. It changes no state (Lookups included). Collision chains may
+// run past the line fetched, but the first probe is the dominant cost at
+// the table's 3/4 load bound.
+func (d *Directory) PrefetchProbe(addr sim.Addr) {
+	prefetch.Line(&d.slots[d.idx(sim.BlockID(addr))])
 }
 
 // ProbeSlot locates addr's table slot without creating one. Together with
@@ -457,12 +457,10 @@ func (dc *DirCache) Access(home int, addr sim.Addr) bool {
 	return false
 }
 
-// PrefetchSet touches home's tag-cache set for addr without changing any
-// state, pulling the set's host cache lines in ahead of the warm walk's
-// demand Access. Returns the bits read (keep-live sink protocol, as
-// Directory.PrefetchProbe).
-func (dc *DirCache) PrefetchSet(home int, addr sim.Addr) uint64 {
-	return dc.per[home].PrefetchSet(addr)
+// PrefetchSet starts the host load of home's tag-cache set for addr
+// ahead of a coming Access. It changes no state.
+func (dc *DirCache) PrefetchSet(home int, addr sim.Addr) {
+	dc.per[home].PrefetchSet(addr)
 }
 
 // Peek reports whether home's directory cache currently holds addr

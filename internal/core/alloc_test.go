@@ -36,7 +36,8 @@ func allocTestHooks(t *testing.T) *obs.RunHooks {
 // The run executes with live metrics AND a -timeseries recorder
 // attached: the observability layer's publish cadence (shard slot
 // writes, histogram observes, time-series column writes) is part of
-// the guarded path and must stay allocation-free too.
+// the guarded path and must stay allocation-free too. So is the
+// lookahead prefetch, forced on here as paper-scale footprints have it.
 func TestSteadyStateAllocBudget(t *testing.T) {
 	specs := workload.Specs()
 	cfg := DefaultConfig(specs[workload.TPCW], specs[workload.SPECjbb],
@@ -51,6 +52,7 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.setupTS()
+	sys.lookahead = true // the lookahead is part of the guarded path at paper scale
 
 	// Mirror Run()'s setup, then measure a second chunk after the first
 	// has warmed every structure.

@@ -91,12 +91,12 @@ const (
 // pdesOp is one logged shared-tier transition, replayed on the spine at
 // the window barrier.
 type pdesOp struct {
-	t    sim.Cycle
-	addr sim.Addr
-	lat  uint32 // in-window latency estimate (opFetch; feeds ObserveMissLat)
-	kind uint8
-	core uint8
-	vm   uint8
+	t      sim.Cycle
+	addr   sim.Addr
+	lat    uint32 // in-window latency estimate (opFetch; feeds ObserveMissLat)
+	kind   uint8
+	core   uint8
+	vm     uint8
 	region uint8 // footprint region of the missing block (opFetch)
 	write  bool
 }
@@ -267,8 +267,8 @@ type pdesDomain struct {
 	parkAddr  sim.Addr
 	parkWrite bool
 
-	stats    []vm.Stats  // in-window per-VM scratch (Refs/PrivMisses/Upgrades/MissLatSum)
-	touch    [][]uint64  // per-VM footprint shadow bitmaps, folded via MergeTouched
+	stats    []vm.Stats // in-window per-VM scratch (Refs/PrivMisses/Upgrades/MissLatSum)
+	touch    [][]uint64 // per-VM footprint shadow bitmaps, folded via MergeTouched
 	pend     []pdesPending
 	ops      []pdesOp
 	switches uint64
@@ -322,11 +322,11 @@ type pdesEngine struct {
 	groupLocal []bool
 	streamOf   []int32
 	nlocal     int
-	merged     []pdesOp      // reusable merged op log (ascending t, ties by domain)
-	streams    [][]int32     // per-stream rank lists into merged
-	fx         []replayFx    // per-stream deferred cross-group effects
+	merged     []pdesOp                      // reusable merged op log (ascending t, ties by domain)
+	streams    [][]int32                     // per-stream rank lists into merged
+	fx         []replayFx                    // per-stream deferred cross-group effects
 	wbLogs     [][]memctrl.DeferredWriteback // per-stream views for mem.ApplyMerged
-	mIdx       []int         // reusable per-stream cursors for the deferred merges
+	mIdx       []int                         // reusable per-stream cursors for the deferred merges
 
 	tr    *obs.Tracer
 	lanes []int

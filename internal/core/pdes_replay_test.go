@@ -66,10 +66,10 @@ func TestPdesReplayValidation(t *testing.T) {
 
 	bad := []func(*Config){
 		func(c *Config) { c.Pdes = 4; c.PdesReplayWorkers = -1 },
-		func(c *Config) { c.PdesReplayWorkers = 2 },                     // replay workers without the parallel engine
-		func(c *Config) { c.Pdes = 1; c.PdesReplayWorkers = 2 },         // Pdes=1 runs the sequential reference
-		func(c *Config) { c.PdesPipeline = true },                       // pipeline without the parallel engine
-		func(c *Config) { c.Pdes = 4; c.PdesPipeline = true },           // pipeline needs sharded replay
+		func(c *Config) { c.PdesReplayWorkers = 2 },             // replay workers without the parallel engine
+		func(c *Config) { c.Pdes = 1; c.PdesReplayWorkers = 2 }, // Pdes=1 runs the sequential reference
+		func(c *Config) { c.PdesPipeline = true },               // pipeline without the parallel engine
+		func(c *Config) { c.Pdes = 4; c.PdesPipeline = true },   // pipeline needs sharded replay
 		func(c *Config) { c.Pdes = 4; c.PdesReplayWorkers = 1; c.PdesPipeline = true },
 	}
 	for i, mut := range bad {

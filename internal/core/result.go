@@ -190,11 +190,11 @@ func ManifestFor(cfg Config, res Result, parallel int) obs.Manifest {
 		SampleRelCI:        res.Sample.AchievedRelCI,
 		SampleStopReason:   res.Sample.StopReason,
 
-		PdesWorkers:      res.Pdes.Workers,
-		PdesDomains:      res.Pdes.Domains,
-		PdesWindowCycles: uint64(res.Pdes.Window),
-		PdesWindows:      res.Pdes.Windows,
-		PdesOps:          res.Pdes.Ops,
+		PdesWorkers:       res.Pdes.Workers,
+		PdesDomains:       res.Pdes.Domains,
+		PdesWindowCycles:  uint64(res.Pdes.Window),
+		PdesWindows:       res.Pdes.Windows,
+		PdesOps:           res.Pdes.Ops,
 		PdesStalls:        res.Pdes.Stalls,
 		PdesStallSeconds:  res.Pdes.StallSeconds,
 		PdesApplySeconds:  res.Pdes.ApplySeconds,

@@ -288,6 +288,12 @@ func (ss shardSource) next(s *System, run runnable) workload.Access {
 	return e.refill(sl)
 }
 
+// peek declines: worker batches are adopted into the ring at refill, and
+// no sharded workload is big enough for the lookahead to matter.
+func (shardSource) peek(*System, runnable) (workload.Access, bool) {
+	return workload.Access{}, false
+}
+
 // refill handles a drained reference ring: adopt the in-flight batch
 // (pipelining the next one) or, before the prefill gate opens, fill
 // inline and start the pipeline once the generator reaches steady state.

@@ -146,13 +146,12 @@ type System struct {
 	// ffOracle routes fast-forward through the retained generic ffTiming
 	// walk instead — the differential tests' bit-identity oracle.
 	warm     []warmCore
-	warmPF   bool // lookahead prefetch enabled (footprint exceeds host cache)
 	ffOracle bool
-	// pfSink keeps the warm walk's prefetch reads live (warm.go issues
-	// plain loads of sets/buckets it is about to scan so their DRAM
-	// misses overlap; summing the bits read here stops the compiler from
-	// discarding the loads). Never read.
-	pfSink uint64
+
+	// lookahead turns on prefetchRef in the detailed and warming loops:
+	// set once at construction when the modeled footprint outgrows the
+	// host caches (lookahead.go).
+	lookahead bool
 }
 
 // pubTotals snapshots the per-VM counter sums at the last live publish.
@@ -274,6 +273,7 @@ func NewSystem(cfg Config) (*System, error) {
 		s.nextRebalance = cfg.RebalanceCycles
 		s.rebalanceSeed = cfg.Seed ^ 0xd15c
 	}
+	s.lookahead = s.footprintBlocks() >= lookaheadMinBlocks
 	if cfg.Shards > 1 {
 		s.shard = newShardEngine(s)
 	}
@@ -644,6 +644,10 @@ func (s *System) runUntil(target uint64) {
 // loop compiles to exactly the code it was before the split.
 type refSource interface {
 	next(s *System, run runnable) workload.Access
+	// peek returns the reference the following next(s, run) will return
+	// without consuming it, or false when that is not known yet. Only
+	// the lookahead reads it, so false is always a correct answer.
+	peek(s *System, run runnable) (workload.Access, bool)
 	think(s *System, c, vmID int) uint64
 }
 
@@ -652,6 +656,14 @@ type liveSource struct{}
 
 func (liveSource) next(s *System, run runnable) workload.Access {
 	return s.vms[run.vmID].Gen.Next(run.thread)
+}
+
+// peek reads the generator's ring; a trace replay has no ring to read.
+func (liveSource) peek(s *System, run runnable) (workload.Access, bool) {
+	if g, ok := s.vms[run.vmID].Gen.(*workload.Generator); ok {
+		return g.Peek(run.thread)
+	}
+	return workload.Access{}, false
 }
 
 func (liveSource) think(s *System, c, vmID int) uint64 {
@@ -743,6 +755,15 @@ func runLoopSrc[S refSource](s *System, target uint64, src S) {
 		}
 		s.q.Push(next, c)
 		s.pending[c] = true
+		// The core's next reference issues only after the other cores'
+		// pending events pop — one rotation of host time in which its
+		// metadata can travel from DRAM (lookahead.go).
+		if s.lookahead {
+			nrun := cs.queue[cs.cur]
+			if na, ok := src.peek(s, nrun); ok {
+				s.prefetchRef(c, nrun.vmID, na.Block)
+			}
+		}
 	}
 }
 

@@ -14,7 +14,7 @@
 // scratch counters (warm_test.go pins this against the retained ffLoop
 // oracle) — and nothing else.
 //
-// Three things make it fast:
+// Two things make it fast:
 //
 //   - per-core invariants (VM, stats sink, cache pointers, LLC group,
 //     thread id) are hoisted into warmCore contexts built once per run —
@@ -24,16 +24,16 @@
 //     per-thread ring through a cached slice (one bounds-checked index
 //     per reference instead of an interface call plus cursor
 //     load/store), refilling through the generator's own cold path so
-//     shared-cursor draws happen at exactly the old refill points;
-//   - on footprints too big for the host cache hierarchy, a lookahead
-//     prefetch walks the next ring reference's hit cascade read-only one
-//     context rotation early, starting the DRAM loads (directory bucket,
-//     predicted eviction victim's bucket, dircache set) that the demand
-//     walk would otherwise serialize behind unpredictable tag compares.
+//     shared-cursor draws happen at exactly the old refill points.
+//
+// On footprints too big for the host caches it also calls the lookahead
+// prefetch it shares with the detailed loop (lookahead.go), one context
+// rotation ahead of each ring reference.
 //
 // Measured honestly (paired A/B against the oracle on one system, since
 // the walks are state-identical): ~1.1-1.2x over the generic walk at the
-// F3/F4 isolation scale and ~1.05x at full 4-VM mix scale. The generic
+// F3/F4 isolation scale; at full 4-VM mix scale ~1.1x from the
+// specialization and a further ~1.3x from the lookahead. The generic
 // walk's ffTiming instantiation was already monomorphized and no-op'd
 // most timing work, so the remaining cost is the functional warming
 // itself — set scans, directory updates, RNG draws — which bit-identity
@@ -84,15 +84,6 @@ type warmCore struct {
 	acc uint64 // Bresenham accumulator (see warmLoop)
 }
 
-// warmPrefetchMinBlocks gates the lookahead prefetch on total modeled
-// footprint: below it the warmed structures (directory table, footprint
-// bitmaps, cache metadata) fit the host cache hierarchy, and the
-// lookahead's extra probes only cost; above it the structures live in
-// host DRAM and hiding their miss latency is worth the probes. The
-// threshold corresponds to a few tens of MB of warmed state — around
-// where a contemporary host LLC gives out.
-const warmPrefetchMinBlocks = 2 << 20
-
 // warmSetup builds the warming contexts on first use. Compacted over
 // active cores in core-index order, so warmLoop's iteration matches
 // ffLoop's core rotation exactly.
@@ -100,11 +91,6 @@ func (s *System) warmSetup() {
 	if s.warm != nil {
 		return
 	}
-	var fp uint64
-	for _, m := range s.vms {
-		fp += m.Gen.FootprintBlocks()
-	}
-	s.warmPF = fp >= warmPrefetchMinBlocks
 	s.warm = make([]warmCore, 0, s.activeCores)
 	for c := range s.cores {
 		cs := &s.cores[c]
@@ -227,39 +213,11 @@ func warmLoop[S warmSource](s *System, rounds uint64, src S) {
 			}
 			wc.acc -= rounds
 			a := src.next(s, wc)
-			// Lookahead prefetch: this context's next reference sits in
-			// the ring one full rotation (~all other cores' references)
-			// ahead of its use — far enough to hide a DRAM miss, near
-			// enough to survive in the host cache; the out-of-order
-			// window cannot bridge that gap itself because the
-			// intervening tag-compare branches are unpredictable.
-			// Rather than blindly touching every array, run the walk's
-			// own hit cascade read-only: the probes pull exactly the set
-			// metadata the demand access will scan, and each predicted
-			// hit prunes the deeper (and more speculative) loads. A
-			// predicted LLC miss even starts the eviction victim's
-			// directory walk — the one load the demand path cannot
-			// overlap with anything because the victim is only known
-			// mid-fill. Predictions can go stale within the rotation;
-			// that only wastes the prefetched line. (Ring empty,
-			// non-ring source, or host-cache-resident footprint —
-			// warmPF off: skip.)
-			if s.warmPF && wc.pos < len(wc.ring) {
-				nb := wc.ring[wc.pos].Block
-				na := wc.m.AddrOf(nb)
-				sink := wc.m.PrefetchTouch(nb)
-				if _, hit0 := wc.l0.Probe(na); !hit0 {
-					if _, hit1 := wc.l1.Probe(na); !hit1 {
-						sink += s.dir.PrefetchProbe(na)
-						if _, hitB := wc.bank.Probe(na); !hitB {
-							sink += s.dirCache.PrefetchSet(s.dir.Home(na), na)
-							if vt, ok := wc.bank.PeekVictimTag(na, wc.vtag); ok {
-								sink += s.dir.PrefetchProbe(vt)
-							}
-						}
-					}
-				}
-				s.pfSink += sink
+			// This context's next reference sits in the ring one full
+			// rotation ahead of its use (lookahead.go). Ring drained or
+			// non-ring source: nothing to peek.
+			if s.lookahead && wc.pos < len(wc.ring) {
+				s.prefetchRef(wc.c, int(wc.vtag), wc.ring[wc.pos].Block)
 			}
 			wc.m.Touch(a.Block)
 			addr := wc.m.AddrOf(a.Block)

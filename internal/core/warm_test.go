@@ -80,7 +80,11 @@ func warmDiffConfigs() map[string]Config {
 func TestWarmWalkDifferential(t *testing.T) {
 	for name, cfg := range warmDiffConfigs() {
 		t.Run(name, func(t *testing.T) {
+			// The warm side also runs the shared lookahead (forced on: no
+			// test-sized footprint trips the gate) in its fast-forwards
+			// and detailed windows; the oracle side never does.
 			warm := newWarmSystem(t, cfg)
+			warm.lookahead = true
 			oracle := newWarmSystem(t, cfg)
 			oracle.ffOracle = true
 

@@ -267,12 +267,12 @@ type SimMetrics struct {
 	SampleSkippedRefs, SampleRelCIPPM ID
 	// Split-transaction parallel engine (zero / idle under the
 	// sequential engine).
-	PdesWorkers, PdesDomains      ID
+	PdesWorkers, PdesDomains         ID
 	PdesWindows, PdesOps, PdesStalls ID
 	// Phase decomposition (microseconds), published once per run end.
-	PhaseWarmupMicros, PhaseMeasureMicros              ID
+	PhaseWarmupMicros, PhaseMeasureMicros                 ID
 	PdesWindowMicros, PdesReplayMicros, PdesBarrierMicros ID
-	SampleDetailedMicros, SampleFFMicros               ID
+	SampleDetailedMicros, SampleFFMicros                  ID
 	// Runner bookkeeping.
 	Sims, Jobs ID
 }

@@ -22,8 +22,8 @@ func (h oracleHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h oracleHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *oracleHeap) Push(x any)        { *h = append(*h, x.(oracleEvent)) }
+func (h oracleHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *oracleHeap) Push(x any)   { *h = append(*h, x.(oracleEvent)) }
 func (h *oracleHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -31,6 +31,11 @@ type Header struct {
 	Records   uint64
 }
 
+// maxFootprintBlocks bounds a header's footprint: the caches pack line
+// numbers into 32 bits, so replaying a larger address space cannot work,
+// and a corrupt count would otherwise size the VM's footprint bitmap.
+const maxFootprintBlocks = 1 << 32
+
 // record is the 10-byte wire format: thread (1), flags (1), block (8).
 const recordBytes = 10
 
@@ -138,6 +143,13 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if h.Threads <= 0 || h.Threads > 255 {
 		return nil, fmt.Errorf("trace: corrupt thread count %d", h.Threads)
 	}
+	if h.Footprint == 0 || h.Footprint > maxFootprintBlocks {
+		return nil, fmt.Errorf("trace: corrupt footprint of %d blocks (want 1..%d)", h.Footprint, uint64(maxFootprintBlocks))
+	}
+	if err := h.Spec.Validate(); err != nil {
+		return nil, fmt.Errorf("trace: corrupt workload spec: %w", err)
+	}
+	h.Records = 0 // counted from the stream, whatever the header claims
 	rd := &Reader{
 		header:  h,
 		streams: make([][]workload.Access, h.Threads),
@@ -152,12 +164,19 @@ func NewReader(r io.Reader) (*Reader, error) {
 			}
 			return nil, fmt.Errorf("trace: truncated record: %w", err)
 		}
+		// Replay indexes per-thread streams and the VM's footprint bitmap
+		// with these two fields unchecked, so they are checked here.
+		n := rd.header.Records
 		t := int(buf[0])
 		if t >= h.Threads {
-			return nil, fmt.Errorf("trace: record for thread %d of %d", t, h.Threads)
+			return nil, fmt.Errorf("trace: record %d: thread %d of %d", n, t, h.Threads)
+		}
+		block := binary.LittleEndian.Uint64(buf[2:])
+		if block >= h.Footprint {
+			return nil, fmt.Errorf("trace: record %d: block %d outside the %d-block footprint", n, block, h.Footprint)
 		}
 		rd.streams[t] = append(rd.streams[t], workload.Access{
-			Block: binary.LittleEndian.Uint64(buf[2:]),
+			Block: block,
 			Write: buf[1]&flagWrite != 0,
 		})
 		rd.header.Records++

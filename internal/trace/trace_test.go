@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"strings"
 	"testing"
 
@@ -150,4 +152,99 @@ func TestWriteAfterFlushRejected(t *testing.T) {
 	if err := w.Record(0, g.Next(0)); err == nil {
 		t.Error("write after Flush accepted")
 	}
+}
+
+// encodeTrace hand-assembles a trace file, so tests can write headers and
+// records no Writer would.
+func encodeTrace(t testing.TB, h Header, recs ...[recordBytes]byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		buf.Write(r[:])
+	}
+	return buf.Bytes()
+}
+
+func rec(thread byte, block uint64) (r [recordBytes]byte) {
+	r[0] = thread
+	binary.LittleEndian.PutUint64(r[2:], block)
+	return r
+}
+
+// TestHostileInputRejected covers the corrupt shapes that used to pass
+// NewReader and then panic during replay (vm.Touch indexes the footprint
+// bitmap with Block, unchecked): each must come back as an error naming
+// the offending record.
+func TestHostileInputRejected(t *testing.T) {
+	spec := smallGen(1).Spec()
+	good := Header{Spec: spec, Threads: 2, Footprint: 100}
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want string
+	}{
+		{"block at footprint", encodeTrace(t, good, rec(0, 5), rec(1, 7), rec(0, 100)), "record 2: block 100"},
+		{"block far outside", encodeTrace(t, good, rec(0, ^uint64(0)), rec(1, 7)), "record 0: block"},
+		{"zero footprint", encodeTrace(t, Header{Spec: spec, Threads: 2}, rec(0, 0), rec(1, 0)), "footprint"},
+		{"absurd footprint", encodeTrace(t, Header{Spec: spec, Threads: 1, Footprint: 1 << 40}, rec(0, 0)), "footprint"},
+		{"thread out of range", encodeTrace(t, good, rec(0, 1), rec(2, 1)), "record 1: thread 2"},
+		{"invalid spec", encodeTrace(t, Header{Threads: 1, Footprint: 10}, rec(0, 1)), "spec"},
+	} {
+		_, err := NewReader(bytes.NewReader(tc.raw))
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+
+	// The same header with every block inside the footprint is fine, and
+	// a record count claimed by the header is ignored in favour of the
+	// stream's.
+	claimed := good
+	claimed.Records = 1 << 50
+	rd, err := NewReader(bytes.NewReader(encodeTrace(t, claimed, rec(0, 99), rec(1, 0))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd.Header().Records != 2 {
+		t.Errorf("Records = %d, want the 2 in the stream", rd.Header().Records)
+	}
+}
+
+// FuzzNewReader feeds NewReader arbitrary bytes: it must return an error
+// or a Reader that replays safely — every block inside the footprint the
+// VM layer will size its bitmap by — and never panic.
+func FuzzNewReader(f *testing.F) {
+	var valid bytes.Buffer
+	if _, err := Capture(&valid, smallGen(1), 2, 20); err != nil {
+		f.Fatal(err)
+	}
+	spec := smallGen(1).Spec()
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()-3])
+	f.Add(encodeTrace(f, Header{Spec: spec, Threads: 1, Footprint: 10}, rec(0, 10)))
+	f.Add(encodeTrace(f, Header{Spec: spec, Threads: 1}, rec(0, 0)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rd, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		h := rd.Header()
+		if h.Footprint == 0 || rd.FootprintBlocks() != h.Footprint {
+			t.Fatalf("accepted footprint %d (FootprintBlocks %d)", h.Footprint, rd.FootprintBlocks())
+		}
+		// One lap of every stream plus the wrap.
+		for th := 0; th < h.Threads; th++ {
+			for i := uint64(0); i <= h.Records; i++ {
+				if a := rd.Next(th); a.Block >= h.Footprint {
+					t.Fatalf("thread %d replayed block %d outside the %d-block footprint", th, a.Block, h.Footprint)
+				}
+			}
+		}
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"consim/internal/prefetch"
 	"consim/internal/sim"
 	"consim/internal/workload"
 )
@@ -154,11 +155,9 @@ func (v *VM) Touch(block uint64) {
 	}
 }
 
-// PrefetchTouch reads block's footprint-bitmap word without changing any
-// state, pulling its host cache line in ahead of a coming Touch (the
-// warming walk's lookahead prefetch). Returns the bits read so callers
-// can fold them into a sink and keep the load live.
-func (v *VM) PrefetchTouch(block uint64) uint64 { return v.touched[block/64] }
+// PrefetchTouch starts the host load of block's footprint-bitmap word
+// ahead of a coming Touch. It changes no state.
+func (v *VM) PrefetchTouch(block uint64) { prefetch.Line(&v.touched[block/64]) }
 
 // TouchedBlocks returns the number of distinct 64-byte blocks referenced.
 func (v *VM) TouchedBlocks() uint64 { return v.nTouch }

@@ -191,6 +191,20 @@ func (g *Generator) refill(t int) Access {
 	return g.ring[t][0]
 }
 
+// Peek returns the reference thread t's next Next will produce without
+// consuming it — no cursor, counter or RNG moves — so a caller can start
+// the host-memory loads that reference will need before it issues. It
+// reports false when the ring is drained: the next Next re-samples, and
+// peeking must not do that early (the shared sampling cursors advance at
+// refill time, in cross-thread order).
+func (g *Generator) Peek(t int) (Access, bool) {
+	i := g.ringPos[t]
+	if i == genBatch {
+		return Access{}, false
+	}
+	return g.ring[t][i], true
+}
+
 // WarmRing exposes thread t's reference ring and current cursor to the
 // sampling engine's warming loop, which drains the ring directly — one
 // hoisted slice index per reference instead of Next's cursor load and

@@ -226,6 +226,53 @@ func TestRefsAndTransactions(t *testing.T) {
 	}
 }
 
+// TestPeekContract pins what the engines' lookahead relies on: peeking
+// any number of times, on any thread, moves nothing — consumed counts,
+// per-thread RNG streams, the shared sampling cursors and the stream
+// itself all match an un-peeked twin — a successful peek is exactly the
+// next Next, and it fails exactly when the ring is drained (before the
+// first draw and after every genBatch-th), never refilling early.
+func TestPeekContract(t *testing.T) {
+	spec := specFor(t, SPECjbb).Scaled(64)
+	const threads = 3
+	peeked, twin := NewGenerator(spec, threads, 23), NewGenerator(spec, threads, 23)
+	for i := 0; i < 3*genBatch+17; i++ {
+		for th := 0; th < threads; th++ {
+			if th == 1 && i%3 != 0 {
+				continue // uneven consumption: thread 1 lags
+			}
+			var next Access
+			var known bool
+			for n := 0; n <= i%4; n++ {
+				for o := 0; o < threads; o++ {
+					a, ok := peeked.Peek(o)
+					if drained := peeked.Refs(o)%genBatch == 0; ok == drained {
+						t.Fatalf("ref %d thread %d: Peek ok=%v with %d consumed", i, o, ok, peeked.Refs(o))
+					}
+					if o == th {
+						next, known = a, ok
+					}
+				}
+			}
+			got, want := peeked.Next(th), twin.Next(th)
+			if got != want {
+				t.Fatalf("ref %d thread %d: peeked stream drew %+v, twin %+v", i, th, got, want)
+			}
+			if known && next != got {
+				t.Fatalf("ref %d thread %d: Peek promised %+v, Next drew %+v", i, th, next, got)
+			}
+		}
+		for th := 0; th < threads; th++ {
+			if peeked.Refs(th) != twin.Refs(th) || peeked.rngs[th] != twin.rngs[th] {
+				t.Fatalf("ref %d thread %d: refs %d/%d or RNG state diverged", i, th, peeked.Refs(th), twin.Refs(th))
+			}
+		}
+		if peeked.TotalRefs() != twin.TotalRefs() || peeked.scanCount != twin.scanCount || peeked.sharedCold != twin.sharedCold {
+			t.Fatalf("ref %d: totals or shared cursors diverged", i)
+		}
+	}
+}
+
 func TestGeneratorPanics(t *testing.T) {
 	spec := specFor(t, TPCH)
 	for _, fn := range []func(){

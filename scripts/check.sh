@@ -7,11 +7,23 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+echo "== gofmt =="
+unformatted=$(gofmt -l .)
+[ -z "$unformatted" ] \
+	|| { echo "check.sh: gofmt -l lists:" >&2; echo "$unformatted" >&2; exit 1; }
+
 echo "== go vet =="
+# Includes asmdecl over internal/prefetch's stub for this architecture;
+# the arm64 stub is vetted below.
 go vet ./...
 
 echo "== go build =="
 go build ./...
+# internal/prefetch has one assembly stub per architecture and a no-op
+# fallback; compile the two this host does not.
+GOARCH=arm64 go vet ./internal/prefetch
+GOARCH=arm64 go build ./...
+GOARCH=riscv64 go build ./...
 
 echo "== go test -race =="
 if [ "${FULL:-}" = "1" ]; then
@@ -47,7 +59,8 @@ go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
 
 echo "== warm-walk smoke =="
 # The specialized warming walk must stay bit-identical to the retained
-# generic oracle (cache tags/LRU, directory, dircache, RNG cursor), and
+# generic oracle (cache tags/LRU, directory, dircache, RNG cursor) with
+# the shared lookahead prefetch forced on, and
 # an observed -sample -timeseries run must surface the fast-forward
 # phase split and cost ratio in its obs report.
 go test -short -run 'TestWarmWalkDifferential' ./internal/core
