@@ -90,8 +90,7 @@ func printHeader(cfg consim.Config, specs []consim.WorkloadSpec, asg [][]int) {
 func printResult(res consim.Result, regions, snapshot bool) {
 	fmt.Printf("\nmeasurement window: %d cycles\n", res.Cycles)
 	if sa := res.Sample; sa.Windows > 0 {
-		fmt.Printf("sampled: %d windows, %d refs/core detailed, %d fast-forwarded (%s; rel 95%% CI %.3f) — metrics are estimates\n",
-			sa.Windows, sa.DetailedRefs, sa.SkippedRefs, sa.StopReason, sa.AchievedRelCI)
+		fmt.Printf("%s — metrics are estimates\n", sa.Provenance())
 	}
 	if ps := res.Pdes; ps.Workers > 1 {
 		replay := ""

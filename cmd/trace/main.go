@@ -180,8 +180,7 @@ func replay(args []string) (err error) {
 		v.Name, cfg.SharingName(), cfg.Policy,
 		v.CyclesPerTx, v.MissRate(), v.AvgMissLatency(), v.Stats.C2CFraction(), rd.Loops(0))
 	if sa := res.Sample; sa.Windows > 0 {
-		fmt.Printf("sampled: %d windows, %d refs/core detailed, %d fast-forwarded (%s; rel 95%% CI %.3f)\n",
-			sa.Windows, sa.DetailedRefs, sa.SkippedRefs, sa.StopReason, sa.AchievedRelCI)
+		fmt.Println(sa.Provenance())
 	}
 	return nil
 }

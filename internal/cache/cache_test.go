@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"consim/internal/sim"
 )
@@ -438,9 +439,23 @@ const (
 // calls, applies each to a Cache and to the timestamp-LRU oracle, and
 // fails on any difference in results, victims, counters, resident lines
 // or recency order.
-func driveCacheOps(t testing.TB, assoc int, partitioned bool, ops []byte) {
+//
+// With slab set the cache under test is the middle one of a NewN level,
+// and its two neighbours must come out untouched.
+func driveCacheOps(t testing.TB, assoc int, partitioned, slab bool, ops []byte) {
 	cfg := Config{SizeBytes: opsSets * assoc * sim.LineBytes, Assoc: assoc}
 	c, o := New(cfg), newOracle(cfg)
+	if slab {
+		level := NewN(3, cfg)
+		c = level[1]
+		defer func() {
+			for _, nb := range []*Cache{level[0], level[2]} {
+				if nb.Resident() != 0 || nb.Accesses != 0 || nb.Partitioned() {
+					t.Fatalf("%d-way: driving one cache of a level changed its neighbour", assoc)
+				}
+			}
+		}()
+	}
 	// VM 0 is squeezed to one way, VM 1 to half the set, VM 2 gets a
 	// quota it can never exceed and VM 3 is unlisted (unconstrained).
 	quota := []int{1, max(assoc/2, 1), assoc}
@@ -559,19 +574,21 @@ func TestRecencyOrderMatchesTimestampLRU(t *testing.T) {
 			for round := 0; round < 20; round++ {
 				ops := make([]byte, 3*2000)
 				rng.Read(ops)
-				driveCacheOps(t, assoc, partitioned, ops)
+				driveCacheOps(t, assoc, partitioned, round%2 == 1, ops)
 			}
 		}
 	}
 }
 
-// FuzzCacheOps lets the fuzzer choose the geometry and the sequence.
+// FuzzCacheOps lets the fuzzer choose the geometry, the sequence and
+// whether the cache is cut from a NewN slab.
 func FuzzCacheOps(f *testing.F) {
 	f.Add(uint8(0), []byte{4, 0, 0, 4, 8, 0, 0, 0, 0, 4, 16, 0, 6, 8, 0, 4, 24, 0})
 	f.Add(uint8(5), []byte{5, 1, 4, 5, 9, 4, 5, 17, 0, 8, 0, 0, 5, 25, 8, 0, 1, 0, 6, 9, 0, 5, 33, 12})
 	f.Add(uint8(7), []byte{4, 3, 1, 7, 3, 2, 3, 3, 0, 6, 3, 0, 0, 3, 0})
+	f.Add(uint8(8), []byte{4, 0, 0, 4, 8, 0, 0, 0, 0, 4, 16, 0, 6, 8, 0, 4, 24, 0}) // seed 0 on a slab
 	f.Fuzz(func(t *testing.T, shape uint8, ops []byte) {
-		driveCacheOps(t, 2<<(shape%4), shape&4 != 0, ops)
+		driveCacheOps(t, 2<<(shape%4), shape&4 != 0, shape&8 != 0, ops)
 	})
 }
 
@@ -623,4 +640,46 @@ func TestWayHandleContract(t *testing.T) {
 	if c.WayTag(iw) != line(5) || c.State(iw) != Exclusive || c.WayVM(iw) != 2 {
 		t.Fatalf("Insert handle reads %#x/%v/%d after unrelated invalidation", c.WayTag(iw), c.State(iw), c.WayVM(iw))
 	}
+}
+
+// TestNewNSlab pins what NewN is for and what keeps it safe: a level of
+// caches costs three allocations however many caches it holds, every
+// cache behaves as a New-built one does, a cache's ways end where its
+// neighbour's begin, and the struct fills whole host cache lines so that
+// neighbours' counters never share one.
+func TestNewNSlab(t *testing.T) {
+	cfg := Config{SizeBytes: 64 * 16, Assoc: 4, Latency: 3}
+	if n := testing.AllocsPerRun(10, func() { NewN(16, cfg) }); n != 3 {
+		t.Errorf("NewN(16) made %v allocations, want 3", n)
+	}
+	if sz := unsafe.Sizeof(Cache{}); sz%64 != 0 {
+		t.Errorf("Cache is %d bytes, not a multiple of the 64-byte host line", sz)
+	}
+	level, one := NewN(4, cfg), New(cfg)
+	for i, c := range level {
+		if c.Config() != cfg || c.Lines() != one.Lines() || cap(c.slots) != len(c.slots) {
+			t.Fatalf("cache %d: config %+v, %d lines, cap %d", i, c.Config(), c.Lines(), cap(c.slots))
+		}
+		if c.StateDigest(DigestSeed) != one.StateDigest(DigestSeed) {
+			t.Fatalf("cache %d of a fresh level digests unlike a fresh New cache", i)
+		}
+	}
+	// Fill cache 1 past capacity; only cache 1 changes.
+	for a := 0; a < 64; a++ {
+		level[1].InsertIfAbsent(sim.Addr(a)<<sim.LineShift, Shared, 1)
+	}
+	if level[1].Resident() != level[1].Lines() {
+		t.Fatalf("cache 1 holds %d of %d lines", level[1].Resident(), level[1].Lines())
+	}
+	for _, i := range []int{0, 2, 3} {
+		if level[i].StateDigest(DigestSeed) != one.StateDigest(DigestSeed) {
+			t.Errorf("filling cache 1 changed cache %d", i)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewN accepted an invalid geometry")
+		}
+	}()
+	NewN(2, Config{SizeBytes: 100, Assoc: 3})
 }

@@ -17,92 +17,109 @@ import (
 // time), the bank/directory occupancy trackers and the memory
 // controllers, so contention emerges from the traffic itself.
 //
-// The walk is generic over a timingModel so the sampled-simulation mode
-// can fast-forward functionally: liveTiming is the detailed machine
-// (every call mutates contention state exactly as before the split), and
-// ffTiming strips the walk down to its functional effects — cache and
-// directory state still evolve reference by reference, but the mesh,
-// bank/directory occupancy and memory controllers are never touched and
-// per-VM counters land in scratch. The type parameter monomorphizes both
-// instantiations, so the detailed path compiles to the same code it was
-// as plain methods.
+// The walk takes a timing value so the sampled-simulation mode can
+// fast-forward functionally and the parallel engine can replay its
+// operation logs: liveTiming is the detailed machine (every call mutates
+// contention state), ffTiming strips the walk down to its functional
+// effects — cache and directory state still evolve reference by
+// reference, but the mesh, bank/directory occupancy and memory
+// controllers are never touched and per-VM counters land in scratch —
+// and applyTiming (pdes.go) is ffTiming that still retires writebacks
+// and counts into the real per-VM stats.
+//
+// What this compiles to: one body per walk function, shared by the three
+// models, with a compare on tm wherever they differ. stats, bankAccess,
+// memRead and memPenalty inline into the walk; route and dirVisit are
+// direct calls. The models are values and not type parameters because
+// type parameters would buy nothing: three empty struct types share one
+// gcshape, so the compiler emits a single accessTM[go.shape.struct{}]
+// that reaches every timing method through the generics dictionary (21
+// indirect calls in fetchTM alone), with no specialization and no
+// inlining.
 
-// timingModel abstracts every timing-visible side effect of the access
-// walk. Implementations must not touch any state the functional plane
-// (cache arrays, directory, workload cursors) depends on; conversely the
-// walk routes every contention-state mutation through these methods.
-type timingModel interface {
-	// route advances a message across the mesh (reserving link time in
-	// the detailed model) and returns its arrival time.
-	route(s *System, at sim.Cycle, from, to, flits int) sim.Cycle
-	// bankAccess reserves the LLC slice at node and returns data-ready
-	// time.
-	bankAccess(s *System, at sim.Cycle, node int) sim.Cycle
-	// dirVisit reserves the directory slice at home and performs the
-	// directory-cache lookup (functional warming in both models).
-	dirVisit(s *System, at sim.Cycle, home int, addr sim.Addr) (sim.Cycle, bool)
-	// memRead issues a demand fetch at a controller.
-	memRead(s *System, at sim.Cycle, addr sim.Addr) sim.Cycle
-	// writeback retires dirty data at a controller.
-	writeback(s *System, at sim.Cycle, addr sim.Addr)
-	// memPenalty is the DRAM charge for an uncached directory entry.
-	memPenalty(s *System) sim.Cycle
-	// stats returns the counter sink for vmID's reference.
-	stats(s *System, vmID int) *vm.Stats
-}
+// timing selects which of the walk's timing-visible side effects happen.
+// Its methods must not touch any state the functional plane (cache
+// arrays, directory, workload cursors) depends on; conversely the walk
+// routes every contention-state mutation through them.
+type timing uint8
 
-// liveTiming is the detailed machine: every method is the pre-split
-// behaviour, delegating to the System's contention trackers.
-type liveTiming struct{}
+const (
+	// liveTiming is the detailed machine: every method delegates to the
+	// System's contention trackers.
+	liveTiming timing = iota
+	// ffTiming is the fast-forward model: references update cache and
+	// directory state (including the directory caches — functional
+	// warming) but reserve nothing on the mesh, banks, directories or
+	// memory controllers, and every counter increment lands in per-VM
+	// scratch that the measurement metrics never read. Returned times
+	// collapse to the caller's `at`, which is fine: nothing in the walk
+	// branches on time, and the fast-forward loop discards the latency.
+	ffTiming
+	// applyTiming is the parallel engine's barrier-replay model: the
+	// latency side is free (the in-window estimators already charged the
+	// contention replicas), but functional side effects that only exist
+	// on the shared tier — directory-cache warming, dirty writebacks
+	// reaching the memory controllers — still happen, and counters land
+	// in the real per-VM stats.
+	applyTiming
+)
 
-func (liveTiming) route(s *System, at sim.Cycle, from, to, flits int) sim.Cycle {
+// route advances a message across the mesh (reserving link time in the
+// detailed model) and returns its arrival time.
+func (tm timing) route(s *System, at sim.Cycle, from, to, flits int) sim.Cycle {
+	if tm != liveTiming {
+		return at
+	}
 	return s.route(at, from, to, flits)
 }
 
-func (liveTiming) bankAccess(s *System, at sim.Cycle, node int) sim.Cycle {
+// bankAccess reserves the LLC slice at node and returns data-ready time.
+func (tm timing) bankAccess(s *System, at sim.Cycle, node int) sim.Cycle {
+	if tm != liveTiming {
+		return at
+	}
 	return s.bankAccess(at, node)
 }
 
-func (liveTiming) dirVisit(s *System, at sim.Cycle, home int, addr sim.Addr) (sim.Cycle, bool) {
+// dirVisit reserves the directory slice at home and performs the
+// directory-cache lookup (functional warming in every model).
+func (tm timing) dirVisit(s *System, at sim.Cycle, home int, addr sim.Addr) (sim.Cycle, bool) {
+	if tm != liveTiming {
+		return at, s.dirCache.Access(home, addr)
+	}
 	return s.dirVisit(at, home, addr)
 }
 
-func (liveTiming) memRead(s *System, at sim.Cycle, addr sim.Addr) sim.Cycle {
+// memRead issues a demand fetch at a controller.
+func (tm timing) memRead(s *System, at sim.Cycle, addr sim.Addr) sim.Cycle {
+	if tm != liveTiming {
+		return at
+	}
 	return s.mem.Read(at, addr)
 }
 
-func (liveTiming) writeback(s *System, at sim.Cycle, addr sim.Addr) {
-	s.mem.Writeback(at, addr)
+// writeback retires dirty data at a controller.
+func (tm timing) writeback(s *System, at sim.Cycle, addr sim.Addr) {
+	if tm != ffTiming {
+		s.mem.Writeback(at, addr)
+	}
 }
 
-func (liveTiming) memPenalty(s *System) sim.Cycle { return s.cfg.Mem.Latency }
-
-func (liveTiming) stats(s *System, vmID int) *vm.Stats { return &s.vms[vmID].Stats }
-
-// ffTiming is the fast-forward model: references update cache and
-// directory state (including the directory caches — functional warming)
-// but reserve nothing on the mesh, banks, directories or memory
-// controllers, and every counter increment lands in per-VM scratch that
-// the measurement metrics never read. Returned times collapse to the
-// caller's `at`, which is fine: nothing in the walk branches on time,
-// and the fast-forward loop discards the latency.
-type ffTiming struct{}
-
-func (ffTiming) route(s *System, at sim.Cycle, from, to, flits int) sim.Cycle { return at }
-
-func (ffTiming) bankAccess(s *System, at sim.Cycle, node int) sim.Cycle { return at }
-
-func (ffTiming) dirVisit(s *System, at sim.Cycle, home int, addr sim.Addr) (sim.Cycle, bool) {
-	return at, s.dirCache.Access(home, addr)
+// memPenalty is the DRAM charge for an uncached directory entry.
+func (tm timing) memPenalty(s *System) sim.Cycle {
+	if tm != liveTiming {
+		return 0
+	}
+	return s.cfg.Mem.Latency
 }
 
-func (ffTiming) memRead(s *System, at sim.Cycle, addr sim.Addr) sim.Cycle { return at }
-
-func (ffTiming) writeback(s *System, at sim.Cycle, addr sim.Addr) {}
-
-func (ffTiming) memPenalty(s *System) sim.Cycle { return 0 }
-
-func (ffTiming) stats(s *System, vmID int) *vm.Stats { return &s.ffStats[vmID] }
+// stats returns the counter sink for vmID's reference.
+func (tm timing) stats(s *System, vmID int) *vm.Stats {
+	if tm == ffTiming {
+		return &s.ffStats[vmID]
+	}
+	return &s.vms[vmID].Stats
+}
 
 // route advances a message of the given flit count across the mesh and
 // returns its arrival time.
@@ -136,7 +153,7 @@ func (s *System) dirVisit(at sim.Cycle, home int, addr sim.Addr) (sim.Cycle, boo
 // access performs one reference by core c on behalf of vmID under the
 // detailed timing model and returns its total latency.
 func (s *System) access(c, vmID int, addr sim.Addr, write bool) sim.Cycle {
-	return accessTM(s, liveTiming{}, c, vmID, addr, write)
+	return accessTM(s, liveTiming, c, vmID, addr, write)
 }
 
 // accessTM performs one reference by core c on behalf of vmID and
@@ -147,7 +164,7 @@ func (s *System) access(c, vmID int, addr sim.Addr, write bool) sim.Cycle {
 // state, and the L0/L1 state-sync invariant (co-resident lines always
 // share a state; the write path still asserts inclusion) means nothing
 // else needs to be consulted.
-func accessTM[T timingModel](s *System, tm T, c, vmID int, addr sim.Addr, write bool) sim.Cycle {
+func accessTM(s *System, tm timing, c, vmID int, addr sim.Addr, write bool) sim.Cycle {
 	l0 := s.l0[c]
 	if w0, ok := l0.Lookup(addr); ok {
 		if !write {
@@ -208,7 +225,7 @@ func accessTM[T timingModel](s *System, tm T, c, vmID int, addr sim.Addr, write 
 // L1 too (inclusion is asserted here, off the read path), and the L1
 // state decides whether the store is silent, a silent E->M upgrade, or a
 // coherence upgrade through the home node.
-func writeHitL0TM[T timingModel](s *System, tm T, c, vmID int, addr sim.Addr, w0 cache.Way) sim.Cycle {
+func writeHitL0TM(s *System, tm timing, c, vmID int, addr sim.Addr, w0 cache.Way) sim.Cycle {
 	l0, l1 := s.l0[c], s.l1[c]
 	w1, ok := l1.Probe(addr)
 	if !ok {
@@ -249,7 +266,7 @@ func writeHitL0TM[T timingModel](s *System, tm T, c, vmID int, addr sim.Addr, w0
 // fetchTM services a private-level miss: probe the core's LLC bank group,
 // then the directory, then a remote cache or memory; fill the private
 // hierarchy on the way back. Returns the completion time.
-func fetchTM[T timingModel](s *System, tm T, c, vmID int, addr sim.Addr, write bool) sim.Cycle {
+func fetchTM(s *System, tm timing, c, vmID int, addr sim.Addr, write bool) sim.Cycle {
 	st := tm.stats(s, vmID)
 	vtag := uint8(vmID)
 	g := s.groupOf(c)
@@ -386,7 +403,7 @@ func fetchTM[T timingModel](s *System, tm T, c, vmID int, addr sim.Addr, write b
 // owner. It returns the directory entry alongside the ack time: nothing
 // here reshapes the table, so callers use it directly instead of paying
 // another hash walk.
-func invalidateOthersTM[T timingModel](s *System, tm T, at sim.Cycle, c int, addr sim.Addr, st *vm.Stats) (sim.Cycle, *coherence.Entry) {
+func invalidateOthersTM(s *System, tm timing, at sim.Cycle, c int, addr sim.Addr, st *vm.Stats) (sim.Cycle, *coherence.Entry) {
 	home := s.dir.Home(addr)
 	t := tm.route(s, at, c, home, CtrlFlits)
 	t, dirHit := tm.dirVisit(s, t, home, addr)
@@ -500,7 +517,7 @@ func (s *System) evictPrivateVictim(c int, victim cache.Line) {
 // evictBankLineTM handles an LLC bank eviction: back-invalidate private
 // copies in the group (inclusion), write back dirty data, update the
 // directory.
-func evictBankLineTM[T timingModel](s *System, tm T, g int, victim cache.Line) {
+func evictBankLineTM(s *System, tm timing, g int, victim cache.Line) {
 	addr := victim.Tag
 	dirty := victim.State.Dirty()
 	si, ok := s.dir.ProbeSlot(addr)

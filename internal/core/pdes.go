@@ -1122,32 +1122,6 @@ func (d *pdesDomain) estimateInvalidate(s *System, at sim.Cycle, c int, addr sim
 	return ackT
 }
 
-// applyTiming is the barrier-replay timing model: the latency side is
-// free (the in-window estimators already charged the contention
-// replicas), but functional side effects that only exist on the shared
-// tier — directory-cache warming, dirty writebacks reaching the memory
-// controllers — still happen, and counters land in the real per-VM
-// stats.
-type applyTiming struct{}
-
-func (applyTiming) route(s *System, at sim.Cycle, from, to, flits int) sim.Cycle { return at }
-
-func (applyTiming) bankAccess(s *System, at sim.Cycle, node int) sim.Cycle { return at }
-
-func (applyTiming) dirVisit(s *System, at sim.Cycle, home int, addr sim.Addr) (sim.Cycle, bool) {
-	return at, s.dirCache.Access(home, addr)
-}
-
-func (applyTiming) memRead(s *System, at sim.Cycle, addr sim.Addr) sim.Cycle { return at }
-
-func (applyTiming) writeback(s *System, at sim.Cycle, addr sim.Addr) {
-	s.mem.Writeback(at, addr)
-}
-
-func (applyTiming) memPenalty(s *System) sim.Cycle { return 0 }
-
-func (applyTiming) stats(s *System, vmID int) *vm.Stats { return &s.vms[vmID].Stats }
-
 // applyOps replays every domain's operation log against the live shared
 // tier in one deterministic total order: ascending time, ties broken by
 // domain index. Per-domain logs are already time-sorted (events pop in
@@ -1249,14 +1223,14 @@ func (s *System) applyFetch(op *pdesOp) {
 		victim, evicted, nw := bank.Insert(addr, bankState, vtag)
 		bw = nw
 		if evicted {
-			evictBankLineTM(s, applyTiming{}, g, victim)
+			evictBankLineTM(s, applyTiming, g, victim)
 			e = s.dir.Get(addr)
 		}
 		e.AddL2(g)
 	}
 
 	if op.write && (e.L2Count() > 1 || e.L1Sharers&^(1<<uint(c)) != 0) {
-		_, e = invalidateOthersTM(s, applyTiming{}, op.t, c, addr, st)
+		_, e = invalidateOthersTM(s, applyTiming, op.t, c, addr, st)
 	}
 	s.demoteExclusives(c, addr, e)
 	e.AddL1(c)
@@ -1292,7 +1266,7 @@ func (s *System) applyUpgrade(op *pdesOp) {
 	st := &s.vms[int(op.vm)].Stats
 	e := s.dir.Get(addr)
 	if e.L2Count() > 1 || e.L1Sharers&^(1<<uint(c)) != 0 {
-		_, e = invalidateOthersTM(s, applyTiming{}, op.t, c, addr, st)
+		_, e = invalidateOthersTM(s, applyTiming, op.t, c, addr, st)
 	}
 	e.AddL1(c)
 	e.L1Owner = int8(c)

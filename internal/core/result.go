@@ -190,6 +190,9 @@ func ManifestFor(cfg Config, res Result, parallel int) obs.Manifest {
 		SampleRelCI:        res.Sample.AchievedRelCI,
 		SampleStopReason:   res.Sample.StopReason,
 
+		SampleWarmupDetailedRefs:   res.Sample.WarmupDetailedRefs,
+		SampleWarmupFunctionalRefs: res.Sample.WarmupFunctionalRefs,
+
 		PdesWorkers:       res.Pdes.Workers,
 		PdesDomains:       res.Pdes.Domains,
 		PdesWindowCycles:  uint64(res.Pdes.Window),
@@ -205,7 +208,8 @@ func ManifestFor(cfg Config, res Result, parallel int) obs.Manifest {
 
 // FFCostRatio returns the sampled run's fast-forward cost: host wall
 // time per fast-forwarded reference over host wall time per detailed
-// reference (from the phase profile's detailed/ff split). The ratio is
+// reference (from the phase profile's detailed/ff split; the warm-up's
+// pilot window and fast-forward are in neither side). The ratio is
 // the sampling engine's Amdahl term — at a given window geometry the
 // end-to-end speedup is bounded by detailed + ratio*skipped — and the
 // bench gate tracks it like a throughput regression. Zero for detailed

@@ -15,6 +15,9 @@
 //     event-queue cycles and no measurement counters move, and simulated
 //     time stands still.
 //
+// The warm-up is sampled the same way (warmUp): one detailed pilot
+// window, then the rest of WarmupRefs fast-forwarded.
+//
 // After each window the engine folds that window's per-VM miss rate and
 // cycles-per-transaction into incremental Welford accumulators
 // (internal/stats) and stops early once every metric's relative 95% CI
@@ -104,11 +107,26 @@ type SampleStats struct {
 	// Config.MeasureRefs (multiply by active cores for machine totals).
 	DetailedRefs uint64 `json:"detailed_refs,omitempty"`
 	SkippedRefs  uint64 `json:"skipped_refs,omitempty"`
+	// WarmupDetailedRefs and WarmupFunctionalRefs split a sampled run's
+	// warm-up, in Config.WarmupRefs' units (what the slowest core issued;
+	// faster cores issue proportionally more): the detailed pilot window,
+	// then the functional warming walk. They sum to at least WarmupRefs.
+	// Neither is part of DetailedRefs or SkippedRefs.
+	WarmupDetailedRefs   uint64 `json:"warmup_detailed_refs,omitempty"`
+	WarmupFunctionalRefs uint64 `json:"warmup_functional_refs,omitempty"`
 	// AchievedRelCI is the worst (largest) per-VM relative 95% CI
 	// half-width over both tracked metrics at stop.
 	AchievedRelCI float64 `json:"achieved_rel_ci,omitempty"`
 	// StopReason is StopConverged or StopBudget.
 	StopReason string `json:"stop_reason,omitempty"`
+}
+
+// Provenance is the one-line account of a sampled run that the CLIs
+// print beside its estimates.
+func (sa SampleStats) Provenance() string {
+	return fmt.Sprintf("sampled: %d windows, %d refs/core detailed, %d fast-forwarded (%s; rel 95%% CI %.3f); warm-up: %d detailed + %d functional refs/core",
+		sa.Windows, sa.DetailedRefs, sa.SkippedRefs, sa.StopReason, sa.AchievedRelCI,
+		sa.WarmupDetailedRefs, sa.WarmupFunctionalRefs)
 }
 
 // validateSample rejects configurations the sampling engine cannot run
@@ -137,6 +155,56 @@ func (c Config) validateSample() error {
 	return nil
 }
 
+// warmUp runs the warm-up phase. A detailed run, and a sampled one whose
+// warm-up is no longer than a window, issue all WarmupRefs through the
+// detailed engine. Otherwise the detailed engine would spend on
+// references nothing measures — half of a sampled run's wall at the
+// benchmark's geometry — so a sampled run warms the way it skips: one
+// detailed pilot window of P = WindowRefs references per core primes the
+// mesh, bank and memory-controller timing state and measures each core's
+// reference rate r_c, and the remaining WarmupRefs − P go through the
+// fast-forward path with budgets (WarmupRefs − P) · r_c / min r. The
+// warm-up contract is unchanged — every active core issues at least
+// WarmupRefs references, faster cores proportionally more — now as
+// detailed plus functional references; the sampled windows then count
+// their targets from P.
+func (s *System) warmUp(lane int) {
+	total, sc := s.cfg.WarmupRefs, s.cfg.Sample
+	if !sc.Enabled() {
+		s.runUntil(total)
+		return
+	}
+	pilot := min(sc.WindowRefs, total)
+	s.runUntil(pilot)
+	s.sample.WarmupDetailedRefs = pilot
+	if pilot == total {
+		return
+	}
+	// fastForward's machinery apportions perCore·nActive references in
+	// proportion to ffRate, so the slowest core — the one that ended the
+	// pilot, at exactly P references — gets its WarmupRefs − P when
+	// perCore·nActive·P ≥ (WarmupRefs − P)·Σr.
+	s.ffRate = make([]uint64, len(s.cores))
+	var sum uint64
+	for c := range s.cores {
+		if s.cores[c].active {
+			s.ffRate[c] = s.cores[c].refs
+			sum += s.ffRate[c]
+		}
+	}
+	den := uint64(s.activeCores) * pilot
+	endFF := s.phase(lane, "fastforward")
+	bud, elapsed := s.ffRun(((total-pilot)*sum + den - 1) / den)
+	endFF()
+	s.phaseProf.WarmupFFSeconds = elapsed
+	s.sample.WarmupFunctionalRefs = ^uint64(0)
+	for c := range s.cores {
+		if s.cores[c].active {
+			s.sample.WarmupFunctionalRefs = min(s.sample.WarmupFunctionalRefs, bud[c])
+		}
+	}
+}
+
 // runSampled is the sampled measurement phase: detailed windows with
 // functional fast-forward between them, stopping on CI convergence or
 // the detailed-reference budget. The caller has already run warm-up and
@@ -156,7 +224,7 @@ func (s *System) runSampled(lane int) {
 	}
 
 	prevCoreRefs := make([]uint64, len(s.cores))
-	target := s.cfg.WarmupRefs
+	target := s.sample.WarmupDetailedRefs
 	for {
 		windowStart := s.now
 		target += sc.WindowRefs
@@ -225,7 +293,18 @@ func (s *System) runSampled(lane int) {
 	}
 }
 
-// fastForward streams perCore references per active core through the
+// fastForward skips perCore references per active core between two
+// detailed windows and books them as skipped. The warm-up's fast-forward
+// (warmUp) is booked to the warm-up phase instead, so SkippedRefs,
+// SampleFFSeconds and the ff cost ratio derived from them keep meaning
+// "what skipping between windows costs".
+func (s *System) fastForward(perCore uint64) {
+	_, elapsed := s.ffRun(perCore)
+	s.sample.SkippedRefs += perCore
+	s.phaseProf.SampleFFSeconds += elapsed
+}
+
+// ffRun streams perCore references per active core through the
 // functional plane: the same refSource supplies them (keeping the
 // sharded engine's prefill protocol live and bit-identical), the access
 // walk runs under ffTiming, and nothing timing-visible moves — no event
@@ -233,8 +312,10 @@ func (s *System) runSampled(lane int) {
 // counters. References rotate round-robin across cores; with sampling
 // validated against over-commitment each core carries exactly one
 // runnable, so the rotation covers every thread exactly like the
-// detailed loop's reference budget does.
-func (s *System) fastForward(perCore uint64) {
+// detailed loop's reference budget does. It returns the per-core budgets
+// it issued (scratch, good until the next call) and the host seconds it
+// took, which it has already added to the run's simulation time.
+func (s *System) ffRun(perCore uint64) ([]uint64, float64) {
 	start := time.Now()
 	if s.ffStats == nil {
 		s.ffStats = make([]vm.Stats, len(s.vms))
@@ -251,10 +332,9 @@ func (s *System) fastForward(perCore uint64) {
 	} else {
 		s.warmForward(bud)
 	}
-	s.sample.SkippedRefs += perCore
 	elapsed := time.Since(start).Seconds()
 	s.simSeconds += elapsed
-	s.phaseProf.SampleFFSeconds += elapsed
+	return bud, elapsed
 }
 
 // ffBudgets apportions the fast-forward budget (perCore references per
@@ -317,7 +397,7 @@ func (s *System) ffBudgets(perCore uint64) []uint64 {
 	return bud
 }
 
-// ffLoop is fastForward's monomorphized engine-agnostic loop: a
+// ffLoop is fastForward's engine-agnostic loop: a
 // Bresenham interleave issues each core's budget spread evenly across
 // the longest budget's rounds, so cores advance through the skipped
 // stream at their proportional rates instead of in per-core bursts.
@@ -341,7 +421,7 @@ func ffLoop[S refSource](s *System, bud []uint64, src S) {
 				m := s.vms[run.vmID]
 				acc := src.next(s, run)
 				m.Touch(acc.Block)
-				accessTM(s, ffTiming{}, c, run.vmID, m.AddrOf(acc.Block), acc.Write)
+				accessTM(s, ffTiming, c, run.vmID, m.AddrOf(acc.Block), acc.Write)
 			}
 		}
 	}

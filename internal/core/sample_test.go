@@ -170,9 +170,9 @@ func snapshotTiming(t *testing.T, s *System) timingSnapshot {
 	return snap
 }
 
-// newWarmSystem builds a system, seeds the event queue the way Run()
-// does, and executes the warm-up phase.
-func newWarmSystem(t *testing.T, cfg Config) *System {
+// newSeededSystem builds a system and seeds the event queue (and starts
+// the shard workers) the way Run() does, stopping short of the warm-up.
+func newSeededSystem(t testing.TB, cfg Config) *System {
 	t.Helper()
 	sys, err := NewSystem(cfg)
 	if err != nil {
@@ -188,6 +188,16 @@ func newWarmSystem(t *testing.T, cfg Config) *System {
 		sys.shard.start(sys)
 		t.Cleanup(sys.shard.stop)
 	}
+	sys.setupTS()
+	return sys
+}
+
+// newWarmSystem is newSeededSystem plus a warm-up done entirely in the
+// detailed engine — a detailed run's warm-up, and the state the
+// fast-forward tests start from. A sampled Run warms up through warmUp.
+func newWarmSystem(t testing.TB, cfg Config) *System {
+	t.Helper()
+	sys := newSeededSystem(t, cfg)
 	sys.runUntil(cfg.WarmupRefs)
 	return sys
 }
@@ -258,7 +268,8 @@ func TestSampledSteadyStateAllocBudget(t *testing.T) {
 // since those are exactly what a production `-sample -timeseries` run
 // carries. The recorder's hot path writes preallocated columns only, so
 // fast-forward must stay allocation-free per reference even while every
-// window commits a telemetry row.
+// window commits a telemetry row. That covers the warm-up's fast-forward
+// as much as the ones between windows.
 func TestWarmingAllocBudgetWithTelemetry(t *testing.T) {
 	ts, err := obs.OpenTimeSeries(filepath.Join(t.TempDir(), "ts.jsonl"))
 	if err != nil {
@@ -269,25 +280,43 @@ func TestWarmingAllocBudgetWithTelemetry(t *testing.T) {
 	ob.TS = ts
 
 	cfg := sampledCfg(1)
+	cfg.WarmupRefs = 40_000 // a 2k pilot, then 38k per core functional
 	cfg.Obs = ob.Hooks()
-	sys := newWarmSystem(t, cfg)
 
-	// One untimed round trip grows lazy structures (directory tables,
-	// the warm walk's per-core contexts, recorder columns) to working
-	// size.
-	sys.fastForward(6_000)
-	sys.runUntil(cfg.WarmupRefs + 2_000)
-
-	const ffRefs, winRefs = 40_000, 4_000
+	// The warm-up first, from cold: the pilot and the fast-forward build
+	// their one-time structures (warming contexts, rate and budget scratch,
+	// the directory's doublings) — a few dozen allocations against the
+	// 600k references they serve.
+	sys := newSeededSystem(t, cfg)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	sys.warmUp(0)
+	runtime.ReadMemStats(&after)
+	pilot := cfg.Sample.WindowRefs
+	if got := sys.sample.WarmupFunctionalRefs; got < cfg.WarmupRefs-pilot {
+		t.Fatalf("warm-up fast-forwarded %d refs/core, want >= %d", got, cfg.WarmupRefs-pilot)
+	}
+	warmRefs := cfg.WarmupRefs * uint64(sys.activeCores)
+	perRef := float64(after.Mallocs-before.Mallocs) / float64(warmRefs)
+	t.Logf("warm-up with telemetry: %d allocs over %d refs (%.6f allocs/ref)", after.Mallocs-before.Mallocs, warmRefs, perRef)
+	if perRef > 0.001 {
+		t.Fatalf("warm-up allocates with telemetry attached: %.6f allocs/ref (budget 0.001)", perRef)
+	}
+
+	// One untimed round trip grows lazy structures (recorder columns,
+	// event-queue capacity) to working size.
+	sys.fastForward(6_000)
+	sys.runUntil(pilot + 2_000)
+
+	const ffRefs, winRefs = 40_000, 4_000
+	runtime.ReadMemStats(&before)
 	sys.fastForward(ffRefs)
-	sys.runUntil(cfg.WarmupRefs + 2_000 + winRefs)
+	sys.runUntil(pilot + 2_000 + winRefs)
 	runtime.ReadMemStats(&after)
 
 	measuredRefs := uint64((ffRefs + winRefs) * len(sys.cores))
 	allocs := after.Mallocs - before.Mallocs
-	perRef := float64(allocs) / float64(measuredRefs)
+	perRef = float64(allocs) / float64(measuredRefs)
 	t.Logf("warming with telemetry: %d allocs over %d refs (%.6f allocs/ref, %d bytes)",
 		allocs, measuredRefs, perRef, after.TotalAlloc-before.TotalAlloc)
 	if perRef > 0.001 {
@@ -297,14 +326,17 @@ func TestWarmingAllocBudgetWithTelemetry(t *testing.T) {
 
 // FuzzFastForwardBoundary fuzzes the window/fast-forward boundary: for
 // arbitrary window geometries the engine must terminate with a coherent
-// stop reason, never leak fast-forwarded references into measurement
-// counters, and remain deterministic (two runs of the same fuzzed
+// stop reason, split the warm-up into its pilot window and functional
+// rest, never leak fast-forwarded references into measurement counters,
+// and remain deterministic (two runs of the same fuzzed
 // geometry agree byte for byte).
 func FuzzFastForwardBoundary(f *testing.F) {
 	f.Add(uint16(2000), uint8(3), uint16(8000))
 	f.Add(uint16(1), uint8(1), uint16(1))
 	f.Add(uint16(5000), uint8(0), uint16(60000))
 	f.Add(uint16(100), uint8(9), uint16(300))
+	f.Add(uint16(3000), uint8(2), uint16(9000)) // warm-up == window: no functional warm-up
+	f.Add(uint16(2999), uint8(2), uint16(9000)) // one functional reference per core
 	f.Fuzz(func(t *testing.T, window uint16, ratio uint8, maxRefs uint16) {
 		if window == 0 {
 			t.Skip()
@@ -351,18 +383,33 @@ func FuzzFastForwardBoundary(f *testing.F) {
 		if sa.StopReason == StopBudget && sa.DetailedRefs < effMax {
 			t.Fatalf("budget stop below budget: %+v (max %d)", sa, effMax)
 		}
-		// Every active core must have issued at least warm-up plus the
-		// detailed windows through the timing loop — fast-forwarded
-		// references never advance the per-core budget counters, so any
-		// shortfall means a window leaked into the functional plane.
+		// The warm-up is one detailed pilot window and the rest of
+		// WarmupRefs functional, and together they cover WarmupRefs.
+		pilot := min(cfg.Sample.WindowRefs, cfg.WarmupRefs)
+		if sa.WarmupDetailedRefs != pilot {
+			t.Fatalf("warm-up pilot of %d detailed refs, want %d (%+v)", sa.WarmupDetailedRefs, pilot, sa)
+		}
+		if sa.WarmupDetailedRefs+sa.WarmupFunctionalRefs < cfg.WarmupRefs {
+			t.Fatalf("warm-up covers %d+%d refs, want >= %d", sa.WarmupDetailedRefs, sa.WarmupFunctionalRefs, cfg.WarmupRefs)
+		}
+		if (sa.WarmupFunctionalRefs == 0) != (cfg.WarmupRefs <= cfg.Sample.WindowRefs) {
+			t.Fatalf("functional warm-up of %d refs with warm-up %d and window %d", sa.WarmupFunctionalRefs, cfg.WarmupRefs, cfg.Sample.WindowRefs)
+		}
+		// Every active core must have issued at least the pilot plus the
+		// detailed windows through the timing loop, and the slowest exactly
+		// that — fast-forwarded references never advance the per-core
+		// budget counters, so a shortfall means a window leaked into the
+		// functional plane and an excess on every core means functional
+		// warm-up leaked into the detailed one.
+		slowest := ^uint64(0)
 		for c := range sys.cores {
 			if !sys.cores[c].active {
 				continue
 			}
-			if want := cfg.WarmupRefs + sa.DetailedRefs; sys.cores[c].refs < want {
-				t.Fatalf("core %d issued %d detailed refs, want >= %d (%+v)",
-					c, sys.cores[c].refs, want, sa)
-			}
+			slowest = min(slowest, sys.cores[c].refs)
+		}
+		if want := pilot + sa.DetailedRefs; slowest != want {
+			t.Fatalf("slowest core issued %d detailed refs, want %d (%+v)", slowest, want, sa)
 		}
 		digest1 := resultDigestF(t, res)
 		digest2 := resultDigestF(t, run())

@@ -51,6 +51,9 @@ type System struct {
 	l1    []*cache.Cache
 	banks []*cache.Cache // one per LLC group
 
+	groupTab  [coherence.MaxNodes]uint8 // core -> LLC group (groupOf)
+	groupMask int                       // GroupSize-1 when that is a power of two, else -1 (bankNode)
+
 	bankBusy []sim.Cycle // per mesh node (bank slice occupancy)
 	dirBusy  []sim.Cycle // per mesh node (directory occupancy)
 
@@ -211,13 +214,16 @@ func NewSystem(cfg Config) (*System, error) {
 		hooks:    cfg.Obs,
 	}
 
-	for i := 0; i < cfg.Cores; i++ {
-		s.l0 = append(s.l0, cache.New(cache.Config{SizeBytes: cfg.l0Bytes(), Assoc: 2, Latency: DefaultL0Latency}))
-		s.l1 = append(s.l1, cache.New(cache.Config{SizeBytes: cfg.l1Bytes(), Assoc: 4, Latency: DefaultL1Latency}))
+	for c := 0; c < cfg.Cores; c++ {
+		s.groupTab[c] = uint8(c / cfg.GroupSize)
 	}
-	for g := 0; g < cfg.Groups(); g++ {
-		s.banks = append(s.banks, cache.New(cache.Config{SizeBytes: cfg.llcGroupBytes(), Assoc: 16, Latency: DefaultLLCLatency}))
+	s.groupMask = -1
+	if cfg.GroupSize&(cfg.GroupSize-1) == 0 {
+		s.groupMask = cfg.GroupSize - 1
 	}
+	s.l0 = cache.NewN(cfg.Cores, cache.Config{SizeBytes: cfg.l0Bytes(), Assoc: 2, Latency: DefaultL0Latency})
+	s.l1 = cache.NewN(cfg.Cores, cache.Config{SizeBytes: cfg.l1Bytes(), Assoc: 4, Latency: DefaultL1Latency})
+	s.banks = cache.NewN(cfg.Groups(), cache.Config{SizeBytes: cfg.llcGroupBytes(), Assoc: 16, Latency: DefaultLLCLatency})
 
 	// Lay the VMs out in disjoint physical regions and place threads.
 	rootRNG := sim.NewRNG(cfg.Seed)
@@ -421,8 +427,10 @@ func (s *System) Config() Config { return s.cfg }
 // VMs returns the virtual machines.
 func (s *System) VMs() []*vm.VM { return s.vms }
 
-// groupOf returns the LLC group of core c.
-func (s *System) groupOf(c int) int { return c / s.cfg.GroupSize }
+// groupOf returns the LLC group of core c. A table, not c / GroupSize:
+// the walk asks several times per private miss and the divisor is not a
+// compile-time constant.
+func (s *System) groupOf(c int) int { return int(s.groupTab[c]) }
 
 // bankNode returns the mesh node holding the LLC slice of group g that
 // caches addr: the group's capacity is interleaved across its cores'
@@ -430,6 +438,9 @@ func (s *System) groupOf(c int) int { return c / s.cfg.GroupSize }
 // larger groups spread across their span.
 func (s *System) bankNode(g int, addr sim.Addr) int {
 	n := s.cfg.GroupSize
+	if s.groupMask >= 0 {
+		return g*n + int(sim.BlockID(addr))&s.groupMask
+	}
 	return g*n + int(sim.BlockID(addr)%uint64(n))
 }
 
@@ -474,7 +485,7 @@ func (s *System) Run() (Result, error) {
 
 	// Warm-up phase.
 	endPhase := s.phase(lane, "warmup")
-	s.runUntil(s.cfg.WarmupRefs)
+	s.warmUp(lane)
 	if h != nil {
 		// Flush the warmup tail, then re-base the deltas: ResetStats is
 		// about to zero every counter the publish cadence diffs against.
@@ -640,8 +651,10 @@ func (s *System) runUntil(target uint64) {
 // functional inputs: the next workload reference and the think-time
 // draw. liveSource computes them inline (the sequential engine);
 // shardSource (shard.go) serves them from worker-prepared batches. The
-// type parameter on runLoopSrc monomorphizes both, so the sequential
-// loop compiles to exactly the code it was before the split.
+// two have different gcshapes (an empty struct, a struct of one pointer),
+// so runLoopSrc is compiled twice, but neither body is specialized to
+// its source: next, peek and think are reached through the generic
+// dictionary, one indirect call each per event, and are not inlined.
 type refSource interface {
 	next(s *System, run runnable) workload.Access
 	// peek returns the reference the following next(s, run) will return

@@ -34,10 +34,10 @@
 // the walks are state-identical): ~1.1-1.2x over the generic walk at the
 // F3/F4 isolation scale; at full 4-VM mix scale ~1.1x from the
 // specialization and a further ~1.3x from the lookahead. The generic
-// walk's ffTiming instantiation was already monomorphized and no-op'd
-// most timing work, so the remaining cost is the functional warming
-// itself — set scans, directory updates, RNG draws — which bit-identity
-// pins. See EXPERIMENTS.md for the resulting ff cost ratios.
+// walk under ffTiming already skips most timing work, so the remaining
+// cost is the functional warming itself — set scans, directory updates,
+// RNG draws — which bit-identity pins. See EXPERIMENTS.md for the
+// resulting ff cost ratios.
 package core
 
 import (
@@ -76,7 +76,7 @@ type warmCore struct {
 	slot *prefillSlot
 
 	c      int
-	g      int // groupOf(c), hoisted (removes a division per miss)
+	g      int // groupOf(c), hoisted
 	thread int
 	vtag   uint8
 
@@ -153,9 +153,9 @@ func (s *System) warmForward(bud []uint64) {
 	}
 }
 
-// warmSource supplies the next reference for a warming context. The two
-// implementations monomorphize warmLoop, mirroring refSource for the
-// detailed loop.
+// warmSource supplies the next reference for a warming context. As with
+// refSource, the two implementations give warmLoop two compiled bodies
+// that each reach next through the generic dictionary.
 type warmSource interface {
 	next(s *System, wc *warmCore) workload.Access
 }

@@ -22,6 +22,83 @@ import (
 // isoPolicies are the two policies the isolation figures sweep.
 var isoPolicies = []sched.Policy{sched.RoundRobin, sched.Affinity}
 
+// batch is the set of simulations one figure reads. The figure names
+// every run up front — the sweep's cells and the isolation references it
+// normalizes by alike — run puts them through the worker pool together,
+// and the table is assembled from the results alone. The getters do not
+// simulate: a run the figure forgot to name is a bug in the figure and
+// panics, where it used to execute quietly, one at a time, after the
+// pool had drained (12 of F8's 27 simulations ran that way).
+type batch struct {
+	r    *Runner
+	keys []runKey
+	cfgs []core.Config
+	res  map[runKey]core.Result
+}
+
+func (r *Runner) newBatch() *batch {
+	return &batch{r: r, res: make(map[runKey]core.Result)}
+}
+
+func (b *batch) add(key runKey, cfg core.Config) {
+	if _, dup := b.res[key]; !dup {
+		b.res[key] = core.Result{}
+		b.keys, b.cfgs = append(b.keys, key), append(b.cfgs, cfg)
+	}
+}
+
+// iso and mix name an isolation run and a Table IV mix run.
+func (b *batch) iso(class workload.Class, groupSize int, p sched.Policy) {
+	b.add(b.r.isolationJob(class, groupSize, p))
+}
+
+func (b *batch) mix(m Mix, groupSize int, p sched.Policy) {
+	b.add(b.r.mixJob(m, groupSize, p))
+}
+
+// baseline and iso4 name the two isolation references of §V: the fully
+// shared LLC (performance, miss rate) and shared-4-way under affinity
+// (miss latency).
+func (b *batch) baseline(class workload.Class) { b.iso(class, core.DefaultCores, sched.Affinity) }
+func (b *batch) iso4(class workload.Class)     { b.iso(class, 4, sched.Affinity) }
+
+// run executes (or recalls) every named simulation.
+func (b *batch) run() error {
+	out := make([]core.Result, len(b.keys))
+	err := b.r.parallelDo(len(b.keys), func(i int) (err error) {
+		out[i], err = b.r.run(b.keys[i], b.cfgs[i])
+		return err
+	})
+	for i, key := range b.keys {
+		b.res[key] = out[i]
+	}
+	return err
+}
+
+func (b *batch) get(key runKey) core.Result {
+	res, ok := b.res[key]
+	if !ok {
+		panic(fmt.Sprintf("harness: figure reads a run its batch never named: %+v", key))
+	}
+	return res
+}
+
+func (b *batch) isoRes(class workload.Class, groupSize int, p sched.Policy) core.Result {
+	return b.get(isolationKey(class, groupSize, p))
+}
+
+func (b *batch) mixRes(m Mix, groupSize int, p sched.Policy) core.Result {
+	return b.get(mixKey(m, groupSize, p))
+}
+
+func (b *batch) baselineRes(class workload.Class) core.VMResult {
+	return b.isoRes(class, core.DefaultCores, sched.Affinity).VMs[0]
+}
+
+func (b *batch) iso4Res(class workload.Class) core.VMResult {
+	return b.isoRes(class, 4, sched.Affinity).VMs[0]
+}
+
 // TableII reproduces Table II: per-workload cache-to-cache transfer
 // statistics and footprint, measured in isolation on private LLCs.
 func (r *Runner) TableII() (*Table, error) {
@@ -32,19 +109,15 @@ func (r *Runner) TableII() (*Table, error) {
 		Columns: []string{"c2c all", "c2c clean", "c2c dirty", "blocks (K)"},
 	}
 	targets := workload.TableII()
-	err := r.parallelDo(int(workload.NumClasses), func(i int) error {
-		_, e := r.RunIsolation(workload.Class(i), 1, sched.Affinity)
-		return e
-	})
-	if err != nil {
+	b := r.newBatch()
+	for _, class := range workload.All() {
+		b.iso(class, 1, sched.Affinity)
+	}
+	if err := b.run(); err != nil {
 		return nil, err
 	}
 	for _, class := range workload.All() {
-		res, err := r.RunIsolation(class, 1, sched.Affinity)
-		if err != nil {
-			return nil, err
-		}
-		v := res.VMs[0]
+		v := b.isoRes(class, 1, sched.Affinity).VMs[0]
 		dirty := v.Stats.C2CDirtyShare()
 		t.Add(class.String(),
 			v.Stats.C2COfLLCMisses(), 1-dirty, dirty,
@@ -67,40 +140,24 @@ func (r *Runner) isolationSweep(id, title string, groupSizes []int, policies []s
 			t.Columns = append(t.Columns, fmt.Sprintf("%s/%s", groupSizeName(gs), p))
 		}
 	}
-	type job struct {
-		class workload.Class
-		gs    int
-		p     sched.Policy
-	}
-	var jobs []job
+	b := r.newBatch()
 	for _, class := range workload.All() {
+		b.baseline(class)
 		for _, gs := range groupSizes {
 			for _, p := range policies {
-				jobs = append(jobs, job{class, gs, p})
+				b.iso(class, gs, p)
 			}
 		}
 	}
-	err := r.parallelDo(len(jobs), func(i int) error {
-		j := jobs[i]
-		_, e := r.RunIsolation(j.class, j.gs, j.p)
-		return e
-	})
-	if err != nil {
+	if err := b.run(); err != nil {
 		return nil, err
 	}
 	for _, class := range workload.All() {
-		base, err := r.IsolationBaseline(class)
-		if err != nil {
-			return nil, err
-		}
+		base := b.baselineRes(class)
 		var vals []float64
 		for _, gs := range groupSizes {
 			for _, p := range policies {
-				res, err := r.RunIsolation(class, gs, p)
-				if err != nil {
-					return nil, err
-				}
-				vals = append(vals, value(res.VMs[0], base))
+				vals = append(vals, value(b.isoRes(class, gs, p).VMs[0], base))
 			}
 		}
 		t.Add(class.String(), vals...)
@@ -153,39 +210,23 @@ func (r *Runner) homogeneousSweep(id, title string,
 		t.Columns = append(t.Columns, p.String())
 	}
 	mixes := HomogeneousMixes()
-	type job struct {
-		mi, pi int
-	}
-	var jobs []job
-	for mi := range mixes {
-		for pi := range sched.All() {
-			jobs = append(jobs, job{mi, pi})
+	b := r.newBatch()
+	for _, mix := range mixes {
+		b.baseline(mix.Classes[0])
+		b.iso4(mix.Classes[0])
+		for _, p := range sched.All() {
+			b.mix(mix, 4, p)
 		}
 	}
-	err := r.parallelDo(len(jobs), func(i int) error {
-		j := jobs[i]
-		_, e := r.RunMix(mixes[j.mi], 4, sched.All()[j.pi])
-		return e
-	})
-	if err != nil {
+	if err := b.run(); err != nil {
 		return nil, err
 	}
 	for _, mix := range mixes {
 		class := mix.Classes[0]
-		iso, err := r.IsolationBaseline(class)
-		if err != nil {
-			return nil, err
-		}
-		iso4, err := r.IsolationShared4Affinity(class)
-		if err != nil {
-			return nil, err
-		}
+		iso, iso4 := b.baselineRes(class), b.iso4Res(class)
 		var vals []float64
 		for _, p := range sched.All() {
-			res, err := r.RunMix(mix, 4, p)
-			if err != nil {
-				return nil, err
-			}
+			res := b.mixRes(mix, 4, p)
 			sum := 0.0
 			for _, v := range res.VMs {
 				sum += value(v, iso, iso4)
@@ -229,8 +270,10 @@ func (r *Runner) Fig7() (*Table, error) {
 }
 
 // heterogeneousSweep runs Mixes 1-9 on shared-4-way under the given
-// policies, grouping results per (mix, workload).
-func (r *Runner) heterogeneousSweep(id, title string, policies []sched.Policy, groupSizes []int,
+// policies, grouping results per (mix, workload). b is the figure's
+// batch, already holding whatever else the caller will read; the sweep
+// adds its own runs to it and executes it.
+func (r *Runner) heterogeneousSweep(b *batch, id, title string, policies []sched.Policy, groupSizes []int,
 	value func(v core.VMResult, iso, iso4aff core.VMResult) float64) (*Table, error) {
 
 	t := &Table{ID: id, Title: title, RowHead: "mix/workload"}
@@ -244,23 +287,18 @@ func (r *Runner) heterogeneousSweep(id, title string, policies []sched.Policy, g
 		}
 	}
 	mixes := HeterogeneousMixes()
-	type job struct {
-		mi, gi, pi int
-	}
-	var jobs []job
-	for mi := range mixes {
-		for gi := range groupSizes {
-			for pi := range policies {
-				jobs = append(jobs, job{mi, gi, pi})
+	for _, mix := range mixes {
+		for _, class := range mix.Classes {
+			b.baseline(class)
+			b.iso4(class)
+		}
+		for _, gs := range groupSizes {
+			for _, p := range policies {
+				b.mix(mix, gs, p)
 			}
 		}
 	}
-	err := r.parallelDo(len(jobs), func(i int) error {
-		j := jobs[i]
-		_, e := r.RunMix(mixes[j.mi], groupSizes[j.gi], policies[j.pi])
-		return e
-	})
-	if err != nil {
+	if err := b.run(); err != nil {
 		return nil, err
 	}
 	for _, mix := range mixes {
@@ -271,23 +309,12 @@ func (r *Runner) heterogeneousSweep(id, title string, policies []sched.Policy, g
 				continue
 			}
 			seen[class] = true
-			iso, err := r.IsolationBaseline(class)
-			if err != nil {
-				return nil, err
-			}
-			iso4, err := r.IsolationShared4Affinity(class)
-			if err != nil {
-				return nil, err
-			}
+			iso, iso4 := b.baselineRes(class), b.iso4Res(class)
 			var vals []float64
 			for _, gs := range groupSizes {
 				for _, p := range policies {
-					res, err := r.RunMix(mix, gs, p)
-					if err != nil {
-						return nil, err
-					}
 					sum, n := 0.0, 0
-					for _, v := range res.ByClass(class) {
+					for _, v := range b.mixRes(mix, gs, p).ByClass(class) {
 						sum += value(v, iso, iso4)
 						n++
 					}
@@ -303,28 +330,29 @@ func (r *Runner) heterogeneousSweep(id, title string, policies []sched.Policy, g
 // Fig8 reproduces Figure 8: heterogeneous-mix performance relative to
 // isolation, for affinity and round-robin on shared-4-way caches.
 func (r *Runner) Fig8() (*Table, error) {
-	t, err := r.heterogeneousSweep("F8", "Heterogeneous mixes: normalized runtime vs isolation (shared-4-way)",
+	// The paper also plots the isolation shared-4 references.
+	var isoRows []workload.Class
+	b := r.newBatch()
+	for _, class := range workload.All() {
+		if class == workload.SPECweb {
+			continue // SPECweb joins no heterogeneous mixes
+		}
+		isoRows = append(isoRows, class)
+		for _, p := range isoPolicies {
+			b.iso(class, 4, p)
+		}
+	}
+	t, err := r.heterogeneousSweep(b, "F8", "Heterogeneous mixes: normalized runtime vs isolation (shared-4-way)",
 		isoPolicies, []int{4},
 		func(v, iso, _ core.VMResult) float64 { return v.CyclesPerTx / iso.CyclesPerTx })
 	if err != nil {
 		return nil, err
 	}
-	// The paper also plots the isolation shared-4 references.
-	for _, class := range workload.All() {
-		if class == workload.SPECweb {
-			continue // SPECweb joins no heterogeneous mixes
-		}
-		iso, err := r.IsolationBaseline(class)
-		if err != nil {
-			return nil, err
-		}
+	for _, class := range isoRows {
+		iso := b.baselineRes(class)
 		var vals []float64
 		for _, p := range isoPolicies {
-			res, err := r.RunIsolation(class, 4, p)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, res.VMs[0].CyclesPerTx/iso.CyclesPerTx)
+			vals = append(vals, b.isoRes(class, 4, p).VMs[0].CyclesPerTx/iso.CyclesPerTx)
 		}
 		t.Add(fmt.Sprintf("isolation %s", class), vals...)
 	}
@@ -335,7 +363,7 @@ func (r *Runner) Fig8() (*Table, error) {
 // Fig9 reproduces Figure 9: heterogeneous-mix miss rates relative to
 // isolation.
 func (r *Runner) Fig9() (*Table, error) {
-	t, err := r.heterogeneousSweep("F9", "Heterogeneous mixes: LLC miss rate vs isolation (shared-4-way)",
+	t, err := r.heterogeneousSweep(r.newBatch(), "F9", "Heterogeneous mixes: LLC miss rate vs isolation (shared-4-way)",
 		isoPolicies, []int{4},
 		func(v, iso, _ core.VMResult) float64 { return v.MissRate() / iso.MissRate() })
 	if err != nil {
@@ -348,7 +376,7 @@ func (r *Runner) Fig9() (*Table, error) {
 // Fig10 reproduces Figure 10: heterogeneous-mix miss latencies normalized
 // to isolation with affinity scheduling on shared-4-way caches.
 func (r *Runner) Fig10() (*Table, error) {
-	t, err := r.heterogeneousSweep("F10", "Heterogeneous mixes: miss latency vs isolation/affinity/shared-4",
+	t, err := r.heterogeneousSweep(r.newBatch(), "F10", "Heterogeneous mixes: miss latency vs isolation/affinity/shared-4",
 		isoPolicies, []int{4},
 		func(v, _, iso4 core.VMResult) float64 { return v.AvgMissLatency() / iso4.AvgMissLatency() })
 	if err != nil {
@@ -362,7 +390,7 @@ func (r *Runner) Fig10() (*Table, error) {
 // heterogeneous mixes under affinity scheduling — miss latency for
 // shared-2/-4/-8 LLCs, normalized to shared-4 isolation.
 func (r *Runner) Fig11() (*Table, error) {
-	t, err := r.heterogeneousSweep("F11", "Heterogeneous mixes: miss latency vs sharing degree (affinity)",
+	t, err := r.heterogeneousSweep(r.newBatch(), "F11", "Heterogeneous mixes: miss latency vs sharing degree (affinity)",
 		[]sched.Policy{sched.Affinity}, []int{2, 4, 8},
 		func(v, _, iso4 core.VMResult) float64 { return v.AvgMissLatency() / iso4.AvgMissLatency() })
 	if err != nil {
@@ -387,33 +415,22 @@ func (r *Runner) Fig12() (*Table, error) {
 	}
 	t.Columns = append(t.Columns, "private (max)")
 	mixes := HomogeneousMixes()
-	err := r.parallelDo(len(mixes)*(len(policies)+1), func(i int) error {
-		mix := mixes[i/(len(policies)+1)]
-		pi := i % (len(policies) + 1)
-		if pi == len(policies) {
-			_, e := r.RunMix(mix, 1, sched.Affinity)
-			return e
+	b := r.newBatch()
+	for _, mix := range mixes {
+		for _, p := range policies {
+			b.mix(mix, 4, p)
 		}
-		_, e := r.RunMix(mix, 4, policies[pi])
-		return e
-	})
-	if err != nil {
+		b.mix(mix, 1, sched.Affinity)
+	}
+	if err := b.run(); err != nil {
 		return nil, err
 	}
 	for _, mix := range mixes {
 		var vals []float64
 		for _, p := range policies {
-			res, err := r.RunMix(mix, 4, p)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, res.Snapshot.ReplicationFraction())
+			vals = append(vals, b.mixRes(mix, 4, p).Snapshot.ReplicationFraction())
 		}
-		priv, err := r.RunMix(mix, 1, sched.Affinity)
-		if err != nil {
-			return nil, err
-		}
-		vals = append(vals, priv.Snapshot.ReplicationFraction())
+		vals = append(vals, b.mixRes(mix, 1, sched.Affinity).Snapshot.ReplicationFraction())
 		t.Add(fmt.Sprintf("%s %s", mix.ID, mix.Classes[0]), vals...)
 	}
 	t.Note("paper: round robin replicates most; SPECjbb and SPECweb replicate most among workloads")
@@ -430,18 +447,15 @@ func (r *Runner) Fig13() (*Table, error) {
 		Columns: []string{"vm0", "vm1", "vm2", "vm3"},
 	}
 	mixes := HeterogeneousMixes()
-	err := r.parallelDo(len(mixes), func(i int) error {
-		_, e := r.RunMix(mixes[i], 4, sched.RoundRobin)
-		return e
-	})
-	if err != nil {
+	b := r.newBatch()
+	for _, mix := range mixes {
+		b.mix(mix, 4, sched.RoundRobin)
+	}
+	if err := b.run(); err != nil {
 		return nil, err
 	}
 	for _, mix := range mixes {
-		res, err := r.RunMix(mix, 4, sched.RoundRobin)
-		if err != nil {
-			return nil, err
-		}
+		res := b.mixRes(mix, 4, sched.RoundRobin)
 		for g := range res.Snapshot.Occupancy {
 			var vals []float64
 			for v := range mix.Classes {

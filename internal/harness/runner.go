@@ -493,40 +493,48 @@ func addStats(a *vmstats.Stats, b vmstats.Stats) {
 	a.NetCycles += b.NetCycles
 }
 
-// RunIsolation simulates one 4-thread workload alone on the chip (12
-// cores idle) under the given LLC grouping and policy.
-func (r *Runner) RunIsolation(class workload.Class, groupSize int, policy sched.Policy) (core.Result, error) {
-	spec := workload.Specs()[class]
-	key := runKey{isolated: class, isoOnly: true, groupSize: groupSize, policy: policy}
-	return r.run(key, r.config([]workload.Spec{spec}, groupSize, policy))
+// isolationKey and mixKey are the memoization keys of the two run shapes
+// the figures are built from.
+func isolationKey(class workload.Class, groupSize int, policy sched.Policy) runKey {
+	return runKey{isolated: class, isoOnly: true, groupSize: groupSize, policy: policy}
 }
 
-// RunMix simulates a Table IV mix (four 4-thread VMs, machine at
+func mixKey(mix Mix, groupSize int, policy sched.Policy) runKey {
+	return runKey{mixID: mix.ID, groupSize: groupSize, policy: policy}
+}
+
+// isolationJob describes one 4-thread workload alone on the chip (12
+// cores idle) under the given LLC grouping and policy.
+func (r *Runner) isolationJob(class workload.Class, groupSize int, policy sched.Policy) (runKey, core.Config) {
+	spec := workload.Specs()[class]
+	return isolationKey(class, groupSize, policy), r.config([]workload.Spec{spec}, groupSize, policy)
+}
+
+// mixJob describes a Table IV mix (four 4-thread VMs, machine at
 // capacity) under the given LLC grouping and policy.
-func (r *Runner) RunMix(mix Mix, groupSize int, policy sched.Policy) (core.Result, error) {
+func (r *Runner) mixJob(mix Mix, groupSize int, policy sched.Policy) (runKey, core.Config) {
 	specs := make([]workload.Spec, len(mix.Classes))
 	all := workload.Specs()
 	for i, c := range mix.Classes {
 		specs[i] = all[c]
 	}
-	key := runKey{mixID: mix.ID, groupSize: groupSize, policy: policy}
-	return r.run(key, r.config(specs, groupSize, policy))
+	return mixKey(mix, groupSize, policy), r.config(specs, groupSize, policy)
+}
+
+// RunIsolation simulates (or recalls) an isolationJob.
+func (r *Runner) RunIsolation(class workload.Class, groupSize int, policy sched.Policy) (core.Result, error) {
+	return r.run(r.isolationJob(class, groupSize, policy))
+}
+
+// RunMix simulates (or recalls) a mixJob.
+func (r *Runner) RunMix(mix Mix, groupSize int, policy sched.Policy) (core.Result, error) {
+	return r.run(r.mixJob(mix, groupSize, policy))
 }
 
 // IsolationBaseline returns the paper's §V reference point for a
 // workload: isolated, four cores, the full LLC as one shared cache.
 func (r *Runner) IsolationBaseline(class workload.Class) (core.VMResult, error) {
 	res, err := r.RunIsolation(class, core.DefaultCores, sched.Affinity)
-	if err != nil {
-		return core.VMResult{}, err
-	}
-	return res.VMs[0], nil
-}
-
-// IsolationShared4Affinity returns the isolation reference used by the
-// miss-latency figures: affinity scheduling on shared-4-way caches.
-func (r *Runner) IsolationShared4Affinity(class workload.Class) (core.VMResult, error) {
-	res, err := r.RunIsolation(class, 4, sched.Affinity)
 	if err != nil {
 		return core.VMResult{}, err
 	}

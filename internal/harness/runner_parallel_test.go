@@ -144,3 +144,58 @@ func TestParallelDefaultsToGOMAXPROCS(t *testing.T) {
 		t.Fatalf("explicit Parallel: 1 overridden to %d", forced.Options().Parallel)
 	}
 }
+
+// TestFigureBatchesHoldEveryRun pins two things about how a figure is
+// built. Its simulation count is what it always was: naming the
+// isolation references in the batch must not add work. And every run
+// the table reads is in that batch: the getters the assembly loop uses
+// cannot simulate (they panic on a run nobody named — see below), so a
+// figure that assembles at all started nothing after its batch
+// returned. Before, the references ran one at a time after the pool had
+// drained: 12 of F8's 27 simulations.
+func TestFigureBatchesHoldEveryRun(t *testing.T) {
+	want := map[string]uint64{
+		"T2": 4, "F2": 32, "F3": 32, "F4": 48, "F5": 24, "F6": 24, "F7": 24,
+		"F8": 27, "F9": 24, "F10": 24, "F11": 33, "F12": 16, "F13": 9,
+	}
+	ids := FigureIDs()
+	if testing.Short() {
+		ids = []string{"F6", "F8"}
+	}
+	for _, id := range ids {
+		opts := Options{Scale: 64, WarmupRefs: 500, MeasureRefs: 1_000, Seed: 1, Parallel: 4}
+		r := NewRunner(opts)
+		par, err := r.RunFigure(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Sims(); got != want[id] {
+			t.Errorf("%s ran %d simulations at Parallel 4, want %d", id, got, want[id])
+		}
+		opts.Parallel = 1
+		rs := NewRunner(opts)
+		ser, err := rs.RunFigure(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.Sims() != want[id] || !reflect.DeepEqual(par, ser) {
+			t.Errorf("%s: serial runner ran %d simulations (want %d) or built another table", id, rs.Sims(), want[id])
+		}
+	}
+
+	r := NewRunner(Options{Scale: 64, WarmupRefs: 500, MeasureRefs: 1_000, Seed: 1, Parallel: 4})
+	b := r.newBatch()
+	b.iso(workload.TPCH, 4, sched.Affinity)
+	if err := b.run(); err != nil {
+		t.Fatal(err)
+	}
+	if b.iso4Res(workload.TPCH).Stats.Refs == 0 {
+		t.Error("batch returned an empty result for the run it named")
+	}
+	defer func() {
+		if recover() == nil || r.Sims() != 1 {
+			t.Errorf("reading a run the batch never named did not panic, or simulated (%d sims)", r.Sims())
+		}
+	}()
+	b.baselineRes(workload.TPCH)
+}

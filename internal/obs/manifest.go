@@ -77,6 +77,12 @@ type Manifest struct {
 	SampleSkippedRefs  uint64  `json:"sample_skipped_refs,omitempty"`
 	SampleRelCI        float64 `json:"sample_rel_ci,omitempty"`
 	SampleStopReason   string  `json:"sample_stop_reason,omitempty"`
+	// The sampled run's warm-up, in WarmupRefs' units: the detailed
+	// pilot window and the functional rest (neither is part of the
+	// detailed/skipped counts above). Absent before PR 14, when the
+	// whole warm-up was detailed.
+	SampleWarmupDetailedRefs   uint64 `json:"sample_warmup_detailed_refs,omitempty"`
+	SampleWarmupFunctionalRefs uint64 `json:"sample_warmup_functional_refs,omitempty"`
 
 	// Split-transaction parallel-engine provenance: configured workers,
 	// domains formed, window geometry, barrier counts and where the

@@ -17,6 +17,11 @@ type PhaseProfile struct {
 	// time at the measurement boundary (every engine).
 	WarmupSeconds  float64 `json:"warmup_seconds,omitempty"`
 	MeasureSeconds float64 `json:"measure_seconds,omitempty"`
+	// WarmupFFSeconds is the part of WarmupSeconds a sampled run spent
+	// in its warm-up's functional fast-forward (the rest is the detailed
+	// pilot window). Not part of SampleFFSeconds, which stays the cost
+	// of skipping between measured windows.
+	WarmupFFSeconds float64 `json:"warmup_ff_seconds,omitempty"`
 
 	// Split-transaction parallel engine (-pdes). PdesWindowSeconds is
 	// spine wall time inside windows (posting work, running its own

@@ -65,6 +65,10 @@ func WritePhaseReport(w io.Writer, m Manifest, rows []TSRow) {
 	}
 	fmt.Fprintf(w, "phase decomposition (wall seconds):\n")
 	fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%\n", "warmup", p.WarmupSeconds, pct(p.WarmupSeconds))
+	if m.SampleWarmupFunctionalRefs > 0 {
+		fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%   warm-up: %d detailed + %d functional refs/core\n",
+			"  fast-forward", p.WarmupFFSeconds, pct(p.WarmupFFSeconds), m.SampleWarmupDetailedRefs, m.SampleWarmupFunctionalRefs)
+	}
 	fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%\n", "measure", p.MeasureSeconds, pct(p.MeasureSeconds))
 	switch p.Engine() {
 	case "pdes":

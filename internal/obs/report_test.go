@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -268,5 +269,42 @@ func TestGateFFCost(t *testing.T) {
 	// Improvement always passes.
 	if err := GateFFCost(0.75, 0.40); err != nil {
 		t.Errorf("improvement failed the gate: %v", err)
+	}
+}
+
+// TestWritePhaseReportSampledWarmup reads two sampled records: one as
+// written since the warm-up became a pilot window plus a fast-forward,
+// one as written before (no warm-up fields, decoded from its JSON). The
+// new one gains the warm-up line; both report the same ff cost ratio,
+// which counts only the skipping between windows.
+func TestWritePhaseReportSampledWarmup(t *testing.T) {
+	const old = `{"label":"mix","refs":700000,"wall_seconds":1,"sample_windows":8,"sample_window_refs":5000,` +
+		`"sample_detailed_refs":40000,"sample_skipped_refs":140000,"sample_rel_ci":0.03,"sample_stop_reason":"budget",` +
+		`"phase":{"warmup_seconds":0.5,"measure_seconds":0.5,"sample_detailed_seconds":0.25,"sample_ff_seconds":0.25}}`
+	var before Manifest
+	if err := json.Unmarshal([]byte(old), &before); err != nil {
+		t.Fatal(err)
+	}
+	after := before
+	p := *before.Phase
+	p.WarmupSeconds, p.WarmupFFSeconds = 0.25, 0.2
+	after.Phase = &p
+	after.SampleWarmupDetailedRefs, after.SampleWarmupFunctionalRefs = 5000, 55000
+
+	const warmLine = "warm-up: 5000 detailed + 55000 functional refs/core"
+	const costLine = "ff cost ratio 0.29x"
+	for name, m := range map[string]Manifest{"before": before, "after": after} {
+		var b strings.Builder
+		WritePhaseReport(&b, m, nil)
+		out := b.String()
+		if got := strings.Contains(out, warmLine); got != (name == "after") {
+			t.Errorf("%s: warm-up line present = %v in:\n%s", name, got, out)
+		}
+		if !strings.Contains(out, costLine) {
+			t.Errorf("%s: report missing %q in:\n%s", name, costLine, out)
+		}
+		if s := SummarizeManifest(m); math.Abs(s.FFCostRatio-0.25/140000/(0.25/40000)) > 1e-12 {
+			t.Errorf("%s: summary ff cost ratio %v counts more than the between-window skipping", name, s.FFCostRatio)
+		}
 	}
 }

@@ -52,10 +52,11 @@ echo "== sampled engine smoke =="
 # Interval sampling must engage (the provenance line appears), stay
 # deterministic across shard counts, and leave detailed runs untouched
 # (golden fixtures above already pin the -sample-off path bit-for-bit).
-go test -run 'TestSampledDeterministicAcrossShards|TestFastForwardNoTimingLeak' ./internal/core
+go test -run 'TestSampledDeterministicAcrossShards|TestSampledWarmupContract|TestFastForwardNoTimingLeak' ./internal/core
+# The warm-up is one 1000-reference pilot window, the other 1000 functional.
 go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
-	-sample 1000 -sample-ci 0.2 | grep -q "sampled:" \
-	|| { echo "check.sh: sampled run produced no provenance line" >&2; exit 1; }
+	-sample 1000 -sample-ci 0.2 | grep -q "sampled: .*warm-up: 1000 detailed + 100[01] functional refs/core" \
+	|| { echo "check.sh: sampled run produced no provenance line, or one without its warm-up" >&2; exit 1; }
 
 echo "== warm-walk smoke =="
 # The specialized warming walk must stay bit-identical to the retained
@@ -71,6 +72,8 @@ go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
 warm_report=$(go run ./cmd/obs report "$warm_dir/m.jsonl")
 echo "$warm_report" | grep -q "fast-forward" \
 	|| { echo "check.sh: obs report missing the fast-forward phase: $warm_report" >&2; exit 1; }
+echo "$warm_report" | grep -q "warm-up: 1000 detailed + 100[01] functional refs/core" \
+	|| { echo "check.sh: obs report missing the warm-up split: $warm_report" >&2; exit 1; }
 echo "$warm_report" | grep -q "ff cost ratio" \
 	|| { echo "check.sh: obs report missing the ff cost ratio: $warm_report" >&2; exit 1; }
 rm -rf "$warm_dir"
