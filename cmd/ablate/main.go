@@ -26,7 +26,6 @@ func main() {
 		meas     = flag.Uint64("meas", 500_000, "measured references per core")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), consim.ParallelFlagUsage)
-		shards   = flag.Int("shards", 1, consim.ShardsFlagUsage)
 	)
 	var sflags consim.SampleFlags
 	sflags.Register(flag.CommandLine)
@@ -49,19 +48,14 @@ func main() {
 	if *exp != "" {
 		ids = strings.Split(*exp, ",")
 	}
-	if err := consim.ValidateShards(*shards); err != nil {
-		ostop() //nolint:errcheck // the primary error wins
-		fmt.Fprintln(os.Stderr, "ablate:", err)
-		os.Exit(1)
-	}
-	if err := pflags.CheckExclusive(*shards, sflags.Config()); err != nil {
+	if err := pflags.CheckExclusive(sflags.Config()); err != nil {
 		ostop() //nolint:errcheck // the primary error wins
 		fmt.Fprintln(os.Stderr, "ablate:", err)
 		os.Exit(1)
 	}
 	r := consim.NewRunner(consim.RunnerOptions{
 		Scale: *scale, WarmupRefs: *warm, MeasureRefs: *meas, Seed: *seed,
-		Parallel: *parallel, Shards: *shards, Sample: sflags.Config(),
+		Parallel: *parallel, Sample: sflags.Config(),
 		Pdes: pflags.Workers(), PdesWindow: pflags.Window(), Obs: o,
 	})
 	for _, id := range ids {

@@ -24,7 +24,6 @@ func main() {
 	only := flag.String("only", "", "run a single workload by name")
 	gradient := flag.Bool("gradient", false, "also print the capacity gradient (miss rate and runtime at shared/shared-4/private)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), consim.ParallelFlagUsage)
-	shards := flag.Int("shards", 1, consim.ShardsFlagUsage)
 	var sflags consim.SampleFlags
 	sflags.Register(flag.CommandLine)
 	var pflags consim.PdesFlags
@@ -40,11 +39,7 @@ func main() {
 	}
 	defer ostop() //nolint:errcheck // diagnostics-only sinks
 
-	if err := consim.ValidateShards(*shards); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := pflags.CheckExclusive(*shards, sflags.Config()); err != nil {
+	if err := pflags.CheckExclusive(sflags.Config()); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -62,7 +57,6 @@ func main() {
 		cfg.Scale = *scale
 		cfg.WarmupRefs = *warm
 		cfg.MeasureRefs = *meas
-		cfg.Shards = *shards
 		cfg.Sample = sflags.Config()
 		pflags.Apply(&cfg) //nolint:errcheck // pair consistency checked above
 		return cfg

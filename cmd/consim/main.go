@@ -1,12 +1,12 @@
 // Command consim runs one consolidation simulation from flags and prints
 // per-VM metrics. -group accepts a comma-separated list of group sizes;
 // with more than one, the sweep's simulations run concurrently (bounded
-// by -parallel) and the reports print in list order. -shards parallelizes
-// each simulation internally with bit-identical results — use it for a
-// single long run, and -parallel when sweeping many. -pdes runs one
+// by -parallel) and the reports print in list order. -pdes runs one
 // simulation's active cores in parallel domains with windowed
-// cross-domain coherence: faster on multi-core hosts, but metrics
-// become equivalence-gated estimates (deterministic per seed).
+// cross-domain coherence: metrics become equivalence-gated estimates
+// (deterministic per seed), and no recorded run is faster than the
+// sequential engine (EXPERIMENTS.md, "Split-transaction parallel
+// engine").
 //
 // Examples:
 //
@@ -14,7 +14,6 @@
 //	consim -workloads TPC-H -group 1 -scale 4
 //	consim -workloads TPC-W,TPC-W,SPECjbb,SPECjbb -policy rr
 //	consim -mix 8 -group 1,4,16 -parallel 3
-//	consim -mix 5 -shards 4
 //	consim -mix 5 -pdes 4
 package main
 
@@ -171,7 +170,6 @@ func run() (err error) {
 		asJSON    = flag.Bool("json", false, "emit the full result as JSON (an array when sweeping groups)")
 		regions   = flag.Bool("regions", false, "break each VM's LLC misses down by footprint region")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), consim.ParallelFlagUsage)
-		shards    = flag.Int("shards", 1, consim.ShardsFlagUsage)
 	)
 	var sflags consim.SampleFlags
 	sflags.Register(flag.CommandLine)
@@ -219,9 +217,6 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	if err := consim.ValidateShards(*shards); err != nil {
-		return err
-	}
 
 	cfgs := make([]consim.Config, len(groups))
 	for i, gs := range groups {
@@ -232,7 +227,6 @@ func run() (err error) {
 		cfg.Seed = *seed
 		cfg.WarmupRefs = *warm
 		cfg.MeasureRefs = *meas
-		cfg.Shards = *shards
 		cfg.Sample = sflags.Config()
 		if err := pflags.Apply(&cfg); err != nil {
 			return err

@@ -40,7 +40,6 @@ func run() (err error) {
 		warm     = flag.Uint64("warm", 600_000, "warm-up references per core")
 		meas     = flag.Uint64("meas", 1_000_000, "measured references per core")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), consim.ParallelFlagUsage)
-		shards   = flag.Int("shards", 1, consim.ShardsFlagUsage)
 		format   = flag.String("format", "text", "output format: text, md, csv, bars")
 	)
 	var sflags consim.SampleFlags
@@ -72,10 +71,7 @@ func run() (err error) {
 		}
 	}
 
-	if err := consim.ValidateShards(*shards); err != nil {
-		return err
-	}
-	if err := pflags.CheckExclusive(*shards, sflags.Config()); err != nil {
+	if err := pflags.CheckExclusive(sflags.Config()); err != nil {
 		return err
 	}
 	r := consim.NewRunner(consim.RunnerOptions{
@@ -84,7 +80,6 @@ func run() (err error) {
 		WarmupRefs:  *warm,
 		MeasureRefs: *meas,
 		Parallel:    *parallel,
-		Shards:      *shards,
 		Sample:      sflags.Config(),
 		Pdes:        pflags.Workers(),
 		PdesWindow:  pflags.Window(),

@@ -117,7 +117,6 @@ func replay(args []string) (err error) {
 	policy := fs.String("policy", "affinity", "scheduling policy")
 	warm := fs.Uint64("warm", 50_000, "warm-up references per core")
 	meas := fs.Uint64("meas", 100_000, "measured references per core")
-	shards := fs.Int("shards", 1, consim.ShardsFlagUsage)
 	var sflags consim.SampleFlags
 	sflags.Register(fs)
 	var pflags consim.PdesFlags
@@ -136,10 +135,7 @@ func replay(args []string) (err error) {
 		}
 	}()
 
-	if err := consim.ValidateShards(*shards); err != nil {
-		return err
-	}
-	if err := pflags.CheckExclusive(*shards, sflags.Config()); err != nil {
+	if err := pflags.CheckExclusive(sflags.Config()); err != nil {
 		return err
 	}
 	rd, err := openTrace(args[0])
@@ -156,7 +152,6 @@ func replay(args []string) (err error) {
 	cfg.ThreadsPerVM = rd.Header().Threads
 	cfg.WarmupRefs = *warm
 	cfg.MeasureRefs = *meas
-	cfg.Shards = *shards
 	cfg.Sample = sflags.Config()
 	// Replay always uses a trace source, which the parallel engine cannot
 	// run; Apply + Validate produce the descriptive refusal.

@@ -51,9 +51,6 @@ type (
 	VMResult = core.VMResult
 	// Snapshot captures LLC replication and occupancy state.
 	Snapshot = core.Snapshot
-	// ShardStats reports the intra-run parallel engine's activity
-	// (Result.Shard); all-zero for sequential runs.
-	ShardStats = core.ShardStats
 	// SampleConfig enables interval-sampled simulation (Config.Sample):
 	// detailed windows, functional fast-forward, CI-convergence early
 	// stop. The zero value keeps runs fully detailed and bit-identical.
@@ -68,16 +65,15 @@ type (
 
 // Canonical CLI help strings for the speed knobs, shared by every
 // command so the flags read identically across the toolset. -parallel
-// spreads independent simulations across CPUs and -shards splits one
-// simulation across worker lanes; neither ever changes results. -sample
-// and -pdes trade exactness for speed: -sample estimates metrics from
-// detailed windows separated by functional fast-forward (achieved
-// confidence interval recorded in manifests), -pdes runs active cores
-// in parallel domains with windowed cross-domain coherence (deviations
-// gated by the equivalence harness, deterministic per seed).
+// spreads independent simulations across CPUs and never changes
+// results. -sample and -pdes trade exactness for speed: -sample
+// estimates metrics from detailed windows separated by functional
+// fast-forward (achieved confidence interval recorded in manifests),
+// -pdes runs active cores in parallel domains with windowed cross-domain
+// coherence (deviations gated by the equivalence harness, deterministic
+// per seed).
 const (
 	ParallelFlagUsage   = "independent simulations to keep in flight at once (across-run parallelism; never changes results)"
-	ShardsFlagUsage     = "worker lanes inside each simulation: 1 = sequential engine, or 2/4/8/16 evenly dividing the core count; results are bit-identical at any value"
 	SampleFlagUsage     = "detailed-window length in per-core references; >0 enables interval-sampled simulation (approximate: metrics become CI-bounded estimates)"
 	PdesFlagUsage       = "split-transaction parallel engine domains inside each simulation: 0/1 = sequential engine, N>1 partitions active cores into N windowed domains (approximate: deviations gated by the equivalence harness)"
 	PdesWindowFlagUsage = "parallel engine window width in cycles (default 16384); wider windows amortize barriers at the price of staler cross-domain coherence"
@@ -88,13 +84,6 @@ const (
 	PdesReplayWorkersFlagUsage = "parallel workers for the barrier replay (requires -pdes > 1): 0/1 = serial replay, N>1 shards the op log by LLC bank group; results are bit-identical at any value"
 	PdesPipelineFlagUsage      = "overlap each window's cross-group replay merge with the next window (requires -pdes-replay-workers >= 2); approximate: replicas resync one window late, gated by the equivalence harness"
 )
-
-// ValidateShards checks a -shards value against the default 16-core
-// machine, returning a descriptive error for CLI use. Config.Validate
-// performs the same check against the configured core count.
-func ValidateShards(shards int) error {
-	return sim.ValidateShards(shards, core.DefaultCores)
-}
 
 // SampleFlags registers the interval-sampling flag set on a CLI and
 // assembles the resulting SampleConfig, so every command exposes the
@@ -192,15 +181,12 @@ func (pf *PdesFlags) Apply(cfg *Config) error {
 // user sees one clear message instead of a per-config validation error
 // (or, under the runner's quiet compatibility filter, a silently
 // sequential run).
-func (pf *PdesFlags) CheckExclusive(shards int, sc SampleConfig) error {
+func (pf *PdesFlags) CheckExclusive(sc SampleConfig) error {
 	if pf.workers <= 1 {
 		if pf.window != 0 {
 			return fmt.Errorf("-pdes-window requires -pdes > 1")
 		}
 		return nil
-	}
-	if shards > 1 {
-		return fmt.Errorf("-pdes and -shards are mutually exclusive engines")
 	}
 	if sc.Enabled() {
 		return fmt.Errorf("-pdes and -sample are mutually exclusive engines")

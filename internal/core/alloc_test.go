@@ -79,52 +79,6 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	}
 }
 
-// TestShardedSteadyStateAllocBudget holds the sharded engine to the same
-// steady-state budget: adopt/repost of prefilled reference batches and
-// think batches recycles fixed buffers, the task rings are preallocated,
-// and the spine's stall wait is a yield loop — nothing on either side of
-// the pipeline may allocate per reference.
-func TestShardedSteadyStateAllocBudget(t *testing.T) {
-	specs := workload.Specs()
-	cfg := DefaultConfig(specs[workload.TPCW], specs[workload.SPECjbb],
-		specs[workload.TPCH], specs[workload.SPECweb])
-	cfg.Scale = 16
-	cfg.GroupSize = 4
-	cfg.WarmupRefs = 40_000
-	cfg.MeasureRefs = 40_000
-	cfg.Shards = 4
-	cfg.Obs = allocTestHooks(t)
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.setupTS()
-
-	for c := range sys.cores {
-		if sys.cores[c].active {
-			sys.q.Push(0, c)
-			sys.pending[c] = true
-		}
-	}
-	sys.shard.start(sys)
-	defer sys.shard.stop()
-	sys.runUntil(cfg.WarmupRefs)
-
-	const measuredRefs = 40_000 * 16
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	sys.runUntil(cfg.WarmupRefs + cfg.MeasureRefs)
-	runtime.ReadMemStats(&after)
-
-	allocs := after.Mallocs - before.Mallocs
-	perRef := float64(allocs) / float64(measuredRefs)
-	t.Logf("sharded steady state: %d allocs over %d refs (%.6f allocs/ref, %d bytes), stats %+v",
-		allocs, measuredRefs, perRef, after.TotalAlloc-before.TotalAlloc, sys.shard.stats)
-	if perRef > 0.001 {
-		t.Fatalf("sharded path allocates: %.6f allocs/ref (budget 0.001)", perRef)
-	}
-}
-
 // TestPdesShardedAllocBudget holds the pdes engine with bank-sharded
 // replay (and pipelining) to the same steady-state budget: the merged
 // op log, per-stream rank lists, deferred-effect logs and merge cursors

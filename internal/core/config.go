@@ -131,15 +131,6 @@ type Config struct {
 	// scaling (default Table III 16MB).
 	LLCBytes int
 
-	// Shards selects intra-run parallelism: 1 (or 0, the default) runs
-	// the sequential engine; N > 1 adds N-1 worker goroutines that
-	// pre-compute workload reference batches and think-time draws for
-	// the timing spine. Results are bit-identical at every shard count —
-	// the workers only move functional work off the critical path; all
-	// timing-visible state advances on the spine in event order. Must be
-	// one of sim.ValidShardCounts and divide Cores.
-	Shards int
-
 	// Sample enables interval-sampled simulation: detailed measurement
 	// windows with functional fast-forward between them and early stop on
 	// per-VM CI convergence (see sample.go). The zero value runs the full
@@ -153,11 +144,11 @@ type Config struct {
 	// bit-identical to builds without it; N > 1 partitions the active
 	// cores into up to N worker domains that advance independently inside
 	// bounded time windows, replaying cross-domain coherence at each
-	// window barrier. Unlike -shards this legitimately changes the
-	// simulated stream — results are statistical estimates gated by the
-	// equivalence harness (harness.CompareParallelRun), deterministic per
-	// (seed, Pdes, PdesWindow). Incompatible with Shards > 1, sampling,
-	// dynamic rebalancing, mid-run snapshots and trace sources.
+	// window barrier. This legitimately changes the simulated stream —
+	// results are statistical estimates gated by the equivalence harness
+	// (harness.CompareParallelRun), deterministic per (seed, Pdes,
+	// PdesWindow). Incompatible with sampling, dynamic rebalancing,
+	// mid-run snapshots and trace sources.
 	Pdes int
 
 	// PdesWindow overrides the parallel engine's window width in cycles
@@ -272,13 +263,6 @@ func (c Config) Validate() error {
 	}
 	if c.Scale <= 0 {
 		return fmt.Errorf("core: non-positive scale %d", c.Scale)
-	}
-	if c.Shards > 1 {
-		if err := sim.ValidateShards(c.Shards, c.Cores); err != nil {
-			return err
-		}
-	} else if c.Shards < 0 {
-		return fmt.Errorf("core: negative shard count %d", c.Shards)
 	}
 	if c.MeasureRefs == 0 {
 		return fmt.Errorf("core: zero measurement budget")

@@ -1,5 +1,7 @@
 package core
 
+import "consim/internal/workload"
+
 // Host memory-level parallelism for the reference walk.
 //
 // At paper scale the simulated machine's metadata — a 16 MB directory
@@ -20,8 +22,8 @@ package core
 // touch, so they arrive while the other cores' references execute.
 //
 // Both engines that walk references one core at a time call it: the
-// detailed event loop (runLoopSrc) after pushing a core's next event, and
-// the fast-forward warming loop (warmLoop) after drawing a context's
+// detailed event loop (runSequential) after pushing a core's next event,
+// and the fast-forward warming loop (warmLoop) after drawing a context's
 // reference.
 
 // lookaheadMinBlocks gates the lookahead on total modeled footprint:
@@ -40,6 +42,16 @@ func (s *System) footprintBlocks() uint64 {
 		fp += m.Gen.FootprintBlocks()
 	}
 	return fp
+}
+
+// peekRef returns the reference run's thread will issue next without
+// consuming it, or false when that is not known yet: the generator's ring
+// is drained, or the source is a trace replay, which has no ring to read.
+func (s *System) peekRef(run runnable) (workload.Access, bool) {
+	if g, ok := s.vms[run.vmID].Gen.(*workload.Generator); ok {
+		return g.Peek(run.thread)
+	}
+	return workload.Access{}, false
 }
 
 // prefetchRef starts the host-memory loads that core c's coming

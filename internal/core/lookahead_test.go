@@ -46,8 +46,8 @@ func lookaheadDigest(s *System) uint64 {
 // NewSystem computed. The cases cover every way a prediction goes stale
 // or a peek is unavailable: timeslice rotation (the peeked runnable is
 // the rotated-in one), dynamic rebalancing (the core may be handed
-// another thread entirely), a trace-replay source beside live generators
-// (no ring to peek) and the sharded engine (its source declines).
+// another thread entirely) and a trace-replay source beside live
+// generators (no ring to peek).
 func TestLookaheadBitIdentical(t *testing.T) {
 	mix := func() Config {
 		cfg := fastCfg(4, sched.RoundRobin, workload.TPCW, workload.SPECjbb, workload.TPCH, workload.SPECweb)
@@ -62,9 +62,6 @@ func TestLookaheadBitIdentical(t *testing.T) {
 
 	reb := mix()
 	reb.RebalanceCycles = 50_000
-
-	sharded := mix()
-	sharded.Shards = 2
 
 	qos := mix()
 	qos.QoSPartition = true
@@ -87,7 +84,6 @@ func TestLookaheadBitIdentical(t *testing.T) {
 		{"overcommit", over, false},
 		{"rebalance", reb, false},
 		{"trace-replay", replay, true},
-		{"shards2", sharded, false},
 		{"qos-partitioned", qos, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

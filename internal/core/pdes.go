@@ -2,9 +2,9 @@
 //
 // The sequential event loop executes every memory reference atomically
 // at event-pop time, so the conservative lookahead between any two
-// cores is zero and -shards (shard.go) can only offload the functional
-// plane. -pdes=N takes the other path the roadmap left open: it remodels
-// each reference as a split transaction — an *issue* event that walks
+// cores is zero: no two events can overlap without changing results.
+// -pdes=N therefore changes the model instead: it remodels each
+// reference as a split transaction — an *issue* event that walks
 // the requester's private hierarchy and an in-flight *completion* event
 // scheduled one estimated miss latency later — and partitions the
 // active cores into N domains, each advancing its own calendar
@@ -167,8 +167,7 @@ type PdesStats struct {
 // soundly. Features that mutate shared state off the logged-op paths
 // (dynamic rebalancing), depend on a single global time line mid-run
 // (intra-run snapshots), or already own the run's engine choice
-// (sharding, sampling, trace sources) are refused rather than silently
-// degraded.
+// (sampling, trace sources) are refused rather than silently degraded.
 func (c Config) validatePdes() error {
 	if c.Pdes < 0 {
 		return fmt.Errorf("core: negative pdes worker count %d", c.Pdes)
@@ -190,9 +189,6 @@ func (c Config) validatePdes() error {
 	}
 	if c.Pdes > c.Cores {
 		return fmt.Errorf("core: %d pdes workers exceed %d cores", c.Pdes, c.Cores)
-	}
-	if c.Shards > 1 {
-		return fmt.Errorf("core: pdes and shards are mutually exclusive engines")
 	}
 	if c.Sample.Enabled() {
 		return fmt.Errorf("core: pdes and interval sampling are mutually exclusive engines")

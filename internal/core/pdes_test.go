@@ -37,21 +37,31 @@ func pdesRelErr(got, want float64) float64 {
 	return math.Abs(got-want) / math.Abs(want)
 }
 
+// pdesOracle runs cfg on the sequential engine: the reference a parallel
+// run of the same configuration is held against.
+func pdesOracle(t *testing.T, cfg Config) Result {
+	t.Helper()
+	cfg.Pdes = 1
+	cfg.PdesReplayWorkers = 0
+	cfg.PdesPipeline = false
+	return mustRun(t, cfg)
+}
+
 // comparePdes runs cfg sequentially and at the given worker count and
-// returns the worst per-VM relative error over LLC miss rate and
-// cycles-per-transaction — the same two metrics the harness equivalence
-// gate bounds.
+// returns their pdesWorstErr.
 func comparePdes(t *testing.T, cfg Config, workers int) float64 {
 	t.Helper()
-	seq := cfg
-	seq.Pdes = 1
-	seq.PdesReplayWorkers = 0
-	seq.PdesPipeline = false
-	want := mustRun(t, seq)
+	return pdesWorstErr(t, pdesOracle(t, cfg), cfg, workers)
+}
 
-	par := cfg
-	par.Pdes = workers
-	got := mustRun(t, par)
+// pdesWorstErr runs cfg at the given worker count and returns the worst
+// per-VM relative error against want, the oracle's result, over LLC miss
+// rate and cycles-per-transaction — the same two metrics the harness
+// equivalence gate bounds.
+func pdesWorstErr(t *testing.T, want Result, cfg Config, workers int) float64 {
+	t.Helper()
+	cfg.Pdes = workers
+	got := mustRun(t, cfg)
 
 	if len(got.VMs) != len(want.VMs) {
 		t.Fatalf("VM count mismatch: %d vs %d", len(got.VMs), len(want.VMs))
@@ -79,7 +89,6 @@ func TestPdesValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Pdes = -1 },
 		func(c *Config) { c.Pdes = c.Cores + 1 },
-		func(c *Config) { c.Pdes = 4; c.Shards = 4 },
 		func(c *Config) { c.Pdes = 4; c.Sample.WindowRefs = 1000 },
 		func(c *Config) { c.Pdes = 4; c.RebalanceCycles = 100_000 },
 		func(c *Config) { c.Pdes = 4; c.SnapshotRefs = 1000 },
@@ -151,8 +160,9 @@ func TestPdesEquivalence(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
+			want := pdesOracle(t, c.cfg) // once per case, not once per worker count
 			for _, workers := range []int{2, 4, 8} {
-				if worst := comparePdes(t, c.cfg, workers); worst > bound {
+				if worst := pdesWorstErr(t, want, c.cfg, workers); worst > bound {
 					t.Errorf("workers=%d worst rel err %.4f > %.2f", workers, worst, bound)
 				}
 			}

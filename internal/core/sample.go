@@ -23,10 +23,9 @@
 // (internal/stats) and stops early once every metric's relative 95% CI
 // half-width is below cfg.Sample.CITarget — the live convergence
 // detection of Pac-Sim (PAPERS.md), driving the same counters the obs
-// registry publishes. Because fast-forward consumes references from the
-// same refSource abstraction as the detailed loop and draws no think
-// times in either engine, sampled runs are deterministic for a fixed
-// (seed, window-config) pair at every -shards count.
+// registry publishes. Fast-forward consumes references from the same
+// sources as the detailed loop and draws no think times, so sampled runs
+// are deterministic for a fixed (seed, window-config) pair.
 //
 // Result.Cycles remains the sum of detailed window spans (fast-forward
 // takes zero simulated time), so every downstream metric formula —
@@ -305,16 +304,16 @@ func (s *System) fastForward(perCore uint64) {
 }
 
 // ffRun streams perCore references per active core through the
-// functional plane: the same refSource supplies them (keeping the
-// sharded engine's prefill protocol live and bit-identical), the access
-// walk runs under ffTiming, and nothing timing-visible moves — no event
-// queue, no simulated time, no think-time draws, no measurement
-// counters. References rotate round-robin across cores; with sampling
-// validated against over-commitment each core carries exactly one
-// runnable, so the rotation covers every thread exactly like the
-// detailed loop's reference budget does. It returns the per-core budgets
-// it issued (scratch, good until the next call) and the host seconds it
-// took, which it has already added to the run's simulation time.
+// functional plane: the workload sources supply them exactly as in a
+// detailed window, the access walk runs under ffTiming, and nothing
+// timing-visible moves — no event queue, no simulated time, no
+// think-time draws, no measurement counters. References rotate
+// round-robin across cores; with sampling validated against
+// over-commitment each core carries exactly one runnable, so the
+// rotation covers every thread exactly like the detailed loop's
+// reference budget does. It returns the per-core budgets it issued
+// (scratch, good until the next call) and the host seconds it took,
+// which it has already added to the run's simulation time.
 func (s *System) ffRun(perCore uint64) ([]uint64, float64) {
 	start := time.Now()
 	if s.ffStats == nil {
@@ -324,11 +323,7 @@ func (s *System) ffRun(perCore uint64) ([]uint64, float64) {
 	if s.ffOracle {
 		// The pre-specialization walk, kept compiled as the warm walk's
 		// bit-identity oracle (warm_test.go) and benchmark baseline.
-		if s.shard != nil {
-			ffLoop(s, bud, shardSource{s.shard})
-		} else {
-			ffLoop(s, bud, liveSource{})
-		}
+		ffLoop(s, bud)
 	} else {
 		s.warmForward(bud)
 	}
@@ -397,13 +392,13 @@ func (s *System) ffBudgets(perCore uint64) []uint64 {
 	return bud
 }
 
-// ffLoop is fastForward's engine-agnostic loop: a
+// ffLoop is fastForward's reference loop (the ffOracle path): a
 // Bresenham interleave issues each core's budget spread evenly across
 // the longest budget's rounds, so cores advance through the skipped
 // stream at their proportional rates instead of in per-core bursts.
 // Uniform budgets degenerate to exactly one reference per core per
 // round — the rotation the detailed loop's reference budget implies.
-func ffLoop[S refSource](s *System, bud []uint64, src S) {
+func ffLoop(s *System, bud []uint64) {
 	var rounds uint64
 	for c := range s.cores {
 		if s.cores[c].active && bud[c] > rounds {
@@ -419,7 +414,7 @@ func ffLoop[S refSource](s *System, bud []uint64, src S) {
 			for k := (i+1)*bud[c]/rounds - i*bud[c]/rounds; k > 0; k-- {
 				run := cs.queue[cs.cur]
 				m := s.vms[run.vmID]
-				acc := src.next(s, run)
+				acc := m.Gen.Next(run.thread)
 				m.Touch(acc.Block)
 				accessTM(s, ffTiming, c, run.vmID, m.AddrOf(acc.Block), acc.Write)
 			}

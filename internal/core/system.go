@@ -118,11 +118,6 @@ type System struct {
 	// specific terms are folded in from the engines at run end.
 	phaseProf obs.PhaseProfile
 
-	// shard is the intra-run parallel engine (cfg.Shards > 1); nil runs
-	// the sequential loop. See shard.go for why the workers carry only
-	// functional work and results stay bit-identical.
-	shard *shardEngine
-
 	// pdes is the split-transaction parallel engine (cfg.Pdes > 1); nil
 	// runs the sequential loop. See pdes.go for the window protocol and
 	// why results are equivalence-gated rather than bit-identical.
@@ -280,9 +275,6 @@ func NewSystem(cfg Config) (*System, error) {
 		s.rebalanceSeed = cfg.Seed ^ 0xd15c
 	}
 	s.lookahead = s.footprintBlocks() >= lookaheadMinBlocks
-	if cfg.Shards > 1 {
-		s.shard = newShardEngine(s)
-	}
 	if cfg.Pdes > 1 {
 		s.pdes = newPdesEngine(s)
 	}
@@ -455,14 +447,6 @@ func (s *System) Run() (Result, error) {
 		lane = h.RunStart(s.cfg.Label())
 		defer h.RunEnd(lane)
 	}
-	if s.shard != nil {
-		if h != nil {
-			s.shard.attachTracer(h.Tr)
-			h.SetShards(s.shard.stats.Shards, s.shard.stats.Workers)
-		}
-		s.shard.start(s)
-		defer s.shard.stop()
-	}
 	if s.pdes != nil {
 		if h != nil {
 			s.pdes.attachTracer(h.Tr)
@@ -565,7 +549,6 @@ func (s *System) Run() (Result, error) {
 		WallSeconds:     s.simSeconds,
 		Config:          s.cfg,
 		Cycles:          window,
-		Shard:           s.shardStats(),
 		Pdes:            s.pdesStats(),
 		Sample:          s.sample,
 		Phase:           s.phaseProf,
@@ -628,12 +611,6 @@ func (s *System) foldPhaseProfile() {
 		}
 		p.PdesApplyOpsByGroup = append(p.PdesApplyOpsByGroup, e.applyByGroup...)
 	}
-	if e := s.shard; e != nil {
-		p.LaneBusySeconds = make([]float64, len(e.laneNanos))
-		for w := range e.laneNanos {
-			p.LaneBusySeconds[w] = float64(e.laneNanos[w].Load()) / 1e9
-		}
-	}
 }
 
 // runUntil advances the system until every active core has issued at
@@ -647,42 +624,6 @@ func (s *System) runUntil(target uint64) {
 	s.simSeconds += time.Since(start).Seconds()
 }
 
-// refSource abstracts where the event loop gets its two per-event
-// functional inputs: the next workload reference and the think-time
-// draw. liveSource computes them inline (the sequential engine);
-// shardSource (shard.go) serves them from worker-prepared batches. The
-// two have different gcshapes (an empty struct, a struct of one pointer),
-// so runLoopSrc is compiled twice, but neither body is specialized to
-// its source: next, peek and think are reached through the generic
-// dictionary, one indirect call each per event, and are not inlined.
-type refSource interface {
-	next(s *System, run runnable) workload.Access
-	// peek returns the reference the following next(s, run) will return
-	// without consuming it, or false when that is not known yet. Only
-	// the lookahead reads it, so false is always a correct answer.
-	peek(s *System, run runnable) (workload.Access, bool)
-	think(s *System, c, vmID int) uint64
-}
-
-// liveSource computes references and think times inline.
-type liveSource struct{}
-
-func (liveSource) next(s *System, run runnable) workload.Access {
-	return s.vms[run.vmID].Gen.Next(run.thread)
-}
-
-// peek reads the generator's ring; a trace replay has no ring to read.
-func (liveSource) peek(s *System, run runnable) (workload.Access, bool) {
-	if g, ok := s.vms[run.vmID].Gen.(*workload.Generator); ok {
-		return g.Peek(run.thread)
-	}
-	return workload.Access{}, false
-}
-
-func (liveSource) think(s *System, c, vmID int) uint64 {
-	return s.cores[c].rng.Uint64n(s.thinkOf[vmID])
-}
-
 // runLoop is runUntil's event loop, separated so the wall-clock
 // accounting wraps exactly the simulation work.
 func (s *System) runLoop(target uint64) {
@@ -690,16 +631,12 @@ func (s *System) runLoop(target uint64) {
 		s.pdes.runUntil(target)
 		return
 	}
-	if s.shard != nil {
-		runLoopSrc(s, target, shardSource{s.shard})
-		return
-	}
-	runLoopSrc(s, target, liveSource{})
+	s.runSequential(target)
 }
 
-// runLoopSrc is the engine-agnostic event loop; src supplies the
-// functional plane, everything timing-visible happens here in pop order.
-func runLoopSrc[S refSource](s *System, target uint64, src S) {
+// runSequential is the sequential engine's event loop: one event per
+// reference, everything timing-visible happens here in pop order.
+func (s *System) runSequential(target uint64) {
 	dynamic := s.cfg.RebalanceCycles > 0
 	remaining := 0
 	for c := range s.cores {
@@ -733,7 +670,7 @@ func runLoopSrc[S refSource](s *System, target uint64, src S) {
 		run := cs.queue[cs.cur]
 		m := s.vms[run.vmID]
 
-		acc := src.next(s, run)
+		acc := m.Gen.Next(run.thread)
 		m.Touch(acc.Block)
 		addr := m.AddrOf(acc.Block)
 		missesBefore := m.Stats.LLCMisses
@@ -757,7 +694,7 @@ func runLoopSrc[S refSource](s *System, target uint64, src S) {
 		if cs.refs == target {
 			remaining--
 		}
-		next := s.now + lat + sim.Cycle(src.think(s, c, run.vmID))
+		next := s.now + lat + sim.Cycle(cs.rng.Uint64n(s.thinkOf[run.vmID]))
 		// Over-commit: rotate the runnable at timeslice expiry, paying
 		// the hypervisor switch cost.
 		if len(cs.queue) > 1 && next >= cs.sliceEnd {
@@ -773,7 +710,7 @@ func runLoopSrc[S refSource](s *System, target uint64, src S) {
 		// metadata can travel from DRAM (lookahead.go).
 		if s.lookahead {
 			nrun := cs.queue[cs.cur]
-			if na, ok := src.peek(s, nrun); ok {
+			if na, ok := s.peekRef(nrun); ok {
 				s.prefetchRef(c, nrun.vmID, na.Block)
 			}
 		}
@@ -929,24 +866,12 @@ func (s *System) publishLive() {
 	h.SetDirectory(uint64(s.dir.Len()), s.dirCache.Hits, s.dirCache.Misses)
 	h.SetMemory(s.mem.Reads, s.mem.Writebacks, uint64(s.mem.WaitSum), s.mem.QueueDepth(s.now))
 	h.SetEventQueue(s.q.Len())
-	if e := s.shard; e != nil {
-		h.SetShardProgress(e.stats.Prefills, e.stats.SyncFills, e.stats.ThinkBatches, e.stats.Stalls)
-	}
 	if e := s.pdes; e != nil {
 		h.SetPdesProgress(e.stats.Windows, e.stats.Ops, e.stats.Stalls)
 	}
 	if s.rec != nil {
 		s.recordTS()
 	}
-}
-
-// shardStats returns the sharded engine's run accounting (zero value
-// for the sequential engine).
-func (s *System) shardStats() ShardStats {
-	if s.shard == nil {
-		return ShardStats{}
-	}
-	return s.shard.stats
 }
 
 // pdesStats returns the parallel engine's run accounting (zero value

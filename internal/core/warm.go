@@ -62,18 +62,13 @@ type warmCore struct {
 	l1   *cache.Cache
 	bank *cache.Cache // the core's group bank
 
-	// Ring-direct reference supply (sequential engine, statistical
-	// generator): ring aliases the generator's per-thread ring, whose
-	// backing array is stable across refills; pos mirrors the
-	// generator's cursor and is written back at loop exit.
+	// Ring-direct reference supply (statistical generator): ring aliases
+	// the generator's per-thread ring, whose backing array is stable
+	// across refills; pos mirrors the generator's cursor and is written
+	// back at loop exit.
 	gen  *workload.Generator // nil: fall back to the Source interface
 	ring []workload.Access
 	pos  int
-
-	// slot is the sharded engine's prefill slot for this thread (nil
-	// when the source has none); the warm loop keeps consuming through
-	// the prefill protocol so worker-computed batches stay bit-identical.
-	slot *prefillSlot
 
 	c      int
 	g      int // groupOf(c), hoisted
@@ -110,11 +105,7 @@ func (s *System) warmSetup() {
 			thread: run.thread,
 			vtag:   uint8(run.vmID),
 		}
-		if s.shard != nil {
-			if si := s.shard.slotOf[run.vmID][run.thread]; si >= 0 {
-				wc.slot = &s.shard.slots[si]
-			}
-		} else if g, ok := m.Gen.(*workload.Generator); ok {
+		if g, ok := m.Gen.(*workload.Generator); ok {
 			wc.gen = g
 		}
 		s.warm = append(s.warm, wc)
@@ -140,11 +131,7 @@ func (s *System) warmForward(bud []uint64) {
 			wc.ring, wc.pos = wc.gen.WarmRing(wc.thread)
 		}
 	}
-	if s.shard != nil {
-		warmLoop(s, rounds, warmShardSource{s.shard})
-	} else {
-		warmLoop(s, rounds, warmLiveSource{})
-	}
+	warmLoop(s, rounds)
 	for i := range wcs {
 		wc := &wcs[i]
 		if wc.gen != nil {
@@ -153,20 +140,11 @@ func (s *System) warmForward(bud []uint64) {
 	}
 }
 
-// warmSource supplies the next reference for a warming context. As with
-// refSource, the two implementations give warmLoop two compiled bodies
-// that each reach next through the generic dictionary.
-type warmSource interface {
-	next(s *System, wc *warmCore) workload.Access
-}
-
-// warmLiveSource drains the generator ring directly (cold path: the
+// warmNext drains the generator ring directly (cold path: the
 // generator's own refill, so shared sampling cursors advance at exactly
 // the points the Next path would advance them), falling back to the
 // Source interface for non-generator sources.
-type warmLiveSource struct{}
-
-func (warmLiveSource) next(s *System, wc *warmCore) workload.Access {
+func warmNext(wc *warmCore) workload.Access {
 	if wc.gen == nil {
 		return wc.m.Gen.Next(wc.thread)
 	}
@@ -179,22 +157,6 @@ func (warmLiveSource) next(s *System, wc *warmCore) workload.Access {
 	return wc.gen.WarmRefill(wc.thread)
 }
 
-// warmShardSource keeps the sharded engine's prefill protocol live
-// during warming — batches stay worker-computed and adoption order stays
-// identical — with the slot pointer hoisted into the context.
-type warmShardSource struct{ e *shardEngine }
-
-func (ws warmShardSource) next(s *System, wc *warmCore) workload.Access {
-	sl := wc.slot
-	if sl == nil {
-		return wc.m.Gen.Next(wc.thread)
-	}
-	if a, ok := sl.g.NextOr(wc.thread); ok {
-		return a
-	}
-	return ws.e.refill(sl)
-}
-
 // warmLoop issues each context's budget spread evenly across the longest
 // budget's rounds — the same Bresenham interleave as ffLoop, computed
 // incrementally (one add and compare per context per round instead of
@@ -202,7 +164,7 @@ func (ws warmShardSource) next(s *System, wc *warmCore) workload.Access {
 // context issues zero or one reference per round, and the accumulator
 // identity acc = i*bud mod rounds reproduces ffLoop's
 // (i+1)*bud/rounds - i*bud/rounds issue pattern exactly.
-func warmLoop[S warmSource](s *System, rounds uint64, src S) {
+func warmLoop(s *System, rounds uint64) {
 	wcs := s.warm
 	for i := uint64(0); i < rounds; i++ {
 		for j := range wcs {
@@ -212,7 +174,7 @@ func warmLoop[S warmSource](s *System, rounds uint64, src S) {
 				continue
 			}
 			wc.acc -= rounds
-			a := src.next(s, wc)
+			a := warmNext(wc)
 			// This context's next reference sits in the ring one full
 			// rotation ahead of its use (lookahead.go). Ring drained or
 			// non-ring source: nothing to peek.

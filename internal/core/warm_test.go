@@ -39,29 +39,16 @@ func warmStateDigest(s *System) uint64 {
 }
 
 // warmDiffConfigs enumerates the configurations the differential test
-// covers: three seeds, sequential and sharded, plus a QoS-partitioned
-// variant (exercising the partition-aware victim choice in the fused
-// bank scan).
+// covers: three seeds plus a QoS-partitioned variant (exercising the
+// partition-aware victim choice in the fused bank scan).
 func warmDiffConfigs() map[string]Config {
 	cfgs := make(map[string]Config)
-	for _, seed := range []uint64{1, 2, 3} {
-		for _, shards := range []int{1, 2} {
-			cfg := sampledCfg(shards)
-			cfg.Seed = seed
-			name := "seed1"
-			switch seed {
-			case 2:
-				name = "seed2"
-			case 3:
-				name = "seed3"
-			}
-			if shards > 1 {
-				name += "-sharded"
-			}
-			cfgs[name] = cfg
-		}
+	for seed, name := range map[uint64]string{1: "seed1", 2: "seed2", 3: "seed3"} {
+		cfg := sampledCfg()
+		cfg.Seed = seed
+		cfgs[name] = cfg
 	}
-	qos := sampledCfg(1)
+	qos := sampledCfg()
 	qos.QoSPartition = true
 	cfgs["qos-partitioned"] = qos
 	return cfgs
@@ -73,10 +60,9 @@ func warmDiffConfigs() map[string]Config {
 // coherence states, VM tags, access counters, directory table layout and
 // entries, dircache contents and hit/miss accounting, warming scratch
 // counters, back-invalidations — matches the retained ffTiming walk
-// exactly, across seeds, sharded/unsharded and QoS partitioning. The
-// detailed window between the fast-forwards exercises the ring-cursor
-// re-sync (the detailed loop consumes through the generator's Next path
-// in between).
+// exactly, across seeds and QoS partitioning. The detailed window
+// between the fast-forwards exercises the ring-cursor re-sync (the
+// detailed loop consumes through the generator's Next path in between).
 func TestWarmWalkDifferential(t *testing.T) {
 	for name, cfg := range warmDiffConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -121,25 +107,22 @@ func TestWarmWalkDifferential(t *testing.T) {
 // same per-VM metrics. A weaker contract than the state digest, but it
 // covers the exact production call path through Run.
 func TestWarmWalkFullRunEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		cfg := sampledCfg(shards)
-		run := func(oracle bool) Result {
-			sys, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sys.ffOracle = oracle
-			res, err := sys.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
+	cfg := sampledCfg()
+	run := func(oracle bool) Result {
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		warm, oracle := resultDigest(t, run(false)), resultDigest(t, run(true))
-		if warm != oracle {
-			t.Errorf("shards=%d: sampled Run with warm walk diverged from ffTiming oracle:\nwarm   %s\noracle %s",
-				shards, warm, oracle)
+		sys.ffOracle = oracle
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
 		}
+		return res
+	}
+	warm, oracle := resultDigest(t, run(false)), resultDigest(t, run(true))
+	if warm != oracle {
+		t.Errorf("sampled Run with warm walk diverged from ffTiming oracle:\nwarm   %s\noracle %s", warm, oracle)
 	}
 }
 
@@ -154,7 +137,7 @@ func BenchmarkWarmWalk(b *testing.B) {
 		oracle bool
 	}{{"generic", true}, {"warm", false}} {
 		b.Run(mode.name, func(b *testing.B) {
-			cfg := sampledCfg(1)
+			cfg := sampledCfg()
 			sys, err := NewSystem(cfg)
 			if err != nil {
 				b.Fatal(err)

@@ -29,7 +29,7 @@ func activeRefs(s *System) []uint64 {
 // pilot, not from WarmupRefs.
 func TestSampledWarmupContract(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
-		cfg := sampledCfg(1)
+		cfg := sampledCfg()
 		cfg.Seed = seed
 		pilot, warm := cfg.Sample.WindowRefs, cfg.WarmupRefs
 
@@ -114,16 +114,16 @@ func windowEntryDigest(s *System) uint64 {
 }
 
 // TestSampledWarmupDeterministic pins the state a sampled run enters
-// its first window with: the same on every repeat of a seed and at every
-// shard count, different between seeds. The per-core RNGs and ring
-// cursors are digested by what they produce: the state, simulated time
-// and miss statistics the window ends with.
+// its first window with: the same on every repeat of a seed, different
+// between seeds. The per-core RNGs and ring cursors are digested by what
+// they produce: the state, simulated time and miss statistics the window
+// ends with.
 func TestSampledWarmupDeterministic(t *testing.T) {
 	seen := make(map[uint64]uint64)
 	for _, seed := range []uint64{1, 2, 3} {
 		var wantEntry, wantExit uint64
-		for i, shards := range []int{1, 1, 2, 4} {
-			cfg := sampledCfg(shards)
+		for i := 0; i < 2; i++ {
+			cfg := sampledCfg()
 			cfg.Seed = seed
 			sys := newSeededSystem(t, cfg)
 			sys.warmUp(0)
@@ -143,10 +143,10 @@ func TestSampledWarmupDeterministic(t *testing.T) {
 				continue
 			}
 			if entry != wantEntry {
-				t.Errorf("seed %d shards=%d: first-window entry digest %#x, want %#x", seed, shards, entry, wantEntry)
+				t.Errorf("seed %d repeat: first-window entry digest %#x, want %#x", seed, entry, wantEntry)
 			}
 			if exit != wantExit {
-				t.Errorf("seed %d shards=%d: first-window exit digest %#x, want %#x", seed, shards, exit, wantExit)
+				t.Errorf("seed %d repeat: first-window exit digest %#x, want %#x", seed, exit, wantExit)
 			}
 		}
 	}
@@ -158,11 +158,11 @@ func TestSampledWarmupDeterministic(t *testing.T) {
 // the detailed engine, no functional references. (results/golden pins
 // the detailed runs' results byte for byte.)
 func TestWarmupUnchangedWhereNotSampled(t *testing.T) {
-	detailed := sampledCfg(1)
+	detailed := sampledCfg()
 	detailed.Sample = SampleConfig{}
-	short := sampledCfg(1)
+	short := sampledCfg()
 	short.WarmupRefs = short.Sample.WindowRefs
-	shorter := sampledCfg(2)
+	shorter := sampledCfg()
 	shorter.WarmupRefs = shorter.Sample.WindowRefs / 2
 	for name, cfg := range map[string]Config{"detailed": detailed, "warmup=window": short, "warmup<window": shorter} {
 		got, old := newSeededSystem(t, cfg), newWarmSystem(t, cfg)

@@ -66,20 +66,8 @@ func TestRunnerPdesOption(t *testing.T) {
 		t.Errorf("runner Pdes option did not reach a compatible config: %+v", res.Pdes)
 	}
 
-	// A sharded configuration already owns its engine choice; the runner
-	// must leave it sequential-semantics sharded, not error on the
-	// pdes/shards exclusion.
-	sharded := cfg
-	sharded.Shards = 2
-	res, err = r.simulate(sharded)
-	if err != nil {
-		t.Fatalf("sharded config under runner-wide pdes: %v", err)
-	}
-	if res.Pdes.Workers != 0 {
-		t.Error("sharded config ran under pdes; it must keep the shard engine")
-	}
-
-	// Sampled configurations are likewise skipped rather than rejected.
+	// A sampled configuration already owns its engine choice; the runner
+	// must skip it, not error on the pdes/sample exclusion.
 	sampled := cfg
 	sampled.Sample = core.SampleConfig{WindowRefs: 2_000, FFRatio: 3, MaxRefs: 10_000}
 	res, err = r.simulate(sampled)

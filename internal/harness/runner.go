@@ -33,12 +33,6 @@ type Options struct {
 	// parallelism changes wall time only, never results. 0 (the default)
 	// means runtime.GOMAXPROCS(0); 1 forces fully serial execution.
 	Parallel int
-	// Shards enables the intra-run parallel engine inside every
-	// simulation the runner executes (core.Config.Shards): 0/1 keep the
-	// sequential engine, N>1 adds N-1 worker lanes per run. Results are
-	// bit-identical at any shard count. Configs that already set their
-	// own Shards keep it.
-	Shards int
 	// Sample enables interval-sampled simulation inside every compatible
 	// simulation the runner executes (core.Config.Sample): detailed
 	// measurement windows with functional fast-forward between them and
@@ -53,12 +47,12 @@ type Options struct {
 	// inside every compatible simulation the runner executes
 	// (core.Config.Pdes): 0/1 keep the sequential engine, N>1 partitions
 	// each run's active cores into up to N domains advancing in bounded
-	// windows. Unlike Shards this changes the simulated stream — results
-	// are statistical estimates gated by CompareParallelRun /
+	// windows. Unlike Parallel this changes the simulated stream —
+	// results are statistical estimates gated by CompareParallelRun /
 	// CompareParallelFigures, deterministic per (seed, Pdes, PdesWindow).
-	// Configs that are incompatible (sharding, sampling, rebalancing,
-	// snapshots, trace sources) quietly run sequentially. Configs that
-	// already set their own Pdes keep it.
+	// Configs that are incompatible (sampling, rebalancing, snapshots,
+	// trace sources) quietly run sequentially. Configs that already set
+	// their own Pdes keep it.
 	Pdes int
 	// PdesWindow overrides the parallel engine's window width in cycles
 	// (0 = core.DefaultPdesWindow).
@@ -313,11 +307,8 @@ func (r *Runner) execute(cfg core.Config) (core.Result, error) {
 
 // simulate builds and runs one system, counting the execution. Every
 // execution path (memoized runs, replicates, raw config batches) funnels
-// through here, so this is where the runner-wide shard setting applies.
+// through here, so this is where the runner-wide engine settings apply.
 func (r *Runner) simulate(cfg core.Config) (core.Result, error) {
-	if cfg.Shards == 0 {
-		cfg.Shards = r.opt.Shards
-	}
 	if !cfg.Sample.Enabled() && r.opt.Sample.Enabled() && sampleCompatible(cfg) {
 		cfg.Sample = r.opt.Sample
 	}
@@ -408,7 +399,7 @@ func sampleCompatible(cfg core.Config) bool {
 // (rather than fails) the rows that need a different engine or exact
 // sequential semantics.
 func pdesCompatible(cfg core.Config) bool {
-	return cfg.Shards <= 1 && !cfg.Sample.Enabled() &&
+	return !cfg.Sample.Enabled() &&
 		cfg.RebalanceCycles == 0 && cfg.SnapshotRefs == 0 &&
 		len(cfg.Sources) == 0
 }

@@ -17,7 +17,7 @@ import (
 // configuration, seed, scale and tool version.
 // ManifestVersion is the manifest schema version stamped into new
 // records. Version 2 added host parallelism (gomaxprocs, num_cpu — a
-// pdes/shard scaling entry is meaningless without them), the phase
+// pdes scaling entry is meaningless without them), the phase
 // profile, and the time-series sidecar reference. Old sidecars decode
 // with Version 0 and those fields zero; readers must tolerate both.
 const ManifestVersion = 2
@@ -28,8 +28,8 @@ type Manifest struct {
 	Tool      string `json:"tool"`
 	GoVersion string `json:"go_version"`
 	GitRev    string `json:"git_rev,omitempty"`
-	// Host parallelism at run time: scaling entries (pdes_*, shard_*)
-	// can only be compared across hosts with these recorded.
+	// Host parallelism at run time: scaling entries (pdes_*) can only be
+	// compared across hosts with these recorded.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	NumCPU     int `json:"num_cpu,omitempty"`
 
@@ -54,17 +54,6 @@ type Manifest struct {
 	// one job, and is recorded for throughput accounting.
 	CPUSeconds float64 `json:"cpu_seconds"`
 	Parallel   int     `json:"parallel,omitempty"`
-
-	// Intra-run parallelism provenance: the configured shard count, plus
-	// how the run's functional plane split between worker-prepared and
-	// inline batches and what the spine spent waiting (the barrier-stall
-	// analogue). Absent for sequential runs.
-	Shards            int     `json:"shards,omitempty"`
-	ShardPrefills     uint64  `json:"shard_prefills,omitempty"`
-	ShardSyncFills    uint64  `json:"shard_sync_fills,omitempty"`
-	ShardThinkBatches uint64  `json:"shard_think_batches,omitempty"`
-	ShardStalls       uint64  `json:"shard_stalls,omitempty"`
-	ShardStallSeconds float64 `json:"shard_stall_seconds,omitempty"`
 
 	// Interval-sampling provenance: window geometry, how much of the
 	// stream was measured in detail vs fast-forwarded, the worst per-VM

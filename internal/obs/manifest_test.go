@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,8 +27,6 @@ func TestManifestRoundTrip(t *testing.T) {
 			WarmupRefs: 1000, MeasureRefs: 2000, SnapshotRefs: 500,
 			Replicates: 3, Refs: 96000, Cycles: 654321, WallSeconds: 1.5,
 			Parallel: 4,
-			Shards:   4, ShardPrefills: 1200, ShardSyncFills: 31,
-			ShardThinkBatches: 900, ShardStalls: 17, ShardStallSeconds: 0.004,
 		},
 	}
 	for _, m := range in {
@@ -128,6 +127,95 @@ func TestReadManifestsBackwardCompat(t *testing.T) {
 	if m.Version != 0 || m.GOMAXPROCS != 0 || m.NumCPU != 0 || m.Phase != nil || m.Timeseries != "" {
 		t.Fatalf("old record grew phantom v2 fields: %+v", m)
 	}
+}
+
+// removedEngineManifest is one v2 line written by the last build that had
+// the -shards engine (c5e96e4, `consim -mix 5 -scale 32 -shards 2`): it
+// carries shards, shard_prefills, shard_sync_fills, shard_think_batches,
+// shard_stalls, shard_stall_seconds and phase.lane_busy_seconds, none of
+// which Manifest or PhaseProfile declare any more.
+const removedEngineManifest = "testdata/manifest_v2_shards2.jsonl"
+
+// TestReadManifestsRemovedEngineFields holds the reading side to its
+// contract for sidecars that outlive a field: the record reads, the
+// unknown fields are ignored, and report and diff treat the run as the
+// sequential run its results were bit-identical to.
+func TestReadManifestsRemovedEngineFields(t *testing.T) {
+	raw, err := os.ReadFile(removedEngineManifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"shards":2`, `"shard_prefills":`, `"shard_stall_seconds":`, `"lane_busy_seconds":[`} {
+		if !strings.Contains(string(raw), field) {
+			t.Fatalf("fixture lost the removed field %s it exists to carry", field)
+		}
+	}
+	ms, err := ReadManifests(removedEngineManifest)
+	if err != nil {
+		t.Fatalf("parent-written -shards manifest failed to read: %v", err)
+	}
+	if len(ms) != 1 {
+		t.Fatalf("read %d records, want 1", len(ms))
+	}
+	m := ms[0]
+	if m.Version != 2 || m.Refs != 614281 || m.Cycles != 751671 || m.Phase == nil || m.Phase.MeasureSeconds <= 0 {
+		t.Fatalf("record mangled: %+v", m)
+	}
+	if e := m.Phase.Engine(); e != "" {
+		t.Errorf("engine = %q, want the sequential engine", e)
+	}
+	var rep strings.Builder
+	WritePhaseReport(&rep, m, nil)
+	if !strings.Contains(rep.String(), "engine=sequential") || strings.Contains(rep.String(), "lane") {
+		t.Errorf("report of a removed-engine record:\n%s", rep.String())
+	}
+
+	// obs diff: the file's last record against itself is no regression.
+	runs, kind, err := ReadRunSummaries(removedEngineManifest)
+	if err != nil || kind != "manifest" || len(runs) != 1 {
+		t.Fatalf("ReadRunSummaries: runs=%d kind=%q err=%v", len(runs), kind, err)
+	}
+	var diff strings.Builder
+	if n := DiffSummaries(&diff, runs[0], runs[0], 0.05); n != 0 {
+		t.Errorf("self-diff flagged %d regressions:\n%s", n, diff.String())
+	}
+}
+
+// FuzzReadManifests holds the manifest reader, and the report and diff
+// arithmetic downstream of it, to "an error or a clean read, never a
+// panic or a hang" on arbitrary sidecar bytes: negative seconds, zero
+// wall time, domain and per-group lists of any length.
+func FuzzReadManifests(f *testing.F) {
+	old, err := os.ReadFile(removedEngineManifest)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old)
+	f.Add(old[:len(old)/2])
+	f.Add([]byte(`{"version":2,"label":"pdes","refs":10,"wall_seconds":-1,"pdes_workers":2,"timeseries_run":1,` +
+		`"sample_windows":3,"sample_detailed_refs":5,"sample_skipped_refs":7,` +
+		`"phase":{"warmup_seconds":-0.5,"measure_seconds":1e308,"pdes_window_seconds":0,"pdes_replay_seconds":2,` +
+		`"sample_detailed_seconds":1,"sample_ff_seconds":-3,` +
+		`"domains":[{"domain":-1,"cores":0,"cycles":18446744073709551615,"ops":1,"busy_seconds":-1}],` +
+		`"pdes_apply_ops_by_group":[18446744073709551615,18446744073709551615,0]}}` + "\n"))
+	path := filepath.Join(f.TempDir(), "m.jsonl")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ms, err := ReadManifests(path)
+		if err != nil {
+			return
+		}
+		for _, m := range ms {
+			WritePhaseReport(io.Discard, m, nil)
+			s := SummarizeManifest(m)
+			DiffSummaries(io.Discard, s, s, 0.05)
+		}
+		// obs diff's loader sniffs the format first and may refuse what
+		// ReadManifests took (a lone bench record); either answer is fine.
+		ReadRunSummaries(path) //nolint:errcheck // only panics matter here
+	})
 }
 
 func TestReadManifestsErrorPaths(t *testing.T) {

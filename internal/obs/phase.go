@@ -58,11 +58,6 @@ type PhaseProfile struct {
 	// vs. functional fast-forward.
 	SampleDetailedSeconds float64 `json:"sample_detailed_seconds,omitempty"`
 	SampleFFSeconds       float64 `json:"sample_ff_seconds,omitempty"`
-
-	// Sharded engine (-shards): per-worker-lane busy seconds (time
-	// spent executing prefill/think tasks). The spine's wait side is
-	// ShardStats.StallSeconds.
-	LaneBusySeconds []float64 `json:"lane_busy_seconds,omitempty"`
 }
 
 // DomainPhase is one pdes domain's share of the in-window work.
@@ -77,16 +72,14 @@ type DomainPhase struct {
 	BusySeconds float64 `json:"busy_seconds"`
 }
 
-// Engine names the engine the profile describes ("pdes", "sample",
-// "shard", or "" for the sequential engine).
+// Engine names the engine the profile describes ("pdes", "sample", or
+// "" for the sequential engine).
 func (p *PhaseProfile) Engine() string {
 	switch {
 	case len(p.Domains) > 0 || p.PdesWindowSeconds > 0:
 		return "pdes"
 	case p.SampleDetailedSeconds > 0 || p.SampleFFSeconds > 0:
 		return "sample"
-	case len(p.LaneBusySeconds) > 0:
-		return "shard"
 	}
 	return ""
 }

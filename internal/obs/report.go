@@ -163,12 +163,6 @@ func WritePhaseReport(w io.Writer, m Manifest, rows []TSRow) {
 			fmt.Fprintf(w, "  parallel replay fraction %.3f (share of replay moved off the serial term)\n", prf)
 		}
 	}
-	if len(p.LaneBusySeconds) > 0 {
-		fmt.Fprintf(w, "shard lanes (busy seconds; spine stall %.3fs):\n", m.ShardStallSeconds)
-		for i, sec := range p.LaneBusySeconds {
-			fmt.Fprintf(w, "  lane %-2d busy=%.3fs (%.1f%% of wall)\n", i, sec, pct(sec))
-		}
-	}
 	writeSeriesSummary(w, m, rows)
 }
 
@@ -265,7 +259,7 @@ type RunSummary struct {
 	RefsPerSec    float64
 	AllocsPerRef  float64 // bench history only
 	ApplyFraction float64 // pdes serial-replay share of wall
-	StallSeconds  float64 // pdes/shard spine stall
+	StallSeconds  float64 // pdes spine stall
 	SampleRelCI   float64 // sampled runs only
 	FFCostRatio   float64 // sampled runs only: ff cost per skipped ref vs detailed
 
@@ -300,8 +294,6 @@ func SummarizeManifest(m Manifest) RunSummary {
 	case m.PdesWorkers > 0 && m.WallSeconds > 0:
 		s.ApplyFraction = m.PdesApplySeconds / m.WallSeconds
 		s.StallSeconds = m.PdesStallSeconds
-	case m.Shards > 0:
-		s.StallSeconds = m.ShardStallSeconds
 	}
 	if m.SampleWindows > 0 {
 		s.SampleRelCI = m.SampleRelCI

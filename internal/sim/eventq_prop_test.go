@@ -6,7 +6,7 @@ import (
 )
 
 // oracleEvent orders by (time, push sequence): the FIFO-on-ties contract
-// the calendar queue documents and the cross-shard merge now leans on.
+// the calendar queue documents and the pdes barrier merge leans on.
 type oracleEvent struct {
 	at  Cycle
 	seq uint64

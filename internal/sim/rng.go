@@ -27,15 +27,10 @@ func (r *RNG) Seed(seed uint64) {
 	r.state = seed + 0x9e3779b97f4a7c15
 }
 
-// State returns the generator's internal position in the stream, for
-// transfer to another RNG via Restore. Unlike Seed, the value round-trips
-// exactly: Restore(State()) continues the stream where it left off, which
-// the sharded engine uses to pre-draw a batch on a worker and commit the
-// advanced position back to the owning core.
+// State returns the generator's internal position in the stream: two
+// RNGs at the same State produce the same values from then on, which is
+// what the tests' state digests compare.
 func (r *RNG) State() uint64 { return r.state }
-
-// Restore sets the generator to a position previously read with State.
-func (r *RNG) Restore(state uint64) { r.state = state }
 
 // Uint64 returns the next value in the stream.
 func (r *RNG) Uint64() uint64 {

@@ -226,65 +226,28 @@ func (g *Generator) WarmSetPos(t, pos int) { g.ringPos[t] = pos }
 // exported for the warming loop's direct-drain consumption.
 func (g *Generator) WarmRefill(t int) Access { return g.refill(t) }
 
-// threadGenState bundles every per-thread mutable the sampler walks, so
-// one batch can be computed either in place (the synchronous refill) or
-// against a snapshot on another goroutine (the sharded engine's prefill)
-// from the exact same code path.
-type threadGenState struct {
-	rng       sim.RNG
-	mig       migRun
-	privSweep uint64
-	genRefs   uint64
-	phaseIdx  int
-	mix       phaseMix
-}
-
-// loadThread / storeThread move thread t's sampler state between the
-// Generator arrays and a detached snapshot.
-func (g *Generator) loadThread(t int, st *threadGenState) {
-	st.rng = g.rngs[t]
-	st.mig = g.mig[t]
-	st.privSweep = g.privSweep[t]
-	st.genRefs = g.genRefs[t]
-	st.phaseIdx = g.phaseIdx[t]
-	st.mix = g.mix[t]
-}
-
-func (g *Generator) storeThread(t int, st *threadGenState) {
-	g.rngs[t] = st.rng
-	g.mig[t] = st.mig
-	g.privSweep[t] = st.privSweep
-	g.genRefs[t] = st.genRefs
-	g.phaseIdx[t] = st.phaseIdx
-	g.mix[t] = st.mix
-}
-
 // cursors abstracts the two generator-shared sampling cursors (the
 // collaborative scan and the shared-region cold sweep) out of the batch
-// loop. liveCursors advances them in place; deferredCursors (prefetch.go)
-// records placeholder positions to be patched when the batch is adopted
-// in stream order. The type parameter keeps both instantiations fully
-// inlined — the synchronous path compiles to the same loop it was before
-// the split.
+// loop. liveCursors advances them in place; detachedCursors advances one
+// thread's private replicas (DetachCursors). The type parameter keeps
+// both instantiations fully inlined.
 type cursors interface {
-	// scan / cold return the Access for ring entry i; i lets a deferred
-	// sink remember which entries to patch and is ignored live.
-	scan(i int) Access
-	cold(i int) Access
+	scan() Access
+	cold() Access
 	steadyShared() bool
 }
 
 // liveCursors mutates the Generator's shared cursors directly.
 type liveCursors struct{ g *Generator }
 
-func (c liveCursors) scan(int) Access {
+func (c liveCursors) scan() Access {
 	g := c.g
 	g.scanCount++
 	pos := (g.scanCount / uint64(g.spec.ScanReadsPerBlock)) % g.lay.scanLen
 	return Access{Block: g.lay.scanBase + pos}
 }
 
-func (c liveCursors) cold(int) Access {
+func (c liveCursors) cold() Access {
 	g := c.g
 	pos := g.sharedCold % g.lay.sharedLen
 	g.sharedCold++
@@ -323,7 +286,7 @@ type detachedCursors struct {
 	t int
 }
 
-func (c detachedCursors) scan(int) Access {
+func (c detachedCursors) scan() Access {
 	g := c.g
 	n := g.detScan[c.t]
 	g.detScan[c.t]++
@@ -336,7 +299,7 @@ func (c detachedCursors) scan(int) Access {
 	return Access{Block: g.lay.scanBase + pos}
 }
 
-func (c detachedCursors) cold(int) Access {
+func (c detachedCursors) cold() Access {
 	g := c.g
 	pos := (g.detCold[c.t]*uint64(g.threads) + uint64(c.t)) % g.lay.sharedLen
 	g.detCold[c.t]++
@@ -348,44 +311,40 @@ func (c detachedCursors) steadyShared() bool {
 	return g.detCold[c.t]*uint64(g.threads) >= g.lay.sharedLen
 }
 
-// fill pre-samples the next genBatch references for thread t. Hot state
-// (RNG, layout, mix, migratory episode, sweep cursor) lives in locals for
-// the duration of the batch; only the shared cursors touch the Generator.
+// fill pre-samples the next genBatch references for thread t.
 func (g *Generator) fill(t int) {
-	var st threadGenState
-	g.loadThread(t, &st)
 	if g.detached {
-		fillCore(g, t, &st, g.ring[t][:genBatch:genBatch], detachedCursors{g, t})
+		fillCore(g, t, detachedCursors{g, t})
 	} else {
-		fillCore(g, t, &st, g.ring[t][:genBatch:genBatch], liveCursors{g})
+		fillCore(g, t, liveCursors{g})
 	}
-	g.storeThread(t, &st)
 }
 
-// fillCore samples one batch of thread t's stream into ring, advancing st
-// and drawing shared-cursor positions through cur. It touches nothing on
-// g beyond immutable sampling parameters (spec, layout, Zipf tables), so
-// a deferred-cursor instantiation is safe to run off the owning
-// goroutine against a state snapshot.
-func fillCore[C cursors](g *Generator, t int, st *threadGenState, ring []Access, cur C) {
-	r := &st.rng
+// fillCore samples one batch of thread t's stream into its ring, drawing
+// shared-cursor positions through cur. Hot state (RNG, layout, mix,
+// migratory episode, sweep cursor) lives in locals for the duration of
+// the batch and is stored back at the end.
+func fillCore[C cursors](g *Generator, t int, cur C) {
+	ring := g.ring[t][:genBatch:genBatch]
+	rng := g.rngs[t]
+	r := &rng
 	lay := &g.lay
 	spec := &g.spec
-	gen := st.genRefs
+	gen := g.genRefs[t]
 	phased := len(spec.Phases) > 0
-	mig := st.mig
-	privSweep := st.privSweep
+	phaseIdx := g.phaseIdx[t]
+	mig := g.mig[t]
+	privSweep := g.privSweep[t]
 	base := uint64(t) * lay.privPerThread
-	mix := st.mix
+	mix := g.mix[t]
 
 	for i := range ring {
 		gen++
 		// Track phase transitions (no-op for unphased specs).
 		if phased {
-			if idx := spec.phaseAt(gen + spec.PhaseOffset); idx != st.phaseIdx {
-				st.phaseIdx = idx
-				st.mix = spec.mixFor(idx)
-				mix = st.mix
+			if idx := spec.phaseAt(gen + spec.PhaseOffset); idx != phaseIdx {
+				phaseIdx = idx
+				mix = spec.mixFor(idx)
 			}
 		}
 
@@ -415,7 +374,7 @@ func fillCore[C cursors](g *Generator, t int, st *threadGenState, ring []Access,
 			// references (across all threads) land on the same block before
 			// the shared cursor advances, so trailing reads — usually by a
 			// different thread — hit the leader's cache.
-			ring[i] = cur.scan(i)
+			ring[i] = cur.scan()
 
 		case u < mix.pMig+mix.pScan+mix.pShared:
 			// Shared-read region: cold coverage sweep (fast on the first
@@ -425,7 +384,7 @@ func fillCore[C cursors](g *Generator, t int, st *threadGenState, ring []Access,
 				coldP = spec.SharedColdWarm
 			}
 			if r.Bool(coldP) {
-				ring[i] = cur.cold(i)
+				ring[i] = cur.cold()
 			} else {
 				b := g.zipfShared.Sample(r)
 				ring[i] = Access{Block: lay.sharedBase + b, Write: r.Bool(mix.writeFracShared)}
@@ -447,9 +406,12 @@ func fillCore[C cursors](g *Generator, t int, st *threadGenState, ring []Access,
 		}
 	}
 
-	st.genRefs = gen
-	st.mig = mig
-	st.privSweep = privSweep
+	g.rngs[t] = rng
+	g.genRefs[t] = gen
+	g.phaseIdx[t] = phaseIdx
+	g.mix[t] = mix
+	g.mig[t] = mig
+	g.privSweep[t] = privSweep
 }
 
 // RegionOf classifies a block index produced by this generator.
