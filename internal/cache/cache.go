@@ -83,6 +83,11 @@ type Line struct {
 	VM    uint8 // virtual machine that inserted the line (occupancy accounting)
 }
 
+// MaxVMs is how many virtual machines a line's VM field (8 bits, here
+// and in the packed slot) tells apart; core.Config.Validate rejects
+// machines with more, whose occupancy and quotas would alias.
+const MaxVMs = 1 << 8
+
 // Way is a handle to a resident line: the line's global slot index. See
 // the package comment for how long it stays valid.
 type Way int32

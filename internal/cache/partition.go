@@ -48,7 +48,7 @@ func (c *Cache) quotaOf(vm uint8) int {
 // insertion by vm, honoring quotas. The set is in recency order, so each
 // rule's LRU line is the deepest way the rule admits.
 func (c *Cache) partitionVictim(s []uint64, vm uint8) int {
-	var counts [256]int
+	var counts [MaxVMs]int
 	for _, v := range s {
 		counts[uint8(v>>vmShift)]++
 	}

@@ -176,39 +176,16 @@ func accessTM(s *System, tm timing, c, vmID int, addr sim.Addr, write bool) sim.
 	l1 := s.l1[c]
 	vtag := uint8(vmID)
 	if w1, ok := l1.Lookup(addr); ok {
-		switch {
-		case !write:
+		if !write {
 			s.fillL0(c, addr, l1.State(w1), vtag)
 			return DefaultL1Latency
-		case l1.State(w1) == cache.Modified:
-			s.fillL0(c, addr, cache.Modified, vtag)
-			return DefaultL1Latency
-		case l1.State(w1) == cache.Exclusive:
-			// Silent E->M upgrade; record dirty ownership.
-			l1.SetState(w1, cache.Modified)
-			e := s.dir.Get(addr)
-			e.L1Owner = int8(c)
-			e.L2Owner = int8(s.groupOf(c))
-			if bw, ok := s.banks[s.groupOf(c)].Probe(addr); ok {
-				s.banks[s.groupOf(c)].SetState(bw, cache.Modified)
-			}
-			s.fillL0(c, addr, cache.Modified, vtag)
-			return DefaultL1Latency
-		default:
-			// Shared: coherence upgrade through the home node.
-			st := tm.stats(s, vmID)
-			st.Upgrades++
-			now := s.now
-			done, e := invalidateOthersTM(s, tm, now, c, addr, st)
-			e.L1Owner = int8(c)
-			e.L2Owner = int8(s.groupOf(c))
-			l1.SetState(w1, cache.Modified)
-			if bw, ok := s.banks[s.groupOf(c)].Probe(addr); ok {
-				s.banks[s.groupOf(c)].SetState(bw, cache.Modified)
-			}
-			s.fillL0(c, addr, cache.Modified, vtag)
-			return done - now
 		}
+		lat := DefaultL1Latency
+		if l1.State(w1) != cache.Modified {
+			lat = upgradeL1TM(s, tm, c, vmID, addr, w1, lat)
+		}
+		s.fillL0(c, addr, cache.Modified, vtag)
+		return lat
 	}
 
 	// Miss in the last level of private cache: the paper's miss-latency
@@ -223,44 +200,50 @@ func accessTM(s *System, tm timing, c, vmID int, addr sim.Addr, write bool) sim.
 
 // writeHitL0TM services a store that hit in L0: the line is resident in
 // L1 too (inclusion is asserted here, off the read path), and the L1
-// state decides whether the store is silent, a silent E->M upgrade, or a
-// coherence upgrade through the home node.
+// state decides whether the store is silent or an upgrade.
 func writeHitL0TM(s *System, tm timing, c, vmID int, addr sim.Addr, w0 cache.Way) sim.Cycle {
-	l0, l1 := s.l0[c], s.l1[c]
+	l1 := s.l1[c]
 	w1, ok := l1.Probe(addr)
 	if !ok {
 		panic(fmt.Sprintf("core: L0/L1 inclusion violated at %#x", addr))
 	}
-	switch {
-	case l1.State(w1) == cache.Modified:
-		l0.SetState(w0, cache.Modified)
-		return DefaultL0Latency
-	case l1.State(w1) == cache.Exclusive:
+	lat := DefaultL0Latency
+	if l1.State(w1) != cache.Modified {
+		lat = upgradeL1TM(s, tm, c, vmID, addr, w1, lat)
+	}
+	s.l0[c].SetState(w0, cache.Modified)
+	return lat
+}
+
+// upgradeL1TM upgrades core c's Exclusive or Shared L1 copy of addr (way
+// w1) to Modified for a store that hit in the private hierarchy, and
+// returns the store's latency: silentLat (the hit level's latency) for
+// the silent E->M upgrade, the invalidation round trip for a Shared
+// line's coherence upgrade through the home node. The caller brings L0
+// in line afterwards.
+func upgradeL1TM(s *System, tm timing, c, vmID int, addr sim.Addr, w1 cache.Way, silentLat sim.Cycle) sim.Cycle {
+	l1 := s.l1[c]
+	g := s.groupOf(c)
+	lat := silentLat
+	var e *coherence.Entry
+	if l1.State(w1) == cache.Exclusive {
 		// Silent E->M upgrade; record dirty ownership.
-		l1.SetState(w1, cache.Modified)
-		e := s.dir.Get(addr)
-		e.L1Owner = int8(c)
-		e.L2Owner = int8(s.groupOf(c))
-		if bw, ok := s.banks[s.groupOf(c)].Probe(addr); ok {
-			s.banks[s.groupOf(c)].SetState(bw, cache.Modified)
-		}
-		l0.SetState(w0, cache.Modified)
-		return DefaultL0Latency
-	default:
+		e = s.dir.Get(addr)
+	} else {
 		// Shared: coherence upgrade through the home node.
 		st := tm.stats(s, vmID)
 		st.Upgrades++
-		now := s.now
-		done, e := invalidateOthersTM(s, tm, now, c, addr, st)
-		e.L1Owner = int8(c)
-		e.L2Owner = int8(s.groupOf(c))
-		l1.SetState(w1, cache.Modified)
-		if bw, ok := s.banks[s.groupOf(c)].Probe(addr); ok {
-			s.banks[s.groupOf(c)].SetState(bw, cache.Modified)
-		}
-		l0.SetState(w0, cache.Modified)
-		return done - now
+		var done sim.Cycle
+		done, e = invalidateOthersTM(s, tm, s.now, c, addr, st)
+		lat = done - s.now
 	}
+	e.L1Owner = int8(c)
+	e.L2Owner = int8(g)
+	l1.SetState(w1, cache.Modified)
+	if bw, ok := s.banks[g].Probe(addr); ok {
+		s.banks[g].SetState(bw, cache.Modified)
+	}
+	return lat
 }
 
 // fetchTM services a private-level miss: probe the core's LLC bank group,

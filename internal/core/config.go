@@ -232,6 +232,9 @@ func (c Config) Validate() error {
 	if len(c.Workloads) == 0 {
 		return fmt.Errorf("core: no workloads configured")
 	}
+	if len(c.Workloads) > cache.MaxVMs {
+		return fmt.Errorf("core: %d VMs exceed the %d a cache line's VM tag tells apart", len(c.Workloads), cache.MaxVMs)
+	}
 	if len(c.VMThreads) > 0 && len(c.VMThreads) != len(c.Workloads) {
 		return fmt.Errorf("core: %d thread-count overrides for %d VMs", len(c.VMThreads), len(c.Workloads))
 	}

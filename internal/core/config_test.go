@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"consim/internal/cache"
 	"consim/internal/memctrl"
 	"consim/internal/sched"
 	"consim/internal/workload"
@@ -33,10 +35,29 @@ func TestConfigValidate(t *testing.T) {
 	// ThreadsPerVM 5 with one VM is fine; force over-commit instead.
 	bad[5] = DefaultConfig(spec, spec, spec, spec)
 	bad[5].ThreadsPerVM = 5
+	// A line's VM tag is 8 bits: VM 256 would be booked against VM 0's
+	// quota and occupancy. 64 cores over-committed 8x admit 300 threads.
+	manyVMs := func(n int) Config {
+		specs := make([]workload.Spec, n)
+		for i := range specs {
+			specs[i] = spec
+		}
+		c := DefaultConfig(specs...)
+		c.Cores, c.LLCBytes, c.Mem = 64, 64<<20, memctrl.Config{}
+		c.ThreadsPerVM, c.TimesliceCycles = 1, 5_000
+		return c
+	}
+	bad = append(bad, manyVMs(300))
 	for i, c := range bad {
 		if c.Validate() == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	if err := manyVMs(cache.MaxVMs).Validate(); err != nil {
+		t.Errorf("%d VMs rejected: %v", cache.MaxVMs, err)
+	}
+	if err := manyVMs(300).Validate(); err != nil && !strings.Contains(err.Error(), fmt.Sprint(cache.MaxVMs)) {
+		t.Errorf("300 VMs: error %q does not name the %d-VM limit", err, cache.MaxVMs)
 	}
 }
 

@@ -109,7 +109,7 @@ type SampleStats struct {
 	// WarmupDetailedRefs and WarmupFunctionalRefs split a sampled run's
 	// warm-up, in Config.WarmupRefs' units (what the slowest core issued;
 	// faster cores issue proportionally more): the detailed pilot window,
-	// then the functional warming walk. They sum to at least WarmupRefs.
+	// then the functional fast-forward. They sum to at least WarmupRefs.
 	// Neither is part of DetailedRefs or SkippedRefs.
 	WarmupDetailedRefs   uint64 `json:"warmup_detailed_refs,omitempty"`
 	WarmupFunctionalRefs uint64 `json:"warmup_functional_refs,omitempty"`
@@ -321,7 +321,7 @@ func (s *System) ffRun(perCore uint64) ([]uint64, float64) {
 	}
 	bud := s.ffBudgets(perCore)
 	if s.ffOracle {
-		// The pre-specialization walk, kept compiled as the warm walk's
+		// The plain rotation, kept compiled as the warm supply's
 		// bit-identity oracle (warm_test.go) and benchmark baseline.
 		ffLoop(s, bud)
 	} else {

@@ -138,11 +138,12 @@ type System struct {
 	ffRate   []uint64
 	ffBudget []uint64 // reusable apportionment scratch
 
-	// warm holds the fast-forward warming contexts (warm.go), built once
-	// per run: sampling validation fixes each active core's runnable, so
-	// the per-core invariants they hoist stay valid across fast-forwards.
-	// ffOracle routes fast-forward through the retained generic ffTiming
-	// walk instead — the differential tests' bit-identity oracle.
+	// warm holds the fast-forward reference-supply contexts (warm.go),
+	// built once per run: sampling validation fixes each active core's
+	// runnable, so the per-core invariants they hoist stay valid across
+	// fast-forwards. ffOracle routes fast-forward through the plain ffLoop
+	// rotation instead — the differential tests' bit-identity oracle for
+	// the supply (both end in the same accessTM).
 	warm     []warmCore
 	ffOracle bool
 

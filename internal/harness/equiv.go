@@ -44,36 +44,25 @@ type RunComparison struct {
 // Within reports whether every per-VM deviation is inside the bound.
 func (c RunComparison) Within() bool { return c.MaxRelErr <= c.Bound }
 
-// CompareSampledRun executes cfg fully detailed and again under sc, and
-// reports the per-VM metric deviations. VMs with zero full-run
-// references (never scheduled) are skipped.
-func CompareSampledRun(cfg core.Config, sc core.SampleConfig) (RunComparison, error) {
-	fullCfg := cfg
-	fullCfg.Sample = core.SampleConfig{}
-	sampCfg := cfg
-	sampCfg.Sample = sc
+// runCfg builds cfg's machine and runs it.
+func runCfg(cfg core.Config) (core.Result, error) {
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return sys.Run()
+}
 
-	var out RunComparison
-	for i, c := range []core.Config{fullCfg, sampCfg} {
-		sys, err := core.NewSystem(c)
-		if err != nil {
-			return out, err
-		}
-		res, err := sys.Run()
-		if err != nil {
-			return out, err
-		}
-		if i == 0 {
-			out.Full = res
-		} else {
-			out.Sampled = res
-		}
+// diffRuns reports got's per-VM deviations from ref on the two tracked
+// metrics. VMs with zero reference-run references (never scheduled) are
+// skipped.
+func diffRuns(ref, got core.Result) (RunComparison, error) {
+	out := RunComparison{Full: ref, Sampled: got}
+	if len(ref.VMs) != len(got.VMs) {
+		return out, fmt.Errorf("harness: VM count mismatch %d vs %d", len(ref.VMs), len(got.VMs))
 	}
-	if len(out.Full.VMs) != len(out.Sampled.VMs) {
-		return out, fmt.Errorf("harness: VM count mismatch %d vs %d", len(out.Full.VMs), len(out.Sampled.VMs))
-	}
-	for v := range out.Full.VMs {
-		f, s := out.Full.VMs[v], out.Sampled.VMs[v]
+	for v := range ref.VMs {
+		f, s := ref.VMs[v], got.VMs[v]
 		if f.Stats.Refs == 0 {
 			continue
 		}
@@ -86,8 +75,33 @@ func CompareSampledRun(cfg core.Config, sc core.SampleConfig) (RunComparison, er
 		out.Deltas = append(out.Deltas, d)
 		out.MaxRelErr = math.Max(out.MaxRelErr, math.Max(d.Miss, d.Cpt))
 	}
-	out.Bound = sampleBound(out.Sampled.Config.Sample.CITarget, out.Sampled.Sample.AchievedRelCI)
 	return out, nil
+}
+
+// compareTo runs cfg and judges it against ref, a reference run the
+// caller already has (so one reference can judge several variants).
+func compareTo(ref core.Result, cfg core.Config, bound float64) (RunComparison, error) {
+	got, err := runCfg(cfg)
+	if err != nil {
+		return RunComparison{Full: ref}, err
+	}
+	out, err := diffRuns(ref, got)
+	out.Bound = bound
+	return out, err
+}
+
+// CompareSampledRun executes cfg fully detailed and again under sc, and
+// reports the per-VM metric deviations.
+func CompareSampledRun(cfg core.Config, sc core.SampleConfig) (RunComparison, error) {
+	cfg.Sample = core.SampleConfig{}
+	full, err := runCfg(cfg)
+	if err != nil {
+		return RunComparison{}, err
+	}
+	cfg.Sample = sc
+	out, err := compareTo(full, cfg, 0)
+	out.Bound = sampleBound(out.Sampled.Config.Sample.CITarget, out.Sampled.Sample.AchievedRelCI)
+	return out, err
 }
 
 // relErr returns |got-want|/|want|; an exact match of a zero reference
@@ -192,6 +206,14 @@ func CompareTables(full, sampled *Table) (float64, string, error) {
 // the default window sit under half of it across the workload classes.
 const DefaultPdesBound = 0.12
 
+// pdesBound resolves a caller's bound (<= 0 selects DefaultPdesBound).
+func pdesBound(bound float64) float64 {
+	if bound <= 0 {
+		return DefaultPdesBound
+	}
+	return bound
+}
+
 // CompareParallelRun executes cfg sequentially and again under the
 // split-transaction parallel engine with the given worker count and
 // window (0 = default), and reports the per-VM metric deviations
@@ -202,47 +224,19 @@ func CompareParallelRun(cfg core.Config, workers int, window sim.Cycle, bound fl
 	seqCfg := cfg
 	seqCfg.Pdes, seqCfg.PdesWindow = 0, 0
 	seqCfg.PdesReplayWorkers, seqCfg.PdesPipeline = 0, false
-	parCfg := cfg
-	parCfg.Pdes, parCfg.PdesWindow = workers, window
+	seq, err := runCfg(seqCfg)
+	if err != nil {
+		return RunComparison{}, err
+	}
+	return compareParallelTo(seq, cfg, workers, window, bound)
+}
 
-	var out RunComparison
-	for i, c := range []core.Config{seqCfg, parCfg} {
-		sys, err := core.NewSystem(c)
-		if err != nil {
-			return out, err
-		}
-		res, err := sys.Run()
-		if err != nil {
-			return out, err
-		}
-		if i == 0 {
-			out.Full = res
-		} else {
-			out.Sampled = res
-		}
-	}
-	if len(out.Full.VMs) != len(out.Sampled.VMs) {
-		return out, fmt.Errorf("harness: VM count mismatch %d vs %d", len(out.Full.VMs), len(out.Sampled.VMs))
-	}
-	for v := range out.Full.VMs {
-		f, s := out.Full.VMs[v], out.Sampled.VMs[v]
-		if f.Stats.Refs == 0 {
-			continue
-		}
-		d := VMDelta{
-			VM:   f.VM,
-			Name: f.Name,
-			Miss: relErr(s.MissRate(), f.MissRate()),
-			Cpt:  relErr(s.CyclesPerTx, f.CyclesPerTx),
-		}
-		out.Deltas = append(out.Deltas, d)
-		out.MaxRelErr = math.Max(out.MaxRelErr, math.Max(d.Miss, d.Cpt))
-	}
-	if bound <= 0 {
-		bound = DefaultPdesBound
-	}
-	out.Bound = bound
-	return out, nil
+// compareParallelTo is CompareParallelRun against seq, a sequential run
+// of cfg the caller already has: one reference can judge several worker
+// counts.
+func compareParallelTo(seq core.Result, cfg core.Config, workers int, window sim.Cycle, bound float64) (RunComparison, error) {
+	cfg.Pdes, cfg.PdesWindow = workers, window
+	return compareTo(seq, cfg, pdesBound(bound))
 }
 
 // CompareShardedParallelRun executes cfg under the parallel engine
@@ -255,50 +249,21 @@ func CompareParallelRun(cfg core.Config, workers int, window sim.Cycle, bound fl
 // judged like the engine itself. Full holds the serial-replay run,
 // Sampled the sharded one.
 func CompareShardedParallelRun(cfg core.Config, workers, replayWorkers int, pipeline bool, window sim.Cycle, bound float64) (RunComparison, error) {
-	serCfg := cfg
-	serCfg.Pdes, serCfg.PdesWindow = workers, window
-	serCfg.PdesReplayWorkers, serCfg.PdesPipeline = 0, false
-	shCfg := serCfg
-	shCfg.PdesReplayWorkers, shCfg.PdesPipeline = replayWorkers, pipeline
+	cfg.Pdes, cfg.PdesWindow = workers, window
+	cfg.PdesReplayWorkers, cfg.PdesPipeline = 0, false
+	ser, err := runCfg(cfg)
+	if err != nil {
+		return RunComparison{}, err
+	}
+	return compareShardedTo(ser, cfg, replayWorkers, pipeline, bound)
+}
 
-	var out RunComparison
-	for i, c := range []core.Config{serCfg, shCfg} {
-		sys, err := core.NewSystem(c)
-		if err != nil {
-			return out, err
-		}
-		res, err := sys.Run()
-		if err != nil {
-			return out, err
-		}
-		if i == 0 {
-			out.Full = res
-		} else {
-			out.Sampled = res
-		}
-	}
-	if len(out.Full.VMs) != len(out.Sampled.VMs) {
-		return out, fmt.Errorf("harness: VM count mismatch %d vs %d", len(out.Full.VMs), len(out.Sampled.VMs))
-	}
-	for v := range out.Full.VMs {
-		f, s := out.Full.VMs[v], out.Sampled.VMs[v]
-		if f.Stats.Refs == 0 {
-			continue
-		}
-		d := VMDelta{
-			VM:   f.VM,
-			Name: f.Name,
-			Miss: relErr(s.MissRate(), f.MissRate()),
-			Cpt:  relErr(s.CyclesPerTx, f.CyclesPerTx),
-		}
-		out.Deltas = append(out.Deltas, d)
-		out.MaxRelErr = math.Max(out.MaxRelErr, math.Max(d.Miss, d.Cpt))
-	}
-	if bound <= 0 {
-		bound = DefaultPdesBound
-	}
-	out.Bound = bound
-	return out, nil
+// compareShardedTo is CompareShardedParallelRun against ser, a run of
+// serCfg (parallel engine, serial replay) the caller already has: one
+// reference can judge the sharded and the pipelined replay.
+func compareShardedTo(ser core.Result, serCfg core.Config, replayWorkers int, pipeline bool, bound float64) (RunComparison, error) {
+	serCfg.PdesReplayWorkers, serCfg.PdesPipeline = replayWorkers, pipeline
+	return compareTo(ser, serCfg, pdesBound(bound))
 }
 
 // CompareParallelFigures builds the given figures twice — one
@@ -335,10 +300,7 @@ func CompareParallelFigures(opt Options, workers int, window sim.Cycle, bound fl
 		}
 		out = append(out, fc)
 	}
-	if bound <= 0 {
-		bound = DefaultPdesBound
-	}
-	return out, bound, nil
+	return out, pdesBound(bound), nil
 }
 
 // CompareSampledFigures builds the given figures twice — one detailed

@@ -21,8 +21,13 @@ func TestParallelEquivalence(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
+		cfg := equivCfg(seed) // sequential: one reference run per seed, not per worker count
+		seq, err := runCfg(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 		for _, w := range workers {
-			cmp, err := CompareParallelRun(equivCfg(seed), w, 0, 0)
+			cmp, err := compareParallelTo(seq, cfg, w, 0, 0)
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, w, err)
 			}
@@ -114,7 +119,13 @@ func TestShardedReplayEquivalence(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		cmp, err := CompareShardedParallelRun(equivCfg(seed), 4, 4, false, 0, 0)
+		serCfg := equivCfg(seed) // serial replay: one reference run per seed, not per case
+		serCfg.Pdes = 4
+		ser, err := runCfg(serCfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		cmp, err := compareShardedTo(ser, serCfg, 4, false, 0)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -126,7 +137,7 @@ func TestShardedReplayEquivalence(t *testing.T) {
 				seed, cmp.MaxRelErr)
 		}
 
-		pcmp, err := CompareShardedParallelRun(equivCfg(seed), 4, 4, true, 0, 0)
+		pcmp, err := compareShardedTo(ser, serCfg, 4, true, 0)
 		if err != nil {
 			t.Fatalf("seed %d pipelined: %v", seed, err)
 		}
@@ -138,6 +149,36 @@ func TestShardedReplayEquivalence(t *testing.T) {
 			t.Errorf("seed %d: pipelined deviation %.3f exceeds bound %.3f",
 				seed, pcmp.MaxRelErr, pcmp.Bound)
 		}
+	}
+}
+
+// TestCompareRunsDeriveTheirReference drives the exported comparisons
+// (the consim façade and cmd/bench call them; the equivalence tests above
+// share one reference per seed through the unexported halves) on a short
+// run: each must build its own reference from a configuration that
+// already has the engine switched on.
+func TestCompareRunsDeriveTheirReference(t *testing.T) {
+	cfg := equivCfg(1)
+	cfg.WarmupRefs, cfg.MeasureRefs = 2_000, 10_000
+	cfg.Pdes, cfg.PdesReplayWorkers, cfg.PdesPipeline = 4, 4, true
+
+	cmp, err := CompareParallelRun(cfg, 2, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp.Full.Pdes.Workers != 0 || cmp.Sampled.Pdes.Workers != 2 || cmp.Bound != DefaultPdesBound || len(cmp.Deltas) == 0 {
+		t.Errorf("CompareParallelRun: reference %+v, parallel %+v, bound %v, %d deltas",
+			cmp.Full.Pdes, cmp.Sampled.Pdes, cmp.Bound, len(cmp.Deltas))
+	}
+
+	cmp, err = CompareShardedParallelRun(cfg, 4, 2, false, 0, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref, sh := cmp.Full.Pdes, cmp.Sampled.Pdes; ref.Workers != 4 || ref.ReplayWorkers != 0 || ref.Pipelined ||
+		sh.ReplayWorkers != 2 || sh.Pipelined || cmp.Bound != 0.5 || cmp.MaxRelErr != 0 {
+		t.Errorf("CompareShardedParallelRun: reference %+v, sharded %+v, bound %v, maxRelErr %v",
+			ref, sh, cmp.Bound, cmp.MaxRelErr)
 	}
 }
 

@@ -66,12 +66,20 @@ go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
 	|| { echo "check.sh: sampled run produced no provenance line, or one without its warm-up" >&2; exit 1; }
 
 echo "== warm-walk smoke =="
-# The specialized warming walk must stay bit-identical to the retained
-# generic oracle (cache tags/LRU, directory, dircache, RNG cursor) with
-# the shared lookahead prefetch forced on, and
-# an observed -sample -timeseries run must surface the fast-forward
-# phase split and cost ratio in its obs report.
+# Fast-forward's reference supply (warm.go) must hand the one access walk
+# the same references in the same order as the plain ffLoop oracle —
+# bit-identical cache tags/LRU, directory, dircache, RNG cursor — for
+# ring and trace-replay sources, with the shared lookahead prefetch
+# forced on, and an observed -sample -timeseries run must surface the
+# fast-forward phase split and cost ratio in its obs report.
 go test -short -run 'TestWarmWalkDifferential' ./internal/core
+# One walk: warm.go's functional copy of it was deleted in PR 17. Each
+# protocol assertion lives in exactly one non-test file of internal/core,
+# so a re-pasted walk fails here.
+for msg in 'inclusion violated' 'directory disagrees' 'directory owner bank'; do
+	n=$(grep -l --exclude='*_test.go' "$msg" internal/core/*.go | wc -l)
+	[ "$n" -eq 1 ] || { echo "check.sh: \"$msg\" asserted in $n non-test files of internal/core, want 1 (a second coherence walk?)" >&2; exit 1; }
+done
 warm_dir=$(mktemp -d /tmp/consim_warm.XXXXXX)
 go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
 	-sample 1000 -sample-ci 0.2 \
