@@ -48,16 +48,20 @@ func main() {
 	if *exp != "" {
 		ids = strings.Split(*exp, ",")
 	}
-	if err := pflags.CheckExclusive(sflags.Config()); err != nil {
+	opt := consim.RunnerOptions{
+		Scale: *scale, WarmupRefs: *warm, MeasureRefs: *meas, Seed: *seed,
+		Parallel: *parallel, Sample: sflags.Config(), Obs: o,
+	}
+	err = pflags.CheckExclusive(opt.Sample)
+	if err == nil {
+		err = pflags.ApplyRunner(&opt)
+	}
+	if err != nil {
 		ostop() //nolint:errcheck // the primary error wins
 		fmt.Fprintln(os.Stderr, "ablate:", err)
 		os.Exit(1)
 	}
-	r := consim.NewRunner(consim.RunnerOptions{
-		Scale: *scale, WarmupRefs: *warm, MeasureRefs: *meas, Seed: *seed,
-		Parallel: *parallel, Sample: sflags.Config(),
-		Pdes: pflags.Workers(), PdesWindow: pflags.Window(), Obs: o,
-	})
+	r := consim.NewRunner(opt)
 	for _, id := range ids {
 		start := time.Now()
 		t, err := r.RunAblation(strings.TrimSpace(id))

@@ -1,17 +1,17 @@
 // Command obs analyses recorded runs and watches live ones — the
 // reading side of the observability sidecars the simulator CLIs write
-// (-manifest, -timeseries, -debug-addr) and of cmd/bench's history:
+// (-manifest, -timeseries, -debug-addr):
 //
 //	obs report results/MANIFEST.jsonl            phase/Amdahl report of the
 //	                                             last run (+ time series)
 //	obs report -label shared/affinity ...        ... of the last matching run
 //	obs diff results/MANIFEST.jsonl              last two runs in one file
 //	obs diff old.jsonl new.jsonl                 last run of each file
-//	obs diff -threshold 0.10 BENCH_consim.json   bench history entries
+//	obs diff -threshold 0.10 m.jsonl             ... flagging throughput down over 10%
 //	obs top -addr 127.0.0.1:6060                 poll a live -debug-addr
 //
 // diff exits 1 when any metric regresses beyond its threshold, so it
-// slots into CI next to cmd/bench's gate.
+// slots into CI.
 package main
 
 import (
@@ -123,25 +123,22 @@ func diff(args []string) error {
 	var base, cur obs.RunSummary
 	switch fs.NArg() {
 	case 1:
-		runs, kind, err := obs.ReadRunSummaries(fs.Arg(0))
+		runs, err := obs.ReadRunSummaries(fs.Arg(0))
 		if err != nil {
 			return err
 		}
 		if len(runs) < 2 {
-			return fmt.Errorf("%s: need two records to diff, have %d (%s)", fs.Arg(0), len(runs), kind)
+			return fmt.Errorf("%s: need two records to diff, have %d", fs.Arg(0), len(runs))
 		}
 		base, cur = runs[len(runs)-2], runs[len(runs)-1]
 	case 2:
-		b, _, err := obs.ReadRunSummaries(fs.Arg(0))
+		b, err := obs.ReadRunSummaries(fs.Arg(0))
 		if err != nil {
 			return err
 		}
-		c, _, err := obs.ReadRunSummaries(fs.Arg(1))
+		c, err := obs.ReadRunSummaries(fs.Arg(1))
 		if err != nil {
 			return err
-		}
-		if len(b) == 0 || len(c) == 0 {
-			return fmt.Errorf("diff: empty run file")
 		}
 		base, cur = b[len(b)-1], c[len(c)-1]
 	default:

@@ -74,17 +74,19 @@ func run() (err error) {
 	if err := pflags.CheckExclusive(sflags.Config()); err != nil {
 		return err
 	}
-	r := consim.NewRunner(consim.RunnerOptions{
+	opt := consim.RunnerOptions{
 		Scale:       *scale,
 		Seed:        *seed,
 		WarmupRefs:  *warm,
 		MeasureRefs: *meas,
 		Parallel:    *parallel,
 		Sample:      sflags.Config(),
-		Pdes:        pflags.Workers(),
-		PdesWindow:  pflags.Window(),
 		Obs:         o,
-	})
+	}
+	if err := pflags.ApplyRunner(&opt); err != nil {
+		return err
+	}
+	r := consim.NewRunner(opt)
 
 	// The whole batch goes through one deduplicated work queue: shared
 	// isolation baselines simulate once, and up to -parallel simulations

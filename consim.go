@@ -120,9 +120,9 @@ func (sf *SampleFlags) Config() SampleConfig {
 	}
 }
 
-// PdesFlags registers the split-transaction parallel engine's flag pair
-// on a CLI, so every command exposes the same two knobs with identical
-// help text.
+// PdesFlags registers the split-transaction parallel engine's flags on
+// a CLI, so every command exposes the same four knobs with identical
+// help text and the same refusal of inconsistent combinations.
 type PdesFlags struct {
 	workers       int
 	window        uint64
@@ -139,22 +139,9 @@ func (pf *PdesFlags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&pf.pipeline, "pdes-pipeline", false, PdesPipelineFlagUsage)
 }
 
-// Workers returns the -pdes value (0 when unset).
-func (pf *PdesFlags) Workers() int { return pf.workers }
-
-// Window returns the -pdes-window value as a cycle count.
-func (pf *PdesFlags) Window() sim.Cycle { return sim.Cycle(pf.window) }
-
-// ReplayWorkers returns the -pdes-replay-workers value (0 when unset).
-func (pf *PdesFlags) ReplayWorkers() int { return pf.replayWorkers }
-
-// Pipeline reports whether -pdes-pipeline was set.
-func (pf *PdesFlags) Pipeline() bool { return pf.pipeline }
-
-// Apply writes the flag set into cfg, returning an error when the
-// combination is inconsistent (companion knobs without -pdes, or
-// -pdes-pipeline without replay sharding).
-func (pf *PdesFlags) Apply(cfg *Config) error {
+// check rejects companion knobs without -pdes, and -pdes-pipeline
+// without replay sharding.
+func (pf *PdesFlags) check() error {
 	if pf.workers <= 1 {
 		switch {
 		case pf.window != 0:
@@ -169,6 +156,16 @@ func (pf *PdesFlags) Apply(cfg *Config) error {
 	if pf.pipeline && pf.replayWorkers < 2 {
 		return fmt.Errorf("-pdes-pipeline requires -pdes-replay-workers >= 2")
 	}
+	return nil
+}
+
+// Apply writes the flag set into cfg, returning an error when the
+// combination is inconsistent (see check). Without -pdes > 1 cfg is
+// left alone.
+func (pf *PdesFlags) Apply(cfg *Config) error {
+	if err := pf.check(); err != nil || pf.workers <= 1 {
+		return err
+	}
 	cfg.Pdes = pf.workers
 	cfg.PdesWindow = sim.Cycle(pf.window)
 	cfg.PdesReplayWorkers = pf.replayWorkers
@@ -176,19 +173,29 @@ func (pf *PdesFlags) Apply(cfg *Config) error {
 	return nil
 }
 
-// CheckExclusive rejects flag combinations that select two intra-run
-// engines at once. Every CLI calls it right after flag parsing so the
-// user sees one clear message instead of a per-config validation error
-// (or, under the runner's quiet compatibility filter, a silently
-// sequential run).
-func (pf *PdesFlags) CheckExclusive(sc SampleConfig) error {
-	if pf.workers <= 1 {
-		if pf.window != 0 {
-			return fmt.Errorf("-pdes-window requires -pdes > 1")
-		}
-		return nil
+// ApplyRunner is Apply for a runner-wide engine setting: the same four
+// values, under the same check, into opt.
+func (pf *PdesFlags) ApplyRunner(opt *RunnerOptions) error {
+	if err := pf.check(); err != nil || pf.workers <= 1 {
+		return err
 	}
-	if sc.Enabled() {
+	opt.Pdes = pf.workers
+	opt.PdesWindow = sim.Cycle(pf.window)
+	opt.PdesReplayWorkers = pf.replayWorkers
+	opt.PdesPipeline = pf.pipeline
+	return nil
+}
+
+// CheckExclusive rejects an inconsistent -pdes flag set (see check) and
+// flag combinations that select two intra-run engines at once. CLIs
+// call it right after flag parsing so the user sees one clear message
+// instead of a per-config validation error (or, under the runner's
+// quiet compatibility filter, a silently sequential run).
+func (pf *PdesFlags) CheckExclusive(sc SampleConfig) error {
+	if err := pf.check(); err != nil {
+		return err
+	}
+	if pf.workers > 1 && sc.Enabled() {
 		return fmt.Errorf("-pdes and -sample are mutually exclusive engines")
 	}
 	return nil
@@ -225,13 +232,6 @@ type (
 	RunnerOptions = harness.Options
 	// FigureTable is a rendered figure/table result.
 	FigureTable = harness.Table
-	// FigureComparison is one figure built detailed and sampled, with
-	// wall times and the worst per-cell deviation.
-	FigureComparison = harness.FigureComparison
-	// FFCost aggregates a sampled run set's phase cost split (detailed
-	// windows vs functional fast-forward); Ratio is the fast-forward cost
-	// per skipped reference relative to a detailed reference.
-	FFCost = harness.FFCost
 	// RunComparison is one configuration run detailed and sampled, with
 	// per-VM metric deviations against the CI-derived bound.
 	RunComparison = harness.RunComparison
@@ -351,14 +351,6 @@ func CompareSampledRun(cfg Config, sc SampleConfig) (RunComparison, error) {
 	return harness.CompareSampledRun(cfg, sc)
 }
 
-// CompareSampledFigures builds the given figures twice — one detailed
-// runner, one sampled — and returns per-figure comparisons plus the
-// declared error bound (2 x the worse of the CI target and the worst
-// achieved CI across the sampled runs).
-func CompareSampledFigures(opt RunnerOptions, sc SampleConfig, ids []string) ([]FigureComparison, float64, error) {
-	return harness.CompareSampledFigures(opt, sc, ids)
-}
-
 // DefaultPdesBound is the fixed error budget split-transaction parallel
 // runs are judged against (harness.DefaultPdesBound).
 const DefaultPdesBound = harness.DefaultPdesBound
@@ -369,13 +361,6 @@ const DefaultPdesBound = harness.DefaultPdesBound
 // against bound (<= 0 selects DefaultPdesBound).
 func CompareParallelRun(cfg Config, workers int, window sim.Cycle, bound float64) (RunComparison, error) {
 	return harness.CompareParallelRun(cfg, workers, window, bound)
-}
-
-// CompareParallelFigures builds the given figures twice — one
-// sequential runner, one under the parallel engine — and returns
-// per-figure comparisons plus the bound cells were judged against.
-func CompareParallelFigures(opt RunnerOptions, workers int, window sim.Cycle, bound float64, ids []string) ([]FigureComparison, float64, error) {
-	return harness.CompareParallelFigures(opt, workers, window, bound, ids)
 }
 
 // CompareShardedParallelRun executes cfg under the parallel engine with

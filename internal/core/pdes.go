@@ -33,8 +33,8 @@
 // perturbs the interleaving the way relaxed-synchronization simulators
 // (Graphite, Sniper, Pac-Sim — see PAPERS.md) accept and bound by
 // measurement. Accordingly -pdes results are gated the way sampling is:
-// harness.CompareParallelRun / CompareParallelFigures quantify the
-// per-VM deviation from the sequential engine, and runs are
+// harness.CompareParallelRun quantifies the per-VM deviation from the
+// sequential engine (TestPdesEquivalence gates it), and runs are
 // deterministic for a fixed (seed, Pdes, PdesWindow) — domains, their
 // event orders, the op-log merge and the barrier cadence are all
 // reproducible, with no wall-clock input to any simulated value.
@@ -60,9 +60,8 @@ import (
 
 // DefaultPdesWindow is the default width, in cycles, of one parallel
 // window. Windows far wider than the ~14-cycle true lookahead trade
-// cross-domain timeliness for barrier amortization; the bench sweep
-// (cmd/bench -pdessweep) records where the accuracy bound starts to
-// move.
+// cross-domain timeliness for barrier amortization; TestPdesEquivalence
+// holds this width to the accuracy bound.
 const DefaultPdesWindow = sim.Cycle(16384)
 
 // Event payload encoding: local core index << 1 | kind.

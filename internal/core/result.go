@@ -201,8 +201,8 @@ func ManifestFor(cfg Config, res Result, parallel int) obs.Manifest {
 // pilot window and fast-forward are in neither side). The ratio is
 // the sampling engine's Amdahl term — at a given window geometry the
 // end-to-end speedup is bounded by detailed + ratio*skipped — and the
-// bench gate tracks it like a throughput regression. Zero for detailed
-// runs and for sampled runs that never fast-forwarded.
+// benchmark's sampled workload reports it. Zero for detailed runs and
+// for sampled runs that never fast-forwarded.
 func (r Result) FFCostRatio() float64 {
 	s := r.Sample
 	if s.DetailedRefs == 0 || s.SkippedRefs == 0 ||

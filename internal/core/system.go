@@ -722,7 +722,7 @@ func (s *System) runSequential(target uint64) {
 // time-series rows with the phase; the returned closer ends both. A
 // trace no-op without hooks. The unobserved path must return the
 // static closer: a capturing closure here costs one heap allocation
-// per phase, which the bench allocs_per_ref gate counts.
+// per phase, which the benchmark's allocs_per_mref counts.
 func (s *System) phase(lane int, name string) func() {
 	prev := s.tsPhase
 	s.tsPhase = obs.TSPhaseOf(name)

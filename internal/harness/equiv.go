@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"consim/internal/core"
 	"consim/internal/sim"
@@ -14,10 +13,9 @@ import (
 // A sampled run estimates the same per-VM metrics a detailed run
 // measures exactly; the contract is that the estimate's error stays
 // within the confidence interval the sampling engine itself reports.
-// This file compares the two modes — per run (VM-level metrics) and per
-// figure (table cells) — and turns the comparison into the pass/fail
-// predicate the sample-accuracy CI job and cmd/bench -samplesweep gate
-// on.
+// This file compares the two modes per run (VM-level metrics) and turns
+// the comparison into the pass/fail predicate the sample-accuracy and
+// pdes-equivalence CI jobs gate on.
 
 // VMDelta is one VM's sampled-vs-detailed deviation on the two metrics
 // the sampling engine tracks for convergence.
@@ -129,74 +127,6 @@ func sampleBound(target, achieved float64) float64 {
 	return 2 * b
 }
 
-// FigureComparison is one figure run both ways.
-type FigureComparison struct {
-	ID string `json:"figure"`
-	// FullSeconds / SampledSeconds are wall-clock times for building the
-	// figure in each mode (including runs shared with earlier figures
-	// only on first execution — the runners memoize identically).
-	FullSeconds    float64 `json:"full_seconds"`
-	SampledSeconds float64 `json:"sampled_seconds"`
-	// MaxRelErr is the worst per-cell relative deviation, with small
-	// cells judged against a floor of 5% of the table's largest |cell|
-	// (a near-zero cell's relative error is noise, not signal).
-	MaxRelErr float64 `json:"max_rel_err"`
-	WorstCell string  `json:"worst_cell,omitempty"`
-	// FFCost / FFCostRatio describe the sampled build's phase split: wall
-	// and reference totals for detailed windows vs functional fast-forward
-	// over the figure's sampled runs, and the resulting per-reference cost
-	// ratio (Result.FFCostRatio aggregated over the figure; 0 when no run
-	// sampled). Only sampled comparisons populate them.
-	FFCost      *FFCost `json:"ff_cost,omitempty"`
-	FFCostRatio float64 `json:"ff_cost_ratio,omitempty"`
-}
-
-// Speedup returns the figure's wall-clock ratio.
-func (f FigureComparison) Speedup() float64 {
-	if f.SampledSeconds == 0 {
-		return 0
-	}
-	return f.FullSeconds / f.SampledSeconds
-}
-
-// cellFloorFrac scales a table's largest |cell| into the denominator
-// floor for per-cell relative errors.
-const cellFloorFrac = 0.05
-
-// CompareTables returns the worst per-cell relative deviation between a
-// detailed and a sampled rendering of the same figure, and the
-// row/column label of the worst cell. Shapes must match.
-func CompareTables(full, sampled *Table) (float64, string, error) {
-	if len(full.Rows) != len(sampled.Rows) || len(full.Columns) != len(sampled.Columns) {
-		return 0, "", fmt.Errorf("harness: table %s shape mismatch", full.ID)
-	}
-	floor := 0.0
-	for _, r := range full.Rows {
-		for _, v := range r.Values {
-			floor = math.Max(floor, math.Abs(v))
-		}
-	}
-	floor *= cellFloorFrac
-	worst, worstCell := 0.0, ""
-	for ri, fr := range full.Rows {
-		sr := sampled.Rows[ri]
-		if len(fr.Values) != len(sr.Values) {
-			return 0, "", fmt.Errorf("harness: table %s row %q width mismatch", full.ID, fr.Label)
-		}
-		for ci := range fr.Values {
-			den := math.Max(math.Abs(fr.Values[ci]), floor)
-			if den == 0 {
-				continue
-			}
-			if e := math.Abs(sr.Values[ci]-fr.Values[ci]) / den; e > worst {
-				worst = e
-				worstCell = fr.Label + "/" + full.Columns[ci]
-			}
-		}
-	}
-	return worst, worstCell, nil
-}
-
 // DefaultPdesBound is the error budget parallel (pdes) runs are judged
 // against when the caller does not supply one: the worst per-VM
 // relative deviation on the tracked metrics must stay below it. The
@@ -264,82 +194,4 @@ func CompareShardedParallelRun(cfg core.Config, workers, replayWorkers int, pipe
 func compareShardedTo(ser core.Result, serCfg core.Config, replayWorkers int, pipeline bool, bound float64) (RunComparison, error) {
 	serCfg.PdesReplayWorkers, serCfg.PdesPipeline = replayWorkers, pipeline
 	return compareTo(ser, serCfg, pdesBound(bound))
-}
-
-// CompareParallelFigures builds the given figures twice — one
-// sequential runner, one with the parallel engine — and reports
-// per-figure deviations, wall times and the bound cells are judged
-// against (<= 0 selects DefaultPdesBound). Cell deviations use the same
-// small-cell floor as the sampling comparison.
-func CompareParallelFigures(opt Options, workers int, window sim.Cycle, bound float64, ids []string) ([]FigureComparison, float64, error) {
-	seqOpt := opt
-	seqOpt.Pdes, seqOpt.PdesWindow = 0, 0
-	seqOpt.PdesReplayWorkers, seqOpt.PdesPipeline = 0, false
-	seqRun := NewRunner(seqOpt)
-	parOpt := opt
-	parOpt.Pdes, parOpt.PdesWindow = workers, window
-	parRun := NewRunner(parOpt)
-
-	out := make([]FigureComparison, 0, len(ids))
-	for _, id := range ids {
-		fc := FigureComparison{ID: id}
-		t0 := time.Now()
-		ft, err := seqRun.RunFigure(id)
-		if err != nil {
-			return nil, 0, err
-		}
-		t1 := time.Now()
-		pt, err := parRun.RunFigure(id)
-		if err != nil {
-			return nil, 0, err
-		}
-		fc.FullSeconds, fc.SampledSeconds = t1.Sub(t0).Seconds(), time.Since(t1).Seconds()
-		fc.MaxRelErr, fc.WorstCell, err = CompareTables(ft, pt)
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, fc)
-	}
-	return out, pdesBound(bound), nil
-}
-
-// CompareSampledFigures builds the given figures twice — one detailed
-// runner, one sampled — and reports per-figure deviations, wall times
-// and the declared bound. The two runners share nothing, so memoization
-// inside each mode mirrors a real figure-suite invocation.
-func CompareSampledFigures(opt Options, sc core.SampleConfig, ids []string) ([]FigureComparison, float64, error) {
-	fullRun := NewRunner(opt)
-	sampOpt := opt
-	sampOpt.Sample = sc
-	sampRun := NewRunner(sampOpt)
-
-	out := make([]FigureComparison, 0, len(ids))
-	for _, id := range ids {
-		fc := FigureComparison{ID: id}
-		t0 := time.Now()
-		ft, err := fullRun.RunFigure(id)
-		if err != nil {
-			return nil, 0, err
-		}
-		t1 := time.Now()
-		ffBase := sampRun.FFCostTotals()
-		st, err := sampRun.RunFigure(id)
-		if err != nil {
-			return nil, 0, err
-		}
-		fc.FullSeconds, fc.SampledSeconds = t1.Sub(t0).Seconds(), time.Since(t1).Seconds()
-		// The figure's own sampled runs are the aggregate's growth since
-		// the snapshot (memoized re-reads add nothing, matching wall time).
-		if ff := sampRun.FFCostTotals().sub(ffBase); ff.SkippedRefs > 0 {
-			fc.FFCost = &ff
-			fc.FFCostRatio = ff.Ratio()
-		}
-		fc.MaxRelErr, fc.WorstCell, err = CompareTables(ft, st)
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, fc)
-	}
-	bound := sampleBound(sc.CITarget, sampRun.WorstSampleRelCI())
-	return out, bound, nil
 }

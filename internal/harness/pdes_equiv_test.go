@@ -153,7 +153,7 @@ func TestShardedReplayEquivalence(t *testing.T) {
 }
 
 // TestCompareRunsDeriveTheirReference drives the exported comparisons
-// (the consim façade and cmd/bench call them; the equivalence tests above
+// (the consim façade re-exports them; the equivalence tests above
 // share one reference per seed through the unexported halves) on a short
 // run: each must build its own reference from a configuration that
 // already has the engine switched on.

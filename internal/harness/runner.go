@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -48,8 +47,8 @@ type Options struct {
 	// (core.Config.Pdes): 0/1 keep the sequential engine, N>1 partitions
 	// each run's active cores into up to N domains advancing in bounded
 	// windows. Unlike Parallel this changes the simulated stream —
-	// results are statistical estimates gated by CompareParallelRun /
-	// CompareParallelFigures, deterministic per (seed, Pdes, PdesWindow).
+	// results are statistical estimates gated by CompareParallelRun,
+	// deterministic per (seed, Pdes, PdesWindow).
 	// Configs that are incompatible (sampling, rebalancing, snapshots,
 	// trace sources) quietly run sequentially. Configs that already set
 	// their own Pdes keep it.
@@ -129,53 +128,6 @@ type Runner struct {
 	inflight map[runKey]*call
 
 	sims atomic.Uint64 // simulations actually executed (not deduplicated)
-
-	// worstRelCIBits holds the largest achieved relative CI over every
-	// sampled simulation this runner executed, as math.Float64bits (the
-	// value is non-negative, so bit order matches numeric order and a
-	// compare-and-swap max loop works on the raw bits). Zero when no
-	// sampled run executed.
-	worstRelCIBits atomic.Uint64
-
-	// ffMu guards ffCost, the phase wall/reference totals accumulated
-	// over every sampled simulation this runner executed (the
-	// fast-forward cost telemetry the sample sweeps record and gate).
-	ffMu   sync.Mutex
-	ffCost FFCost
-}
-
-// FFCost aggregates the sampled-phase cost split over a set of runs:
-// wall seconds and per-core reference counts for the detailed windows
-// and the functional fast-forward between them. Sums of per-run
-// core.PhaseProfile / SampleStats fields, so ratios computed from an
-// aggregate weight each run by its reference volume.
-type FFCost struct {
-	DetailedSeconds float64 `json:"detailed_seconds"`
-	FFSeconds       float64 `json:"ff_seconds"`
-	DetailedRefs    uint64  `json:"detailed_refs"`
-	SkippedRefs     uint64  `json:"skipped_refs"`
-}
-
-// Ratio returns fast-forward wall cost per skipped reference as a
-// fraction of detailed wall cost per measured reference (both in
-// per-core reference units, so the units cancel). 0 when either phase
-// is missing.
-func (c FFCost) Ratio() float64 {
-	if c.DetailedRefs == 0 || c.SkippedRefs == 0 || c.DetailedSeconds <= 0 || c.FFSeconds <= 0 {
-		return 0
-	}
-	return (c.FFSeconds / float64(c.SkippedRefs)) / (c.DetailedSeconds / float64(c.DetailedRefs))
-}
-
-// sub returns the aggregate accumulated strictly after base was
-// captured — the per-figure slice of a runner-wide total.
-func (c FFCost) sub(base FFCost) FFCost {
-	return FFCost{
-		DetailedSeconds: c.DetailedSeconds - base.DetailedSeconds,
-		FFSeconds:       c.FFSeconds - base.FFSeconds,
-		DetailedRefs:    c.DetailedRefs - base.DetailedRefs,
-		SkippedRefs:     c.SkippedRefs - base.SkippedRefs,
-	}
 }
 
 // NewRunner returns a Runner with the given options.
@@ -331,57 +283,7 @@ func (r *Runner) simulate(cfg core.Config) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	res, err := sys.Run()
-	if err == nil && res.Sample.Windows > 0 {
-		r.noteRelCI(res.Sample.AchievedRelCI)
-		r.noteFFCost(res)
-	}
-	return res, err
-}
-
-// noteFFCost folds one sampled run's phase split into the runner-wide
-// fast-forward cost aggregate.
-func (r *Runner) noteFFCost(res core.Result) {
-	r.ffMu.Lock()
-	r.ffCost.DetailedSeconds += res.Phase.SampleDetailedSeconds
-	r.ffCost.FFSeconds += res.Phase.SampleFFSeconds
-	r.ffCost.DetailedRefs += res.Sample.DetailedRefs
-	r.ffCost.SkippedRefs += res.Sample.SkippedRefs
-	r.ffMu.Unlock()
-}
-
-// FFCostTotals returns the phase wall/reference totals accumulated over
-// every sampled simulation this runner executed (zero value when none
-// ran sampled). FFCost.Ratio on the result is the runner-wide
-// fast-forward cost per skipped reference relative to a detailed
-// reference — the number ROADMAP item 2 tracks.
-func (r *Runner) FFCostTotals() FFCost {
-	r.ffMu.Lock()
-	defer r.ffMu.Unlock()
-	return r.ffCost
-}
-
-// noteRelCI folds one sampled run's achieved CI into the runner-wide
-// maximum (lock-free CAS max on the float's bits).
-func (r *Runner) noteRelCI(ci float64) {
-	if ci <= 0 || math.IsInf(ci, 1) || math.IsNaN(ci) {
-		return
-	}
-	bits := math.Float64bits(ci)
-	for {
-		old := r.worstRelCIBits.Load()
-		if old >= bits || r.worstRelCIBits.CompareAndSwap(old, bits) {
-			return
-		}
-	}
-}
-
-// WorstSampleRelCI returns the largest achieved relative 95% CI over
-// every sampled simulation this runner executed (0 when none ran
-// sampled). It is the honest error bound to quote for any figure built
-// from the runner's results.
-func (r *Runner) WorstSampleRelCI() float64 {
-	return math.Float64frombits(r.worstRelCIBits.Load())
+	return sys.Run()
 }
 
 // sampleCompatible reports whether a configuration may be sampled: the

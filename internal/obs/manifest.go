@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -189,7 +190,9 @@ func (w *ManifestWriter) Close() error {
 }
 
 // ReadManifests parses a JSONL sidecar back into records (reporting and
-// round-trip tests).
+// round-trip tests). Anything that is not a stream of JSON objects — a
+// truncated line, a JSON array such as the retired bench history — is
+// an error naming the file and the record it stopped at.
 func ReadManifests(path string) ([]Manifest, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -200,7 +203,7 @@ func ReadManifests(path string) ([]Manifest, error) {
 	for dec.More() {
 		var m Manifest
 		if err := dec.Decode(&m); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: manifest record %d: %w", path, len(out)+1, err)
 		}
 		out = append(out, m)
 	}

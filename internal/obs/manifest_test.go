@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -136,6 +137,10 @@ func TestReadManifestsBackwardCompat(t *testing.T) {
 // which Manifest or PhaseProfile declare any more.
 const removedEngineManifest = "testdata/manifest_v2_shards2.jsonl"
 
+// retiredBenchHistory is the frozen cmd/bench history: a JSON array of
+// objects that are not manifests, which no reader takes since PR 19.
+const retiredBenchHistory = "../../results/BENCH_consim.json"
+
 // TestReadManifestsRemovedEngineFields holds the reading side to its
 // contract for sidecars that outlive a field: the record reads, the
 // unknown fields are ignored, and report and diff treat the run as the
@@ -171,9 +176,9 @@ func TestReadManifestsRemovedEngineFields(t *testing.T) {
 	}
 
 	// obs diff: the file's last record against itself is no regression.
-	runs, kind, err := ReadRunSummaries(removedEngineManifest)
-	if err != nil || kind != "manifest" || len(runs) != 1 {
-		t.Fatalf("ReadRunSummaries: runs=%d kind=%q err=%v", len(runs), kind, err)
+	runs, err := ReadRunSummaries(removedEngineManifest)
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("ReadRunSummaries: runs=%d err=%v", len(runs), err)
 	}
 	var diff strings.Builder
 	if n := DiffSummaries(&diff, runs[0], runs[0], 0.05); n != 0 {
@@ -192,6 +197,17 @@ func FuzzReadManifests(f *testing.F) {
 	}
 	f.Add(old)
 	f.Add(old[:len(old)/2])
+	// The first record of the retired bench history: a JSON object that
+	// is no manifest (no label, no refs) and reads as an all-zero one.
+	hist, err := os.ReadFile(retiredBenchHistory)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var recs []json.RawMessage
+	if err := json.Unmarshal(hist, &recs); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(recs[0]))
 	f.Add([]byte(`{"version":2,"label":"pdes","refs":10,"wall_seconds":-1,"pdes_workers":2,"timeseries_run":1,` +
 		`"sample_windows":3,"sample_detailed_refs":5,"sample_skipped_refs":7,` +
 		`"phase":{"warmup_seconds":-0.5,"measure_seconds":1e308,"pdes_window_seconds":0,"pdes_replay_seconds":2,` +
@@ -212,9 +228,6 @@ func FuzzReadManifests(f *testing.F) {
 			s := SummarizeManifest(m)
 			DiffSummaries(io.Discard, s, s, 0.05)
 		}
-		// obs diff's loader sniffs the format first and may refuse what
-		// ReadManifests took (a lone bench record); either answer is fine.
-		ReadRunSummaries(path) //nolint:errcheck // only panics matter here
 	})
 }
 

@@ -3,7 +3,7 @@ package obs
 // PhaseProfile decomposes one run's simulation wall time by engine
 // phase. It is the per-run, machine-readable form of the Amdahl
 // analysis that previously lived only as a hand-computed note next to
-// BENCH_consim.json: the core engines time their phases during the run
+// a bench record: the core engines time their phases during the run
 // and Result/manifests carry the decomposition, so "where did the wall
 // time go" is answerable for any recorded run, not just a bench sweep.
 //

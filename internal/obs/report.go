@@ -1,11 +1,10 @@
 // Cross-run analysis: phase reports, run diffs and live metric polling.
 //
-// This file is the testable core of cmd/obs. It consumes the two
-// sidecar formats the toolchain already writes — run-manifest JSONL
-// (ManifestWriter) and the bench history array (cmd/bench's
-// BENCH_consim.json) — plus the -timeseries sidecar, and renders them
-// for humans: a per-run phase/Amdahl report, a two-run regression diff,
-// and a sorted table of a live -debug-addr endpoint's metrics.
+// This file is the testable core of cmd/obs. It consumes the sidecars
+// the toolchain writes — run-manifest JSONL (ManifestWriter) and the
+// -timeseries rows — and renders them for humans: a per-run
+// phase/Amdahl report, a two-run regression diff, and a sorted table of
+// a live -debug-addr endpoint's metrics.
 package obs
 
 import (
@@ -14,16 +13,14 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"os"
 	"sort"
-	"strings"
 	"time"
 )
 
 // ApplyFractionGate is the absolute apply-fraction growth (in fraction
 // points) past which a pdes run counts as regressed: the serial replay
 // share is deterministic per configuration, so five points of growth is
-// structural, not noise. Shared by `obs diff` and cmd/bench's gate.
+// structural, not noise.
 const ApplyFractionGate = 0.05
 
 // ---------------------------------------------------------------------
@@ -249,7 +246,7 @@ func writeSeriesSummary(w io.Writer, m Manifest, rows []TSRow) {
 // Diff
 
 // RunSummary is the engine-agnostic comparison surface `obs diff`
-// extracts from either sidecar format. Absent metrics are NaN so a diff
+// extracts from a manifest record. Absent metrics are NaN so a diff
 // only compares what both sides measured.
 type RunSummary struct {
 	Name string
@@ -257,15 +254,10 @@ type RunSummary struct {
 
 	WallSeconds   float64
 	RefsPerSec    float64
-	AllocsPerRef  float64 // bench history only
 	ApplyFraction float64 // pdes serial-replay share of wall
 	StallSeconds  float64 // pdes spine stall
 	SampleRelCI   float64 // sampled runs only
 	FFCostRatio   float64 // sampled runs only: ff cost per skipped ref vs detailed
-
-	// PdesApply maps worker count -> apply fraction for bench-history
-	// pdes sweeps; nil otherwise.
-	PdesApply map[int]float64
 }
 
 func absent() float64 { return math.NaN() }
@@ -278,7 +270,6 @@ func SummarizeManifest(m Manifest) RunSummary {
 		Time:          m.Time,
 		WallSeconds:   m.WallSeconds,
 		RefsPerSec:    absent(),
-		AllocsPerRef:  absent(),
 		ApplyFraction: absent(),
 		StallSeconds:  absent(),
 		SampleRelCI:   absent(),
@@ -307,129 +298,29 @@ func SummarizeManifest(m Manifest) RunSummary {
 	return s
 }
 
-// benchRecord decodes the fields of one cmd/bench history record that
-// diffing needs. It deliberately re-declares a subset of cmd/bench's
-// Report schema: the history file is the contract, not the struct.
-type benchRecord struct {
-	Time         string  `json:"time"`
-	GoVersion    string  `json:"go_version"`
-	RefsPerSec   float64 `json:"refs_per_sec"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	AllocsPerRef float64 `json:"allocs_per_ref"`
-	PdesSweep    *struct {
-		Points []struct {
-			Workers       int     `json:"workers"`
-			ApplyFraction float64 `json:"apply_fraction"`
-		} `json:"points"`
-	} `json:"pdes_sweep"`
-	SampleSweep *struct {
-		FFCostRatio float64 `json:"ff_cost_ratio"`
-	} `json:"sample_sweep"`
-}
-
-func summarizeBench(b benchRecord) RunSummary {
-	s := RunSummary{
-		Name:          "bench " + b.Time,
-		Time:          b.Time,
-		WallSeconds:   b.WallSeconds,
-		RefsPerSec:    b.RefsPerSec,
-		AllocsPerRef:  b.AllocsPerRef,
-		ApplyFraction: absent(),
-		StallSeconds:  absent(),
-		SampleRelCI:   absent(),
-		FFCostRatio:   absent(),
-	}
-	if b.SampleSweep != nil && b.SampleSweep.FFCostRatio > 0 {
-		s.FFCostRatio = b.SampleSweep.FFCostRatio
-	}
-	if b.PdesSweep != nil && len(b.PdesSweep.Points) > 0 {
-		s.PdesApply = make(map[int]float64, len(b.PdesSweep.Points))
-		for _, p := range b.PdesSweep.Points {
-			if p.ApplyFraction > 0 {
-				s.PdesApply[p.Workers] = p.ApplyFraction
-			}
-		}
-		// Headline apply fraction: the widest point, where the serial
-		// share matters most.
-		best := -1
-		for w := range s.PdesApply {
-			if w > best {
-				best = w
-			}
-		}
-		if best >= 0 {
-			s.ApplyFraction = s.PdesApply[best]
-		}
-	}
-	return s
-}
-
-// ReadRunSummaries loads every run in the file at path, auto-detecting
-// the format: a JSON array (or legacy single object) with refs_per_sec
-// is a cmd/bench history, anything else is manifest JSONL. The returned
-// kind is "bench" or "manifest".
-func ReadRunSummaries(path string) ([]RunSummary, string, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, "", err
-	}
-	trimmed := strings.TrimSpace(string(buf))
-	if trimmed == "" {
-		return nil, "", fmt.Errorf("%s: empty file", path)
-	}
-	if trimmed[0] == '[' {
-		var hist []benchRecord
-		if err := json.Unmarshal(buf, &hist); err != nil {
-			return nil, "", fmt.Errorf("%s: bench history: %w", path, err)
-		}
-		out := make([]RunSummary, len(hist))
-		for i, b := range hist {
-			out[i] = summarizeBench(b)
-		}
-		return out, "bench", nil
-	}
-	// Object stream: a bench record carries refs_per_sec and go_version
-	// but no label; a manifest always has a label.
-	var probe struct {
-		Label      string  `json:"label"`
-		RefsPerSec float64 `json:"refs_per_sec"`
-	}
-	if err := json.Unmarshal([]byte(firstJSONValue(trimmed)), &probe); err == nil &&
-		probe.Label == "" && probe.RefsPerSec > 0 {
-		var one benchRecord
-		if err := json.Unmarshal(buf, &one); err != nil {
-			return nil, "", fmt.Errorf("%s: bench report: %w", path, err)
-		}
-		return []RunSummary{summarizeBench(one)}, "bench", nil
-	}
+// ReadRunSummaries loads every run of the manifest JSONL file at path;
+// a file with no records is an error, since nothing can be diffed
+// against it.
+func ReadRunSummaries(path string) ([]RunSummary, error) {
 	ms, err := ReadManifests(path)
 	if err != nil {
-		return nil, "", err
+		return nil, err
+	}
+	if len(ms) == 0 {
+		return nil, fmt.Errorf("%s: no manifest records", path)
 	}
 	out := make([]RunSummary, len(ms))
 	for i, m := range ms {
 		out[i] = SummarizeManifest(m)
 	}
-	return out, "manifest", nil
-}
-
-// firstJSONValue returns the prefix of s holding its first top-level
-// JSON value (JSONL files hold several; Unmarshal wants exactly one).
-func firstJSONValue(s string) string {
-	dec := json.NewDecoder(strings.NewReader(s))
-	var raw json.RawMessage
-	if err := dec.Decode(&raw); err != nil {
-		return s
-	}
-	return string(raw)
+	return out, nil
 }
 
 // DiffSummaries renders a comparison of base (old) vs cur (new) and
 // returns the number of regressions beyond the thresholds: throughput
-// down by more than thresh (fractional, e.g. 0.05), allocations per
-// reference up at all, apply fraction up by more than
-// ApplyFractionGate points (headline and per bench-sweep worker
-// count).
+// down by more than thresh (fractional, e.g. 0.05), apply fraction up
+// by more than ApplyFractionGate points, ff cost ratio up by more than
+// FFCostGateFrac relative.
 func DiffSummaries(w io.Writer, base, cur RunSummary, thresh float64) int {
 	fmt.Fprintf(w, "base: %s (%s)\n cur: %s (%s)\n", base.Name, base.Time, cur.Name, cur.Time)
 	regressions := 0
@@ -451,10 +342,6 @@ func DiffSummaries(w io.Writer, base, cur RunSummary, thresh float64) int {
 		fmt.Fprintf(w, "  %-16s %10.0f -> %10.0f  (%+.1f%%)%s\n", "refs_per_sec", base.RefsPerSec, cur.RefsPerSec, 100*d,
 			flag(d < -thresh, fmt.Sprintf("throughput down %.1f%% (threshold %.0f%%)", -100*d, 100*thresh)))
 	}
-	if both(base.AllocsPerRef, cur.AllocsPerRef) {
-		fmt.Fprintf(w, "  %-16s %10.4g -> %10.4g%s\n", "allocs_per_ref", base.AllocsPerRef, cur.AllocsPerRef,
-			flag(cur.AllocsPerRef > base.AllocsPerRef, "allocs per ref grew (must only ever fall)"))
-	}
 	if both(base.ApplyFraction, cur.ApplyFraction) {
 		d := cur.ApplyFraction - base.ApplyFraction
 		fmt.Fprintf(w, "  %-16s %10.3f -> %10.3f  (%+.1f pts)%s\n", "apply_fraction", base.ApplyFraction, cur.ApplyFraction, 100*d,
@@ -471,77 +358,20 @@ func DiffSummaries(w io.Writer, base, cur RunSummary, thresh float64) int {
 		fmt.Fprintf(w, "  %-16s %10.3f -> %10.3f  (%+.1f%%)%s\n", "ff_cost_ratio", base.FFCostRatio, cur.FFCostRatio, 100*d,
 			flag(d > FFCostGateFrac, fmt.Sprintf("ff cost ratio up %.1f%% (gate %.0f%%)", 100*d, 100*FFCostGateFrac)))
 	}
-	if len(base.PdesApply) > 0 && len(cur.PdesApply) > 0 {
-		workers := make([]int, 0, len(base.PdesApply))
-		for n := range base.PdesApply {
-			if _, ok := cur.PdesApply[n]; ok {
-				workers = append(workers, n)
-			}
-		}
-		sort.Ints(workers)
-		for _, n := range workers {
-			b, c := base.PdesApply[n], cur.PdesApply[n]
-			d := c - b
-			fmt.Fprintf(w, "  pdes[w=%d] apply %8.3f -> %10.3f  (%+.1f pts)%s\n", n, b, c, 100*d,
-				flag(d > ApplyFractionGate, fmt.Sprintf("apply fraction up %.1f points at %d workers", 100*d, n)))
-		}
-	}
 	if regressions == 0 {
 		fmt.Fprintf(w, "  no regressions beyond thresholds\n")
 	}
 	return regressions
 }
 
-// FFCostGateFrac is the relative growth in the sample sweep's
-// fast-forward cost ratio that trips the regression gates: the ratio is
+// FFCostGateFrac is the relative growth in a sampled run's
+// fast-forward cost ratio that `obs diff` flags: the ratio is
 // a quotient of two wall-clock measurements, so it inherits both
 // phases' run-to-run noise; 20% relative keeps the gate quiet on a
 // loaded host while still catching a warming-walk deoptimization (the
 // walk's whole specialization margin over the generic path is of that
 // order).
 const FFCostGateFrac = 0.20
-
-// GateFFCost compares sample-sweep fast-forward cost ratios (cmd/bench's
-// regression gate): an error reports cur growing more than
-// FFCostGateFrac relative over base. A missing side (<= 0) gates
-// nothing — older histories predate the field.
-func GateFFCost(base, cur float64) error {
-	if base <= 0 || cur <= 0 {
-		return nil
-	}
-	if cur > base*(1+FFCostGateFrac) {
-		return fmt.Errorf("sample ff_cost_ratio regressed more than %.0f%%: %.3f vs baseline %.3f",
-			100*FFCostGateFrac, cur, base)
-	}
-	return nil
-}
-
-// GatePdesApply compares per-worker apply fractions (cmd/bench's
-// regression gate): an error names the first worker count whose serial
-// replay share grew more than ApplyFractionGate points over base. The
-// fraction fed in is PhaseProfile.ApplyFraction, which since the
-// bank-sharded replay counts only the serial residue (total replay
-// minus the parallel per-group pass) — a sweep run with replay workers
-// therefore gates the post-sharding serial term, and losing the
-// parallel pass shows up as the regression it is.
-func GatePdesApply(base, cur map[int]float64) error {
-	workers := make([]int, 0, len(cur))
-	for n := range cur {
-		workers = append(workers, n)
-	}
-	sort.Ints(workers)
-	for _, n := range workers {
-		b, ok := base[n]
-		if !ok || b <= 0 {
-			continue
-		}
-		if cur[n] > b+ApplyFractionGate {
-			return fmt.Errorf("pdes apply_fraction at %d workers regressed more than %.0f points: %.3f vs baseline %.3f",
-				n, 100*ApplyFractionGate, cur[n], b)
-		}
-	}
-	return nil
-}
 
 // ---------------------------------------------------------------------
 // Live polling (obs top)

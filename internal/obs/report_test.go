@@ -85,7 +85,7 @@ func TestSummarizeManifest(t *testing.T) {
 	if s.StallSeconds != 0.2 {
 		t.Errorf("StallSeconds = %v, want 0.2", s.StallSeconds)
 	}
-	if !math.IsNaN(s.AllocsPerRef) || !math.IsNaN(s.SampleRelCI) {
+	if !math.IsNaN(s.SampleRelCI) || !math.IsNaN(s.FFCostRatio) {
 		t.Errorf("absent metrics not NaN: %+v", s)
 	}
 
@@ -144,43 +144,6 @@ func TestDiffSummariesFlagsRegressions(t *testing.T) {
 	}
 }
 
-const benchHistoryJSON = `[
-  {"time":"2026-01-01T00:00:00Z","go_version":"go1.22","refs_per_sec":100000,
-   "wall_seconds":1.5,"allocs_per_ref":0.0001,
-   "pdes_sweep":{"points":[{"workers":1,"apply_fraction":0.30},{"workers":4,"apply_fraction":0.35}]}},
-  {"time":"2026-01-02T00:00:00Z","go_version":"go1.22","refs_per_sec":90000,
-   "wall_seconds":1.7,"allocs_per_ref":0.0001,
-   "pdes_sweep":{"points":[{"workers":1,"apply_fraction":0.31},{"workers":4,"apply_fraction":0.45}]}}
-]`
-
-func TestReadRunSummariesBenchHistory(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH.json")
-	if err := os.WriteFile(path, []byte(benchHistoryJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	runs, kind, err := ReadRunSummaries(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != "bench" || len(runs) != 2 {
-		t.Fatalf("kind=%q len=%d, want bench/2", kind, len(runs))
-	}
-	if runs[0].RefsPerSec != 100000 || runs[0].PdesApply[4] != 0.35 {
-		t.Fatalf("bench summary 0 = %+v", runs[0])
-	}
-	// Headline apply fraction comes from the widest sweep point.
-	if runs[1].ApplyFraction != 0.45 {
-		t.Fatalf("headline apply = %v, want 0.45", runs[1].ApplyFraction)
-	}
-
-	// Diffing the two history entries flags both the throughput drop
-	// and the 4-worker apply growth.
-	var b strings.Builder
-	if n := DiffSummaries(&b, runs[0], runs[1], 0.05); n != 3 {
-		t.Fatalf("found %d regressions, want 3:\n%s", n, b.String())
-	}
-}
-
 func TestReadRunSummariesManifestJSONL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.jsonl")
 	w, err := OpenManifest(path)
@@ -194,30 +157,15 @@ func TestReadRunSummariesManifestJSONL(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	runs, kind, err := ReadRunSummaries(path)
+	runs, err := ReadRunSummaries(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != "manifest" || len(runs) != 2 {
-		t.Fatalf("kind=%q len=%d, want manifest/2", kind, len(runs))
+	if len(runs) != 2 {
+		t.Fatalf("len=%d, want 2", len(runs))
 	}
 	if runs[1].Name != "shared/affinity" {
 		t.Fatalf("summary = %+v", runs[1])
-	}
-}
-
-func TestReadRunSummariesLegacySingleBenchObject(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH.json")
-	one := `{"time":"2026-01-01T00:00:00Z","go_version":"go1.22","refs_per_sec":5000,"wall_seconds":2}`
-	if err := os.WriteFile(path, []byte(one), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	runs, kind, err := ReadRunSummaries(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != "bench" || len(runs) != 1 || runs[0].RefsPerSec != 5000 {
-		t.Fatalf("kind=%q runs=%+v", kind, runs)
 	}
 }
 
@@ -225,50 +173,24 @@ func TestReadRunSummariesErrors(t *testing.T) {
 	dir := t.TempDir()
 	empty := filepath.Join(dir, "empty.json")
 	os.WriteFile(empty, []byte("  \n"), 0o644)
-	if _, _, err := ReadRunSummaries(empty); err == nil {
+	if _, err := ReadRunSummaries(empty); err == nil {
 		t.Error("empty file did not error")
 	}
 	bad := filepath.Join(dir, "bad.json")
-	os.WriteFile(bad, []byte(`[{"refs_per_sec":}]`), 0o644)
-	if _, _, err := ReadRunSummaries(bad); err == nil {
-		t.Error("malformed bench history did not error")
+	os.WriteFile(bad, []byte(`{"refs":}`), 0o644)
+	if _, err := ReadRunSummaries(bad); err == nil {
+		t.Error("malformed manifest did not error")
 	}
-	if _, _, err := ReadRunSummaries(filepath.Join(dir, "nope.json")); err == nil {
+	if _, err := ReadRunSummaries(filepath.Join(dir, "nope.json")); err == nil {
 		t.Error("missing file did not error")
 	}
-}
 
-func TestGatePdesApply(t *testing.T) {
-	base := map[int]float64{1: 0.30, 4: 0.35}
-	if err := GatePdesApply(base, map[int]float64{1: 0.31, 4: 0.38}); err != nil {
-		t.Errorf("within-gate growth failed: %v", err)
-	}
-	if err := GatePdesApply(base, map[int]float64{4: 0.42}); err == nil {
-		t.Error("7-point growth passed the 5-point gate")
-	}
-	// Worker counts absent from the baseline are not gated.
-	if err := GatePdesApply(base, map[int]float64{8: 0.9}); err != nil {
-		t.Errorf("ungated worker count failed: %v", err)
-	}
-}
-
-func TestGateFFCost(t *testing.T) {
-	if err := GateFFCost(0.75, 0.80); err != nil {
-		t.Errorf("within-gate growth failed: %v", err)
-	}
-	if err := GateFFCost(0.75, 0.95); err == nil {
-		t.Error("27%% relative growth passed the 20%% gate")
-	}
-	// A missing side gates nothing (histories predating the field).
-	if err := GateFFCost(0, 0.95); err != nil {
-		t.Errorf("missing baseline gated: %v", err)
-	}
-	if err := GateFFCost(0.75, 0); err != nil {
-		t.Errorf("missing current gated: %v", err)
-	}
-	// Improvement always passes.
-	if err := GateFFCost(0.75, 0.40); err != nil {
-		t.Errorf("improvement failed the gate: %v", err)
+	// The retired cmd/bench history is a JSON array, which no reader
+	// takes any more: the error has to say which file, not hand back
+	// records that diff as all-absent.
+	_, err := ReadRunSummaries(retiredBenchHistory)
+	if err == nil || !strings.Contains(err.Error(), retiredBenchHistory) {
+		t.Errorf("bench history array: err = %v, want one naming %s", err, retiredBenchHistory)
 	}
 }
 

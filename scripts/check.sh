@@ -2,7 +2,7 @@
 # Tier-1 gate: vet, build, race-enabled tests, and the allocation-budget
 # guards. Run from the repo root before sending a change.
 #
-#   scripts/check.sh           # short mode (~10 minutes on one core)
+#   scripts/check.sh           # short mode (~20 minutes on two cores)
 #   FULL=1 scripts/check.sh    # full test suite (tens of minutes)
 set -eu
 cd "$(dirname "$0")/.."
@@ -26,10 +26,12 @@ GOARCH=arm64 go build ./...
 GOARCH=riscv64 go build ./...
 
 echo "== go test -race =="
+# internal/core alone needs 13-17 minutes under -race -short on a
+# 2-vCPU host, over go test's 10-minute default.
 if [ "${FULL:-}" = "1" ]; then
-	go test -race ./...
+	go test -race -timeout 110m ./...
 else
-	go test -race -short ./...
+	go test -race -short -timeout 30m ./...
 fi
 
 echo "== allocation budgets =="
@@ -54,6 +56,10 @@ shards_out=$(go run ./cmd/consim -shards 2 2>&1) \
 	&& { echo "check.sh: consim accepted -shards" >&2; exit 1; }
 echo "$shards_out" | grep -q "flag provided but not defined: -shards" \
 	|| { echo "check.sh: consim -shards failed for another reason: $shards_out" >&2; exit 1; }
+# cmd/bench and its BENCH_consim.json gate were deleted in PR 19
+# (benchmark/ measures everything they did; EXPERIMENTS.md "One
+# benchmark harness"). A second harness must not come back.
+test ! -e cmd/bench || { echo "check.sh: cmd/bench exists again" >&2; exit 1; }
 
 echo "== sampled engine smoke =="
 # Interval sampling must engage (the provenance line appears), stay
@@ -136,11 +142,6 @@ echo "$obs_report" | grep -q "time series" \
 go run ./cmd/obs diff -threshold 0.5 "$obs_dir/m.jsonl" >/dev/null \
 	|| { echo "check.sh: obs diff flagged two identical runs" >&2; exit 1; }
 rm -rf "$obs_dir"
-
-echo "== bench regression gate =="
-# Throughput-only bench run compared against the committed baseline:
-# fails on a >10% refs/sec regression or any allocs/ref growth.
-go run ./cmd/bench -figures "" -iters 2 -out - -baseline BENCH_consim.json >/dev/null
 
 echo "== benchmark module smoke =="
 scripts/bench_smoke.sh
