@@ -124,6 +124,12 @@ func (c Config) Validate() error {
 // collide with a real tag.
 const invalidTag = ^uint32(0)
 
+// MaxLines is how many lines of physical address space a cache can tag:
+// line numbers 0 through MaxLines-1, the next being the empty-way
+// sentinel. vm.Layout keeps every VM region below it, so a configuration
+// can never reach blockOf's panic.
+const MaxLines = uint64(invalidTag)
+
 // Slot layout: the 32-bit line number (a quarter-terabyte of modeled
 // physical space) in the high word, the inserting VM and the coherence
 // state in the low word's two low bytes.
@@ -191,12 +197,9 @@ func New(cfg Config) *Cache {
 // allocations: one []Cache and one []uint64 holding every cache's ways
 // back to back. Each cache's slots are cut from the slab with a full-slice
 // expression, so no cache can reach a neighbour's ways. A simulated
-// machine builds its 16 L0s, 16 L1s and LLC banks this way, for every
-// run of a figure sweep; built one by one they were a quarter of a run's
-// allocations. It suits levels of small caches: the sixteen directory
-// caches stay separate objects, because their 4 MB of ways as a single
-// allocation raised the figure sweep's peak RSS by 7% (EXPERIMENTS.md,
-// "Functional warm-up for sampled runs").
+// machine builds its 16 L0s, 16 L1s, LLC banks and directory caches this
+// way, for every run of a figure sweep; built one by one they were a
+// quarter of a run's allocations.
 func NewN(n int, cfg Config) []*Cache {
 	nLines := cfg.lines()
 	level := make([]Cache, n)

@@ -413,7 +413,7 @@ func (d *Directory) StateDigest(h uint64) uint64 {
 
 // DirCacheConfig sizes the per-home-node directory caches.
 type DirCacheConfig struct {
-	Entries int // entries per home node
+	Entries int // entries per home node; a node reaches Assoc·max(1, sets>>k) of them (see DirCache)
 	Assoc   int
 }
 
@@ -421,46 +421,60 @@ type DirCacheConfig struct {
 // adds "to reduce the number of off-chip references": a hit means the
 // directory state was on chip, a miss costs a memory-latency fetch. Only
 // tags are modeled; authoritative state lives in Directory.
+//
+// Every call names home = Directory.Home(addr) for a directory of the
+// same node count, so node h only ever sees blocks ≡ h (mod nodes). Their
+// low k = TrailingZeros(nodes) bits are h's own, and a set index taken
+// from the raw block number could reach only the 1/2^k of the sets whose
+// low k bits match. Each node's cache is therefore built with sets>>k sets
+// (at least one) and indexed, and tagged, by the block number shifted
+// right by k: a bijection onto exactly those sets, so hits, misses and
+// LRU order are those of the full-size array. The configured Entries per
+// node thus hold Assoc·max(1, sets>>k) lines — 2048 of 32768 on the
+// paper's 16-node chip; see Config.DirCacheEntries in internal/core.
 type DirCache struct {
-	per []*cache.Cache
+	per   []*cache.Cache
+	shift uint // k: the home-node bits every block of one node shares
 
 	Hits   uint64
 	Misses uint64
 }
 
-// NewDirCache builds one tag cache per home node.
+// NewDirCache builds one tag cache per home node, all cut from one slab.
 func NewDirCache(nodes int, cfg DirCacheConfig) *DirCache {
-	if cfg.Entries <= 0 || cfg.Assoc <= 0 {
-		panic("coherence: invalid directory cache config")
+	geom := cache.Config{SizeBytes: cfg.Entries * sim.LineBytes, Assoc: cfg.Assoc}
+	if err := geom.Validate(); err != nil {
+		panic("coherence: invalid directory cache config: " + err.Error())
 	}
-	dc := &DirCache{per: make([]*cache.Cache, nodes)}
-	for i := range dc.per {
-		dc.per[i] = cache.New(cache.Config{
-			SizeBytes: cfg.Entries * sim.LineBytes,
-			Assoc:     cfg.Assoc,
-		})
-	}
-	return dc
+	k := uint(bits.TrailingZeros(uint(nodes)))
+	geom.SizeBytes = max(1, (cfg.Entries/cfg.Assoc)>>k) * cfg.Assoc * sim.LineBytes
+	return &DirCache{per: cache.NewN(nodes, geom), shift: k}
+}
+
+// key maps addr to the line its home node's cache stores: the block
+// number without the k bits the home node already fixes.
+func (dc *DirCache) key(addr sim.Addr) sim.Addr {
+	return sim.Addr(sim.BlockID(addr)>>dc.shift) << sim.LineShift
 }
 
 // Access touches the directory cache at home node for addr. It returns
 // true on a hit; on a miss the entry is installed (the fetch from memory
 // is the caller's latency to account).
 func (dc *DirCache) Access(home int, addr sim.Addr) bool {
-	c := dc.per[home]
-	if _, ok := c.Lookup(addr); ok {
+	c, a := dc.per[home], dc.key(addr)
+	if _, ok := c.Lookup(a); ok {
 		dc.Hits++
 		return true
 	}
 	dc.Misses++
-	c.Insert(addr, cache.Shared, 0)
+	c.Insert(a, cache.Shared, 0)
 	return false
 }
 
 // PrefetchSet starts the host load of home's tag-cache set for addr
 // ahead of a coming Access. It changes no state.
 func (dc *DirCache) PrefetchSet(home int, addr sim.Addr) {
-	dc.per[home].PrefetchSet(addr)
+	dc.per[home].PrefetchSet(dc.key(addr))
 }
 
 // Peek reports whether home's directory cache currently holds addr
@@ -468,7 +482,7 @@ func (dc *DirCache) PrefetchSet(home int, addr sim.Addr) {
 // read-only probe the parallel engine's in-window latency estimator uses
 // against the frozen shared tier.
 func (dc *DirCache) Peek(home int, addr sim.Addr) bool {
-	_, ok := dc.per[home].Probe(addr)
+	_, ok := dc.per[home].Probe(dc.key(addr))
 	return ok
 }
 

@@ -79,6 +79,42 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	}
 }
 
+// TestNewSystemHeapBudget bounds the bytes NewSystem allocates for the
+// default 16-core machine running the 4-VM mix — every cache array, the
+// directory table and caches, the generators' tables, the footprint
+// bitmaps. The figure sweep builds dozens of machines, and what a machine
+// holds is most of a short run's peak RSS. The count repeats to within a
+// few kilobytes per build; the budgets are the measured 3.02 MB (scale 16)
+// and 10.58 MB (scale 1) plus 10%. Giving each node back the directory
+// cache sets it cannot index (3.75 MB) breaks both.
+func TestNewSystemHeapBudget(t *testing.T) {
+	specs := workload.Specs()
+	for _, tc := range []struct {
+		scale  int
+		budget uint64
+	}{
+		{16, 3_330_000},
+		{1, 11_630_000},
+	} {
+		cfg := DefaultConfig(specs[workload.TPCW], specs[workload.SPECjbb],
+			specs[workload.TPCH], specs[workload.SPECweb])
+		cfg.Scale = tc.scale
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewSystem(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("scale %d: NewSystem allocated %d bytes in %d objects (budget %d)",
+			tc.scale, got, after.Mallocs-before.Mallocs, tc.budget)
+		if got > tc.budget {
+			t.Errorf("scale %d: NewSystem allocated %d bytes, over the %d budget", tc.scale, got, tc.budget)
+		}
+	}
+}
+
 // TestPdesShardedAllocBudget holds the pdes engine with bank-sharded
 // replay (and pipelining) to the same steady-state budget: the merged
 // op log, per-stream rank lists, deferred-effect logs and merge cursors

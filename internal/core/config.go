@@ -105,6 +105,13 @@ type Config struct {
 	Mem memctrl.Config
 
 	// DirCacheEntries sizes each home node's directory cache (entries).
+	// A node reaches only Entries>>k of them, k = TrailingZeros(Cores):
+	// lines are striped across home nodes by the block number's low bits
+	// and each cache picks its set from the same bits, so a node can
+	// index only the sets whose low k bits are its own (8·max(1, sets>>k)
+	// lines when there are fewer than 2^k sets). At 16 cores the default
+	// 32768 entries hold 2048 lines per node; every recorded result was
+	// produced at that effective capacity.
 	DirCacheEntries int
 
 	// PipeStages overrides the mesh router pipeline depth (default

@@ -5,8 +5,8 @@ import "consim/internal/workload"
 // Host memory-level parallelism for the reference walk.
 //
 // At paper scale the simulated machine's metadata — a 16 MB directory
-// table, 2 MB of LLC bank tags, 4 MB of directory-cache tags, the
-// footprint bitmaps — lives in host DRAM, and a private miss reaches it
+// table, 2 MB of LLC bank tags, the directory-cache tags, the footprint
+// bitmaps — lives in host DRAM, and a private miss reaches it
 // through a chain of dependent loads: the line's directory bucket, the
 // L1 victim's bucket, the bank victim's bucket, each address known only
 // after an unpredictable tag compare. The host's out-of-order window

@@ -223,18 +223,21 @@ func NewSystem(cfg Config) (*System, error) {
 
 	// Lay the VMs out in disjoint physical regions and place threads.
 	rootRNG := sim.NewRNG(cfg.Seed)
-	var base sim.Addr
-	vmThreads := make([]int, len(cfg.Workloads))
+	srcs := make([]workload.Source, len(cfg.Workloads))
 	for i, spec := range cfg.Workloads {
-		scaled := spec.Scaled(cfg.Scale)
-		var src workload.Source
 		if len(cfg.Sources) > 0 && cfg.Sources[i] != nil {
-			src = cfg.Sources[i]
+			srcs[i] = cfg.Sources[i]
 		} else {
-			src = workload.NewGenerator(scaled, cfg.ThreadsOf(i), rootRNG.Uint64()+uint64(i))
+			srcs[i] = workload.NewGenerator(spec.Scaled(cfg.Scale), cfg.ThreadsOf(i), rootRNG.Uint64()+uint64(i))
 		}
-		m := vm.New(i, src, base)
-		base = m.RegionEnd(1 << 20)
+	}
+	bases, err := vm.Layout(srcs, 1<<20)
+	if err != nil {
+		return nil, err
+	}
+	vmThreads := make([]int, len(cfg.Workloads))
+	for i, src := range srcs {
+		m := vm.New(i, src, bases[i])
 		s.vms = append(s.vms, m)
 		s.regions = append(s.regions, m.Gen.Spec().Regions(cfg.ThreadsOf(i)))
 		vmThreads[i] = cfg.ThreadsOf(i)

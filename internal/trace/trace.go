@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 
+	"consim/internal/cache"
 	"consim/internal/workload"
 )
 
@@ -31,10 +32,12 @@ type Header struct {
 	Records   uint64
 }
 
-// maxFootprintBlocks bounds a header's footprint: the caches pack line
-// numbers into 32 bits, so replaying a larger address space cannot work,
-// and a corrupt count would otherwise size the VM's footprint bitmap.
-const maxFootprintBlocks = 1 << 32
+// maxFootprintBlocks bounds a header's footprint: the caches tag line
+// numbers below cache.MaxLines (2^32−1), so replaying a larger address
+// space cannot work, and a corrupt count would otherwise size the VM's
+// footprint bitmap. Several VMs together can still pass it; NewSystem's
+// layout (vm.Layout) rejects those.
+const maxFootprintBlocks = cache.MaxLines
 
 // record is the 10-byte wire format: thread (1), flags (1), block (8).
 const recordBytes = 10

@@ -191,6 +191,8 @@ func TestHostileInputRejected(t *testing.T) {
 		{"block far outside", encodeTrace(t, good, rec(0, ^uint64(0)), rec(1, 7)), "record 0: block"},
 		{"zero footprint", encodeTrace(t, Header{Spec: spec, Threads: 2}, rec(0, 0), rec(1, 0)), "footprint"},
 		{"absurd footprint", encodeTrace(t, Header{Spec: spec, Threads: 1, Footprint: 1 << 40}, rec(0, 0)), "footprint"},
+		// Its last block would be the caches' empty-way tag.
+		{"2^32-block footprint", encodeTrace(t, Header{Spec: spec, Threads: 1, Footprint: 1 << 32}, rec(0, 1<<32-1)), "footprint of 4294967296 blocks"},
 		{"thread out of range", encodeTrace(t, good, rec(0, 1), rec(2, 1)), "record 1: thread 2"},
 		{"invalid spec", encodeTrace(t, Header{Threads: 1, Footprint: 10}, rec(0, 1)), "spec"},
 	} {
@@ -213,6 +215,13 @@ func TestHostileInputRejected(t *testing.T) {
 	}
 	if rd.Header().Records != 2 {
 		t.Errorf("Records = %d, want the 2 in the stream", rd.Header().Records)
+	}
+
+	// The largest footprint the caches can tag, with a record at its last
+	// block, is accepted.
+	widest := Header{Spec: spec, Threads: 1, Footprint: 1<<32 - 1}
+	if _, err := NewReader(bytes.NewReader(encodeTrace(t, widest, rec(0, 1<<32-2)))); err != nil {
+		t.Errorf("footprint of 2^32-1 blocks rejected: %v", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"consim/internal/cache"
 	"consim/internal/prefetch"
 	"consim/internal/sim"
 	"consim/internal/workload"
@@ -186,12 +187,24 @@ func (v *VM) MergeTouched(shadow []uint64) {
 // cumulative, matching the paper's whole-run block counts).
 func (v *VM) ResetStats() { v.Stats = Stats{} }
 
-// RegionEnd returns the first address past the VM's region, aligned up to
-// align bytes, for laying out the next VM.
-func (v *VM) RegionEnd(align sim.Addr) sim.Addr {
-	end := v.Base + sim.Addr(v.Gen.FootprintBlocks()*sim.LineBytes)
-	if r := end % align; r != 0 {
-		end += align - r
+// Layout places one region per source back to back from address 0, each
+// starting on an align-byte boundary (a multiple of the line size), and
+// returns the regions' bases. The caches tag only cache.MaxLines lines,
+// so a region reaching past the last of them is an error naming its VM —
+// returned before any VM sizes its footprint bitmap, however large the
+// footprints a source claims.
+func Layout(srcs []workload.Source, align sim.Addr) ([]sim.Addr, error) {
+	alignLines := uint64(align / sim.LineBytes)
+	bases := make([]sim.Addr, len(srcs))
+	var start uint64 // in lines
+	for i, src := range srcs {
+		fp := src.FootprintBlocks()
+		if fp > cache.MaxLines || start > cache.MaxLines-fp {
+			return nil, fmt.Errorf("vm: VM %d (%s) needs %d lines from line %d, past the %d lines the caches can tag",
+				i, src.Spec().Name, fp, start, cache.MaxLines)
+		}
+		bases[i] = sim.Addr(start * sim.LineBytes)
+		start = (start + fp + alignLines - 1) / alignLines * alignLines
 	}
-	return end
+	return bases, nil
 }

@@ -1,8 +1,10 @@
 package vm
 
 import (
+	"strings"
 	"testing"
 
+	"consim/internal/cache"
 	"consim/internal/sim"
 	"consim/internal/workload"
 )
@@ -76,14 +78,55 @@ func TestResetStatsKeepsFootprint(t *testing.T) {
 	}
 }
 
-func TestRegionEndAligned(t *testing.T) {
-	v := newVM(t, 0)
-	end := v.RegionEnd(1 << 20)
-	if end%(1<<20) != 0 {
-		t.Errorf("RegionEnd unaligned: %#x", end)
+// footprintOnly is a Source of which Layout reads the footprint alone.
+type footprintOnly struct {
+	workload.Source
+	blocks uint64
+}
+
+func (s footprintOnly) FootprintBlocks() uint64 { return s.blocks }
+func (s footprintOnly) Spec() workload.Spec     { return workload.Spec{Name: "synthetic"} }
+
+// TestLayout: regions start on the alignment after the previous one ends,
+// and fill the taggable address space exactly to cache.MaxLines lines —
+// one VM or several — but not one line past it.
+func TestLayout(t *testing.T) {
+	const align = 1 << 20
+	const alignLines = align / sim.LineBytes
+	gen := workload.NewGenerator(workload.Specs()[workload.TPCH].Scaled(64), 4, 1)
+	bases, err := Layout([]workload.Source{gen, gen}, align)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if end < v.AddrOf(v.Gen.FootprintBlocks()-1) {
-		t.Error("RegionEnd inside the region")
+	end := sim.Addr(gen.FootprintBlocks() * sim.LineBytes)
+	if bases[0] != 0 || bases[1]%align != 0 || bases[1] < end || bases[1]-end >= align {
+		t.Errorf("bases %#x for a region ending at %#x", bases, end)
+	}
+
+	fit := func(blocks ...uint64) error {
+		srcs := make([]workload.Source, len(blocks))
+		for i, b := range blocks {
+			srcs[i] = footprintOnly{blocks: b}
+		}
+		_, err := Layout(srcs, align)
+		return err
+	}
+	for _, tc := range []struct {
+		blocks []uint64
+		ok     bool
+		want   string
+	}{
+		{[]uint64{cache.MaxLines}, true, ""},
+		{[]uint64{cache.MaxLines + 1}, false, "VM 0 (synthetic) needs 4294967296 lines"},
+		{[]uint64{1, cache.MaxLines - alignLines}, true, ""},
+		{[]uint64{1, cache.MaxLines - alignLines + 1}, false, "VM 1 (synthetic)"},
+		{[]uint64{1 << 31, 1 << 31}, false, "VM 1 (synthetic)"},
+		{[]uint64{1, ^uint64(0)}, false, "VM 1 (synthetic)"},
+	} {
+		err := fit(tc.blocks...)
+		if tc.ok != (err == nil) || err != nil && !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("footprints %d: error %v, want ok=%v mentioning %q", tc.blocks, err, tc.ok, tc.want)
+		}
 	}
 }
 

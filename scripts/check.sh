@@ -42,6 +42,10 @@ echo "== allocation budgets =="
 go test -run 'TestSteadyStateAllocBudget' ./internal/core
 go test -run 'TestPdesShardedAllocBudget' ./internal/core
 go test -run 'TestDirectorySteadyStateAllocs' ./internal/coherence
+# Directory caches hold only the sets a home node can index: answers equal
+# to full-size per-node caches, and NewSystem under its byte budget.
+go test -run 'TestDirCacheMatchesPerNodeFullSets' ./internal/coherence
+go test -run 'TestNewSystemHeapBudget' ./internal/core
 
 echo "== golden fixtures =="
 # The -short race pass above skips them; every smoke below leans on the
