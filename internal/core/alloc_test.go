@@ -83,34 +83,42 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 // default 16-core machine running the 4-VM mix — every cache array, the
 // directory table and caches, the generators' tables, the footprint
 // bitmaps. The figure sweep builds dozens of machines, and what a machine
-// holds is most of a short run's peak RSS. The count repeats to within a
-// few kilobytes per build; the budgets are the measured 3.02 MB (scale 16)
-// and 10.58 MB (scale 1) plus 10%. Giving each node back the directory
-// cache sets it cannot index (3.75 MB) breaks both.
+// holds is most of a short run's peak RSS. Each scale is built twice. The
+// first build may be the process's first and pay for the Zipf alias
+// tables (0.34 MB at scale 16, 5.45 MB at scale 1, with their
+// construction scratch); its budgets are the measured 3.02 MB and
+// 10.58 MB plus 10%, and hold whichever tests ran before. The second
+// build shares the memoised tables, so its budgets are the table-free
+// 2.68 MB and 5.13 MB plus 10%: a memo that stops hitting fails them. The
+// count repeats to within a few kilobytes per build. Giving each node
+// back the directory cache sets it cannot index (3.75 MB) breaks all four.
 func TestNewSystemHeapBudget(t *testing.T) {
 	specs := workload.Specs()
 	for _, tc := range []struct {
-		scale  int
-		budget uint64
+		scale           int
+		first, repeated uint64
 	}{
-		{16, 3_330_000},
-		{1, 11_630_000},
+		{16, 3_330_000, 2_950_000},
+		{1, 11_630_000, 5_640_000},
 	} {
 		cfg := DefaultConfig(specs[workload.TPCW], specs[workload.SPECjbb],
 			specs[workload.TPCH], specs[workload.SPECweb])
 		cfg.Scale = tc.scale
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := NewSystem(cfg)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := after.TotalAlloc - before.TotalAlloc
-		t.Logf("scale %d: NewSystem allocated %d bytes in %d objects (budget %d)",
-			tc.scale, got, after.Mallocs-before.Mallocs, tc.budget)
-		if got > tc.budget {
-			t.Errorf("scale %d: NewSystem allocated %d bytes, over the %d budget", tc.scale, got, tc.budget)
+		for i, budget := range []uint64{tc.first, tc.repeated} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := NewSystem(cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := after.TotalAlloc - before.TotalAlloc
+			t.Logf("scale %d build %d: NewSystem allocated %d bytes in %d objects (budget %d)",
+				tc.scale, i+1, got, after.Mallocs-before.Mallocs, budget)
+			if got > budget {
+				t.Errorf("scale %d build %d: NewSystem allocated %d bytes, over the %d budget",
+					tc.scale, i+1, got, budget)
+			}
 		}
 	}
 }

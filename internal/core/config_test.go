@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -118,6 +119,22 @@ func TestNewSystemErrors(t *testing.T) {
 	c.GroupSize = 5
 	if _, err := NewSystem(c); err == nil {
 		t.Error("invalid group size accepted")
+	}
+	// A bad Zipf skew is an error naming the workload, not a uniform table
+	// (NaN) or a new memo entry on every build.
+	for _, th := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
+		for _, shared := range []bool{false, true} {
+			bad := spec
+			if shared {
+				bad.ThetaShared = th
+			} else {
+				bad.ThetaPriv = th
+			}
+			_, err := NewSystem(DefaultConfig(bad))
+			if err == nil || !strings.Contains(err.Error(), "TPC-H") {
+				t.Errorf("theta %v (shared %v): NewSystem error %v, want one naming TPC-H", th, shared, err)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // RNG is a small, fast, deterministic pseudo-random generator
@@ -87,9 +88,11 @@ func (r *RNG) Split() *RNG {
 // 1/(rank+1)^theta. The per-rank masses come from the inverse-CDF
 // power-law approximation (O(1), close enough to true Zipf for cache-reuse
 // modeling), but sampling uses a precomputed Vose alias table: one RNG
-// draw, one table probe, no math.Pow in the hot loop. Construction costs
-// O(n) pow calls; samplers are built once per generator over hot sets of
-// at most a few tens of thousands of ranks.
+// draw, one table probe, no math.Pow in the hot loop.
+//
+// A Zipf is immutable once built: Sample and N only read it, so one table
+// serves any number of generators and goroutines. NewZipf hands out one
+// shared table per (n, theta) for the life of the process.
 type Zipf struct {
 	n     uint64
 	slots []zipfSlot
@@ -107,7 +110,14 @@ type zipfSlot struct {
 // theta near 0 approaches uniform; larger theta concentrates mass on low
 // ranks. theta == 1 is remapped to 0.999 to keep the closed form valid.
 // n must fit in 32 bits (alias entries are packed); the simulator's hot
-// sets are orders of magnitude smaller.
+// sets are orders of magnitude smaller. theta must not be NaN.
+//
+// The sampler is shared: every call with the same n and (remapped) theta
+// returns the same table. The first call in a process pays the O(n) pow
+// calls; later ones are a map lookup. The memo holds every table the
+// process has asked for, which for the workload models is at most two per
+// workload class per (scale, thread layout) — 194 560 16-byte slots,
+// about 3.1 MB, for the four classes at paper scale.
 func NewZipf(n uint64, theta float64) *Zipf {
 	if n == 0 {
 		panic("sim: Zipf over empty range")
@@ -115,9 +125,49 @@ func NewZipf(n uint64, theta float64) *Zipf {
 	if n > math.MaxUint32 {
 		panic("sim: Zipf range exceeds 32-bit alias capacity")
 	}
+	if math.IsNaN(theta) {
+		// A NaN key never equals itself: every call would add an entry.
+		panic("sim: Zipf skew is NaN")
+	}
 	if theta == 1 {
 		theta = 0.999
 	}
+	k := zipfKey{n, theta}
+	zipfMemo.Lock()
+	z := zipfMemo.m[k]
+	zipfMemo.Unlock()
+	if z != nil {
+		return z
+	}
+	// Build outside the lock so first builds of different keys overlap;
+	// if two callers race on one key, the first to store wins.
+	z = buildZipf(n, theta)
+	zipfMemo.Lock()
+	defer zipfMemo.Unlock()
+	if prev := zipfMemo.m[k]; prev != nil {
+		return prev
+	}
+	zipfMemo.m[k] = z
+	return z
+}
+
+// zipfKey identifies a table: its range and its skew after the theta == 1
+// remap.
+type zipfKey struct {
+	n     uint64
+	theta float64
+}
+
+// zipfMemo is NewZipf's process-wide table cache. Entries are never
+// mutated or removed, so a returned table stays valid and unchanged.
+var zipfMemo = struct {
+	sync.Mutex
+	m map[zipfKey]*Zipf
+}{m: map[zipfKey]*Zipf{}}
+
+// buildZipf computes the alias table for (n, theta); NewZipf has checked
+// n and remapped theta.
+func buildZipf(n uint64, theta float64) *Zipf {
 	om := 1 - theta
 	// Per-rank masses of the inverse power-law CDF on [1, n+1): rank k
 	// captures u in [u_k, u_{k+1}) with u_k = ((k+1)^(1-t) - 1) / hiM1.

@@ -245,6 +245,15 @@ func TestZipfPanicsOnEmpty(t *testing.T) {
 	NewZipf(0, 0.5)
 }
 
+func TestZipfPanicsOnNaNSkew(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewZipf(n, NaN) did not panic")
+		}
+	}()
+	NewZipf(100, math.NaN())
+}
+
 func TestLineMath(t *testing.T) {
 	if LineAddr(0x1234) != 0x1200 {
 		t.Errorf("LineAddr(0x1234) = %#x", LineAddr(0x1234))

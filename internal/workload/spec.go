@@ -28,7 +28,10 @@
 // tolerance bands.
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Class identifies one of the paper's four commercial workloads.
 type Class int
@@ -249,6 +252,11 @@ func (s Spec) Validate() error {
 	}
 	if s.ScanReadsPerBlock <= 0 {
 		return fmt.Errorf("workload %s: non-positive scan reads per block", s.Name)
+	}
+	for _, th := range []float64{s.ThetaPriv, s.ThetaShared} {
+		if math.IsNaN(th) || math.IsInf(th, 0) || th < 0 {
+			return fmt.Errorf("workload %s: Zipf skew %v is not a finite non-negative number", s.Name, th)
+		}
 	}
 	for _, p := range s.Phases {
 		if err := p.Validate(); err != nil {

@@ -43,9 +43,12 @@ go test -run 'TestSteadyStateAllocBudget' ./internal/core
 go test -run 'TestPdesShardedAllocBudget' ./internal/core
 go test -run 'TestDirectorySteadyStateAllocs' ./internal/coherence
 # Directory caches hold only the sets a home node can index: answers equal
-# to full-size per-node caches, and NewSystem under its byte budget.
+# to full-size per-node caches, and NewSystem under its byte budget — a
+# repeated build under the table-free one, since Zipf alias tables are
+# built once per process and shared, across goroutines too.
 go test -run 'TestDirCacheMatchesPerNodeFullSets' ./internal/coherence
 go test -run 'TestNewSystemHeapBudget' ./internal/core
+go test -race -count=10 -run 'TestZipfMemo|TestZipfThetaOneSharesEntry' ./internal/sim
 
 echo "== golden fixtures =="
 # The -short race pass above skips them; every smoke below leans on the
