@@ -3,7 +3,7 @@ package consim_test
 // One benchmark per artifact of the paper's evaluation section (Table II
 // and Figures 2-13), each regenerating the artifact end-to-end at reduced
 // scale. `go test -bench=Fig -benchmem` exercises every experiment; the
-// full-scale numbers recorded in EXPERIMENTS.md come from cmd/tables.
+// full-scale numbers recorded in EXPERIMENTS.md come from consim tables.
 //
 // Scale 16 divides footprints and cache capacities together, preserving
 // the capacity ratios that drive the behaviour; the reference budgets are

@@ -1,296 +1,204 @@
-// Command consim runs one consolidation simulation from flags and prints
-// per-VM metrics. -group accepts a comma-separated list of group sizes;
-// with more than one, the sweep's simulations run concurrently (bounded
-// by -parallel) and the reports print in list order. -pdes runs one
-// simulation's active cores in parallel domains with windowed
-// cross-domain coherence: metrics become equivalence-gated estimates
-// (deterministic per seed), and no recorded run is faster than the
-// sequential engine (EXPERIMENTS.md, "Split-transaction parallel
-// engine").
+// Command consim is the simulator's one binary. Its simulating
+// subcommands share one run-flag set (budgets, seed, scale, -parallel,
+// the -sample and -pdes engines, the observability sinks), one
+// validation path (core.Config.Validate) and one batch pool (the harness
+// runner):
 //
-// Examples:
+//	consim [run] -mix 5 -group 1,4,16    one configuration, or a group sweep
+//	consim tables -exp T2,F8 -scale 16   Table II and Figures 2-13
+//	consim ablate|calibrate ...          ablation studies, Table II calibration
+//	consim trace|obs ...                 reference traces, run manifests
 //
-//	consim -mix 5 -group 4 -policy affinity
-//	consim -workloads TPC-H -group 1 -scale 4
-//	consim -workloads TPC-W,TPC-W,SPECjbb,SPECjbb -policy rr
-//	consim -mix 8 -group 1,4,16 -parallel 3
-//	consim -mix 5 -pdes 4
+// run is the default when the first argument is a flag. Flags and
+// operands may come in either order; -h prints a subcommand's flags.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
-	"strconv"
+	"sort"
 	"strings"
 
-	"consim"
 	"consim/internal/core"
+	"consim/internal/harness"
 	"consim/internal/obs"
 	"consim/internal/workload"
 )
 
+// stderr takes usage text, sink status notes and progress lines.
+var stderr io.Writer = os.Stderr
+
 func main() {
-	if err := run(); err != nil {
+	switch err := dispatch(os.Args[1:]); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2) // the flag set has printed the error and its usage
+	default:
 		fmt.Fprintln(os.Stderr, "consim:", err)
 		os.Exit(1)
 	}
 }
 
-// printPlacement draws the paper's Figure 1 view: the mesh grid with
-// each core labeled by the VM running on it, and LLC group boundaries
-// marked by the grouping of columns.
-func printPlacement(cfg consim.Config, asg [][]int) {
-	w := 1
-	for w*w < cfg.Cores {
-		w++
-	}
-	owner := make([]int, cfg.Cores)
-	for c := range owner {
-		owner[c] = -1
-	}
-	for v, cores := range asg {
-		for _, c := range cores {
-			owner[c] = v
-		}
-	}
-	fmt.Printf("\nplacement (rows = mesh; cores grouped %d per LLC):\n", cfg.GroupSize)
-	for c := 0; c < cfg.Cores; c++ {
-		if c%w == 0 {
-			fmt.Print("  ")
-		}
-		if owner[c] < 0 {
-			fmt.Print(" .. ")
-		} else {
-			fmt.Printf(" v%-2d", owner[c])
-		}
-		if c%cfg.GroupSize == cfg.GroupSize-1 {
-			fmt.Print("|")
-		}
-		if c%w == w-1 {
-			fmt.Println()
-		}
-	}
+// errUsage marks an argument error the flag set has already reported.
+var errUsage = errors.New("usage")
+
+var commands = map[string]func([]string) error{
+	"run":          simulating(parseRun),
+	"tables":       simulating(parseTables),
+	"ablate":       simulating(parseAblate),
+	"calibrate":    simulating(parseCalibrate),
+	"trace record": record,
+	"trace info":   info,
+	"trace replay": simulating(parseReplay),
+	"obs report":   report,
+	"obs diff":     diff,
+	"obs top":      top,
 }
 
-// printHeader announces one configuration's machine and placement.
-func printHeader(cfg consim.Config, specs []consim.WorkloadSpec, asg [][]int) {
-	fmt.Printf("machine: %d cores, %s LLC, %s scheduling, scale 1/%d\n",
-		cfg.Cores, cfg.SharingName(), cfg.Policy, cfg.Scale)
-	for v, cores := range asg {
-		fmt.Printf("  vm%d %-8s threads on cores %v\n", v, specs[v].Name, cores)
+// dispatch runs the (two-word) subcommand args start with; run when they
+// start with a flag or are empty.
+func dispatch(args []string) error {
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		args = append([]string{"run"}, args...)
 	}
-	printPlacement(cfg, asg)
+	if len(args) > 1 && commands[args[0]+" "+args[1]] != nil {
+		args = append([]string{args[0] + " " + args[1]}, args[2:]...)
+	}
+	if cmd := commands[args[0]]; cmd != nil {
+		return cmd(args[1:])
+	}
+	var names []string
+	for n := range commands {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return fmt.Errorf("%q is not a command (want %s)", args[0], strings.Join(names, ", "))
 }
 
-// printResult renders one run's per-VM metrics and system indicators.
-func printResult(res consim.Result, regions, snapshot bool) {
-	fmt.Printf("\nmeasurement window: %d cycles\n", res.Cycles)
-	if sa := res.Sample; sa.Windows > 0 {
-		fmt.Printf("%s — metrics are estimates\n", sa.Provenance())
+// newFlagSet returns the flag set of subcommand name, whose usage line
+// names its operands.
+func newFlagSet(name, operands string) *flag.FlagSet {
+	fs := flag.NewFlagSet("consim "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), strings.TrimSpace("usage: "+fs.Name()+" [flags] "+operands))
+		fs.PrintDefaults()
 	}
-	if ps := res.Pdes; ps.Workers > 1 {
-		replay := ""
-		if ps.ReplayWorkers > 1 {
-			replay = fmt.Sprintf(", sharded replay x%d", ps.ReplayWorkers)
-			if ps.Pipelined {
-				replay += " pipelined"
-			}
-		}
-		fmt.Printf("parallel: %d domains (of %d workers), %d windows of %d cycles, %d replayed ops%s — metrics are estimates\n",
-			ps.Domains, ps.Workers, ps.Windows, ps.Window, ps.Ops, replay)
-	}
-	fmt.Printf("%-4s %-8s %12s %10s %10s %8s %8s %8s %8s\n",
-		"vm", "workload", "refs", "cyc/tx", "missRate", "missLat", "c2c", "c2cDirty", "memReads")
-	for _, v := range res.VMs {
-		fmt.Printf("%-4d %-8s %12d %10.0f %10.4f %8.1f %8.3f %8.3f %8d\n",
-			v.VM, v.Name, v.Stats.Refs, v.CyclesPerTx, v.MissRate(),
-			v.AvgMissLatency(), v.Stats.C2CFraction(), v.Stats.C2CDirtyShare(), v.Stats.MemReads)
-	}
-	if regions {
-		fmt.Printf("\nLLC misses by footprint region:\n")
-		for _, v := range res.VMs {
-			fmt.Printf("  vm%d %-8s", v.VM, v.Name)
-			total := v.Stats.LLCMisses
-			for r, n := range v.Stats.RegionMisses {
-				frac := 0.0
-				if total > 0 {
-					frac = float64(n) / float64(total)
-				}
-				fmt.Printf(" %s=%.2f", workload.RegionName(workload.Region(r)), frac)
-			}
-			fmt.Println()
-		}
-	}
-
-	fmt.Printf("\ninterconnect: %.2f mean hops, %.2f mean link-wait cycles\n", res.NetAvgHops, res.NetAvgWait)
-	fmt.Printf("memory: %.2f mean controller-queue cycles; directory cache hit rate %.3f\n",
-		res.MemAvgWait, res.DirCacheHitRate)
-
-	if snapshot {
-		s := res.Snapshot
-		fmt.Printf("\nsnapshot @%d: %d resident lines, %.1f%% replicated\n",
-			s.At, s.ResidentLines, 100*s.ReplicationFraction())
-		for g := range s.Occupancy {
-			fmt.Printf("  bank %d:", g)
-			for v := range res.VMs {
-				fmt.Printf(" vm%d=%5.1f%%", v, 100*s.OccupancyShare(g, v))
-			}
-			fmt.Println()
-		}
-	}
+	return fs
 }
 
-// parseGroups parses the -group flag's comma-separated size list.
-func parseGroups(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad -group entry %q", part)
+// parse parses args into fs with flags and operands in any order, and
+// returns the operands, of which there must be min to max.
+func parse(fs *flag.FlagSet, args []string, min, max int) ([]string, error) {
+	var ops []string
+	for len(args) > 0 {
+		if err := fs.Parse(args); err != nil {
+			if err != flag.ErrHelp {
+				err = fmt.Errorf("%w: %v", errUsage, err)
+			}
+			return nil, err
 		}
-		out = append(out, n)
+		if args = fs.Args(); len(args) > 0 {
+			ops, args = append(ops, args[0]), args[1:]
+		}
 	}
-	return out, nil
+	if len(ops) < min || len(ops) > max {
+		fs.Usage()
+		return nil, fmt.Errorf("%w: %s: %d operands", errUsage, fs.Name(), len(ops))
+	}
+	return ops, nil
 }
 
-func run() (err error) {
-	var (
-		mixID     = flag.String("mix", "", "Table IV mix to run (1-9, A-D); overrides -workloads")
-		workloads = flag.String("workloads", "TPC-H", "comma-separated workload names (one VM each)")
-		group     = flag.String("group", "4", "cores per LLC group (1=private, 2/4/8, 16=fully shared); a comma-separated list sweeps")
-		policy    = flag.String("policy", "affinity", "scheduling policy: rr, affinity, aff-rr, random")
-		scale     = flag.Int("scale", 1, "divide cache capacities and footprints (1 = paper scale)")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		warm      = flag.Uint64("warm", 600_000, "warm-up references per core")
-		meas      = flag.Uint64("meas", 1_000_000, "measured references per core")
-		snapshot  = flag.Bool("snapshot", false, "print the replication/occupancy snapshot")
-		asJSON    = flag.Bool("json", false, "emit the full result as JSON (an array when sweeping groups)")
-		regions   = flag.Bool("regions", false, "break each VM's LLC misses down by footprint region")
-		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), consim.ParallelFlagUsage)
-	)
-	var sflags consim.SampleFlags
-	sflags.Register(flag.CommandLine)
-	var pflags consim.PdesFlags
-	pflags.Register(flag.CommandLine)
-	var ocli obs.CLI
-	ocli.Register(flag.CommandLine)
-	flag.Parse()
+// runFlags is the flag set every simulating subcommand shares, parsed
+// into the runner options each of them executes under.
+type runFlags struct {
+	fs    *flag.FlagSet
+	opt   harness.Options
+	sinks obs.CLI
+}
 
-	o, ostop, oerr := ocli.Start(os.Stderr)
-	if oerr != nil {
-		return oerr
+// newRunFlags registers the shared set with the subcommand's budget
+// defaults. scale == 0 leaves out -scale and -parallel (trace replay: the
+// trace fixes the footprint, and it is one run).
+func newRunFlags(name, operands string, scale int, warm, meas uint64) *runFlags {
+	f := &runFlags{fs: newFlagSet(name, operands), opt: harness.Options{Scale: 1, Parallel: 1}}
+	fs, o, s := f.fs, &f.opt, &f.opt.Sample
+	if scale > 0 {
+		fs.IntVar(&o.Scale, "scale", scale, "divide cache capacities and footprints (1 = paper scale)")
+		fs.IntVar(&o.Parallel, "parallel", runtime.GOMAXPROCS(0), "independent simulations to keep in flight at once (across-run parallelism; never changes results)")
 	}
-	defer func() {
-		if cerr := ostop(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
+	fs.Uint64Var(&o.Seed, "seed", 1, "random seed")
+	fs.Uint64Var(&o.WarmupRefs, "warm", warm, "warm-up references per core")
+	fs.Uint64Var(&o.MeasureRefs, "meas", meas, "measured references per core")
+	fs.Uint64Var(&s.WindowRefs, "sample", 0, "detailed-window length in per-core references; >0 enables interval-sampled simulation (approximate: metrics become CI-bounded estimates)")
+	fs.IntVar(&s.FFRatio, "sample-ratio", 0, "fast-forward length between windows as a multiple of -sample (default 4)")
+	fs.Float64Var(&s.CITarget, "sample-ci", 0, "stop once every per-VM metric's relative 95% CI half-width reaches this (default 0.05)")
+	fs.IntVar(&s.MinWindows, "sample-min-windows", 0, "fewest windows convergence may stop at (default 4)")
+	fs.Uint64Var(&s.MaxRefs, "sample-max-refs", 0, "per-core detailed-reference budget; stop when reached even unconverged (default: the measurement budget)")
+	fs.IntVar(&o.Pdes, "pdes", 0, "split-transaction parallel engine domains inside each simulation: 0/1 = sequential engine, N>1 partitions active cores into N windowed domains (approximate: deviations gated by the equivalence harness)")
+	fs.Uint64Var((*uint64)(&o.PdesWindow), "pdes-window", 0, "parallel engine window width in cycles (default 16384; requires -pdes > 1); wider windows amortize barriers at the price of staler cross-domain coherence")
+	fs.IntVar(&o.PdesReplayWorkers, "pdes-replay-workers", 0, "parallel workers for the barrier replay (requires -pdes > 1): 0/1 = serial replay, N>1 shards the op log by LLC bank group; results are bit-identical at any value")
+	fs.BoolVar(&o.PdesPipeline, "pdes-pipeline", false, "overlap each window's cross-group replay merge with the next window (requires -pdes-replay-workers >= 2); approximate: replicas resync one window late, gated by the equivalence harness")
+	f.sinks.Register(fs)
+	return f
+}
 
-	var specs []consim.WorkloadSpec
-	if *mixID != "" {
-		mix, err := consim.MixByID(*mixID)
+// withEngine returns cfg under the engine the flags select.
+func (f *runFlags) withEngine(cfg core.Config) core.Config {
+	o := &f.opt
+	cfg.Sample = o.Sample
+	cfg.Pdes, cfg.PdesWindow, cfg.PdesReplayWorkers, cfg.PdesPipeline = o.Pdes, o.PdesWindow, o.PdesReplayWorkers, o.PdesPipeline
+	return cfg
+}
+
+// config returns the paper's machine around specs with the flags applied.
+func (f *runFlags) config(specs ...workload.Spec) core.Config {
+	cfg := f.withEngine(core.DefaultConfig(specs...))
+	cfg.Scale, cfg.Seed, cfg.WarmupRefs, cfg.MeasureRefs = f.opt.Scale, f.opt.Seed, f.opt.WarmupRefs, f.opt.MeasureRefs
+	return cfg
+}
+
+// A job is a simulating subcommand after parsing: its flags, the
+// configurations it runs itself (none for tables and ablate, whose
+// figures derive theirs) and the step that simulates and prints.
+type job struct {
+	*runFlags
+	cfgs []core.Config
+	exec func(*harness.Runner, []core.Config) error
+}
+
+// job validates the flags' engine, then every configuration, so each
+// subcommand refuses a command line with core.Config.Validate's message
+// before any sink starts.
+func (f *runFlags) job(cfgs []core.Config, exec func(*harness.Runner, []core.Config) error) (*job, error) {
+	probe := f.withEngine(core.DefaultConfig(workload.Specs()[workload.TPCH]))
+	for _, cfg := range append([]core.Config{probe}, cfgs...) {
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	return &job{f, cfgs, exec}, nil
+}
+
+// simulating makes a command of a simulating subcommand's parser: parse,
+// start the sinks, execute on one runner, and stop the sinks, where a
+// sink that fails to flush fails the command.
+func simulating(parse func([]string) (*job, error)) func([]string) error {
+	return func(args []string) (err error) {
+		j, err := parse(args)
 		if err != nil {
 			return err
 		}
-		all := consim.WorkloadSpecs()
-		for _, c := range mix.Classes {
-			specs = append(specs, all[c])
-		}
-		fmt.Printf("running %s (%s)\n", mix.ID, mix.Name())
-	} else {
-		for _, name := range strings.Split(*workloads, ",") {
-			spec, err := consim.WorkloadByName(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			specs = append(specs, spec)
-		}
-	}
-	pol, err := consim.PolicyByName(*policy)
-	if err != nil {
-		return err
-	}
-	groups, err := parseGroups(*group)
-	if err != nil {
-		return err
-	}
-
-	cfgs := make([]consim.Config, len(groups))
-	for i, gs := range groups {
-		cfg := consim.DefaultConfig(specs...)
-		cfg.GroupSize = gs
-		cfg.Policy = pol
-		cfg.Scale = *scale
-		cfg.Seed = *seed
-		cfg.WarmupRefs = *warm
-		cfg.MeasureRefs = *meas
-		cfg.Sample = sflags.Config()
-		if err := pflags.Apply(&cfg); err != nil {
-			return err
-		}
-		cfgs[i] = cfg
-	}
-
-	if len(groups) == 1 {
-		// Single configuration: report the machine before the (possibly
-		// long) run starts.
-		cfgs[0].Obs = o.Hooks()
-		sys, err := consim.NewSystem(cfgs[0])
+		o, stop, err := j.sinks.Start(stderr)
 		if err != nil {
 			return err
 		}
-		printHeader(cfgs[0], specs, sys.Assignment())
-		res, err := sys.Run()
-		if err != nil {
-			return err
-		}
-		if o != nil && o.Man != nil {
-			if err := o.Man.Write(core.ManifestFor(cfgs[0], res, 1)); err != nil {
-				return err
-			}
-		}
-		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(res)
-		}
-		printResult(res, *regions, *snapshot)
-		return nil
+		defer func() { err = errors.Join(err, stop()) }()
+		j.opt.Obs = o
+		return j.exec(harness.NewRunner(j.opt), j.cfgs)
 	}
-
-	// Group sweep: simulate every size concurrently, print in order.
-	for i := range cfgs {
-		cfgs[i].Obs = o.Hooks()
-	}
-	results, err := consim.RunConfigs(cfgs, *parallel)
-	if err != nil {
-		return err
-	}
-	if o != nil && o.Man != nil {
-		for i := range cfgs {
-			if err := o.Man.Write(core.ManifestFor(cfgs[i], results[i], *parallel)); err != nil {
-				return err
-			}
-		}
-	}
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(results)
-	}
-	for i, res := range results {
-		if i > 0 {
-			fmt.Printf("\n%s\n\n", strings.Repeat("=", 72))
-		}
-		sys, err := consim.NewSystem(cfgs[i])
-		if err != nil {
-			return err
-		}
-		printHeader(cfgs[i], specs, sys.Assignment())
-		printResult(res, *regions, *snapshot)
-	}
-	return nil
 }

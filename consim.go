@@ -20,15 +20,10 @@
 //	res, err := consim.Run(cfg)
 //
 // The harness sub-API (Mixes, NewRunner, figure runners) regenerates
-// every table and figure of the paper's evaluation; see cmd/tables.
+// every table and figure of the paper's evaluation; see `consim tables`.
 package consim
 
 import (
-	"flag"
-	"fmt"
-	"runtime"
-	"sync"
-
 	"consim/internal/core"
 	"consim/internal/harness"
 	"consim/internal/sched"
@@ -62,144 +57,6 @@ type (
 	// (Result.Pdes); all-zero for sequential runs.
 	PdesStats = core.PdesStats
 )
-
-// Canonical CLI help strings for the speed knobs, shared by every
-// command so the flags read identically across the toolset. -parallel
-// spreads independent simulations across CPUs and never changes
-// results. -sample and -pdes trade exactness for speed: -sample
-// estimates metrics from detailed windows separated by functional
-// fast-forward (achieved confidence interval recorded in manifests),
-// -pdes runs active cores in parallel domains with windowed cross-domain
-// coherence (deviations gated by the equivalence harness, deterministic
-// per seed).
-const (
-	ParallelFlagUsage   = "independent simulations to keep in flight at once (across-run parallelism; never changes results)"
-	SampleFlagUsage     = "detailed-window length in per-core references; >0 enables interval-sampled simulation (approximate: metrics become CI-bounded estimates)"
-	PdesFlagUsage       = "split-transaction parallel engine domains inside each simulation: 0/1 = sequential engine, N>1 partitions active cores into N windowed domains (approximate: deviations gated by the equivalence harness)"
-	PdesWindowFlagUsage = "parallel engine window width in cycles (default 16384); wider windows amortize barriers at the price of staler cross-domain coherence"
-	// The sharded-replay pair rides on -pdes: replay sharding alone is a
-	// pure execution-strategy change (bit-identical results), pipelining
-	// trades one window of replica staleness for overlap and is gated
-	// like -pdes itself.
-	PdesReplayWorkersFlagUsage = "parallel workers for the barrier replay (requires -pdes > 1): 0/1 = serial replay, N>1 shards the op log by LLC bank group; results are bit-identical at any value"
-	PdesPipelineFlagUsage      = "overlap each window's cross-group replay merge with the next window (requires -pdes-replay-workers >= 2); approximate: replicas resync one window late, gated by the equivalence harness"
-)
-
-// SampleFlags registers the interval-sampling flag set on a CLI and
-// assembles the resulting SampleConfig, so every command exposes the
-// same five knobs with identical help text.
-type SampleFlags struct {
-	window     uint64
-	ratio      int
-	ciTarget   float64
-	minWindows int
-	maxRefs    uint64
-}
-
-// Register installs -sample and its companion knobs on fs.
-func (sf *SampleFlags) Register(fs *flag.FlagSet) {
-	fs.Uint64Var(&sf.window, "sample", 0, SampleFlagUsage)
-	fs.IntVar(&sf.ratio, "sample-ratio", 0, "fast-forward length between windows as a multiple of -sample (default 4)")
-	fs.Float64Var(&sf.ciTarget, "sample-ci", 0, "stop once every per-VM metric's relative 95% CI half-width reaches this (default 0.05)")
-	fs.IntVar(&sf.minWindows, "sample-min-windows", 0, "fewest windows convergence may stop at (default 4)")
-	fs.Uint64Var(&sf.maxRefs, "sample-max-refs", 0, "per-core detailed-reference budget; stop when reached even unconverged (default: the measurement budget)")
-}
-
-// Config returns the assembled SampleConfig (zero value when -sample
-// was not set; unset companions fall to the engine defaults).
-func (sf *SampleFlags) Config() SampleConfig {
-	if sf.window == 0 {
-		return SampleConfig{}
-	}
-	return SampleConfig{
-		WindowRefs: sf.window,
-		FFRatio:    sf.ratio,
-		CITarget:   sf.ciTarget,
-		MinWindows: sf.minWindows,
-		MaxRefs:    sf.maxRefs,
-	}
-}
-
-// PdesFlags registers the split-transaction parallel engine's flags on
-// a CLI, so every command exposes the same four knobs with identical
-// help text and the same refusal of inconsistent combinations.
-type PdesFlags struct {
-	workers       int
-	window        uint64
-	replayWorkers int
-	pipeline      bool
-}
-
-// Register installs -pdes, -pdes-window, -pdes-replay-workers and
-// -pdes-pipeline on fs.
-func (pf *PdesFlags) Register(fs *flag.FlagSet) {
-	fs.IntVar(&pf.workers, "pdes", 0, PdesFlagUsage)
-	fs.Uint64Var(&pf.window, "pdes-window", 0, PdesWindowFlagUsage)
-	fs.IntVar(&pf.replayWorkers, "pdes-replay-workers", 0, PdesReplayWorkersFlagUsage)
-	fs.BoolVar(&pf.pipeline, "pdes-pipeline", false, PdesPipelineFlagUsage)
-}
-
-// check rejects companion knobs without -pdes, and -pdes-pipeline
-// without replay sharding.
-func (pf *PdesFlags) check() error {
-	if pf.workers <= 1 {
-		switch {
-		case pf.window != 0:
-			return fmt.Errorf("-pdes-window requires -pdes > 1")
-		case pf.replayWorkers > 1:
-			return fmt.Errorf("-pdes-replay-workers requires -pdes > 1")
-		case pf.pipeline:
-			return fmt.Errorf("-pdes-pipeline requires -pdes > 1")
-		}
-		return nil
-	}
-	if pf.pipeline && pf.replayWorkers < 2 {
-		return fmt.Errorf("-pdes-pipeline requires -pdes-replay-workers >= 2")
-	}
-	return nil
-}
-
-// Apply writes the flag set into cfg, returning an error when the
-// combination is inconsistent (see check). Without -pdes > 1 cfg is
-// left alone.
-func (pf *PdesFlags) Apply(cfg *Config) error {
-	if err := pf.check(); err != nil || pf.workers <= 1 {
-		return err
-	}
-	cfg.Pdes = pf.workers
-	cfg.PdesWindow = sim.Cycle(pf.window)
-	cfg.PdesReplayWorkers = pf.replayWorkers
-	cfg.PdesPipeline = pf.pipeline
-	return nil
-}
-
-// ApplyRunner is Apply for a runner-wide engine setting: the same four
-// values, under the same check, into opt.
-func (pf *PdesFlags) ApplyRunner(opt *RunnerOptions) error {
-	if err := pf.check(); err != nil || pf.workers <= 1 {
-		return err
-	}
-	opt.Pdes = pf.workers
-	opt.PdesWindow = sim.Cycle(pf.window)
-	opt.PdesReplayWorkers = pf.replayWorkers
-	opt.PdesPipeline = pf.pipeline
-	return nil
-}
-
-// CheckExclusive rejects an inconsistent -pdes flag set (see check) and
-// flag combinations that select two intra-run engines at once. CLIs
-// call it right after flag parsing so the user sees one clear message
-// instead of a per-config validation error (or, under the runner's
-// quiet compatibility filter, a silently sequential run).
-func (pf *PdesFlags) CheckExclusive(sc SampleConfig) error {
-	if err := pf.check(); err != nil {
-		return err
-	}
-	if pf.workers > 1 && sc.Enabled() {
-		return fmt.Errorf("-pdes and -sample are mutually exclusive engines")
-	}
-	return nil
-}
 
 // Workload modeling types.
 type (
@@ -269,38 +126,6 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	return sys.Run()
-}
-
-// RunConfigs builds and executes independent simulations with up to
-// parallel in flight at once (parallel <= 0 means runtime.GOMAXPROCS)
-// and returns their results in input order. Each simulation is
-// single-threaded and deterministic given its seed, so parallelism
-// affects wall time only, never results. On error, the lowest-index
-// failure is returned.
-func RunConfigs(cfgs []Config, parallel int) ([]Result, error) {
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	results := make([]Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	wg.Add(len(cfgs))
-	for i := range cfgs {
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = Run(cfgs[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }
 
 // WorkloadSpecs returns the calibrated models of the paper's four

@@ -161,7 +161,7 @@ type Config struct {
 	// PdesWindow overrides the parallel engine's window width in cycles
 	// (default DefaultPdesWindow). Wider windows amortize barrier cost —
 	// more speedup — at the price of staler cross-domain coherence inside
-	// a window; the equivalence bound gates either way.
+	// a window; the equivalence bound gates either way. Requires Pdes > 1.
 	PdesWindow sim.Cycle
 
 	// PdesReplayWorkers shards the barrier replay by LLC bank group:
@@ -360,6 +360,16 @@ func (c Config) CoreCapacity() int {
 		cap = 1
 	}
 	return cap
+}
+
+// Placement returns the hypervisor's initial thread placement, the one
+// NewSystem starts from: for each VM, the cores its threads run on.
+func (c Config) Placement() ([][]int, error) {
+	vmThreads := make([]int, len(c.Workloads))
+	for v := range vmThreads {
+		vmThreads[v] = c.ThreadsOf(v)
+	}
+	return sched.AssignWithCapacity(c.Policy, c.Cores, c.GroupSize, c.CoreCapacity(), vmThreads, c.Seed^0xa5a5)
 }
 
 // Groups returns the number of LLC bank groups.

@@ -175,6 +175,9 @@ func (c Config) validatePdes() error {
 		return fmt.Errorf("core: negative pdes replay worker count %d", c.PdesReplayWorkers)
 	}
 	if c.Pdes <= 1 {
+		if c.PdesWindow != 0 {
+			return fmt.Errorf("core: a pdes window requires the parallel engine (Pdes > 1)")
+		}
 		if c.PdesReplayWorkers > 1 {
 			return fmt.Errorf("core: pdes replay workers require the parallel engine (Pdes > 1)")
 		}

@@ -42,6 +42,7 @@ func pdesRelErr(got, want float64) float64 {
 func pdesOracle(t *testing.T, cfg Config) Result {
 	t.Helper()
 	cfg.Pdes = 1
+	cfg.PdesWindow = 0
 	cfg.PdesReplayWorkers = 0
 	cfg.PdesPipeline = false
 	return mustRun(t, cfg)
@@ -92,6 +93,7 @@ func TestPdesValidation(t *testing.T) {
 		func(c *Config) { c.Pdes = 4; c.Sample.WindowRefs = 1000 },
 		func(c *Config) { c.Pdes = 4; c.RebalanceCycles = 100_000 },
 		func(c *Config) { c.Pdes = 4; c.SnapshotRefs = 1000 },
+		func(c *Config) { c.PdesWindow = 8192 }, // a window without the parallel engine
 	}
 	for i, mut := range bad {
 		cfg := base

@@ -235,14 +235,12 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	vmThreads := make([]int, len(cfg.Workloads))
 	for i, src := range srcs {
 		m := vm.New(i, src, bases[i])
 		s.vms = append(s.vms, m)
 		s.regions = append(s.regions, m.Gen.Spec().Regions(cfg.ThreadsOf(i)))
-		vmThreads[i] = cfg.ThreadsOf(i)
 	}
-	asg, err := sched.AssignWithCapacity(cfg.Policy, cfg.Cores, cfg.GroupSize, cfg.CoreCapacity(), vmThreads, cfg.Seed^0xa5a5)
+	asg, err := cfg.Placement()
 	if err != nil {
 		return nil, err
 	}

@@ -76,7 +76,7 @@ func (r *Runner) AblateDirCache() (*Table, error) {
 		cfgs[i] = r.ablationConfig()
 		cfgs[i].DirCacheEntries = entries
 	}
-	results, err := r.runConfigs(cfgs)
+	results, err := r.RunConfigs(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +113,7 @@ func (r *Runner) AblateMemControllers() (*Table, error) {
 			Nodes:       layouts[n],
 		}
 	}
-	results, err := r.runConfigs(cfgs)
+	results, err := r.RunConfigs(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +139,7 @@ func (r *Runner) AblateRouterPipeline() (*Table, error) {
 		cfgs[i] = r.ablationConfig()
 		cfgs[i].PipeStages = stages
 	}
-	results, err := r.runConfigs(cfgs)
+	results, err := r.RunConfigs(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +176,7 @@ func (r *Runner) AblateTimeslice() (*Table, error) {
 		cfg.TimesliceCycles = q
 		cfgs[i] = cfg
 	}
-	results, err := r.runConfigs(cfgs)
+	results, err := r.RunConfigs(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +225,7 @@ func (r *Runner) VariabilityStudy(replicates int) (*Table, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := r.runConfigs(cfgs)
+	results, err := r.RunConfigs(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +263,7 @@ func (r *Runner) AblateMemoryLatency() (*Table, error) {
 		cfgs[i].Mem = memctrl.DefaultConfig()
 		cfgs[i].Mem.Latency = lat
 	}
-	results, err := r.runConfigs(cfgs)
+	results, err := r.RunConfigs(cfgs)
 	if err != nil {
 		return nil, err
 	}

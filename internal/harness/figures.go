@@ -535,8 +535,3 @@ func (r *Runner) RunFigures(ids ...string) ([]*Table, error) {
 	}
 	return tables, nil
 }
-
-// RunAll produces every figure artifact through one shared work queue.
-func (r *Runner) RunAll() ([]*Table, error) {
-	return r.RunFigures(FigureIDs()...)
-}

@@ -259,23 +259,28 @@ func (r *Runner) execute(cfg core.Config) (core.Result, error) {
 
 // simulate builds and runs one system, counting the execution. Every
 // execution path (memoized runs, replicates, raw config batches) funnels
-// through here, so this is where the runner-wide engine settings apply.
+// through here, so this is where the runner-wide engine settings apply:
+// each to a copy of cfg, kept only if core.Config.Validate accepts it,
+// so the rows that need exact semantics or another engine quietly run as
+// configured instead of failing. Configs that chose their own engine
+// keep it.
 func (r *Runner) simulate(cfg core.Config) (core.Result, error) {
-	if !cfg.Sample.Enabled() && r.opt.Sample.Enabled() && sampleCompatible(cfg) {
-		cfg.Sample = r.opt.Sample
+	if !cfg.Sample.Enabled() && r.opt.Sample.Enabled() {
+		c := cfg
+		c.Sample = r.opt.Sample
+		cfg = validOr(c, cfg)
 	}
-	if cfg.Pdes <= 1 && r.opt.Pdes > 1 && pdesCompatible(cfg) {
-		cfg.Pdes = r.opt.Pdes
-		if cfg.Pdes > cfg.Cores {
-			cfg.Pdes = cfg.Cores // the engine caps domains at active cores anyway
+	if cfg.Pdes <= 1 && r.opt.Pdes > 1 {
+		c := cfg
+		c.Pdes = min(r.opt.Pdes, c.Cores) // the engine caps domains at active cores anyway
+		if c.PdesWindow == 0 {
+			c.PdesWindow = r.opt.PdesWindow
 		}
-		if cfg.PdesWindow == 0 {
-			cfg.PdesWindow = r.opt.PdesWindow
+		if c.PdesReplayWorkers == 0 {
+			c.PdesReplayWorkers = r.opt.PdesReplayWorkers
+			c.PdesPipeline = r.opt.PdesPipeline && c.PdesReplayWorkers > 1
 		}
-		if cfg.PdesReplayWorkers == 0 {
-			cfg.PdesReplayWorkers = r.opt.PdesReplayWorkers
-			cfg.PdesPipeline = r.opt.PdesPipeline && cfg.PdesReplayWorkers > 1
-		}
+		cfg = validOr(c, cfg)
 	}
 	r.sims.Add(1)
 	r.opt.Obs.CountSim()
@@ -286,30 +291,19 @@ func (r *Runner) simulate(cfg core.Config) (core.Result, error) {
 	return sys.Run()
 }
 
-// sampleCompatible reports whether a configuration may be sampled: the
-// same predicate core.Config.Validate enforces for explicitly sampled
-// configs, applied here as a quiet filter so a runner-wide Sample option
-// skips (rather than fails) the rows that need exact semantics.
-func sampleCompatible(cfg core.Config) bool {
-	return cfg.RebalanceCycles == 0 && cfg.SnapshotRefs == 0 && cfg.TotalThreads() <= cfg.Cores
+// validOr returns cfg if it validates, else fallback.
+func validOr(cfg, fallback core.Config) core.Config {
+	if cfg.Validate() != nil {
+		return fallback
+	}
+	return cfg
 }
 
-// pdesCompatible reports whether a configuration may run under the
-// split-transaction parallel engine: the same predicate
-// core.Config.Validate enforces for explicitly parallel configs,
-// applied here as a quiet filter so a runner-wide Pdes option skips
-// (rather than fails) the rows that need a different engine or exact
-// sequential semantics.
-func pdesCompatible(cfg core.Config) bool {
-	return !cfg.Sample.Enabled() &&
-		cfg.RebalanceCycles == 0 && cfg.SnapshotRefs == 0 &&
-		len(cfg.Sources) == 0
-}
-
-// runConfigs executes a batch of non-memoized configurations (ablation
-// and calibration sweeps, whose configs differ in ways runKey does not
-// describe) through the worker pool, preserving order.
-func (r *Runner) runConfigs(cfgs []core.Config) ([]core.Result, error) {
+// RunConfigs executes a batch of non-memoized configurations (group
+// sweeps, ablation and calibration batches, whose configs differ in ways
+// the memo key does not describe) through the worker pool, counting each
+// as a job and appending its manifest; results come back in input order.
+func (r *Runner) RunConfigs(cfgs []core.Config) ([]core.Result, error) {
 	out := make([]core.Result, len(cfgs))
 	err := r.parallelDo(len(cfgs), func(i int) error {
 		r.sem <- struct{}{}

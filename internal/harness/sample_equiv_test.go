@@ -137,3 +137,28 @@ func TestRunnerSampleOption(t *testing.T) {
 		t.Error("over-committed config was sampled; it must stay detailed")
 	}
 }
+
+// TestRunnerSampleSkipsSnapshot checks that a config with a mid-run
+// snapshot, which core.Config.Validate refuses to sample, runs detailed
+// under a runner-wide Sample and still takes its snapshot.
+func TestRunnerSampleSkipsSnapshot(t *testing.T) {
+	r := NewRunner(Options{
+		Scale:       16,
+		WarmupRefs:  2_000,
+		MeasureRefs: 10_000,
+		Seed:        1,
+		Sample:      core.SampleConfig{WindowRefs: 1_000},
+	})
+	cfg := equivCfg(1)
+	cfg.WarmupRefs, cfg.MeasureRefs, cfg.SnapshotRefs = 2_000, 10_000, 5_000
+	res, err := r.simulate(cfg)
+	if err != nil {
+		t.Fatalf("snapshot config under runner-wide sampling: %v", err)
+	}
+	if res.Sample.Windows != 0 {
+		t.Error("snapshot config was sampled; it must stay detailed")
+	}
+	if res.Snapshot.At == 0 {
+		t.Error("snapshot config took no snapshot")
+	}
+}

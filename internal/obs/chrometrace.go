@@ -37,7 +37,6 @@ type chromeEvent struct {
 	TS   int64          `json:"ts"` // microseconds since trace start
 	PID  int            `json:"pid"`
 	TID  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`    // instant scope
 	Args map[string]any `json:"args,omitempty"` // sparse; phase spans carry none
 }
 
@@ -111,14 +110,6 @@ func (t *Tracer) End(lane int) {
 func (t *Tracer) Span(lane int, name string) func() {
 	t.Begin(lane, name)
 	return func() { t.End(lane) }
-}
-
-// Instant records a zero-duration marker on lane.
-func (t *Tracer) Instant(lane int, name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.touch(lane)
-	t.events = append(t.events, chromeEvent{Name: name, Ph: "i", TS: t.now(), PID: tracePID, TID: lane, S: "t"})
 }
 
 // Events returns how many events have been recorded.

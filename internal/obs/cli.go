@@ -36,7 +36,7 @@ func (c *CLI) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Progress, "progress", false, "render a live job/throughput status line on stderr")
 	fs.StringVar(&c.TraceFile, "tracefile", "", "write a Chrome trace-format JSON timeline here (open in ui.perfetto.dev)")
 	fs.StringVar(&c.Manifest, "manifest", "", "append per-run provenance manifests to this JSONL file (e.g. results/manifests.jsonl)")
-	fs.StringVar(&c.TimeSeries, "timeseries", "", "append per-window telemetry rows to this JSONL sidecar (analyze with cmd/obs report)")
+	fs.StringVar(&c.TimeSeries, "timeseries", "", "append per-window telemetry rows to this JSONL sidecar (analyze with consim obs report)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile here")
 	fs.StringVar(&c.MemProfile, "memprofile", "", "write a pprof heap profile here at exit")
 	fs.StringVar(&c.DebugAddr, "debug-addr", "", "serve expvar metrics and net/http/pprof on this address (e.g. localhost:6060)")

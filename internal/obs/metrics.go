@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -189,17 +188,6 @@ func (r *Registry) Snapshot() map[string]any {
 		}
 	}
 	return out
-}
-
-// Names returns the registered metric names, sorted.
-func (r *Registry) Names() []string {
-	descs := r.Descs()
-	names := make([]string, len(descs))
-	for i, d := range descs {
-		names[i] = d.Name
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Shard is one writer's slice of the registry. A shard's writer may be

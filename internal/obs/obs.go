@@ -60,9 +60,6 @@ type Observer struct {
 	Prog *Progress       // nil = no live progress
 	TS   *TSWriter       // nil = per-window time series off
 
-	// Parallel is recorded into manifests (the sweep's worker count).
-	Parallel int
-
 	sh *Shard // the observer's own shard for runner-level counters
 }
 

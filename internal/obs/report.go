@@ -1,6 +1,6 @@
 // Cross-run analysis: phase reports, run diffs and live metric polling.
 //
-// This file is the testable core of cmd/obs. It consumes the sidecars
+// This file is the testable core of consim obs. It consumes the sidecars
 // the toolchain writes — run-manifest JSONL (ManifestWriter) and the
 // -timeseries rows — and renders them for humans: a per-run
 // phase/Amdahl report, a two-run regression diff, and a sorted table of

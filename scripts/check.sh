@@ -67,6 +67,11 @@ echo "$shards_out" | grep -q "flag provided but not defined: -shards" \
 # (benchmark/ measures everything they did; EXPERIMENTS.md "One
 # benchmark harness"). A second harness must not come back.
 test ! -e cmd/bench || { echo "check.sh: cmd/bench exists again" >&2; exit 1; }
+# One binary: tables, ablate, calibrate, trace and obs are subcommands of
+# consim over one run-flag set, not mains of their own.
+cmds=$(go list ./cmd/...)
+[ "$cmds" = "consim/cmd/consim" ] \
+	|| { echo "check.sh: go list ./cmd/... prints $cmds, want consim/cmd/consim alone" >&2; exit 1; }
 
 echo "== sampled engine smoke =="
 # Interval sampling must engage (the provenance line appears), stay
@@ -97,7 +102,7 @@ warm_dir=$(mktemp -d /tmp/consim_warm.XXXXXX)
 go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
 	-sample 1000 -sample-ci 0.2 \
 	-timeseries "$warm_dir/ts.jsonl" -manifest "$warm_dir/m.jsonl" >/dev/null
-warm_report=$(go run ./cmd/obs report "$warm_dir/m.jsonl")
+warm_report=$(go run ./cmd/consim obs report "$warm_dir/m.jsonl")
 echo "$warm_report" | grep -q "fast-forward" \
 	|| { echo "check.sh: obs report missing the fast-forward phase: $warm_report" >&2; exit 1; }
 echo "$warm_report" | grep -q "warm-up: 1000 detailed + 100[01] functional refs/core" \
@@ -139,14 +144,14 @@ for i in 1 2; do
 		-pdes 4 -timeseries "$obs_dir/ts.jsonl" -manifest "$obs_dir/m.jsonl" >/dev/null
 done
 test -s "$obs_dir/ts.jsonl" || { echo "check.sh: empty time-series sidecar" >&2; exit 1; }
-obs_report=$(go run ./cmd/obs report "$obs_dir/m.jsonl")
+obs_report=$(go run ./cmd/consim obs report "$obs_dir/m.jsonl")
 echo "$obs_report" | grep -q "replay" \
 	|| { echo "check.sh: obs report missing the replay term: $obs_report" >&2; exit 1; }
 echo "$obs_report" | grep -q "in-window" \
 	|| { echo "check.sh: obs report missing the in-window term: $obs_report" >&2; exit 1; }
 echo "$obs_report" | grep -q "time series" \
 	|| { echo "check.sh: obs report missing the time-series summary: $obs_report" >&2; exit 1; }
-go run ./cmd/obs diff -threshold 0.5 "$obs_dir/m.jsonl" >/dev/null \
+go run ./cmd/consim obs diff -threshold 0.5 "$obs_dir/m.jsonl" >/dev/null \
 	|| { echo "check.sh: obs diff flagged two identical runs" >&2; exit 1; }
 rm -rf "$obs_dir"
 
