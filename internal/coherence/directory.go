@@ -99,18 +99,20 @@ func (e *Entry) OtherL2(b int) int {
 }
 
 // dirSlot is one bucket of the directory's open-addressing table: the
-// block ID and the entry stored by value. A sentinel key marks free
-// buckets, so the slot packs to 32 bytes (two per cache line), stays
-// pointer-free (out of the garbage collector's scan set) and makes the
-// per-line state a single cache-line-friendly read.
+// complemented block ID and the entry stored by value. The all-zero word
+// marks a free bucket, so a fresh table is a bare make with no fill pass;
+// the slot packs to 32 bytes (two per cache line), stays pointer-free (out
+// of the garbage collector's scan set) and makes the per-line state a
+// single cache-line-friendly read.
 type dirSlot struct {
-	key uint64
+	tag uint64 // ^blockID; 0 (dirFree) for a free slot
 	e   Entry
 }
 
-// dirEmptyKey marks a free slot. Block IDs are line addresses shifted
-// right by the line bits, so the all-ones key is unreachable.
-const dirEmptyKey = ^uint64(0)
+// dirFree is a free slot's tag. Block IDs are line addresses shifted
+// right by the line bits, so the all-ones block — whose complement this
+// is — is unreachable.
+const dirFree = 0
 
 // Directory is the chip-wide line directory. Entries live in a flat
 // open-addressed hash table keyed by block ID (linear probing, fibonacci
@@ -118,6 +120,14 @@ const dirEmptyKey = ^uint64(0)
 // tombstones). The striping across home nodes affects only where lookups
 // are routed (latency), not where state is stored, so a single table
 // keeps the implementation simple and the behaviour identical.
+//
+// The table is sized from the lines the chip can hold (NewDirectoryFor):
+// an inclusive LLC bounds the live entries, so the first growth jumps
+// straight to the bound's capacity and the table never grows again.
+// Doubling remains the only fallback: for traffic that passes the bound
+// for a while (the parallel engine Gets a window's replay targets up
+// front and defers their releases) and for directories built without
+// one.
 //
 // This replaced a map[uint64]*Entry: the map allocated one heap Entry per
 // tracked line (the dominant steady-state allocation of a whole
@@ -133,17 +143,39 @@ type Directory struct {
 	shift uint // 64 - log2(len(slots)); fibonacci-hash shift
 	used  int  // live slots
 	grow  int  // growth threshold (3/4 load)
+	jump  int  // capacity of the first growth (dirCap of the bound); 0 doubles
 
 	// Lookups counts directory accesses; used by tests and reports.
 	Lookups uint64
 }
 
-// dirInitialSlots is the starting capacity (matching the map hint the
-// reference implementation used). Must be a power of two.
+// dirInitialSlots caps the first allocation at 2 MB (2^16 slots of 32
+// B): a bound that asks for more (16 MB for the paper-scale chip) is
+// allocated only when the live entries fill 3/4 of this, so short runs
+// never pay for it and construction never zeroes a span that large. Must
+// be a power of two.
 const dirInitialSlots = 1 << 16
 
-// NewDirectory returns a directory striped across n home nodes.
-func NewDirectory(n int) *Directory {
+// dirCap returns the smallest power-of-two capacity whose 3/4 load holds
+// lines+1 entries: the bound plus the one entry a fill creates before
+// its victim's release.
+func dirCap(lines int) int {
+	n := 2
+	for n*3/4 < lines+1 {
+		n *= 2
+	}
+	return n
+}
+
+// NewDirectory returns a directory striped across n home nodes with no
+// bound on its live entries: it starts at dirInitialSlots and doubles.
+func NewDirectory(n int) *Directory { return NewDirectoryFor(n, 0) }
+
+// NewDirectoryFor returns a directory striped across n home nodes that
+// will hold at most lines live entries (0: unknown). The first allocation
+// is min(dirCap(lines), dirInitialSlots) and the first growth jumps to
+// dirCap(lines); later growths, and every growth without a bound, double.
+func NewDirectoryFor(n, lines int) *Directory {
 	if n <= 0 || n > MaxNodes {
 		panic(fmt.Sprintf("coherence: invalid node count %d (1..%d)", n, MaxNodes))
 	}
@@ -151,23 +183,21 @@ func NewDirectory(n int) *Directory {
 	if n&(n-1) == 0 {
 		hm = n - 1
 	}
-	d := &Directory{
-		nodes:    n,
-		homeMask: hm,
-		slots:    newDirSlots(dirInitialSlots),
-		shift:    64 - uint(bits.TrailingZeros(dirInitialSlots)),
-		grow:     dirInitialSlots * 3 / 4,
+	d := &Directory{nodes: n, homeMask: hm}
+	size := dirInitialSlots
+	if lines > 0 {
+		d.jump = dirCap(lines)
+		size = min(d.jump, dirInitialSlots)
 	}
+	d.resize(size)
 	return d
 }
 
-// newDirSlots allocates a table of n free slots.
-func newDirSlots(n int) []dirSlot {
-	s := make([]dirSlot, n)
-	for i := range s {
-		s[i].key = dirEmptyKey
-	}
-	return s
+// resize installs a free table of n slots and its hash parameters.
+func (d *Directory) resize(n int) {
+	d.slots = make([]dirSlot, n)
+	d.shift = 64 - uint(bits.TrailingZeros(uint(n)))
+	d.grow = n * 3 / 4
 }
 
 // Nodes returns the number of home nodes.
@@ -200,19 +230,20 @@ func (d *Directory) idx(key uint64) uint64 {
 func (d *Directory) Get(addr sim.Addr) *Entry {
 	d.Lookups++
 	key := sim.BlockID(addr)
+	tag := ^key
 	mask := uint64(len(d.slots) - 1)
 	for i := d.idx(key); ; i = (i + 1) & mask {
 		s := &d.slots[i]
-		if s.key == key {
+		if s.tag == tag {
 			return &s.e
 		}
-		if s.key == dirEmptyKey {
+		if s.tag == dirFree {
 			if d.used >= d.grow {
 				d.rehash()
 				return d.insert(key)
 			}
 			d.used++
-			s.key = key
+			s.tag = tag
 			s.e = NewEntry()
 			return &s.e
 		}
@@ -223,30 +254,29 @@ func (d *Directory) Get(addr sim.Addr) *Entry {
 func (d *Directory) insert(key uint64) *Entry {
 	mask := uint64(len(d.slots) - 1)
 	i := d.idx(key)
-	for d.slots[i].key != dirEmptyKey {
+	for d.slots[i].tag != dirFree {
 		i = (i + 1) & mask
 	}
 	d.used++
-	d.slots[i] = dirSlot{key: key, e: NewEntry()}
+	d.slots[i] = dirSlot{tag: ^key, e: NewEntry()}
 	return &d.slots[i].e
 }
 
-// rehash doubles the table and reinserts every live slot. The copy is a
-// single pointer-free pass, amortized over the quarter-capacity of
-// insertions that preceded it; in steady state (the directory is bounded
-// by on-chip lines, which Release reclaims) growth stops entirely.
+// rehash grows the table — the first time to the bound's capacity, after
+// that (or with no bound) by doubling — and reinserts every live slot.
+// The copy is a single pointer-free pass; with a bound the first growth
+// is also the last, since Release keeps the table at on-chip lines.
 func (d *Directory) rehash() {
 	old := d.slots
-	d.slots = newDirSlots(2 * len(old))
-	d.shift--
-	d.grow = len(d.slots) * 3 / 4
+	d.resize(max(2*len(old), d.jump))
+	d.jump = 0
 	mask := uint64(len(d.slots) - 1)
 	for oi := range old {
-		if old[oi].key == dirEmptyKey {
+		if old[oi].tag == dirFree {
 			continue
 		}
-		i := d.idx(old[oi].key)
-		for d.slots[i].key != dirEmptyKey {
+		i := d.idx(^old[oi].tag)
+		for d.slots[i].tag != dirFree {
 			i = (i + 1) & mask
 		}
 		d.slots[i] = old[oi]
@@ -257,13 +287,14 @@ func (d *Directory) rehash() {
 // pointer has the same validity contract as Get's.
 func (d *Directory) Probe(addr sim.Addr) (*Entry, bool) {
 	key := sim.BlockID(addr)
+	tag := ^key
 	mask := uint64(len(d.slots) - 1)
 	for i := d.idx(key); ; i = (i + 1) & mask {
 		s := &d.slots[i]
-		if s.key == key {
+		if s.tag == tag {
 			return &s.e, true
 		}
-		if s.key == dirEmptyKey {
+		if s.tag == dirFree {
 			return nil, false
 		}
 	}
@@ -305,13 +336,14 @@ func (d *Directory) PrefetchProbe(addr sim.Addr) {
 // probe and mutate their own (provably disjoint) entries concurrently.
 func (d *Directory) ProbeSlot(addr sim.Addr) (int, bool) {
 	key := sim.BlockID(addr)
+	tag := ^key
 	mask := uint64(len(d.slots) - 1)
 	for i := d.idx(key); ; i = (i + 1) & mask {
 		s := &d.slots[i]
-		if s.key == key {
+		if s.tag == tag {
 			return int(i), true
 		}
-		if s.key == dirEmptyKey {
+		if s.tag == dirFree {
 			return 0, false
 		}
 	}
@@ -336,15 +368,15 @@ func (d *Directory) ReleaseSlot(i int) {
 	for {
 		j = (j + 1) & mask
 		s := &d.slots[j]
-		if s.key == dirEmptyKey {
+		if s.tag == dirFree {
 			break
 		}
-		if (j-d.idx(s.key))&mask >= (j-hole)&mask {
+		if (j-d.idx(^s.tag))&mask >= (j-hole)&mask {
 			d.slots[hole] = *s
 			hole = j
 		}
 	}
-	d.slots[hole] = dirSlot{key: dirEmptyKey}
+	d.slots[hole] = dirSlot{}
 }
 
 // Len returns the number of tracked lines (lines with on-chip state plus
@@ -356,7 +388,7 @@ func (d *Directory) Len() int { return d.used }
 // paper's Figure 12 metric).
 func (d *Directory) ReplicationSnapshot() (resident, replicated int) {
 	for i := range d.slots {
-		if d.slots[i].key == dirEmptyKey {
+		if d.slots[i].tag == dirFree {
 			continue
 		}
 		n := d.slots[i].e.L2Count()
@@ -375,10 +407,10 @@ func (d *Directory) ReplicationSnapshot() (resident, replicated int) {
 // traffic.
 func (d *Directory) CheckInvariants() error {
 	for i := range d.slots {
-		if d.slots[i].key == dirEmptyKey {
+		if d.slots[i].tag == dirFree {
 			continue
 		}
-		b, e := d.slots[i].key, &d.slots[i].e
+		b, e := ^d.slots[i].tag, &d.slots[i].e
 		if e.L1Owner >= 0 && !e.HasL1(int(e.L1Owner)) {
 			return fmt.Errorf("block %#x: L1 owner %d not in sharer mask %016x", b, e.L1Owner, e.L1Sharers)
 		}
@@ -397,11 +429,11 @@ func (d *Directory) CheckInvariants() error {
 func (d *Directory) StateDigest(h uint64) uint64 {
 	for i := range d.slots {
 		s := &d.slots[i]
-		if s.key == dirEmptyKey {
+		if s.tag == dirFree {
 			continue
 		}
 		h = cache.MixDigest(h, uint64(i))
-		h = cache.MixDigest(h, s.key)
+		h = cache.MixDigest(h, ^s.tag)
 		h = cache.MixDigest(h, s.e.L1Sharers)
 		h = cache.MixDigest(h, s.e.L2Sharers)
 		h = cache.MixDigest(h, uint64(uint8(s.e.L1Owner))|uint64(uint8(s.e.L2Owner))<<8)

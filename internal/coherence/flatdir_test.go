@@ -111,8 +111,14 @@ func diffOps(t *testing.T, nodes int, ops int, seed uint64) {
 		}
 	}
 
-	// Final sweep: every reference entry must exist in the flat table
-	// with identical state, and the counts must match (no extras).
+	checkParity(t, flat, ref)
+}
+
+// checkParity sweeps the whole of both directories: every reference entry
+// must exist in the flat table with identical state, and the counts,
+// snapshots, invariants and lookup counters must match (no extras).
+func checkParity(t *testing.T, flat *Directory, ref *RefDirectory) {
+	t.Helper()
 	if flat.Len() != ref.Len() {
 		t.Fatalf("final Len: flat=%d ref=%d", flat.Len(), ref.Len())
 	}

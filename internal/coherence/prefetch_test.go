@@ -20,8 +20,8 @@ func paperScaleDirectory(tb testing.TB) (*Directory, []sim.Addr) {
 		addrs[i] = sim.Addr(i) << sim.LineShift
 		d.Get(addrs[i]).AddL2(i % 16)
 	}
-	if len(d.slots) != 1<<19 {
-		tb.Fatalf("table has %d slots, want 2^19", len(d.slots))
+	if d.Cap() != 1<<19 {
+		tb.Fatalf("table has %d slots, want 2^19", d.Cap())
 	}
 	rng := sim.NewRNG(7)
 	for i := len(addrs) - 1; i > 0; i-- {

@@ -202,7 +202,6 @@ func NewSystem(cfg Config) (*System, error) {
 		geom:     netCfg.Geometry,
 		net:      mesh.NewModel(netCfg.Geometry, cfg.PipeStages),
 		mem:      memctrl.New(cfg.Mem),
-		dir:      coherence.NewDirectory(cfg.Cores),
 		dirCache: coherence.NewDirCache(cfg.Cores, coherence.DirCacheConfig{Entries: cfg.DirCacheEntries, Assoc: dirCacheAssoc}),
 		bankBusy: make([]sim.Cycle, cfg.Cores),
 		dirBusy:  make([]sim.Cycle, cfg.Cores),
@@ -269,6 +268,7 @@ func NewSystem(cfg Config) (*System, error) {
 			s.activeCores++
 		}
 	}
+	s.dir = coherence.NewDirectoryFor(cfg.Cores, s.dirBound())
 	if cfg.QoSPartition {
 		s.installPartitions()
 	}
@@ -281,6 +281,27 @@ func NewSystem(cfg Config) (*System, error) {
 		s.pdes = newPdesEngine(s)
 	}
 	return s, nil
+}
+
+// dirBound returns the most directory entries the run can keep live. The
+// LLC is inclusive and the directory tracks on-chip lines only, so that
+// is at most what the banks of the groups hosting a thread can hold (any
+// group once rebalancing may move threads there), and never more than
+// the VMs' blocks.
+func (s *System) dirBound() int {
+	var hosts [coherence.MaxNodes]bool
+	for c := range s.cores {
+		if s.cores[c].active || s.cfg.RebalanceCycles > 0 {
+			hosts[s.groupOf(c)] = true
+		}
+	}
+	lines := 0
+	for g, b := range s.banks {
+		if hosts[g] {
+			lines += b.Lines()
+		}
+	}
+	return int(min(s.footprintBlocks(), uint64(lines)))
 }
 
 // rebalance recomputes the placement with a rotated seed and migrates

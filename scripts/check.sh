@@ -48,6 +48,12 @@ go test -run 'TestDirectorySteadyStateAllocs' ./internal/coherence
 # built once per process and shared, across goroutines too.
 go test -run 'TestDirCacheMatchesPerNodeFullSets' ./internal/coherence
 go test -run 'TestNewSystemHeapBudget' ./internal/core
+# The directory table is sized once from the lines the LLC can hold:
+# bounded traffic grows it at most once, to the bound, in parity with the
+# map oracle; NewDirectory keeps its doubling layout; simulated machines
+# (both scales, sequential and sampled) stay within the bound.
+go test -run 'TestDirectoryBoundHoldsCapacity|TestDirectoryPastBoundDoubles|TestDirectoryFirstAllocation|TestNewDirectoryUnchanged' ./internal/coherence
+go test -run 'TestDirectoryWithinBound' ./internal/core
 go test -race -count=10 -run 'TestZipfMemo|TestZipfThetaOneSharesEntry' ./internal/sim
 
 echo "== golden fixtures =="
