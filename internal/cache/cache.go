@@ -223,13 +223,26 @@ func (c Config) lines() int {
 
 // init points an empty cache of geometry cfg at its ways.
 func (c *Cache) init(cfg Config, slots []uint64) {
-	for i := range slots {
-		slots[i] = emptySlot
-	}
+	fillEmpty(slots)
 	c.cfg = cfg
 	c.assoc = cfg.Assoc
 	c.setMask = uint64(len(slots)/cfg.Assoc - 1)
 	c.slots = slots
+}
+
+// fillEmpty marks every slot empty: it seeds one slot and doubles the
+// filled prefix with copy. A scalar store loop's speed hung on where the
+// linker placed it (1.6x slower when its four instructions straddled a
+// 64-byte line), so unrelated code changes moved every machine's set-up
+// time; copy runs the runtime's memmove, whose placement never changes.
+func fillEmpty(slots []uint64) {
+	if len(slots) == 0 {
+		return
+	}
+	slots[0] = emptySlot
+	for n := 1; n < len(slots); n *= 2 {
+		copy(slots[n:], slots[:n])
+	}
 }
 
 // Config returns the geometry the cache was built with.

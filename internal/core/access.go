@@ -64,7 +64,7 @@ const (
 	applyTiming
 )
 
-// route advances a message across the mesh (reserving link time in the
+// route advances a message across the mesh (its unloaded latency in the
 // detailed model) and returns its arrival time.
 func (tm timing) route(s *System, at sim.Cycle, from, to, flits int) sim.Cycle {
 	if tm != liveTiming {

@@ -316,6 +316,8 @@ func TestValidateUncoreGeometry(t *testing.T) {
 		"1000 dircache entries":        mod(func(c *Config) { c.DirCacheEntries = 1000 }),
 		"dircache entries under a set": mod(func(c *Config) { c.DirCacheEntries = 4 }),
 		"negative dircache entries":    mod(func(c *Config) { c.DirCacheEntries = -8 }),
+		// mesh.NewModel panicked: "non-positive pipeline depth".
+		"negative router pipeline depth": mod(func(c *Config) { c.PipeStages = -1 }),
 	}
 	for name, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -331,6 +333,7 @@ func TestValidateUncoreGeometry(t *testing.T) {
 		"zero Mem on 12 cores": mod(func(c *Config) { c.Cores, c.GroupSize, c.Mem = 12, 4, memctrl.Config{} }),
 		"zero dircache":        mod(func(c *Config) { c.DirCacheEntries = 0 }),
 		"8-entry dircache":     mod(func(c *Config) { c.DirCacheEntries = 8 }),
+		"5-stage routers":      mod(func(c *Config) { c.PipeStages = 5 }),
 	}
 	for _, gs := range []int{1, 2, 4, 8, 16} { // every figure's LLC organisation
 		good[fmt.Sprintf("16 cores, groups of %d", gs)] = mod(func(c *Config) { c.GroupSize = gs })

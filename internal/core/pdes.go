@@ -14,9 +14,9 @@
 // frozen for everyone:
 //
 //   - private L0/L1 caches of its cores (hits execute fully in-window);
-//   - replicas of the contention trackers (mesh load, bank/directory
-//     occupancy, memory-controller queues), re-based from the live
-//     models at every barrier;
+//   - replicas of the contention trackers (bank/directory occupancy,
+//     memory-controller queues) and of the mesh model's transfer
+//     counters, re-based from the live models at every barrier;
 //   - the shared tier (LLC banks, directory, directory caches) strictly
 //     read-only, through Probe/Peek.
 //
@@ -219,18 +219,17 @@ type pdesDomain struct {
 	horizon sim.Cycle // exclusive upper bound of the current window
 
 	// Contention-tracker replicas, re-based from the live models at
-	// every barrier. netBase snapshots the state net was synced from so
-	// the barrier can fold only this window's load delta.
-	net, netBase *mesh.Model
-	mem          *memctrl.Mem
-	bankBusy     []sim.Cycle
-	dirBusy      []sim.Cycle
+	// every barrier. The mesh model keeps no load state; its replica
+	// only counts this domain's transfers.
+	net      *mesh.Model
+	mem      *memctrl.Mem
+	bankBusy []sim.Cycle
+	dirBusy  []sim.Cycle
 
 	// prev* re-base the replica's cumulative counters so barrier folds
 	// add exactly one window's traffic to the live totals.
 	prevTransfers uint64
 	prevHops      uint64
-	prevNetWait   sim.Cycle
 	prevMemReads  uint64
 	prevMemWait   sim.Cycle
 
@@ -366,7 +365,6 @@ func newPdesEngine(s *System) *pdesEngine {
 	for _, d := range e.domains {
 		d.q = sim.NewEventQueue(len(d.cores))
 		d.net = mesh.NewModel(s.geom, cfg.PipeStages)
-		d.netBase = mesh.NewModel(s.geom, cfg.PipeStages)
 		d.mem = memctrl.New(cfg.Mem)
 		d.bankBusy = make([]sim.Cycle, len(s.bankBusy))
 		d.dirBusy = make([]sim.Cycle, len(s.dirBusy))
@@ -486,8 +484,6 @@ func (e *pdesEngine) start() {
 		copy(d.bankBusy, s.bankBusy)
 		copy(d.dirBusy, s.dirBusy)
 		d.mem.SyncBusy(s.mem)
-		d.net.SyncLoad(s.net)
-		d.netBase.SyncLoad(s.net)
 		d.rebase()
 	}
 	for w := range e.rings {
@@ -1291,8 +1287,8 @@ func (s *System) applyEvictL1(op *pdesOp) {
 }
 
 // foldWindow folds every domain's window into the live machine:
-// contention replicas (busy-until by max, mesh load by delta, counters
-// by delta) and per-VM scratch stats. Returns the latest domain clock.
+// contention replicas (busy-until by max, counters by delta) and per-VM
+// scratch stats. Returns the latest domain clock.
 func (e *pdesEngine) foldWindow() sim.Cycle {
 	s := e.s
 	var maxT sim.Cycle
@@ -1309,10 +1305,8 @@ func (e *pdesEngine) foldWindow() sim.Cycle {
 			}
 		}
 		s.mem.FoldBusyMax(d.mem)
-		s.net.FoldLoadDelta(d.net, d.netBase)
 		s.net.Transfers += d.net.Transfers - d.prevTransfers
 		s.net.HopsSum += d.net.HopsSum - d.prevHops
-		s.net.WaitCycles += d.net.WaitCycles - d.prevNetWait
 		s.mem.Reads += d.mem.Reads - d.prevMemReads
 		s.mem.WaitSum += d.mem.WaitSum - d.prevMemWait
 		for v := range d.stats {
@@ -1360,8 +1354,6 @@ func (e *pdesEngine) resyncReplicas(swapOverlay bool) {
 		copy(d.bankBusy, s.bankBusy)
 		copy(d.dirBusy, s.dirBusy)
 		d.mem.SyncBusy(s.mem)
-		d.net.SyncLoad(s.net)
-		d.netBase.SyncLoad(s.net)
 		d.rebase()
 		if swapOverlay {
 			d.warm, d.warmPrev = d.warmPrev, d.warm
@@ -1431,7 +1423,6 @@ func (e *pdesEngine) barrierPipelined() {
 func (d *pdesDomain) rebase() {
 	d.prevTransfers = d.net.Transfers
 	d.prevHops = d.net.HopsSum
-	d.prevNetWait = d.net.WaitCycles
 	d.prevMemReads = d.mem.Reads
 	d.prevMemWait = d.mem.WaitSum
 }

@@ -7,8 +7,8 @@
 // interval. The sampled mode (cfg.Sample) therefore alternates:
 //
 //   - detailed windows: the unmodified event loop — every reference pays
-//     mesh, bank, directory and memory-controller contention, advances
-//     simulated time and accumulates measurement counters;
+//     mesh latency and bank, directory and memory-controller contention,
+//     advances simulated time and accumulates measurement counters;
 //   - functional fast-forward: references stream through the same access
 //     walk under ffTiming (access.go), so caches, the directory and the
 //     directory caches keep evolving — but no contention state, no

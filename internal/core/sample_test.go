@@ -129,7 +129,6 @@ type timingSnapshot struct {
 	MemReads   uint64
 	MemWBs     uint64
 	MemWait    sim.Cycle
-	NetWait    float64
 	NetHops    float64
 	Switches   uint64
 	GlobalRefs uint64
@@ -147,7 +146,6 @@ func snapshotTiming(t *testing.T, s *System) timingSnapshot {
 		MemReads:   s.mem.Reads,
 		MemWBs:     s.mem.Writebacks,
 		MemWait:    s.mem.WaitSum,
-		NetWait:    s.net.AvgWait(),
 		NetHops:    s.net.AvgHops(),
 		Switches:   s.Switches,
 		GlobalRefs: s.globalRefs,

@@ -576,7 +576,6 @@ func (s *System) Run() (Result, error) {
 		Sample:          s.sample,
 		Phase:           s.phaseProf,
 		Snapshot:        snap,
-		NetAvgWait:      s.net.AvgWait(),
 		NetAvgHops:      s.net.AvgHops(),
 		MemAvgWait:      s.mem.AvgWait(),
 		DirCacheHitRate: s.dirCache.HitRate(),

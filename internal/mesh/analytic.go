@@ -3,53 +3,50 @@ package mesh
 import "consim/internal/sim"
 
 // Model is the fast analytic mesh model used inside the consolidation
-// sweeps. It charges the same unloaded latency as the flit-level Network
-// ((hops+1)*PipeStages + flits-1; asserted equal by tests) and models
-// contention with a per-link utilization estimator: each link tracks an
-// exponentially-weighted moving average of its offered flit rate, and
-// messages crossing a loaded link pay a queueing delay that grows toward
-// saturation.
+// sweeps. It charges every message (hops+1)*PipeStages + flits-1, read
+// from a hop table built once per machine: the flit-level Network's
+// latency for a lone packet through Table III's 3-stage routers (asserted
+// equal by tests). It keeps no load state, so a message's latency does
+// not depend on the traffic before it.
 //
-// A reservation-calendar model was deliberately rejected: request paths
-// reserve link time at *future* instants (a memory response leaves the
-// controller ~150 cycles after the request routes), and a scalar
-// busy-until pointer cannot represent the idle gaps before those
-// reservations, which serializes logically-concurrent transfers and
-// inflates waits by orders of magnitude. The utilization model keeps
-// contention sensitivity (hot links slow down, per the paper's §V-A
-// interconnect observations) while staying gap-accurate and O(1).
+// Queueing is left out on evidence: replaying the message streams the
+// sweeps route (the 16-core mix, one memory controller, a 64-core chip)
+// into the flit-level Network at their recorded cycles lands them 0.03
+// to 0.22 cycles per message late on average (internal/core's
+// TestMeshReplayNearUnloaded gates the bound; EXPERIMENTS.md has the
+// numbers). The blocking cores inject far below the mesh's saturation
+// point. Deeper pipelines than the buffers cover are the exception: at
+// five stages Network's credit loop delays even a lone 5-flit packet by
+// 2 cycles, which this model does not charge.
 type Model struct {
-	g    Geometry
 	pipe sim.Cycle
 
-	// next packs the DOR next hop for every (cur, dst) pair: output port
-	// in the high 3 bits, neighbor node in the low 13. Routing a hop is a
-	// single table load instead of two Coord divisions and a branch tree.
-	next   []uint16
-	stride int
+	// hops holds the dimension-order hop count for every (src, dst)
+	// pair, row-major by source. A mesh whose hop count overflows 16 bits
+	// has at least 2^16 nodes, so its table (2^32 entries) could not be
+	// allocated anyway.
+	hops []uint16
+	n    int
 
-	last []([numPorts]sim.Cycle)
-	util []([numPorts]float64)
+	// Transfers counts routed messages and HopsSum their hops, so
+	// HopsSum/Transfers is the mean path length in reports.
+	Transfers uint64
+	HopsSum   uint64
 
-	// Transfers counts routed messages; WaitCycles accumulates link
-	// queueing, so WaitCycles/Transfers exposes interconnect contention
-	// in reports.
-	Transfers  uint64
-	WaitCycles sim.Cycle
-	HopsSum    uint64
-
-	// LinkWait, when non-nil, accumulates wait per (node, port) for
-	// diagnostics.
-	LinkWait [][numPorts]sim.Cycle
+	// Log, when it has spare capacity, records every message Latency
+	// routes until it is full; nil (the default) records nothing.
+	// Diagnostics use it to replay a run's traffic into the flit-level
+	// Network.
+	Log []Transfer
 }
 
-// utilTau is the EWMA time constant in cycles: long enough to smooth
-// per-message burstiness, short enough to track phase changes.
-const utilTau = 1024.0
-
-// utilCap bounds the estimated utilization below saturation so the
-// queueing term stays finite.
-const utilCap = 0.95
+// Transfer is one message as Model.Log records it: injection cycle,
+// endpoints and length.
+type Transfer struct {
+	At       sim.Cycle
+	Src, Dst int
+	Flits    int
+}
 
 // NewModel returns an analytic model over g with the given router
 // pipeline depth.
@@ -61,100 +58,33 @@ func NewModel(g Geometry, pipeStages int) *Model {
 		panic("mesh: non-positive pipeline depth")
 	}
 	n := g.Nodes()
-	if n > 1<<13 {
-		panic("mesh: geometry exceeds packed route-table capacity")
-	}
-	m := &Model{
-		g:      g,
-		pipe:   sim.Cycle(pipeStages),
-		next:   make([]uint16, n*n),
-		stride: n,
-		last:   make([][numPorts]sim.Cycle, n),
-		util:   make([][numPorts]float64, n),
-	}
-	for cur := 0; cur < n; cur++ {
+	m := &Model{pipe: sim.Cycle(pipeStages), hops: make([]uint16, n*n), n: n}
+	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
-			p := g.route(cur, dst)
-			nb := cur
-			if p != Local {
-				nb = g.neighbor(cur, p)
-			}
-			m.next[cur*n+dst] = uint16(p)<<13 | uint16(nb)
+			m.hops[src*n+dst] = uint16(g.Hops(src, dst))
 		}
 	}
 	return m
 }
 
-// Geometry returns the modeled mesh shape.
-func (m *Model) Geometry() Geometry { return m.g }
-
 // Latency routes one message of the given flit count from src to dst
-// starting at now, updating per-link load along the DOR path, and returns
-// the cycle at which the tail arrives at dst.
+// starting at now and returns the cycle at which the tail arrives at dst:
+// one router pipeline per hop plus ejection, then tail serialization.
 func (m *Model) Latency(now sim.Cycle, src, dst, flits int) sim.Cycle {
-	if flits <= 0 {
-		flits = 1
+	flits = max(flits, 1)
+	if len(m.Log) < cap(m.Log) {
+		m.Log = append(m.Log, Transfer{now, src, dst, flits})
 	}
+	h := m.hops[src*m.n+dst]
 	m.Transfers++
-	t := now
-	cur := src
-	fl := float64(flits)
-	half := fl * 0.5
-	for cur != dst {
-		nx := m.next[cur*m.stride+dst]
-		p := Port(nx >> 13)
-
-		// Update the link's offered-rate EWMA with this message.
-		dt := float64(1)
-		if t > m.last[cur][p] {
-			dt = float64(t - m.last[cur][p])
-			m.last[cur][p] = t
-		}
-		num := m.util[cur][p]*utilTau + fl
-		den := utilTau + dt
-		m.util[cur][p] = num / den
-
-		// M/D/1-flavoured queueing delay: service time is the message's
-		// serialization latency; delay grows as rho/(1-rho). With
-		// u = num/den, the ratio u/(1-u) is num/(den-num): one division
-		// per hop instead of two (divides dominate this loop). The
-		// utilization cap keeps the term finite near saturation.
-		var wait sim.Cycle
-		if d := den - num; d > den*(1-utilCap) {
-			wait = sim.Cycle(num / d * half)
-		} else {
-			wait = sim.Cycle(utilCap / (1 - utilCap) * half)
-		}
-		m.WaitCycles += wait
-		if m.LinkWait != nil {
-			m.LinkWait[cur][p] += wait
-		}
-
-		t += wait + m.pipe
-		cur = int(nx & 0x1fff)
-		m.HopsSum++
-	}
-	// Ejection through the destination router pipeline plus tail
-	// serialization.
-	return t + m.pipe + sim.Cycle(flits-1)
+	m.HopsSum += uint64(h)
+	return now + (sim.Cycle(h)+1)*m.pipe + sim.Cycle(flits-1)
 }
 
-// Unloaded returns the zero-contention latency between src and dst for a
-// packet of the given flit count, without touching the load estimators.
+// Unloaded returns the latency Latency charges between src and dst for a
+// packet of the given flit count, without counting a transfer.
 func (m *Model) Unloaded(src, dst, flits int) sim.Cycle {
-	if flits <= 0 {
-		flits = 1
-	}
-	h := sim.Cycle(m.g.Hops(src, dst))
-	return (h+1)*m.pipe + sim.Cycle(flits-1)
-}
-
-// AvgWait returns mean link-queueing cycles per transfer.
-func (m *Model) AvgWait() float64 {
-	if m.Transfers == 0 {
-		return 0
-	}
-	return float64(m.WaitCycles) / float64(m.Transfers)
+	return (sim.Cycle(m.hops[src*m.n+dst])+1)*m.pipe + sim.Cycle(max(flits, 1)-1)
 }
 
 // AvgHops returns the mean hop count per transfer.
@@ -165,38 +95,7 @@ func (m *Model) AvgHops() float64 {
 	return float64(m.HopsSum) / float64(m.Transfers)
 }
 
-// ResetStats zeroes the contention counters (load estimators persist;
-// they decay naturally as time advances).
+// ResetStats zeroes the transfer counters.
 func (m *Model) ResetStats() {
-	m.Transfers, m.WaitCycles, m.HopsSum = 0, 0, 0
-}
-
-// SyncLoad copies the per-link load estimators (EWMA utilization and
-// last-update times) from src, leaving counters untouched. The parallel
-// engine re-bases each domain's mesh replica from the folded live model
-// at every window barrier. Geometries must match.
-func (m *Model) SyncLoad(src *Model) {
-	copy(m.last, src.last)
-	copy(m.util, src.util)
-}
-
-// FoldLoadDelta folds a domain replica's load evolution into m: every
-// link takes repl's utilization movement since base (the snapshot the
-// replica was last synced from) additively, clamped at zero, and its
-// last-update time by max. Links a replica never touched contribute a
-// zero delta, so folding N replicas accumulates exactly the traffic each
-// domain routed during the window.
-func (m *Model) FoldLoadDelta(repl, base *Model) {
-	for n := range m.util {
-		for p := 0; p < int(numPorts); p++ {
-			u := m.util[n][p] + repl.util[n][p] - base.util[n][p]
-			if u < 0 {
-				u = 0
-			}
-			m.util[n][p] = u
-			if repl.last[n][p] > m.last[n][p] {
-				m.last[n][p] = repl.last[n][p]
-			}
-		}
-	}
+	m.Transfers, m.HopsSum = 0, 0
 }

@@ -9,10 +9,11 @@
 //     credit-based flow control and round-robin switch allocation. Used
 //     directly by the NoC example and benchmarks, and to validate the
 //     fast model.
-//   - Model: an analytic latency model with per-link reservations, used
-//     inside the big consolidation sweeps where the 16 blocking cores
-//     inject far below saturation. Its unloaded latency matches Network
-//     exactly (asserted by tests).
+//   - Model: a table-driven unloaded-latency model, used inside the big
+//     consolidation sweeps where the 16 blocking cores inject far below
+//     saturation. Its latency matches Network's unloaded latency exactly
+//     (asserted by tests), and replaying the sweeps' traffic into
+//     Network stays within a cycle of it on average.
 package mesh
 
 import "fmt"
@@ -77,15 +78,10 @@ func (p Port) String() string {
 	return fmt.Sprintf("Port(%d)", int(p))
 }
 
-// route computes the DOR output port at node cur for destination dst:
-// correct X first, then Y, then eject.
-func (g Geometry) route(cur, dst int) Port {
-	return g.routeOrdered(cur, dst, false)
-}
-
-// routeOrdered routes X-then-Y (yFirst=false) or Y-then-X (yFirst=true).
-// Both orders are individually deadlock-free on a mesh; O1TURN mixes
-// them across disjoint virtual-channel classes.
+// routeOrdered computes the output port at node cur for destination dst,
+// correcting X then Y (yFirst=false, DOR) or Y then X (yFirst=true), then
+// ejecting. Both orders are individually deadlock-free on a mesh; O1TURN
+// mixes them across disjoint virtual-channel classes.
 func (g Geometry) routeOrdered(cur, dst int, yFirst bool) Port {
 	cx, cy := g.Coord(cur)
 	dx, dy := g.Coord(dst)

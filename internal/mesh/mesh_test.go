@@ -49,7 +49,7 @@ func TestDORRouteReachesDestination(t *testing.T) {
 		for dst := 0; dst < 16; dst++ {
 			cur, steps := src, 0
 			for cur != dst {
-				p := g.route(cur, dst)
+				p := g.routeOrdered(cur, dst, false)
 				if p == Local {
 					t.Fatalf("route(%d->%d) ejected early at %d", src, dst, cur)
 				}
@@ -66,7 +66,7 @@ func TestDORRouteReachesDestination(t *testing.T) {
 			if steps != g.Hops(src, dst) {
 				t.Errorf("route(%d->%d) took %d steps, want %d", src, dst, steps, g.Hops(src, dst))
 			}
-			if g.route(dst, dst) != Local {
+			if g.routeOrdered(dst, dst, false) != Local {
 				t.Errorf("route at destination %d not Local", dst)
 			}
 		}
@@ -76,15 +76,15 @@ func TestDORRouteReachesDestination(t *testing.T) {
 func TestDORXBeforeY(t *testing.T) {
 	g := Geometry{Width: 4, Height: 4}
 	// From 0 (0,0) to 15 (3,3): must go East first.
-	if p := g.route(0, 15); p != East {
+	if p := g.routeOrdered(0, 15, false); p != East {
 		t.Errorf("first hop = %v, want East", p)
 	}
 	// From 3 (3,0) to 12 (0,3): West first.
-	if p := g.route(3, 12); p != West {
+	if p := g.routeOrdered(3, 12, false); p != West {
 		t.Errorf("first hop = %v, want West", p)
 	}
 	// Same column: Y only.
-	if p := g.route(1, 13); p != South {
+	if p := g.routeOrdered(1, 13, false); p != South {
 		t.Errorf("same-column hop = %v, want South", p)
 	}
 }

@@ -42,6 +42,11 @@ echo "== allocation budgets =="
 go test -run 'TestSteadyStateAllocBudget' ./internal/core
 go test -run 'TestPdesShardedAllocBudget' ./internal/core
 go test -run 'TestDirectorySteadyStateAllocs' ./internal/coherence
+# The mesh model charges every message its unloaded latency, history-free;
+# the sweeps' recorded mesh traffic replayed into the flit-level network
+# must land within the stated bound of it (64-core chip included).
+go test -run 'TestModelLatencyIsHistoryFree' ./internal/mesh
+go test -run 'TestMeshReplayNearUnloaded' ./internal/core
 # Directory caches hold only the sets a home node can index: answers equal
 # to full-size per-node caches, and NewSystem under its byte budget — a
 # repeated build under the table-free one, since Zipf alias tables are
