@@ -56,7 +56,6 @@ var commands = map[string]func([]string) error{
 	"trace replay": simulating(parseReplay),
 	"obs report":   report,
 	"obs diff":     diff,
-	"obs top":      top,
 }
 
 // dispatch runs the (two-word) subcommand args start with; run when they
@@ -72,11 +71,17 @@ func dispatch(args []string) error {
 		return cmd(args[1:])
 	}
 	var names []string
+	group := false
 	for n := range commands {
 		names = append(names, n)
+		group = group || strings.HasPrefix(n, args[0]+" ")
 	}
 	sort.Strings(names)
-	return fmt.Errorf("%q is not a command (want %s)", args[0], strings.Join(names, ", "))
+	tried := args[0]
+	if group && len(args) > 1 {
+		tried += " " + args[1] // "obs frobnicate", not "obs", is what was not found
+	}
+	return fmt.Errorf("%q is not a command (want %s)", tried, strings.Join(names, ", "))
 }
 
 // newFlagSet returns the flag set of subcommand name, whose usage line

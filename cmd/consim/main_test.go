@@ -52,7 +52,10 @@ func TestDispatch(t *testing.T) {
 	}{
 		{"bogus", `"bogus" is not a command`},
 		{"trace", `"trace" is not a command`},
-		{"obs frobnicate", `"obs" is not a command`},
+		{"obs frobnicate", `"obs frobnicate" is not a command`},
+		{"obs top", `"obs top" is not a command`},
+		{"obs", `"obs" is not a command`},
+		{"bogus extra", `"bogus" is not a command`},
 		{"-h", flag.ErrHelp.Error()},
 		{"run -h", flag.ErrHelp.Error()},
 		{"trace replay -h", flag.ErrHelp.Error()},

@@ -5,21 +5,22 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"time"
 
 	"consim/internal/obs"
 )
 
-// consim obs is the reading side of the -manifest, -timeseries and
-// -debug-addr sidecars: report renders one recorded run's phases, diff
-// compares two runs and exits 1 on a regression beyond -threshold (so it
-// slots into CI), top polls a live run.
+// consim obs is the reading side of the -manifest and -timeseries
+// sidecars: report renders one recorded run's memory system and phases,
+// diff compares two runs and exits 1 on a regression beyond -threshold
+// (so it slots into CI).
 //
 //	consim obs report results/MANIFEST.jsonl    newest record (+ time series)
 //	consim obs diff old.jsonl new.jsonl         last run of each file
 
-// report renders the phase decomposition of one manifest record, plus
-// the per-VM summary of its -timeseries rows when the sidecar resolves.
+// report renders the memory-system ledger and phase decomposition of one
+// manifest record, plus the per-VM summary of its -timeseries rows when
+// the sidecar resolves. Each sidecar is read once, however many of the
+// reported records point into it.
 func report(args []string) error {
 	fs := newFlagSet("obs report", "MANIFEST")
 	label := fs.String("label", "", "report only records with this label")
@@ -46,15 +47,18 @@ func report(args []string) error {
 		}
 		picked = ms[i : i+1]
 	}
+	sidecars := map[string][]obs.TSRow{}
 	for i, m := range picked {
 		if i > 0 {
 			fmt.Println()
 		}
-		var rows []obs.TSRow
-		if ts := cmp.Or(*tsPath, m.Timeseries); ts != "" {
+		ts := cmp.Or(*tsPath, m.Timeseries)
+		rows, read := sidecars[ts]
+		if ts != "" && !read {
 			if rows, err = obs.ReadTimeSeries(ts); err != nil {
 				fmt.Fprintf(stderr, "obs: time series %s: %v (summary skipped)\n", ts, err)
 			}
+			sidecars[ts] = rows
 		}
 		obs.WritePhaseReport(os.Stdout, m, rows)
 	}
@@ -86,38 +90,6 @@ func diff(args []string) error {
 	}
 	if n := obs.DiffSummaries(os.Stdout, runs[len(runs)-2], runs[len(runs)-1], *thresh); n > 0 {
 		return fmt.Errorf("%d regression(s) beyond thresholds", n)
-	}
-	return nil
-}
-
-// top polls a live -debug-addr endpoint and renders the consim metric
-// registry with per-interval deltas.
-func top(args []string) error {
-	fs := newFlagSet("obs top", "")
-	addr := fs.String("addr", "127.0.0.1:6060", "debug endpoint (host:port of a -debug-addr run)")
-	interval := fs.Duration("interval", 2*time.Second, "poll interval")
-	polls := fs.Int("n", 0, "stop after this many polls (0 = until the endpoint goes away)")
-	if _, err := parse(fs, args, 0, 0); err != nil {
-		return err
-	}
-	var prev map[string]float64
-	for i := 0; *polls == 0 || i < *polls; i++ {
-		if i > 0 {
-			time.Sleep(*interval)
-		}
-		cur, err := obs.FetchDebugVars(*addr)
-		if err != nil {
-			if i == 0 {
-				return err
-			}
-			// The watched run finished and closed its listener; that is
-			// the normal way an open-ended watch ends.
-			fmt.Fprintf(stderr, "obs: %s stopped answering (%v)\n", *addr, err)
-			return nil
-		}
-		fmt.Printf("-- %s %s (poll %d)\n", *addr, time.Now().Format("15:04:05"), i+1)
-		obs.WriteVarsTable(os.Stdout, cur, prev)
-		prev = cur
 	}
 	return nil
 }

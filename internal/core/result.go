@@ -128,6 +128,13 @@ type Result struct {
 	// WallSeconds.
 	Phase obs.PhaseProfile
 
+	// Layers is the memory system's ledger (obs.Layers says over which
+	// references each counter runs; on sampled runs the cache counters
+	// include fast-forwarded ones). It is kept out of vm.Stats, which the
+	// golden fixtures and the benchmark's stats_digest hash; merged
+	// replicates sum it.
+	Layers obs.Layers
+
 	// TimeseriesRun / TimeseriesRows identify this run's rows in the
 	// -timeseries sidecar (zero when recording was off).
 	TimeseriesRun  int
@@ -157,8 +164,14 @@ func ManifestFor(cfg Config, res Result, parallel int) obs.Manifest {
 		p := res.Phase
 		phase = &p
 	}
+	var layers *obs.Layers
+	if res.Layers != (obs.Layers{}) {
+		l := res.Layers
+		layers = &l
+	}
 	return obs.Manifest{
 		Phase:          phase,
+		Layers:         layers,
 		TimeseriesRun:  res.TimeseriesRun,
 		TimeseriesRows: res.TimeseriesRows,
 
@@ -200,23 +213,11 @@ func ManifestFor(cfg Config, res Result, parallel int) obs.Manifest {
 	}
 }
 
-// FFCostRatio returns the sampled run's fast-forward cost: host wall
-// time per fast-forwarded reference over host wall time per detailed
-// reference (from the phase profile's detailed/ff split; the warm-up's
-// pilot window and fast-forward are in neither side). The ratio is
-// the sampling engine's Amdahl term — at a given window geometry the
-// end-to-end speedup is bounded by detailed + ratio*skipped — and the
-// benchmark's sampled workload reports it. Zero for detailed runs and
-// for sampled runs that never fast-forwarded.
+// FFCostRatio returns the sampled run's fast-forward cost ratio
+// (obs.PhaseProfile.FFCostRatio); the benchmark's sampled workload
+// reports it.
 func (r Result) FFCostRatio() float64 {
-	s := r.Sample
-	if s.DetailedRefs == 0 || s.SkippedRefs == 0 ||
-		r.Phase.SampleDetailedSeconds <= 0 || r.Phase.SampleFFSeconds <= 0 {
-		return 0
-	}
-	detPerRef := r.Phase.SampleDetailedSeconds / float64(s.DetailedRefs)
-	ffPerRef := r.Phase.SampleFFSeconds / float64(s.SkippedRefs)
-	return ffPerRef / detPerRef
+	return r.Phase.FFCostRatio(r.Sample.DetailedRefs, r.Sample.SkippedRefs)
 }
 
 // ByClass returns the results of all VMs running the given workload, in

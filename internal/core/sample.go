@@ -274,8 +274,6 @@ func (s *System) runSampled(lane int) {
 		s.sample.AchievedRelCI = worst
 		if s.hooks != nil {
 			s.publishLive()
-			s.hooks.SetSampleProgress(uint64(s.sample.Windows), s.sample.DetailedRefs,
-				s.sample.SkippedRefs, worst)
 		}
 		if s.sample.Windows >= sc.MinWindows && worst <= sc.CITarget {
 			s.sample.StopReason = StopConverged

@@ -155,14 +155,14 @@ type System struct {
 
 // pubTotals snapshots the per-VM counter sums at the last live publish.
 type pubTotals struct {
-	refs, privMisses, llcMisses       uint64
-	c2cClean, c2cDirty                uint64
-	memReads, invalidations, upgrades uint64
+	refs, privMisses, llcMisses uint64
+	c2cClean, c2cDirty          uint64
+	invalidations, upgrades     uint64
 }
 
 // livePublishMask throttles live metric publishes to one per 8192
 // issued references — cheap enough to leave on, fresh enough for a
-// progress display or expvar poller.
+// progress display.
 const livePublishMask = 8192 - 1
 
 // NewSystem builds and schedules a system from cfg. Construction errors
@@ -473,7 +473,6 @@ func (s *System) Run() (Result, error) {
 	if s.pdes != nil {
 		if h != nil {
 			s.pdes.attachTracer(h.Tr)
-			h.SetPdes(s.pdes.stats.Workers, s.pdes.stats.Domains)
 		}
 		s.pdes.start()
 		defer s.pdes.stop()
@@ -557,14 +556,6 @@ func (s *System) Run() (Result, error) {
 	s.foldPhaseProfile()
 	if h != nil {
 		s.publishLive()
-		h.SetSharing(snap.ResidentLines, snap.ReplicatedLines)
-		for v := range s.vms {
-			lines := 0
-			for g := range snap.Occupancy {
-				lines += snap.Occupancy[g][v]
-			}
-			h.SetOccupancy(v, lines)
-		}
 		h.SetPhaseProfile(&s.phaseProf)
 	}
 
@@ -576,6 +567,7 @@ func (s *System) Run() (Result, error) {
 		Sample:          s.sample,
 		Phase:           s.phaseProf,
 		Snapshot:        snap,
+		Layers:          s.layers(),
 		NetAvgHops:      s.net.AvgHops(),
 		MemAvgWait:      s.mem.AvgWait(),
 		DirCacheHitRate: s.dirCache.HitRate(),
@@ -835,10 +827,9 @@ func (s *System) recordTS() {
 
 // publishLive folds the counters the hot loop accumulates in plain
 // fields into the run's metric shard: per-VM counter deltas since the
-// last publish, plus point-in-time gauges for each cache level, the
-// directory, the memory controllers and the event queue. Called on the
-// livePublishMask cadence and at phase boundaries; every write lands in
-// a preallocated atomic slot, so the call is allocation-free.
+// last publish, plus the memory system's ledger as gauges. Called on
+// the livePublishMask cadence and at phase boundaries; every write lands
+// in a preallocated atomic slot, so the call is allocation-free.
 func (s *System) publishLive() {
 	h := s.hooks
 	var t pubTotals
@@ -849,7 +840,6 @@ func (s *System) publishLive() {
 		t.llcMisses += st.LLCMisses
 		t.c2cClean += st.C2CClean
 		t.c2cDirty += st.C2CDirty
-		t.memReads += st.MemReads
 		t.invalidations += st.Invalidations
 		t.upgrades += st.Upgrades
 	}
@@ -860,40 +850,34 @@ func (s *System) publishLive() {
 		t.llcMisses-last.llcMisses,
 		t.c2cClean-last.c2cClean,
 		t.c2cDirty-last.c2cDirty,
-		t.memReads-last.memReads,
 		t.invalidations-last.invalidations,
 		t.upgrades-last.upgrades,
 	)
 	s.lastPub = t
 
-	var acc, miss, evict uint64
-	for _, c := range s.l0 {
-		a, _, mi, ev := c.Counters()
-		acc, miss, evict = acc+a, miss+mi, evict+ev
-	}
-	h.SetLevel(0, acc, miss, evict)
-	acc, miss, evict = 0, 0, 0
-	for _, c := range s.l1 {
-		a, _, mi, ev := c.Counters()
-		acc, miss, evict = acc+a, miss+mi, evict+ev
-	}
-	h.SetLevel(1, acc, miss, evict)
-	acc, miss, evict = 0, 0, 0
-	for _, b := range s.banks {
-		a, _, mi, ev := b.Counters()
-		acc, miss, evict = acc+a, miss+mi, evict+ev
-	}
-	h.SetLevel(2, acc, miss, evict)
-
-	h.SetDirectory(uint64(s.dir.Len()), s.dirCache.Hits, s.dirCache.Misses)
-	h.SetMemory(s.mem.Reads, s.mem.Writebacks, uint64(s.mem.WaitSum), s.mem.QueueDepth(s.now))
-	h.SetEventQueue(s.q.Len())
-	if e := s.pdes; e != nil {
-		h.SetPdesProgress(e.stats.Windows, e.stats.Ops, e.stats.Stalls)
-	}
+	l := s.layers()
+	h.SetLayers(&l)
 	if s.rec != nil {
 		s.recordTS()
 	}
+}
+
+// layers sums the memory system's counters into its ledger: each cache
+// level over its arrays, the directory, its caches and the memory
+// controllers.
+func (s *System) layers() obs.Layers {
+	var l obs.Layers
+	for i, level := range [3][]*cache.Cache{s.l0, s.l1, s.banks} {
+		c := &l.Cache[i]
+		for _, arr := range level {
+			a, _, mi, ev := arr.Counters()
+			c.Accesses, c.Misses, c.Evictions = c.Accesses+a, c.Misses+mi, c.Evictions+ev
+		}
+	}
+	l.DirEntries = uint64(s.dir.Len())
+	l.DirCacheHits, l.DirCacheMisses = s.dirCache.Hits, s.dirCache.Misses
+	l.MemReads, l.MemWritebacks, l.MemWaitCycles = s.mem.Reads, s.mem.Writebacks, uint64(s.mem.WaitSum)
+	return l
 }
 
 // pdesStats returns the parallel engine's run accounting (zero value

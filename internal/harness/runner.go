@@ -331,10 +331,11 @@ func (r *Runner) RunConfigs(cfgs []core.Config) ([]core.Result, error) {
 	return out, err
 }
 
-// mergeResults folds replicated runs into one Result: counters are
-// summed, window cycles averaged, cycles-per-transaction recomputed as
-// the ratio of means, and the per-VM coefficient of variation of
-// cycles-per-transaction recorded (the §V variability indicator).
+// mergeResults folds replicated runs into one Result: counters (vm.Stats
+// and the memory-system ledger) are summed, window cycles averaged,
+// cycles-per-transaction recomputed as the ratio of means, and the per-VM
+// coefficient of variation of cycles-per-transaction recorded (the §V
+// variability indicator).
 func mergeResults(results []core.Result) core.Result {
 	if len(results) == 1 {
 		return results[0]
@@ -344,9 +345,11 @@ func mergeResults(results []core.Result) core.Result {
 	merged.CptCV = make([]float64, len(merged.VMs))
 	var cycles stats.Sample
 	merged.WallSeconds = 0
+	merged.Layers = obs.Layers{}
 	for _, res := range results {
 		cycles.Add(float64(res.Cycles))
 		merged.WallSeconds += res.WallSeconds
+		merged.Layers.Add(res.Layers)
 	}
 	for v := range merged.VMs {
 		var cpt, touched stats.Sample

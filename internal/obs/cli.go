@@ -39,18 +39,19 @@ func (c *CLI) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.TimeSeries, "timeseries", "", "append per-window telemetry rows to this JSONL sidecar (analyze with consim obs report)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile here")
 	fs.StringVar(&c.MemProfile, "memprofile", "", "write a pprof heap profile here at exit")
-	fs.StringVar(&c.DebugAddr, "debug-addr", "", "serve expvar metrics and net/http/pprof on this address (e.g. localhost:6060)")
+	fs.StringVar(&c.DebugAddr, "debug-addr", "", "serve net/http/pprof under /debug/pprof/ on this address (e.g. localhost:6060)")
 }
 
 // enabled reports whether any sink needing an Observer was requested.
 func (c *CLI) enabled() bool {
 	return c.Progress || c.TraceFile != "" || c.Manifest != "" ||
-		c.TimeSeries != "" || c.DebugAddr != ""
+		c.TimeSeries != ""
 }
 
 // Start brings up every requested sink. The Observer is nil when only
-// profiles (or nothing) were requested; the stop function is always
-// valid and idempotent-safe to defer. Status notes go to w.
+// profiles and the pprof endpoint (or nothing) were requested; the stop
+// function is always valid and idempotent-safe to defer. Status notes go
+// to w.
 func (c *CLI) Start(w io.Writer) (*Observer, func() error, error) {
 	if w == nil {
 		w = os.Stderr
@@ -102,6 +103,14 @@ func (c *CLI) Start(w io.Writer) (*Observer, func() error, error) {
 			fmt.Fprintf(w, "[obs] heap profile written to %s\n", path)
 			return f.Close()
 		})
+	}
+	if c.DebugAddr != "" {
+		addr, shutdown, err := StartDebugServer(c.DebugAddr)
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(w, "[obs] pprof on http://%s/debug/pprof/\n", addr)
+		cleanups = append(cleanups, shutdown)
 	}
 
 	if !c.enabled() {
@@ -155,14 +164,6 @@ func (c *CLI) Start(w io.Writer) (*Observer, func() error, error) {
 		})
 	}
 
-	if c.DebugAddr != "" {
-		addr, shutdown, err := StartDebugServer(c.DebugAddr, o.Reg)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(w, "[obs] debug server on http://%s/debug/vars and /debug/pprof\n", addr)
-		cleanups = append(cleanups, shutdown)
-	}
 	if prog != nil {
 		prog.Start(0)
 		// Stop the display before the sinks above flush their own notes.

@@ -39,6 +39,9 @@ func TestCLIRegisterWiresFlags(t *testing.T) {
 	if !(&CLI{TimeSeries: "ts.jsonl"}).enabled() {
 		t.Fatal("-timeseries alone must enable the Observer")
 	}
+	if (&CLI{DebugAddr: "127.0.0.1:0"}).enabled() {
+		t.Fatal("-debug-addr alone serves pprof and should not need an Observer")
+	}
 }
 
 // TestCLIStartTimeSeries checks Start opens the sidecar, hands the
@@ -92,38 +95,45 @@ func TestCLIStartTimeSeries(t *testing.T) {
 	}
 }
 
-// TestCLIStartDebugAddr checks Start brings the debug endpoint up on an
-// ephemeral port, reports the bound address, and tears it down in stop.
+// TestCLIStartDebugAddr checks Start brings the pprof endpoint up on an
+// ephemeral port without building an Observer (a pprof-only run
+// publishes no metrics), reports the bound address, and tears it down in
+// stop — twice in one process.
 func TestCLIStartDebugAddr(t *testing.T) {
-	c := CLI{DebugAddr: "127.0.0.1:0"}
-	var notes strings.Builder
-	o, stop, err := c.Start(&notes)
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	if o == nil {
-		t.Fatal("nil observer with -debug-addr")
-	}
-	note := notes.String()
-	i := strings.Index(note, "http://")
-	if i < 0 {
-		t.Fatalf("bound address not reported: %q", note)
-	}
-	addr := note[i+len("http://"):]
-	addr = addr[:strings.Index(addr, "/debug/vars")]
-	if strings.HasSuffix(addr, ":0") {
-		t.Fatalf("reported address %q not resolved", addr)
-	}
-	resp, err := http.Get("http://" + addr + "/debug/vars")
-	if err != nil {
-		t.Fatalf("GET bound addr: %v", err)
-	}
-	resp.Body.Close()
-	if err := stop(); err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-	if _, err := http.Get("http://" + addr + "/debug/vars"); err == nil {
-		t.Fatal("debug endpoint still serving after stop")
+	for round := 1; round <= 2; round++ {
+		c := CLI{DebugAddr: "127.0.0.1:0"}
+		var notes strings.Builder
+		o, stop, err := c.Start(&notes)
+		if err != nil {
+			t.Fatalf("round %d: Start: %v", round, err)
+		}
+		if o != nil {
+			t.Fatalf("round %d: -debug-addr alone built an Observer", round)
+		}
+		note := notes.String()
+		i := strings.Index(note, "http://")
+		j := strings.Index(note, "/debug/pprof/")
+		if i < 0 || j < i {
+			t.Fatalf("round %d: bound address not reported: %q", round, note)
+		}
+		url := note[i : j+len("/debug/pprof/")]
+		if strings.Contains(url, ":0/") {
+			t.Fatalf("round %d: reported address %q not resolved", round, url)
+		}
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("round %d: GET %s: %v", round, url, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: GET %s: %s", round, url, resp.Status)
+		}
+		if err := stop(); err != nil {
+			t.Fatalf("round %d: stop: %v", round, err)
+		}
+		if _, err := http.Get(url); err == nil {
+			t.Fatalf("round %d: pprof endpoint still serving after stop", round)
+		}
 	}
 }
 

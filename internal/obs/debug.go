@@ -3,52 +3,22 @@ package obs
 import (
 	"context"
 	"errors"
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 )
 
-// The expvar namespace is process-global and Publish panics on
-// duplicates, so the registry export indirects through one package
-// variable that StartDebugServer swaps.
-var (
-	debugMu      sync.Mutex
-	debugReg     *Registry
-	debugVarOnce sync.Once
-)
-
-// StartDebugServer serves live metrics and profiling endpoints on addr:
-//
-//	/debug/vars          expvar (process stats + the consim metric registry)
-//	/debug/pprof/...     net/http/pprof (profile, heap, goroutine, trace)
+// StartDebugServer serves net/http/pprof (profile, heap, goroutine,
+// trace) under /debug/pprof/ on addr, so a long sweep can be profiled
+// mid-flight with `go tool pprof http://addr/debug/pprof/profile`.
 //
 // It returns the bound address (resolving a ":0" request) and a
 // shutdown function that gracefully drains in-flight requests, closes
 // the listener, and waits for the serve loop to exit — the run ending
-// never leaks the listener or its goroutine. A long sweep can be
-// profiled mid-flight with
-// `go tool pprof http://addr/debug/pprof/profile`.
-func StartDebugServer(addr string, reg *Registry) (string, func() error, error) {
-	debugMu.Lock()
-	debugReg = reg
-	debugMu.Unlock()
-	debugVarOnce.Do(func() {
-		expvar.Publish("consim", expvar.Func(func() any {
-			debugMu.Lock()
-			r := debugReg
-			debugMu.Unlock()
-			if r == nil {
-				return nil
-			}
-			return r.Snapshot()
-		}))
-	})
-
+// never leaks the listener or its goroutine.
+func StartDebugServer(addr string) (string, func() error, error) {
 	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -9,64 +8,39 @@ import (
 	"testing"
 )
 
-// TestDebugServerLifecycle starts the server on an ephemeral port,
-// checks /debug/vars serves the registry, and verifies shutdown frees
-// the port and its goroutine (satellite: -debug-addr must not leak the
-// listener when the run ends).
+// TestDebugServerLifecycle starts the pprof server on an ephemeral port,
+// checks /debug/pprof/ answers, and verifies shutdown frees the port and
+// its goroutine (-debug-addr must not leak the listener when the run
+// ends). A second start in the same process must work as well.
 func TestDebugServerLifecycle(t *testing.T) {
-	reg := NewRegistry()
-	m := RegisterSimMetrics(reg)
-	sh := reg.NewShard()
-	sh.Set(m.PhaseWarmupMicros, 1234)
-
-	addr, shutdown, err := StartDebugServer("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatalf("StartDebugServer: %v", err)
+	for round := 1; round <= 2; round++ {
+		addr, shutdown, err := StartDebugServer("127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("round %d: StartDebugServer: %v", round, err)
+		}
+		if strings.HasSuffix(addr, ":0") {
+			t.Fatalf("round %d: bound address %q not resolved", round, addr)
+		}
+		resp, err := http.Get("http://" + addr + "/debug/pprof/")
+		if err != nil {
+			t.Fatalf("round %d: GET /debug/pprof/: %v", round, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
+			t.Fatalf("round %d: /debug/pprof/ = %s, body %.80q", round, resp.Status, body)
+		}
+		if resp, err := http.Get("http://" + addr + "/debug/vars"); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("round %d: /debug/vars = %s, want 404 (the registry dump is gone)", round, resp.Status)
+			}
+		}
+		if err := shutdown(); err != nil {
+			t.Fatalf("round %d: shutdown: %v", round, err)
+		}
+		if _, err := net.Dial("tcp", addr); err == nil {
+			t.Fatalf("round %d: listener still accepting after shutdown", round)
+		}
 	}
-	if strings.HasSuffix(addr, ":0") {
-		t.Fatalf("bound address %q not resolved", addr)
-	}
-
-	resp, err := http.Get("http://" + addr + "/debug/vars")
-	if err != nil {
-		t.Fatalf("GET /debug/vars: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var payload struct {
-		Consim map[string]any `json:"consim"`
-	}
-	if err := json.Unmarshal(body, &payload); err != nil {
-		t.Fatalf("decode /debug/vars: %v", err)
-	}
-	if got := payload.Consim["phase_warmup_micros"]; got != float64(1234) {
-		t.Fatalf("phase_warmup_micros = %v, want 1234", got)
-	}
-
-	// FetchDebugVars (obs top's poll path) sees the same snapshot.
-	vars, err := FetchDebugVars(addr)
-	if err != nil {
-		t.Fatalf("FetchDebugVars: %v", err)
-	}
-	if vars["phase_warmup_micros"] != 1234 {
-		t.Fatalf("FetchDebugVars phase_warmup_micros = %v", vars["phase_warmup_micros"])
-	}
-
-	if err := shutdown(); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	if _, err := net.Dial("tcp", addr); err == nil {
-		t.Fatalf("listener still accepting after shutdown")
-	}
-
-	// The expvar hook outlives the server; a second start must reuse it
-	// rather than panic on a duplicate Publish.
-	addr2, shutdown2, err := StartDebugServer("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatalf("second StartDebugServer: %v", err)
-	}
-	if err := shutdown2(); err != nil {
-		t.Fatalf("second shutdown: %v", err)
-	}
-	_ = addr2
 }

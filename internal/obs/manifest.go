@@ -96,6 +96,9 @@ type Manifest struct {
 	// Phase is the run's wall-time decomposition by engine phase (nil
 	// when telemetry was off or the record predates phase accounting).
 	Phase *PhaseProfile `json:"phase,omitempty"`
+	// Layers is the run's memory-system ledger (nil in records written
+	// before it was recorded).
+	Layers *Layers `json:"layers,omitempty"`
 
 	// Time-series sidecar reference: the JSONL file holding this run's
 	// per-window rows, the run id its rows carry, and how many rows it
@@ -103,6 +106,50 @@ type Manifest struct {
 	Timeseries     string `json:"timeseries,omitempty"`
 	TimeseriesRun  int    `json:"timeseries_run,omitempty"`
 	TimeseriesRows int    `json:"timeseries_rows,omitempty"`
+}
+
+// Layers is a run's memory-system ledger: accesses, misses and
+// evictions per cache level, directory entries, directory-cache hits and
+// misses, and memory-controller reads, writebacks and queueing cycles.
+//
+// The cache and controller counters are zeroed when measurement starts.
+// On sampled runs the cache counters include the fast-forwarded
+// references, which go through the same walk; the controllers count
+// detailed references only. The directory cache is never zeroed, so its
+// counts cover the whole run, warm-up included. DirEntries is the
+// directory's occupancy when the run ends. Merged replicates sum every
+// field, as they do vm.Stats.
+type Layers struct {
+	// Cache holds 0=L0, 1=L1, 2=LLC banks, each summed over its arrays.
+	Cache          [3]CacheCounts `json:"cache"`
+	DirEntries     uint64         `json:"dir_entries"`
+	DirCacheHits   uint64         `json:"dircache_hits"`
+	DirCacheMisses uint64         `json:"dircache_misses"`
+	MemReads       uint64         `json:"mem_reads"`
+	MemWritebacks  uint64         `json:"mem_writebacks"`
+	MemWaitCycles  uint64         `json:"mem_wait_cycles"`
+}
+
+// CacheCounts is one cache level's share of Layers.
+type CacheCounts struct {
+	Accesses  uint64 `json:"accesses"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+}
+
+// Add folds o into l field by field.
+func (l *Layers) Add(o Layers) {
+	for i, c := range o.Cache {
+		l.Cache[i].Accesses += c.Accesses
+		l.Cache[i].Misses += c.Misses
+		l.Cache[i].Evictions += c.Evictions
+	}
+	l.DirEntries += o.DirEntries
+	l.DirCacheHits += o.DirCacheHits
+	l.DirCacheMisses += o.DirCacheMisses
+	l.MemReads += o.MemReads
+	l.MemWritebacks += o.MemWritebacks
+	l.MemWaitCycles += o.MemWaitCycles
 }
 
 // ManifestWriter appends manifest lines to a JSONL file. Safe for

@@ -214,6 +214,9 @@ func FuzzReadManifests(f *testing.F) {
 		`"sample_detailed_seconds":1,"sample_ff_seconds":-3,` +
 		`"domains":[{"domain":-1,"cores":0,"cycles":18446744073709551615,"ops":1,"busy_seconds":-1}],` +
 		`"pdes_apply_ops_by_group":[18446744073709551615,18446744073709551615,0]}}` + "\n"))
+	f.Add([]byte(`{"version":2,"label":"layers","refs":10,"wall_seconds":1,"sample_windows":2,` +
+		`"layers":{"cache":[{"accesses":10,"misses":11,"evictions":18446744073709551615},{},{"accesses":0,"misses":3}],` +
+		`"dir_entries":1,"dircache_hits":18446744073709551615,"dircache_misses":1,"mem_reads":0,"mem_wait_cycles":7}}` + "\n"))
 	path := filepath.Join(f.TempDir(), "m.jsonl")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {

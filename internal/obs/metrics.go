@@ -33,20 +33,13 @@ const HistBuckets = 31
 // ID names a registered metric; it indexes every shard's slot array.
 type ID int
 
-// Desc describes one registered metric.
-type Desc struct {
-	Name string
-	Kind Kind
-	Help string
-}
-
-// Registry holds metric descriptors and the shards publishing to them.
-// Registration happens once, up front; NewShard freezes the schema so
-// shard slot arrays never reallocate (the hot path indexes them without
-// synchronization beyond the atomic slot itself).
+// Registry holds the registered metrics' kinds and the shards publishing
+// to them. Registration happens once, up front; NewShard freezes the
+// schema so shard slot arrays never reallocate (the hot path indexes
+// them without synchronization beyond the atomic slot itself).
 type Registry struct {
 	mu     sync.Mutex
-	descs  []Desc
+	kinds  []Kind
 	byName map[string]ID
 	shards []*Shard
 	frozen bool
@@ -57,11 +50,11 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]ID)}
 }
 
-func (r *Registry) register(name string, kind Kind, help string) ID {
+func (r *Registry) register(name string, kind Kind) ID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if id, ok := r.byName[name]; ok {
-		if r.descs[id].Kind != kind {
+		if r.kinds[id] != kind {
 			panic(fmt.Sprintf("obs: metric %q re-registered with a different kind", name))
 		}
 		return id
@@ -69,27 +62,20 @@ func (r *Registry) register(name string, kind Kind, help string) ID {
 	if r.frozen {
 		panic(fmt.Sprintf("obs: metric %q registered after the first shard", name))
 	}
-	id := ID(len(r.descs))
-	r.descs = append(r.descs, Desc{Name: name, Kind: kind, Help: help})
+	id := ID(len(r.kinds))
+	r.kinds = append(r.kinds, kind)
 	r.byName[name] = id
 	return id
 }
 
 // CounterID registers (or looks up) a counter.
-func (r *Registry) CounterID(name, help string) ID { return r.register(name, Counter, help) }
+func (r *Registry) CounterID(name string) ID { return r.register(name, Counter) }
 
 // GaugeID registers (or looks up) a gauge.
-func (r *Registry) GaugeID(name, help string) ID { return r.register(name, Gauge, help) }
+func (r *Registry) GaugeID(name string) ID { return r.register(name, Gauge) }
 
 // HistogramID registers (or looks up) a histogram.
-func (r *Registry) HistogramID(name, help string) ID { return r.register(name, Histogram, help) }
-
-// Descs returns the registered metric descriptors in ID order.
-func (r *Registry) Descs() []Desc {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Desc(nil), r.descs...)
-}
+func (r *Registry) HistogramID(name string) ID { return r.register(name, Histogram) }
 
 // NewShard allocates a shard over the registered schema and freezes
 // further registration. Each simulation (or worker) owns one shard:
@@ -99,11 +85,11 @@ func (r *Registry) NewShard() *Shard {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.frozen = true
-	sh := &Shard{reg: r, slots: make([]atomic.Uint64, len(r.descs))}
-	for id, d := range r.descs {
-		if d.Kind == Histogram {
+	sh := &Shard{slots: make([]atomic.Uint64, len(r.kinds))}
+	for id, k := range r.kinds {
+		if k == Histogram {
 			if sh.hists == nil {
-				sh.hists = make([][]atomic.Uint64, len(r.descs))
+				sh.hists = make([][]atomic.Uint64, len(r.kinds))
 			}
 			sh.hists[id] = make([]atomic.Uint64, HistBuckets)
 		}
@@ -170,31 +156,10 @@ func (r *Registry) HistQuantile(id ID, q float64) uint64 {
 	return 1<<uint(HistBuckets) - 1
 }
 
-// Snapshot renders every metric for export (expvar / debug dumps):
-// counters and gauges as totals, histograms as count plus p50/p99
-// upper-bound estimates. Keys are sorted for stable output.
-func (r *Registry) Snapshot() map[string]any {
-	out := make(map[string]any, len(r.descs))
-	for id, d := range r.Descs() {
-		switch d.Kind {
-		case Histogram:
-			out[d.Name] = map[string]uint64{
-				"count": r.Value(ID(id)),
-				"p50":   r.HistQuantile(ID(id), 0.50),
-				"p99":   r.HistQuantile(ID(id), 0.99),
-			}
-		default:
-			out[d.Name] = r.Value(ID(id))
-		}
-	}
-	return out
-}
-
 // Shard is one writer's slice of the registry. A shard's writer may be
 // any single goroutine at a time (slots are atomic, so even concurrent
 // writers merely contend); readers aggregate through the Registry.
 type Shard struct {
-	reg   *Registry
 	slots []atomic.Uint64
 	hists [][]atomic.Uint64 // non-nil only when histograms registered
 }
@@ -215,49 +180,30 @@ func (s *Shard) Observe(id ID, v uint64) {
 	s.slots[id].Add(1)
 }
 
-// Value reads one slot of this shard.
-func (s *Shard) Value(id ID) uint64 { return s.slots[id].Load() }
-
-// MaxVMGauges bounds the per-VM LLC occupancy gauge set (the paper's
-// machine holds at most 16 VMs).
-const MaxVMGauges = 16
-
 // SimMetrics is the standard simulator metric schema: the IDs every
 // System publishes through its RunHooks. Registering the schema on a
-// fresh registry is what NewObserver does.
+// fresh registry is what NewObserver does. Every series has a reader:
+// -progress (Progress) reads Refs and MissLatency; the benchmark's
+// per-layer ledger (benchmark/trace.go, readCounts) reads the rest. A
+// run's memory-system counters reach a human through the run record
+// (Manifest.Layers), not through this registry.
 type SimMetrics struct {
 	// Hot-path counters, published as deltas on a cadence.
 	Refs, PrivMisses, LLCMisses ID
 	C2CClean, C2CDirty          ID
-	MemReads, Invalidations     ID
-	Upgrades                    ID
+	Invalidations, Upgrades     ID
 	// Cache level gauges: 0=L0, 1=L1, 2=LLC banks.
 	LevelAccesses, LevelMisses, LevelEvictions [3]ID
 	// Coherence substrate.
 	DirEntries, DirCacheHits, DirCacheMisses ID
-	// Memory controllers (gauges; MemReads2 mirrors the controller-side
-	// read count, distinct from the per-VM MemReads counter).
-	MemReads2, MemWritebacks, MemWaitCycles, MemQueueDepth ID
-	// Engine.
-	EventQueueLen ID
-	// LLC sharing snapshot.
-	LLCResident, LLCReplicated ID
-	OccVM                      [MaxVMGauges]ID
+	// Memory controllers (gauges; the name MemReads2 is kept because
+	// the benchmark compiles against it).
+	MemReads2, MemWritebacks, MemWaitCycles ID
 	// Latency distribution of private-cache misses.
 	MissLatency ID
-	// Interval-sampling engine (zero / idle under detailed runs). The
-	// relative CI is published in parts-per-million so the integer slot
-	// carries the convergence signal losslessly enough for live display.
-	SampleWindows, SampleDetailedRefs ID
-	SampleSkippedRefs, SampleRelCIPPM ID
-	// Split-transaction parallel engine (zero / idle under the
-	// sequential engine).
-	PdesWorkers, PdesDomains         ID
-	PdesWindows, PdesOps, PdesStalls ID
-	// Phase decomposition (microseconds), published once per run end.
-	PhaseWarmupMicros, PhaseMeasureMicros                 ID
-	PdesWindowMicros, PdesReplayMicros, PdesBarrierMicros ID
-	SampleDetailedMicros, SampleFFMicros                  ID
+	// Warm-up and measurement wall time (microseconds), published once
+	// per run end.
+	PhaseWarmupMicros, PhaseMeasureMicros ID
 	// Runner bookkeeping.
 	Sims, Jobs ID
 }
@@ -265,55 +211,29 @@ type SimMetrics struct {
 // RegisterSimMetrics installs the standard schema on reg.
 func RegisterSimMetrics(reg *Registry) *SimMetrics {
 	m := &SimMetrics{
-		Refs:           reg.CounterID("sim_refs_total", "memory references simulated"),
-		PrivMisses:     reg.CounterID("sim_priv_misses_total", "private-cache misses"),
-		LLCMisses:      reg.CounterID("sim_llc_misses_total", "LLC misses"),
-		C2CClean:       reg.CounterID("sim_c2c_clean_total", "clean cache-to-cache transfers"),
-		C2CDirty:       reg.CounterID("sim_c2c_dirty_total", "dirty cache-to-cache transfers"),
-		MemReads:       reg.CounterID("sim_mem_reads_total", "demand fetches that left the chip"),
-		Invalidations:  reg.CounterID("sim_invalidations_total", "remote copies invalidated"),
-		Upgrades:       reg.CounterID("sim_upgrades_total", "shared-to-modified upgrades"),
-		DirEntries:     reg.GaugeID("dir_entries", "coherence directory entries tracked"),
-		DirCacheHits:   reg.GaugeID("dircache_hits", "directory cache hits since measure start"),
-		DirCacheMisses: reg.GaugeID("dircache_misses", "directory cache misses since measure start"),
-		MemReads2:      reg.GaugeID("mem_reads", "controller demand reads since measure start"),
-		MemWritebacks:  reg.GaugeID("mem_writebacks", "controller writebacks since measure start"),
-		MemWaitCycles:  reg.GaugeID("mem_wait_cycles", "controller queueing cycles since measure start"),
-		MemQueueDepth:  reg.GaugeID("mem_queue_depth", "requests currently queued at controllers"),
-		EventQueueLen:  reg.GaugeID("eventq_len", "simulator event queue length"),
-		LLCResident:    reg.GaugeID("llc_resident_lines", "distinct lines resident in >=1 LLC bank"),
-		LLCReplicated:  reg.GaugeID("llc_replicated_lines", "distinct lines resident in >=2 LLC banks"),
-		MissLatency:    reg.HistogramID("miss_latency_cycles", "private-miss service latency"),
-		Sims:           reg.CounterID("runner_sims_total", "simulations actually executed"),
-		Jobs:           reg.CounterID("runner_jobs_total", "runner jobs completed"),
-
-		SampleWindows:      reg.GaugeID("sample_windows", "detailed windows simulated (0 = detailed run)"),
-		SampleDetailedRefs: reg.GaugeID("sample_detailed_refs", "per-core references measured in detail"),
-		SampleSkippedRefs:  reg.GaugeID("sample_skipped_refs", "references fast-forwarded functionally"),
-		SampleRelCIPPM:     reg.GaugeID("sample_rel_ci_ppm", "worst per-VM relative 95% CI half-width, parts per million"),
-
-		PdesWorkers: reg.GaugeID("pdes_workers", "configured pdes worker count (0 = sequential engine)"),
-		PdesDomains: reg.GaugeID("pdes_domains", "worker domains formed over the active cores"),
-		PdesWindows: reg.GaugeID("pdes_windows", "parallel windows completed"),
-		PdesOps:     reg.GaugeID("pdes_ops", "shared-tier operations replayed at barriers"),
-		PdesStalls:  reg.GaugeID("pdes_stalls", "barriers where the spine waited on a worker domain"),
-
-		PhaseWarmupMicros:    reg.GaugeID("phase_warmup_micros", "wall time in the warm-up phase"),
-		PhaseMeasureMicros:   reg.GaugeID("phase_measure_micros", "wall time in the measurement phase"),
-		PdesWindowMicros:     reg.GaugeID("phase_pdes_window_micros", "spine wall time inside pdes windows"),
-		PdesReplayMicros:     reg.GaugeID("phase_pdes_replay_micros", "wall time in the serial barrier op replay"),
-		PdesBarrierMicros:    reg.GaugeID("phase_pdes_barrier_micros", "wall time folding/resyncing replicas at barriers"),
-		SampleDetailedMicros: reg.GaugeID("phase_sample_detailed_micros", "wall time in detailed sampling windows"),
-		SampleFFMicros:       reg.GaugeID("phase_sample_ff_micros", "wall time in functional fast-forward"),
+		Refs:               reg.CounterID("sim_refs_total"),
+		PrivMisses:         reg.CounterID("sim_priv_misses_total"),
+		LLCMisses:          reg.CounterID("sim_llc_misses_total"),
+		C2CClean:           reg.CounterID("sim_c2c_clean_total"),
+		C2CDirty:           reg.CounterID("sim_c2c_dirty_total"),
+		Invalidations:      reg.CounterID("sim_invalidations_total"),
+		Upgrades:           reg.CounterID("sim_upgrades_total"),
+		DirEntries:         reg.GaugeID("dir_entries"),
+		DirCacheHits:       reg.GaugeID("dircache_hits"),
+		DirCacheMisses:     reg.GaugeID("dircache_misses"),
+		MemReads2:          reg.GaugeID("mem_reads"),
+		MemWritebacks:      reg.GaugeID("mem_writebacks"),
+		MemWaitCycles:      reg.GaugeID("mem_wait_cycles"),
+		MissLatency:        reg.HistogramID("miss_latency_cycles"),
+		PhaseWarmupMicros:  reg.GaugeID("phase_warmup_micros"),
+		PhaseMeasureMicros: reg.GaugeID("phase_measure_micros"),
+		Sims:               reg.CounterID("runner_sims_total"),
+		Jobs:               reg.CounterID("runner_jobs_total"),
 	}
-	levels := [3]string{"l0", "l1", "llc"}
-	for i, lv := range levels {
-		m.LevelAccesses[i] = reg.GaugeID("cache_"+lv+"_accesses", "accesses since measure start")
-		m.LevelMisses[i] = reg.GaugeID("cache_"+lv+"_misses", "misses since measure start")
-		m.LevelEvictions[i] = reg.GaugeID("cache_"+lv+"_evictions", "evictions since measure start")
-	}
-	for v := 0; v < MaxVMGauges; v++ {
-		m.OccVM[v] = reg.GaugeID(fmt.Sprintf("llc_lines_vm%d", v), "LLC lines inserted by this VM (last snapshot)")
+	for i, lv := range [3]string{"l0", "l1", "llc"} {
+		m.LevelAccesses[i] = reg.GaugeID("cache_" + lv + "_accesses")
+		m.LevelMisses[i] = reg.GaugeID("cache_" + lv + "_misses")
+		m.LevelEvictions[i] = reg.GaugeID("cache_" + lv + "_evictions")
 	}
 	return m
 }

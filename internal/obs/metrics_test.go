@@ -7,8 +7,8 @@ import (
 
 func TestRegistryAggregatesAcrossShards(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.CounterID("c", "")
-	g := reg.GaugeID("g", "")
+	c := reg.CounterID("c")
+	g := reg.GaugeID("g")
 	a, b := reg.NewShard(), reg.NewShard()
 	a.Add(c, 3)
 	b.Add(c, 4)
@@ -24,7 +24,7 @@ func TestRegistryAggregatesAcrossShards(t *testing.T) {
 
 func TestRegistryReRegisterReturnsSameID(t *testing.T) {
 	reg := NewRegistry()
-	if reg.CounterID("x", "") != reg.CounterID("x", "") {
+	if reg.CounterID("x") != reg.CounterID("x") {
 		t.Error("re-registration returned a new ID")
 	}
 	defer func() {
@@ -32,19 +32,19 @@ func TestRegistryReRegisterReturnsSameID(t *testing.T) {
 			t.Error("kind conflict did not panic")
 		}
 	}()
-	reg.GaugeID("x", "")
+	reg.GaugeID("x")
 }
 
 func TestRegistrationAfterFreezePanics(t *testing.T) {
 	reg := NewRegistry()
-	reg.CounterID("x", "")
+	reg.CounterID("x")
 	reg.NewShard()
 	defer func() {
 		if recover() == nil {
 			t.Error("post-freeze registration did not panic")
 		}
 	}()
-	reg.CounterID("y", "")
+	reg.CounterID("y")
 }
 
 // TestConcurrentShardsSumExactly is the -race exercise: many goroutines
@@ -52,8 +52,8 @@ func TestRegistrationAfterFreezePanics(t *testing.T) {
 // sums must be exact.
 func TestConcurrentShardsSumExactly(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.CounterID("refs", "")
-	h := reg.HistogramID("lat", "")
+	c := reg.CounterID("refs")
+	h := reg.HistogramID("lat")
 
 	const workers = 8
 	const perWorker = 10_000
@@ -107,7 +107,7 @@ func TestConcurrentShardsSumExactly(t *testing.T) {
 
 func TestHistQuantileBounds(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.HistogramID("lat", "")
+	h := reg.HistogramID("lat")
 	sh := reg.NewShard()
 	if reg.HistQuantile(h, 0.5) != 0 {
 		t.Error("empty histogram quantile not 0")
@@ -127,9 +127,9 @@ func TestHistQuantileBounds(t *testing.T) {
 
 func TestShardHotPathAllocationFree(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.CounterID("c", "")
-	g := reg.GaugeID("g", "")
-	h := reg.HistogramID("h", "")
+	c := reg.CounterID("c")
+	g := reg.GaugeID("g")
+	h := reg.HistogramID("h")
 	sh := reg.NewShard()
 	allocs := testing.AllocsPerRun(1000, func() {
 		sh.Add(c, 1)
@@ -138,21 +138,5 @@ func TestShardHotPathAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("shard writes allocate: %v allocs/run", allocs)
-	}
-}
-
-func TestSnapshotShapes(t *testing.T) {
-	reg := NewRegistry()
-	m := RegisterSimMetrics(reg)
-	sh := reg.NewShard()
-	sh.Add(m.Refs, 100)
-	sh.Observe(m.MissLatency, 150)
-	snap := reg.Snapshot()
-	if snap["sim_refs_total"] != uint64(100) {
-		t.Errorf("snapshot counter = %v", snap["sim_refs_total"])
-	}
-	hist, ok := snap["miss_latency_cycles"].(map[string]uint64)
-	if !ok || hist["count"] != 1 {
-		t.Errorf("snapshot histogram = %v", snap["miss_latency_cycles"])
 	}
 }

@@ -1,8 +1,9 @@
 // Package obs is the simulator's observability layer: a sharded metrics
 // registry whose hot-path updates are allocation-free, a Chrome
 // trace-format event tracer for phase and runner-pool timing, JSONL run
-// manifests that stamp every result with its provenance, a live progress
-// display for long sweeps, and an optional expvar + pprof debug server.
+// manifests that stamp every result with its provenance and its
+// memory-system ledger, a live progress display for long sweeps, and an
+// optional pprof debug server.
 //
 // The design splits responsibilities so the simulator's per-reference
 // path stays zero-alloc:
@@ -170,100 +171,37 @@ func (h *RunHooks) Phase(lane int, name string) func() {
 func (h *RunHooks) ObserveMissLat(cycles uint64) { h.Sh.Observe(h.M.MissLatency, cycles) }
 
 // AddCore folds per-VM counter deltas into the shard's counters.
-func (h *RunHooks) AddCore(refs, privMisses, llcMisses, c2cClean, c2cDirty, memReads, invalidations, upgrades uint64) {
+func (h *RunHooks) AddCore(refs, privMisses, llcMisses, c2cClean, c2cDirty, invalidations, upgrades uint64) {
 	sh, m := h.Sh, h.M
 	sh.Add(m.Refs, refs)
 	sh.Add(m.PrivMisses, privMisses)
 	sh.Add(m.LLCMisses, llcMisses)
 	sh.Add(m.C2CClean, c2cClean)
 	sh.Add(m.C2CDirty, c2cDirty)
-	sh.Add(m.MemReads, memReads)
 	sh.Add(m.Invalidations, invalidations)
 	sh.Add(m.Upgrades, upgrades)
 }
 
-// SetLevel publishes one cache level's counters (0=L0, 1=L1, 2=LLC),
-// summed over the level's arrays, as gauges.
-func (h *RunHooks) SetLevel(level int, accesses, misses, evictions uint64) {
-	h.Sh.Set(h.M.LevelAccesses[level], accesses)
-	h.Sh.Set(h.M.LevelMisses[level], misses)
-	h.Sh.Set(h.M.LevelEvictions[level], evictions)
-}
-
-// SetDirectory publishes coherence-directory occupancy and directory
-// cache hit/miss totals.
-func (h *RunHooks) SetDirectory(entries, dcHits, dcMisses uint64) {
-	h.Sh.Set(h.M.DirEntries, entries)
-	h.Sh.Set(h.M.DirCacheHits, dcHits)
-	h.Sh.Set(h.M.DirCacheMisses, dcMisses)
-}
-
-// SetMemory publishes memory-controller counters and live queue depth.
-func (h *RunHooks) SetMemory(reads, writebacks, waitCycles uint64, queueDepth int) {
-	h.Sh.Set(h.M.MemReads2, reads)
-	h.Sh.Set(h.M.MemWritebacks, writebacks)
-	h.Sh.Set(h.M.MemWaitCycles, waitCycles)
-	h.Sh.Set(h.M.MemQueueDepth, uint64(queueDepth))
-}
-
-// SetEventQueue publishes the simulator event queue length.
-func (h *RunHooks) SetEventQueue(n int) { h.Sh.Set(h.M.EventQueueLen, uint64(n)) }
-
-// SetSampleProgress publishes the interval-sampling engine's window and
-// coverage totals plus the live convergence signal (worst per-VM
-// relative CI, scaled to parts per million), once per detailed window.
-func (h *RunHooks) SetSampleProgress(windows, detailedRefs, skippedRefs uint64, relCI float64) {
+// SetLayers publishes the memory system's ledger as gauges.
+func (h *RunHooks) SetLayers(l *Layers) {
 	sh, m := h.Sh, h.M
-	sh.Set(m.SampleWindows, windows)
-	sh.Set(m.SampleDetailedRefs, detailedRefs)
-	sh.Set(m.SampleSkippedRefs, skippedRefs)
-	ppm := relCI * 1e6
-	if ppm < 0 || ppm > 1e12 { // clamp +Inf (unconverged zero-mean metric)
-		ppm = 1e12
+	for i, c := range l.Cache {
+		sh.Set(m.LevelAccesses[i], c.Accesses)
+		sh.Set(m.LevelMisses[i], c.Misses)
+		sh.Set(m.LevelEvictions[i], c.Evictions)
 	}
-	sh.Set(m.SampleRelCIPPM, uint64(ppm))
+	sh.Set(m.DirEntries, l.DirEntries)
+	sh.Set(m.DirCacheHits, l.DirCacheHits)
+	sh.Set(m.DirCacheMisses, l.DirCacheMisses)
+	sh.Set(m.MemReads2, l.MemReads)
+	sh.Set(m.MemWritebacks, l.MemWritebacks)
+	sh.Set(m.MemWaitCycles, l.MemWaitCycles)
 }
 
-// SetPdes publishes the split-transaction parallel engine's worker and
-// domain counts (zero for the sequential engine).
-func (h *RunHooks) SetPdes(workers, domains int) {
-	h.Sh.Set(h.M.PdesWorkers, uint64(workers))
-	h.Sh.Set(h.M.PdesDomains, uint64(domains))
-}
-
-// SetPdesProgress publishes the parallel engine's window, replay-op and
-// sync-stall totals, once per window barrier.
-func (h *RunHooks) SetPdesProgress(windows, ops, stalls uint64) {
-	sh, m := h.Sh, h.M
-	sh.Set(m.PdesWindows, windows)
-	sh.Set(m.PdesOps, ops)
-	sh.Set(m.PdesStalls, stalls)
-}
-
-// SetPhaseProfile publishes the run's phase decomposition as gauges
-// (microsecond resolution — wall phases are milliseconds and up).
+// SetPhaseProfile publishes the run's warm-up and measurement wall time
+// as gauges (microsecond resolution — wall phases are milliseconds and
+// up).
 func (h *RunHooks) SetPhaseProfile(p *PhaseProfile) {
-	sh, m := h.Sh, h.M
-	micros := func(sec float64) uint64 { return uint64(sec * 1e6) }
-	sh.Set(m.PhaseWarmupMicros, micros(p.WarmupSeconds))
-	sh.Set(m.PhaseMeasureMicros, micros(p.MeasureSeconds))
-	sh.Set(m.PdesWindowMicros, micros(p.PdesWindowSeconds))
-	sh.Set(m.PdesReplayMicros, micros(p.PdesReplaySeconds))
-	sh.Set(m.PdesBarrierMicros, micros(p.PdesBarrierSeconds))
-	sh.Set(m.SampleDetailedMicros, micros(p.SampleDetailedSeconds))
-	sh.Set(m.SampleFFMicros, micros(p.SampleFFSeconds))
-}
-
-// SetSharing publishes the LLC replication snapshot counts.
-func (h *RunHooks) SetSharing(resident, replicated int) {
-	h.Sh.Set(h.M.LLCResident, uint64(resident))
-	h.Sh.Set(h.M.LLCReplicated, uint64(replicated))
-}
-
-// SetOccupancy publishes one VM's total LLC line occupancy. VMs beyond
-// the fixed gauge set are ignored.
-func (h *RunHooks) SetOccupancy(vm, lines int) {
-	if vm >= 0 && vm < MaxVMGauges {
-		h.Sh.Set(h.M.OccVM[vm], uint64(lines))
-	}
+	h.Sh.Set(h.M.PhaseWarmupMicros, uint64(p.WarmupSeconds*1e6))
+	h.Sh.Set(h.M.PhaseMeasureMicros, uint64(p.MeasureSeconds*1e6))
 }

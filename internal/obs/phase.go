@@ -101,6 +101,22 @@ func (p *PhaseProfile) TrackedSeconds() float64 {
 	return p.WarmupSeconds + p.MeasureSeconds
 }
 
+// FFCostRatio returns a sampled run's fast-forward cost: host wall time
+// per fast-forwarded reference over host wall time per detailed
+// reference, from the detailed/ff split (the warm-up's pilot window and
+// fast-forward are in neither side). The ratio is the sampling engine's
+// Amdahl term — at a given window geometry the end-to-end speedup is
+// bounded by detailed + ratio*skipped. Zero for detailed runs and for
+// sampled runs that never fast-forwarded.
+func (p *PhaseProfile) FFCostRatio(detailedRefs, skippedRefs uint64) float64 {
+	if detailedRefs == 0 || skippedRefs == 0 || p.SampleDetailedSeconds <= 0 || p.SampleFFSeconds <= 0 {
+		return 0
+	}
+	detPerRef := p.SampleDetailedSeconds / float64(detailedRefs)
+	ffPerRef := p.SampleFFSeconds / float64(skippedRefs)
+	return ffPerRef / detPerRef
+}
+
 // ApplyFraction returns the *serial* barrier-replay share of wall
 // seconds — the Amdahl term bounding -pdes scaling (0 when not pdes).
 // With bank-sharded replay the parallel per-group pass no longer

@@ -1,20 +1,16 @@
-// Cross-run analysis: phase reports, run diffs and live metric polling.
+// Cross-run analysis: run reports and run diffs.
 //
 // This file is the testable core of consim obs. It consumes the sidecars
 // the toolchain writes — run-manifest JSONL (ManifestWriter) and the
 // -timeseries rows — and renders them for humans: a per-run
-// phase/Amdahl report, a two-run regression diff, and a sorted table of
-// a live -debug-addr endpoint's metrics.
+// memory-system and phase/Amdahl report, and a two-run regression diff.
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sort"
-	"time"
 )
 
 // ApplyFractionGate is the absolute apply-fraction growth (in fraction
@@ -27,10 +23,10 @@ const ApplyFractionGate = 0.05
 // Phase report
 
 // WritePhaseReport renders one manifest record: the run header, the
-// wall-time phase decomposition with its untracked residual and
-// coverage, the per-domain imbalance breakdown, and — when rows from
-// the run's time-series sidecar are supplied — a per-VM trajectory
-// summary. rows may span many runs; only those matching the manifest's
+// memory-system ledger, the wall-time phase decomposition with its
+// untracked residual and coverage, the per-domain imbalance breakdown,
+// and — when rows from the run's time-series sidecar are supplied — a
+// per-VM trajectory summary. rows may span many runs; only those matching the manifest's
 // TimeseriesRun are used.
 func WritePhaseReport(w io.Writer, m Manifest, rows []TSRow) {
 	engine := "sequential"
@@ -48,6 +44,9 @@ func WritePhaseReport(w io.Writer, m Manifest, rows []TSRow) {
 		rps = float64(m.Refs) / m.WallSeconds
 	}
 	fmt.Fprintf(w, "  cost: refs=%d cycles=%d wall=%.3fs (%.0f refs/sec)\n", m.Refs, m.Cycles, m.WallSeconds, rps)
+	if m.Layers != nil {
+		writeLayers(w, *m.Layers, m.SampleWindows > 0)
+	}
 
 	if m.Phase == nil {
 		fmt.Fprintf(w, "  no phase profile recorded (pre-v%d manifest or telemetry off)\n", ManifestVersion)
@@ -94,12 +93,10 @@ func WritePhaseReport(w io.Writer, m Manifest, rows []TSRow) {
 			"detailed", p.SampleDetailedSeconds, pct(p.SampleDetailedSeconds), m.SampleDetailedRefs)
 		fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%   (%d refs/core skipped)\n",
 			"fast-forward", p.SampleFFSeconds, pct(p.SampleFFSeconds), m.SampleSkippedRefs)
-		if m.SampleDetailedRefs > 0 && m.SampleSkippedRefs > 0 &&
-			p.SampleDetailedSeconds > 0 && p.SampleFFSeconds > 0 {
+		if r := p.FFCostRatio(m.SampleDetailedRefs, m.SampleSkippedRefs); r > 0 {
 			det := p.SampleDetailedSeconds / float64(m.SampleDetailedRefs)
-			ff := p.SampleFFSeconds / float64(m.SampleSkippedRefs)
 			fmt.Fprintf(w, "  ff cost ratio %.2fx  (%.0fns/ref ff vs %.0fns/ref detailed; lower is better)\n",
-				ff/det, ff*1e9, det*1e9)
+				r, r*det*1e9, det*1e9)
 		}
 	}
 	tracked := p.TrackedSeconds()
@@ -161,6 +158,35 @@ func WritePhaseReport(w io.Writer, m Manifest, rows []TSRow) {
 		}
 	}
 	writeSeriesSummary(w, m, rows)
+}
+
+// writeLayers renders the memory-system ledger; sampled says the cache
+// counters include fast-forwarded references.
+func writeLayers(w io.Writer, l Layers, sampled bool) {
+	label := "memory system (measurement window):"
+	if sampled {
+		label = "memory system (measurement window; cache counters include fast-forwarded references):"
+	}
+	fmt.Fprintln(w, label)
+	pct := func(part, whole uint64) float64 {
+		if whole == 0 {
+			return 0
+		}
+		return 100 * float64(part) / float64(whole)
+	}
+	for i, name := range [3]string{"L0", "L1", "LLC"} {
+		c := l.Cache[i]
+		fmt.Fprintf(w, "  %-4s accesses=%-12d misses=%-11d (%5.2f%%)  evictions=%d\n",
+			name, c.Accesses, c.Misses, pct(c.Misses, c.Accesses), c.Evictions)
+	}
+	fmt.Fprintf(w, "  directory entries=%d  dircache hits=%d misses=%d (%.1f%% hit, whole run)\n",
+		l.DirEntries, l.DirCacheHits, l.DirCacheMisses, pct(l.DirCacheHits, l.DirCacheHits+l.DirCacheMisses))
+	wait := 0.0
+	if l.MemReads > 0 {
+		wait = float64(l.MemWaitCycles) / float64(l.MemReads)
+	}
+	fmt.Fprintf(w, "  memctrl   reads=%d writebacks=%d wait=%d cycles (%.1f/read)\n",
+		l.MemReads, l.MemWritebacks, l.MemWaitCycles, wait)
 }
 
 // writeSeriesSummary renders the per-VM trajectory summary for the
@@ -288,11 +314,10 @@ func SummarizeManifest(m Manifest) RunSummary {
 	}
 	if m.SampleWindows > 0 {
 		s.SampleRelCI = m.SampleRelCI
-		if m.Phase != nil && m.SampleDetailedRefs > 0 && m.SampleSkippedRefs > 0 &&
-			m.Phase.SampleDetailedSeconds > 0 && m.Phase.SampleFFSeconds > 0 {
-			det := m.Phase.SampleDetailedSeconds / float64(m.SampleDetailedRefs)
-			ff := m.Phase.SampleFFSeconds / float64(m.SampleSkippedRefs)
-			s.FFCostRatio = ff / det
+		if m.Phase != nil {
+			if r := m.Phase.FFCostRatio(m.SampleDetailedRefs, m.SampleSkippedRefs); r > 0 {
+				s.FFCostRatio = r
+			}
 		}
 	}
 	return s
@@ -372,61 +397,3 @@ func DiffSummaries(w io.Writer, base, cur RunSummary, thresh float64) int {
 // walk's whole specialization margin over the generic path is of that
 // order).
 const FFCostGateFrac = 0.20
-
-// ---------------------------------------------------------------------
-// Live polling (obs top)
-
-// FetchDebugVars polls a -debug-addr endpoint's /debug/vars and returns
-// the consim metric snapshot: counters and gauges as float64, histogram
-// sub-fields flattened to "name.count" / "name.p50" / "name.p99".
-func FetchDebugVars(addr string) (map[string]float64, error) {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + addr + "/debug/vars")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: HTTP %s", addr, resp.Status)
-	}
-	var payload struct {
-		Consim map[string]any `json:"consim"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		return nil, fmt.Errorf("%s: decode /debug/vars: %w", addr, err)
-	}
-	if payload.Consim == nil {
-		return nil, fmt.Errorf("%s: no consim registry exported (is the run using -debug-addr?)", addr)
-	}
-	out := make(map[string]float64, len(payload.Consim))
-	for name, v := range payload.Consim {
-		switch val := v.(type) {
-		case float64:
-			out[name] = val
-		case map[string]any:
-			for sub, sv := range val {
-				if f, ok := sv.(float64); ok {
-					out[name+"."+sub] = f
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// WriteVarsTable renders a snapshot sorted by name, with per-metric
-// deltas against prev (nil on the first poll).
-func WriteVarsTable(w io.Writer, cur, prev map[string]float64) {
-	names := make([]string, 0, len(cur))
-	for n := range cur {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if prev == nil {
-			fmt.Fprintf(w, "  %-34s %14.0f\n", n, cur[n])
-			continue
-		}
-		fmt.Fprintf(w, "  %-34s %14.0f  %+12.0f\n", n, cur[n], cur[n]-prev[n])
-	}
-}

@@ -230,3 +230,50 @@ func TestWritePhaseReportSampledWarmup(t *testing.T) {
 		}
 	}
 }
+
+// TestWritePhaseReportLayers renders the memory-system block: the cache
+// levels, directory and controllers of a record that carries a ledger,
+// the fast-forward caveat on a sampled one, and nothing for a record
+// written before the ledger was recorded.
+func TestWritePhaseReportLayers(t *testing.T) {
+	l := Layers{DirEntries: 4096, DirCacheHits: 300, DirCacheMisses: 100, MemReads: 50, MemWritebacks: 20, MemWaitCycles: 125}
+	l.Cache[0] = CacheCounts{Accesses: 1000, Misses: 100, Evictions: 90}
+	l.Cache[1] = CacheCounts{Accesses: 100, Misses: 40, Evictions: 30}
+	l.Cache[2] = CacheCounts{Accesses: 40, Misses: 10, Evictions: 5}
+	m := pdesManifest()
+	m.Layers = &l
+
+	var b strings.Builder
+	WritePhaseReport(&b, m, nil)
+	out := b.String()
+	for _, want := range []string{
+		"memory system (measurement window):",
+		"L0   accesses=1000", "(10.00%)", "evictions=90",
+		"L1   accesses=100", "(40.00%)",
+		"LLC  accesses=40", "(25.00%)", "evictions=5",
+		"directory entries=4096  dircache hits=300 misses=100 (75.0% hit, whole run)",
+		"memctrl   reads=50 writebacks=20 wait=125 cycles (2.5/read)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q in:\n%s", want, out)
+		}
+	}
+	if strings.Index(out, "memory system") > strings.Index(out, "phase decomposition") {
+		t.Errorf("memory system block not ahead of the phases:\n%s", out)
+	}
+
+	m.SampleWindows = 4
+	b.Reset()
+	WritePhaseReport(&b, m, nil)
+	if !strings.Contains(b.String(), "cache counters include fast-forwarded references") {
+		t.Errorf("sampled record's block does not say it counts fast-forwarded references:\n%s", b.String())
+	}
+
+	for _, old := range []Manifest{pdesManifest(), {Label: "old", WallSeconds: 1}} {
+		b.Reset()
+		WritePhaseReport(&b, old, nil)
+		if strings.Contains(b.String(), "memory system") {
+			t.Errorf("record without a ledger printed a memory system block:\n%s", b.String())
+		}
+	}
+}

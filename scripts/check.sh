@@ -78,6 +78,13 @@ echo "$shards_out" | grep -q "flag provided but not defined: -shards" \
 # (benchmark/ measures everything they did; EXPERIMENTS.md "One
 # benchmark harness"). A second harness must not come back.
 test ! -e cmd/bench || { echo "check.sh: cmd/bench exists again" >&2; exit 1; }
+# obs top and the expvar registry dump it polled were deleted:
+# the run record (manifest "layers", read by obs report) carries what it
+# showed, and -debug-addr serves pprof only.
+top_out=$(go run ./cmd/consim obs top 2>&1) \
+	&& { echo "check.sh: consim accepted obs top" >&2; exit 1; }
+echo "$top_out" | grep -q '"obs top" is not a command' \
+	|| { echo "check.sh: consim obs top failed for another reason: $top_out" >&2; exit 1; }
 # One binary: tables, ablate, calibrate, trace and obs are subcommands of
 # consim over one run-flag set, not mains of their own.
 cmds=$(go list ./cmd/...)
@@ -171,13 +178,16 @@ scripts/bench_smoke.sh
 
 echo "== observability smoke =="
 # A tiny observed run must produce a non-empty Chrome trace and a
-# manifest line alongside a clean exit.
+# manifest line alongside a clean exit, and obs report must print the
+# record's memory-system ledger.
 obs_trace=$(mktemp /tmp/consim_trace.XXXXXX.json)
 obs_manifest=$(mktemp /tmp/consim_manifest.XXXXXX.jsonl)
 go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 4000 \
 	-progress -tracefile "$obs_trace" -manifest "$obs_manifest" >/dev/null
 test -s "$obs_trace" || { echo "check.sh: empty trace file" >&2; exit 1; }
 test -s "$obs_manifest" || { echo "check.sh: empty manifest" >&2; exit 1; }
+go run ./cmd/consim obs report "$obs_manifest" | grep -q "memory system" \
+	|| { echo "check.sh: obs report printed no memory system block" >&2; exit 1; }
 rm -f "$obs_trace" "$obs_manifest"
 
 echo "check.sh: OK"
