@@ -1,6 +1,7 @@
-// State-free peeks for the engines' lookahead (core/lookahead.go): they
-// start the host-memory loads a demand access one core rotation later
-// would otherwise serialize behind its tag compares.
+// State-free peeks for the walk's host-memory hints (core/lookahead.go):
+// PrefetchSet starts a set's load one core rotation ahead of its demand
+// access, and PeekVictimTag names the line a coming insertion will evict,
+// so its directory bucket can load before the eviction reaches it.
 package cache
 
 import (

@@ -1,9 +1,11 @@
 package coherence
 
 import (
+	"reflect"
 	"testing"
 
 	"consim/internal/cache"
+	"consim/internal/prefetch"
 	"consim/internal/sim"
 )
 
@@ -129,6 +131,29 @@ func TestDirectoryFirstAllocation(t *testing.T) {
 	for lines, want := range map[int]int{1: 4, 2: 4, 3: 8, 5: 8, 6: 16, 49_151: 65_536, 49_152: 131_072, 262_144: 524_288} {
 		if got := dirCap(lines); got != want {
 			t.Errorf("dirCap(%d) = %d, want %d", lines, got, want)
+		}
+	}
+}
+
+// TestDirectoryBytes holds Bytes to the slot's real layout and to the
+// promise core's victim-hint gate rests on: a new directory's table is of
+// huge-page size exactly when the table at its bound is (an unbounded
+// one starts at 2 MB).
+func TestDirectoryBytes(t *testing.T) {
+	if got := reflect.TypeOf(dirSlot{}).Size(); got != dirSlotBytes {
+		t.Fatalf("dirSlot is %d bytes, dirSlotBytes says %d", got, dirSlotBytes)
+	}
+	for _, lines := range []int{0, 1000, 32_767, 32_768, 49_151, 49_152, 262_144} {
+		d := NewDirectoryFor(16, lines)
+		if d.Bytes() != d.Cap()*dirSlotBytes {
+			t.Errorf("lines %d: Bytes %d for %d slots", lines, d.Bytes(), d.Cap())
+		}
+		atBound := dirInitialSlots * dirSlotBytes
+		if lines > 0 {
+			atBound = dirCap(lines) * dirSlotBytes
+		}
+		if got, want := d.Bytes() >= prefetch.HugePageBytes, atBound >= prefetch.HugePageBytes; got != want {
+			t.Errorf("lines %d: first table %d bytes, %d at the bound: huge-page size %v now, %v at the bound", lines, d.Bytes(), atBound, got, want)
 		}
 	}
 }

@@ -193,12 +193,26 @@ func NewDirectoryFor(n, lines int) *Directory {
 	return d
 }
 
-// resize installs a free table of n slots and its hash parameters.
+// resize installs a free table of n slots and its hash parameters. A
+// table of 2 MB or more is advised onto huge pages before anything
+// touches it: the buckets are hash-spread, so a 4 KB-paged table misses
+// the host TLB on nearly every probe, and each prefetch hint into it
+// pays a page walk before its line can even be requested.
 func (d *Directory) resize(n int) {
 	d.slots = make([]dirSlot, n)
+	prefetch.HugePages(d.slots)
 	d.shift = 64 - uint(bits.TrailingZeros(uint(n)))
 	d.grow = n * 3 / 4
 }
+
+// dirSlotBytes is a dirSlot's size: a tag word plus an Entry's two
+// masks and two owners, padded to 32.
+const dirSlotBytes = 32
+
+// Bytes returns the table's size in host memory. It reaches
+// prefetch.HugePageBytes at construction exactly when the table, once at
+// its bound, is big enough for huge pages.
+func (d *Directory) Bytes() int { return len(d.slots) * dirSlotBytes }
 
 // Nodes returns the number of home nodes.
 func (d *Directory) Nodes() int { return d.nodes }
@@ -314,11 +328,24 @@ func (d *Directory) Release(addr sim.Addr) {
 // PrefetchProbe starts the host load of addr's home bucket ahead of a
 // coming Get or ProbeSlot, so the table's DRAM miss overlaps other work
 // instead of stalling the walk behind an address only a tag compare
-// reveals. It changes no state (Lookups included). Collision chains may
-// run past the line fetched, but the first probe is the dominant cost at
-// the table's 3/4 load bound.
+// reveals. It changes no state (Lookups included). It covers a lookup,
+// whose probe sequence usually ends in the home bucket's host line; a
+// release reads on past it (PrefetchRelease).
 func (d *Directory) PrefetchProbe(addr sim.Addr) {
 	prefetch.Line(&d.slots[d.idx(sim.BlockID(addr))])
+}
+
+// PrefetchRelease is PrefetchProbe ahead of a coming ReleaseSlot of
+// addr: beside the home bucket's host line it starts the next one. The
+// backward shift reads on from the entry's bucket to the first free one,
+// so it crosses into that line whenever the entry sits in the second of
+// its line's two 32-byte buckets or its cluster runs on; with only the
+// home line prefetched, that read was the release's remaining stall. It
+// changes no state.
+func (d *Directory) PrefetchRelease(addr sim.Addr) {
+	i := d.idx(sim.BlockID(addr))
+	prefetch.Line(&d.slots[i])
+	prefetch.Line(&d.slots[((i|1)+1)&uint64(len(d.slots)-1)])
 }
 
 // ProbeSlot locates addr's table slot without creating one. Together with

@@ -31,10 +31,12 @@ func paperScaleDirectory(tb testing.TB) (*Directory, []sim.Addr) {
 	return d, addrs
 }
 
-// TestPrefetchIsInert: the prefetch entry points are hints, so tracked,
-// untracked and colliding addresses alike leave the directory (table
-// layout, entries, live count, Lookups) and the directory caches (tags,
-// recency, hit/miss counts) exactly as they were.
+// TestPrefetchIsInert: the prefetch entry points (PrefetchProbe,
+// PrefetchRelease, PrefetchSet) are hints, so tracked, untracked and
+// colliding addresses alike — and a release hint whose second line wraps
+// past the table's end — leave the directory (table layout, entries,
+// live count, Lookups) and the directory caches (tags, recency, hit/miss
+// counts) exactly as they were.
 func TestPrefetchIsInert(t *testing.T) {
 	d, addrs := paperScaleDirectory(t)
 	dc := NewDirCache(16, DirCacheConfig{Entries: 1024, Assoc: 8})
@@ -45,8 +47,17 @@ func TestPrefetchIsInert(t *testing.T) {
 	for i, a := range addrs[:20_000] {
 		d.PrefetchProbe(a)
 		d.PrefetchProbe(a + sim.Addr(len(addrs))<<sim.LineShift) // untracked
+		d.PrefetchRelease(a)
+		d.PrefetchRelease(a + sim.Addr(len(addrs))<<sim.LineShift)
 		dc.PrefetchSet(i%16, a)
 	}
+	// The release hint's second line wraps at the table's end: the last
+	// slot's successor line is the first.
+	b := uint64(len(addrs))
+	for d.idx(b) != uint64(d.Cap()-1) {
+		b++
+	}
+	d.PrefetchRelease(sim.Addr(b) << sim.LineShift)
 	if after := dc.StateDigest(d.StateDigest(cache.DigestSeed)); after != before {
 		t.Fatalf("prefetching changed state: digest %#x -> %#x", before, after)
 	}

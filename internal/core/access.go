@@ -255,6 +255,15 @@ func fetchTM(s *System, tm timing, c, vmID int, addr sim.Addr, write bool) sim.C
 	g := s.groupOf(c)
 	bank := s.banks[g]
 	bnode := s.bankNode(g, addr)
+	// The fill at the end evicts this L1 victim through its directory
+	// bucket (evictPrivateVictim); the failed L1 lookup has just pulled
+	// its set into host cache, so naming it is cheap, and the whole walk
+	// below overlaps the bucket's host-memory fetch (lookahead.go).
+	if s.victimHints {
+		if vt, ok := s.l1[c].PeekVictimTag(addr, vtag); ok {
+			s.dir.PrefetchProbe(vt)
+		}
+	}
 
 	// A core's access to its own group's LLC costs the flat Table III
 	// latency (plus slice occupancy) at every sharing degree — the
@@ -263,6 +272,13 @@ func fetchTM(s *System, tm timing, c, vmID int, addr sim.Addr, write bool) sim.C
 	// traffic.
 	t := tm.bankAccess(s, s.now, bnode)
 	bw, bHit := bank.Lookup(addr)
+	if !bHit && s.victimHints {
+		// Likewise the bank victim, which the install below releases
+		// (evictBankLineTM) from the set Lookup just scanned.
+		if vt, ok := bank.PeekVictimTag(addr, vtag); ok {
+			s.dir.PrefetchRelease(vt)
+		}
+	}
 	e := s.dir.Get(addr)
 
 	if bHit {

@@ -13,26 +13,38 @@ import "consim/internal/workload"
 // cannot overlap them; a profile of the 4-VM mix showed 42% of all CPU
 // in those stalls.
 //
-// The cure is to know the address early. A core's next reference already
-// sits in its generator ring when the current one finishes, and the core
-// will not issue it until every other core has had a turn — microseconds
-// of host time. prefetchRef spends a few nanoseconds of that turn walking
-// the reference's probable miss cascade read-only and issuing prefetch
-// hints (internal/prefetch) for exactly the lines the demand walk will
-// touch, so they arrive while the other cores' references execute.
+// The cure is to know each address early, and to ask for it with a hint
+// that never stalls. Two places know one:
 //
-// Both engines that walk references one core at a time call it: the
-// detailed event loop (runSequential) after pushing a core's next event,
-// and the fast-forward warming loop (warmLoop) after drawing a context's
-// reference.
+//   - A core's next reference already sits in its generator ring when
+//     the current one finishes, and the core will not issue it until
+//     every other core has had a turn — microseconds of host time.
+//     prefetchRef spends a few nanoseconds of that turn hinting the lines
+//     whose addresses follow from the reference alone: its footprint
+//     bitmap word, its directory bucket, its bank set and its home
+//     node's directory-cache set. It does not predict hits or victims:
+//     that took demand loads of its own (the L1 and bank tag probes),
+//     the very stalls it exists to hide.
+//   - A victim is known inside the walk itself, from a set the demand
+//     access has just scanned: the L1 victim when fetchTM starts, the
+//     bank victim right after the bank misses. fetchTM hints their
+//     buckets there, ahead of the directory, mesh and memory work that
+//     runs before the evictions reach them.
+//
+// Both engines that walk references one core at a time call prefetchRef:
+// the detailed event loop (runSequential) after pushing a core's next
+// event, and the fast-forward warming loop (warmLoop) after drawing a
+// context's reference. The directory table is on huge pages
+// (Directory.resize), so a hint into it rarely pays a page walk first.
 
 // lookaheadMinBlocks gates the lookahead on total modeled footprint:
-// below it the walked structures fit the host cache hierarchy and the
-// extra probes only cost (0-8% measured at scale 16 and on the isolated
-// TPC-H cells); above it they live in host DRAM and hiding their miss
-// latency pays for the probes many times over. The threshold corresponds
-// to a few tens of MB of simulated metadata — around where a contemporary
-// host's private cache levels give out.
+// below it the walked structures fit the host cache hierarchy, the
+// hinted lines are already there and the peek and hints only cost (0-8%
+// measured at scale 16 and on the isolated TPC-H cells, when the
+// lookahead still probed); above it they live in host DRAM and hiding
+// their miss latency pays for the hints many times over. The threshold
+// corresponds to a few tens of MB of simulated metadata — around where a
+// contemporary host's private cache levels give out.
 const lookaheadMinBlocks = 2 << 20
 
 // footprintBlocks sums the VMs' block address spaces.
@@ -54,47 +66,21 @@ func (s *System) peekRef(run runnable) (workload.Access, bool) {
 	return workload.Access{}, false
 }
 
-// prefetchRef starts the host-memory loads that core c's coming
-// reference to block (on behalf of vmID) will probably need. It follows
-// the demand walk's own hit cascade read-only, so each predicted hit
-// prunes the deeper loads and each predicted miss names precisely the
-// lines the fill will touch — including the two eviction victims'
-// directory buckets, which the demand path cannot overlap with anything
-// because a victim is only known mid-fill.
+// prefetchRef starts the host-memory loads of the lines core c's coming
+// reference to block (on behalf of vmID) reads whatever it hits or
+// misses: once the private levels miss, fetchTM reads the line's
+// directory entry and its group's bank set, and on a bank miss the home
+// node's directory-cache set.
 //
-// Nothing simulation-visible moves: Probe and PeekVictimTag touch neither
-// recency order nor counters, and the Prefetch* calls are hint
-// instructions. Predictions may be stale by the time the reference
-// issues (a rebalance or timeslice rotation put another thread on the
-// core, an intervening access invalidated or refilled a set); that only
-// wastes a prefetched line.
+// Nothing simulation-visible moves: the Prefetch* calls are hint
+// instructions. The reference may not be the one that issues next (a
+// rebalance or timeslice rotation put another thread on the core); that
+// only wastes the prefetched lines.
 func (s *System) prefetchRef(c, vmID int, block uint64) {
 	m := s.vms[vmID]
 	m.PrefetchTouch(block)
 	addr := m.AddrOf(block)
-	if _, hit := s.l0[c].Probe(addr); hit {
-		return
-	}
-	l1 := s.l1[c]
-	if _, hit := l1.Probe(addr); hit {
-		return
-	}
-	// Private miss: fetchTM reads the line's directory entry whatever
-	// the bank says, and fillL1's victim leaves through its own bucket
-	// (evictPrivateVictim) — the walk's single hottest stall.
-	vtag := uint8(vmID)
 	s.dir.PrefetchProbe(addr)
-	if vt, ok := l1.PeekVictimTag(addr, vtag); ok {
-		s.dir.PrefetchProbe(vt)
-	}
-	bank := s.banks[s.groupOf(c)]
-	if _, hit := bank.Probe(addr); hit {
-		return
-	}
-	// LLC miss: the home node's directory cache is visited, and the
-	// bank victim is back-invalidated through its bucket.
+	s.banks[s.groupOf(c)].PrefetchSet(addr)
 	s.dirCache.PrefetchSet(s.dir.Home(addr), addr)
-	if vt, ok := bank.PeekVictimTag(addr, vtag); ok {
-		s.dir.PrefetchProbe(vt)
-	}
 }

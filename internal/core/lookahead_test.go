@@ -39,15 +39,18 @@ func lookaheadDigest(s *System) uint64 {
 	return h
 }
 
-// TestLookaheadBitIdentical proves the lookahead is read-only: the same
-// configuration run with it forced on and forced off must produce the
-// same Result and leave the same machine behind. No benchmark-sized
-// footprint fits a unit test, so the tests flip the unexported gate
-// NewSystem computed. The cases cover every way a prediction goes stale
-// or a peek is unavailable: timeslice rotation (the peeked runnable is
-// the rotated-in one), dynamic rebalancing (the core may be handed
-// another thread entirely) and a trace-replay source beside live
-// generators (no ring to peek).
+// TestLookaheadBitIdentical proves the host-memory hints read-only: the
+// same configuration run with the lookahead (prefetchRef) and fetchTM's
+// victim hints each forced on and off, in all four combinations, must
+// produce the same Result and leave the same machine behind. The scale-16
+// cases flip the unexported switches NewSystem set. They cover every way
+// a prediction goes stale or a peek is unavailable: timeslice rotation
+// (the peeked runnable is the rotated-in one), dynamic rebalancing (the
+// core may be handed another thread entirely), a trace-replay source
+// beside live generators (no ring to peek) and a partitioned LLC (the
+// bank victim comes from the VM's quota). The paper-scale case grows the
+// directory table to 16 MB, so the walk runs on the huge-page-advised
+// table (Directory.resize) with the lookahead gated on by footprint.
 func TestLookaheadBitIdentical(t *testing.T) {
 	mix := func() Config {
 		cfg := fastCfg(4, sched.RoundRobin, workload.TPCW, workload.SPECjbb, workload.TPCH, workload.SPECweb)
@@ -65,6 +68,10 @@ func TestLookaheadBitIdentical(t *testing.T) {
 
 	qos := mix()
 	qos.QoSPartition = true
+
+	paper := mix()
+	paper.Scale = 1
+	paper.WarmupRefs, paper.MeasureRefs = 10_000, 10_000
 
 	// VM 0 replays a capture of its own generator; the other three stay
 	// live. Readers are stateful, so each system gets a fresh one.
@@ -85,9 +92,13 @@ func TestLookaheadBitIdentical(t *testing.T) {
 		{"rebalance", reb, false},
 		{"trace-replay", replay, true},
 		{"qos-partitioned", qos, false},
+		{"paper-scale", paper, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(on bool) (string, uint64) {
+			if testing.Short() && tc.cfg.Scale == 1 {
+				t.Skip("seconds per run under -race; the full run keeps it")
+			}
+			run := func(lookahead, victims bool) (string, uint64) {
 				cfg := tc.cfg
 				if tc.replay {
 					rd, err := trace.NewReader(bytes.NewReader(capture.Bytes()))
@@ -101,52 +112,65 @@ func TestLookaheadBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if sys.lookahead {
-					t.Fatalf("a scale-%d footprint of %d blocks switched the lookahead on by itself", cfg.Scale, sys.footprintBlocks())
+				if want := cfg.Scale == 1; sys.lookahead != want || sys.victimHints != want {
+					t.Fatalf("scale %d gated the lookahead %v and the victim hints %v, want both %v", cfg.Scale, sys.lookahead, sys.victimHints, want)
 				}
-				sys.lookahead = on
+				sys.lookahead, sys.victimHints = lookahead, victims
 				res, err := sys.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
+				if cfg.Scale == 1 {
+					if b := sys.dir.Bytes(); b < 4<<20 {
+						t.Fatalf("paper-scale directory table is %d bytes, want a table holding an aligned 2 MB page", b)
+					}
+				}
 				return resultDigest(t, res), lookaheadDigest(sys)
 			}
-			offRes, offState := run(false)
-			onRes, onState := run(true)
-			if onRes != offRes {
-				t.Errorf("Result changed with the lookahead on:\noff %s\non  %s", offRes, onRes)
-			}
-			if onState != offState {
-				t.Errorf("machine state changed with the lookahead on: %#x vs %#x", offState, onState)
+			offRes, offState := run(false, false)
+			for _, on := range []struct{ lookahead, victims bool }{{true, false}, {false, true}, {true, true}} {
+				res, state := run(on.lookahead, on.victims)
+				if res != offRes {
+					t.Errorf("Result changed with lookahead %v, victim hints %v:\noff %s\non  %s", on.lookahead, on.victims, offRes, res)
+				}
+				if state != offState {
+					t.Errorf("machine state changed with lookahead %v, victim hints %v: %#x vs %#x", on.lookahead, on.victims, offState, state)
+				}
 			}
 		})
 	}
 }
 
-// TestLookaheadGate pins the footprint rule: the paper-scale 4-VM mix is
-// the one configuration in the benchmark big enough to switch the
-// lookahead on; the same mix at scale 16 and an isolated paper-scale VM
-// are not.
+// TestLookaheadGate pins the two size rules: the lookahead turns on by
+// footprint, so the paper-scale 4-VM mix is the one configuration in the
+// benchmark big enough for it, while the same mix at scale 16 and an
+// isolated paper-scale VM are not; fetchTM's victim hints turn on with a
+// directory table of huge-page size, which both paper-scale machines
+// have and the scale-16 mix's 1 MB table does not.
 func TestLookaheadGate(t *testing.T) {
 	mix := fastCfg(4, sched.RoundRobin, workload.TPCW, workload.SPECjbb, workload.TPCH, workload.SPECweb)
 	iso := fastCfg(16, sched.Affinity, workload.TPCH)
 	for _, tc := range []struct {
-		name  string
-		cfg   Config
-		scale int
-		want  bool
+		name      string
+		cfg       Config
+		scale     int
+		lookahead bool
+		hints     bool
 	}{
-		{"mix4 scale 1", mix, 1, true},
-		{"mix4 scale 16", mix, 16, false},
-		{"isolated TPC-H scale 1", iso, 1, false},
+		{"mix4 scale 1", mix, 1, true, true},
+		{"mix4 scale 16", mix, 16, false, false},
+		{"isolated TPC-H scale 1", iso, 1, false, true},
 	} {
 		tc.cfg.Scale = tc.scale
 		sys, err := NewSystem(tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sys.lookahead != tc.want {
-			t.Errorf("%s: lookahead %v with %d footprint blocks, want %v", tc.name, sys.lookahead, sys.footprintBlocks(), tc.want)
+		if sys.lookahead != tc.lookahead {
+			t.Errorf("%s: lookahead %v with %d footprint blocks, want %v", tc.name, sys.lookahead, sys.footprintBlocks(), tc.lookahead)
+		}
+		if sys.victimHints != tc.hints {
+			t.Errorf("%s: victim hints %v with a %d-byte directory table, want %v", tc.name, sys.victimHints, sys.dir.Bytes(), tc.hints)
 		}
 	}
 }

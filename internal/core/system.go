@@ -9,6 +9,7 @@ import (
 	"consim/internal/memctrl"
 	"consim/internal/mesh"
 	"consim/internal/obs"
+	"consim/internal/prefetch"
 	"consim/internal/sched"
 	"consim/internal/sim"
 	"consim/internal/vm"
@@ -149,8 +150,11 @@ type System struct {
 
 	// lookahead turns on prefetchRef in the detailed and warming loops:
 	// set once at construction when the modeled footprint outgrows the
-	// host caches (lookahead.go).
-	lookahead bool
+	// host caches (lookahead.go). victimHints turns on fetchTM's hints
+	// for its eviction victims' directory buckets: set once at
+	// construction when the directory table is big enough for huge pages.
+	lookahead   bool
+	victimHints bool
 }
 
 // pubTotals snapshots the per-VM counter sums at the last live publish.
@@ -277,6 +281,10 @@ func NewSystem(cfg Config) (*System, error) {
 		s.rebalanceSeed = cfg.Seed ^ 0xd15c
 	}
 	s.lookahead = s.footprintBlocks() >= lookaheadMinBlocks
+	// Below huge-page size the table lives in the host's private caches,
+	// where the victim hints only cost (mix4_s16's 1 MB table ran 3.6%
+	// slower with them; EXPERIMENTS.md "Hint-only lookahead").
+	s.victimHints = s.dir.Bytes() >= prefetch.HugePageBytes
 	if cfg.Pdes > 1 {
 		s.pdes = newPdesEngine(s)
 	}

@@ -20,10 +20,13 @@ go vet ./...
 echo "== go build =="
 go build ./...
 # internal/prefetch has one assembly stub per architecture and a no-op
-# fallback; compile the two this host does not.
+# fallback, and huge-page advice that is madvise on Linux and a no-op
+# elsewhere; compile the variants this host does not.
 GOARCH=arm64 go vet ./internal/prefetch
 GOARCH=arm64 go build ./...
 GOARCH=riscv64 go build ./...
+GOOS=darwin go build ./...
+GOOS=windows go build ./...
 
 echo "== go test -race =="
 # internal/core alone needs 13-17 minutes under -race -short on a
@@ -33,6 +36,14 @@ if [ "${FULL:-}" = "1" ]; then
 else
 	go test -race -short -timeout 30m ./...
 fi
+
+echo "== host-memory hints =="
+# The lookahead's hints, fetchTM's victim-bucket hints and the directory's
+# huge-page advice are read-only: every on/off combination (a paper-scale
+# case on the advised table among them) leaves the same Result and
+# machine, without a race; the -short pass above skips the paper-scale
+# case, and the sharded -pdes replay runs beside them.
+go test -race -run 'Lookahead|Prefetch|ShardedReplayBitIdentical|HugePages|LineIsInert' ./internal/core ./internal/coherence ./internal/prefetch
 
 echo "== allocation budgets =="
 # Steady-state simulation loop must not allocate (perf regression guard).
