@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"consim/internal/harness"
+	"consim/internal/obs"
 	"consim/internal/sim"
 )
 
@@ -216,5 +217,24 @@ func TestSinkFlushFailureFails(t *testing.T) {
 		"-tracefile", filepath.Join(file, "t.json")})
 	if err == nil || errors.Is(err, errUsage) {
 		t.Fatalf("calibrate with an unwritable -tracefile: error %v, want a flush failure", err)
+	}
+}
+
+// TestCalibrateGradientRunsEachConfigOnce runs calibrate -gradient on one
+// workload: its groups are private, shared, shared-4 and private again,
+// and the repeated private-LLC configuration simulates once, so the
+// manifest holds three records, not four.
+func TestCalibrateGradientRunsEachConfigOnce(t *testing.T) {
+	man := filepath.Join(t.TempDir(), "m.jsonl")
+	out := stdoutOf(t, "calibrate", "-gradient", "-only", "TPC-W", "-scale", "64", "-warm", "100", "-meas", "1000", "-manifest", man)
+	if n := strings.Count(out, "gs="); n != 3 {
+		t.Errorf("calibrate printed %d gradient rows, want 3:\n%s", n, out)
+	}
+	ms, err := obs.ReadManifests(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 3 {
+		t.Errorf("manifest holds %d records, want 3", len(ms))
 	}
 }

@@ -60,7 +60,7 @@ func TestPublicAPIRunnerFigure(t *testing.T) {
 		WarmupRefs:  10_000,
 		MeasureRefs: 20_000,
 	})
-	tb, err := r.TableII()
+	tb, err := r.RunFigure("T2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,17 +97,8 @@ type Result struct {
 	Switches   uint64
 	Migrations uint64
 
-	// Replication metadata, filled by the experiment harness when a
-	// configuration is run with multiple perturbed seeds (Alameldeen-
-	// Wood statistical simulation): Replicates is the merged run count
-	// and CptCV the per-VM coefficient of variation of
-	// cycles-per-transaction across replicates.
-	Replicates int
-	CptCV      []float64
-
-	// WallSeconds is host wall-clock time spent simulating (summed over
-	// replicates when merged); provenance for run manifests, not a
-	// simulated quantity.
+	// WallSeconds is host wall-clock time spent simulating; provenance
+	// for run manifests, not a simulated quantity.
 	WallSeconds float64
 
 	// Sample reports the interval-sampling engine's activity; zero for a
@@ -131,8 +122,7 @@ type Result struct {
 	// Layers is the memory system's ledger (obs.Layers says over which
 	// references each counter runs; on sampled runs the cache counters
 	// include fast-forwarded ones). It is kept out of vm.Stats, which the
-	// golden fixtures and the benchmark's stats_digest hash; merged
-	// replicates sum it.
+	// golden fixtures and the benchmark's stats_digest hash.
 	Layers obs.Layers
 
 	// TimeseriesRun / TimeseriesRows identify this run's rows in the
@@ -154,10 +144,6 @@ func ManifestFor(cfg Config, res Result, parallel int) obs.Manifest {
 	var refs uint64
 	for _, v := range res.VMs {
 		refs += v.Stats.Refs
-	}
-	reps := res.Replicates
-	if reps == 0 {
-		reps = 1
 	}
 	var phase *obs.PhaseProfile
 	if !res.Phase.Zero() {
@@ -184,7 +170,6 @@ func ManifestFor(cfg Config, res Result, parallel int) obs.Manifest {
 		WarmupRefs:   cfg.WarmupRefs,
 		MeasureRefs:  cfg.MeasureRefs,
 		SnapshotRefs: cfg.SnapshotRefs,
-		Replicates:   reps,
 		Refs:         refs,
 		Cycles:       uint64(res.Cycles),
 		WallSeconds:  res.WallSeconds,

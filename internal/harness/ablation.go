@@ -60,139 +60,113 @@ func throughput(res core.Result) float64 {
 	return 1000 * float64(refs) / float64(res.Cycles)
 }
 
-// AblateDirCache sweeps the per-node directory cache size, showing how
+// ablationSweep runs ablationConfig once per value, changed by set, and
+// adds one row per value, labeled with it, holding row's columns.
+func ablationSweep[T ~int | ~uint64](r *Runner, t *Table, values []T, set func(*core.Config, T), row func(core.Result) []float64) (*Table, error) {
+	cfgs := make([]core.Config, len(values))
+	for i, v := range values {
+		cfgs[i] = r.ablationConfig()
+		set(&cfgs[i], v)
+	}
+	results, err := r.RunConfigs(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		t.Add(fmt.Sprintf("%d", values[i]), row(res)...)
+	}
+	return t, nil
+}
+
+// ablateDirCache sweeps the per-node directory cache size, showing how
 // much on-chip directory state shields cache-to-cache transfers from
 // DRAM directory fetches.
-func (r *Runner) AblateDirCache() (*Table, error) {
+func (r *Runner) ablateDirCache() (*Table, error) {
 	t := &Table{
 		ID:      "A1",
 		Title:   "Ablation: directory cache size (Mix 8, shared-4-way, affinity)",
 		RowHead: "entries/node",
 		Columns: []string{"dir hit rate", "miss latency", "throughput"},
 	}
-	sizes := []int{256, 1024, 4096, 16384, 65536}
-	cfgs := make([]core.Config, len(sizes))
-	for i, entries := range sizes {
-		cfgs[i] = r.ablationConfig()
-		cfgs[i].DirCacheEntries = entries
-	}
-	results, err := r.RunConfigs(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range results {
-		t.Add(fmt.Sprintf("%d", sizes[i]), res.DirCacheHitRate, meanMissLat(res), throughput(res))
-	}
 	t.Note("larger directory caches keep coherence lookups on chip; the paper adds them \"to reduce the number of off-chip references\"")
-	return t, nil
+	return ablationSweep(r, t, []int{256, 1024, 4096, 16384, 65536},
+		func(cfg *core.Config, entries int) { cfg.DirCacheEntries = entries },
+		func(res core.Result) []float64 {
+			return []float64{res.DirCacheHitRate, meanMissLat(res), throughput(res)}
+		})
 }
 
-// AblateMemControllers sweeps the number of memory controllers, showing
+// ablateMemControllers sweeps the number of memory controllers, showing
 // controller queueing under consolidated pressure.
-func (r *Runner) AblateMemControllers() (*Table, error) {
+func (r *Runner) ablateMemControllers() (*Table, error) {
 	t := &Table{
 		ID:      "A2",
 		Title:   "Ablation: memory controllers (Mix 8, shared-4-way, affinity)",
 		RowHead: "controllers",
 		Columns: []string{"mem queue wait", "miss latency", "throughput"},
 	}
+	t.Note("fewer controllers concentrate demand; queueing grows as cache interference pushes more requests off chip")
 	layouts := map[int][]int{
 		1: {0},
 		2: {0, 15},
 		4: {0, 3, 12, 15},
 		8: {0, 1, 2, 3, 12, 13, 14, 15},
 	}
-	counts := []int{1, 2, 4, 8}
-	cfgs := make([]core.Config, len(counts))
-	for i, n := range counts {
-		cfgs[i] = r.ablationConfig()
-		cfgs[i].Mem = memctrl.Config{
-			Controllers: n,
-			Latency:     core.DefaultMemLatency,
-			Occupancy:   20,
-			Nodes:       layouts[n],
-		}
-	}
-	results, err := r.RunConfigs(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range results {
-		t.Add(fmt.Sprintf("%d", counts[i]), res.MemAvgWait, meanMissLat(res), throughput(res))
-	}
-	t.Note("fewer controllers concentrate demand; queueing grows as cache interference pushes more requests off chip")
-	return t, nil
+	return ablationSweep(r, t, []int{1, 2, 4, 8},
+		func(cfg *core.Config, n int) {
+			cfg.Mem = memctrl.Config{Controllers: n, Latency: core.DefaultMemLatency, Occupancy: 20, Nodes: layouts[n]}
+		},
+		func(res core.Result) []float64 { return []float64{res.MemAvgWait, meanMissLat(res), throughput(res)} })
 }
 
-// AblateRouterPipeline sweeps the mesh router depth, separating wire/
+// ablateRouterPipeline sweeps the mesh router depth, separating wire/
 // router latency from cache behaviour.
-func (r *Runner) AblateRouterPipeline() (*Table, error) {
+func (r *Runner) ablateRouterPipeline() (*Table, error) {
 	t := &Table{
 		ID:      "A3",
 		Title:   "Ablation: router pipeline depth (Mix 8, shared-4-way, affinity)",
 		RowHead: "stages",
 		Columns: []string{"miss latency", "miss rate", "throughput"},
 	}
-	depths := []int{1, 2, 3, 5}
-	cfgs := make([]core.Config, len(depths))
-	for i, stages := range depths {
-		cfgs[i] = r.ablationConfig()
-		cfgs[i].PipeStages = stages
-	}
-	results, err := r.RunConfigs(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range results {
-		t.Add(fmt.Sprintf("%d", depths[i]), meanMissLat(res), meanMissRate(res), throughput(res))
-	}
 	t.Note("deeper routers stretch every coherence and memory round trip; miss *rates* stay fixed (content is latency-independent)")
-	return t, nil
+	return ablationSweep(r, t, []int{1, 2, 3, 5},
+		func(cfg *core.Config, stages int) { cfg.PipeStages = stages },
+		func(res core.Result) []float64 {
+			return []float64{meanMissLat(res), meanMissRate(res), throughput(res)}
+		})
 }
 
-// AblateTimeslice sweeps the hypervisor quantum for an over-committed
+// ablateTimeslice sweeps the hypervisor quantum for an over-committed
 // machine (6 VMs on 16 cores), the §VII over-commitment study.
-func (r *Runner) AblateTimeslice() (*Table, error) {
+func (r *Runner) ablateTimeslice() (*Table, error) {
 	t := &Table{
 		ID:      "A4",
 		Title:   "Ablation: over-commit timeslice (6 VMs x 4 threads on 16 cores)",
 		RowHead: "quantum (cycles)",
 		Columns: []string{"switches/Mcycle", "miss rate", "throughput"},
 	}
-	all := workload.Specs()
-	quanta := []sim.Cycle{2_000, 10_000, 50_000, 250_000}
-	cfgs := make([]core.Config, len(quanta))
-	for i, q := range quanta {
-		cfg := core.DefaultConfig(
-			all[workload.SPECjbb], all[workload.SPECjbb],
-			all[workload.TPCW], all[workload.TPCW],
-			all[workload.TPCH], all[workload.TPCH],
-		)
-		cfg.GroupSize = 4
-		cfg.Scale = r.opt.Scale
-		cfg.Seed = r.opt.Seed
-		cfg.WarmupRefs = r.opt.WarmupRefs
-		cfg.MeasureRefs = r.opt.MeasureRefs
-		cfg.TimesliceCycles = q
-		cfgs[i] = cfg
-	}
-	results, err := r.RunConfigs(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range results {
-		perM := float64(res.Switches) / (float64(res.Cycles) / 1e6)
-		t.Add(fmt.Sprintf("%d", quanta[i]), perM, meanMissRate(res), throughput(res))
-	}
 	t.Note("short quanta churn the private caches and pay hypervisor switch costs; long quanta starve co-runners between rotations")
-	return t, nil
+	all := workload.Specs()
+	return ablationSweep(r, t, []sim.Cycle{2_000, 10_000, 50_000, 250_000},
+		func(cfg *core.Config, q sim.Cycle) {
+			cfg.Workloads = []workload.Spec{
+				all[workload.SPECjbb], all[workload.SPECjbb],
+				all[workload.TPCW], all[workload.TPCW],
+				all[workload.TPCH], all[workload.TPCH],
+			}
+			cfg.TimesliceCycles = q
+		},
+		func(res core.Result) []float64 {
+			perM := float64(res.Switches) / (float64(res.Cycles) / 1e6)
+			return []float64{perM, meanMissRate(res), throughput(res)}
+		})
 }
 
-// VariabilityStudy quantifies run-to-run variability per the
+// variabilityStudy quantifies run-to-run variability per the
 // Alameldeen-Wood methodology §V adopts: each mix runs with several
 // perturbed seeds and reports the mean, 95% confidence half-width and
 // coefficient of variation of the per-VM cycles-per-transaction.
-func (r *Runner) VariabilityStudy(replicates int) (*Table, error) {
+func (r *Runner) variabilityStudy(replicates int) (*Table, error) {
 	if replicates < 2 {
 		replicates = 5
 	}
@@ -246,52 +220,45 @@ func (r *Runner) VariabilityStudy(replicates int) (*Table, error) {
 	return t, nil
 }
 
-// AblateMemoryLatency sweeps the off-chip latency, quantifying §V's
+// ablateMemoryLatency sweeps the off-chip latency, quantifying §V's
 // observation that "the commercial workloads studied are sensitive to
 // miss latency".
-func (r *Runner) AblateMemoryLatency() (*Table, error) {
+func (r *Runner) ablateMemoryLatency() (*Table, error) {
 	t := &Table{
 		ID:      "A6",
 		Title:   "Ablation: memory latency (Mix 8, shared-4-way, affinity)",
 		RowHead: "DRAM cycles",
 		Columns: []string{"miss latency", "miss rate", "throughput"},
 	}
-	lats := []sim.Cycle{75, 150, 300, 600}
-	cfgs := make([]core.Config, len(lats))
-	for i, lat := range lats {
-		cfgs[i] = r.ablationConfig()
-		cfgs[i].Mem = memctrl.DefaultConfig()
-		cfgs[i].Mem.Latency = lat
-	}
-	results, err := r.RunConfigs(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range results {
-		t.Add(fmt.Sprintf("%d", lats[i]), meanMissLat(res), meanMissRate(res), throughput(res))
-	}
 	t.Note("throughput falls near-linearly with DRAM latency on blocking in-order cores; miss rates stay fixed")
-	return t, nil
+	return ablationSweep(r, t, []sim.Cycle{75, 150, 300, 600},
+		func(cfg *core.Config, lat sim.Cycle) {
+			cfg.Mem = memctrl.DefaultConfig()
+			cfg.Mem.Latency = lat
+		},
+		func(res core.Result) []float64 {
+			return []float64{meanMissLat(res), meanMissRate(res), throughput(res)}
+		})
+}
+
+// ablations lists the ablation studies.
+var ablations = []study{
+	{"A1", (*Runner).ablateDirCache},
+	{"A2", (*Runner).ablateMemControllers},
+	{"A3", (*Runner).ablateRouterPipeline},
+	{"A4", (*Runner).ablateTimeslice},
+	{"A5", func(r *Runner) (*Table, error) { return r.variabilityStudy(5) }},
+	{"A6", (*Runner).ablateMemoryLatency},
 }
 
 // AblationIDs lists the ablation studies.
-func AblationIDs() []string { return []string{"A1", "A2", "A3", "A4", "A5", "A6"} }
+func AblationIDs() []string { return studyIDs(ablations) }
 
 // RunAblation dispatches an ablation by ID.
 func (r *Runner) RunAblation(id string) (*Table, error) {
-	switch id {
-	case "A1":
-		return r.AblateDirCache()
-	case "A2":
-		return r.AblateMemControllers()
-	case "A3":
-		return r.AblateRouterPipeline()
-	case "A4":
-		return r.AblateTimeslice()
-	case "A5":
-		return r.VariabilityStudy(5)
-	case "A6":
-		return r.AblateMemoryLatency()
+	run, err := lookup(ablations, "ablation", id)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("harness: unknown ablation %q", id)
+	return run(r)
 }

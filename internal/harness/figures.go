@@ -24,84 +24,63 @@ var isoPolicies = []sched.Policy{sched.RoundRobin, sched.Affinity}
 
 // batch is the set of simulations one figure reads. The figure names
 // every run up front — the sweep's cells and the isolation references it
-// normalizes by alike — run puts them through the worker pool together,
-// and the table is assembled from the results alone. The getters do not
-// simulate: a run the figure forgot to name is a bug in the figure and
-// panics, where it used to execute quietly, one at a time, after the
-// pool had drained (12 of F8's 27 simulations ran that way).
+// normalizes by alike — and keeps the handle each name returns; run puts
+// them through RunConfigs together, and the table is assembled from the
+// results alone. The getters do not simulate: a run named after the
+// batch ran is a bug in the figure and panics, rather than executing
+// alone after the pool has drained.
 type batch struct {
 	r    *Runner
-	keys []runKey
 	cfgs []core.Config
-	res  map[runKey]core.Result
+	res  []core.Result
 }
 
-func (r *Runner) newBatch() *batch {
-	return &batch{r: r, res: make(map[runKey]core.Result)}
-}
+func (r *Runner) newBatch() *batch { return &batch{r: r} }
 
-func (b *batch) add(key runKey, cfg core.Config) {
-	if _, dup := b.res[key]; !dup {
-		b.res[key] = core.Result{}
-		b.keys, b.cfgs = append(b.keys, key), append(b.cfgs, cfg)
-	}
+// add names one simulation and returns its handle.
+func (b *batch) add(cfg core.Config) int {
+	b.cfgs = append(b.cfgs, cfg)
+	return len(b.cfgs) - 1
 }
 
 // iso and mix name an isolation run and a Table IV mix run.
-func (b *batch) iso(class workload.Class, groupSize int, p sched.Policy) {
-	b.add(b.r.isolationJob(class, groupSize, p))
+func (b *batch) iso(class workload.Class, groupSize int, p sched.Policy) int {
+	return b.add(b.r.isolationConfig(class, groupSize, p))
 }
 
-func (b *batch) mix(m Mix, groupSize int, p sched.Policy) {
-	b.add(b.r.mixJob(m, groupSize, p))
+func (b *batch) mix(m Mix, groupSize int, p sched.Policy) int {
+	return b.add(b.r.mixConfig(m, groupSize, p))
 }
 
 // baseline and iso4 name the two isolation references of §V: the fully
 // shared LLC (performance, miss rate) and shared-4-way under affinity
 // (miss latency).
-func (b *batch) baseline(class workload.Class) { b.iso(class, core.DefaultCores, sched.Affinity) }
-func (b *batch) iso4(class workload.Class)     { b.iso(class, 4, sched.Affinity) }
+func (b *batch) baseline(class workload.Class) int {
+	return b.iso(class, core.DefaultCores, sched.Affinity)
+}
+
+func (b *batch) iso4(class workload.Class) int { return b.iso(class, 4, sched.Affinity) }
 
 // run executes (or recalls) every named simulation.
-func (b *batch) run() error {
-	out := make([]core.Result, len(b.keys))
-	err := b.r.parallelDo(len(b.keys), func(i int) (err error) {
-		out[i], err = b.r.run(b.keys[i], b.cfgs[i])
-		return err
-	})
-	for i, key := range b.keys {
-		b.res[key] = out[i]
-	}
+func (b *batch) run() (err error) {
+	b.res, err = b.r.RunConfigs(b.cfgs)
 	return err
 }
 
-func (b *batch) get(key runKey) core.Result {
-	res, ok := b.res[key]
-	if !ok {
-		panic(fmt.Sprintf("harness: figure reads a run its batch never named: %+v", key))
+// get returns the result of the run handle h names.
+func (b *batch) get(h int) core.Result {
+	if h >= len(b.res) {
+		panic(fmt.Sprintf("harness: figure reads a run its batch never ran: %s", b.cfgs[h].Label()))
 	}
-	return res
+	return b.res[h]
 }
 
-func (b *batch) isoRes(class workload.Class, groupSize int, p sched.Policy) core.Result {
-	return b.get(isolationKey(class, groupSize, p))
-}
+// vm returns the one VM of the isolation run handle h names.
+func (b *batch) vm(h int) core.VMResult { return b.get(h).VMs[0] }
 
-func (b *batch) mixRes(m Mix, groupSize int, p sched.Policy) core.Result {
-	return b.get(mixKey(m, groupSize, p))
-}
-
-func (b *batch) baselineRes(class workload.Class) core.VMResult {
-	return b.isoRes(class, core.DefaultCores, sched.Affinity).VMs[0]
-}
-
-func (b *batch) iso4Res(class workload.Class) core.VMResult {
-	return b.isoRes(class, 4, sched.Affinity).VMs[0]
-}
-
-// TableII reproduces Table II: per-workload cache-to-cache transfer
+// tableII reproduces Table II: per-workload cache-to-cache transfer
 // statistics and footprint, measured in isolation on private LLCs.
-func (r *Runner) TableII() (*Table, error) {
+func (r *Runner) tableII() (*Table, error) {
 	t := &Table{
 		ID:      "T2",
 		Title:   "Workload statistics (isolated, private LLCs)",
@@ -109,15 +88,17 @@ func (r *Runner) TableII() (*Table, error) {
 		Columns: []string{"c2c all", "c2c clean", "c2c dirty", "blocks (K)"},
 	}
 	targets := workload.TableII()
+	classes := workload.All()
 	b := r.newBatch()
-	for _, class := range workload.All() {
-		b.iso(class, 1, sched.Affinity)
+	runs := make([]int, len(classes))
+	for i, class := range classes {
+		runs[i] = b.iso(class, 1, sched.Affinity)
 	}
 	if err := b.run(); err != nil {
 		return nil, err
 	}
-	for _, class := range workload.All() {
-		v := b.isoRes(class, 1, sched.Affinity).VMs[0]
+	for i, class := range classes {
+		v := b.vm(runs[i])
 		dirty := v.Stats.C2CDirtyShare()
 		t.Add(class.String(),
 			v.Stats.C2COfLLCMisses(), 1-dirty, dirty,
@@ -140,35 +121,35 @@ func (r *Runner) isolationSweep(id, title string, groupSizes []int, policies []s
 			t.Columns = append(t.Columns, fmt.Sprintf("%s/%s", groupSizeName(gs), p))
 		}
 	}
+	classes := workload.All()
 	b := r.newBatch()
-	for _, class := range workload.All() {
-		b.baseline(class)
+	base := make([]int, len(classes))
+	cells := make([][]int, len(classes))
+	for i, class := range classes {
+		base[i] = b.baseline(class)
 		for _, gs := range groupSizes {
 			for _, p := range policies {
-				b.iso(class, gs, p)
+				cells[i] = append(cells[i], b.iso(class, gs, p))
 			}
 		}
 	}
 	if err := b.run(); err != nil {
 		return nil, err
 	}
-	for _, class := range workload.All() {
-		base := b.baselineRes(class)
-		var vals []float64
-		for _, gs := range groupSizes {
-			for _, p := range policies {
-				vals = append(vals, value(b.isoRes(class, gs, p).VMs[0], base))
-			}
+	for i, class := range classes {
+		vals := make([]float64, len(cells[i]))
+		for j, h := range cells[i] {
+			vals[j] = value(b.vm(h), b.vm(base[i]))
 		}
 		t.Add(class.String(), vals...)
 	}
 	return t, nil
 }
 
-// Fig2 reproduces Figure 2: isolated-workload performance across LLC
+// fig2 reproduces Figure 2: isolated-workload performance across LLC
 // organizations and scheduling policies, normalized to the fully-shared
 // baseline.
-func (r *Runner) Fig2() (*Table, error) {
+func (r *Runner) fig2() (*Table, error) {
 	t, err := r.isolationSweep("F2", "Isolated workload performance (normalized runtime; 1.0 = fully shared)",
 		[]int{core.DefaultCores, 8, 4, 1}, isoPolicies,
 		func(v, base core.VMResult) float64 { return v.CyclesPerTx / base.CyclesPerTx })
@@ -179,9 +160,9 @@ func (r *Runner) Fig2() (*Table, error) {
 	return t, nil
 }
 
-// Fig3 reproduces Figure 3: isolated-workload LLC miss rates for the same
+// fig3 reproduces Figure 3: isolated-workload LLC miss rates for the same
 // sweep as Figure 2.
-func (r *Runner) Fig3() (*Table, error) {
+func (r *Runner) fig3() (*Table, error) {
 	t, err := r.isolationSweep("F3", "Isolated workload LLC miss rates (misses per reference)",
 		[]int{core.DefaultCores, 8, 4, 1}, isoPolicies,
 		func(v, _ core.VMResult) float64 { return v.MissRate() })
@@ -192,9 +173,9 @@ func (r *Runner) Fig3() (*Table, error) {
 	return t, nil
 }
 
-// Fig4 reproduces Figure 4: isolated-workload average miss latencies for
+// fig4 reproduces Figure 4: isolated-workload average miss latencies for
 // shared, shared-4-way and private LLCs under all four policies.
-func (r *Runner) Fig4() (*Table, error) {
+func (r *Runner) fig4() (*Table, error) {
 	return r.isolationSweep("F4", "Isolated workload miss latency (cycles per private-cache miss)",
 		[]int{core.DefaultCores, 4, 1}, sched.All(),
 		func(v, _ core.VMResult) float64 { return v.AvgMissLatency() })
@@ -211,36 +192,36 @@ func (r *Runner) homogeneousSweep(id, title string,
 	}
 	mixes := HomogeneousMixes()
 	b := r.newBatch()
-	for _, mix := range mixes {
-		b.baseline(mix.Classes[0])
-		b.iso4(mix.Classes[0])
+	base := make([]int, len(mixes))
+	iso4 := make([]int, len(mixes))
+	cells := make([][]int, len(mixes))
+	for i, mix := range mixes {
+		base[i], iso4[i] = b.baseline(mix.Classes[0]), b.iso4(mix.Classes[0])
 		for _, p := range sched.All() {
-			b.mix(mix, 4, p)
+			cells[i] = append(cells[i], b.mix(mix, 4, p))
 		}
 	}
 	if err := b.run(); err != nil {
 		return nil, err
 	}
-	for _, mix := range mixes {
-		class := mix.Classes[0]
-		iso, iso4 := b.baselineRes(class), b.iso4Res(class)
-		var vals []float64
-		for _, p := range sched.All() {
-			res := b.mixRes(mix, 4, p)
+	for i, mix := range mixes {
+		vals := make([]float64, len(cells[i]))
+		for j, h := range cells[i] {
+			res := b.get(h)
 			sum := 0.0
 			for _, v := range res.VMs {
-				sum += value(v, iso, iso4)
+				sum += value(v, b.vm(base[i]), b.vm(iso4[i]))
 			}
-			vals = append(vals, sum/float64(len(res.VMs)))
+			vals[j] = sum / float64(len(res.VMs))
 		}
-		t.Add(fmt.Sprintf("%s %s", mix.ID, class), vals...)
+		t.Add(fmt.Sprintf("%s %s", mix.ID, mix.Classes[0]), vals...)
 	}
 	return t, nil
 }
 
-// Fig5 reproduces Figure 5: homogeneous-mix performance per policy,
+// fig5 reproduces Figure 5: homogeneous-mix performance per policy,
 // relative to isolation.
-func (r *Runner) Fig5() (*Table, error) {
+func (r *Runner) fig5() (*Table, error) {
 	t, err := r.homogeneousSweep("F5", "Homogeneous mixes: normalized runtime vs isolation (shared-4-way)",
 		func(v, iso, _ core.VMResult) float64 { return v.CyclesPerTx / iso.CyclesPerTx })
 	if err != nil {
@@ -250,9 +231,9 @@ func (r *Runner) Fig5() (*Table, error) {
 	return t, nil
 }
 
-// Fig6 reproduces Figure 6: homogeneous-mix miss latency per policy,
+// fig6 reproduces Figure 6: homogeneous-mix miss latency per policy,
 // normalized to the workload isolated with affinity scheduling.
-func (r *Runner) Fig6() (*Table, error) {
+func (r *Runner) fig6() (*Table, error) {
 	t, err := r.homogeneousSweep("F6", "Homogeneous mixes: miss latency vs isolation/affinity",
 		func(v, _, iso4 core.VMResult) float64 { return v.AvgMissLatency() / iso4.AvgMissLatency() })
 	if err != nil {
@@ -262,9 +243,9 @@ func (r *Runner) Fig6() (*Table, error) {
 	return t, nil
 }
 
-// Fig7 reproduces Figure 7: homogeneous-mix miss rates relative to
+// fig7 reproduces Figure 7: homogeneous-mix miss rates relative to
 // isolation.
-func (r *Runner) Fig7() (*Table, error) {
+func (r *Runner) fig7() (*Table, error) {
 	return r.homogeneousSweep("F7", "Homogeneous mixes: LLC miss rate vs isolation",
 		func(v, iso, _ core.VMResult) float64 { return v.MissRate() / iso.MissRate() })
 }
@@ -287,21 +268,24 @@ func (r *Runner) heterogeneousSweep(b *batch, id, title string, policies []sched
 		}
 	}
 	mixes := HeterogeneousMixes()
-	for _, mix := range mixes {
+	baseRuns, iso4Runs := map[workload.Class]int{}, map[workload.Class]int{}
+	cells := make([][]int, len(mixes))
+	for i, mix := range mixes {
 		for _, class := range mix.Classes {
-			b.baseline(class)
-			b.iso4(class)
+			if _, ok := baseRuns[class]; !ok {
+				baseRuns[class], iso4Runs[class] = b.baseline(class), b.iso4(class)
+			}
 		}
 		for _, gs := range groupSizes {
 			for _, p := range policies {
-				b.mix(mix, gs, p)
+				cells[i] = append(cells[i], b.mix(mix, gs, p))
 			}
 		}
 	}
 	if err := b.run(); err != nil {
 		return nil, err
 	}
-	for _, mix := range mixes {
+	for i, mix := range mixes {
 		// One row per distinct workload in the mix, averaging instances.
 		seen := map[workload.Class]bool{}
 		for _, class := range mix.Classes {
@@ -309,17 +293,15 @@ func (r *Runner) heterogeneousSweep(b *batch, id, title string, policies []sched
 				continue
 			}
 			seen[class] = true
-			iso, iso4 := b.baselineRes(class), b.iso4Res(class)
-			var vals []float64
-			for _, gs := range groupSizes {
-				for _, p := range policies {
-					sum, n := 0.0, 0
-					for _, v := range b.mixRes(mix, gs, p).ByClass(class) {
-						sum += value(v, iso, iso4)
-						n++
-					}
-					vals = append(vals, sum/float64(n))
+			iso, iso4 := b.vm(baseRuns[class]), b.vm(iso4Runs[class])
+			vals := make([]float64, len(cells[i]))
+			for j, h := range cells[i] {
+				sum, n := 0.0, 0
+				for _, v := range b.get(h).ByClass(class) {
+					sum += value(v, iso, iso4)
+					n++
 				}
+				vals[j] = sum / float64(n)
 			}
 			t.Add(fmt.Sprintf("%s %s", mix.ID, class), vals...)
 		}
@@ -327,20 +309,26 @@ func (r *Runner) heterogeneousSweep(b *batch, id, title string, policies []sched
 	return t, nil
 }
 
-// Fig8 reproduces Figure 8: heterogeneous-mix performance relative to
+// fig8 reproduces Figure 8: heterogeneous-mix performance relative to
 // isolation, for affinity and round-robin on shared-4-way caches.
-func (r *Runner) Fig8() (*Table, error) {
+func (r *Runner) fig8() (*Table, error) {
 	// The paper also plots the isolation shared-4 references.
-	var isoRows []workload.Class
+	type isoRow struct {
+		class workload.Class
+		base  int
+		cells []int
+	}
+	var isoRows []isoRow
 	b := r.newBatch()
 	for _, class := range workload.All() {
 		if class == workload.SPECweb {
 			continue // SPECweb joins no heterogeneous mixes
 		}
-		isoRows = append(isoRows, class)
+		row := isoRow{class: class, base: b.baseline(class)}
 		for _, p := range isoPolicies {
-			b.iso(class, 4, p)
+			row.cells = append(row.cells, b.iso(class, 4, p))
 		}
+		isoRows = append(isoRows, row)
 	}
 	t, err := r.heterogeneousSweep(b, "F8", "Heterogeneous mixes: normalized runtime vs isolation (shared-4-way)",
 		isoPolicies, []int{4},
@@ -348,21 +336,20 @@ func (r *Runner) Fig8() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, class := range isoRows {
-		iso := b.baselineRes(class)
-		var vals []float64
-		for _, p := range isoPolicies {
-			vals = append(vals, b.isoRes(class, 4, p).VMs[0].CyclesPerTx/iso.CyclesPerTx)
+	for _, row := range isoRows {
+		vals := make([]float64, len(row.cells))
+		for j, h := range row.cells {
+			vals[j] = b.vm(h).CyclesPerTx / b.vm(row.base).CyclesPerTx
 		}
-		t.Add(fmt.Sprintf("isolation %s", class), vals...)
+		t.Add(fmt.Sprintf("isolation %s", row.class), vals...)
 	}
 	t.Note("paper: TPC-H is largely unaffected by co-runners; SPECjbb degrades most")
 	return t, nil
 }
 
-// Fig9 reproduces Figure 9: heterogeneous-mix miss rates relative to
+// fig9 reproduces Figure 9: heterogeneous-mix miss rates relative to
 // isolation.
-func (r *Runner) Fig9() (*Table, error) {
+func (r *Runner) fig9() (*Table, error) {
 	t, err := r.heterogeneousSweep(r.newBatch(), "F9", "Heterogeneous mixes: LLC miss rate vs isolation (shared-4-way)",
 		isoPolicies, []int{4},
 		func(v, iso, _ core.VMResult) float64 { return v.MissRate() / iso.MissRate() })
@@ -373,9 +360,9 @@ func (r *Runner) Fig9() (*Table, error) {
 	return t, nil
 }
 
-// Fig10 reproduces Figure 10: heterogeneous-mix miss latencies normalized
+// fig10 reproduces Figure 10: heterogeneous-mix miss latencies normalized
 // to isolation with affinity scheduling on shared-4-way caches.
-func (r *Runner) Fig10() (*Table, error) {
+func (r *Runner) fig10() (*Table, error) {
 	t, err := r.heterogeneousSweep(r.newBatch(), "F10", "Heterogeneous mixes: miss latency vs isolation/affinity/shared-4",
 		isoPolicies, []int{4},
 		func(v, _, iso4 core.VMResult) float64 { return v.AvgMissLatency() / iso4.AvgMissLatency() })
@@ -386,10 +373,10 @@ func (r *Runner) Fig10() (*Table, error) {
 	return t, nil
 }
 
-// Fig11 reproduces Figure 11: the degree-of-sharing sweep for the
+// fig11 reproduces Figure 11: the degree-of-sharing sweep for the
 // heterogeneous mixes under affinity scheduling — miss latency for
 // shared-2/-4/-8 LLCs, normalized to shared-4 isolation.
-func (r *Runner) Fig11() (*Table, error) {
+func (r *Runner) fig11() (*Table, error) {
 	t, err := r.heterogeneousSweep(r.newBatch(), "F11", "Heterogeneous mixes: miss latency vs sharing degree (affinity)",
 		[]sched.Policy{sched.Affinity}, []int{2, 4, 8},
 		func(v, _, iso4 core.VMResult) float64 { return v.AvgMissLatency() / iso4.AvgMissLatency() })
@@ -400,10 +387,10 @@ func (r *Runner) Fig11() (*Table, error) {
 	return t, nil
 }
 
-// Fig12 reproduces Figure 12: the fraction of resident LLC lines
+// fig12 reproduces Figure 12: the fraction of resident LLC lines
 // replicated in two or more banks for the homogeneous mixes, per policy,
 // with the private configuration as the maximum-replication bound.
-func (r *Runner) Fig12() (*Table, error) {
+func (r *Runner) fig12() (*Table, error) {
 	policies := []sched.Policy{sched.RoundRobin, sched.RRAffinity, sched.Random}
 	t := &Table{
 		ID:      "F12",
@@ -416,30 +403,30 @@ func (r *Runner) Fig12() (*Table, error) {
 	t.Columns = append(t.Columns, "private (max)")
 	mixes := HomogeneousMixes()
 	b := r.newBatch()
-	for _, mix := range mixes {
+	cells := make([][]int, len(mixes))
+	for i, mix := range mixes {
 		for _, p := range policies {
-			b.mix(mix, 4, p)
+			cells[i] = append(cells[i], b.mix(mix, 4, p))
 		}
-		b.mix(mix, 1, sched.Affinity)
+		cells[i] = append(cells[i], b.mix(mix, 1, sched.Affinity))
 	}
 	if err := b.run(); err != nil {
 		return nil, err
 	}
-	for _, mix := range mixes {
-		var vals []float64
-		for _, p := range policies {
-			vals = append(vals, b.mixRes(mix, 4, p).Snapshot.ReplicationFraction())
+	for i, mix := range mixes {
+		vals := make([]float64, len(cells[i]))
+		for j, h := range cells[i] {
+			vals[j] = b.get(h).Snapshot.ReplicationFraction()
 		}
-		vals = append(vals, b.mixRes(mix, 1, sched.Affinity).Snapshot.ReplicationFraction())
 		t.Add(fmt.Sprintf("%s %s", mix.ID, mix.Classes[0]), vals...)
 	}
 	t.Note("paper: round robin replicates most; SPECjbb and SPECweb replicate most among workloads")
 	return t, nil
 }
 
-// Fig13 reproduces Figure 13: per-workload occupancy of each shared-4-way
+// fig13 reproduces Figure 13: per-workload occupancy of each shared-4-way
 // LLC bank for the heterogeneous mixes under round-robin scheduling.
-func (r *Runner) Fig13() (*Table, error) {
+func (r *Runner) fig13() (*Table, error) {
 	t := &Table{
 		ID:      "F13",
 		Title:   "Heterogeneous mixes: LLC occupancy share per VM (round robin, shared-4-way)",
@@ -448,14 +435,15 @@ func (r *Runner) Fig13() (*Table, error) {
 	}
 	mixes := HeterogeneousMixes()
 	b := r.newBatch()
-	for _, mix := range mixes {
-		b.mix(mix, 4, sched.RoundRobin)
+	runs := make([]int, len(mixes))
+	for i, mix := range mixes {
+		runs[i] = b.mix(mix, 4, sched.RoundRobin)
 	}
 	if err := b.run(); err != nil {
 		return nil, err
 	}
-	for _, mix := range mixes {
-		res := b.mixRes(mix, 4, sched.RoundRobin)
+	for i, mix := range mixes {
+		res := b.get(runs[i])
 		for g := range res.Snapshot.Occupancy {
 			var vals []float64
 			for v := range mix.Classes {
@@ -469,42 +457,58 @@ func (r *Runner) Fig13() (*Table, error) {
 	return t, nil
 }
 
-// FigureIDs lists every artifact runner in publication order.
-func FigureIDs() []string {
-	return []string{"T2", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10", "F11", "F12", "F13"}
+// study is one registered study: its ID and its runner.
+type study struct {
+	id  string
+	run func(*Runner) (*Table, error)
 }
+
+func studyIDs(studies []study) []string {
+	ids := make([]string, len(studies))
+	for i, s := range studies {
+		ids[i] = s.id
+	}
+	return ids
+}
+
+// lookup returns the runner registered under id; kind names the registry
+// in the error.
+func lookup(studies []study, kind, id string) (func(*Runner) (*Table, error), error) {
+	for _, s := range studies {
+		if s.id == id {
+			return s.run, nil
+		}
+	}
+	return nil, fmt.Errorf("harness: unknown %s %q", kind, id)
+}
+
+// figures lists every artifact runner in publication order.
+var figures = []study{
+	{"T2", (*Runner).tableII},
+	{"F2", (*Runner).fig2},
+	{"F3", (*Runner).fig3},
+	{"F4", (*Runner).fig4},
+	{"F5", (*Runner).fig5},
+	{"F6", (*Runner).fig6},
+	{"F7", (*Runner).fig7},
+	{"F8", (*Runner).fig8},
+	{"F9", (*Runner).fig9},
+	{"F10", (*Runner).fig10},
+	{"F11", (*Runner).fig11},
+	{"F12", (*Runner).fig12},
+	{"F13", (*Runner).fig13},
+}
+
+// FigureIDs lists every artifact runner in publication order.
+func FigureIDs() []string { return studyIDs(figures) }
 
 // RunFigure dispatches an artifact by ID.
 func (r *Runner) RunFigure(id string) (*Table, error) {
-	switch id {
-	case "T2":
-		return r.TableII()
-	case "F2":
-		return r.Fig2()
-	case "F3":
-		return r.Fig3()
-	case "F4":
-		return r.Fig4()
-	case "F5":
-		return r.Fig5()
-	case "F6":
-		return r.Fig6()
-	case "F7":
-		return r.Fig7()
-	case "F8":
-		return r.Fig8()
-	case "F9":
-		return r.Fig9()
-	case "F10":
-		return r.Fig10()
-	case "F11":
-		return r.Fig11()
-	case "F12":
-		return r.Fig12()
-	case "F13":
-		return r.Fig13()
+	run, err := lookup(figures, "figure", id)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("harness: unknown figure %q", id)
+	return run(r)
 }
 
 // RunFigures produces the requested artifacts, scheduling every figure's
@@ -515,19 +519,17 @@ func (r *Runner) RunFigure(id string) (*Table, error) {
 // with single-flight latching instead of each figure re-deriving them.
 // Tables come back in request order; IDs are validated up front.
 func (r *Runner) RunFigures(ids ...string) ([]*Table, error) {
-	known := make(map[string]bool, len(FigureIDs()))
-	for _, id := range FigureIDs() {
-		known[id] = true
-	}
-	for _, id := range ids {
-		if !known[id] {
-			return nil, fmt.Errorf("harness: unknown figure %q", id)
+	runs := make([]func(*Runner) (*Table, error), len(ids))
+	for i, id := range ids {
+		run, err := lookup(figures, "figure", id)
+		if err != nil {
+			return nil, err
 		}
+		runs[i] = run
 	}
 	tables := make([]*Table, len(ids))
-	err := r.parallelDo(len(ids), func(i int) error {
-		t, err := r.RunFigure(ids[i])
-		tables[i] = t
+	err := r.parallelDo(len(ids), func(i int) (err error) {
+		tables[i], err = runs[i](r)
 		return err
 	})
 	if err != nil {

@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"consim/internal/core"
 	"consim/internal/sched"
 	"consim/internal/workload"
 )
@@ -130,30 +132,37 @@ func TestRunnerMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := len(r.cache)
-	b, err := r.RunIsolation(workload.TPCH, 4, sched.Affinity)
+	// The same configuration asked for as a raw config is the same run.
+	b, err := r.RunConfigs([]core.Config{r.isolationConfig(workload.TPCH, 4, sched.Affinity)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.cache) != before {
-		t.Error("second identical run was not served from cache")
+	if len(r.cache) != 1 || r.Sims() != 1 {
+		t.Errorf("second identical run was not served from cache: %d entries, %d sims", len(r.cache), r.Sims())
 	}
-	if a.Cycles != b.Cycles {
+	if !reflect.DeepEqual(a, b[0]) {
 		t.Error("cached result differs")
 	}
 }
 
 func TestRunnerMixAndIsolationKeysDistinct(t *testing.T) {
 	r := testRunner()
+	mix, _ := MixByID("A") // four TPC-W VMs
+	iso := r.isolationConfig(workload.TPCW, 4, sched.Affinity)
+	mixed := r.mixConfig(mix, 4, sched.Affinity)
+	ki, _ := configKeyOf(&iso)
+	km, _ := configKeyOf(&mixed)
+	if ki == km {
+		t.Fatal("isolation and mix configs share a memo key")
+	}
 	if _, err := r.RunIsolation(workload.TPCW, 4, sched.Affinity); err != nil {
 		t.Fatal(err)
 	}
-	mix, _ := MixByID("A")
 	if _, err := r.RunMix(mix, 4, sched.Affinity); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.cache) != 2 {
-		t.Errorf("cache holds %d entries, want 2", len(r.cache))
+	if len(r.cache) != 2 || r.Sims() != 2 {
+		t.Errorf("cache holds %d entries after %d sims, want 2 and 2", len(r.cache), r.Sims())
 	}
 }
 
@@ -189,7 +198,7 @@ func TestFigureDispatch(t *testing.T) {
 func TestFigureShapes(t *testing.T) {
 	r := testRunner()
 
-	t2, err := r.TableII()
+	t2, err := r.tableII()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +206,7 @@ func TestFigureShapes(t *testing.T) {
 		t.Errorf("T2 shape %dx%d", len(t2.Rows), len(t2.Columns))
 	}
 
-	f2, err := r.Fig2()
+	f2, err := r.fig2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +220,7 @@ func TestFigureShapes(t *testing.T) {
 		}
 	}
 
-	f4, err := r.Fig4()
+	f4, err := r.fig4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +232,7 @@ func TestFigureShapes(t *testing.T) {
 // TestHomogeneousFigureShapes covers the Mix A-D artifacts at tiny scale.
 func TestHomogeneousFigureShapes(t *testing.T) {
 	r := testRunner()
-	f5, err := r.Fig5()
+	f5, err := r.fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +246,7 @@ func TestHomogeneousFigureShapes(t *testing.T) {
 			}
 		}
 	}
-	f12, err := r.Fig12()
+	f12, err := r.fig12()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,52 +262,9 @@ func TestHomogeneousFigureShapes(t *testing.T) {
 	}
 }
 
-func TestReplicatedRuns(t *testing.T) {
-	r := NewRunner(Options{
-		Scale:       64,
-		WarmupRefs:  10_000,
-		MeasureRefs: 20_000,
-		Replicates:  3,
-	})
-	res, err := r.RunIsolation(workload.TPCH, 4, sched.Affinity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Replicates != 3 {
-		t.Fatalf("Replicates = %d", res.Replicates)
-	}
-	if len(res.CptCV) != 1 {
-		t.Fatalf("CptCV = %v", res.CptCV)
-	}
-	// Perturbed seeds must produce nonzero (but small) variability.
-	if res.CptCV[0] <= 0 || res.CptCV[0] > 0.5 {
-		t.Errorf("CptCV = %v implausible", res.CptCV[0])
-	}
-	// Counters are sums over replicates: at least 3x the per-core
-	// measured budget across the VM's 4 threads.
-	if res.VMs[0].Stats.Refs < 3*4*20_000 {
-		t.Errorf("merged refs = %d, want >= %d", res.VMs[0].Stats.Refs, 3*4*20_000)
-	}
-	// Derived metrics remain well-formed after merging.
-	if res.VMs[0].MissRate() <= 0 || res.VMs[0].AvgMissLatency() <= 0 || res.VMs[0].CyclesPerTx <= 0 {
-		t.Errorf("merged metrics degenerate: %+v", res.VMs[0])
-	}
-}
-
-func TestSingleRunHasNoReplicationMetadata(t *testing.T) {
-	r := testRunner()
-	res, err := r.RunIsolation(workload.SPECweb, 4, sched.Affinity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Replicates != 0 || res.CptCV != nil {
-		t.Errorf("unexpected replication metadata: %d %v", res.Replicates, res.CptCV)
-	}
-}
-
 func TestVariabilityStudy(t *testing.T) {
 	r := NewRunner(Options{Scale: 64, WarmupRefs: 8_000, MeasureRefs: 15_000})
-	tb, err := r.VariabilityStudy(3)
+	tb, err := r.variabilityStudy(3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,25 +63,3 @@ func TestEverySeriesPublished(t *testing.T) {
 		}
 	}
 }
-
-// TestMergeResultsSumsLayers checks replicate merging folds the
-// memory-system ledger like vm.Stats: field by field.
-func TestMergeResultsSumsLayers(t *testing.T) {
-	a := obs.Layers{DirEntries: 10, DirCacheHits: 3, DirCacheMisses: 1, MemReads: 5, MemWritebacks: 2, MemWaitCycles: 40}
-	a.Cache[0] = obs.CacheCounts{Accesses: 100, Misses: 10, Evictions: 4}
-	a.Cache[2] = obs.CacheCounts{Accesses: 7, Misses: 5, Evictions: 1}
-	b := a
-	b.Cache[1] = obs.CacheCounts{Accesses: 30, Misses: 6, Evictions: 2}
-	b.MemWaitCycles = 2
-
-	if got := mergeResults([]core.Result{{Layers: a}}).Layers; got != a {
-		t.Errorf("single result: ledger %+v, want %+v", got, a)
-	}
-	want := obs.Layers{DirEntries: 20, DirCacheHits: 6, DirCacheMisses: 2, MemReads: 10, MemWritebacks: 4, MemWaitCycles: 42}
-	want.Cache[0] = obs.CacheCounts{Accesses: 200, Misses: 20, Evictions: 8}
-	want.Cache[1] = obs.CacheCounts{Accesses: 30, Misses: 6, Evictions: 2}
-	want.Cache[2] = obs.CacheCounts{Accesses: 14, Misses: 10, Evictions: 2}
-	if got := mergeResults([]core.Result{{Layers: a}, {Layers: b}}).Layers; got != want {
-		t.Errorf("merged ledger %+v, want %+v", got, want)
-	}
-}

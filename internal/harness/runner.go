@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -10,8 +13,6 @@ import (
 	"consim/internal/obs"
 	"consim/internal/sched"
 	"consim/internal/sim"
-	"consim/internal/stats"
-	vmstats "consim/internal/vm"
 	"consim/internal/workload"
 )
 
@@ -67,12 +68,6 @@ type Options struct {
 	// PdesReplayWorkers >= 2). Like Pdes itself this changes the
 	// simulated stream — deterministic and equivalence-gated.
 	PdesPipeline bool
-	// Replicates runs each configuration this many times with perturbed
-	// seeds and reports merged metrics, per the Alameldeen-Wood
-	// statistical simulation methodology the paper's §V adopts (0/1 =
-	// single run). Replicate-to-replicate variability is exposed through
-	// Result.CptCV.
-	Replicates int
 	// Obs attaches the observability sinks (live metrics, Chrome trace,
 	// manifests, progress). Each executed job acquires a tracer lane so
 	// the timeline shows one row per in-flight worker slot; memoized
@@ -92,15 +87,6 @@ func DefaultOptions() Options {
 	}
 }
 
-// runKey identifies a memoizable simulation.
-type runKey struct {
-	mixID     string
-	isolated  workload.Class
-	isoOnly   bool
-	groupSize int
-	policy    sched.Policy
-}
-
 // call is one in-flight simulation; waiters block on done and then read
 // res/err (the channel close publishes the writes).
 type call struct {
@@ -109,23 +95,49 @@ type call struct {
 	err  error
 }
 
+// configKey is a configuration's memo key: the SHA-256 of its
+// encoding/json form, which covers every field but Obs (json:"-").
+type configKey [sha256.Size]byte
+
+// keyBufs recycles the encoding buffers configKeyOf digests.
+var keyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// configKeyOf returns cfg's memo key, or false for a configuration the
+// runner must not memoize: one that replays a recorded stream (trace
+// replay is stateful, so its result is not a function of the config) or
+// one that does not encode.
+func configKeyOf(cfg *core.Config) (configKey, bool) {
+	for _, src := range cfg.Sources {
+		if src != nil {
+			return configKey{}, false
+		}
+	}
+	buf := keyBufs.Get().(*bytes.Buffer)
+	defer keyBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(cfg); err != nil {
+		return configKey{}, false
+	}
+	return sha256.Sum256(buf.Bytes()), true
+}
+
 // Runner executes and memoizes simulations: the figure runners share
 // isolation baselines heavily, and sweeps revisit configurations.
 //
-// Memoization is single-flight: when several goroutines ask for the same
-// runKey, exactly one simulates and the rest wait for its result. All
-// execution — memoized or not — funnels through one worker pool of
-// Options.Parallel slots, so an entire figure suite scheduled at once
-// (RunFigures) keeps a bounded number of simulations in flight no matter
-// how the figures fan out internally. A Runner is safe for concurrent
-// use.
+// Every configuration runs one way, through RunConfigs: memoized on its
+// whole core.Config, single-flight (when several goroutines ask for the
+// same configuration, exactly one simulates and the rest wait for its
+// result), in one worker pool of Options.Parallel slots, so an entire
+// figure suite scheduled at once (RunFigures) keeps a bounded number of
+// simulations in flight no matter how the figures fan out internally. A
+// Runner is safe for concurrent use.
 type Runner struct {
 	opt Options
 	sem chan struct{} // worker-pool slots; held only while simulating
 
 	mu       sync.Mutex
-	cache    map[runKey]core.Result
-	inflight map[runKey]*call
+	cache    map[configKey]core.Result
+	inflight map[configKey]*call
 
 	sims atomic.Uint64 // simulations actually executed (not deduplicated)
 }
@@ -147,19 +159,19 @@ func NewRunner(opt Options) *Runner {
 	return &Runner{
 		opt:      opt,
 		sem:      make(chan struct{}, opt.Parallel),
-		cache:    make(map[runKey]core.Result),
-		inflight: make(map[runKey]*call),
+		cache:    make(map[configKey]core.Result),
+		inflight: make(map[configKey]*call),
 	}
 }
 
 // Options returns the runner's options (after defaulting).
 func (r *Runner) Options() Options { return r.opt }
 
-// Sims returns how many simulations the runner has actually executed
-// (replicates counted individually). With memoization and single-flight
-// deduplication this counts distinct units of real work, regardless of
-// how many times figures re-requested them; tests use it to assert
-// deduplication.
+// Sims returns how many simulations the runner has actually executed.
+// With memoization and single-flight deduplication this counts distinct
+// configurations (plus each trace-replay run, which is never memoized),
+// regardless of how many times figures or batches re-requested them;
+// tests use it to assert deduplication.
 func (r *Runner) Sims() uint64 { return r.sims.Load() }
 
 func (r *Runner) config(specs []workload.Spec, groupSize int, policy sched.Policy) core.Config {
@@ -174,13 +186,38 @@ func (r *Runner) config(specs []workload.Spec, groupSize int, policy sched.Polic
 	return cfg
 }
 
-// run returns the memoized result for key, computing it at most once:
-// the first goroutine to miss installs an in-flight latch and simulates;
-// concurrent requesters for the same key wait on the latch instead of
-// duplicating the work (the seed implementation's check-then-act window
-// simulated twice under a parallel sweep). Errors are returned to every
-// waiter and not cached, so a later request retries.
-func (r *Runner) run(key runKey, cfg core.Config) (core.Result, error) {
+// RunConfigs runs a batch of configurations through the worker pool and
+// returns their results in input order, with the lowest-index error.
+// Each configuration simulates at most once per runner: a repeat, in
+// this batch or any other, is served from the memo.
+func (r *Runner) RunConfigs(cfgs []core.Config) ([]core.Result, error) {
+	// The keys are computed before the fan-out: encoding a config needs
+	// a deep stack, and encoding on every spawned goroutine raised the
+	// runtime's adaptive starting stack size for all of them (a figure
+	// sweep's stack memory doubled).
+	keys := make([]configKey, len(cfgs))
+	memo := make([]bool, len(cfgs))
+	for i := range cfgs {
+		keys[i], memo[i] = configKeyOf(&cfgs[i])
+	}
+	out := make([]core.Result, len(cfgs))
+	err := r.parallelDo(len(cfgs), func(i int) (err error) {
+		out[i], err = r.run(&cfgs[i], keys[i], memo[i])
+		return err
+	})
+	return out, err
+}
+
+// run returns the memoized result for cfg under key, computing it at
+// most once: the first goroutine to miss installs an in-flight latch and
+// simulates; concurrent requesters for the same configuration wait on
+// the latch instead of duplicating the work. Errors are returned to
+// every waiter and not cached, so a later request retries. With memo
+// false (configKeyOf refused cfg) it simulates unmemoized.
+func (r *Runner) run(cfg *core.Config, key configKey, memo bool) (core.Result, error) {
+	if !memo {
+		return r.execute(*cfg)
+	}
 	r.mu.Lock()
 	if res, ok := r.cache[key]; ok {
 		r.mu.Unlock()
@@ -195,7 +232,7 @@ func (r *Runner) run(key runKey, cfg core.Config) (core.Result, error) {
 	r.inflight[key] = c
 	r.mu.Unlock()
 
-	c.res, c.err = r.execute(cfg)
+	c.res, c.err = r.execute(*cfg)
 
 	r.mu.Lock()
 	if c.err == nil {
@@ -207,18 +244,18 @@ func (r *Runner) run(key runKey, cfg core.Config) (core.Result, error) {
 	return c.res, c.err
 }
 
-// execute simulates cfg (with replicates) inside a worker-pool slot. The
-// slot is acquired here rather than at goroutine spawn so that nested
-// fan-out (RunFigures over figures over runs) can enqueue freely: only
-// goroutines actually simulating hold a slot, and single-flight waiters
-// hold none, so the pool cannot deadlock on its own feedback.
+// execute simulates cfg inside a worker-pool slot, counting it as a job
+// and appending its manifest. The slot is acquired here rather than at
+// goroutine spawn so that nested fan-out (RunFigures over figures over
+// runs) can enqueue freely: only goroutines actually simulating hold a
+// slot, and single-flight waiters hold none, so the pool cannot deadlock
+// on its own feedback.
 func (r *Runner) execute(cfg core.Config) (core.Result, error) {
 	r.sem <- struct{}{}
 	defer func() { <-r.sem }()
 
-	// A job claims a tracer lane for its whole replicate loop, so the
-	// timeline renders one row per occupied worker slot and the
-	// per-replicate run spans nest inside the job span.
+	// A job claims a tracer lane, so the timeline renders one row per
+	// occupied worker slot and the run's spans nest inside the job span.
 	o := r.opt.Obs
 	lane := -1
 	if o != nil && o.Tr != nil {
@@ -229,41 +266,30 @@ func (r *Runner) execute(cfg core.Config) (core.Result, error) {
 			o.Tr.ReleaseLane(lane)
 		}()
 	}
-
-	reps := r.opt.Replicates
-	if reps < 1 {
-		reps = 1
+	if cfg.Obs == nil {
+		cfg.Obs = o.HooksLane(lane)
 	}
-	results := make([]core.Result, 0, reps)
-	for i := 0; i < reps; i++ {
-		repCfg := cfg
-		repCfg.Seed = cfg.Seed + uint64(i)*0x9e37
-		repCfg.Obs = o.HooksLane(lane)
-		res, err := r.simulate(repCfg)
-		if err != nil {
-			return core.Result{}, err
-		}
-		results = append(results, res)
+	res, err := r.simulate(cfg)
+	if err != nil {
+		return res, err
 	}
-	merged := mergeResults(results)
 	if o != nil {
 		o.CountJob()
 		if o.Man != nil {
-			if err := o.Man.Write(core.ManifestFor(cfg, merged, r.opt.Parallel)); err != nil {
-				return merged, err
+			if err := o.Man.Write(core.ManifestFor(cfg, res, r.opt.Parallel)); err != nil {
+				return res, err
 			}
 		}
 	}
-	return merged, nil
+	return res, nil
 }
 
 // simulate builds and runs one system, counting the execution. Every
-// execution path (memoized runs, replicates, raw config batches) funnels
-// through here, so this is where the runner-wide engine settings apply:
-// each to a copy of cfg, kept only if core.Config.Validate accepts it,
-// so the rows that need exact semantics or another engine quietly run as
-// configured instead of failing. Configs that chose their own engine
-// keep it.
+// execution funnels through here, so this is where the runner-wide
+// engine settings apply: each to a copy of cfg, kept only if
+// core.Config.Validate accepts it, so the rows that need exact semantics
+// or another engine quietly run as configured instead of failing.
+// Configs that chose their own engine keep it.
 func (r *Runner) simulate(cfg core.Config) (core.Result, error) {
 	if !cfg.Sample.Enabled() && r.opt.Sample.Enabled() {
 		c := cfg
@@ -299,126 +325,37 @@ func validOr(cfg, fallback core.Config) core.Config {
 	return cfg
 }
 
-// RunConfigs executes a batch of non-memoized configurations (group
-// sweeps, ablation and calibration batches, whose configs differ in ways
-// the memo key does not describe) through the worker pool, counting each
-// as a job and appending its manifest; results come back in input order.
-func (r *Runner) RunConfigs(cfgs []core.Config) ([]core.Result, error) {
-	out := make([]core.Result, len(cfgs))
-	err := r.parallelDo(len(cfgs), func(i int) error {
-		r.sem <- struct{}{}
-		defer func() { <-r.sem }()
-		cfg := cfgs[i]
-		o := r.opt.Obs
-		if cfg.Obs == nil {
-			// Hooks auto-acquire a tracer lane for the run's duration, so
-			// sweep batches get per-worker rows too.
-			cfg.Obs = o.Hooks()
-		}
-		res, err := r.simulate(cfg)
-		out[i] = res
-		if err != nil {
-			return err
-		}
-		if o != nil {
-			o.CountJob()
-			if o.Man != nil {
-				return o.Man.Write(core.ManifestFor(cfg, res, r.opt.Parallel))
-			}
-		}
-		return nil
-	})
-	return out, err
+// isolationConfig is one 4-thread workload alone on the chip (12 cores
+// idle) under the given LLC grouping and policy.
+func (r *Runner) isolationConfig(class workload.Class, groupSize int, policy sched.Policy) core.Config {
+	return r.config([]workload.Spec{workload.Specs()[class]}, groupSize, policy)
 }
 
-// mergeResults folds replicated runs into one Result: counters (vm.Stats
-// and the memory-system ledger) are summed, window cycles averaged,
-// cycles-per-transaction recomputed as the ratio of means, and the per-VM
-// coefficient of variation of cycles-per-transaction recorded (the §V
-// variability indicator).
-func mergeResults(results []core.Result) core.Result {
-	if len(results) == 1 {
-		return results[0]
-	}
-	merged := results[0]
-	merged.Replicates = len(results)
-	merged.CptCV = make([]float64, len(merged.VMs))
-	var cycles stats.Sample
-	merged.WallSeconds = 0
-	merged.Layers = obs.Layers{}
-	for _, res := range results {
-		cycles.Add(float64(res.Cycles))
-		merged.WallSeconds += res.WallSeconds
-		merged.Layers.Add(res.Layers)
-	}
-	for v := range merged.VMs {
-		var cpt, touched stats.Sample
-		var sum vmstats.Stats
-		for _, res := range results {
-			cpt.Add(res.VMs[v].CyclesPerTx)
-			touched.Add(float64(res.VMs[v].TouchedBlocks))
-			addStats(&sum, res.VMs[v].Stats)
-		}
-		merged.VMs[v].Stats = sum
-		merged.VMs[v].CyclesPerTx = cpt.Mean()
-		merged.VMs[v].Transactions = float64(sum.Refs) / float64(results[0].Config.Workloads[v].Scaled(results[0].Config.Scale).RefsPerTx)
-		merged.VMs[v].TouchedBlocks = uint64(touched.Mean())
-		merged.CptCV[v] = cpt.CV()
-	}
-	merged.Cycles = sim.Cycle(cycles.Mean())
-	return merged
-}
-
-// addStats accumulates b into a, field by field.
-func addStats(a *vmstats.Stats, b vmstats.Stats) {
-	a.Refs += b.Refs
-	a.PrivMisses += b.PrivMisses
-	a.LLCMisses += b.LLCMisses
-	a.C2CClean += b.C2CClean
-	a.C2CDirty += b.C2CDirty
-	a.MemReads += b.MemReads
-	a.Invalidations += b.Invalidations
-	a.Upgrades += b.Upgrades
-	a.MissLatSum += b.MissLatSum
-	a.NetCycles += b.NetCycles
-}
-
-// isolationKey and mixKey are the memoization keys of the two run shapes
-// the figures are built from.
-func isolationKey(class workload.Class, groupSize int, policy sched.Policy) runKey {
-	return runKey{isolated: class, isoOnly: true, groupSize: groupSize, policy: policy}
-}
-
-func mixKey(mix Mix, groupSize int, policy sched.Policy) runKey {
-	return runKey{mixID: mix.ID, groupSize: groupSize, policy: policy}
-}
-
-// isolationJob describes one 4-thread workload alone on the chip (12
-// cores idle) under the given LLC grouping and policy.
-func (r *Runner) isolationJob(class workload.Class, groupSize int, policy sched.Policy) (runKey, core.Config) {
-	spec := workload.Specs()[class]
-	return isolationKey(class, groupSize, policy), r.config([]workload.Spec{spec}, groupSize, policy)
-}
-
-// mixJob describes a Table IV mix (four 4-thread VMs, machine at
-// capacity) under the given LLC grouping and policy.
-func (r *Runner) mixJob(mix Mix, groupSize int, policy sched.Policy) (runKey, core.Config) {
+// mixConfig is a Table IV mix (four 4-thread VMs, machine at capacity)
+// under the given LLC grouping and policy.
+func (r *Runner) mixConfig(mix Mix, groupSize int, policy sched.Policy) core.Config {
 	specs := make([]workload.Spec, len(mix.Classes))
 	all := workload.Specs()
 	for i, c := range mix.Classes {
 		specs[i] = all[c]
 	}
-	return mixKey(mix, groupSize, policy), r.config(specs, groupSize, policy)
+	return r.config(specs, groupSize, policy)
 }
 
-// RunIsolation simulates (or recalls) an isolationJob.
+// runOne runs a single configuration through RunConfigs.
+func (r *Runner) runOne(cfg core.Config) (core.Result, error) {
+	res, err := r.RunConfigs([]core.Config{cfg})
+	return res[0], err
+}
+
+// RunIsolation simulates (or recalls) an isolation run.
 func (r *Runner) RunIsolation(class workload.Class, groupSize int, policy sched.Policy) (core.Result, error) {
-	return r.run(r.isolationJob(class, groupSize, policy))
+	return r.runOne(r.isolationConfig(class, groupSize, policy))
 }
 
-// RunMix simulates (or recalls) a mixJob.
+// RunMix simulates (or recalls) a Table IV mix run.
 func (r *Runner) RunMix(mix Mix, groupSize int, policy sched.Policy) (core.Result, error) {
-	return r.run(r.mixJob(mix, groupSize, policy))
+	return r.runOne(r.mixConfig(mix, groupSize, policy))
 }
 
 // IsolationBaseline returns the paper's §V reference point for a

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -10,8 +11,9 @@ import (
 	"consim/internal/workload"
 )
 
-// TestRunnerSingleFlight hammers one runKey from many goroutines and
-// asserts exactly one simulation executed — the seed implementation's
+// TestRunnerSingleFlight hammers one configuration from many goroutines,
+// half through RunIsolation and half through RunConfigs, and asserts
+// exactly one simulation executed — the seed implementation's
 // check-then-act window let concurrent requesters simulate the same
 // configuration twice. Run under -race this also validates the latch's
 // publication ordering.
@@ -31,7 +33,12 @@ func TestRunnerSingleFlight(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = r.RunIsolation(workload.TPCH, 4, sched.Affinity)
+			if i%2 == 0 {
+				results[i], errs[i] = r.RunIsolation(workload.TPCH, 4, sched.Affinity)
+				return
+			}
+			res, err := r.RunConfigs([]core.Config{r.isolationConfig(workload.TPCH, 4, sched.Affinity)})
+			results[i], errs[i] = res[0], err
 		}(i)
 	}
 	wg.Wait()
@@ -149,8 +156,8 @@ func TestParallelDefaultsToGOMAXPROCS(t *testing.T) {
 // built. Its simulation count is what it always was: naming the
 // isolation references in the batch must not add work. And every run
 // the table reads is in that batch: the getters the assembly loop uses
-// cannot simulate (they panic on a run nobody named — see below), so a
-// figure that assembles at all started nothing after its batch
+// cannot simulate (they panic on a run named after the batch ran — see
+// below), so a figure that assembles at all started nothing after its batch
 // returned. Before, the references ran one at a time after the pool had
 // drained: 12 of F8's 27 simulations.
 func TestFigureBatchesHoldEveryRun(t *testing.T) {
@@ -185,17 +192,134 @@ func TestFigureBatchesHoldEveryRun(t *testing.T) {
 
 	r := NewRunner(Options{Scale: 64, WarmupRefs: 500, MeasureRefs: 1_000, Seed: 1, Parallel: 4})
 	b := r.newBatch()
-	b.iso(workload.TPCH, 4, sched.Affinity)
+	iso4 := b.iso4(workload.TPCH)
 	if err := b.run(); err != nil {
 		t.Fatal(err)
 	}
-	if b.iso4Res(workload.TPCH).Stats.Refs == 0 {
+	if b.vm(iso4).Stats.Refs == 0 {
 		t.Error("batch returned an empty result for the run it named")
 	}
+	late := b.baseline(workload.TPCH)
 	defer func() {
 		if recover() == nil || r.Sims() != 1 {
-			t.Errorf("reading a run the batch never named did not panic, or simulated (%d sims)", r.Sims())
+			t.Errorf("reading a run named after the batch ran did not panic, or simulated (%d sims)", r.Sims())
 		}
 	}()
-	b.baselineRes(workload.TPCH)
+	b.vm(late)
+}
+
+// TestRunKeyCoversEveryConfigField perturbs every field of core.Config —
+// into each workload spec and its phases, the memory controllers and
+// the sampling settings — and requires each change to move the memo
+// key: a field the key cannot see would let two different machines
+// share one result. Obs (instrumentation) and Sources (never memoized)
+// are the two exceptions. Two equal configurations built separately must
+// share a key.
+func TestRunKeyCoversEveryConfigField(t *testing.T) {
+	specs := workload.Specs()
+	build := func() core.Config {
+		cfg := core.DefaultConfig(specs[workload.TPCW], specs[workload.TPCH])
+		cfg.VMThreads = []int{4, 4}
+		cfg.QoSShares = []int{1, 2}
+		cfg.Workloads[0].Phases = []workload.Phase{{Name: "p", Refs: 1}}
+		return cfg
+	}
+	cfg, twin := build(), build()
+	want, ok := configKeyOf(&cfg)
+	if got, _ := configKeyOf(&twin); !ok || got != want {
+		t.Fatal("two equal configs built separately do not share a key")
+	}
+
+	fields := 0
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), path+v.Type().Field(i).Name
+			if name == "Obs" || name == "Sources" {
+				continue
+			}
+			if !f.CanSet() {
+				t.Errorf("%s is unexported: the memo key cannot see it", name)
+				continue
+			}
+			if f.Kind() == reflect.Struct {
+				walk(f, name+".")
+				continue
+			}
+			if f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Struct {
+				for j := 0; j < f.Len(); j++ {
+					walk(f.Index(j), fmt.Sprintf("%s[%d].", name, j))
+				}
+			}
+			old := reflect.New(f.Type()).Elem()
+			old.Set(f)
+			switch f.Kind() {
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			case reflect.Uint64:
+				f.SetUint(f.Uint() + 1)
+			case reflect.Float64:
+				f.SetFloat(f.Float() + 0.5)
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			case reflect.String:
+				f.SetString(f.String() + "x")
+			case reflect.Slice:
+				f.Set(reflect.Append(f.Slice3(0, f.Len(), f.Len()), reflect.Zero(f.Type().Elem())))
+			default:
+				t.Errorf("%s: no perturbation for kind %s", name, f.Kind())
+				continue
+			}
+			if got, ok := configKeyOf(&cfg); !ok || got == want {
+				t.Errorf("changing %s left the memo key unchanged", name)
+			}
+			f.Set(old)
+			fields++
+		}
+	}
+	walk(reflect.ValueOf(&cfg).Elem(), "")
+	if got, _ := configKeyOf(&cfg); got != want {
+		t.Fatal("restoring every field did not restore the key")
+	}
+	t.Logf("%d fields perturbed", fields)
+}
+
+// TestRunConfigsDuplicateSimulatesOnce runs a batch that names one
+// configuration twice: both slots get the same result, and Sims counts
+// the configuration once, serially and in parallel.
+func TestRunConfigsDuplicateSimulatesOnce(t *testing.T) {
+	for _, parallel := range []int{1, 4} {
+		r := NewRunner(Options{Scale: 64, WarmupRefs: 500, MeasureRefs: 1_000, Seed: 1, Parallel: parallel})
+		tpch := r.isolationConfig(workload.TPCH, 4, sched.Affinity)
+		tpcw := r.isolationConfig(workload.TPCW, 4, sched.Affinity)
+		res, err := r.RunConfigs([]core.Config{tpch, tpcw, r.isolationConfig(workload.TPCH, 4, sched.Affinity)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res[0], res[2]) || reflect.DeepEqual(res[0], res[1]) {
+			t.Errorf("parallel %d: duplicate slots differ, or distinct configs agree", parallel)
+		}
+		if r.Sims() != 2 {
+			t.Errorf("parallel %d: %d simulations for 2 distinct configs", parallel, r.Sims())
+		}
+	}
+}
+
+// TestRunConfigsNeverMemoizesSources runs two equal configurations that
+// replay a recorded stream: a source is stateful, so each simulates.
+func TestRunConfigsNeverMemoizesSources(t *testing.T) {
+	r := NewRunner(Options{Scale: 64, WarmupRefs: 500, MeasureRefs: 1_000, Seed: 1, Parallel: 1})
+	spec := workload.Specs()[workload.TPCH].Scaled(64)
+	cfgs := make([]core.Config, 2)
+	for i := range cfgs {
+		cfgs[i] = r.config([]workload.Spec{spec}, 4, sched.Affinity)
+		cfgs[i].Scale = 1 // spec pre-scaled
+		cfgs[i].Sources = []workload.Source{workload.NewGenerator(spec, 4, 42)}
+	}
+	if _, err := r.RunConfigs(cfgs); err != nil {
+		t.Fatal(err)
+	}
+	if r.Sims() != 2 || len(r.cache) != 0 {
+		t.Errorf("%d simulations and %d memo entries for two source-driven configs, want 2 and 0", r.Sims(), len(r.cache))
+	}
 }

@@ -28,7 +28,7 @@ func TestShapeAffinityBestForHomogeneousMixes(t *testing.T) {
 		t.Skip("shape tests are slow")
 	}
 	r := shapeRunner()
-	f5, err := r.Fig5()
+	f5, err := r.fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestShapeIsolationMissRateGradient(t *testing.T) {
 		t.Skip("shape tests are slow")
 	}
 	r := shapeRunner()
-	f3, err := r.Fig3()
+	f3, err := r.fig3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestShapeTPCHLeastAffectedUnderAffinity(t *testing.T) {
 		t.Skip("shape tests are slow")
 	}
 	r := shapeRunner()
-	f8, err := r.Fig8()
+	f8, err := r.fig8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestShapeReplicationPolicyOrdering(t *testing.T) {
 		t.Skip("shape tests are slow")
 	}
 	r := shapeRunner()
-	f12, err := r.Fig12()
+	f12, err := r.fig12()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestShapeConsolidationRaisesMissRates(t *testing.T) {
 		t.Skip("shape tests are slow")
 	}
 	r := shapeRunner()
-	f7, err := r.Fig7()
+	f7, err := r.fig7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestShapeF11ColumnStructure(t *testing.T) {
 		t.Skip("shape tests are slow")
 	}
 	r := shapeRunner()
-	f11, err := r.Fig11()
+	f11, err := r.fig11()
 	if err != nil {
 		t.Fatal(err)
 	}

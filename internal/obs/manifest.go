@@ -44,7 +44,6 @@ type Manifest struct {
 	WarmupRefs   uint64 `json:"warmup_refs"`
 	MeasureRefs  uint64 `json:"measure_refs"`
 	SnapshotRefs uint64 `json:"snapshot_refs,omitempty"`
-	Replicates   int    `json:"replicates"`
 
 	// Measured outcome and cost.
 	Refs        uint64  `json:"refs"`   // references simulated in the window
@@ -117,8 +116,7 @@ type Manifest struct {
 // references, which go through the same walk; the controllers count
 // detailed references only. The directory cache is never zeroed, so its
 // counts cover the whole run, warm-up included. DirEntries is the
-// directory's occupancy when the run ends. Merged replicates sum every
-// field, as they do vm.Stats.
+// directory's occupancy when the run ends.
 type Layers struct {
 	// Cache holds 0=L0, 1=L1, 2=LLC banks, each summed over its arrays.
 	Cache          [3]CacheCounts `json:"cache"`
@@ -135,21 +133,6 @@ type CacheCounts struct {
 	Accesses  uint64 `json:"accesses"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
-}
-
-// Add folds o into l field by field.
-func (l *Layers) Add(o Layers) {
-	for i, c := range o.Cache {
-		l.Cache[i].Accesses += c.Accesses
-		l.Cache[i].Misses += c.Misses
-		l.Cache[i].Evictions += c.Evictions
-	}
-	l.DirEntries += o.DirEntries
-	l.DirCacheHits += o.DirCacheHits
-	l.DirCacheMisses += o.DirCacheMisses
-	l.MemReads += o.MemReads
-	l.MemWritebacks += o.MemWritebacks
-	l.MemWaitCycles += o.MemWaitCycles
 }
 
 // ManifestWriter appends manifest lines to a JSONL file. Safe for

@@ -19,14 +19,14 @@ func TestManifestRoundTrip(t *testing.T) {
 		{
 			Label: "TPC-H shared-4-way/affinity", Workloads: []string{"TPC-H"},
 			GroupSize: 4, Policy: "affinity", Scale: 16, Seed: 1,
-			WarmupRefs: 2000, MeasureRefs: 4000, Replicates: 1,
+			WarmupRefs: 2000, MeasureRefs: 4000,
 			Refs: 64000, Cycles: 123456, WallSeconds: 0.25,
 		},
 		{
 			Label: "TPC-W+SPECjbb shared/rr", Workloads: []string{"TPC-W", "SPECjbb"},
 			GroupSize: 16, Policy: "rr", Scale: 4, Seed: 7,
 			WarmupRefs: 1000, MeasureRefs: 2000, SnapshotRefs: 500,
-			Replicates: 3, Refs: 96000, Cycles: 654321, WallSeconds: 1.5,
+			Refs: 96000, Cycles: 654321, WallSeconds: 1.5,
 			Parallel: 4,
 		},
 	}
@@ -50,7 +50,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		got, want := out[i], in[i]
 		if got.Label != want.Label || got.GroupSize != want.GroupSize ||
 			got.Policy != want.Policy || got.Scale != want.Scale ||
-			got.Seed != want.Seed || got.Replicates != want.Replicates ||
+			got.Seed != want.Seed ||
 			got.Refs != want.Refs || got.Cycles != want.Cycles ||
 			got.WallSeconds != want.WallSeconds || got.Parallel != want.Parallel {
 			t.Errorf("manifest %d round-trip mismatch:\n got %+v\nwant %+v", i, got, want)
@@ -137,6 +137,13 @@ func TestReadManifestsBackwardCompat(t *testing.T) {
 // which Manifest or PhaseProfile declare any more.
 const removedEngineManifest = "testdata/manifest_v2_shards2.jsonl"
 
+// replicatedManifest is one v2 line written by the last build that could
+// merge replicates (ba8b17b, harness.Options{Replicates: 3} on TPC-H at
+// scale 64): it carries "replicates":3, which Manifest no longer
+// declares, and a phase profile covering one replicate of the summed
+// wall time.
+const replicatedManifest = "testdata/manifest_v2_replicates3.jsonl"
+
 // retiredBenchHistory is the frozen cmd/bench history: a JSON array of
 // objects that are not manifests, which no reader takes since PR 19.
 const retiredBenchHistory = "../../results/BENCH_consim.json"
@@ -186,6 +193,42 @@ func TestReadManifestsRemovedEngineFields(t *testing.T) {
 	}
 }
 
+// TestReadManifestsReplicatedRecord reads a record of a merged
+// replicate run: it reads, and report and diff take it as one run.
+func TestReadManifestsReplicatedRecord(t *testing.T) {
+	raw, err := os.ReadFile(replicatedManifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"replicates":3`) {
+		t.Fatal("fixture lost the replicates field it exists to carry")
+	}
+	ms, err := ReadManifests(replicatedManifest)
+	if err != nil {
+		t.Fatalf("parent-written replicated manifest failed to read: %v", err)
+	}
+	if len(ms) != 1 {
+		t.Fatalf("read %d records, want 1", len(ms))
+	}
+	m := ms[0]
+	if m.Label != "TPC-H shared-4-way/affinity 1/64" || m.Refs != 12695 || m.Layers == nil || m.Layers.MemReads != 3840 {
+		t.Fatalf("record mangled: %+v", m)
+	}
+	var rep strings.Builder
+	WritePhaseReport(&rep, m, nil)
+	if !strings.Contains(rep.String(), "memory system") {
+		t.Errorf("report of a replicated record:\n%s", rep.String())
+	}
+	runs, err := ReadRunSummaries(replicatedManifest)
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("ReadRunSummaries: runs=%d err=%v", len(runs), err)
+	}
+	var diff strings.Builder
+	if n := DiffSummaries(&diff, runs[0], runs[0], 0.05); n != 0 {
+		t.Errorf("self-diff flagged %d regressions:\n%s", n, diff.String())
+	}
+}
+
 // FuzzReadManifests holds the manifest reader, and the report and diff
 // arithmetic downstream of it, to "an error or a clean read, never a
 // panic or a hang" on arbitrary sidecar bytes: negative seconds, zero
@@ -197,6 +240,11 @@ func FuzzReadManifests(f *testing.F) {
 	}
 	f.Add(old)
 	f.Add(old[:len(old)/2])
+	replicated, err := os.ReadFile(replicatedManifest)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(replicated)
 	// The first record of the retired bench history: a JSON object that
 	// is no manifest (no label, no refs) and reads as an all-zero one.
 	hist, err := os.ReadFile(retiredBenchHistory)

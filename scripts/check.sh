@@ -184,6 +184,21 @@ go run ./cmd/consim obs diff -threshold 0.5 "$obs_dir/m.jsonl" >/dev/null \
 	|| { echo "check.sh: obs diff flagged two identical runs" >&2; exit 1; }
 rm -rf "$obs_dir"
 
+echo "== config memo smoke =="
+# Every configuration runs one way, through RunConfigs' single-flight
+# memo keyed on the whole core.Config, which concurrent batches share.
+go test -race -run 'SingleFlight|RunConfigs|RunKey|FigureBatches' ./internal/harness
+# A2's four-controller row and A6's 150-cycle row are both the default
+# memory system: the repeated configuration simulates once, so 8
+# configurations write 7 records.
+memo_manifest=$(mktemp /tmp/consim_memo.XXXXXX.jsonl)
+go run ./cmd/consim ablate -exp A2,A6 -scale 64 -warm 500 -meas 1000 \
+	-manifest "$memo_manifest" >/dev/null
+memo_records=$(wc -l < "$memo_manifest")
+[ "$memo_records" -eq 7 ] \
+	|| { echo "check.sh: ablate A2,A6 wrote $memo_records manifest records, want 7" >&2; exit 1; }
+rm -f "$memo_manifest"
+
 echo "== benchmark module smoke =="
 scripts/bench_smoke.sh
 
