@@ -147,7 +147,6 @@ func newRunFlags(name, operands string, scale int, warm, meas uint64) *runFlags 
 	fs.IntVar(&o.Pdes, "pdes", 0, "split-transaction parallel engine domains inside each simulation: 0/1 = sequential engine, N>1 partitions active cores into N windowed domains (approximate: deviations gated by the equivalence harness)")
 	fs.Uint64Var((*uint64)(&o.PdesWindow), "pdes-window", 0, "parallel engine window width in cycles (default 16384; requires -pdes > 1); wider windows amortize barriers at the price of staler cross-domain coherence")
 	fs.IntVar(&o.PdesReplayWorkers, "pdes-replay-workers", 0, "parallel workers for the barrier replay (requires -pdes > 1): 0/1 = serial replay, N>1 shards the op log by LLC bank group; results are bit-identical at any value")
-	fs.BoolVar(&o.PdesPipeline, "pdes-pipeline", false, "overlap each window's cross-group replay merge with the next window (requires -pdes-replay-workers >= 2); approximate: replicas resync one window late, gated by the equivalence harness")
 	f.sinks.Register(fs)
 	return f
 }
@@ -156,7 +155,7 @@ func newRunFlags(name, operands string, scale int, warm, meas uint64) *runFlags 
 func (f *runFlags) withEngine(cfg core.Config) core.Config {
 	o := &f.opt
 	cfg.Sample = o.Sample
-	cfg.Pdes, cfg.PdesWindow, cfg.PdesReplayWorkers, cfg.PdesPipeline = o.Pdes, o.PdesWindow, o.PdesReplayWorkers, o.PdesPipeline
+	cfg.Pdes, cfg.PdesWindow, cfg.PdesReplayWorkers = o.Pdes, o.PdesWindow, o.PdesReplayWorkers
 	return cfg
 }
 

@@ -62,6 +62,7 @@ func TestDispatch(t *testing.T) {
 		{"trace replay -h", flag.ErrHelp.Error()},
 		{"obs report -h", flag.ErrHelp.Error()},
 		{"-shards 2", "usage: flag provided but not defined: -shards"},
+		{"-pdes 2 -pdes-replay-workers 2 -pdes-pipeline", "usage: flag provided but not defined: -pdes-pipeline"},
 		{"tables -exp T2 extra", "usage: consim tables: 1 operands"},
 		{"trace replay", "usage: consim trace replay: 0 operands"},
 		{"obs diff a b c", "usage: consim obs diff: 3 operands"},
@@ -126,7 +127,6 @@ func TestPdesFlags(t *testing.T) {
 	type vals struct {
 		pdes, replay int
 		window       sim.Cycle
-		pipeline     bool
 		sample       uint64
 	}
 	const traceRefusal = "core: pdes requires statistical generators, not trace sources"
@@ -141,15 +141,15 @@ func TestPdesFlags(t *testing.T) {
 		{args: "-pdes 2", want: vals{pdes: 2}},
 		{args: "-pdes 4 -pdes-window 8192", want: vals{pdes: 4, window: 8192}},
 		{args: "-pdes 2 -pdes-replay-workers 2", want: vals{pdes: 2, replay: 2}},
-		{args: "-pdes 4 -pdes-window 4096 -pdes-replay-workers 2 -pdes-pipeline",
-			want: vals{pdes: 4, replay: 2, window: 4096, pipeline: true}},
+		{args: "-pdes 4 -pdes-window 4096 -pdes-replay-workers 2", want: vals{pdes: 4, replay: 2, window: 4096}},
+		{args: "-pdes 2 -pdes-window 1048576", want: vals{pdes: 2, window: 1 << 20}},
 		{args: "-sample 500 -sample-ci 0.2", want: vals{sample: 500}},
 		{args: "-pdes-window 8192", wantErr: "core: a pdes window requires the parallel engine (Pdes > 1)"},
 		{args: "-pdes-replay-workers 2", wantErr: "core: pdes replay workers require the parallel engine (Pdes > 1)"},
-		{args: "-pdes-replay-workers 2 -pdes-pipeline", wantErr: "core: pdes replay workers require the parallel engine (Pdes > 1)"},
-		{args: "-pdes 1 -pdes-pipeline", wantErr: "core: pdes pipelining requires the parallel engine (Pdes > 1)"},
-		{args: "-pdes 2 -pdes-pipeline", wantErr: "core: pdes pipelining requires PdesReplayWorkers >= 2"},
-		{args: "-pdes 2 -pdes-replay-workers 1 -pdes-pipeline", wantErr: "core: pdes pipelining requires PdesReplayWorkers >= 2"},
+		{args: "-pdes 2 -pdes-window 1048577", wantErr: "core: pdes window 1048577 exceeds the maximum 1048576 cycles"},
+		{args: "-pdes 2 -pdes-window 18446744073709551615", wantErr: "core: pdes window 18446744073709551615 exceeds the maximum 1048576 cycles"},
+		{args: "-sample 500 -sample-ci NaN", wantErr: "core: CI target NaN is not a finite non-negative number"},
+		{args: "-sample 500 -sample-ci +Inf", wantErr: "core: CI target +Inf is not a finite non-negative number"},
 		{args: "-pdes 2 -sample 1000", wantErr: "core: pdes and interval sampling are mutually exclusive engines"},
 		{args: "-pdes 64", wantErr: "core: 64 pdes workers exceed 16 cores"},
 		{args: "-sample 1000 -sample-ratio -1", wantErr: "core: negative fast-forward ratio -1"},
@@ -168,11 +168,11 @@ func TestPdesFlags(t *testing.T) {
 				continue
 			}
 			o := j.opt
-			if got := (vals{o.Pdes, o.PdesReplayWorkers, o.PdesWindow, o.PdesPipeline, o.Sample.WindowRefs}); got != tc.want {
+			if got := (vals{o.Pdes, o.PdesReplayWorkers, o.PdesWindow, o.Sample.WindowRefs}); got != tc.want {
 				t.Errorf("%s %q: options got %+v, want %+v", name, tc.args, got, tc.want)
 			}
 			for _, c := range j.cfgs {
-				if got := (vals{c.Pdes, c.PdesReplayWorkers, c.PdesWindow, c.PdesPipeline, c.Sample.WindowRefs}); got != tc.want {
+				if got := (vals{c.Pdes, c.PdesReplayWorkers, c.PdesWindow, c.Sample.WindowRefs}); got != tc.want {
 					t.Errorf("%s %q: config got %+v, want %+v", name, tc.args, got, tc.want)
 				}
 			}

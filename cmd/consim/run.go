@@ -158,9 +158,6 @@ func printResult(res core.Result, regions, snapshot bool) {
 		replay := ""
 		if ps.ReplayWorkers > 1 {
 			replay = fmt.Sprintf(", sharded replay x%d", ps.ReplayWorkers)
-			if ps.Pipelined {
-				replay += " pipelined"
-			}
 		}
 		fmt.Printf("parallel: %d domains (of %d workers), %d windows of %d cycles, %d replayed ops%s — metrics are estimates\n",
 			ps.Domains, ps.Workers, ps.Windows, ps.Window, ps.Ops, replay)
@@ -183,7 +180,7 @@ func printResult(res core.Result, regions, snapshot bool) {
 		}
 	}
 
-	fmt.Printf("\ninterconnect: %.2f mean hops, %.2f mean link-wait cycles\n", res.NetAvgHops, res.NetAvgWait)
+	fmt.Printf("\ninterconnect: %.2f mean hops\n", res.NetAvgHops)
 	fmt.Printf("memory: %.2f mean controller-queue cycles; directory cache hit rate %.3f\n",
 		res.MemAvgWait, res.DirCacheHitRate)
 

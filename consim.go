@@ -190,10 +190,9 @@ func CompareParallelRun(cfg Config, workers int, window sim.Cycle, bound float64
 
 // CompareShardedParallelRun executes cfg under the parallel engine with
 // the serial barrier replay and again with the replay sharded across
-// replayWorkers bank-group streams (optionally pipelined), reporting
-// per-VM metric deviations against bound (<= 0 selects
-// DefaultPdesBound). Without pipelining the deviation must be exactly
-// zero — replay sharding never changes results.
-func CompareShardedParallelRun(cfg Config, workers, replayWorkers int, pipeline bool, window sim.Cycle, bound float64) (RunComparison, error) {
-	return harness.CompareShardedParallelRun(cfg, workers, replayWorkers, pipeline, window, bound)
+// replayWorkers bank-group streams, reporting per-VM metric deviations
+// against bound (<= 0 selects DefaultPdesBound). The deviation must be
+// exactly zero — replay sharding never changes results.
+func CompareShardedParallelRun(cfg Config, workers, replayWorkers int, window sim.Cycle, bound float64) (RunComparison, error) {
+	return harness.CompareShardedParallelRun(cfg, workers, replayWorkers, window, bound)
 }

@@ -127,7 +127,7 @@ func TestNewSystemHeapBudget(t *testing.T) {
 }
 
 // TestPdesShardedAllocBudget holds the pdes engine with bank-sharded
-// replay (and pipelining) to the same steady-state budget: the merged
+// replay to the same steady-state budget: the merged
 // op log, per-stream rank lists, deferred-effect logs and merge cursors
 // are all preallocated and recycled across windows, and the deferred
 // writeback merge keeps its cursor array on the stack — replaying in
@@ -142,7 +142,6 @@ func TestPdesShardedAllocBudget(t *testing.T) {
 	cfg.MeasureRefs = 40_000
 	cfg.Pdes = 4
 	cfg.PdesReplayWorkers = 4
-	cfg.PdesPipeline = true
 	cfg.Obs = allocTestHooks(t)
 	sys, err := NewSystem(cfg)
 	if err != nil {

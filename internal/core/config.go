@@ -176,14 +176,11 @@ type Config struct {
 	// Pdes > 1.
 	PdesReplayWorkers int
 
-	// PdesPipeline overlaps window k's deferred replay merge with window
-	// k+1's in-window phase: domains open the next window over the
-	// previous frozen tier and resync replicas one window late, with the
-	// bounded staleness modeled by a second warm overlay generation.
-	// Unlike PdesReplayWorkers this IS an accuracy knob — results stay
-	// deterministic per (seed, Pdes, PdesReplayWorkers, PdesWindow) but
-	// differ from the unpipelined stream and are gated by the same
-	// equivalence harness. Requires PdesReplayWorkers >= 2.
+	// PdesPipeline selected window/replay pipelining, which was never
+	// faster than the plain sharded replay and was removed. Validate
+	// rejects true.
+	//
+	// Deprecated: leave it false; the field goes with the -pdes engine.
 	PdesPipeline bool
 
 	// Obs attaches the observability hooks (metric shard, tracer lane,

@@ -64,6 +64,10 @@ import (
 // holds this width to the accuracy bound.
 const DefaultPdesWindow = sim.Cycle(16384)
 
+// maxPdesWindow is the widest window Validate accepts (64x the default,
+// the widest the fuzzers exercise).
+const maxPdesWindow = sim.Cycle(1 << 20)
+
 // Event payload encoding: local core index << 1 | kind.
 const (
 	evIssue    = 0
@@ -81,10 +85,8 @@ const (
 // the spine before any ring push of the task's sequence number; the
 // ring's release/acquire pair publishes it to the workers.
 const (
-	taskWindow  = uint8(0) // unpipelined: drain one full window
-	taskWindowA = uint8(1) // pipelined: drain until the first uncovered issue
-	taskWindowB = uint8(2) // pipelined: resume the parked issue, drain to horizon
-	taskReplay  = uint8(3) // apply this executor's share of the replay streams
+	taskWindow = uint8(0) // drain one full window
+	taskReplay = uint8(1) // apply this executor's share of the replay streams
 )
 
 // pdesOp is one logged shared-tier transition, replayed on the spine at
@@ -136,9 +138,8 @@ type PdesStats struct {
 	// ApplySeconds - ReplayParallelSeconds.
 	ApplySeconds float64 `json:"apply_seconds,omitempty"`
 	// ReplayWorkers is the configured replay shard count (0/1 = serial
-	// replay); Pipelined reports whether window/replay pipelining ran.
-	ReplayWorkers int  `json:"replay_workers,omitempty"`
-	Pipelined     bool `json:"pipelined,omitempty"`
+	// replay).
+	ReplayWorkers int `json:"replay_workers,omitempty"`
 	// ReplayParallelSeconds is replay wall time spent applying per-group
 	// op streams (parallelizable across replay executors);
 	// ReplayMergeSeconds is the serial deferred merge of cross-group
@@ -146,12 +147,6 @@ type PdesStats struct {
 	// entry releases). Both are subsets of ApplySeconds.
 	ReplayParallelSeconds float64 `json:"replay_parallel_seconds,omitempty"`
 	ReplayMergeSeconds    float64 `json:"replay_merge_seconds,omitempty"`
-	// PipelineOverlapSeconds is deferred-merge wall time that ran
-	// overlapped with the next window's in-window phase — replay work
-	// moved off the critical path (the overlap is realizable only with
-	// idle host cores; on a 1-CPU host it records opportunity, not
-	// savings).
-	PipelineOverlapSeconds float64 `json:"pipeline_overlap_seconds,omitempty"`
 	// WindowSeconds is spine wall time inside windows (posting work,
 	// running its own domain stripe, waiting for workers — StallSeconds
 	// is the waiting subset); BarrierSeconds is the barrier's replica
@@ -174,6 +169,9 @@ func (c Config) validatePdes() error {
 	if c.PdesReplayWorkers < 0 {
 		return fmt.Errorf("core: negative pdes replay worker count %d", c.PdesReplayWorkers)
 	}
+	if c.PdesPipeline {
+		return fmt.Errorf("core: pdes window/replay pipelining was removed; leave PdesPipeline false")
+	}
 	if c.Pdes <= 1 {
 		if c.PdesWindow != 0 {
 			return fmt.Errorf("core: a pdes window requires the parallel engine (Pdes > 1)")
@@ -181,13 +179,13 @@ func (c Config) validatePdes() error {
 		if c.PdesReplayWorkers > 1 {
 			return fmt.Errorf("core: pdes replay workers require the parallel engine (Pdes > 1)")
 		}
-		if c.PdesPipeline {
-			return fmt.Errorf("core: pdes pipelining requires the parallel engine (Pdes > 1)")
-		}
 		return nil
 	}
-	if c.PdesPipeline && c.PdesReplayWorkers < 2 {
-		return fmt.Errorf("core: pdes pipelining requires PdesReplayWorkers >= 2")
+	if c.PdesWindow > maxPdesWindow {
+		// A run overshoots its target by up to one window, and
+		// nextHorizon's min+window wraps past the top of sim.Cycle: a
+		// wider window either never finishes or spins forever.
+		return fmt.Errorf("core: pdes window %d exceeds the maximum %d cycles", c.PdesWindow, maxPdesWindow)
 	}
 	if c.Pdes > c.Cores {
 		return fmt.Errorf("core: %d pdes workers exceed %d cores", c.Pdes, c.Cores)
@@ -240,29 +238,6 @@ type pdesDomain struct {
 	// sequential engine pays only once. Cleared at every barrier, after
 	// which the replayed live tier carries the state.
 	warm map[sim.Addr]coherence.Entry
-	// warmPrev is the previous window's overlay generation, kept live
-	// only under PdesPipeline: during the overlapped phase A the live
-	// tier still lacks window k-1's replay, so estimates consult
-	// warm, then warmPrev, then the (one-window-stale) live tier —
-	// exactly the bounded staleness the pipeline trades for overlap.
-	// Nil (and cost-free) when pipelining is off.
-	warmPrev map[sim.Addr]coherence.Entry
-
-	// Pipelined phase-A park state: the first issue whose estimate would
-	// have to read the live shared tier (not covered by a private-cache
-	// hit or an overlay entry) is stashed here — its reference already
-	// drawn, its stats already counted — and resumed as the first action
-	// of phase B, after the spine's deferred merge has caught the live
-	// tier up. Remaining calendar events are at or past parkT, and the
-	// stashed event popped before any same-time FIFO peer, so
-	// resume-then-drain replays the exact serial pop order.
-	parked    bool
-	parkT     sim.Cycle
-	parkLi    int32
-	parkVM    int32
-	parkBlk   uint64
-	parkAddr  sim.Addr
-	parkWrite bool
 
 	stats    []vm.Stats // in-window per-VM scratch (Refs/PrivMisses/Upgrades/MissLatSum)
 	touch    [][]uint64 // per-VM footprint shadow bitmaps, folded via MergeTouched
@@ -309,8 +284,6 @@ type pdesEngine struct {
 	// the pushes, published by the ring's release/acquire pair.
 	task          uint8
 	replayWorkers int
-	pipeline      bool
-	havePrev      bool // pipelined: window k's deferred merge still pending
 	// groupLocal marks bank groups whose entire workload population is
 	// confined to them (every VM with a thread on the group's cores has
 	// ALL threads there): their ops touch provably group-disjoint state
@@ -404,9 +377,7 @@ func newPdesEngine(s *System) *pdesEngine {
 	e.applyByGroup = make([]uint64, len(s.banks))
 
 	e.replayWorkers = cfg.PdesReplayWorkers
-	e.pipeline = cfg.PdesPipeline
 	e.stats.ReplayWorkers = e.replayWorkers
-	e.stats.Pipelined = e.pipeline
 	if e.replayWorkers > 1 {
 		// Static group-confinement analysis: group g's op stream is
 		// replay-local iff every VM with a thread on g's cores keeps ALL
@@ -450,11 +421,6 @@ func newPdesEngine(s *System) *pdesEngine {
 		e.fx = make([]replayFx, nstreams)
 		e.wbLogs = make([][]memctrl.DeferredWriteback, nstreams)
 		e.mIdx = make([]int, nstreams)
-		if e.pipeline {
-			for _, d := range e.domains {
-				d.warmPrev = make(map[sim.Addr]coherence.Entry, 1<<10)
-			}
-		}
 	}
 	return e
 }
@@ -521,7 +487,7 @@ func (e *pdesEngine) workerLoop(w int) {
 		if !ok {
 			return
 		}
-		if task := e.task; task == taskReplay {
+		if e.task == taskReplay {
 			if tr != nil {
 				tr.Begin(lane, "replay")
 			}
@@ -533,11 +499,10 @@ func (e *pdesEngine) workerLoop(w int) {
 			if tr != nil {
 				tr.Begin(lane, "window")
 			}
-			park := task == taskWindowA
 			for i := w + 1; i < len(e.domains); i += e.execs {
 				d := e.domains[i]
 				t0 := time.Now()
-				d.run(e.s, park)
+				d.run(e.s)
 				d.busySeconds += time.Since(t0).Seconds()
 			}
 			if tr != nil {
@@ -553,10 +518,17 @@ func (e *pdesEngine) workerLoop(w int) {
 // barriers only, so runs overshoot by at most one window's issue rate —
 // deterministically, since the window schedule is deterministic.
 func (e *pdesEngine) runUntil(target uint64) {
-	if e.pipeline {
-		e.runWindowsPipelined(target)
-	} else {
-		e.runWindows(target)
+	for !e.reached(target) {
+		winStart := time.Now()
+		h := e.nextHorizon()
+		for _, d := range e.domains {
+			d.horizon = h
+		}
+		e.post(taskWindow)
+		e.runSpineStripe()
+		e.awaitWorkers()
+		e.stats.WindowSeconds += time.Since(winStart).Seconds()
+		e.barrier()
 	}
 	// Fold the cumulative footprint shadows so TouchedBlocks is exact at
 	// phase ends. MergeTouched is idempotent, so folding the same shadow
@@ -579,81 +551,13 @@ func (e *pdesEngine) post(task uint8) {
 	}
 }
 
-// runSpineStripe drains the spine's own domain stripe for the current
-// phase.
-func (e *pdesEngine) runSpineStripe(park bool) {
+// runSpineStripe drains the spine's own domain stripe of the window.
+func (e *pdesEngine) runSpineStripe() {
 	for i := 0; i < len(e.domains); i += e.execs {
 		d := e.domains[i]
 		t0 := time.Now()
-		d.run(e.s, park)
+		d.run(e.s)
 		d.busySeconds += time.Since(t0).Seconds()
-	}
-}
-
-// runWindows is the unpipelined window loop: one full in-window phase,
-// then the barrier (with serial or sharded replay).
-func (e *pdesEngine) runWindows(target uint64) {
-	for !e.reached(target) {
-		winStart := time.Now()
-		h := e.nextHorizon()
-		for _, d := range e.domains {
-			d.horizon = h
-		}
-		e.post(taskWindow)
-		e.runSpineStripe(false)
-		e.awaitWorkers()
-		e.stats.WindowSeconds += time.Since(winStart).Seconds()
-		e.barrier()
-	}
-}
-
-// runWindowsPipelined overlaps window k's deferred replay merge with
-// window k+1's phase A. Each window splits in two: phase A drains every
-// domain until its first issue that would read the live shared tier
-// (covered() gates exactly those reads) while the spine retires the
-// previous window's deferred merge — the only replay work allowed to
-// overlap, since it touches no state phase A reads. Phase B then
-// resumes the parked issues over the fully merged tier and drains to
-// the horizon. Every domain runs the same A/B split regardless of which
-// executor hosts it, so simulated results are independent of
-// GOMAXPROCS; what the host parallelism changes is only whether the
-// overlap is realized as wall-clock savings.
-func (e *pdesEngine) runWindowsPipelined(target uint64) {
-	for !e.reached(target) {
-		winStart := time.Now()
-		h := e.nextHorizon()
-		for _, d := range e.domains {
-			d.horizon = h
-		}
-		e.post(taskWindowA)
-		var overlapSec float64
-		if e.havePrev {
-			t0 := time.Now()
-			e.applyDeferredPhase()
-			overlapSec = time.Since(t0).Seconds()
-			e.stats.ApplySeconds += overlapSec
-			e.stats.ReplayMergeSeconds += overlapSec
-			e.stats.PipelineOverlapSeconds += overlapSec
-			e.havePrev = false
-		}
-		e.runSpineStripe(true)
-		e.awaitWorkers()
-		e.post(taskWindowB)
-		e.runSpineStripe(false)
-		e.awaitWorkers()
-		e.stats.WindowSeconds += time.Since(winStart).Seconds() - overlapSec
-		e.barrierPipelined()
-	}
-	// Drain the last window's deferred merge before control returns to
-	// the phase boundary (result assembly and stats resets read the
-	// merged state). Not overlap — nothing runs concurrently here.
-	if e.havePrev {
-		t0 := time.Now()
-		e.applyDeferredPhase()
-		sec := time.Since(t0).Seconds()
-		e.stats.ApplySeconds += sec
-		e.stats.ReplayMergeSeconds += sec
-		e.havePrev = false
 	}
 }
 
@@ -704,18 +608,8 @@ func (e *pdesEngine) awaitWorkers() {
 	}
 }
 
-// run drains one domain's calendar up to (exclusive) its horizon. In
-// park mode (pipelined phase A) it stops at the first issue whose
-// estimate would read the live shared tier; a non-park call resumes the
-// parked issue first. The stashed event popped before any same-time
-// FIFO peer and every remaining event is at or past its time, so
-// resume-then-drain replays the exact single-phase pop order.
-func (d *pdesDomain) run(s *System, park bool) {
-	if d.parked {
-		d.parked = false
-		d.now = d.parkT
-		d.issueWith(s, d.parkT, int(d.parkLi), int(d.parkVM), d.parkBlk, d.parkAddr, d.parkWrite)
-	}
+// run drains one domain's calendar up to (exclusive) its horizon.
+func (d *pdesDomain) run(s *System) {
 	h := d.horizon
 	for d.q.Len() > 0 {
 		t, payload := d.q.Peek()
@@ -726,92 +620,42 @@ func (d *pdesDomain) run(s *System, park bool) {
 		d.now = t
 		li := payload >> 1
 		if payload&1 == evIssue {
-			if !d.issue(s, t, li, park) {
-				return
-			}
+			d.issue(s, t, li)
 		} else {
 			d.complete(s, t, li)
 		}
 	}
 }
 
-// covered reports whether an issue for addr executes entirely against
-// state a pipelined phase A may touch: this domain's warm overlays and
-// its own cores' private caches. It must return true exactly when
-// walk() avoids every live shared-tier read (directory Probe, dir-cache
-// Peek, bank Probe) — those are safe only after the spine's deferred
-// merge has finished.
-func (d *pdesDomain) covered(s *System, c int, addr sim.Addr, write bool) bool {
-	if _, ok := d.warm[addr]; ok {
-		return true // overlay hit: every estimate path short-circuits live reads
-	}
-	if _, ok := d.warmPrev[addr]; ok {
-		return true
-	}
-	if _, ok := s.l0[c].Probe(addr); ok && !write {
-		return true // L0 read hit, no L1 consulted
-	}
-	if w1, ok := s.l1[c].Probe(addr); ok {
-		if !write {
-			return true
-		}
-		// A write over M/E upgrades silently; Shared needs a live
-		// directory estimate.
-		st := s.l1[c].State(w1)
-		return st == cache.Modified || st == cache.Exclusive
-	}
-	return false
-}
-
-// issue executes one core's next reference: draw it, then walk the
-// private hierarchy — or, in park mode, stash the drawn reference when
-// its walk would read the live shared tier (returning false to stop the
-// phase). The draw side (RNG, footprint, ref counts) always happens
-// here, exactly once per reference.
-func (d *pdesDomain) issue(s *System, t sim.Cycle, li int, park bool) bool {
+// issue executes one core's next reference: draw it, walk the private
+// hierarchy, then either finish immediately (hit) or schedule the
+// completion one estimated miss latency out.
+func (d *pdesDomain) issue(s *System, t sim.Cycle, li int) {
 	c := d.cores[li]
 	cs := &s.cores[c]
 	if cs.cur >= len(cs.queue) {
 		cs.cur = 0
 	}
 	run := cs.queue[cs.cur]
-	m := s.vms[run.vmID]
+	vmID := run.vmID
+	m := s.vms[vmID]
 
 	acc := m.Gen.Next(run.thread)
 	blk := acc.Block
-	d.touch[run.vmID][blk/64] |= 1 << (blk % 64)
+	d.touch[vmID][blk/64] |= 1 << (blk % 64)
 	addr := m.AddrOf(blk)
-	d.stats[run.vmID].Refs++
+	st := &d.stats[vmID]
+	st.Refs++
 	cs.refs++
 
-	if park && !d.covered(s, c, addr, acc.Write) {
-		d.parked = true
-		d.parkT = t
-		d.parkLi = int32(li)
-		d.parkVM = int32(run.vmID)
-		d.parkBlk = blk
-		d.parkAddr = addr
-		d.parkWrite = acc.Write
-		return false
-	}
-	d.issueWith(s, t, li, run.vmID, blk, addr, acc.Write)
-	return true
-}
-
-// issueWith is the post-draw half of issue: walk the private hierarchy,
-// then either finish immediately (hit) or schedule the completion one
-// estimated miss latency out.
-func (d *pdesDomain) issueWith(s *System, t sim.Cycle, li, vmID int, blk uint64, addr sim.Addr, write bool) {
-	c := d.cores[li]
-	st := &d.stats[vmID]
-	lat, fillSt, miss := d.walk(s, t, c, vmID, addr, write)
+	lat, fillSt, miss := d.walk(s, t, c, vmID, addr, acc.Write)
 	if miss {
 		st.PrivMisses++
 		st.MissLatSum += lat
 		d.ops = append(d.ops, pdesOp{
 			t: t, addr: addr, lat: uint32(lat),
 			kind: opFetch, core: uint8(c), vm: uint8(vmID),
-			region: uint8(s.regions[vmID].Of(blk)), write: write,
+			region: uint8(s.regions[vmID].Of(blk)), write: acc.Write,
 		})
 		d.pend[li] = pdesPending{addr: addr, vmID: int32(vmID), st: fillSt}
 		d.q.Push(t+lat, li<<1|evComplete)
@@ -978,13 +822,6 @@ func (d *pdesDomain) warmView(s *System, addr sim.Addr, g int) (coherence.Entry,
 	if w, ok := d.warm[addr]; ok {
 		return w, w.HasL2(g), true
 	}
-	// Pipelined runs keep the previous window's overlay generation live:
-	// the shared tier lags one window behind, so last window's view is
-	// fresher than the live one for blocks it covers. warmPrev is nil
-	// (and this lookup free) when pipelining is off.
-	if w, ok := d.warmPrev[addr]; ok {
-		return w, w.HasL2(g), true
-	}
 	ent := d.probeEntry(s, addr)
 	_, bHit := s.banks[g].Probe(addr)
 	return ent, bHit, false
@@ -1087,9 +924,6 @@ func (d *pdesDomain) estimateInvalidate(s *System, at sim.Cycle, c int, addr sim
 	home := s.dir.Home(addr)
 	t := d.route(at, c, home, CtrlFlits)
 	_, warmed := d.warm[addr]
-	if !warmed {
-		_, warmed = d.warmPrev[addr]
-	}
 	dirHit := warmed || s.dirCache.Peek(home, addr)
 	t = d.dirVisit(t, home)
 	if !dirHit {
@@ -1327,41 +1161,6 @@ func (e *pdesEngine) foldWindow() sim.Cycle {
 	return maxT
 }
 
-// advanceClock commits the folded window's clock and global ref count.
-// maxT is at or past every logged op time, so skipping the serial
-// replay's per-op s.now stepping (as the sharded replay does) leaves an
-// identical final clock.
-func (e *pdesEngine) advanceClock(maxT sim.Cycle) {
-	s := e.s
-	if maxT > s.now {
-		s.now = maxT
-	}
-	var refs uint64
-	for c := range s.cores {
-		refs += s.cores[c].refs
-	}
-	s.globalRefs = refs
-}
-
-// resyncReplicas re-bases every domain's contention replicas from the
-// folded live state for the next window. Unpipelined, the warm overlay
-// simply clears (the replayed live tier now carries its effects);
-// pipelined, the generations swap — last window's overlay stays
-// consultable while the live tier still lacks its deferred merge.
-func (e *pdesEngine) resyncReplicas(swapOverlay bool) {
-	s := e.s
-	for _, d := range e.domains {
-		copy(d.bankBusy, s.bankBusy)
-		copy(d.dirBusy, s.dirBusy)
-		d.mem.SyncBusy(s.mem)
-		d.rebase()
-		if swapOverlay {
-			d.warm, d.warmPrev = d.warmPrev, d.warm
-		}
-		clear(d.warm)
-	}
-}
-
 // barrier folds every domain's window into the live machine, replays
 // the merged op log (serially, or group-sharded when replay workers are
 // configured), then resyncs the replicas for the next window.
@@ -1372,7 +1171,7 @@ func (e *pdesEngine) barrier() {
 
 	applyStart := time.Now()
 	if e.replayWorkers > 1 {
-		e.applyOpsSharded(false)
+		e.applyOpsSharded()
 	} else {
 		e.applyOps()
 	}
@@ -1380,37 +1179,29 @@ func (e *pdesEngine) barrier() {
 	e.stats.ApplySeconds += applySec
 	e.stats.Windows++
 
-	e.advanceClock(maxT)
-	e.resyncReplicas(false)
-
-	if s.hooks != nil {
-		s.publishLive()
+	// Commit the window's clock and global ref count. maxT is at or past
+	// every logged op time, so skipping the serial replay's per-op s.now
+	// stepping (as the sharded replay does) leaves an identical final
+	// clock.
+	if maxT > s.now {
+		s.now = maxT
 	}
-	e.stats.BarrierSeconds += time.Since(barStart).Seconds() - applySec
-}
+	var refs uint64
+	for c := range s.cores {
+		refs += s.cores[c].refs
+	}
+	s.globalRefs = refs
 
-// barrierPipelined is the pipelined barrier: the sharded merge and
-// per-group parallel pass run here (workers quiescent between the
-// phase-B join and the next phase-A post), but the serial deferred
-// merge is left pending for the next window's phase A to overlap.
-// publishLive stays here too — it reads worker-mutated state (private
-// cache counters, domain clocks) and so must not run during a window.
-// Its published totals lag the deferred effects by one window; the
-// drained final merge squares the books before results are read.
-func (e *pdesEngine) barrierPipelined() {
-	s := e.s
-	barStart := time.Now()
-	maxT := e.foldWindow()
-
-	applyStart := time.Now()
-	e.applyOpsSharded(true)
-	applySec := time.Since(applyStart).Seconds()
-	e.stats.ApplySeconds += applySec
-	e.stats.Windows++
-
-	e.advanceClock(maxT)
-	e.resyncReplicas(true)
-	e.havePrev = true
+	// Re-base every domain's contention replicas from the folded live
+	// state and clear the warm overlay: the replayed live tier now
+	// carries its effects.
+	for _, d := range e.domains {
+		copy(d.bankBusy, s.bankBusy)
+		copy(d.dirBusy, s.dirBusy)
+		d.mem.SyncBusy(s.mem)
+		d.rebase()
+		clear(d.warm)
+	}
 
 	if s.hooks != nil {
 		s.publishLive()

@@ -77,16 +77,12 @@ func (f *replayFx) reset() {
 
 // applyOpsSharded is the sharded analogue of applyOps: serial k-way
 // merge + stream classification + directory pre-pass, then the parallel
-// per-group pass, then (unless deferred for pipelining) the serial
-// cross-group merge.
-func (e *pdesEngine) applyOpsSharded(deferMerge bool) {
+// per-group pass, then the serial cross-group merge.
+func (e *pdesEngine) applyOpsSharded() {
 	e.mergeAndClassify()
 	t0 := time.Now()
 	e.runParallelReplay()
 	e.stats.ReplayParallelSeconds += time.Since(t0).Seconds()
-	if deferMerge {
-		return // the next window's phase A overlaps applyDeferredPhase
-	}
 	t1 := time.Now()
 	e.applyDeferredPhase()
 	e.stats.ReplayMergeSeconds += time.Since(t1).Seconds()
@@ -193,11 +189,7 @@ func (e *pdesEngine) applyStream(i int) {
 
 // applyDeferredPhase serially merges the streams' order-sensitive
 // effects in global rank order, then settles the run counters the
-// parallel pass could not touch. Under pipelining this is the one piece
-// of replay that overlaps the next window's phase A — it writes only
-// the directory cache, the memory controllers, the directory table
-// structure and run-level counters, none of which a parked phase A
-// reads.
+// parallel pass could not touch.
 func (e *pdesEngine) applyDeferredPhase() {
 	s := e.s
 	e.mergeDirCacheVisits()

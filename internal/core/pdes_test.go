@@ -44,7 +44,6 @@ func pdesOracle(t *testing.T, cfg Config) Result {
 	cfg.Pdes = 1
 	cfg.PdesWindow = 0
 	cfg.PdesReplayWorkers = 0
-	cfg.PdesPipeline = false
 	return mustRun(t, cfg)
 }
 
@@ -115,6 +114,23 @@ func TestPdesValidation(t *testing.T) {
 	over.TimesliceCycles = 5_000
 	if _, err := NewSystem(over); err != nil {
 		t.Errorf("over-committed pdes config rejected: %v", err)
+	}
+
+	// A window past maxPdesWindow would overshoot the run by up to that
+	// many cycles, and near the top of sim.Cycle nextHorizon's min+window
+	// wraps below every pending event and spins forever. Checked through
+	// Validate only: no such run is ever started.
+	for _, w := range []sim.Cycle{maxPdesWindow + 1, 1 << 62, math.MaxUint64} {
+		cfg := good
+		cfg.PdesWindow = w
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("window %d accepted", w)
+		}
+	}
+	widest := good
+	widest.PdesWindow = maxPdesWindow
+	if err := widest.Validate(); err != nil {
+		t.Errorf("window %d (the maximum) rejected: %v", maxPdesWindow, err)
 	}
 }
 
@@ -187,7 +203,7 @@ func FuzzPdesOrdering(f *testing.F) {
 		if workers < 2 || workers > 16 {
 			t.Skip()
 		}
-		if window < 64 || window > 1<<20 {
+		if window < 64 || sim.Cycle(window) > maxPdesWindow {
 			t.Skip()
 		}
 		cfg := fastCfg(4, sched.Affinity, workload.TPCW, workload.SPECjbb)

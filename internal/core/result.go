@@ -194,7 +194,6 @@ func ManifestFor(cfg Config, res Result, parallel int) obs.Manifest {
 		PdesStallSeconds:  res.Pdes.StallSeconds,
 		PdesApplySeconds:  res.Pdes.ApplySeconds,
 		PdesReplayWorkers: res.Pdes.ReplayWorkers,
-		PdesPipelined:     res.Pdes.Pipelined,
 	}
 }
 

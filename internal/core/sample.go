@@ -37,6 +37,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"consim/internal/stats"
@@ -148,8 +149,11 @@ func (c Config) validateSample() error {
 	if c.Sample.FFRatio < 0 {
 		return fmt.Errorf("core: negative fast-forward ratio %d", c.Sample.FFRatio)
 	}
-	if c.Sample.CITarget < 0 {
-		return fmt.Errorf("core: negative CI target %g", c.Sample.CITarget)
+	// NaN compares false against every CI, so the run could only ever
+	// stop on budget; +Inf would stop it after MinWindows whatever the
+	// estimate. Neither is a target.
+	if t := c.Sample.CITarget; t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+		return fmt.Errorf("core: CI target %g is not a finite non-negative number", t)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"math"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -110,6 +111,16 @@ func TestSampleValidation(t *testing.T) {
 		mutate(&cfg)
 		if _, err := NewSystem(cfg); err == nil {
 			t.Errorf("%s: sampled config accepted, want validation error", name)
+		}
+	}
+
+	// A CI target as the flags hand it over: a NaN one never converges
+	// and an infinite one always does, so neither is a convergence goal.
+	for _, ci := range []float64{-0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := base
+		cfg.Sample.CITarget = ci
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("CI target %g accepted, want validation error", ci)
 		}
 	}
 }

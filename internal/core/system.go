@@ -621,7 +621,6 @@ func (s *System) foldPhaseProfile() {
 		p.PdesStallSeconds = e.stats.StallSeconds
 		p.PdesReplayParallelSeconds = e.stats.ReplayParallelSeconds
 		p.PdesReplayMergeSeconds = e.stats.ReplayMergeSeconds
-		p.PdesPipelineOverlapSec = e.stats.PipelineOverlapSeconds
 		for i, d := range e.domains {
 			p.Domains = append(p.Domains, obs.DomainPhase{
 				Domain:      i,

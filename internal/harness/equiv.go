@@ -152,8 +152,7 @@ func pdesBound(bound float64) float64 {
 // one.
 func CompareParallelRun(cfg core.Config, workers int, window sim.Cycle, bound float64) (RunComparison, error) {
 	seqCfg := cfg
-	seqCfg.Pdes, seqCfg.PdesWindow = 0, 0
-	seqCfg.PdesReplayWorkers, seqCfg.PdesPipeline = 0, false
+	seqCfg.Pdes, seqCfg.PdesWindow, seqCfg.PdesReplayWorkers = 0, 0, 0
 	seq, err := runCfg(seqCfg)
 	if err != nil {
 		return RunComparison{}, err
@@ -171,27 +170,16 @@ func compareParallelTo(seq core.Result, cfg core.Config, workers int, window sim
 
 // CompareShardedParallelRun executes cfg under the parallel engine
 // twice — once with the serial barrier replay, once with the replay
-// sharded across replayWorkers bank-group streams (and optionally the
-// window/replay pipeline) — and reports per-VM deviations against
-// bound (<= 0 selects DefaultPdesBound). Sharding alone is a pure
-// execution strategy, so without pipelining MaxRelErr must come back
-// exactly zero; with pipelining the one-window replica staleness is
-// judged like the engine itself. Full holds the serial-replay run,
-// Sampled the sharded one.
-func CompareShardedParallelRun(cfg core.Config, workers, replayWorkers int, pipeline bool, window sim.Cycle, bound float64) (RunComparison, error) {
-	cfg.Pdes, cfg.PdesWindow = workers, window
-	cfg.PdesReplayWorkers, cfg.PdesPipeline = 0, false
+// sharded across replayWorkers bank-group streams — and reports per-VM
+// deviations against bound (<= 0 selects DefaultPdesBound). Sharding is
+// a pure execution strategy, so MaxRelErr must come back exactly zero.
+// Full holds the serial-replay run, Sampled the sharded one.
+func CompareShardedParallelRun(cfg core.Config, workers, replayWorkers int, window sim.Cycle, bound float64) (RunComparison, error) {
+	cfg.Pdes, cfg.PdesWindow, cfg.PdesReplayWorkers = workers, window, 0
 	ser, err := runCfg(cfg)
 	if err != nil {
 		return RunComparison{}, err
 	}
-	return compareShardedTo(ser, cfg, replayWorkers, pipeline, bound)
-}
-
-// compareShardedTo is CompareShardedParallelRun against ser, a run of
-// serCfg (parallel engine, serial replay) the caller already has: one
-// reference can judge the sharded and the pipelined replay.
-func compareShardedTo(ser core.Result, serCfg core.Config, replayWorkers int, pipeline bool, bound float64) (RunComparison, error) {
-	serCfg.PdesReplayWorkers, serCfg.PdesPipeline = replayWorkers, pipeline
-	return compareTo(ser, serCfg, pdesBound(bound))
+	cfg.PdesReplayWorkers = replayWorkers
+	return compareTo(ser, cfg, pdesBound(bound))
 }

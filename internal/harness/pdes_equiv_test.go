@@ -109,45 +109,24 @@ func TestRunnerPdesClampsWorkers(t *testing.T) {
 }
 
 // TestShardedReplayEquivalence gates the bank-sharded replay at harness
-// level: without pipelining the sharded run must match the serial-
-// replay run EXACTLY (zero deviation — sharding is execution strategy,
-// not a model change); with pipelining the one-window staleness must
-// stay inside DefaultPdesBound.
+// level: the sharded run must match the serial-replay run EXACTLY (zero
+// deviation — sharding is execution strategy, not a model change).
 func TestShardedReplayEquivalence(t *testing.T) {
 	seeds := []uint64{1, 7}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		serCfg := equivCfg(seed) // serial replay: one reference run per seed, not per case
-		serCfg.Pdes = 4
-		ser, err := runCfg(serCfg)
+		cmp, err := CompareShardedParallelRun(equivCfg(seed), 4, 4, 0, 0)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		cmp, err := compareShardedTo(ser, serCfg, 4, false, 0)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if ps := cmp.Sampled.Pdes; ps.ReplayWorkers != 4 || ps.Pipelined {
+		if ps := cmp.Sampled.Pdes; ps.ReplayWorkers != 4 {
 			t.Fatalf("seed %d: sharded replay did not engage: %+v", seed, ps)
 		}
 		if cmp.MaxRelErr != 0 {
 			t.Errorf("seed %d: sharded replay deviates from serial replay: %.6f (must be exactly 0)",
 				seed, cmp.MaxRelErr)
-		}
-
-		pcmp, err := compareShardedTo(ser, serCfg, 4, true, 0)
-		if err != nil {
-			t.Fatalf("seed %d pipelined: %v", seed, err)
-		}
-		if ps := pcmp.Sampled.Pdes; !ps.Pipelined {
-			t.Fatalf("seed %d: pipeline did not engage: %+v", seed, ps)
-		}
-		t.Logf("seed %d: pipelined maxRelErr=%.4f bound=%.3f", seed, pcmp.MaxRelErr, pcmp.Bound)
-		if !pcmp.Within() {
-			t.Errorf("seed %d: pipelined deviation %.3f exceeds bound %.3f",
-				seed, pcmp.MaxRelErr, pcmp.Bound)
 		}
 	}
 }
@@ -160,7 +139,7 @@ func TestShardedReplayEquivalence(t *testing.T) {
 func TestCompareRunsDeriveTheirReference(t *testing.T) {
 	cfg := equivCfg(1)
 	cfg.WarmupRefs, cfg.MeasureRefs = 2_000, 10_000
-	cfg.Pdes, cfg.PdesReplayWorkers, cfg.PdesPipeline = 4, 4, true
+	cfg.Pdes, cfg.PdesReplayWorkers = 4, 4
 
 	cmp, err := CompareParallelRun(cfg, 2, 0, 0)
 	if err != nil {
@@ -171,12 +150,12 @@ func TestCompareRunsDeriveTheirReference(t *testing.T) {
 			cmp.Full.Pdes, cmp.Sampled.Pdes, cmp.Bound, len(cmp.Deltas))
 	}
 
-	cmp, err = CompareShardedParallelRun(cfg, 4, 2, false, 0, 0.5)
+	cmp, err = CompareShardedParallelRun(cfg, 4, 2, 0, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref, sh := cmp.Full.Pdes, cmp.Sampled.Pdes; ref.Workers != 4 || ref.ReplayWorkers != 0 || ref.Pipelined ||
-		sh.ReplayWorkers != 2 || sh.Pipelined || cmp.Bound != 0.5 || cmp.MaxRelErr != 0 {
+	if ref, sh := cmp.Full.Pdes, cmp.Sampled.Pdes; ref.Workers != 4 || ref.ReplayWorkers != 0 ||
+		sh.ReplayWorkers != 2 || cmp.Bound != 0.5 || cmp.MaxRelErr != 0 {
 		t.Errorf("CompareShardedParallelRun: reference %+v, sharded %+v, bound %v, maxRelErr %v",
 			ref, sh, cmp.Bound, cmp.MaxRelErr)
 	}
@@ -193,7 +172,6 @@ func TestRunnerPdesReplayOption(t *testing.T) {
 		Seed:              1,
 		Pdes:              4,
 		PdesReplayWorkers: 4,
-		PdesPipeline:      true,
 	})
 
 	cfg := equivCfg(1)
@@ -202,12 +180,11 @@ func TestRunnerPdesReplayOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pdes.ReplayWorkers != 4 || !res.Pdes.Pipelined {
+	if res.Pdes.ReplayWorkers != 4 {
 		t.Errorf("runner replay options did not reach the config: %+v", res.Pdes)
 	}
 
-	// A config that pins its own replay worker count keeps it, and the
-	// pipeline flag does not ride along against its choice.
+	// A config that pins its own replay worker count keeps it.
 	own := cfg
 	own.Pdes = 4
 	own.PdesReplayWorkers = 2
@@ -215,7 +192,7 @@ func TestRunnerPdesReplayOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pdes.ReplayWorkers != 2 || res.Pdes.Pipelined {
+	if res.Pdes.ReplayWorkers != 2 {
 		t.Errorf("explicit replay config overridden: %+v", res.Pdes)
 	}
 

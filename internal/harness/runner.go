@@ -63,11 +63,6 @@ type Options struct {
 	// execution strategy — results stay bit-identical to the serial
 	// replay at any value. Only applied alongside a runner-wide Pdes.
 	PdesReplayWorkers int
-	// PdesPipeline overlaps each window's cross-group replay merge with
-	// the next window (core.Config.PdesPipeline; requires
-	// PdesReplayWorkers >= 2). Like Pdes itself this changes the
-	// simulated stream — deterministic and equivalence-gated.
-	PdesPipeline bool
 	// Obs attaches the observability sinks (live metrics, Chrome trace,
 	// manifests, progress). Each executed job acquires a tracer lane so
 	// the timeline shows one row per in-flight worker slot; memoized
@@ -304,7 +299,6 @@ func (r *Runner) simulate(cfg core.Config) (core.Result, error) {
 		}
 		if c.PdesReplayWorkers == 0 {
 			c.PdesReplayWorkers = r.opt.PdesReplayWorkers
-			c.PdesPipeline = r.opt.PdesPipeline && c.PdesReplayWorkers > 1
 		}
 		cfg = validOr(c, cfg)
 	}

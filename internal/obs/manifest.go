@@ -87,10 +87,8 @@ type Manifest struct {
 	PdesStallSeconds float64 `json:"pdes_stall_seconds,omitempty"`
 	PdesApplySeconds float64 `json:"pdes_apply_seconds,omitempty"`
 	// Sharded-replay provenance: configured replay worker count (0 =
-	// serial replay) and whether window/replay pipelining was on. The
-	// matching phase decomposition lives in Phase.
-	PdesReplayWorkers int  `json:"pdes_replay_workers,omitempty"`
-	PdesPipelined     bool `json:"pdes_pipelined,omitempty"`
+	// serial replay). The matching phase decomposition lives in Phase.
+	PdesReplayWorkers int `json:"pdes_replay_workers,omitempty"`
 
 	// Phase is the run's wall-time decomposition by engine phase (nil
 	// when telemetry was off or the record predates phase accounting).

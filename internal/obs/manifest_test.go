@@ -144,32 +144,58 @@ const removedEngineManifest = "testdata/manifest_v2_shards2.jsonl"
 // wall time.
 const replicatedManifest = "testdata/manifest_v2_replicates3.jsonl"
 
+// pipelinedManifest is one v2 line written by the last build that had
+// -pdes window/replay pipelining (fd9b84a, `consim -workloads
+// TPC-H,SPECjbb -group 4 -scale 64 -warm 2000 -meas 8000 -pdes 2
+// -pdes-replay-workers 2 -pdes-pipeline`): it carries "pdes_pipelined"
+// and phase.pdes_pipeline_overlap_seconds, which Manifest and
+// PhaseProfile no longer declare.
+const pipelinedManifest = "testdata/manifest_v2_pdes_pipelined.jsonl"
+
 // retiredBenchHistory is the frozen cmd/bench history: a JSON array of
 // objects that are not manifests, which no reader takes since PR 19.
 const retiredBenchHistory = "../../results/BENCH_consim.json"
+
+// readOldRecord reads path, a one-record fixture an older build wrote,
+// after checking it still carries fields, the removed fields it exists
+// to carry. It holds obs diff to taking the record as one run that is no
+// regression against itself, and returns the record.
+func readOldRecord(t *testing.T, path string, fields ...string) Manifest {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range fields {
+		if !strings.Contains(string(raw), field) {
+			t.Fatalf("fixture lost the removed field %s it exists to carry", field)
+		}
+	}
+	ms, err := ReadManifests(path)
+	if err != nil {
+		t.Fatalf("parent-written manifest failed to read: %v", err)
+	}
+	if len(ms) != 1 {
+		t.Fatalf("read %d records, want 1", len(ms))
+	}
+	runs, err := ReadRunSummaries(path)
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("ReadRunSummaries: runs=%d err=%v", len(runs), err)
+	}
+	var diff strings.Builder
+	if n := DiffSummaries(&diff, runs[0], runs[0], 0.05); n != 0 {
+		t.Errorf("self-diff flagged %d regressions:\n%s", n, diff.String())
+	}
+	return ms[0]
+}
 
 // TestReadManifestsRemovedEngineFields holds the reading side to its
 // contract for sidecars that outlive a field: the record reads, the
 // unknown fields are ignored, and report and diff treat the run as the
 // sequential run its results were bit-identical to.
 func TestReadManifestsRemovedEngineFields(t *testing.T) {
-	raw, err := os.ReadFile(removedEngineManifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, field := range []string{`"shards":2`, `"shard_prefills":`, `"shard_stall_seconds":`, `"lane_busy_seconds":[`} {
-		if !strings.Contains(string(raw), field) {
-			t.Fatalf("fixture lost the removed field %s it exists to carry", field)
-		}
-	}
-	ms, err := ReadManifests(removedEngineManifest)
-	if err != nil {
-		t.Fatalf("parent-written -shards manifest failed to read: %v", err)
-	}
-	if len(ms) != 1 {
-		t.Fatalf("read %d records, want 1", len(ms))
-	}
-	m := ms[0]
+	m := readOldRecord(t, removedEngineManifest,
+		`"shards":2`, `"shard_prefills":`, `"shard_stall_seconds":`, `"lane_busy_seconds":[`)
 	if m.Version != 2 || m.Refs != 614281 || m.Cycles != 751671 || m.Phase == nil || m.Phase.MeasureSeconds <= 0 {
 		t.Fatalf("record mangled: %+v", m)
 	}
@@ -181,36 +207,12 @@ func TestReadManifestsRemovedEngineFields(t *testing.T) {
 	if !strings.Contains(rep.String(), "engine=sequential") || strings.Contains(rep.String(), "lane") {
 		t.Errorf("report of a removed-engine record:\n%s", rep.String())
 	}
-
-	// obs diff: the file's last record against itself is no regression.
-	runs, err := ReadRunSummaries(removedEngineManifest)
-	if err != nil || len(runs) != 1 {
-		t.Fatalf("ReadRunSummaries: runs=%d err=%v", len(runs), err)
-	}
-	var diff strings.Builder
-	if n := DiffSummaries(&diff, runs[0], runs[0], 0.05); n != 0 {
-		t.Errorf("self-diff flagged %d regressions:\n%s", n, diff.String())
-	}
 }
 
 // TestReadManifestsReplicatedRecord reads a record of a merged
 // replicate run: it reads, and report and diff take it as one run.
 func TestReadManifestsReplicatedRecord(t *testing.T) {
-	raw, err := os.ReadFile(replicatedManifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), `"replicates":3`) {
-		t.Fatal("fixture lost the replicates field it exists to carry")
-	}
-	ms, err := ReadManifests(replicatedManifest)
-	if err != nil {
-		t.Fatalf("parent-written replicated manifest failed to read: %v", err)
-	}
-	if len(ms) != 1 {
-		t.Fatalf("read %d records, want 1", len(ms))
-	}
-	m := ms[0]
+	m := readOldRecord(t, replicatedManifest, `"replicates":3`)
 	if m.Label != "TPC-H shared-4-way/affinity 1/64" || m.Refs != 12695 || m.Layers == nil || m.Layers.MemReads != 3840 {
 		t.Fatalf("record mangled: %+v", m)
 	}
@@ -219,13 +221,26 @@ func TestReadManifestsReplicatedRecord(t *testing.T) {
 	if !strings.Contains(rep.String(), "memory system") {
 		t.Errorf("report of a replicated record:\n%s", rep.String())
 	}
-	runs, err := ReadRunSummaries(replicatedManifest)
-	if err != nil || len(runs) != 1 {
-		t.Fatalf("ReadRunSummaries: runs=%d err=%v", len(runs), err)
+}
+
+// TestReadManifestsPipelinedRecord reads a record of a pipelined -pdes
+// run: it reads as the sharded-replay run it was, and report and diff
+// take it as one run.
+func TestReadManifestsPipelinedRecord(t *testing.T) {
+	m := readOldRecord(t, pipelinedManifest, `"pdes_pipelined":true`, `"pdes_pipeline_overlap_seconds":`)
+	if m.Refs != 183631 || m.PdesWorkers != 2 || m.PdesReplayWorkers != 2 || m.Phase == nil || len(m.Phase.Domains) != 2 {
+		t.Fatalf("record mangled: %+v", m)
 	}
-	var diff strings.Builder
-	if n := DiffSummaries(&diff, runs[0], runs[0], 0.05); n != 0 {
-		t.Errorf("self-diff flagged %d regressions:\n%s", n, diff.String())
+	var rep strings.Builder
+	WritePhaseReport(&rep, m, nil)
+	out := rep.String()
+	for _, want := range []string{"engine=pdes", "per-group parallel pass (2 replay workers)", "cross-group deferred merge"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report of a pipelined record missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "overlap") {
+		t.Errorf("report of a pipelined record still shows the overlap line:\n%s", out)
 	}
 }
 
@@ -245,6 +260,11 @@ func FuzzReadManifests(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(replicated)
+	pipelined, err := os.ReadFile(pipelinedManifest)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(pipelined)
 	// The first record of the retired bench history: a JSON object that
 	// is no manifest (no label, no refs) and reads as an all-zero one.
 	hist, err := os.ReadFile(retiredBenchHistory)

@@ -36,14 +36,11 @@ type PhaseProfile struct {
 	PdesStallSeconds   float64 `json:"pdes_stall_seconds,omitempty"`
 	// Sharded-replay decomposition of PdesReplaySeconds (zero when the
 	// replay runs serially): ReplayParallel is the per-group parallel
-	// pass, ReplayMerge the serial cross-group deferred merge, and
-	// PipelineOverlap the subset of merge time that ran concurrently
-	// with the next window's in-window phase (-pdes-pipeline). The
+	// pass and ReplayMerge the serial cross-group deferred merge. The
 	// remaining replay residue (PdesReplaySeconds − parallel − merge)
 	// is the serial k-way op merge and directory pre-pass.
 	PdesReplayParallelSeconds float64 `json:"pdes_replay_parallel_seconds,omitempty"`
 	PdesReplayMergeSeconds    float64 `json:"pdes_replay_merge_seconds,omitempty"`
-	PdesPipelineOverlapSec    float64 `json:"pdes_pipeline_overlap_seconds,omitempty"`
 	// Domains is the per-domain breakdown of in-window work. On a
 	// multi-core host domains run concurrently, so busy seconds sum to
 	// more than PdesWindowSeconds; the ratio is the achieved overlap.

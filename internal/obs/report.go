@@ -81,10 +81,6 @@ func WritePhaseReport(w io.Writer, m Manifest, rows []TSRow) {
 				"  parallel", p.PdesReplayParallelSeconds, pct(p.PdesReplayParallelSeconds), m.PdesReplayWorkers)
 			fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%   cross-group deferred merge\n",
 				"  merge", p.PdesReplayMergeSeconds, pct(p.PdesReplayMergeSeconds))
-			if p.PdesPipelineOverlapSec > 0 {
-				fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%   merge overlapped with next window\n",
-					"  overlap", p.PdesPipelineOverlapSec, pct(p.PdesPipelineOverlapSec))
-			}
 		}
 		fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%   folds, resyncs, publishes\n",
 			"barrier", p.PdesBarrierSeconds, pct(p.PdesBarrierSeconds))

@@ -24,12 +24,12 @@ type TaskRing struct {
 	head atomic.Uint64
 	_    [64]byte
 
-	// parked is set by the consumer just before it re-checks emptiness
+	// sleeping is set by the consumer just before it re-checks emptiness
 	// and blocks on wake; the producer only pays the channel send when it
 	// observes the flag.
-	parked atomic.Bool
-	wake   chan struct{}
-	closed atomic.Bool
+	sleeping atomic.Bool
+	wake     chan struct{}
+	closed   atomic.Bool
 }
 
 // NewTaskRing returns a ring holding up to cap tasks (rounded up to a
@@ -54,7 +54,7 @@ func (r *TaskRing) Push(v uint32) {
 	}
 	r.buf[t&r.mask] = v
 	r.tail.Store(t + 1) // release: publishes buf[t] to the consumer
-	if r.parked.Load() {
+	if r.sleeping.Load() {
 		select {
 		case r.wake <- struct{}{}:
 		default:
@@ -72,7 +72,7 @@ func (r *TaskRing) Close() {
 	}
 }
 
-// Pop dequeues the next task, blocking (parked, not spinning) until one
+// Pop dequeues the next task, blocking (asleep on a channel, not spinning) until one
 // is available or Close has been called and the ring is empty, in which
 // case it returns false. Consumer-side only.
 func (r *TaskRing) Pop() (uint32, bool) {
@@ -93,12 +93,12 @@ func (r *TaskRing) Pop() (uint32, bool) {
 		}
 		// Park: announce, re-check (the producer may have pushed between
 		// our check and the announcement), then block.
-		r.parked.Store(true)
+		r.sleeping.Store(true)
 		if r.tail.Load() != h || r.closed.Load() {
-			r.parked.Store(false)
+			r.sleeping.Store(false)
 			continue
 		}
 		<-r.wake
-		r.parked.Store(false)
+		r.sleeping.Store(false)
 	}
 }

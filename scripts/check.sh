@@ -85,6 +85,13 @@ shards_out=$(go run ./cmd/consim -shards 2 2>&1) \
 	&& { echo "check.sh: consim accepted -shards" >&2; exit 1; }
 echo "$shards_out" | grep -q "flag provided but not defined: -shards" \
 	|| { echo "check.sh: consim -shards failed for another reason: $shards_out" >&2; exit 1; }
+# -pdes-pipeline (window/replay pipelining) was deleted: never faster than
+# the plain sharded replay, and the one replay knob that changed results
+# (EXPERIMENTS.md "Parallel replay").
+pipe_out=$(go run ./cmd/consim -pdes 2 -pdes-replay-workers 2 -pdes-pipeline 2>&1) \
+	&& { echo "check.sh: consim accepted -pdes-pipeline" >&2; exit 1; }
+echo "$pipe_out" | grep -q "flag provided but not defined: -pdes-pipeline" \
+	|| { echo "check.sh: consim -pdes-pipeline failed for another reason: $pipe_out" >&2; exit 1; }
 # cmd/bench and its BENCH_consim.json gate were deleted in PR 19
 # (benchmark/ measures everything they did; EXPERIMENTS.md "One
 # benchmark harness"). A second harness must not come back.
@@ -153,12 +160,12 @@ go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
 
 echo "== sharded replay smoke =="
 # The bank-sharded barrier replay must stay bit-identical to the serial
-# replay, the pipelined variant deterministic, the merged memctrl order
-# exact, and the CLI knobs must engage (the provenance line says so).
-go test -short -run 'TestShardedReplayBitIdentical|TestPdesPipelineDeterministic|TestPdesReplayValidation' ./internal/core
+# replay, the merged memctrl order exact, and the CLI knobs must engage
+# (the provenance line says so).
+go test -short -run 'TestShardedReplayBitIdentical|TestPdesReplayValidation' ./internal/core
 go test -run 'TestShardedReplayMemctrlMerge' ./internal/memctrl
 go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
-	-pdes 4 -pdes-replay-workers 4 -pdes-pipeline | grep -q "sharded replay x4 pipelined" \
+	-pdes 4 -pdes-replay-workers 4 | grep -q "sharded replay x4" \
 	|| { echo "check.sh: sharded replay produced no provenance line" >&2; exit 1; }
 
 echo "== phase profiler smoke =="
