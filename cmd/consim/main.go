@@ -146,7 +146,6 @@ func newRunFlags(name, operands string, scale int, warm, meas uint64) *runFlags 
 	fs.Uint64Var(&s.MaxRefs, "sample-max-refs", 0, "per-core detailed-reference budget; stop when reached even unconverged (default: the measurement budget)")
 	fs.IntVar(&o.Pdes, "pdes", 0, "split-transaction parallel engine domains inside each simulation: 0/1 = sequential engine, N>1 partitions active cores into N windowed domains (approximate: deviations gated by the equivalence harness)")
 	fs.Uint64Var((*uint64)(&o.PdesWindow), "pdes-window", 0, "parallel engine window width in cycles (default 16384; requires -pdes > 1); wider windows amortize barriers at the price of staler cross-domain coherence")
-	fs.IntVar(&o.PdesReplayWorkers, "pdes-replay-workers", 0, "parallel workers for the barrier replay (requires -pdes > 1): 0/1 = serial replay, N>1 shards the op log by LLC bank group; results are bit-identical at any value")
 	f.sinks.Register(fs)
 	return f
 }
@@ -155,7 +154,7 @@ func newRunFlags(name, operands string, scale int, warm, meas uint64) *runFlags 
 func (f *runFlags) withEngine(cfg core.Config) core.Config {
 	o := &f.opt
 	cfg.Sample = o.Sample
-	cfg.Pdes, cfg.PdesWindow, cfg.PdesReplayWorkers = o.Pdes, o.PdesWindow, o.PdesReplayWorkers
+	cfg.Pdes, cfg.PdesWindow = o.Pdes, o.PdesWindow
 	return cfg
 }
 

@@ -155,12 +155,8 @@ func printResult(res core.Result, regions, snapshot bool) {
 		fmt.Printf("%s — metrics are estimates\n", sa.Provenance())
 	}
 	if ps := res.Pdes; ps.Workers > 1 {
-		replay := ""
-		if ps.ReplayWorkers > 1 {
-			replay = fmt.Sprintf(", sharded replay x%d", ps.ReplayWorkers)
-		}
-		fmt.Printf("parallel: %d domains (of %d workers), %d windows of %d cycles, %d replayed ops%s — metrics are estimates\n",
-			ps.Domains, ps.Workers, ps.Windows, ps.Window, ps.Ops, replay)
+		fmt.Printf("parallel: %d domains (of %d workers), %d windows of %d cycles, %d replayed ops — metrics are estimates\n",
+			ps.Domains, ps.Workers, ps.Windows, ps.Window, ps.Ops)
 	}
 	fmt.Printf("%-4s %-8s %12s %10s %10s %8s %8s %8s %8s\n",
 		"vm", "workload", "refs", "cyc/tx", "missRate", "missLat", "c2c", "c2cDirty", "memReads")

@@ -187,12 +187,3 @@ const DefaultPdesBound = harness.DefaultPdesBound
 func CompareParallelRun(cfg Config, workers int, window sim.Cycle, bound float64) (RunComparison, error) {
 	return harness.CompareParallelRun(cfg, workers, window, bound)
 }
-
-// CompareShardedParallelRun executes cfg under the parallel engine with
-// the serial barrier replay and again with the replay sharded across
-// replayWorkers bank-group streams, reporting per-VM metric deviations
-// against bound (<= 0 selects DefaultPdesBound). The deviation must be
-// exactly zero — replay sharding never changes results.
-func CompareShardedParallelRun(cfg Config, workers, replayWorkers int, window sim.Cycle, bound float64) (RunComparison, error) {
-	return harness.CompareShardedParallelRun(cfg, workers, replayWorkers, window, bound)
-}

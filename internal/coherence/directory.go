@@ -124,10 +124,8 @@ const dirFree = 0
 // The table is sized from the lines the chip can hold (NewDirectoryFor):
 // an inclusive LLC bounds the live entries, so the first growth jumps
 // straight to the bound's capacity and the table never grows again.
-// Doubling remains the only fallback: for traffic that passes the bound
-// for a while (the parallel engine Gets a window's replay targets up
-// front and defers their releases) and for directories built without
-// one.
+// Doubling remains the only fallback, for traffic that passes the bound
+// and for directories built without one.
 //
 // This replaced a map[uint64]*Entry: the map allocated one heap Entry per
 // tracked line (the dominant steady-state allocation of a whole
@@ -353,14 +351,6 @@ func (d *Directory) PrefetchRelease(addr sim.Addr) {
 // release an entry with a single hash walk instead of one per step. The
 // index obeys the same validity contract as entry pointers: any insertion
 // or release may move slots.
-//
-// Structurally-frozen concurrency: while no Get, Release or ReleaseSlot
-// runs, the walk reads only slot keys — which nothing mutates — so
-// concurrent ProbeSlot/EntryAt calls from multiple goroutines are safe
-// provided writers touch disjoint entries. The parallel engine's
-// bank-sharded barrier replay relies on exactly this: it Get()s every
-// replay target up front, defers releases, and lets per-group streams
-// probe and mutate their own (provably disjoint) entries concurrently.
 func (d *Directory) ProbeSlot(addr sim.Addr) (int, bool) {
 	key := sim.BlockID(addr)
 	tag := ^key

@@ -126,13 +126,11 @@ func TestNewSystemHeapBudget(t *testing.T) {
 	}
 }
 
-// TestPdesShardedAllocBudget holds the pdes engine with bank-sharded
-// replay to the same steady-state budget: the merged
-// op log, per-stream rank lists, deferred-effect logs and merge cursors
-// are all preallocated and recycled across windows, and the deferred
-// writeback merge keeps its cursor array on the stack — replaying in
-// parallel must not buy back the allocations the serial replay avoided.
-func TestPdesShardedAllocBudget(t *testing.T) {
+// TestPdesAllocBudget holds the pdes engine to the same steady-state
+// budget: the per-domain op logs, pending fills and merge cursors are
+// preallocated and recycled across windows, so neither the windows nor
+// the barrier replay allocate per reference.
+func TestPdesAllocBudget(t *testing.T) {
 	specs := workload.Specs()
 	cfg := DefaultConfig(specs[workload.TPCW], specs[workload.SPECjbb],
 		specs[workload.TPCH], specs[workload.SPECweb])
@@ -141,7 +139,6 @@ func TestPdesShardedAllocBudget(t *testing.T) {
 	cfg.WarmupRefs = 40_000
 	cfg.MeasureRefs = 40_000
 	cfg.Pdes = 4
-	cfg.PdesReplayWorkers = 4
 	cfg.Obs = allocTestHooks(t)
 	sys, err := NewSystem(cfg)
 	if err != nil {
@@ -163,9 +160,9 @@ func TestPdesShardedAllocBudget(t *testing.T) {
 
 	allocs := after.Mallocs - before.Mallocs
 	perRef := float64(allocs) / float64(measuredRefs)
-	t.Logf("pdes sharded steady state: %d allocs over %d refs (%.6f allocs/ref, %d bytes), stats %+v",
+	t.Logf("pdes steady state: %d allocs over %d refs (%.6f allocs/ref, %d bytes), stats %+v",
 		allocs, measuredRefs, perRef, after.TotalAlloc-before.TotalAlloc, sys.pdes.stats)
 	if perRef > 0.001 {
-		t.Fatalf("sharded replay path allocates: %.6f allocs/ref (budget 0.001)", perRef)
+		t.Fatalf("pdes path allocates: %.6f allocs/ref (budget 0.001)", perRef)
 	}
 }

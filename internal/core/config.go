@@ -164,21 +164,18 @@ type Config struct {
 	// a window; the equivalence bound gates either way. Requires Pdes > 1.
 	PdesWindow sim.Cycle
 
-	// PdesReplayWorkers shards the barrier replay by LLC bank group:
-	// 0 or 1 (the default) replays the merged op log serially; N > 1
-	// partitions it into per-group streams applied by up to N replay
-	// executors, with order-sensitive cross-group state (memory-
-	// controller queues, directory-cache sets, deferred entry releases)
-	// merged deterministically afterwards. The sharded replay is
-	// bit-identical to the serial one at any worker count — it is a host
-	// optimization, not an accuracy knob — and spawns no goroutines
-	// beyond the window workers (zero at GOMAXPROCS=1). Requires
-	// Pdes > 1.
+	// PdesReplayWorkers sharded the barrier replay by LLC bank group.
+	// The sharded replay matched the serial one bit for bit and was never
+	// faster, so it was removed: Validate and NewSystem ignore this
+	// field, and every value runs the serial replay.
+	//
+	// Deprecated: results never depended on it; the field goes with the
+	// -pdes engine.
 	PdesReplayWorkers int
 
 	// PdesPipeline selected window/replay pipelining, which was never
-	// faster than the plain sharded replay and was removed. Validate
-	// rejects true.
+	// faster than the serial replay and was removed. Validate rejects
+	// true.
 	//
 	// Deprecated: leave it false; the field goes with the -pdes engine.
 	PdesPipeline bool

@@ -81,14 +81,6 @@ const (
 	opEvictL1 = uint8(2)
 )
 
-// Worker-task kinds posted through the SPSC rings. e.task is written by
-// the spine before any ring push of the task's sequence number; the
-// ring's release/acquire pair publishes it to the workers.
-const (
-	taskWindow = uint8(0) // drain one full window
-	taskReplay = uint8(1) // apply this executor's share of the replay streams
-)
-
 // pdesOp is one logged shared-tier transition, replayed on the spine at
 // the window barrier.
 type pdesOp struct {
@@ -128,25 +120,9 @@ type PdesStats struct {
 	// load-imbalance gauge.
 	Stalls       uint64  `json:"stalls,omitempty"`
 	StallSeconds float64 `json:"stall_seconds,omitempty"`
-	// ApplySeconds is wall time spent in the barrier replay — serial
-	// merge, sharded per-group application and deferred cross-group
-	// merge together. With ReplayWorkers <= 1 the whole term is the
-	// serial Amdahl term that bounds scaling; with sharding,
-	// ReplayParallelSeconds is the subset spent in the per-group
-	// parallel pass and ReplayMergeSeconds the subset in the
-	// deterministic cross-group merge, so the *serial residue* is
-	// ApplySeconds - ReplayParallelSeconds.
+	// ApplySeconds is wall time spent in the serial barrier replay: the
+	// Amdahl term that bounds scaling.
 	ApplySeconds float64 `json:"apply_seconds,omitempty"`
-	// ReplayWorkers is the configured replay shard count (0/1 = serial
-	// replay).
-	ReplayWorkers int `json:"replay_workers,omitempty"`
-	// ReplayParallelSeconds is replay wall time spent applying per-group
-	// op streams (parallelizable across replay executors);
-	// ReplayMergeSeconds is the serial deferred merge of cross-group
-	// state (memory-controller writebacks, directory-cache visits,
-	// entry releases). Both are subsets of ApplySeconds.
-	ReplayParallelSeconds float64 `json:"replay_parallel_seconds,omitempty"`
-	ReplayMergeSeconds    float64 `json:"replay_merge_seconds,omitempty"`
 	// WindowSeconds is spine wall time inside windows (posting work,
 	// running its own domain stripe, waiting for workers — StallSeconds
 	// is the waiting subset); BarrierSeconds is the barrier's replica
@@ -166,18 +142,12 @@ func (c Config) validatePdes() error {
 	if c.Pdes < 0 {
 		return fmt.Errorf("core: negative pdes worker count %d", c.Pdes)
 	}
-	if c.PdesReplayWorkers < 0 {
-		return fmt.Errorf("core: negative pdes replay worker count %d", c.PdesReplayWorkers)
-	}
 	if c.PdesPipeline {
 		return fmt.Errorf("core: pdes window/replay pipelining was removed; leave PdesPipeline false")
 	}
 	if c.Pdes <= 1 {
 		if c.PdesWindow != 0 {
 			return fmt.Errorf("core: a pdes window requires the parallel engine (Pdes > 1)")
-		}
-		if c.PdesReplayWorkers > 1 {
-			return fmt.Errorf("core: pdes replay workers require the parallel engine (Pdes > 1)")
 		}
 		return nil
 	}
@@ -274,29 +244,6 @@ type pdesEngine struct {
 	wg    sync.WaitGroup
 
 	opIdx []int // reusable merge cursors for the barrier replay
-	// applyByGroup counts replayed ops per LLC bank group over the run —
-	// the per-bank breakdown of the serial replay term (which banks the
-	// Amdahl bottleneck actually touches).
-	applyByGroup []uint64
-
-	// Sharded-replay state (replayWorkers > 1; see pdes_replay.go).
-	// task is the kind the next ring posts carry — spine-written before
-	// the pushes, published by the ring's release/acquire pair.
-	task          uint8
-	replayWorkers int
-	// groupLocal marks bank groups whose entire workload population is
-	// confined to them (every VM with a thread on the group's cores has
-	// ALL threads there): their ops touch provably group-disjoint state
-	// and replay in parallel. streamOf maps a group to its local stream
-	// index (-1 routes to the serial sync stream, index nlocal).
-	groupLocal []bool
-	streamOf   []int32
-	nlocal     int
-	merged     []pdesOp                      // reusable merged op log (ascending t, ties by domain)
-	streams    [][]int32                     // per-stream rank lists into merged
-	fx         []replayFx                    // per-stream deferred cross-group effects
-	wbLogs     [][]memctrl.DeferredWriteback // per-stream views for mem.ApplyMerged
-	mIdx       []int                         // reusable per-stream cursors for the deferred merges
 
 	tr    *obs.Tracer
 	lanes []int
@@ -374,54 +321,6 @@ func newPdesEngine(s *System) *pdesEngine {
 	e.wseq = make([]uint32, e.execs-1)
 	e.wdone = make([]atomic.Uint32, e.execs-1)
 	e.opIdx = make([]int, len(e.domains))
-	e.applyByGroup = make([]uint64, len(s.banks))
-
-	e.replayWorkers = cfg.PdesReplayWorkers
-	e.stats.ReplayWorkers = e.replayWorkers
-	if e.replayWorkers > 1 {
-		// Static group-confinement analysis: group g's op stream is
-		// replay-local iff every VM with a thread on g's cores keeps ALL
-		// its threads on g. VM address regions are disjoint by
-		// construction (vm layout in NewSystem), so a local group's ops
-		// can only reference blocks of VMs confined to it — their bank
-		// lines, directory entries, private caches and Stats are touched
-		// by no other stream. Any group hosting a spanning VM routes its
-		// ops to the serial sync stream instead.
-		groups := len(s.banks)
-		e.groupLocal = make([]bool, groups)
-		for g := range e.groupLocal {
-			e.groupLocal[g] = true
-		}
-		for v := range s.assignment {
-			vg := -1
-			for _, c := range s.assignment[v] {
-				g := s.groupOf(c)
-				if vg < 0 {
-					vg = g
-				} else if g != vg {
-					// Spanning VM: every group it touches goes sync.
-					for _, c2 := range s.assignment[v] {
-						e.groupLocal[s.groupOf(c2)] = false
-					}
-					break
-				}
-			}
-		}
-		e.streamOf = make([]int32, groups)
-		for g := range e.streamOf {
-			if e.groupLocal[g] {
-				e.streamOf[g] = int32(e.nlocal)
-				e.nlocal++
-			} else {
-				e.streamOf[g] = -1
-			}
-		}
-		nstreams := e.nlocal + 1
-		e.streams = make([][]int32, nstreams)
-		e.fx = make([]replayFx, nstreams)
-		e.wbLogs = make([][]memctrl.DeferredWriteback, nstreams)
-		e.mIdx = make([]int, nstreams)
-	}
 	return e
 }
 
@@ -487,27 +386,17 @@ func (e *pdesEngine) workerLoop(w int) {
 		if !ok {
 			return
 		}
-		if e.task == taskReplay {
-			if tr != nil {
-				tr.Begin(lane, "replay")
-			}
-			e.runReplayStreams(w + 1)
-			if tr != nil {
-				tr.End(lane)
-			}
-		} else {
-			if tr != nil {
-				tr.Begin(lane, "window")
-			}
-			for i := w + 1; i < len(e.domains); i += e.execs {
-				d := e.domains[i]
-				t0 := time.Now()
-				d.run(e.s)
-				d.busySeconds += time.Since(t0).Seconds()
-			}
-			if tr != nil {
-				tr.End(lane)
-			}
+		if tr != nil {
+			tr.Begin(lane, "window")
+		}
+		for i := w + 1; i < len(e.domains); i += e.execs {
+			d := e.domains[i]
+			t0 := time.Now()
+			d.run(e.s)
+			d.busySeconds += time.Since(t0).Seconds()
+		}
+		if tr != nil {
+			tr.End(lane)
 		}
 		e.wdone[w].Store(seq)
 	}
@@ -524,7 +413,7 @@ func (e *pdesEngine) runUntil(target uint64) {
 		for _, d := range e.domains {
 			d.horizon = h
 		}
-		e.post(taskWindow)
+		e.post()
 		e.runSpineStripe()
 		e.awaitWorkers()
 		e.stats.WindowSeconds += time.Since(winStart).Seconds()
@@ -540,11 +429,8 @@ func (e *pdesEngine) runUntil(target uint64) {
 	}
 }
 
-// post publishes one task round to every worker ring. e.task is written
-// before the pushes; the ring's release/acquire pair makes it visible to
-// the workers along with the sequence number.
-func (e *pdesEngine) post(task uint8) {
-	e.task = task
+// post publishes one window to every worker ring.
+func (e *pdesEngine) post() {
 	for w := range e.rings {
 		e.wseq[w]++
 		e.rings[w].Push(e.wseq[w])
@@ -976,7 +862,6 @@ func (e *pdesEngine) applyOps() {
 		}
 		op := &e.domains[best].ops[idx[best]]
 		idx[best]++
-		e.applyByGroup[s.groupOf(int(op.core))]++
 		s.now = op.t
 		switch op.kind {
 		case opFetch:
@@ -1162,27 +1047,20 @@ func (e *pdesEngine) foldWindow() sim.Cycle {
 }
 
 // barrier folds every domain's window into the live machine, replays
-// the merged op log (serially, or group-sharded when replay workers are
-// configured), then resyncs the replicas for the next window.
+// the merged op log, then resyncs the replicas for the next window.
 func (e *pdesEngine) barrier() {
 	s := e.s
 	barStart := time.Now()
 	maxT := e.foldWindow()
 
 	applyStart := time.Now()
-	if e.replayWorkers > 1 {
-		e.applyOpsSharded()
-	} else {
-		e.applyOps()
-	}
+	e.applyOps()
 	applySec := time.Since(applyStart).Seconds()
 	e.stats.ApplySeconds += applySec
 	e.stats.Windows++
 
-	// Commit the window's clock and global ref count. maxT is at or past
-	// every logged op time, so skipping the serial replay's per-op s.now
-	// stepping (as the sharded replay does) leaves an identical final
-	// clock.
+	// Commit the window's clock (maxT is at or past every logged op
+	// time) and global ref count.
 	if maxT > s.now {
 		s.now = maxT
 	}

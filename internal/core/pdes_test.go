@@ -43,7 +43,6 @@ func pdesOracle(t *testing.T, cfg Config) Result {
 	t.Helper()
 	cfg.Pdes = 1
 	cfg.PdesWindow = 0
-	cfg.PdesReplayWorkers = 0
 	return mustRun(t, cfg)
 }
 
@@ -134,6 +133,33 @@ func TestPdesValidation(t *testing.T) {
 	}
 }
 
+// TestPdesReplayValidation pins how the deprecated replay fields are
+// validated: the replay-worker count is ignored, with or without the
+// parallel engine, and pipelining is refused.
+func TestPdesReplayValidation(t *testing.T) {
+	base := fastCfg(4, sched.Affinity, workload.TPCW, workload.SPECjbb)
+
+	for _, rw := range []struct{ pdes, replay int }{{2, 2}, {0, 2}, {4, 4}} {
+		cfg := base
+		cfg.Pdes, cfg.PdesReplayWorkers = rw.pdes, rw.replay
+		if _, err := NewSystem(cfg); err != nil {
+			t.Errorf("Pdes=%d PdesReplayWorkers=%d rejected: %v", rw.pdes, rw.replay, err)
+		}
+	}
+
+	// Pipelining was removed: the deprecated field is refused whatever
+	// else the config asks for.
+	const removed = "core: pdes window/replay pipelining was removed; leave PdesPipeline false"
+	for _, pdes := range []struct{ workers, replay int }{{0, 0}, {4, 0}, {4, 1}, {2, 2}, {4, 4}} {
+		cfg := base
+		cfg.Pdes, cfg.PdesReplayWorkers, cfg.PdesPipeline = pdes.workers, pdes.replay, true
+		if err := cfg.Validate(); err == nil || err.Error() != removed {
+			t.Errorf("Pdes=%d PdesReplayWorkers=%d PdesPipeline: err = %v, want %q",
+				pdes.workers, pdes.replay, err, removed)
+		}
+	}
+}
+
 // TestPdesDeterministic verifies the engine's reproducibility contract:
 // at a fixed (seed, Pdes, PdesWindow) every run produces a byte-
 // identical digest, and the domain partition is independent of host
@@ -146,6 +172,33 @@ func TestPdesDeterministic(t *testing.T) {
 		if got := pdesDigest(t, mustRun(t, cfg)); got != want {
 			t.Fatalf("run %d diverged from first run:\n%s\nvs\n%s", i+2, got, want)
 		}
+	}
+}
+
+// TestShardedReplayBitIdentical pins that the deprecated
+// PdesReplayWorkers, which once selected the bank-sharded barrier replay,
+// changes nothing: at 0 and at 2 (the benchmark's value) the full
+// golden digest is byte-identical, for VMs confined to their bank group
+// (affinity) and for VMs spanning groups (round-robin).
+func TestShardedReplayBitIdentical(t *testing.T) {
+	cfgs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"affinity", fastCfg(4, sched.Affinity, workload.TPCW, workload.SPECjbb, workload.TPCH, workload.SPECweb)},
+		{"spanning", fastCfg(16, sched.RoundRobin, workload.TPCW, workload.SPECjbb)},
+	}
+	for _, c := range cfgs {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.Pdes = 4
+			want := pdesDigest(t, mustRun(t, cfg))
+			cfg.PdesReplayWorkers = 2
+			if got := pdesDigest(t, mustRun(t, cfg)); got != want {
+				t.Errorf("PdesReplayWorkers=2 diverged from 0:\n%s\nvs\n%s", got, want)
+			}
+		})
 	}
 }
 

@@ -97,16 +97,6 @@ func TestPdesPhaseProfileCoverage(t *testing.T) {
 	if ops != res.Pdes.Ops {
 		t.Fatalf("domain ops sum %d != engine ops %d", ops, res.Pdes.Ops)
 	}
-	if len(p.PdesApplyOpsByGroup) == 0 {
-		t.Fatalf("no per-group apply breakdown")
-	}
-	var groupOps uint64
-	for _, n := range p.PdesApplyOpsByGroup {
-		groupOps += n
-	}
-	if groupOps != res.Pdes.Ops {
-		t.Fatalf("per-group apply ops sum %d != engine ops %d", groupOps, res.Pdes.Ops)
-	}
 	if af := p.ApplyFraction(res.WallSeconds); af <= 0 || af >= 1 {
 		t.Fatalf("apply fraction = %v", af)
 	}
@@ -174,40 +164,4 @@ func TestPhaseTelemetryPreservesGoldens(t *testing.T) {
 	if got, want := pdesDigest(t, recorded), pdesDigest(t, plain); got != want {
 		t.Fatalf("telemetry perturbed the simulation:\n got %s\nwant %s", got, want)
 	}
-}
-
-// TestPdesShardedPhaseProfile extends the coverage contract to the
-// bank-sharded replay: the parallel/merge terms must decompose the total
-// replay time, window + replay + barrier must still account for the wall
-// without double counting, and the serial-residue apply fraction must
-// come in under the all-serial replay share.
-func TestPdesShardedPhaseProfile(t *testing.T) {
-	cfg := fastCfg(4, sched.Affinity, workload.TPCW, workload.SPECjbb, workload.TPCH, workload.SPECweb)
-	cfg.Pdes = 4
-	cfg.PdesReplayWorkers = 4
-	res, _ := runWithTS(t, cfg)
-
-	p := res.Phase
-	if p.PdesReplayParallelSeconds <= 0 || p.PdesReplayMergeSeconds <= 0 {
-		t.Fatalf("sharded replay terms missing: %+v", p)
-	}
-	if p.PdesReplayParallelSeconds+p.PdesReplayMergeSeconds > p.PdesReplaySeconds {
-		t.Fatalf("parallel %.4f + merge %.4f exceed total replay %.4f",
-			p.PdesReplayParallelSeconds, p.PdesReplayMergeSeconds, p.PdesReplaySeconds)
-	}
-	tracked := p.TrackedSeconds()
-	if dev := math.Abs(tracked-res.WallSeconds) / res.WallSeconds; dev > 0.02 {
-		t.Fatalf("sharded decomposition off by %.1f%%: tracked %.4f vs wall %.4f", 100*dev, tracked, res.WallSeconds)
-	}
-	serialShare := p.ApplyFraction(res.WallSeconds)
-	totalShare := p.PdesReplaySeconds / res.WallSeconds
-	if serialShare <= 0 || serialShare >= totalShare {
-		t.Fatalf("serial apply fraction %.4f not inside (0, total replay share %.4f)", serialShare, totalShare)
-	}
-	if prf := p.ParallelReplayFraction(); prf <= 0 || prf >= 1 {
-		t.Fatalf("parallel replay fraction = %v", prf)
-	}
-	t.Logf("replay %.3fs = parallel %.3f + merge %.3f (+ serial residue); apply fraction %.3f vs all-serial %.3f",
-		p.PdesReplaySeconds, p.PdesReplayParallelSeconds, p.PdesReplayMergeSeconds,
-		serialShare, totalShare)
 }

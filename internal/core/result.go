@@ -185,15 +185,14 @@ func ManifestFor(cfg Config, res Result, parallel int) obs.Manifest {
 		SampleWarmupDetailedRefs:   res.Sample.WarmupDetailedRefs,
 		SampleWarmupFunctionalRefs: res.Sample.WarmupFunctionalRefs,
 
-		PdesWorkers:       res.Pdes.Workers,
-		PdesDomains:       res.Pdes.Domains,
-		PdesWindowCycles:  uint64(res.Pdes.Window),
-		PdesWindows:       res.Pdes.Windows,
-		PdesOps:           res.Pdes.Ops,
-		PdesStalls:        res.Pdes.Stalls,
-		PdesStallSeconds:  res.Pdes.StallSeconds,
-		PdesApplySeconds:  res.Pdes.ApplySeconds,
-		PdesReplayWorkers: res.Pdes.ReplayWorkers,
+		PdesWorkers:      res.Pdes.Workers,
+		PdesDomains:      res.Pdes.Domains,
+		PdesWindowCycles: uint64(res.Pdes.Window),
+		PdesWindows:      res.Pdes.Windows,
+		PdesOps:          res.Pdes.Ops,
+		PdesStalls:       res.Pdes.Stalls,
+		PdesStallSeconds: res.Pdes.StallSeconds,
+		PdesApplySeconds: res.Pdes.ApplySeconds,
 	}
 }
 

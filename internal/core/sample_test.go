@@ -116,12 +116,24 @@ func TestSampleValidation(t *testing.T) {
 
 	// A CI target as the flags hand it over: a NaN one never converges
 	// and an infinite one always does, so neither is a convergence goal.
+	// NewSystem must refuse them too, before its defaults replace them.
 	for _, ci := range []float64{-0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		cfg := base
 		cfg.Sample.CITarget = ci
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("CI target %g accepted, want validation error", ci)
 		}
+		if _, err := NewSystem(cfg); err == nil {
+			t.Errorf("NewSystem: CI target %g accepted, want validation error", ci)
+		}
+	}
+	ff := base
+	ff.Sample.FFRatio = -1
+	if err := ff.Validate(); err == nil {
+		t.Error("fast-forward ratio -1 accepted, want validation error")
+	}
+	if _, err := NewSystem(ff); err == nil {
+		t.Error("NewSystem: fast-forward ratio -1 accepted, want validation error")
 	}
 }
 

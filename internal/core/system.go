@@ -171,8 +171,13 @@ const livePublishMask = 8192 - 1
 
 // NewSystem builds and schedules a system from cfg. Construction errors
 // (invalid config, unschedulable placement) are returned, not panicked:
-// configs arrive from CLI flags and experiment sweeps.
+// configs arrive from CLI flags and experiment sweeps. The caller's
+// config is validated before its zero values are defaulted, so NewSystem
+// refuses exactly what Validate refuses.
 func NewSystem(cfg Config) (*System, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	netCfg := mesh.DefaultNetConfig(cfg.Cores)
 	if cfg.Mem.Controllers == 0 {
 		// Controllers attach at the mesh corners, generalizing the
@@ -197,9 +202,6 @@ func NewSystem(cfg Config) (*System, error) {
 	cfg.Sample = cfg.Sample.withDefaults(cfg.MeasureRefs)
 	if cfg.Pdes > 1 && cfg.PdesWindow == 0 {
 		cfg.PdesWindow = DefaultPdesWindow
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
 	}
 	s := &System{
 		cfg:      cfg,
@@ -619,8 +621,6 @@ func (s *System) foldPhaseProfile() {
 		p.PdesReplaySeconds = e.stats.ApplySeconds
 		p.PdesBarrierSeconds = e.stats.BarrierSeconds
 		p.PdesStallSeconds = e.stats.StallSeconds
-		p.PdesReplayParallelSeconds = e.stats.ReplayParallelSeconds
-		p.PdesReplayMergeSeconds = e.stats.ReplayMergeSeconds
 		for i, d := range e.domains {
 			p.Domains = append(p.Domains, obs.DomainPhase{
 				Domain:      i,
@@ -630,7 +630,6 @@ func (s *System) foldPhaseProfile() {
 				BusySeconds: d.busySeconds,
 			})
 		}
-		p.PdesApplyOpsByGroup = append(p.PdesApplyOpsByGroup, e.applyByGroup...)
 	}
 }
 

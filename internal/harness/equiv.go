@@ -152,7 +152,7 @@ func pdesBound(bound float64) float64 {
 // one.
 func CompareParallelRun(cfg core.Config, workers int, window sim.Cycle, bound float64) (RunComparison, error) {
 	seqCfg := cfg
-	seqCfg.Pdes, seqCfg.PdesWindow, seqCfg.PdesReplayWorkers = 0, 0, 0
+	seqCfg.Pdes, seqCfg.PdesWindow = 0, 0
 	seq, err := runCfg(seqCfg)
 	if err != nil {
 		return RunComparison{}, err
@@ -166,20 +166,4 @@ func CompareParallelRun(cfg core.Config, workers int, window sim.Cycle, bound fl
 func compareParallelTo(seq core.Result, cfg core.Config, workers int, window sim.Cycle, bound float64) (RunComparison, error) {
 	cfg.Pdes, cfg.PdesWindow = workers, window
 	return compareTo(seq, cfg, pdesBound(bound))
-}
-
-// CompareShardedParallelRun executes cfg under the parallel engine
-// twice — once with the serial barrier replay, once with the replay
-// sharded across replayWorkers bank-group streams — and reports per-VM
-// deviations against bound (<= 0 selects DefaultPdesBound). Sharding is
-// a pure execution strategy, so MaxRelErr must come back exactly zero.
-// Full holds the serial-replay run, Sampled the sharded one.
-func CompareShardedParallelRun(cfg core.Config, workers, replayWorkers int, window sim.Cycle, bound float64) (RunComparison, error) {
-	cfg.Pdes, cfg.PdesWindow, cfg.PdesReplayWorkers = workers, window, 0
-	ser, err := runCfg(cfg)
-	if err != nil {
-		return RunComparison{}, err
-	}
-	cfg.PdesReplayWorkers = replayWorkers
-	return compareTo(ser, cfg, pdesBound(bound))
 }

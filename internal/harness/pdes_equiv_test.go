@@ -108,38 +108,15 @@ func TestRunnerPdesClampsWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedReplayEquivalence gates the bank-sharded replay at harness
-// level: the sharded run must match the serial-replay run EXACTLY (zero
-// deviation — sharding is execution strategy, not a model change).
-func TestShardedReplayEquivalence(t *testing.T) {
-	seeds := []uint64{1, 7}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		cmp, err := CompareShardedParallelRun(equivCfg(seed), 4, 4, 0, 0)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if ps := cmp.Sampled.Pdes; ps.ReplayWorkers != 4 {
-			t.Fatalf("seed %d: sharded replay did not engage: %+v", seed, ps)
-		}
-		if cmp.MaxRelErr != 0 {
-			t.Errorf("seed %d: sharded replay deviates from serial replay: %.6f (must be exactly 0)",
-				seed, cmp.MaxRelErr)
-		}
-	}
-}
-
-// TestCompareRunsDeriveTheirReference drives the exported comparisons
-// (the consim façade re-exports them; the equivalence tests above
-// share one reference per seed through the unexported halves) on a short
-// run: each must build its own reference from a configuration that
-// already has the engine switched on.
+// TestCompareRunsDeriveTheirReference drives the exported comparison
+// (the consim façade re-exports it; the equivalence tests above share
+// one reference per seed through the unexported half) on a short run:
+// it must build its own reference from a configuration that already
+// has the engine switched on.
 func TestCompareRunsDeriveTheirReference(t *testing.T) {
 	cfg := equivCfg(1)
 	cfg.WarmupRefs, cfg.MeasureRefs = 2_000, 10_000
-	cfg.Pdes, cfg.PdesReplayWorkers = 4, 4
+	cfg.Pdes = 4
 
 	cmp, err := CompareParallelRun(cfg, 2, 0, 0)
 	if err != nil {
@@ -148,67 +125,5 @@ func TestCompareRunsDeriveTheirReference(t *testing.T) {
 	if cmp.Full.Pdes.Workers != 0 || cmp.Sampled.Pdes.Workers != 2 || cmp.Bound != DefaultPdesBound || len(cmp.Deltas) == 0 {
 		t.Errorf("CompareParallelRun: reference %+v, parallel %+v, bound %v, %d deltas",
 			cmp.Full.Pdes, cmp.Sampled.Pdes, cmp.Bound, len(cmp.Deltas))
-	}
-
-	cmp, err = CompareShardedParallelRun(cfg, 4, 2, 0, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref, sh := cmp.Full.Pdes, cmp.Sampled.Pdes; ref.Workers != 4 || ref.ReplayWorkers != 0 ||
-		sh.ReplayWorkers != 2 || cmp.Bound != 0.5 || cmp.MaxRelErr != 0 {
-		t.Errorf("CompareShardedParallelRun: reference %+v, sharded %+v, bound %v, maxRelErr %v",
-			ref, sh, cmp.Bound, cmp.MaxRelErr)
-	}
-}
-
-// TestRunnerPdesReplayOption checks the runner-wide replay knobs: they
-// ride along only when the runner's Pdes option engages, and a config
-// that owns its replay setting keeps it.
-func TestRunnerPdesReplayOption(t *testing.T) {
-	r := NewRunner(Options{
-		Scale:             16,
-		WarmupRefs:        5_000,
-		MeasureRefs:       30_000,
-		Seed:              1,
-		Pdes:              4,
-		PdesReplayWorkers: 4,
-	})
-
-	cfg := equivCfg(1)
-	cfg.WarmupRefs, cfg.MeasureRefs = 5_000, 30_000
-	res, err := r.simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pdes.ReplayWorkers != 4 {
-		t.Errorf("runner replay options did not reach the config: %+v", res.Pdes)
-	}
-
-	// A config that pins its own replay worker count keeps it.
-	own := cfg
-	own.Pdes = 4
-	own.PdesReplayWorkers = 2
-	res, err = r.simulate(own)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pdes.ReplayWorkers != 2 {
-		t.Errorf("explicit replay config overridden: %+v", res.Pdes)
-	}
-
-	// Without a runner-wide Pdes the replay knobs never apply.
-	r2 := NewRunner(Options{
-		Scale:             16,
-		WarmupRefs:        5_000,
-		MeasureRefs:       30_000,
-		Seed:              1,
-		PdesReplayWorkers: 4,
-	})
-	res, err = r2.simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pdes.ReplayWorkers != 0 {
-		t.Errorf("replay workers applied without pdes: %+v", res.Pdes)
 	}
 }

@@ -57,12 +57,6 @@ type Options struct {
 	// PdesWindow overrides the parallel engine's window width in cycles
 	// (0 = core.DefaultPdesWindow).
 	PdesWindow sim.Cycle
-	// PdesReplayWorkers shards each pdes run's barrier replay by LLC
-	// bank group (core.Config.PdesReplayWorkers): 0/1 keep the serial
-	// replay, N>1 applies per-group op streams in parallel. Pure
-	// execution strategy — results stay bit-identical to the serial
-	// replay at any value. Only applied alongside a runner-wide Pdes.
-	PdesReplayWorkers int
 	// Obs attaches the observability sinks (live metrics, Chrome trace,
 	// manifests, progress). Each executed job acquires a tracer lane so
 	// the timeline shows one row per in-flight worker slot; memoized
@@ -296,9 +290,6 @@ func (r *Runner) simulate(cfg core.Config) (core.Result, error) {
 		c.Pdes = min(r.opt.Pdes, c.Cores) // the engine caps domains at active cores anyway
 		if c.PdesWindow == 0 {
 			c.PdesWindow = r.opt.PdesWindow
-		}
-		if c.PdesReplayWorkers == 0 {
-			c.PdesReplayWorkers = r.opt.PdesReplayWorkers
 		}
 		cfg = validOr(c, cfg)
 	}

@@ -108,53 +108,6 @@ func (m *Mem) Writeback(now sim.Cycle, addr sim.Addr) {
 	m.Writebacks++
 }
 
-// DeferredWriteback is one dirty eviction logged during a sharded
-// barrier replay instead of being applied inline. Controller busy state
-// chains request-to-request, so writebacks from different replay
-// streams must retire in the serial replay's global order; Rank is the
-// op's index in the merged log and defines that order.
-type DeferredWriteback struct {
-	Rank uint32
-	At   sim.Cycle
-	Addr sim.Addr
-}
-
-// ApplyMerged retires per-stream deferred writeback logs in ascending
-// Rank. Each log is already rank-sorted (streams append in application
-// order), so a k-way merge reproduces exactly the Writeback sequence
-// the serial replay would have issued; equal ranks cannot cross streams
-// because an op lives in exactly one stream. The cursor array lives on
-// the stack for any realistic stream count, keeping the replay path
-// allocation-free.
-func (m *Mem) ApplyMerged(logs [][]DeferredWriteback) {
-	var curArr [66]int
-	cur := curArr[:]
-	if len(logs) > len(curArr) {
-		cur = make([]int, len(logs))
-	}
-	for i := range logs {
-		cur[i] = 0
-	}
-	for {
-		best := -1
-		var br uint32
-		for i, log := range logs {
-			if cur[i] >= len(log) {
-				continue
-			}
-			if r := log[cur[i]].Rank; best < 0 || r < br {
-				best, br = i, r
-			}
-		}
-		if best < 0 {
-			return
-		}
-		w := logs[best][cur[best]]
-		cur[best]++
-		m.Writeback(w.At, w.Addr)
-	}
-}
-
 // QueueDepth estimates how many requests are queued or in service
 // across all controllers at now: each controller's remaining busy time
 // divided by its per-request occupancy, rounded up. It is a live-load

@@ -108,66 +108,3 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 	}()
 	New(Config{})
 }
-
-// TestShardedReplayMemctrlMerge checks the cross-group writeback merge:
-// per-stream deferred logs, however the writebacks were partitioned,
-// must retire in global rank order and leave the controllers in exactly
-// the state a serial Writeback sequence would. Busy state chains
-// request-to-request, so any order deviation shows up in busy cycles or
-// queue depth.
-func TestShardedReplayMemctrlMerge(t *testing.T) {
-	mkWb := func(rank uint32) DeferredWriteback {
-		// Spread addresses over all controllers and jitter arrival times
-		// so merge mistakes perturb busy-chaining.
-		return DeferredWriteback{
-			Rank: rank,
-			At:   sim.Cycle(10 * uint64(rank) % 97),
-			Addr: sim.Addr(uint64(rank) * 64),
-		}
-	}
-	const n = 200
-	// Three adversarial partitions of ranks 0..n-1 into streams; each
-	// stream is rank-sorted (the invariant the replay guarantees).
-	partitions := []func(r uint32) int{
-		func(r uint32) int { return int(r % 3) },     // round-robin
-		func(r uint32) int { return int(r * 4 / n) }, // contiguous quarters
-		func(r uint32) int {
-			if r < 5 {
-				return 0
-			}
-			return 1
-		}, // lopsided
-	}
-	for pi, part := range partitions {
-		// Fresh serial baseline per partition: the busy-state probes
-		// below consume controller state.
-		serial := New(DefaultConfig())
-		for r := uint32(0); r < n; r++ {
-			w := mkWb(r)
-			serial.Writeback(w.At, w.Addr)
-		}
-		logs := make([][]DeferredWriteback, 5)
-		for r := uint32(0); r < n; r++ {
-			s := part(r)
-			logs[s] = append(logs[s], mkWb(r))
-		}
-		m := New(DefaultConfig())
-		m.ApplyMerged(logs)
-		if m.Writebacks != serial.Writebacks {
-			t.Errorf("partition %d: %d writebacks, want %d", pi, m.Writebacks, serial.Writebacks)
-		}
-		for now := sim.Cycle(0); now < 4000; now += 500 {
-			if got, want := m.QueueDepth(now), serial.QueueDepth(now); got != want {
-				t.Errorf("partition %d: queue depth at %d = %d, want %d", pi, now, got, want)
-			}
-		}
-		// Busy state must be identical: issue one probing read per
-		// controller and compare completion times.
-		for c := 0; c < serial.Config().Controllers; c++ {
-			addr := sim.Addr(uint64(c) * 64)
-			if got, want := m.Read(0, addr), serial.Read(0, addr); got != want {
-				t.Errorf("partition %d: controller %d read completes at %d, want %d", pi, c, got, want)
-			}
-		}
-	}
-}

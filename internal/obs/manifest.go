@@ -86,9 +86,6 @@ type Manifest struct {
 	PdesStalls       uint64  `json:"pdes_stalls,omitempty"`
 	PdesStallSeconds float64 `json:"pdes_stall_seconds,omitempty"`
 	PdesApplySeconds float64 `json:"pdes_apply_seconds,omitempty"`
-	// Sharded-replay provenance: configured replay worker count (0 =
-	// serial replay). The matching phase decomposition lives in Phase.
-	PdesReplayWorkers int `json:"pdes_replay_workers,omitempty"`
 
 	// Phase is the run's wall-time decomposition by engine phase (nil
 	// when telemetry was off or the record predates phase accounting).

@@ -147,9 +147,10 @@ const replicatedManifest = "testdata/manifest_v2_replicates3.jsonl"
 // pipelinedManifest is one v2 line written by the last build that had
 // -pdes window/replay pipelining (fd9b84a, `consim -workloads
 // TPC-H,SPECjbb -group 4 -scale 64 -warm 2000 -meas 8000 -pdes 2
-// -pdes-replay-workers 2 -pdes-pipeline`): it carries "pdes_pipelined"
-// and phase.pdes_pipeline_overlap_seconds, which Manifest and
-// PhaseProfile no longer declare.
+// -pdes-replay-workers 2 -pdes-pipeline`): it carries "pdes_pipelined",
+// "pdes_replay_workers" and the phase's pipeline-overlap, sharded-replay
+// and ops-by-group fields, which Manifest and PhaseProfile no longer
+// declare.
 const pipelinedManifest = "testdata/manifest_v2_pdes_pipelined.jsonl"
 
 // retiredBenchHistory is the frozen cmd/bench history: a JSON array of
@@ -223,21 +224,21 @@ func TestReadManifestsReplicatedRecord(t *testing.T) {
 	}
 }
 
-// TestReadManifestsPipelinedRecord reads a record of a pipelined -pdes
-// run: it reads as the sharded-replay run it was, and report and diff
-// take it as one run.
+// TestReadManifestsPipelinedRecord reads a record of a pipelined,
+// sharded-replay -pdes run: it reads as the -pdes run it was, and
+// report and diff take it as one run.
 func TestReadManifestsPipelinedRecord(t *testing.T) {
-	m := readOldRecord(t, pipelinedManifest, `"pdes_pipelined":true`, `"pdes_pipeline_overlap_seconds":`)
-	if m.Refs != 183631 || m.PdesWorkers != 2 || m.PdesReplayWorkers != 2 || m.Phase == nil || len(m.Phase.Domains) != 2 {
+	m := readOldRecord(t, pipelinedManifest, `"pdes_pipelined":true`, `"pdes_pipeline_overlap_seconds":`,
+		`"pdes_replay_workers":2`, `"pdes_replay_parallel_seconds":`, `"pdes_replay_merge_seconds":`,
+		`"pdes_apply_ops_by_group":[`)
+	if m.Refs != 183631 || m.PdesWorkers != 2 || m.Phase == nil || len(m.Phase.Domains) != 2 {
 		t.Fatalf("record mangled: %+v", m)
 	}
 	var rep strings.Builder
 	WritePhaseReport(&rep, m, nil)
 	out := rep.String()
-	for _, want := range []string{"engine=pdes", "per-group parallel pass (2 replay workers)", "cross-group deferred merge"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report of a pipelined record missing %q:\n%s", want, out)
-		}
+	if !strings.Contains(out, "engine=pdes") {
+		t.Errorf("report of a pipelined record missing %q:\n%s", "engine=pdes", out)
 	}
 	if strings.Contains(out, "overlap") {
 		t.Errorf("report of a pipelined record still shows the overlap line:\n%s", out)

@@ -34,22 +34,10 @@ type PhaseProfile struct {
 	PdesReplaySeconds  float64 `json:"pdes_replay_seconds,omitempty"`
 	PdesBarrierSeconds float64 `json:"pdes_barrier_seconds,omitempty"`
 	PdesStallSeconds   float64 `json:"pdes_stall_seconds,omitempty"`
-	// Sharded-replay decomposition of PdesReplaySeconds (zero when the
-	// replay runs serially): ReplayParallel is the per-group parallel
-	// pass and ReplayMerge the serial cross-group deferred merge. The
-	// remaining replay residue (PdesReplaySeconds − parallel − merge)
-	// is the serial k-way op merge and directory pre-pass.
-	PdesReplayParallelSeconds float64 `json:"pdes_replay_parallel_seconds,omitempty"`
-	PdesReplayMergeSeconds    float64 `json:"pdes_replay_merge_seconds,omitempty"`
 	// Domains is the per-domain breakdown of in-window work. On a
 	// multi-core host domains run concurrently, so busy seconds sum to
 	// more than PdesWindowSeconds; the ratio is the achieved overlap.
 	Domains []DomainPhase `json:"domains,omitempty"`
-	// PdesApplyOpsByGroup counts replayed ops per LLC bank group — the
-	// per-bank breakdown of the serial replay term. A skewed profile
-	// means one bank dominates the Amdahl bottleneck (and per-bank
-	// parallel application would help less than the op total suggests).
-	PdesApplyOpsByGroup []uint64 `json:"pdes_apply_ops_by_group,omitempty"`
 
 	// Interval-sampling engine (-sample): wall time in detailed windows
 	// vs. functional fast-forward.
@@ -114,30 +102,11 @@ func (p *PhaseProfile) FFCostRatio(detailedRefs, skippedRefs uint64) float64 {
 	return ffPerRef / detPerRef
 }
 
-// ApplyFraction returns the *serial* barrier-replay share of wall
+// ApplyFraction returns the serial barrier-replay share of wall
 // seconds — the Amdahl term bounding -pdes scaling (0 when not pdes).
-// With bank-sharded replay the parallel per-group pass no longer
-// counts against the serial term, so the fraction reflects only the
-// residue that still runs on one executor: the op merge, the deferred
-// cross-group merge, and anything else inside PdesReplaySeconds.
 func (p *PhaseProfile) ApplyFraction(wallSeconds float64) float64 {
 	if wallSeconds <= 0 {
 		return 0
 	}
-	serial := p.PdesReplaySeconds - p.PdesReplayParallelSeconds
-	if serial < 0 {
-		serial = 0
-	}
-	return serial / wallSeconds
-}
-
-// ParallelReplayFraction returns the share of total replay time the
-// bank-sharded pass moved off the serial term (0 when the replay ran
-// serially). This is the quantity the sharded-replay work optimizes:
-// 1 − ParallelReplayFraction of the old apply fraction remains serial.
-func (p *PhaseProfile) ParallelReplayFraction() float64 {
-	if p.PdesReplaySeconds <= 0 {
-		return 0
-	}
-	return p.PdesReplayParallelSeconds / p.PdesReplaySeconds
+	return p.PdesReplaySeconds / wallSeconds
 }

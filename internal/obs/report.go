@@ -70,18 +70,8 @@ func WritePhaseReport(w io.Writer, m Manifest, rows []TSRow) {
 	case "pdes":
 		fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%   (stall %.3fs, %.1f%%)\n",
 			"in-window", p.PdesWindowSeconds, pct(p.PdesWindowSeconds), p.PdesStallSeconds, pct(p.PdesStallSeconds))
-		replayNote := "serial op replay (Amdahl term)"
-		if p.PdesReplayParallelSeconds > 0 {
-			replayNote = "barrier op replay (sharded; serial residue below)"
-		}
-		fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%   %s\n",
-			"replay", p.PdesReplaySeconds, pct(p.PdesReplaySeconds), replayNote)
-		if p.PdesReplayParallelSeconds > 0 {
-			fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%   per-group parallel pass (%d replay workers)\n",
-				"  parallel", p.PdesReplayParallelSeconds, pct(p.PdesReplayParallelSeconds), m.PdesReplayWorkers)
-			fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%   cross-group deferred merge\n",
-				"  merge", p.PdesReplayMergeSeconds, pct(p.PdesReplayMergeSeconds))
-		}
+		fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%   serial op replay (Amdahl term)\n",
+			"replay", p.PdesReplaySeconds, pct(p.PdesReplaySeconds))
 		fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%   folds, resyncs, publishes\n",
 			"barrier", p.PdesBarrierSeconds, pct(p.PdesBarrierSeconds))
 	case "sample":
@@ -120,37 +110,6 @@ func WritePhaseReport(w io.Writer, m Manifest, rows []TSRow) {
 			}
 			fmt.Fprintf(w, "  dom %-2d cores=%-2d cycles=%-12d ops=%-10d busy=%.3fs (%.0f%% of window)\n",
 				d.Domain, d.Cores, d.Cycles, d.Ops, d.BusySeconds, share)
-		}
-	}
-	if len(p.PdesApplyOpsByGroup) > 0 {
-		total, max := uint64(0), uint64(0)
-		for _, n := range p.PdesApplyOpsByGroup {
-			total += n
-			if n > max {
-				max = n
-			}
-		}
-		fmt.Fprintf(w, "replay ops by LLC group (barrier replay breakdown):\n")
-		for g, n := range p.PdesApplyOpsByGroup {
-			share := 0.0
-			if total > 0 {
-				share = 100 * float64(n) / float64(total)
-			}
-			fmt.Fprintf(w, "  group %-2d ops=%-10d (%.1f%%)\n", g, n, share)
-		}
-		// Shard balance: with one replay stream per group, the parallel
-		// pass finishes when the largest stream does, so max/mean op
-		// imbalance bounds the sharded-replay speedup regardless of
-		// worker count. Computable from any manifest, sharded or not —
-		// it predicts the win before the knob is turned.
-		if total > 0 && max > 0 {
-			mean := float64(total) / float64(len(p.PdesApplyOpsByGroup))
-			imb := float64(max) / mean
-			fmt.Fprintf(w, "  shard balance: max/mean %.2fx -> parallel-replay speedup bound %.2fx over %d groups\n",
-				imb, float64(total)/float64(max), len(p.PdesApplyOpsByGroup))
-		}
-		if prf := p.ParallelReplayFraction(); prf > 0 {
-			fmt.Fprintf(w, "  parallel replay fraction %.3f (share of replay moved off the serial term)\n", prf)
 		}
 	}
 	writeSeriesSummary(w, m, rows)

@@ -24,7 +24,6 @@ func pdesManifest() Manifest {
 				{Domain: 0, Cores: 4, Cycles: 500_000, Ops: 9000, BusySeconds: 0.5},
 				{Domain: 1, Cores: 4, Cycles: 500_000, Ops: 8000, BusySeconds: 0.45},
 			},
-			PdesApplyOpsByGroup: []uint64{12750, 4250},
 		},
 		TimeseriesRun: 7, TimeseriesRows: 2, Timeseries: "ts.jsonl",
 	}
@@ -50,8 +49,6 @@ func TestWritePhaseReportPdes(t *testing.T) {
 		"coverage",
 		"apply fraction 0.300",
 		"dom 0", "dom 1", "ops=9000",
-		"replay ops by LLC group",
-		"group 0", "(75.0%)", "(25.0%)",
 		"time series (run 7, 2 rows)",
 		"warmup=1", "measure=1",
 		"vm 0", "vm 1",

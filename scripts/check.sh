@@ -42,8 +42,8 @@ echo "== host-memory hints =="
 # huge-page advice are read-only: every on/off combination (a paper-scale
 # case on the advised table among them) leaves the same Result and
 # machine, without a race; the -short pass above skips the paper-scale
-# case, and the sharded -pdes replay runs beside them.
-go test -race -run 'Lookahead|Prefetch|ShardedReplayBitIdentical|HugePages|LineIsInert' ./internal/core ./internal/coherence ./internal/prefetch
+# case, and the -pdes window workers run beside them.
+go test -race -run 'Lookahead|Prefetch|ShardedReplayBitIdentical|PdesDeterministic|HugePages|LineIsInert' ./internal/core ./internal/coherence ./internal/prefetch
 
 echo "== allocation budgets =="
 # Steady-state simulation loop must not allocate (perf regression guard).
@@ -51,7 +51,7 @@ echo "== allocation budgets =="
 # recorder attached, so the observability publish cadence is inside the
 # guarded path.
 go test -run 'TestSteadyStateAllocBudget' ./internal/core
-go test -run 'TestPdesShardedAllocBudget' ./internal/core
+go test -run 'TestPdesAllocBudget' ./internal/core
 go test -run 'TestDirectorySteadyStateAllocs' ./internal/coherence
 # The mesh model charges every message its unloaded latency, history-free;
 # the sweeps' recorded mesh traffic replayed into the flit-level network
@@ -85,13 +85,15 @@ shards_out=$(go run ./cmd/consim -shards 2 2>&1) \
 	&& { echo "check.sh: consim accepted -shards" >&2; exit 1; }
 echo "$shards_out" | grep -q "flag provided but not defined: -shards" \
 	|| { echo "check.sh: consim -shards failed for another reason: $shards_out" >&2; exit 1; }
-# -pdes-pipeline (window/replay pipelining) was deleted: never faster than
-# the plain sharded replay, and the one replay knob that changed results
-# (EXPERIMENTS.md "Parallel replay").
-pipe_out=$(go run ./cmd/consim -pdes 2 -pdes-replay-workers 2 -pdes-pipeline 2>&1) \
-	&& { echo "check.sh: consim accepted -pdes-pipeline" >&2; exit 1; }
-echo "$pipe_out" | grep -q "flag provided but not defined: -pdes-pipeline" \
-	|| { echo "check.sh: consim -pdes-pipeline failed for another reason: $pipe_out" >&2; exit 1; }
+# -pdes-pipeline (window/replay pipelining) and -pdes-replay-workers (the
+# bank-sharded replay) were deleted: neither was ever faster than the
+# serial replay (EXPERIMENTS.md "Parallel replay").
+for removed in -pdes-pipeline -pdes-replay-workers; do
+	removed_out=$(go run ./cmd/consim -pdes 2 "$removed" 2 2>&1) \
+		&& { echo "check.sh: consim accepted $removed" >&2; exit 1; }
+	echo "$removed_out" | grep -q -- "flag provided but not defined: $removed" \
+		|| { echo "check.sh: consim $removed failed for another reason: $removed_out" >&2; exit 1; }
+done
 # cmd/bench and its BENCH_consim.json gate were deleted in PR 19
 # (benchmark/ measures everything they did; EXPERIMENTS.md "One
 # benchmark harness"). A second harness must not come back.
@@ -157,16 +159,6 @@ go test -short -run 'TestParallelEquivalence|TestRunnerPdesOption' ./internal/ha
 go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
 	-pdes 4 | grep -q "parallel:" \
 	|| { echo "check.sh: pdes run produced no provenance line" >&2; exit 1; }
-
-echo "== sharded replay smoke =="
-# The bank-sharded barrier replay must stay bit-identical to the serial
-# replay, the merged memctrl order exact, and the CLI knobs must engage
-# (the provenance line says so).
-go test -short -run 'TestShardedReplayBitIdentical|TestPdesReplayValidation' ./internal/core
-go test -run 'TestShardedReplayMemctrlMerge' ./internal/memctrl
-go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
-	-pdes 4 -pdes-replay-workers 4 | grep -q "sharded replay x4" \
-	|| { echo "check.sh: sharded replay produced no provenance line" >&2; exit 1; }
 
 echo "== phase profiler smoke =="
 # A -pdes -timeseries run must record per-window telemetry rows and a
