@@ -64,6 +64,9 @@ func TestDispatch(t *testing.T) {
 		{"-shards 2", "usage: flag provided but not defined: -shards"},
 		{"-pdes 2 -pdes-pipeline", "usage: flag provided but not defined: -pdes-pipeline"},
 		{"-pdes 2 -pdes-replay-workers 2", "usage: flag provided but not defined: -pdes-replay-workers"},
+		{"obs report -ts ts.jsonl m.jsonl", "usage: flag provided but not defined: -ts"},
+		// -timeseries takes no path: the old form leaves it as an operand.
+		{"-timeseries ts.jsonl -manifest m.jsonl", "usage: consim run: 1 operands"},
 		{"tables -exp T2 extra", "usage: consim tables: 1 operands"},
 		{"trace replay", "usage: consim trace replay: 0 operands"},
 		{"obs diff a b c", "usage: consim obs diff: 3 operands"},
@@ -174,6 +177,22 @@ func TestPdesFlags(t *testing.T) {
 					t.Errorf("%s %q: config got %+v, want %+v", name, tc.args, got, tc.want)
 				}
 			}
+		}
+	}
+}
+
+// TestTimeseriesNeedsManifest runs every simulating subcommand with
+// -timeseries and no -manifest: each refuses, naming both flags, before
+// it simulates.
+func TestTimeseriesNeedsManifest(t *testing.T) {
+	trc := filepath.Join(t.TempDir(), "t.trc")
+	if err := record([]string{"-out", trc, "-refs", "2000", "-scale", "64"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"run"}, {"tables"}, {"ablate"}, {"calibrate"}, {"trace", "replay", trc}} {
+		err := dispatch(append(args, "-timeseries"))
+		if got, want := errString(err), "obs: -timeseries requires -manifest"; !strings.HasPrefix(got, want) {
+			t.Errorf("%s -timeseries: error %q, want prefix %q", strings.Join(args, " "), got, want)
 		}
 	}
 }

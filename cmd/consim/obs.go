@@ -1,7 +1,6 @@
 package main
 
 import (
-	"cmp"
 	"fmt"
 	"os"
 	"slices"
@@ -9,23 +8,21 @@ import (
 	"consim/internal/obs"
 )
 
-// consim obs is the reading side of the -manifest and -timeseries
-// sidecars: report renders one recorded run's memory system and phases,
-// diff compares two runs and exits 1 on a regression beyond -threshold
-// (so it slots into CI).
+// consim obs is the reading side of -manifest: report renders one
+// recorded run's memory system, phases and time series, diff compares
+// two runs and exits 1 on a regression beyond -threshold (so it slots
+// into CI).
 //
 //	consim obs report results/MANIFEST.jsonl    newest record (+ time series)
 //	consim obs diff old.jsonl new.jsonl         last run of each file
 
 // report renders the memory-system ledger and phase decomposition of one
-// manifest record, plus the per-VM summary of its -timeseries rows when
-// the sidecar resolves. Each sidecar is read once, however many of the
-// reported records point into it.
+// manifest record, plus the per-VM summary of its time series when the
+// run was recorded with -timeseries.
 func report(args []string) error {
 	fs := newFlagSet("obs report", "MANIFEST")
 	label := fs.String("label", "", "report only records with this label")
 	index := fs.Int("index", -1, "record to report, counting back from the end (-1 = newest)")
-	tsPath := fs.String("ts", "", "time-series sidecar (default: the path recorded in the manifest)")
 	all := fs.Bool("all", false, "report every record")
 	ops, err := parse(fs, args, 1, 1)
 	if err != nil {
@@ -47,20 +44,11 @@ func report(args []string) error {
 		}
 		picked = ms[i : i+1]
 	}
-	sidecars := map[string][]obs.TSRow{}
 	for i, m := range picked {
 		if i > 0 {
 			fmt.Println()
 		}
-		ts := cmp.Or(*tsPath, m.Timeseries)
-		rows, read := sidecars[ts]
-		if ts != "" && !read {
-			if rows, err = obs.ReadTimeSeries(ts); err != nil {
-				fmt.Fprintf(stderr, "obs: time series %s: %v (summary skipped)\n", ts, err)
-			}
-			sidecars[ts] = rows
-		}
-		obs.WritePhaseReport(os.Stdout, m, rows)
+		obs.WritePhaseReport(os.Stdout, m)
 	}
 	return nil
 }

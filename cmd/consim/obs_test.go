@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,42 +46,31 @@ func TestObsReportMemorySystem(t *testing.T) {
 	}
 }
 
-// TestObsReportAllSharedSidecar reports two records whose time series
-// share one sidecar: the sidecar is read once and each record still
-// prints its own rows' summary.
-func TestObsReportAllSharedSidecar(t *testing.T) {
-	dir := t.TempDir()
-	ts, err := obs.OpenTimeSeries(filepath.Join(dir, "ts.jsonl"))
+// TestObsReportAllInlineSeries runs a two-size group sweep with
+// -timeseries and reports every record: each carries its own series, and
+// obs report prints each one's summary from the record alone.
+func TestObsReportAllInlineSeries(t *testing.T) {
+	man := filepath.Join(t.TempDir(), "m.jsonl")
+	stdoutOf(t, "run", "-workloads", "TPC-H", "-group", "1,4", "-scale", "64", "-warm", "1000", "-meas", "4000",
+		"-timeseries", "-manifest", man)
+	ms, err := obs.ReadManifests(man)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lines []string
-	for _, label := range []string{"first", "second"} {
-		r := ts.NewRecorder(label, 1, 0, 0)
-		r.Begin(obs.TSPhaseMeasure, 10, 0.1, 0, -1, 0)
-		r.VM(0, 100, 0.5, 1000)
-		r.Commit()
-		if err := r.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		rec, err := json.Marshal(obs.Manifest{Label: label, WallSeconds: 0.3,
-			Phase:         &obs.PhaseProfile{WarmupSeconds: 0.1, MeasureSeconds: 0.2},
-			TimeseriesRun: r.Run(), TimeseriesRows: r.Rows(), Timeseries: ts.Path()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines = append(lines, string(rec))
+	if len(ms) != 2 {
+		t.Fatalf("manifest holds %d records, want 2", len(ms))
 	}
-	if err := ts.Close(); err != nil {
-		t.Fatal(err)
-	}
-	man := filepath.Join(dir, "m.jsonl")
-	if err := os.WriteFile(man, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, m := range ms {
+		if m.Series == nil || m.Series.Rows() == 0 {
+			t.Fatalf("record %q carries no series", m.Label)
+		}
 	}
 	out := stdoutOf(t, "obs", "report", "-all", man)
-	for _, want := range []string{"run first", "time series (run 1, 1 rows)", "run second", "time series (run 2, 1 rows)"} {
-		if !strings.Contains(out, want) {
+	if n := strings.Count(out, "time series ("); n != 2 {
+		t.Errorf("obs report -all printed %d time-series blocks, want 2:\n%s", n, out)
+	}
+	for _, m := range ms {
+		if want := fmt.Sprintf("time series (%d rows)", m.Series.Rows()); !strings.Contains(out, want) {
 			t.Errorf("obs report -all missing %q in:\n%s", want, out)
 		}
 	}

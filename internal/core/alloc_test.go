@@ -1,7 +1,6 @@
 package core
 
 import (
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -10,17 +9,10 @@ import (
 )
 
 // allocTestHooks builds run hooks with every steady-state-visible sink
-// live: metric shards and a -timeseries recorder writing to a temp
-// sidecar.
-func allocTestHooks(t *testing.T) *obs.RunHooks {
-	t.Helper()
+// live: metric shards and a -timeseries recorder.
+func allocTestHooks() *obs.RunHooks {
 	o := obs.NewObserver(nil, nil, nil)
-	tsw, err := obs.OpenTimeSeries(filepath.Join(t.TempDir(), "ts.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tsw.Close() })
-	o.TS = tsw
+	o.Series = true
 	return o.Hooks()
 }
 
@@ -46,7 +38,7 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	cfg.GroupSize = 4
 	cfg.WarmupRefs = 40_000
 	cfg.MeasureRefs = 40_000
-	cfg.Obs = allocTestHooks(t)
+	cfg.Obs = allocTestHooks()
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +131,7 @@ func TestPdesAllocBudget(t *testing.T) {
 	cfg.WarmupRefs = 40_000
 	cfg.MeasureRefs = 40_000
 	cfg.Pdes = 4
-	cfg.Obs = allocTestHooks(t)
+	cfg.Obs = allocTestHooks()
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

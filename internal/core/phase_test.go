@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"path/filepath"
 	"testing"
 
 	"consim/internal/obs"
@@ -10,26 +9,18 @@ import (
 	"consim/internal/workload"
 )
 
-// runWithTS runs cfg with a live time-series recorder attached and
-// returns the result plus the decoded sidecar rows.
-func runWithTS(t *testing.T, cfg Config) (Result, []obs.TSRow) {
+// runWithTS runs cfg with a time series recording and returns the
+// result and the series.
+func runWithTS(t *testing.T, cfg Config) (Result, *obs.Series) {
 	t.Helper()
 	o := obs.NewObserver(nil, nil, nil)
-	tsw, err := obs.OpenTimeSeries(filepath.Join(t.TempDir(), "ts.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.TS = tsw
+	o.Series = true
 	cfg.Obs = o.Hooks()
 	res := mustRun(t, cfg)
-	if err := tsw.Close(); err != nil {
-		t.Fatal(err)
+	if res.Series == nil || res.Series.Rows() == 0 {
+		t.Fatalf("run recorded no time series: %+v", res.Series)
 	}
-	rows, err := obs.ReadTimeSeries(tsw.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, rows
+	return res, res.Series
 }
 
 // TestPhaseProfileSequential checks the engine-agnostic warmup/measure
@@ -59,11 +50,11 @@ func TestPhaseProfileSequential(t *testing.T) {
 // decomposition: in-window + replay + barrier must account for the
 // run's measured wall time (the report's untracked residual is loop
 // bookkeeping only), the per-domain breakdown must cover every domain,
-// and the -timeseries sidecar must carry the same story per window.
+// and the time series must carry the same story per window.
 func TestPdesPhaseProfileCoverage(t *testing.T) {
 	cfg := fastCfg(4, sched.Affinity, workload.TPCW, workload.SPECjbb, workload.TPCH, workload.SPECweb)
 	cfg.Pdes = 4
-	res, rows := runWithTS(t, cfg)
+	res, series := runWithTS(t, cfg)
 
 	p := res.Phase
 	if p.Engine() != "pdes" {
@@ -101,25 +92,20 @@ func TestPdesPhaseProfileCoverage(t *testing.T) {
 		t.Fatalf("apply fraction = %v", af)
 	}
 
-	// Sidecar: rows recorded under this run's id, domain columns sized
-	// to the engine, per-window replay deltas summing to the total.
-	if res.TimeseriesRun == 0 || res.TimeseriesRows == 0 {
-		t.Fatalf("result missing sidecar reference: run=%d rows=%d", res.TimeseriesRun, res.TimeseriesRows)
+	// Time series: domain columns sized to the engine, every column one
+	// entry per row, per-window replay deltas summing to the total.
+	n := series.Rows()
+	if len(series.DomCycles) != res.Pdes.Domains || len(series.Refs) != len(res.VMs) {
+		t.Fatalf("series shape: %d domain and %d VM columns", len(series.DomCycles), len(series.Refs))
 	}
-	mine := 0
+	for d := range series.DomCycles {
+		if len(series.DomCycles[d]) != n || len(series.DomBusy[d]) != n {
+			t.Fatalf("domain %d columns hold %d/%d entries, want %d", d, len(series.DomCycles[d]), len(series.DomBusy[d]), n)
+		}
+	}
 	var replaySum float64
-	for _, row := range rows {
-		if row.Run != res.TimeseriesRun {
-			continue
-		}
-		mine++
-		replaySum += row.Replay
-		if len(row.DomCycles) != res.Pdes.Domains || len(row.Refs) != len(res.VMs) {
-			t.Fatalf("row shape = %+v", row)
-		}
-	}
-	if mine != res.TimeseriesRows {
-		t.Fatalf("sidecar holds %d rows for run %d, result says %d", mine, res.TimeseriesRun, res.TimeseriesRows)
+	for _, r := range series.Replay {
+		replaySum += float64(r)
 	}
 	if dev := math.Abs(replaySum-res.Pdes.ApplySeconds) / res.Pdes.ApplySeconds; dev > 0.02 {
 		t.Fatalf("per-row replay sum %.4fs vs engine apply %.4fs (off %.1f%%)",
@@ -128,12 +114,13 @@ func TestPdesPhaseProfileCoverage(t *testing.T) {
 }
 
 // TestSamplePhaseProfile checks the sampled engine's detailed vs
-// fast-forward split and the per-window CI trajectory in the sidecar.
+// fast-forward split and the per-window CI trajectory in the time
+// series.
 func TestSamplePhaseProfile(t *testing.T) {
 	cfg := fastCfg(4, sched.Affinity, workload.TPCH)
 	cfg.MeasureRefs = 120_000
 	cfg.Sample = SampleConfig{WindowRefs: 4_000, FFRatio: 2, CITarget: 0.5, MinWindows: 3}
-	res, rows := runWithTS(t, cfg)
+	res, series := runWithTS(t, cfg)
 
 	p := res.Phase
 	if p.Engine() != "sample" {
@@ -143,10 +130,8 @@ func TestSamplePhaseProfile(t *testing.T) {
 		t.Fatalf("sample terms missing: %+v", p)
 	}
 	sawCI := false
-	for _, row := range rows {
-		if row.Run == res.TimeseriesRun && row.RelCI > 0 {
-			sawCI = true
-		}
+	for _, ci := range series.RelCI {
+		sawCI = sawCI || ci > 0
 	}
 	if !sawCI {
 		t.Fatal("no CI trajectory in the sampled run's rows")
@@ -163,5 +148,32 @@ func TestPhaseTelemetryPreservesGoldens(t *testing.T) {
 	recorded, _ := runWithTS(t, cfg)
 	if got, want := pdesDigest(t, recorded), pdesDigest(t, plain); got != want {
 		t.Fatalf("telemetry perturbed the simulation:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestSeriesRowsCarryTheirPhase checks every row of a detailed and of a
+// sampled run: each is tagged with the phase it was recorded in (never
+// other; the measurement tail once landed there), and in each some VM
+// issued references (the sampled run's closing publish, right after its
+// last window's, once committed a row of zeros).
+func TestSeriesRowsCarryTheirPhase(t *testing.T) {
+	detailed := fastCfg(4, sched.Affinity, workload.TPCH, workload.SPECjbb)
+	sampled := detailed
+	sampled.MeasureRefs = 60_000
+	sampled.Sample = SampleConfig{WindowRefs: 2_000, CITarget: 0.2}
+	for name, cfg := range map[string]Config{"detailed": detailed, "sampled": sampled} {
+		_, s := runWithTS(t, cfg)
+		for i, p := range s.Phase {
+			if p == obs.TSPhaseOther {
+				t.Errorf("%s: row %d of %d tagged other", name, i, s.Rows())
+			}
+			var refs uint64
+			for v := range s.Refs {
+				refs += s.Refs[v][i]
+			}
+			if refs == 0 {
+				t.Errorf("%s: row %d of %d (%s) has no references", name, i, s.Rows(), p)
+			}
+		}
 	}
 }

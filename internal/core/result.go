@@ -125,10 +125,10 @@ type Result struct {
 	// golden fixtures and the benchmark's stats_digest hash.
 	Layers obs.Layers
 
-	// TimeseriesRun / TimeseriesRows identify this run's rows in the
-	// -timeseries sidecar (zero when recording was off).
-	TimeseriesRun  int
-	TimeseriesRows int
+	// Series is the run's per-window time series (nil unless the hooks
+	// asked for one). Host-side provenance: its wall column varies run to
+	// run.
+	Series *obs.Series `json:",omitempty"`
 }
 
 // ManifestFor stamps a run manifest from a finished result: what was
@@ -156,10 +156,9 @@ func ManifestFor(cfg Config, res Result, parallel int) obs.Manifest {
 		layers = &l
 	}
 	return obs.Manifest{
-		Phase:          phase,
-		Layers:         layers,
-		TimeseriesRun:  res.TimeseriesRun,
-		TimeseriesRows: res.TimeseriesRows,
+		Phase:  phase,
+		Layers: layers,
+		Series: res.Series,
 
 		Label:        cfg.Label(),
 		Workloads:    names,

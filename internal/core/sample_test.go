@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"math"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -280,13 +279,8 @@ func TestSampledSteadyStateAllocBudget(t *testing.T) {
 // window commits a telemetry row. That covers the warm-up's fast-forward
 // as much as the ones between windows.
 func TestWarmingAllocBudgetWithTelemetry(t *testing.T) {
-	ts, err := obs.OpenTimeSeries(filepath.Join(t.TempDir(), "ts.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
 	ob := obs.NewObserver(nil, nil, nil)
-	ob.TS = ts
+	ob.Series = true
 
 	cfg := sampledCfg()
 	cfg.WarmupRefs = 40_000 // a 2k pilot, then 38k per core functional
@@ -312,8 +306,8 @@ func TestWarmingAllocBudgetWithTelemetry(t *testing.T) {
 		t.Fatalf("warm-up allocates with telemetry attached: %.6f allocs/ref (budget 0.001)", perRef)
 	}
 
-	// One untimed round trip grows lazy structures (recorder columns,
-	// event-queue capacity) to working size.
+	// One untimed round trip grows lazy structures (event-queue
+	// capacity) to working size.
 	sys.fastForward(6_000)
 	sys.runUntil(pilot + 2_000)
 

@@ -99,12 +99,13 @@ type System struct {
 	hooks   *obs.RunHooks
 	lastPub pubTotals
 
-	// Per-window time-series recording (hooks.TS set): rec buffers one
-	// row per live publish into preallocated columns; the tsPrev*
-	// scratch re-bases per-VM and per-domain deltas between rows, and
-	// tsPhase tracks the phase tag the enclosing phase() span set.
-	// All recording work is allocation-free (alloc_test.go guards it).
-	rec           *obs.Recorder
+	// Per-window time-series recording (hooks.Series set): rec holds one
+	// row per live publish in columns preallocated from the reference
+	// budget; the tsPrev* scratch re-bases per-VM and per-domain deltas
+	// between rows, and tsPhase tracks the phase tag the enclosing
+	// phase() span set. All recording work is allocation-free
+	// (alloc_test.go guards it).
+	rec           *obs.Series
 	tsStart       time.Time
 	tsPhase       obs.TSPhase
 	tsPrevCycle   sim.Cycle
@@ -560,12 +561,16 @@ func (s *System) Run() (Result, error) {
 			endSnap()
 		}
 	}
+	if h != nil {
+		// Flush the measurement tail while its rows still carry the
+		// measure tag.
+		s.publishLive()
+	}
 	endPhase()
 	s.phaseProf.MeasureSeconds = s.simSeconds - measSimStart
 	window := s.now - measureStart
 	s.foldPhaseProfile()
 	if h != nil {
-		s.publishLive()
 		h.SetPhaseProfile(&s.phaseProf)
 	}
 
@@ -583,6 +588,7 @@ func (s *System) Run() (Result, error) {
 		DirCacheHitRate: s.dirCache.HitRate(),
 		Switches:        s.Switches,
 		Migrations:      s.Migrations,
+		Series:          s.rec,
 	}
 	for i, m := range s.vms {
 		spec := m.Gen.Spec()
@@ -598,13 +604,6 @@ func (s *System) Run() (Result, error) {
 			CyclesPerTx:   cpt,
 			TouchedBlocks: m.TouchedBlocks(),
 		})
-	}
-	if s.rec != nil {
-		if err := s.rec.Flush(); err != nil {
-			return res, fmt.Errorf("core: time-series flush: %w", err)
-		}
-		res.TimeseriesRun = s.rec.Run()
-		res.TimeseriesRows = s.rec.Rows()
 	}
 	if err := s.dir.CheckInvariants(); err != nil {
 		return res, fmt.Errorf("core: coherence invariant violated: %w", err)
@@ -762,19 +761,27 @@ func (s *System) phase(lane int, name string) func() {
 // recorder nothing reads tsPhase, so there is no state to restore.
 var noopPhaseEnd = func() {}
 
-// setupTS attaches a per-run time-series recorder when the hooks carry
-// a sidecar writer, sizing the per-VM and per-domain columns and
-// allocating the delta-rebasing scratch once up front.
+// setupTS attaches a time series to the run when the hooks ask for one.
+// Its columns are sized from the reference budget: a row per
+// livePublishMask+1 references, one per sampled window and a few phase
+// boundaries. Cores that keep issuing while slower ones finish their
+// budget, and a -pdes run's row per barrier, can outgrow that; the
+// columns then double, a few allocations per run. The delta-rebasing
+// scratch is allocated here too.
 func (s *System) setupTS() {
 	h := s.hooks
-	if h == nil || h.TS == nil {
+	if h == nil || !h.Series {
 		return
 	}
 	nDom := 0
 	if s.pdes != nil {
 		nDom = len(s.pdes.domains)
 	}
-	s.rec = h.TS.NewRecorder(s.cfg.Label(), len(s.vms), nDom, 0)
+	rows := (s.cfg.WarmupRefs+s.cfg.MeasureRefs)*uint64(s.activeCores)/(livePublishMask+1) + 8
+	if sc := s.cfg.Sample; sc.Enabled() {
+		rows += (s.cfg.WarmupRefs + s.cfg.MeasureRefs) / sc.WindowRefs
+	}
+	s.rec = obs.NewSeries(len(s.vms), nDom, int(rows))
 	s.tsStart = time.Now()
 	s.tsPrevRefs = make([]uint64, len(s.vms))
 	s.tsPrevMiss = make([]uint64, len(s.vms))
@@ -788,12 +795,21 @@ func (s *System) setupTS() {
 	}
 }
 
-// recordTS commits one time-series row from the current live counters:
+// recordTS appends one time-series row from the current live counters:
 // per-VM reference/miss/cycles-per-transaction deltas over the window
 // since the previous row, the live memory queue depth, the sampling CI
 // (when sampled) and the pdes replay and per-domain deltas (when
-// parallel). Pure column writes — allocation-free.
+// parallel). A publish after which no VM has issued a reference records
+// nothing; its deltas fold into the next row. Pure column writes —
+// allocation-free.
 func (s *System) recordTS() {
+	advanced := false
+	for v, m := range s.vms {
+		advanced = advanced || m.Stats.Refs != s.tsPrevRefs[v]
+	}
+	if !advanced {
+		return
+	}
 	r := s.rec
 	relCI := -1.0
 	if s.cfg.Sample.Enabled() && s.sample.Windows > 0 {
@@ -827,7 +843,6 @@ func (s *System) recordTS() {
 			s.tsPrevDomBusy[i] = d.busySeconds
 		}
 	}
-	r.Commit()
 	s.tsPrevCycle = s.now
 }
 

@@ -270,6 +270,9 @@ func (r *Runner) execute(cfg core.Config) (core.Result, error) {
 			}
 		}
 	}
+	// The time series lives in the manifest record; the memo need not
+	// hold it for the rest of the sweep.
+	res.Series = nil
 	return res, nil
 }
 

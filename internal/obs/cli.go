@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -25,7 +26,7 @@ type CLI struct {
 	Progress   bool
 	TraceFile  string
 	Manifest   string
-	TimeSeries string
+	TimeSeries bool
 	CPUProfile string
 	MemProfile string
 	DebugAddr  string
@@ -36,7 +37,7 @@ func (c *CLI) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Progress, "progress", false, "render a live job/throughput status line on stderr")
 	fs.StringVar(&c.TraceFile, "tracefile", "", "write a Chrome trace-format JSON timeline here (open in ui.perfetto.dev)")
 	fs.StringVar(&c.Manifest, "manifest", "", "append per-run provenance manifests to this JSONL file (e.g. results/manifests.jsonl)")
-	fs.StringVar(&c.TimeSeries, "timeseries", "", "append per-window telemetry rows to this JSONL sidecar (analyze with consim obs report)")
+	fs.BoolVar(&c.TimeSeries, "timeseries", false, "record each run's per-window telemetry rows in its -manifest record (read with consim obs report)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile here")
 	fs.StringVar(&c.MemProfile, "memprofile", "", "write a pprof heap profile here at exit")
 	fs.StringVar(&c.DebugAddr, "debug-addr", "", "serve net/http/pprof under /debug/pprof/ on this address (e.g. localhost:6060)")
@@ -44,14 +45,14 @@ func (c *CLI) Register(fs *flag.FlagSet) {
 
 // enabled reports whether any sink needing an Observer was requested.
 func (c *CLI) enabled() bool {
-	return c.Progress || c.TraceFile != "" || c.Manifest != "" ||
-		c.TimeSeries != ""
+	return c.Progress || c.TraceFile != "" || c.Manifest != ""
 }
 
 // Start brings up every requested sink. The Observer is nil when only
 // profiles and the pprof endpoint (or nothing) were requested; the stop
 // function is always valid and idempotent-safe to defer. Status notes go
-// to w.
+// to w. -timeseries without -manifest is an error: the series has
+// nowhere else to go.
 func (c *CLI) Start(w io.Writer) (*Observer, func() error, error) {
 	if w == nil {
 		w = os.Stderr
@@ -70,6 +71,9 @@ func (c *CLI) Start(w io.Writer) (*Observer, func() error, error) {
 	fail := func(err error) (*Observer, func() error, error) {
 		stop() //nolint:errcheck // the primary error wins
 		return nil, func() error { return nil }, err
+	}
+	if c.TimeSeries && c.Manifest == "" {
+		return fail(errors.New("obs: -timeseries requires -manifest (the series is stored in each run's manifest record)"))
 	}
 
 	if c.CPUProfile != "" {
@@ -144,25 +148,7 @@ func (c *CLI) Start(w io.Writer) (*Observer, func() error, error) {
 	}
 
 	o := NewObserver(tracer, man, prog)
-
-	if c.TimeSeries != "" {
-		tsw, err := OpenTimeSeries(c.TimeSeries)
-		if err != nil {
-			return fail(err)
-		}
-		o.TS = tsw
-		if man != nil {
-			man.SetTimeseriesPath(tsw.Path())
-		}
-		path := c.TimeSeries
-		cleanups = append(cleanups, func() error {
-			if err := tsw.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "[obs] time series written to %s\n", path)
-			return nil
-		})
-	}
+	o.Series = c.TimeSeries
 
 	if prog != nil {
 		prog.Start(0)

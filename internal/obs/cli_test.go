@@ -17,7 +17,7 @@ func TestCLIRegisterWiresFlags(t *testing.T) {
 		"-progress",
 		"-tracefile", "t.json",
 		"-manifest", "m.jsonl",
-		"-timeseries", "ts.jsonl",
+		"-timeseries",
 		"-cpuprofile", "cpu.pb",
 		"-memprofile", "mem.pb",
 		"-debug-addr", "127.0.0.1:0",
@@ -26,7 +26,7 @@ func TestCLIRegisterWiresFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !c.Progress || c.TraceFile != "t.json" || c.Manifest != "m.jsonl" ||
-		c.TimeSeries != "ts.jsonl" || c.CPUProfile != "cpu.pb" ||
+		!c.TimeSeries || c.CPUProfile != "cpu.pb" ||
 		c.MemProfile != "mem.pb" || c.DebugAddr != "127.0.0.1:0" {
 		t.Fatalf("parsed CLI = %+v", c)
 	}
@@ -36,62 +36,49 @@ func TestCLIRegisterWiresFlags(t *testing.T) {
 	if (&CLI{CPUProfile: "only.pb"}).enabled() {
 		t.Fatal("profile-only CLI should not need an Observer")
 	}
-	if !(&CLI{TimeSeries: "ts.jsonl"}).enabled() {
-		t.Fatal("-timeseries alone must enable the Observer")
-	}
 	if (&CLI{DebugAddr: "127.0.0.1:0"}).enabled() {
 		t.Fatal("-debug-addr alone serves pprof and should not need an Observer")
 	}
 }
 
-// TestCLIStartTimeSeries checks Start opens the sidecar, hands the
-// writer to the Observer, threads its path into the manifest writer,
-// and that stop flushes both files.
+// TestCLIStartTimeSeries checks -timeseries turns on series recording
+// in the Observer's run hooks, that a record carrying a series reads
+// back with it, and that -timeseries without -manifest is refused
+// before any sink starts.
 func TestCLIStartTimeSeries(t *testing.T) {
 	dir := t.TempDir()
-	c := CLI{
-		Manifest:   filepath.Join(dir, "m.jsonl"),
-		TimeSeries: filepath.Join(dir, "ts.jsonl"),
-	}
-	var notes strings.Builder
-	o, stop, err := c.Start(&notes)
+	c := CLI{Manifest: filepath.Join(dir, "m.jsonl"), TimeSeries: true}
+	o, stop, err := c.Start(&strings.Builder{})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	if o == nil || o.TS == nil || o.Man == nil {
+	if o == nil || !o.Series || o.Man == nil || !o.Hooks().Series {
 		t.Fatalf("observer sinks missing: %+v", o)
 	}
-
-	r := o.TS.NewRecorder("wired", 1, 0, 0)
-	r.Begin(TSPhaseMeasure, 10, 0.1, 0, -1, 0)
-	r.VM(0, 100, 0.5, 1000)
-	r.Commit()
-	if err := r.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Man.Write(Manifest{Label: "wired", TimeseriesRun: r.Run(), TimeseriesRows: r.Rows()}); err != nil {
+	s := NewSeries(1, 0, 1)
+	s.Begin(TSPhaseMeasure, 10, 0.1, 0, -1, 0)
+	s.VM(0, 100, 0.5, 1000)
+	if err := o.Man.Write(Manifest{Label: "wired", Series: s}); err != nil {
 		t.Fatal(err)
 	}
 	if err := stop(); err != nil {
 		t.Fatalf("stop: %v", err)
 	}
-	if !strings.Contains(notes.String(), "time series written to") {
-		t.Fatalf("missing status note in %q", notes.String())
-	}
-
-	rows, err := ReadTimeSeries(c.TimeSeries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0].Label != "wired" {
-		t.Fatalf("sidecar rows = %+v", rows)
-	}
 	ms, err := ReadManifests(c.Manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 1 || ms[0].Timeseries != c.TimeSeries || ms[0].TimeseriesRun != rows[0].Run {
-		t.Fatalf("manifest sidecar reference = %+v", ms)
+	if len(ms) != 1 || ms[0].Series == nil || ms[0].Series.Rows() != 1 {
+		t.Fatalf("manifest series = %+v", ms)
+	}
+
+	alone := CLI{TimeSeries: true, CPUProfile: filepath.Join(dir, "cpu.pb")}
+	_, _, err = alone.Start(&strings.Builder{})
+	if err == nil || !strings.Contains(err.Error(), "-timeseries requires -manifest") {
+		t.Fatalf("-timeseries without -manifest: error %v", err)
+	}
+	if _, err := os.Stat(alone.CPUProfile); !os.IsNotExist(err) {
+		t.Fatalf("refused command line started the CPU profile: %v", err)
 	}
 }
 
@@ -138,7 +125,8 @@ func TestCLIStartDebugAddr(t *testing.T) {
 }
 
 // TestCLIStartFailureCleansUp checks a sink that cannot open unwinds
-// the ones before it (no leaked manifest handle or half-started state).
+// the ones before it: the CPU profile started first is stopped, so a
+// second one can start.
 func TestCLIStartFailureCleansUp(t *testing.T) {
 	dir := t.TempDir()
 	blocked := filepath.Join(dir, "blocked")
@@ -146,10 +134,18 @@ func TestCLIStartFailureCleansUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := CLI{
-		Manifest:   filepath.Join(dir, "m.jsonl"),
-		TimeSeries: filepath.Join(blocked, "ts.jsonl"), // parent is a file: MkdirAll fails
+		CPUProfile: filepath.Join(dir, "cpu.pb"),
+		Manifest:   filepath.Join(blocked, "m.jsonl"), // parent is a file: MkdirAll fails
 	}
 	if _, _, err := c.Start(&strings.Builder{}); err == nil {
-		t.Fatal("Start with unopenable sidecar did not error")
+		t.Fatal("Start with an unopenable manifest did not error")
+	}
+	again := CLI{CPUProfile: filepath.Join(dir, "again.pb")}
+	_, stop, err := again.Start(&strings.Builder{})
+	if err != nil {
+		t.Fatalf("CPU profile left running by the failed Start: %v", err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -11,18 +11,21 @@ import (
 	"time"
 )
 
-// Manifest is one run's provenance record: everything needed to say
-// *which* simulation produced a result and what it cost. The harness
-// appends one JSON line per executed simulation job to a sidecar under
-// results/, so every number in a report can be traced back to its
-// configuration, seed, scale and tool version.
 // ManifestVersion is the manifest schema version stamped into new
 // records. Version 2 added host parallelism (gomaxprocs, num_cpu — a
 // pdes scaling entry is meaningless without them), the phase
-// profile, and the time-series sidecar reference. Old sidecars decode
-// with Version 0 and those fields zero; readers must tolerate both.
-const ManifestVersion = 2
+// profile, and a reference to a separate time-series file (timeseries,
+// timeseries_run, timeseries_rows). Version 3 stores the time series
+// inline (series) and drops that reference; readers ignore it in older
+// records. Records from before version 2 decode with Version 0 and
+// those fields zero; readers must tolerate every version.
+const ManifestVersion = 3
 
+// Manifest is one run's provenance record: everything needed to say
+// *which* simulation produced a result and what it cost. The harness
+// appends one JSON line per executed simulation job to a JSONL file
+// under results/, so every number in a report can be traced back to its
+// configuration, seed, scale and tool version.
 type Manifest struct {
 	Version   int    `json:"version,omitempty"`
 	Time      string `json:"time"`
@@ -93,13 +96,9 @@ type Manifest struct {
 	// Layers is the run's memory-system ledger (nil in records written
 	// before it was recorded).
 	Layers *Layers `json:"layers,omitempty"`
-
-	// Time-series sidecar reference: the JSONL file holding this run's
-	// per-window rows, the run id its rows carry, and how many rows it
-	// recorded. Absent when -timeseries was off.
-	Timeseries     string `json:"timeseries,omitempty"`
-	TimeseriesRun  int    `json:"timeseries_run,omitempty"`
-	TimeseriesRows int    `json:"timeseries_rows,omitempty"`
+	// Series is the run's per-window time series (nil when -timeseries
+	// was off).
+	Series *Series `json:"series,omitempty"`
 }
 
 // Layers is a run's memory-system ledger: accesses, misses and
@@ -133,12 +132,11 @@ type CacheCounts struct {
 // ManifestWriter appends manifest lines to a JSONL file. Safe for
 // concurrent use (the parallel runner stamps jobs as they finish).
 type ManifestWriter struct {
-	mu     sync.Mutex
-	f      *os.File
-	tsPath string // stamped into records that carry a time-series run id
+	mu sync.Mutex
+	f  *os.File
 }
 
-// OpenManifest opens (appending) or creates the JSONL sidecar at path,
+// OpenManifest opens (appending) or creates the JSONL file at path,
 // creating parent directories as needed.
 func OpenManifest(path string) (*ManifestWriter, error) {
 	if dir := filepath.Dir(path); dir != "." && dir != "" {
@@ -168,11 +166,6 @@ func (w *ManifestWriter) Write(m Manifest) error {
 	if m.NumCPU == 0 {
 		m.NumCPU = runtime.NumCPU()
 	}
-	if m.Timeseries == "" && m.TimeseriesRun != 0 {
-		w.mu.Lock()
-		m.Timeseries = w.tsPath
-		w.mu.Unlock()
-	}
 	if m.Tool == "" {
 		m.Tool = "consim " + ToolVersion
 	}
@@ -199,22 +192,14 @@ func (w *ManifestWriter) Write(m Manifest) error {
 // Path returns the underlying file's name.
 func (w *ManifestWriter) Path() string { return w.f.Name() }
 
-// SetTimeseriesPath records the sidecar path stamped into manifests
-// whose runs carried a time-series recorder.
-func (w *ManifestWriter) SetTimeseriesPath(path string) {
-	w.mu.Lock()
-	w.tsPath = path
-	w.mu.Unlock()
-}
-
-// Close flushes and closes the sidecar.
+// Close flushes and closes the file.
 func (w *ManifestWriter) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.f.Close()
 }
 
-// ReadManifests parses a JSONL sidecar back into records (reporting and
+// ReadManifests parses a JSONL file back into records (reporting and
 // round-trip tests). Anything that is not a stream of JSON objects — a
 // truncated line, a JSON array such as the retired bench history — is
 // an error naming the file and the record it stopped at.

@@ -65,20 +65,22 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestStampsEnvironment checks Write fills the v2 schema
-// fields the caller left zero, and records the time-series sidecar path
-// only for runs that carried a recorder.
+// TestManifestStampsEnvironment checks Write fills the schema fields
+// the caller left zero, and carries a time series only for runs that
+// recorded one.
 func TestManifestStampsEnvironment(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.jsonl")
 	w, err := OpenManifest(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.SetTimeseriesPath("results/ts.jsonl")
 	if err := w.Write(Manifest{Label: "plain"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write(Manifest{Label: "recorded", TimeseriesRun: 3, TimeseriesRows: 40}); err != nil {
+	series := NewSeries(1, 0, 1)
+	series.Begin(TSPhaseMeasure, 10, 0.1, 0, -1, 0)
+	series.VM(0, 100, 0.5, 1000)
+	if err := w.Write(Manifest{Label: "recorded", Series: series}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -94,11 +96,11 @@ func TestManifestStampsEnvironment(t *testing.T) {
 			t.Errorf("manifest %d missing host parallelism: %+v", i, m)
 		}
 	}
-	if out[0].Timeseries != "" {
-		t.Errorf("run without a recorder got a sidecar path %q", out[0].Timeseries)
+	if out[0].Series != nil {
+		t.Errorf("run without a recorder got a series %+v", out[0].Series)
 	}
-	if out[1].Timeseries != "results/ts.jsonl" || out[1].TimeseriesRun != 3 || out[1].TimeseriesRows != 40 {
-		t.Errorf("recorded run sidecar reference = %+v", out[1])
+	if s := out[1].Series; s == nil || s.Rows() != 1 || s.Refs[0][0] != 100 {
+		t.Errorf("recorded run series = %+v", s)
 	}
 }
 
@@ -125,7 +127,7 @@ func TestReadManifestsBackwardCompat(t *testing.T) {
 	if m.Label != "TPC-H shared/affinity" || m.Refs != 64000 {
 		t.Fatalf("old record mangled: %+v", m)
 	}
-	if m.Version != 0 || m.GOMAXPROCS != 0 || m.NumCPU != 0 || m.Phase != nil || m.Timeseries != "" {
+	if m.Version != 0 || m.GOMAXPROCS != 0 || m.NumCPU != 0 || m.Phase != nil || m.Series != nil {
 		t.Fatalf("old record grew phantom v2 fields: %+v", m)
 	}
 }
@@ -152,6 +154,13 @@ const replicatedManifest = "testdata/manifest_v2_replicates3.jsonl"
 // and ops-by-group fields, which Manifest and PhaseProfile no longer
 // declare.
 const pipelinedManifest = "testdata/manifest_v2_pdes_pipelined.jsonl"
+
+// timeseriesManifest is one v2 line written by the last build that kept
+// the time series in a separate file (8d3992b, `consim -workloads TPC-H
+// -scale 64 -warm 1000 -meas 4000 -timeseries ts_fix.jsonl -manifest
+// fix.jsonl`): it carries timeseries, timeseries_run and timeseries_rows,
+// which Manifest no longer declares.
+const timeseriesManifest = "testdata/manifest_v2_timeseries.jsonl"
 
 // retiredBenchHistory is the frozen cmd/bench history: a JSON array of
 // objects that are not manifests, which no reader takes since PR 19.
@@ -204,7 +213,7 @@ func TestReadManifestsRemovedEngineFields(t *testing.T) {
 		t.Errorf("engine = %q, want the sequential engine", e)
 	}
 	var rep strings.Builder
-	WritePhaseReport(&rep, m, nil)
+	WritePhaseReport(&rep, m)
 	if !strings.Contains(rep.String(), "engine=sequential") || strings.Contains(rep.String(), "lane") {
 		t.Errorf("report of a removed-engine record:\n%s", rep.String())
 	}
@@ -218,7 +227,7 @@ func TestReadManifestsReplicatedRecord(t *testing.T) {
 		t.Fatalf("record mangled: %+v", m)
 	}
 	var rep strings.Builder
-	WritePhaseReport(&rep, m, nil)
+	WritePhaseReport(&rep, m)
 	if !strings.Contains(rep.String(), "memory system") {
 		t.Errorf("report of a replicated record:\n%s", rep.String())
 	}
@@ -235,13 +244,29 @@ func TestReadManifestsPipelinedRecord(t *testing.T) {
 		t.Fatalf("record mangled: %+v", m)
 	}
 	var rep strings.Builder
-	WritePhaseReport(&rep, m, nil)
+	WritePhaseReport(&rep, m)
 	out := rep.String()
 	if !strings.Contains(out, "engine=pdes") {
 		t.Errorf("report of a pipelined record missing %q:\n%s", "engine=pdes", out)
 	}
 	if strings.Contains(out, "overlap") {
 		t.Errorf("report of a pipelined record still shows the overlap line:\n%s", out)
+	}
+}
+
+// TestReadManifestsTimeseriesRecord reads a record whose time series sat
+// in a separate file: it reads, and report prints it without a series
+// block and without looking for that file.
+func TestReadManifestsTimeseriesRecord(t *testing.T) {
+	m := readOldRecord(t, timeseriesManifest, `"timeseries":"ts_fix.jsonl"`, `"timeseries_run":1`, `"timeseries_rows":4`)
+	if m.Version != 2 || m.Refs != 16309 || m.Series != nil || m.Layers == nil {
+		t.Fatalf("record mangled: %+v", m)
+	}
+	var rep strings.Builder
+	WritePhaseReport(&rep, m)
+	out := rep.String()
+	if !strings.Contains(out, "memory system") || strings.Contains(out, "time series") {
+		t.Errorf("report of a v2 time-series record:\n%s", out)
 	}
 }
 
@@ -286,6 +311,14 @@ func FuzzReadManifests(f *testing.F) {
 	f.Add([]byte(`{"version":2,"label":"layers","refs":10,"wall_seconds":1,"sample_windows":2,` +
 		`"layers":{"cache":[{"accesses":10,"misses":11,"evictions":18446744073709551615},{},{"accesses":0,"misses":3}],` +
 		`"dir_entries":1,"dircache_hits":18446744073709551615,"dircache_misses":1,"mem_reads":0,"mem_wait_cycles":7}}` + "\n"))
+	timeseries, err := os.ReadFile(timeseriesManifest)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(timeseries)
+	f.Add([]byte(`{"version":3,"label":"series","refs":10,"wall_seconds":1,"phase":{"measure_seconds":1},` +
+		`"series":{"phase":["measure","bogus"],"cycle":[1,2],"wall":[0,1],"memq":[1],"rel_ci":[-1],"replay":[],` +
+		`"refs":[[1,0],[5]],"miss":[[0.5,-1]],"cpt":[[1e30,2]],"dom_cycles":[[1]]}}` + "\n"))
 	path := filepath.Join(f.TempDir(), "m.jsonl")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -296,7 +329,7 @@ func FuzzReadManifests(f *testing.F) {
 			return
 		}
 		for _, m := range ms {
-			WritePhaseReport(io.Discard, m, nil)
+			WritePhaseReport(io.Discard, m)
 			s := SummarizeManifest(m)
 			DiffSummaries(io.Discard, s, s, 0.05)
 		}

@@ -1,9 +1,12 @@
 // Package obs is the simulator's observability layer: a sharded metrics
 // registry whose hot-path updates are allocation-free, a Chrome
 // trace-format event tracer for phase and runner-pool timing, JSONL run
-// manifests that stamp every result with its provenance and its
-// memory-system ledger, a live progress display for long sweeps, and an
-// optional pprof debug server.
+// manifests that stamp every result with its provenance, its
+// memory-system ledger and, with -timeseries, its per-window time series
+// (per-VM references, LLC miss rate and cycles per transaction, memory
+// queue depth, sampling CI and pdes domain progress, one row per live
+// publish), a live progress display for long sweeps, and an optional
+// pprof debug server.
 //
 // The design splits responsibilities so the simulator's per-reference
 // path stays zero-alloc:
@@ -59,7 +62,9 @@ type Observer struct {
 	Tr   *Tracer         // nil = tracing off
 	Man  *ManifestWriter // nil = manifests off
 	Prog *Progress       // nil = no live progress
-	TS   *TSWriter       // nil = per-window time series off
+	// Series records each run's per-window time series into its
+	// result and manifest record.
+	Series bool
 
 	sh *Shard // the observer's own shard for runner-level counters
 }
@@ -88,12 +93,12 @@ func (o *Observer) HooksLane(lane int) *RunHooks {
 		return nil
 	}
 	return &RunHooks{
-		Sh:   o.Reg.NewShard(),
-		M:    o.Sim,
-		Tr:   o.Tr,
-		Lane: lane,
-		Prog: o.Prog,
-		TS:   o.TS,
+		Sh:     o.Reg.NewShard(),
+		M:      o.Sim,
+		Tr:     o.Tr,
+		Lane:   lane,
+		Prog:   o.Prog,
+		Series: o.Series,
 	}
 }
 
@@ -121,7 +126,8 @@ type RunHooks struct {
 	Tr   *Tracer
 	Lane int // trace lane; -1 = acquire one for the run's duration
 	Prog *Progress
-	TS   *TSWriter // nil = no per-window time-series recording
+	// Series: record the run's per-window time series (Result.Series).
+	Series bool
 
 	ownLane atomic.Bool // lane was acquired by RunStart, release on RunEnd
 }

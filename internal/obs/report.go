@@ -1,9 +1,9 @@
 // Cross-run analysis: run reports and run diffs.
 //
-// This file is the testable core of consim obs. It consumes the sidecars
-// the toolchain writes — run-manifest JSONL (ManifestWriter) and the
-// -timeseries rows — and renders them for humans: a per-run
-// memory-system and phase/Amdahl report, and a two-run regression diff.
+// This file is the testable core of consim obs. It consumes the
+// run-manifest JSONL the toolchain writes (ManifestWriter), time series
+// included, and renders it for humans: a per-run memory-system,
+// phase/Amdahl and time-series report, and a two-run regression diff.
 package obs
 
 import (
@@ -25,10 +25,9 @@ const ApplyFractionGate = 0.05
 // WritePhaseReport renders one manifest record: the run header, the
 // memory-system ledger, the wall-time phase decomposition with its
 // untracked residual and coverage, the per-domain imbalance breakdown,
-// and — when rows from the run's time-series sidecar are supplied — a
-// per-VM trajectory summary. rows may span many runs; only those matching the manifest's
-// TimeseriesRun are used.
-func WritePhaseReport(w io.Writer, m Manifest, rows []TSRow) {
+// and, when the record carries a time series, a per-VM trajectory
+// summary.
+func WritePhaseReport(w io.Writer, m Manifest) {
 	engine := "sequential"
 	var p PhaseProfile
 	if m.Phase != nil {
@@ -112,7 +111,7 @@ func WritePhaseReport(w io.Writer, m Manifest, rows []TSRow) {
 				d.Domain, d.Cores, d.Cycles, d.Ops, d.BusySeconds, share)
 		}
 	}
-	writeSeriesSummary(w, m, rows)
+	writeSeriesSummary(w, m.Series)
 }
 
 // writeLayers renders the memory-system ledger; sampled says the cache
@@ -144,83 +143,76 @@ func writeLayers(w io.Writer, l Layers, sampled bool) {
 		l.MemReads, l.MemWritebacks, l.MemWaitCycles, wait)
 }
 
-// writeSeriesSummary renders the per-VM trajectory summary for the
-// manifest's rows in the time-series sidecar.
-func writeSeriesSummary(w io.Writer, m Manifest, rows []TSRow) {
-	if m.TimeseriesRun == 0 {
+// writeSeriesSummary renders the per-VM trajectory summary of a run's
+// time series. A VM's miss and cycles-per-transaction figures cover
+// only the windows in which it issued references.
+func writeSeriesSummary(w io.Writer, s *Series) {
+	if s == nil || s.Rows() == 0 {
 		return
 	}
-	var mine []TSRow
-	for _, r := range rows {
-		if r.Run == m.TimeseriesRun {
-			mine = append(mine, r)
-		}
-	}
-	if len(mine) == 0 {
-		fmt.Fprintf(w, "time series: run %d recorded %d rows, none loaded (sidecar %q)\n",
-			m.TimeseriesRun, m.TimeseriesRows, m.Timeseries)
+	if !readable(s) {
+		fmt.Fprintf(w, "time series (%d rows): columns of unequal length, not summarized\n", s.Rows())
 		return
 	}
 	phases := map[string]int{}
-	for _, r := range mine {
-		phases[r.Phase]++
+	for _, p := range s.Phase {
+		phases[p.String()]++
 	}
 	names := make([]string, 0, len(phases))
 	for n := range phases {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	fmt.Fprintf(w, "time series (run %d, %d rows):\n  windows:", m.TimeseriesRun, len(mine))
+	fmt.Fprintf(w, "time series (%d rows):\n  windows:", s.Rows())
 	for _, n := range names {
 		fmt.Fprintf(w, " %s=%d", n, phases[n])
 	}
 	fmt.Fprintln(w)
 
-	nVM := 0
-	for _, r := range mine {
-		if len(r.Refs) > nVM {
-			nVM = len(r.Refs)
-		}
-	}
-	for v := 0; v < nVM; v++ {
-		var refs uint64
+	for v, refs := range s.Refs {
+		var total uint64
 		missMin, missMax := math.Inf(1), math.Inf(-1)
 		var missSum, cptSum float64
 		n := 0
-		for _, r := range mine {
-			if v >= len(r.Refs) {
+		for i, r := range refs {
+			if r == 0 {
 				continue
 			}
-			refs += r.Refs[v]
-			if ms := r.Miss[v]; ms >= 0 {
-				missSum += ms
-				if ms < missMin {
-					missMin = ms
-				}
-				if ms > missMax {
-					missMax = ms
-				}
-			}
-			if c := r.CPT[v]; c >= 0 {
-				cptSum += c
-			}
+			total += r
+			ms := float64(s.Miss[v][i])
+			missSum += ms
+			missMin, missMax = min(missMin, ms), max(missMax, ms)
+			cptSum += float64(s.CPT[v][i])
 			n++
 		}
 		if n == 0 {
 			continue
 		}
 		fmt.Fprintf(w, "  vm %-2d refs=%-10d miss %.4f..%.4f (mean %.4f)  cpt mean %.0f\n",
-			v, refs, missMin, missMax, missSum/float64(n), cptSum/float64(n))
+			v, total, missMin, missMax, missSum/float64(n), cptSum/float64(n))
 	}
 	var maxQ uint32
 	var qSum float64
-	for _, r := range mine {
-		qSum += float64(r.MemQ)
-		if r.MemQ > maxQ {
-			maxQ = r.MemQ
+	for _, q := range s.MemQ {
+		qSum += float64(q)
+		maxQ = max(maxQ, q)
+	}
+	fmt.Fprintf(w, "  mem queue depth mean %.1f max %d\n", qSum/float64(len(s.MemQ)), maxQ)
+}
+
+// readable reports whether every column the summary reads holds one
+// entry per row, as recording leaves it; a hand-edited record may not.
+func readable(s *Series) bool {
+	n := s.Rows()
+	if len(s.Phase) != n || len(s.MemQ) != n || len(s.Miss) != len(s.Refs) || len(s.CPT) != len(s.Refs) {
+		return false
+	}
+	for v := range s.Refs {
+		if len(s.Refs[v]) != n || len(s.Miss[v]) != n || len(s.CPT[v]) != n {
+			return false
 		}
 	}
-	fmt.Fprintf(w, "  mem queue depth mean %.1f max %d\n", qSum/float64(len(mine)), maxQ)
+	return true
 }
 
 // ---------------------------------------------------------------------

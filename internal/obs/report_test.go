@@ -25,19 +25,37 @@ func pdesManifest() Manifest {
 				{Domain: 1, Cores: 4, Cycles: 500_000, Ops: 8000, BusySeconds: 0.45},
 			},
 		},
-		TimeseriesRun: 7, TimeseriesRows: 2, Timeseries: "ts.jsonl",
 	}
+}
+
+// reportSeries is a three-row series in which VM 1 issues nothing in the
+// last row.
+func reportSeries() *Series {
+	s := NewSeries(2, 0, 3)
+	for _, r := range []struct {
+		phase TSPhase
+		memq  int
+		refs  [2]uint64
+		miss  [2]float64
+		cpt   [2]float64
+	}{
+		{TSPhaseWarmup, 2, [2]uint64{4096, 4096}, [2]float64{0.02, 0.05}, [2]float64{5000, 9000}},
+		{TSPhaseMeasure, 6, [2]uint64{8192, 8192}, [2]float64{0.03, 0.06}, [2]float64{5200, 9100}},
+		{TSPhaseMeasure, 4, [2]uint64{8192, 0}, [2]float64{0.025, 0}, [2]float64{5100, 0}},
+	} {
+		s.Begin(r.phase, 0, 0, r.memq, -1, 0)
+		for v := range 2 {
+			s.VM(v, r.refs[v], r.miss[v], r.cpt[v])
+		}
+	}
+	return s
 }
 
 func TestWritePhaseReportPdes(t *testing.T) {
 	m := pdesManifest()
-	rows := []TSRow{
-		{Run: 7, Phase: "warmup", MemQ: 2, Refs: []uint64{4096, 4096}, Miss: []float64{0.02, 0.05}, CPT: []float64{5000, 9000}},
-		{Run: 7, Phase: "measure", MemQ: 6, Refs: []uint64{8192, 8192}, Miss: []float64{0.03, 0.06}, CPT: []float64{5200, 9100}},
-		{Run: 99, Phase: "measure", Refs: []uint64{1, 1}, Miss: []float64{0.9, 0.9}, CPT: []float64{1, 1}}, // other run: excluded
-	}
+	m.Series = reportSeries()
 	var b strings.Builder
-	WritePhaseReport(&b, m, rows)
+	WritePhaseReport(&b, m)
 	out := b.String()
 	for _, want := range []string{
 		"engine=pdes",
@@ -49,23 +67,36 @@ func TestWritePhaseReportPdes(t *testing.T) {
 		"coverage",
 		"apply fraction 0.300",
 		"dom 0", "dom 1", "ops=9000",
-		"time series (run 7, 2 rows)",
-		"warmup=1", "measure=1",
-		"vm 0", "vm 1",
-		"miss 0.0200..0.0300",
+		"time series (3 rows)",
+		"measure=2", "warmup=1",
+		"vm 0  refs=20480", "miss 0.0200..0.0300 (mean 0.0250)",
+		// VM 1's idle last row stays out of its range and means.
+		"vm 1  refs=12288", "miss 0.0500..0.0600 (mean 0.0550)  cpt mean 9050",
+		"mem queue depth mean 4.0 max 6",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q in:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "0.9000") {
-		t.Errorf("report leaked rows from another run:\n%s", out)
+}
+
+// TestWritePhaseReportUnequalColumns reports a series whose columns
+// disagree in length, as a hand-edited record may: a note, no summary,
+// no panic.
+func TestWritePhaseReportUnequalColumns(t *testing.T) {
+	m := pdesManifest()
+	m.Series = reportSeries()
+	m.Series.Miss[1] = m.Series.Miss[1][:1]
+	var b strings.Builder
+	WritePhaseReport(&b, m)
+	if out := b.String(); !strings.Contains(out, "columns of unequal length") || strings.Contains(out, "vm 0") {
+		t.Errorf("report of a malformed series:\n%s", out)
 	}
 }
 
 func TestWritePhaseReportNoProfile(t *testing.T) {
 	var b strings.Builder
-	WritePhaseReport(&b, Manifest{Label: "old", WallSeconds: 1}, nil)
+	WritePhaseReport(&b, Manifest{Label: "old", WallSeconds: 1})
 	if !strings.Contains(b.String(), "no phase profile recorded") {
 		t.Fatalf("missing fallback note:\n%s", b.String())
 	}
@@ -214,7 +245,7 @@ func TestWritePhaseReportSampledWarmup(t *testing.T) {
 	const costLine = "ff cost ratio 0.29x"
 	for name, m := range map[string]Manifest{"before": before, "after": after} {
 		var b strings.Builder
-		WritePhaseReport(&b, m, nil)
+		WritePhaseReport(&b, m)
 		out := b.String()
 		if got := strings.Contains(out, warmLine); got != (name == "after") {
 			t.Errorf("%s: warm-up line present = %v in:\n%s", name, got, out)
@@ -241,7 +272,7 @@ func TestWritePhaseReportLayers(t *testing.T) {
 	m.Layers = &l
 
 	var b strings.Builder
-	WritePhaseReport(&b, m, nil)
+	WritePhaseReport(&b, m)
 	out := b.String()
 	for _, want := range []string{
 		"memory system (measurement window):",
@@ -261,14 +292,14 @@ func TestWritePhaseReportLayers(t *testing.T) {
 
 	m.SampleWindows = 4
 	b.Reset()
-	WritePhaseReport(&b, m, nil)
+	WritePhaseReport(&b, m)
 	if !strings.Contains(b.String(), "cache counters include fast-forwarded references") {
 		t.Errorf("sampled record's block does not say it counts fast-forwarded references:\n%s", b.String())
 	}
 
 	for _, old := range []Manifest{pdesManifest(), {Label: "old", WallSeconds: 1}} {
 		b.Reset()
-		WritePhaseReport(&b, old, nil)
+		WritePhaseReport(&b, old)
 		if strings.Contains(b.String(), "memory system") {
 			t.Errorf("record without a ledger printed a memory system block:\n%s", b.String())
 		}

@@ -1,22 +1,6 @@
 package obs
 
-import (
-	"bufio"
-	"encoding/json"
-	"math"
-	"os"
-	"path/filepath"
-	"strconv"
-	"sync"
-	"sync/atomic"
-)
-
-// DefaultTSCapacity is the ring capacity, in rows, of a Recorder: rows
-// buffered before an automatic spill to the sidecar. At the live
-// publish cadence (one row per 8192 machine references, or one per
-// pdes barrier) a figure-suite run fits in one ring, so steady state
-// never touches the file.
-const DefaultTSCapacity = 1024
+import "math"
 
 // TSPhase tags a time-series row with the engine phase it was recorded
 // in.
@@ -33,7 +17,7 @@ const (
 
 var tsPhaseNames = [...]string{"other", "warmup", "measure", "window", "fastforward", "snapshot"}
 
-// String returns the phase's sidecar name.
+// String returns the phase's name.
 func (p TSPhase) String() string {
 	if int(p) < len(tsPhaseNames) {
 		return tsPhaseNames[p]
@@ -58,317 +42,113 @@ func TSPhaseOf(name string) TSPhase {
 	return TSPhaseOther
 }
 
-// TSWriter appends time-series rows to a JSONL sidecar shared by every
-// run in the process (the parallel runner's jobs interleave at row
-// granularity; each row carries its run id). Safe for concurrent use.
-type TSWriter struct {
-	mu     sync.Mutex
-	f      *os.File
-	buf    []byte // reusable row-encoding buffer (flush-time only)
-	nextID atomic.Int64
+// MarshalText encodes the phase by name, so a phase column is a JSON
+// array of strings.
+func (p TSPhase) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText decodes a phase name; an unknown one reads as other.
+func (p *TSPhase) UnmarshalText(b []byte) error {
+	*p = TSPhaseOf(string(b))
+	return nil
 }
 
-// OpenTimeSeries opens (appending) or creates the sidecar at path,
-// creating parent directories as needed.
-func OpenTimeSeries(path string) (*TSWriter, error) {
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &TSWriter{f: f}, nil
+// Series is one run's per-window telemetry, one row per live publish,
+// stored in columns: row i is entry i of every column. It travels inside
+// the run's manifest record (Manifest.Series) and encoding/json encodes
+// it as is. Floats are stored as float32 (ample for rates, cycles per
+// transaction and seconds, and half the bytes) and always finite: a
+// value with no defined result, such as cycles per transaction over a
+// window without transactions, is stored as -1.
+//
+// The recording path (Begin, VM, Domain) only appends to columns that
+// NewSeries preallocated, so within that capacity it allocates nothing
+// and can sit on the simulator's live publish cadence.
+type Series struct {
+	Phase []TSPhase `json:"phase"`
+	Cycle []uint64  `json:"cycle"` // simulated cycle at the row
+	Wall  []float32 `json:"wall"`  // host seconds since the run started
+	MemQ  []uint32  `json:"memq"`  // memory-controller queue depth
+	RelCI []float32 `json:"rel_ci"`
+	// Replay is the pdes serial-replay seconds spent since the previous
+	// row (0 for the other engines).
+	Replay []float32 `json:"replay"`
+
+	// Per-VM columns, indexed [vm][row]: references issued since the
+	// previous row, that window's LLC miss rate and its cycles per
+	// transaction.
+	Refs [][]uint64  `json:"refs"`
+	Miss [][]float32 `json:"miss"`
+	CPT  [][]float32 `json:"cpt"`
+
+	// Per-domain columns of a -pdes run, indexed [domain][row]: local
+	// clock advance and in-window busy seconds since the previous row.
+	DomCycles [][]uint64  `json:"dom_cycles,omitempty"`
+	DomBusy   [][]float32 `json:"dom_busy,omitempty"`
 }
 
-// Path returns the underlying file's name.
-func (w *TSWriter) Path() string { return w.f.Name() }
-
-// Close closes the sidecar. Recorders must be flushed first.
-func (w *TSWriter) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f.Close()
-}
-
-// NewRecorder returns a per-run recorder with a fresh run id. nVM and
-// nDom size the per-VM and per-domain columns (nDom 0 for non-pdes
-// engines); capacity 0 selects DefaultTSCapacity.
-func (w *TSWriter) NewRecorder(label string, nVM, nDom, capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultTSCapacity
+// NewSeries returns an empty series for nVM VMs and nDom pdes domains
+// (0 for the other engines) with room for rows rows.
+func NewSeries(nVM, nDom, rows int) *Series {
+	s := &Series{
+		Phase:  make([]TSPhase, 0, rows),
+		Cycle:  make([]uint64, 0, rows),
+		Wall:   make([]float32, 0, rows),
+		MemQ:   make([]uint32, 0, rows),
+		RelCI:  make([]float32, 0, rows),
+		Replay: make([]float32, 0, rows),
+		Refs:   make([][]uint64, nVM),
+		Miss:   make([][]float32, nVM),
+		CPT:    make([][]float32, nVM),
 	}
-	r := &Recorder{
-		w:     w,
-		run:   int(w.nextID.Add(1)),
-		label: label,
-		nVM:   nVM,
-		nDom:  nDom,
-		cap:   capacity,
-
-		phase:  make([]TSPhase, capacity),
-		cycle:  make([]uint64, capacity),
-		wall:   make([]float64, capacity),
-		memq:   make([]uint32, capacity),
-		relCI:  make([]float64, capacity),
-		replay: make([]float64, capacity),
-		vmRefs: make([]uint64, capacity*nVM),
-		vmMiss: make([]float64, capacity*nVM),
-		vmCPT:  make([]float64, capacity*nVM),
+	for v := range nVM {
+		s.Refs[v] = make([]uint64, 0, rows)
+		s.Miss[v] = make([]float32, 0, rows)
+		s.CPT[v] = make([]float32, 0, rows)
 	}
 	if nDom > 0 {
-		r.domCycles = make([]uint64, capacity*nDom)
-		r.domBusy = make([]float64, capacity*nDom)
-	}
-	return r
-}
-
-// Recorder buffers one run's per-window telemetry rows in fixed-
-// capacity typed columns. The recording path (Begin / VM / Domain /
-// Commit) only writes preallocated slices — zero allocations, zero
-// syscalls — so it can sit on the simulator's live publish cadence
-// without breaking the steady-state allocation budget. Encoding and
-// file I/O happen only when the ring fills (automatic spill) and at
-// Flush.
-type Recorder struct {
-	w     *TSWriter
-	run   int
-	label string
-	nVM   int
-	nDom  int
-
-	cap   int
-	n     int    // buffered rows
-	seq   uint32 // next row's window sequence number
-	total int    // rows committed over the recorder's lifetime
-	err   error  // first spill error, surfaced by Flush
-
-	phase  []TSPhase
-	cycle  []uint64
-	wall   []float64
-	memq   []uint32
-	relCI  []float64 // <0 = not a sampled run
-	replay []float64 // pdes replay-seconds delta this window
-
-	vmRefs []uint64 // [row*nVM+v]
-	vmMiss []float64
-	vmCPT  []float64
-
-	domCycles []uint64 // [row*nDom+d]; nil when nDom == 0
-	domBusy   []float64
-}
-
-// Run returns the recorder's run id (rows carry it; the manifest
-// records it so reports can correlate).
-func (r *Recorder) Run() int { return r.run }
-
-// Rows returns the number of rows committed so far.
-func (r *Recorder) Rows() int { return r.total }
-
-// Begin stages a new row's scalar columns. relCI < 0 marks a run
-// without a sampling CI; replay is the pdes serial-replay seconds
-// accumulated since the previous row (0 otherwise).
-func (r *Recorder) Begin(phase TSPhase, cycle uint64, wall float64, memq int, relCI, replay float64) {
-	i := r.n
-	r.phase[i] = phase
-	r.cycle[i] = cycle
-	r.wall[i] = wall
-	r.memq[i] = uint32(memq)
-	r.relCI[i] = relCI
-	r.replay[i] = replay
-}
-
-// VM fills one VM's columns for the staged row: references issued
-// since the previous row, the window's LLC miss rate, and the window's
-// cycles-per-transaction estimate.
-func (r *Recorder) VM(v int, refs uint64, miss, cpt float64) {
-	i := r.n*r.nVM + v
-	r.vmRefs[i] = refs
-	r.vmMiss[i] = miss
-	r.vmCPT[i] = cpt
-}
-
-// Domain fills one pdes domain's columns for the staged row: local
-// clock advance and in-window busy seconds since the previous row.
-func (r *Recorder) Domain(d int, cycles uint64, busy float64) {
-	i := r.n*r.nDom + d
-	r.domCycles[i] = cycles
-	r.domBusy[i] = busy
-}
-
-// Commit finalizes the staged row, spilling the ring to the sidecar
-// when full. Spill errors are held until Flush so the hot path stays
-// error-free.
-func (r *Recorder) Commit() {
-	r.n++
-	r.seq++
-	r.total++
-	if r.n == r.cap {
-		r.spill()
-	}
-}
-
-// Flush spills buffered rows and returns the first error any spill
-// hit. Call once at run end, before the manifest is written.
-func (r *Recorder) Flush() error {
-	r.spill()
-	return r.err
-}
-
-// spill encodes and appends the buffered rows under the writer's lock,
-// reusing the writer's encode buffer.
-func (r *Recorder) spill() {
-	if r.n == 0 {
-		return
-	}
-	w := r.w
-	w.mu.Lock()
-	buf := w.buf[:0]
-	base := uint32(r.total - r.n)
-	for i := 0; i < r.n; i++ {
-		buf = r.appendRow(buf, i, base+uint32(i))
-	}
-	if _, err := w.f.Write(buf); err != nil && r.err == nil {
-		r.err = err
-	}
-	w.buf = buf[:0]
-	w.mu.Unlock()
-	r.n = 0
-}
-
-// appendRow encodes buffered row i (window sequence seq) as one JSON
-// line.
-func (r *Recorder) appendRow(buf []byte, i int, seq uint32) []byte {
-	buf = append(buf, `{"run":`...)
-	buf = strconv.AppendInt(buf, int64(r.run), 10)
-	buf = append(buf, `,"label":`...)
-	buf = appendJSONString(buf, r.label)
-	buf = append(buf, `,"w":`...)
-	buf = strconv.AppendUint(buf, uint64(seq), 10)
-	buf = append(buf, `,"phase":`...)
-	buf = appendJSONString(buf, r.phase[i].String())
-	buf = append(buf, `,"cycle":`...)
-	buf = strconv.AppendUint(buf, r.cycle[i], 10)
-	buf = append(buf, `,"wall":`...)
-	buf = appendJSONFloat(buf, r.wall[i])
-	buf = append(buf, `,"memq":`...)
-	buf = strconv.AppendUint(buf, uint64(r.memq[i]), 10)
-	if r.relCI[i] >= 0 {
-		buf = append(buf, `,"rel_ci":`...)
-		buf = appendJSONFloat(buf, r.relCI[i])
-	}
-	if r.replay[i] != 0 {
-		buf = append(buf, `,"replay":`...)
-		buf = appendJSONFloat(buf, r.replay[i])
-	}
-	buf = append(buf, `,"refs":[`...)
-	for v := 0; v < r.nVM; v++ {
-		if v > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendUint(buf, r.vmRefs[i*r.nVM+v], 10)
-	}
-	buf = append(buf, `],"miss":[`...)
-	for v := 0; v < r.nVM; v++ {
-		if v > 0 {
-			buf = append(buf, ',')
-		}
-		buf = appendJSONFloat(buf, r.vmMiss[i*r.nVM+v])
-	}
-	buf = append(buf, `],"cpt":[`...)
-	for v := 0; v < r.nVM; v++ {
-		if v > 0 {
-			buf = append(buf, ',')
-		}
-		buf = appendJSONFloat(buf, r.vmCPT[i*r.nVM+v])
-	}
-	buf = append(buf, ']')
-	if r.nDom > 0 {
-		buf = append(buf, `,"dom_cycles":[`...)
-		for d := 0; d < r.nDom; d++ {
-			if d > 0 {
-				buf = append(buf, ',')
-			}
-			buf = strconv.AppendUint(buf, r.domCycles[i*r.nDom+d], 10)
-		}
-		buf = append(buf, `],"dom_busy":[`...)
-		for d := 0; d < r.nDom; d++ {
-			if d > 0 {
-				buf = append(buf, ',')
-			}
-			buf = appendJSONFloat(buf, r.domBusy[i*r.nDom+d])
-		}
-		buf = append(buf, ']')
-	}
-	return append(buf, '}', '\n')
-}
-
-// appendJSONFloat encodes f compactly; NaN and infinities (a window
-// with zero transactions) become -1, keeping every line valid JSON.
-func appendJSONFloat(buf []byte, f float64) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return append(buf, '-', '1')
-	}
-	return strconv.AppendFloat(buf, f, 'g', 6, 64)
-}
-
-// appendJSONString encodes s with the minimal escaping row labels need
-// (labels are workload/policy names; control characters never occur).
-func appendJSONString(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			buf = append(buf, '\\', c)
-		case c < 0x20:
-			buf = append(buf, ' ')
-		default:
-			buf = append(buf, c)
+		s.DomCycles = make([][]uint64, nDom)
+		s.DomBusy = make([][]float32, nDom)
+		for d := range nDom {
+			s.DomCycles[d] = make([]uint64, 0, rows)
+			s.DomBusy[d] = make([]float32, 0, rows)
 		}
 	}
-	return append(buf, '"')
+	return s
 }
 
-// TSRow is the decoded form of one sidecar line (reporting and tests).
-type TSRow struct {
-	Run   int     `json:"run"`
-	Label string  `json:"label"`
-	W     uint32  `json:"w"`
-	Phase string  `json:"phase"`
-	Cycle uint64  `json:"cycle"`
-	Wall  float64 `json:"wall"`
-	MemQ  uint32  `json:"memq"`
-	RelCI float64 `json:"rel_ci"`
-	// Replay is the pdes serial-replay seconds accumulated over this
-	// row's window.
-	Replay float64 `json:"replay"`
+// Rows returns the number of rows recorded.
+func (s *Series) Rows() int { return len(s.Cycle) }
 
-	Refs []uint64  `json:"refs"`
-	Miss []float64 `json:"miss"`
-	CPT  []float64 `json:"cpt"`
-
-	DomCycles []uint64  `json:"dom_cycles"`
-	DomBusy   []float64 `json:"dom_busy"`
+// Begin appends a row's scalar columns. relCI < 0 marks a run without a
+// sampling CI. The caller then fills the row's VM and domain columns.
+func (s *Series) Begin(phase TSPhase, cycle uint64, wall float64, memq int, relCI, replay float64) {
+	s.Phase = append(s.Phase, phase)
+	s.Cycle = append(s.Cycle, cycle)
+	s.Wall = append(s.Wall, finite(wall))
+	s.MemQ = append(s.MemQ, uint32(memq))
+	s.RelCI = append(s.RelCI, finite(relCI))
+	s.Replay = append(s.Replay, finite(replay))
 }
 
-// ReadTimeSeries parses a sidecar back into rows.
-func ReadTimeSeries(path string) ([]TSRow, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// VM appends VM v's columns to the row Begin started.
+func (s *Series) VM(v int, refs uint64, miss, cpt float64) {
+	s.Refs[v] = append(s.Refs[v], refs)
+	s.Miss[v] = append(s.Miss[v], finite(miss))
+	s.CPT[v] = append(s.CPT[v], finite(cpt))
+}
+
+// Domain appends pdes domain d's columns to the row Begin started.
+func (s *Series) Domain(d int, cycles uint64, busy float64) {
+	s.DomCycles[d] = append(s.DomCycles[d], cycles)
+	s.DomBusy[d] = append(s.DomBusy[d], finite(busy))
+}
+
+// finite narrows f to a float32, storing -1 for NaN and for values
+// outside float32's range, which encoding/json could not encode.
+func finite(f float64) float32 {
+	g := float32(f)
+	if math.IsNaN(float64(g)) || math.IsInf(float64(g), 0) {
+		return -1
 	}
-	defer f.Close()
-	var out []TSRow
-	dec := json.NewDecoder(bufio.NewReader(f))
-	for dec.More() {
-		var row TSRow
-		if err := dec.Decode(&row); err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
+	return g
 }

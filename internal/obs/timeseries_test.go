@@ -3,161 +3,102 @@ package obs
 import (
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
-func openTestTS(t *testing.T) (*TSWriter, string) {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "ts", "series.jsonl")
-	w, err := OpenTimeSeries(path)
-	if err != nil {
-		t.Fatalf("OpenTimeSeries: %v", err)
-	}
-	t.Cleanup(func() { w.Close() })
-	return w, path
-}
-
+// TestTimeSeriesRoundTrip records two rows, writes them inside a
+// manifest record and reads them back column by column.
 func TestTimeSeriesRoundTrip(t *testing.T) {
-	w, path := openTestTS(t)
-	r := w.NewRecorder("shared/affinity", 2, 2, 0)
-	if r.Run() != 1 {
-		t.Fatalf("first run id = %d, want 1", r.Run())
+	s := NewSeries(2, 2, 0)
+	s.Begin(TSPhaseWarmup, 1000, 0.5, 3, -1, 0)
+	s.VM(0, 8192, 0.02, 5400)
+	s.VM(1, 4096, 0.10, 9100.5)
+	s.Domain(0, 1000, 0.25)
+	s.Domain(1, 990, 0.20)
+
+	s.Begin(TSPhaseMeasure, 2000, 1.25, 0, 0.04, 0.125)
+	s.VM(0, 8192, math.NaN(), math.Inf(1)) // zero-transaction window
+	s.VM(1, 0, 0, 0)
+	s.Domain(0, 2000, 0.5)
+	s.Domain(1, 1980, 1e300) // beyond float32
+	if s.Rows() != 2 {
+		t.Fatalf("Rows = %d, want 2", s.Rows())
 	}
 
-	r.Begin(TSPhaseWarmup, 1000, 0.5, 3, -1, 0)
-	r.VM(0, 8192, 0.02, 5400)
-	r.VM(1, 4096, 0.10, 9100.5)
-	r.Domain(0, 1000, 0.25)
-	r.Domain(1, 990, 0.20)
-	r.Commit()
-
-	r.Begin(TSPhaseMeasure, 2000, 1.25, 0, 0.04, 0.125)
-	r.VM(0, 8192, math.NaN(), math.Inf(1)) // zero-transaction window
-	r.VM(1, 0, 0, 0)
-	r.Domain(0, 2000, 0.5)
-	r.Domain(1, 1980, 0.45)
-	r.Commit()
-
-	if err := r.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if r.Rows() != 2 {
-		t.Fatalf("Rows = %d, want 2", r.Rows())
-	}
-
-	rows, err := ReadTimeSeries(path)
+	path := filepath.Join(t.TempDir(), "m.jsonl")
+	w, err := OpenManifest(path)
 	if err != nil {
-		t.Fatalf("ReadTimeSeries: %v", err)
+		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("decoded %d rows, want 2", len(rows))
+	if err := w.Write(Manifest{Label: "shared/affinity", Series: s}); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
-	r0 := rows[0]
-	if r0.Run != 1 || r0.Label != "shared/affinity" || r0.W != 0 || r0.Phase != "warmup" {
-		t.Fatalf("row 0 header = %+v", r0)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if r0.Cycle != 1000 || r0.Wall != 0.5 || r0.MemQ != 3 {
-		t.Fatalf("row 0 scalars = %+v", r0)
+	ms, err := ReadManifests(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r0.RelCI != 0 { // relCI<0 is omitted from the line entirely
-		t.Fatalf("row 0 rel_ci = %v, want omitted (0)", r0.RelCI)
+	got := ms[0].Series
+	if got == nil || got.Rows() != 2 {
+		t.Fatalf("decoded series = %+v", got)
 	}
-	if r0.Refs[0] != 8192 || r0.Miss[1] != 0.10 || r0.CPT[1] != 9100.5 {
-		t.Fatalf("row 0 VM columns = %+v", r0)
+	if !reflect.DeepEqual(got.Phase, []TSPhase{TSPhaseWarmup, TSPhaseMeasure}) ||
+		!reflect.DeepEqual(got.Cycle, []uint64{1000, 2000}) ||
+		!reflect.DeepEqual(got.Wall, []float32{0.5, 1.25}) ||
+		!reflect.DeepEqual(got.MemQ, []uint32{3, 0}) ||
+		!reflect.DeepEqual(got.RelCI, []float32{-1, 0.04}) ||
+		!reflect.DeepEqual(got.Replay, []float32{0, 0.125}) {
+		t.Fatalf("scalar columns = %+v", got)
 	}
-	if r0.DomCycles[1] != 990 || r0.DomBusy[0] != 0.25 {
-		t.Fatalf("row 0 domain columns = %+v", r0)
+	if !reflect.DeepEqual(got.Refs, [][]uint64{{8192, 8192}, {4096, 0}}) ||
+		got.Miss[1][0] != 0.10 || got.CPT[1][0] != 9100.5 {
+		t.Fatalf("VM columns = refs %v miss %v cpt %v", got.Refs, got.Miss, got.CPT)
 	}
-	r1 := rows[1]
-	if r1.W != 1 || r1.Phase != "measure" || r1.RelCI != 0.04 || r1.Replay != 0.125 {
-		t.Fatalf("row 1 = %+v", r1)
+	// NaN and infinities are stored as -1, so the record stays valid JSON.
+	if got.Miss[0][1] != -1 || got.CPT[0][1] != -1 || got.DomBusy[1][1] != -1 {
+		t.Fatalf("non-finite values = miss %v cpt %v busy %v, want -1", got.Miss[0][1], got.CPT[0][1], got.DomBusy[1][1])
 	}
-	// NaN/Inf sanitize to -1 so the sidecar stays valid JSON.
-	if r1.Miss[0] != -1 || r1.CPT[0] != -1 {
-		t.Fatalf("row 1 NaN columns = miss %v cpt %v, want -1", r1.Miss[0], r1.CPT[0])
+	if !reflect.DeepEqual(got.DomCycles, [][]uint64{{1000, 2000}, {990, 1980}}) || got.DomBusy[0][0] != 0.25 {
+		t.Fatalf("domain columns = %v %v", got.DomCycles, got.DomBusy)
 	}
 }
 
-// TestTimeSeriesSpill fills past the ring capacity and checks every row
-// survives with contiguous window sequence numbers.
-func TestTimeSeriesSpill(t *testing.T) {
-	w, path := openTestTS(t)
+// TestTimeSeriesGrowsPastPrealloc records past the preallocated rows
+// and checks every row survives in order.
+func TestTimeSeriesGrowsPastPrealloc(t *testing.T) {
 	const capacity, total = 4, 11
-	r := w.NewRecorder("spill", 1, 0, capacity)
-	for i := 0; i < total; i++ {
-		r.Begin(TSPhaseMeasure, uint64(i)*100, float64(i), i, -1, 0)
-		r.VM(0, uint64(i), 0.5, 100)
-		r.Commit()
+	s := NewSeries(1, 0, capacity)
+	for i := range total {
+		s.Begin(TSPhaseMeasure, uint64(i)*100, float64(i), i, -1, 0)
+		s.VM(0, uint64(i), 0.5, 100)
 	}
-	if err := r.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+	if s.Rows() != total || len(s.Refs[0]) != total {
+		t.Fatalf("recorded %d rows (%d refs), want %d", s.Rows(), len(s.Refs[0]), total)
 	}
-	rows, err := ReadTimeSeries(path)
-	if err != nil {
-		t.Fatalf("ReadTimeSeries: %v", err)
-	}
-	if len(rows) != total {
-		t.Fatalf("decoded %d rows, want %d", len(rows), total)
-	}
-	for i, row := range rows {
-		if int(row.W) != i || row.Cycle != uint64(i)*100 || row.Refs[0] != uint64(i) {
-			t.Fatalf("row %d out of order: %+v", i, row)
+	for i := range total {
+		if s.Cycle[i] != uint64(i)*100 || s.Refs[0][i] != uint64(i) || s.MemQ[i] != uint32(i) {
+			t.Fatalf("row %d out of order: cycle %d refs %d memq %d", i, s.Cycle[i], s.Refs[0][i], s.MemQ[i])
 		}
-	}
-}
-
-// TestTimeSeriesRunsInterleave checks two recorders share one sidecar
-// without clashing run ids.
-func TestTimeSeriesRunsInterleave(t *testing.T) {
-	w, path := openTestTS(t)
-	a := w.NewRecorder("a", 1, 0, 2)
-	b := w.NewRecorder("b", 1, 0, 2)
-	if a.Run() == b.Run() {
-		t.Fatalf("run ids clash: %d", a.Run())
-	}
-	for i := 0; i < 3; i++ {
-		a.Begin(TSPhaseMeasure, uint64(i), 0, 0, -1, 0)
-		a.VM(0, 1, 0, 0)
-		a.Commit()
-		b.Begin(TSPhaseMeasure, uint64(i), 0, 0, -1, 0)
-		b.VM(0, 2, 0, 0)
-		b.Commit()
-	}
-	if err := a.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := ReadTimeSeries(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[int]int{}
-	for _, row := range rows {
-		counts[row.Run]++
-	}
-	if counts[a.Run()] != 3 || counts[b.Run()] != 3 {
-		t.Fatalf("per-run row counts = %v", counts)
 	}
 }
 
 // TestRecorderZeroAllocSteadyState pins the recording hot path at zero
-// allocations: Begin/VM/Domain/Commit within capacity must be pure
-// column writes, or -timeseries would break the simulator's
+// allocations: Begin/VM/Domain within the preallocated rows must be pure
+// column appends, or -timeseries would break the simulator's
 // steady-state allocation budget.
 func TestRecorderZeroAllocSteadyState(t *testing.T) {
-	w, _ := openTestTS(t)
-	r := w.NewRecorder("alloc", 4, 2, 1<<16)
+	s := NewSeries(4, 2, 1<<12)
 	var i uint64
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Begin(TSPhaseMeasure, i, float64(i), 5, -1, 0)
+		s.Begin(TSPhaseMeasure, i, float64(i), 5, -1, 0)
 		for v := 0; v < 4; v++ {
-			r.VM(v, i, 0.02, 5000)
+			s.VM(v, i, 0.02, 5000)
 		}
-		r.Domain(0, i, 0.1)
-		r.Domain(1, i, 0.1)
-		r.Commit()
+		s.Domain(0, i, 0.1)
+		s.Domain(1, i, 0.1)
 		i++
 	})
 	if allocs != 0 {
@@ -167,8 +108,14 @@ func TestRecorderZeroAllocSteadyState(t *testing.T) {
 
 func TestTSPhaseNames(t *testing.T) {
 	for _, name := range []string{"warmup", "measure", "window", "fastforward", "snapshot"} {
-		if got := TSPhaseOf(name).String(); got != name {
+		p := TSPhaseOf(name)
+		if got := p.String(); got != name {
 			t.Errorf("TSPhaseOf(%q).String() = %q", name, got)
+		}
+		text, _ := p.MarshalText()
+		var back TSPhase
+		if err := back.UnmarshalText(text); err != nil || back != p {
+			t.Errorf("%q: text round trip gave %v, %v", name, back, err)
 		}
 	}
 	if TSPhaseOf("no-such-phase") != TSPhaseOther {

@@ -94,6 +94,16 @@ for removed in -pdes-pipeline -pdes-replay-workers; do
 	echo "$removed_out" | grep -q -- "flag provided but not defined: $removed" \
 		|| { echo "check.sh: consim $removed failed for another reason: $removed_out" >&2; exit 1; }
 done
+# The time series lives in each run's manifest record: the separate
+# -timeseries file, its run-id join, its hand-written encoder and obs
+# report's -ts option were deleted and must stay gone.
+ts_out=$(go run ./cmd/consim obs report -ts ts.jsonl m.jsonl 2>&1) \
+	&& { echo "check.sh: consim obs report accepted -ts" >&2; exit 1; }
+echo "$ts_out" | grep -q -- "flag provided but not defined: -ts" \
+	|| { echo "check.sh: consim obs report -ts failed for another reason: $ts_out" >&2; exit 1; }
+if grep -rnwE 'TSWriter|OpenTimeSeries|NewRecorder|DefaultTSCapacity|ReadTimeSeries|appendJSONFloat|appendJSONString|SetTimeseriesPath|Timeseries|TimeseriesRun|TimeseriesRows|TSRow' --include='*.go' .; then
+	echo "check.sh: a deleted time-series sidecar symbol is back (above)" >&2; exit 1
+fi
 # cmd/bench and its BENCH_consim.json gate were deleted in PR 19
 # (benchmark/ measures everything they did; EXPERIMENTS.md "One
 # benchmark harness"). A second harness must not come back.
@@ -127,7 +137,8 @@ echo "== warm-walk smoke =="
 # bit-identical cache tags/LRU, directory, dircache, RNG cursor — for
 # ring and trace-replay sources, with the shared lookahead prefetch
 # forced on, and an observed -sample -timeseries run must surface the
-# fast-forward phase split and cost ratio in its obs report.
+# fast-forward phase split, cost ratio and time series in its obs report,
+# read from the manifest alone.
 go test -short -run 'TestWarmWalkDifferential' ./internal/core
 # One walk: warm.go's functional copy of it was deleted in PR 17. Each
 # protocol assertion lives in exactly one non-test file of internal/core,
@@ -139,8 +150,10 @@ done
 warm_dir=$(mktemp -d /tmp/consim_warm.XXXXXX)
 go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
 	-sample 1000 -sample-ci 0.2 \
-	-timeseries "$warm_dir/ts.jsonl" -manifest "$warm_dir/m.jsonl" >/dev/null
+	-timeseries -manifest "$warm_dir/m.jsonl" >/dev/null
 warm_report=$(go run ./cmd/consim obs report "$warm_dir/m.jsonl")
+echo "$warm_report" | grep -q "time series ([0-9]* rows)" \
+	|| { echo "check.sh: obs report missing the time-series summary: $warm_report" >&2; exit 1; }
 echo "$warm_report" | grep -q "fast-forward" \
 	|| { echo "check.sh: obs report missing the fast-forward phase: $warm_report" >&2; exit 1; }
 echo "$warm_report" | grep -q "warm-up: 1000 detailed + 100[01] functional refs/core" \
@@ -161,23 +174,22 @@ go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
 	|| { echo "check.sh: pdes run produced no provenance line" >&2; exit 1; }
 
 echo "== phase profiler smoke =="
-# A -pdes -timeseries run must record per-window telemetry rows and a
-# phase profile whose obs report prints the in-window/replay
-# decomposition; obs diff of two identical runs must exit clean (the
-# wide threshold tolerates wall-clock noise — the wiring is under test,
-# not the machine).
+# A -pdes -timeseries run must record per-window telemetry rows in its
+# manifest record and a phase profile whose obs report prints the
+# in-window/replay decomposition and the time series; obs diff of two
+# identical runs must exit clean (the wide threshold tolerates
+# wall-clock noise — the wiring is under test, not the machine).
 obs_dir=$(mktemp -d /tmp/consim_obs.XXXXXX)
 for i in 1 2; do
 	go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
-		-pdes 4 -timeseries "$obs_dir/ts.jsonl" -manifest "$obs_dir/m.jsonl" >/dev/null
+		-pdes 4 -timeseries -manifest "$obs_dir/m.jsonl" >/dev/null
 done
-test -s "$obs_dir/ts.jsonl" || { echo "check.sh: empty time-series sidecar" >&2; exit 1; }
 obs_report=$(go run ./cmd/consim obs report "$obs_dir/m.jsonl")
 echo "$obs_report" | grep -q "replay" \
 	|| { echo "check.sh: obs report missing the replay term: $obs_report" >&2; exit 1; }
 echo "$obs_report" | grep -q "in-window" \
 	|| { echo "check.sh: obs report missing the in-window term: $obs_report" >&2; exit 1; }
-echo "$obs_report" | grep -q "time series" \
+echo "$obs_report" | grep -q "time series ([0-9]* rows)" \
 	|| { echo "check.sh: obs report missing the time-series summary: $obs_report" >&2; exit 1; }
 go run ./cmd/consim obs diff -threshold 0.5 "$obs_dir/m.jsonl" >/dev/null \
 	|| { echo "check.sh: obs diff flagged two identical runs" >&2; exit 1; }
