@@ -1,6 +1,6 @@
 // Command consim is the simulator's one binary. Its simulating
 // subcommands share one run-flag set (budgets, seed, scale, -parallel,
-// the -sample and -pdes engines, the observability sinks), one
+// the -sample engine, the observability sinks), one
 // validation path (core.Config.Validate) and one batch pool (the harness
 // runner):
 //
@@ -144,17 +144,13 @@ func newRunFlags(name, operands string, scale int, warm, meas uint64) *runFlags 
 	fs.Float64Var(&s.CITarget, "sample-ci", 0, "stop once every per-VM metric's relative 95% CI half-width reaches this (default 0.05)")
 	fs.IntVar(&s.MinWindows, "sample-min-windows", 0, "fewest windows convergence may stop at (default 4)")
 	fs.Uint64Var(&s.MaxRefs, "sample-max-refs", 0, "per-core detailed-reference budget; stop when reached even unconverged (default: the measurement budget)")
-	fs.IntVar(&o.Pdes, "pdes", 0, "split-transaction parallel engine domains inside each simulation: 0/1 = sequential engine, N>1 partitions active cores into N windowed domains (approximate: deviations gated by the equivalence harness)")
-	fs.Uint64Var((*uint64)(&o.PdesWindow), "pdes-window", 0, "parallel engine window width in cycles (default 16384; requires -pdes > 1); wider windows amortize barriers at the price of staler cross-domain coherence")
 	f.sinks.Register(fs)
 	return f
 }
 
 // withEngine returns cfg under the engine the flags select.
 func (f *runFlags) withEngine(cfg core.Config) core.Config {
-	o := &f.opt
-	cfg.Sample = o.Sample
-	cfg.Pdes, cfg.PdesWindow = o.Pdes, o.PdesWindow
+	cfg.Sample = f.opt.Sample
 	return cfg
 }
 

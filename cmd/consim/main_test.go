@@ -12,7 +12,6 @@ import (
 
 	"consim/internal/harness"
 	"consim/internal/obs"
-	"consim/internal/sim"
 )
 
 func TestMain(m *testing.M) {
@@ -62,8 +61,10 @@ func TestDispatch(t *testing.T) {
 		{"trace replay -h", flag.ErrHelp.Error()},
 		{"obs report -h", flag.ErrHelp.Error()},
 		{"-shards 2", "usage: flag provided but not defined: -shards"},
-		{"-pdes 2 -pdes-pipeline", "usage: flag provided but not defined: -pdes-pipeline"},
-		{"-pdes 2 -pdes-replay-workers 2", "usage: flag provided but not defined: -pdes-replay-workers"},
+		{"-pdes 2", "usage: flag provided but not defined: -pdes"},
+		{"tables -pdes-window 8192", "usage: flag provided but not defined: -pdes-window"},
+		{"-pdes-pipeline", "usage: flag provided but not defined: -pdes-pipeline"},
+		{"-pdes-replay-workers 2", "usage: flag provided but not defined: -pdes-replay-workers"},
 		{"obs report -ts ts.jsonl m.jsonl", "usage: flag provided but not defined: -ts"},
 		// -timeseries takes no path: the old form leaves it as an operand.
 		{"-timeseries ts.jsonl -manifest m.jsonl", "usage: consim run: 1 operands"},
@@ -123,58 +124,51 @@ func TestSubcommandArgs(t *testing.T) {
 	}
 }
 
-// TestPdesFlags parses engine argument lists through every simulating
+// TestPdesFlags checks that no simulating subcommand takes the parallel
+// engine's flags: it runs only where a caller sets core.Config.Pdes.
+func TestPdesFlags(t *testing.T) {
+	for name, parse := range simulators(t) {
+		for _, removed := range []string{"-pdes", "-pdes-window"} {
+			_, err := parse([]string{removed, "8192"})
+			want := "usage: flag provided but not defined: " + removed
+			if got := errString(err); got != want || !errors.Is(err, errUsage) {
+				t.Errorf("%s %s: error %q, want %q", name, removed, got, want)
+			}
+		}
+	}
+}
+
+// TestSampleFlags parses sampling argument lists through every simulating
 // subcommand: a consistent list lands in the runner options and in each
 // configuration the subcommand runs itself, and an inconsistent one is
 // refused with core.Config.Validate's message, the same from all of them.
-func TestPdesFlags(t *testing.T) {
-	type vals struct {
-		pdes   int
-		window sim.Cycle
-		sample uint64
-	}
-	const traceRefusal = "core: pdes requires statistical generators, not trace sources"
+func TestSampleFlags(t *testing.T) {
 	parsers := simulators(t)
 	for _, tc := range []struct {
 		args    string
-		want    vals
+		want    uint64
 		wantErr string
 	}{
 		{args: ""},
-		{args: "-pdes 1", want: vals{pdes: 1}},
-		{args: "-pdes 2", want: vals{pdes: 2}},
-		{args: "-pdes 4 -pdes-window 8192", want: vals{pdes: 4, window: 8192}},
-		{args: "-pdes 2 -pdes-window 1048576", want: vals{pdes: 2, window: 1 << 20}},
-		{args: "-sample 500 -sample-ci 0.2", want: vals{sample: 500}},
-		{args: "-pdes-window 8192", wantErr: "core: a pdes window requires the parallel engine (Pdes > 1)"},
-		{args: "-pdes 2 -pdes-window 1048577", wantErr: "core: pdes window 1048577 exceeds the maximum 1048576 cycles"},
-		{args: "-pdes 2 -pdes-window 18446744073709551615", wantErr: "core: pdes window 18446744073709551615 exceeds the maximum 1048576 cycles"},
+		{args: "-sample 500 -sample-ci 0.2", want: 500},
 		{args: "-sample 500 -sample-ci NaN", wantErr: "core: CI target NaN is not a finite non-negative number"},
 		{args: "-sample 500 -sample-ci +Inf", wantErr: "core: CI target +Inf is not a finite non-negative number"},
-		{args: "-pdes 2 -sample 1000", wantErr: "core: pdes and interval sampling are mutually exclusive engines"},
-		{args: "-pdes 64", wantErr: "core: 64 pdes workers exceed 16 cores"},
 		{args: "-sample 1000 -sample-ratio -1", wantErr: "core: negative fast-forward ratio -1"},
-		{args: "-pdes -1", wantErr: "core: negative pdes worker count -1"},
 	} {
 		for name, parse := range parsers {
-			wantErr := tc.wantErr
-			if name == "trace replay" && tc.want.pdes > 1 {
-				wantErr = traceRefusal
-			}
 			j, err := parse(strings.Fields(tc.args))
-			if got := errString(err); got != wantErr {
-				t.Errorf("%s %q: error %q, want %q", name, tc.args, got, wantErr)
+			if got := errString(err); got != tc.wantErr {
+				t.Errorf("%s %q: error %q, want %q", name, tc.args, got, tc.wantErr)
 			}
 			if err != nil {
 				continue
 			}
-			o := j.opt
-			if got := (vals{o.Pdes, o.PdesWindow, o.Sample.WindowRefs}); got != tc.want {
-				t.Errorf("%s %q: options got %+v, want %+v", name, tc.args, got, tc.want)
+			if got := j.opt.Sample.WindowRefs; got != tc.want {
+				t.Errorf("%s %q: options sample %d, want %d", name, tc.args, got, tc.want)
 			}
 			for _, c := range j.cfgs {
-				if got := (vals{c.Pdes, c.PdesWindow, c.Sample.WindowRefs}); got != tc.want {
-					t.Errorf("%s %q: config got %+v, want %+v", name, tc.args, got, tc.want)
+				if got := c.Sample.WindowRefs; got != tc.want || c.Pdes != 0 {
+					t.Errorf("%s %q: config sample %d pdes %d, want %d and 0", name, tc.args, got, c.Pdes, tc.want)
 				}
 			}
 		}

@@ -154,10 +154,6 @@ func printResult(res core.Result, regions, snapshot bool) {
 	if sa := res.Sample; sa.Windows > 0 {
 		fmt.Printf("%s — metrics are estimates\n", sa.Provenance())
 	}
-	if ps := res.Pdes; ps.Workers > 1 {
-		fmt.Printf("parallel: %d domains (of %d workers), %d windows of %d cycles, %d replayed ops — metrics are estimates\n",
-			ps.Domains, ps.Workers, ps.Windows, ps.Window, ps.Ops)
-	}
 	fmt.Printf("%-4s %-8s %12s %10s %10s %8s %8s %8s %8s\n",
 		"vm", "workload", "refs", "cyc/tx", "missRate", "missLat", "c2c", "c2cDirty", "memReads")
 	for _, v := range res.VMs {

@@ -33,8 +33,7 @@ import (
 
 // Core simulator types.
 type (
-	// Cycle is a simulated-time cycle count (Config.PdesWindow,
-	// Result.Cycles).
+	// Cycle is a simulated-time cycle count (Result.Cycles).
 	Cycle = sim.Cycle
 	// Config describes one simulation run; see DefaultConfig.
 	Config = core.Config
@@ -179,11 +178,3 @@ func CompareSampledRun(cfg Config, sc SampleConfig) (RunComparison, error) {
 // DefaultPdesBound is the fixed error budget split-transaction parallel
 // runs are judged against (harness.DefaultPdesBound).
 const DefaultPdesBound = harness.DefaultPdesBound
-
-// CompareParallelRun executes cfg sequentially and again under the
-// split-transaction parallel engine (workers domains, window cycles; 0
-// selects the default window), reporting per-VM metric deviations
-// against bound (<= 0 selects DefaultPdesBound).
-func CompareParallelRun(cfg Config, workers int, window sim.Cycle, bound float64) (RunComparison, error) {
-	return harness.CompareParallelRun(cfg, workers, window, bound)
-}

@@ -131,8 +131,9 @@ const dirFree = 0
 // tracked line (the dominant steady-state allocation of a whole
 // simulation) and paid Go's generic map hashing on every lookup of the
 // LLC transaction path. The flat table is allocation-free in steady
-// state; see RefDirectory for the retired map implementation, kept as the
-// oracle for the differential parity tests.
+// state. The retired map implementation survives only in this package's
+// tests (refdir_test.go), as the oracle for the differential parity
+// tests.
 type Directory struct {
 	nodes    int
 	homeMask int // nodes-1 when nodes is a power of two, else -1

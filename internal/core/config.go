@@ -153,16 +153,10 @@ type Config struct {
 	// bounded time windows, replaying cross-domain coherence at each
 	// window barrier. This legitimately changes the simulated stream —
 	// results are statistical estimates gated by the equivalence harness
-	// (harness.CompareParallelRun), deterministic per (seed, Pdes,
-	// PdesWindow). Incompatible with sampling, dynamic rebalancing,
-	// mid-run snapshots and trace sources.
+	// (harness.CompareParallelRun), deterministic per (seed, Pdes).
+	// Incompatible with sampling, dynamic rebalancing, mid-run snapshots
+	// and trace sources.
 	Pdes int
-
-	// PdesWindow overrides the parallel engine's window width in cycles
-	// (default DefaultPdesWindow). Wider windows amortize barrier cost —
-	// more speedup — at the price of staler cross-domain coherence inside
-	// a window; the equivalence bound gates either way. Requires Pdes > 1.
-	PdesWindow sim.Cycle
 
 	// PdesReplayWorkers sharded the barrier replay by LLC bank group.
 	// The sharded replay matched the serial one bit for bit and was never
@@ -170,14 +164,14 @@ type Config struct {
 	// field, and every value runs the serial replay.
 	//
 	// Deprecated: results never depended on it; the field goes with the
-	// -pdes engine.
+	// parallel engine.
 	PdesReplayWorkers int
 
 	// PdesPipeline selected window/replay pipelining, which was never
 	// faster than the serial replay and was removed. Validate rejects
 	// true.
 	//
-	// Deprecated: leave it false; the field goes with the -pdes engine.
+	// Deprecated: leave it false; the field goes with the parallel engine.
 	PdesPipeline bool
 
 	// Obs attaches the observability hooks (metric shard, tracer lane,

@@ -3,7 +3,7 @@
 // The sequential event loop executes every memory reference atomically
 // at event-pop time, so the conservative lookahead between any two
 // cores is zero: no two events can overlap without changing results.
-// -pdes=N therefore changes the model instead: it remodels each
+// Config.Pdes = N therefore changes the model instead: it remodels each
 // reference as a split transaction — an *issue* event that walks
 // the requester's private hierarchy and an in-flight *completion* event
 // scheduled one estimated miss latency later — and partitions the
@@ -28,14 +28,14 @@
 // functional transition still happens exactly once, in one total order,
 // under the same coherence walk the sequential engine uses.
 //
-// The window is therefore not a correctness bound but an accuracy knob:
+// The window is therefore not a correctness bound but an accuracy trade:
 // cross-domain coherence actions land up to one window late, which
 // perturbs the interleaving the way relaxed-synchronization simulators
 // (Graphite, Sniper, Pac-Sim — see PAPERS.md) accept and bound by
-// measurement. Accordingly -pdes results are gated the way sampling is:
+// measurement. Accordingly its results are gated the way sampling is:
 // harness.CompareParallelRun quantifies the per-VM deviation from the
 // sequential engine (TestPdesEquivalence gates it), and runs are
-// deterministic for a fixed (seed, Pdes, PdesWindow) — domains, their
+// deterministic for a fixed (seed, Pdes) — domains, their
 // event orders, the op-log merge and the barrier cadence are all
 // reproducible, with no wall-clock input to any simulated value.
 package core
@@ -58,15 +58,11 @@ import (
 	"consim/internal/workload"
 )
 
-// DefaultPdesWindow is the default width, in cycles, of one parallel
-// window. Windows far wider than the ~14-cycle true lookahead trade
-// cross-domain timeliness for barrier amortization; TestPdesEquivalence
-// holds this width to the accuracy bound.
-const DefaultPdesWindow = sim.Cycle(16384)
-
-// maxPdesWindow is the widest window Validate accepts (64x the default,
-// the widest the fuzzers exercise).
-const maxPdesWindow = sim.Cycle(1 << 20)
+// pdesWindow is the width, in cycles, of one parallel window. Windows
+// far wider than the ~14-cycle true lookahead trade cross-domain
+// timeliness for barrier amortization; TestPdesEquivalence holds this
+// width to the accuracy bound.
+const pdesWindow = sim.Cycle(16384)
 
 // Event payload encoding: local core index << 1 | kind.
 const (
@@ -105,12 +101,10 @@ type pdesPending struct {
 // PdesStats reports what the parallel engine did during a run; all
 // fields are zero for the sequential engine.
 type PdesStats struct {
-	// Workers is the configured -pdes count, Domains the worker domains
+	// Workers is the configured Pdes count, Domains the worker domains
 	// actually formed (bounded by the active-core count).
 	Workers int `json:"workers,omitempty"`
 	Domains int `json:"domains,omitempty"`
-	// Window is the effective window width in cycles.
-	Window sim.Cycle `json:"window,omitempty"`
 	// Windows counts barrier-to-barrier rounds, Ops the shared-tier
 	// operations replayed at barriers.
 	Windows uint64 `json:"windows,omitempty"`
@@ -146,16 +140,7 @@ func (c Config) validatePdes() error {
 		return fmt.Errorf("core: pdes window/replay pipelining was removed; leave PdesPipeline false")
 	}
 	if c.Pdes <= 1 {
-		if c.PdesWindow != 0 {
-			return fmt.Errorf("core: a pdes window requires the parallel engine (Pdes > 1)")
-		}
 		return nil
-	}
-	if c.PdesWindow > maxPdesWindow {
-		// A run overshoots its target by up to one window, and
-		// nextHorizon's min+window wraps past the top of sim.Cycle: a
-		// wider window either never finishes or spins forever.
-		return fmt.Errorf("core: pdes window %d exceeds the maximum %d cycles", c.PdesWindow, maxPdesWindow)
 	}
 	if c.Pdes > c.Cores {
 		return fmt.Errorf("core: %d pdes workers exceed %d cores", c.Pdes, c.Cores)
@@ -228,7 +213,6 @@ type pdesEngine struct {
 	s     *System
 	stats PdesStats
 
-	window  sim.Cycle
 	domains []*pdesDomain
 
 	// Execution decouples from partition: the domain count (result-
@@ -253,10 +237,7 @@ type pdesEngine struct {
 // Worker goroutines start in start(), not here.
 func newPdesEngine(s *System) *pdesEngine {
 	cfg := &s.cfg
-	e := &pdesEngine{s: s, window: cfg.PdesWindow}
-	if e.window <= 0 {
-		e.window = DefaultPdesWindow
-	}
+	e := &pdesEngine{s: s}
 
 	// Partition the ACTIVE cores round-robin across up to Pdes domains.
 	// Workloads that light up few cores (the isolation sweeps) would
@@ -274,7 +255,6 @@ func newPdesEngine(s *System) *pdesEngine {
 	}
 	e.stats.Workers = cfg.Pdes
 	e.stats.Domains = nd
-	e.stats.Window = e.window
 	for d := 0; d < nd; d++ {
 		e.domains = append(e.domains, &pdesDomain{id: d})
 	}
@@ -475,7 +455,7 @@ func (e *pdesEngine) nextHorizon() sim.Cycle {
 			min, first = t, false
 		}
 	}
-	return min + e.window
+	return min + pdesWindow
 }
 
 // awaitWorkers spins the spine until every worker has drained its

@@ -7,14 +7,13 @@ import (
 	"testing"
 
 	"consim/internal/sched"
-	"consim/internal/sim"
 	"consim/internal/workload"
 )
 
 // pdesDigest is the comparison projection for parallel-vs-parallel
 // determinism checks: the full golden digest (counters, latencies,
 // snapshot) must be byte-identical across repeated runs at the same
-// (seed, Pdes, PdesWindow).
+// (seed, Pdes).
 func pdesDigest(t *testing.T, res Result) string {
 	t.Helper()
 	d := digestOf(res)
@@ -42,7 +41,6 @@ func pdesRelErr(got, want float64) float64 {
 func pdesOracle(t *testing.T, cfg Config) Result {
 	t.Helper()
 	cfg.Pdes = 1
-	cfg.PdesWindow = 0
 	return mustRun(t, cfg)
 }
 
@@ -91,7 +89,6 @@ func TestPdesValidation(t *testing.T) {
 		func(c *Config) { c.Pdes = 4; c.Sample.WindowRefs = 1000 },
 		func(c *Config) { c.Pdes = 4; c.RebalanceCycles = 100_000 },
 		func(c *Config) { c.Pdes = 4; c.SnapshotRefs = 1000 },
-		func(c *Config) { c.PdesWindow = 8192 }, // a window without the parallel engine
 	}
 	for i, mut := range bad {
 		cfg := base
@@ -113,23 +110,6 @@ func TestPdesValidation(t *testing.T) {
 	over.TimesliceCycles = 5_000
 	if _, err := NewSystem(over); err != nil {
 		t.Errorf("over-committed pdes config rejected: %v", err)
-	}
-
-	// A window past maxPdesWindow would overshoot the run by up to that
-	// many cycles, and near the top of sim.Cycle nextHorizon's min+window
-	// wraps below every pending event and spins forever. Checked through
-	// Validate only: no such run is ever started.
-	for _, w := range []sim.Cycle{maxPdesWindow + 1, 1 << 62, math.MaxUint64} {
-		cfg := good
-		cfg.PdesWindow = w
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("window %d accepted", w)
-		}
-	}
-	widest := good
-	widest.PdesWindow = maxPdesWindow
-	if err := widest.Validate(); err != nil {
-		t.Errorf("window %d (the maximum) rejected: %v", maxPdesWindow, err)
 	}
 }
 
@@ -161,7 +141,7 @@ func TestPdesReplayValidation(t *testing.T) {
 }
 
 // TestPdesDeterministic verifies the engine's reproducibility contract:
-// at a fixed (seed, Pdes, PdesWindow) every run produces a byte-
+// at a fixed (seed, Pdes) every run produces a byte-
 // identical digest, and the domain partition is independent of host
 // scheduling.
 func TestPdesDeterministic(t *testing.T) {
@@ -242,45 +222,41 @@ func TestPdesEquivalence(t *testing.T) {
 }
 
 // FuzzPdesOrdering fuzzes the cross-domain event ordering: arbitrary
-// seeds, worker counts and window widths must stay within the
+// seeds and worker counts must stay within the
 // equivalence bound of the sequential oracle AND be internally
 // deterministic (two runs at the same inputs byte-identical). This is
 // the adversarial check on the window protocol: a race or an
 // order-dependent merge shows up as either divergence between repeats
 // or a blown bound.
 func FuzzPdesOrdering(f *testing.F) {
-	f.Add(uint64(1), 4, uint32(8192))
-	f.Add(uint64(7), 2, uint32(1024))
-	f.Add(uint64(42), 8, uint32(65536))
-	f.Fuzz(func(t *testing.T, seed uint64, workers int, window uint32) {
+	f.Add(uint64(1), 4)
+	f.Add(uint64(7), 2)
+	f.Add(uint64(42), 8)
+	f.Fuzz(func(t *testing.T, seed uint64, workers int) {
 		if workers < 2 || workers > 16 {
-			t.Skip()
-		}
-		if window < 64 || sim.Cycle(window) > maxPdesWindow {
 			t.Skip()
 		}
 		cfg := fastCfg(4, sched.Affinity, workload.TPCW, workload.SPECjbb)
 		cfg.Seed = seed
 		cfg.WarmupRefs = 5_000
 		cfg.MeasureRefs = 20_000
-		cfg.PdesWindow = sim.Cycle(window)
 		cfg.Pdes = workers
 
 		first := pdesDigest(t, mustRun(t, cfg))
 		if second := pdesDigest(t, mustRun(t, cfg)); second != first {
-			t.Fatalf("nondeterministic at seed=%d workers=%d window=%d", seed, workers, window)
+			t.Fatalf("nondeterministic at seed=%d workers=%d", seed, workers)
 		}
 		// Tiny runs are noisy; the fuzz bound is looser than the
 		// measurement-scale equivalence gate but still catches protocol
 		// breakage (which produces order-of-magnitude divergence).
 		if worst := comparePdes(t, cfg, workers); worst > 0.35 {
-			t.Fatalf("seed=%d workers=%d window=%d worst rel err %.4f", seed, workers, window, worst)
+			t.Fatalf("seed=%d workers=%d worst rel err %.4f", seed, workers, worst)
 		}
 	})
 }
 
 // TestPdesStatsShape checks the provenance plumbing: a parallel run
-// reports its worker/domain/window accounting and a sequential run
+// reports its worker/domain/barrier accounting and a sequential run
 // reports none.
 func TestPdesStatsShape(t *testing.T) {
 	cfg := fastCfg(4, sched.Affinity, workload.TPCW, workload.SPECjbb)
@@ -291,9 +267,6 @@ func TestPdesStatsShape(t *testing.T) {
 	}
 	if res.Pdes.Domains < 2 || res.Pdes.Domains > 4 {
 		t.Errorf("Domains = %d, want 2..4", res.Pdes.Domains)
-	}
-	if res.Pdes.Window != DefaultPdesWindow {
-		t.Errorf("Window = %d, want default %d", res.Pdes.Window, DefaultPdesWindow)
 	}
 	if res.Pdes.Windows == 0 || res.Pdes.Ops == 0 {
 		t.Errorf("Windows/Ops = %d/%d, want both > 0", res.Pdes.Windows, res.Pdes.Ops)

@@ -50,7 +50,7 @@ func TestPhaseProfileSequential(t *testing.T) {
 // decomposition: in-window + replay + barrier must account for the
 // run's measured wall time (the report's untracked residual is loop
 // bookkeeping only), the per-domain breakdown must cover every domain,
-// and the time series must carry the same story per window.
+// and the time series must record the run's VMs row by row.
 func TestPdesPhaseProfileCoverage(t *testing.T) {
 	cfg := fastCfg(4, sched.Affinity, workload.TPCW, workload.SPECjbb, workload.TPCH, workload.SPECweb)
 	cfg.Pdes = 4
@@ -92,24 +92,15 @@ func TestPdesPhaseProfileCoverage(t *testing.T) {
 		t.Fatalf("apply fraction = %v", af)
 	}
 
-	// Time series: domain columns sized to the engine, every column one
-	// entry per row, per-window replay deltas summing to the total.
+	// Time series: VM columns sized to the run, each one entry per row.
 	n := series.Rows()
-	if len(series.DomCycles) != res.Pdes.Domains || len(series.Refs) != len(res.VMs) {
-		t.Fatalf("series shape: %d domain and %d VM columns", len(series.DomCycles), len(series.Refs))
+	if len(series.Refs) != len(res.VMs) {
+		t.Fatalf("series shape: %d VM columns, want %d", len(series.Refs), len(res.VMs))
 	}
-	for d := range series.DomCycles {
-		if len(series.DomCycles[d]) != n || len(series.DomBusy[d]) != n {
-			t.Fatalf("domain %d columns hold %d/%d entries, want %d", d, len(series.DomCycles[d]), len(series.DomBusy[d]), n)
+	for v := range series.Refs {
+		if len(series.Refs[v]) != n || len(series.Miss[v]) != n || len(series.CPT[v]) != n {
+			t.Fatalf("vm%d columns hold %d/%d/%d entries, want %d", v, len(series.Refs[v]), len(series.Miss[v]), len(series.CPT[v]), n)
 		}
-	}
-	var replaySum float64
-	for _, r := range series.Replay {
-		replaySum += float64(r)
-	}
-	if dev := math.Abs(replaySum-res.Pdes.ApplySeconds) / res.Pdes.ApplySeconds; dev > 0.02 {
-		t.Fatalf("per-row replay sum %.4fs vs engine apply %.4fs (off %.1f%%)",
-			replaySum, res.Pdes.ApplySeconds, 100*dev)
 	}
 }
 
@@ -155,14 +146,16 @@ func TestPhaseTelemetryPreservesGoldens(t *testing.T) {
 // sampled run: each is tagged with the phase it was recorded in (never
 // other; the measurement tail once landed there), and in each some VM
 // issued references (the sampled run's closing publish, right after its
-// last window's, once committed a row of zeros).
+// last window's, once committed a row of zeros). A sampled window's
+// closing row, the first to carry the CI that window updated, is tagged
+// window (it once landed in measure).
 func TestSeriesRowsCarryTheirPhase(t *testing.T) {
 	detailed := fastCfg(4, sched.Affinity, workload.TPCH, workload.SPECjbb)
 	sampled := detailed
 	sampled.MeasureRefs = 60_000
 	sampled.Sample = SampleConfig{WindowRefs: 2_000, CITarget: 0.2}
 	for name, cfg := range map[string]Config{"detailed": detailed, "sampled": sampled} {
-		_, s := runWithTS(t, cfg)
+		res, s := runWithTS(t, cfg)
 		for i, p := range s.Phase {
 			if p == obs.TSPhaseOther {
 				t.Errorf("%s: row %d of %d tagged other", name, i, s.Rows())
@@ -174,6 +167,22 @@ func TestSeriesRowsCarryTheirPhase(t *testing.T) {
 			if refs == 0 {
 				t.Errorf("%s: row %d of %d (%s) has no references", name, i, s.Rows(), p)
 			}
+		}
+		if !cfg.Sample.Enabled() {
+			continue
+		}
+		closing := 0
+		for i := 1; i < s.Rows(); i++ {
+			if s.RelCI[i] == s.RelCI[i-1] {
+				continue
+			}
+			closing++
+			if s.Phase[i] != obs.TSPhaseWindow {
+				t.Errorf("%s: row %d of %d carries a window's CI %.4f but is tagged %s", name, i, s.Rows(), s.RelCI[i], s.Phase[i])
+			}
+		}
+		if closing != res.Sample.Windows {
+			t.Errorf("%s: %d rows carry a new CI, want one per window (%d)", name, closing, res.Sample.Windows)
 		}
 	}
 }

@@ -109,8 +109,8 @@ type Result struct {
 
 	// Pdes reports the split-transaction parallel engine's activity;
 	// zero for the sequential engine. Like Sample it is simulation-
-	// visible provenance: -pdes results are equivalence-gated estimates
-	// of the sequential run, deterministic per (seed, Pdes, PdesWindow).
+	// visible provenance: parallel-engine results are equivalence-gated
+	// estimates of the sequential run, deterministic per (seed, Pdes).
 	Pdes PdesStats
 
 	// Phase decomposes WallSeconds by engine phase (warmup/measure
@@ -186,7 +186,6 @@ func ManifestFor(cfg Config, res Result, parallel int) obs.Manifest {
 
 		PdesWorkers:      res.Pdes.Workers,
 		PdesDomains:      res.Pdes.Domains,
-		PdesWindowCycles: uint64(res.Pdes.Window),
 		PdesWindows:      res.Pdes.Windows,
 		PdesOps:          res.Pdes.Ops,
 		PdesStalls:       res.Pdes.Stalls,

@@ -234,7 +234,6 @@ func (s *System) runSampled(lane int) {
 		simBefore := s.simSeconds
 		endW := s.phase(lane, "window")
 		s.runUntil(target)
-		endW()
 		s.phaseProf.SampleDetailedSeconds += s.simSeconds - simBefore
 		s.sample.Windows++
 		s.sample.DetailedRefs += sc.WindowRefs
@@ -277,8 +276,10 @@ func (s *System) runSampled(lane int) {
 		}
 		s.sample.AchievedRelCI = worst
 		if s.hooks != nil {
+			// The row that carries the window's CI closes the window.
 			s.publishLive()
 		}
+		endW()
 		if s.sample.Windows >= sc.MinWindows && worst <= sc.CITarget {
 			s.sample.StopReason = StopConverged
 			return

@@ -101,20 +101,16 @@ type System struct {
 
 	// Per-window time-series recording (hooks.Series set): rec holds one
 	// row per live publish in columns preallocated from the reference
-	// budget; the tsPrev* scratch re-bases per-VM and per-domain deltas
-	// between rows, and tsPhase tracks the phase tag the enclosing
-	// phase() span set. All recording work is allocation-free
-	// (alloc_test.go guards it).
-	rec           *obs.Series
-	tsStart       time.Time
-	tsPhase       obs.TSPhase
-	tsPrevCycle   sim.Cycle
-	tsPrevRefs    []uint64
-	tsPrevMiss    []uint64
-	tsPrevDomCyc  []uint64
-	tsPrevDomBusy []float64
-	tsPrevReplay  float64
-	tsRefsPerTx   []float64
+	// budget; the tsPrev* scratch re-bases per-VM deltas between rows,
+	// and tsPhase tracks the phase tag the enclosing phase() span set.
+	// All recording work is allocation-free (alloc_test.go guards it).
+	rec         *obs.Series
+	tsStart     time.Time
+	tsPhase     obs.TSPhase
+	tsPrevCycle sim.Cycle
+	tsPrevRefs  []uint64
+	tsPrevMiss  []uint64
+	tsRefsPerTx []float64
 
 	// phaseProf accumulates the run's wall-time decomposition; engine-
 	// specific terms are folded in from the engines at run end.
@@ -201,9 +197,6 @@ func NewSystem(cfg Config) (*System, error) {
 		cfg.PipeStages = DefaultPipeStages
 	}
 	cfg.Sample = cfg.Sample.withDefaults(cfg.MeasureRefs)
-	if cfg.Pdes > 1 && cfg.PdesWindow == 0 {
-		cfg.PdesWindow = DefaultPdesWindow
-	}
 	s := &System{
 		cfg:      cfg,
 		geom:     netCfg.Geometry,
@@ -765,23 +758,19 @@ var noopPhaseEnd = func() {}
 // Its columns are sized from the reference budget: a row per
 // livePublishMask+1 references, one per sampled window and a few phase
 // boundaries. Cores that keep issuing while slower ones finish their
-// budget, and a -pdes run's row per barrier, can outgrow that; the
-// columns then double, a few allocations per run. The delta-rebasing
+// budget, and a parallel-engine run's row per barrier, can outgrow that;
+// the columns then double, a few allocations per run. The delta-rebasing
 // scratch is allocated here too.
 func (s *System) setupTS() {
 	h := s.hooks
 	if h == nil || !h.Series {
 		return
 	}
-	nDom := 0
-	if s.pdes != nil {
-		nDom = len(s.pdes.domains)
-	}
 	rows := (s.cfg.WarmupRefs+s.cfg.MeasureRefs)*uint64(s.activeCores)/(livePublishMask+1) + 8
 	if sc := s.cfg.Sample; sc.Enabled() {
 		rows += (s.cfg.WarmupRefs + s.cfg.MeasureRefs) / sc.WindowRefs
 	}
-	s.rec = obs.NewSeries(len(s.vms), nDom, int(rows))
+	s.rec = obs.NewSeries(len(s.vms), int(rows))
 	s.tsStart = time.Now()
 	s.tsPrevRefs = make([]uint64, len(s.vms))
 	s.tsPrevMiss = make([]uint64, len(s.vms))
@@ -789,17 +778,12 @@ func (s *System) setupTS() {
 	for v, m := range s.vms {
 		s.tsRefsPerTx[v] = float64(m.Gen.Spec().RefsPerTx)
 	}
-	if nDom > 0 {
-		s.tsPrevDomCyc = make([]uint64, nDom)
-		s.tsPrevDomBusy = make([]float64, nDom)
-	}
 }
 
 // recordTS appends one time-series row from the current live counters:
 // per-VM reference/miss/cycles-per-transaction deltas over the window
-// since the previous row, the live memory queue depth, the sampling CI
-// (when sampled) and the pdes replay and per-domain deltas (when
-// parallel). A publish after which no VM has issued a reference records
+// since the previous row, the live memory queue depth and the sampling CI
+// (when sampled). A publish after which no VM has issued a reference records
 // nothing; its deltas fold into the next row. Pure column writes —
 // allocation-free.
 func (s *System) recordTS() {
@@ -815,13 +799,8 @@ func (s *System) recordTS() {
 	if s.cfg.Sample.Enabled() && s.sample.Windows > 0 {
 		relCI = s.sample.AchievedRelCI
 	}
-	replay := 0.0
-	if e := s.pdes; e != nil {
-		replay = e.stats.ApplySeconds - s.tsPrevReplay
-		s.tsPrevReplay = e.stats.ApplySeconds
-	}
 	r.Begin(s.tsPhase, uint64(s.now), time.Since(s.tsStart).Seconds(),
-		s.mem.QueueDepth(s.now), relCI, replay)
+		s.mem.QueueDepth(s.now), relCI)
 	span := float64(s.now - s.tsPrevCycle)
 	for v, m := range s.vms {
 		dRefs := m.Stats.Refs - s.tsPrevRefs[v]
@@ -834,14 +813,6 @@ func (s *System) recordTS() {
 			cpt = span * s.tsRefsPerTx[v] / float64(dRefs)
 		}
 		r.VM(v, dRefs, miss, cpt)
-	}
-	if e := s.pdes; e != nil {
-		for i, d := range e.domains {
-			cyc := uint64(d.now)
-			r.Domain(i, cyc-s.tsPrevDomCyc[i], d.busySeconds-s.tsPrevDomBusy[i])
-			s.tsPrevDomCyc[i] = cyc
-			s.tsPrevDomBusy[i] = d.busySeconds
-		}
 	}
 	s.tsPrevCycle = s.now
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"consim/internal/core"
-	"consim/internal/sim"
 )
 
 // Statistical equivalence of sampled and detailed simulation.
@@ -145,25 +144,24 @@ func pdesBound(bound float64) float64 {
 }
 
 // CompareParallelRun executes cfg sequentially and again under the
-// split-transaction parallel engine with the given worker count and
-// window (0 = default), and reports the per-VM metric deviations
-// against bound (<= 0 selects DefaultPdesBound). The comparison reuses
-// RunComparison: Full holds the sequential run, Sampled the parallel
-// one.
-func CompareParallelRun(cfg core.Config, workers int, window sim.Cycle, bound float64) (RunComparison, error) {
+// split-transaction parallel engine with the given worker count, and
+// reports the per-VM metric deviations against bound (<= 0 selects
+// DefaultPdesBound). The comparison reuses RunComparison: Full holds
+// the sequential run, Sampled the parallel one.
+func CompareParallelRun(cfg core.Config, workers int, bound float64) (RunComparison, error) {
 	seqCfg := cfg
-	seqCfg.Pdes, seqCfg.PdesWindow = 0, 0
+	seqCfg.Pdes = 0
 	seq, err := runCfg(seqCfg)
 	if err != nil {
 		return RunComparison{}, err
 	}
-	return compareParallelTo(seq, cfg, workers, window, bound)
+	return compareParallelTo(seq, cfg, workers, bound)
 }
 
 // compareParallelTo is CompareParallelRun against seq, a sequential run
 // of cfg the caller already has: one reference can judge several worker
 // counts.
-func compareParallelTo(seq core.Result, cfg core.Config, workers int, window sim.Cycle, bound float64) (RunComparison, error) {
-	cfg.Pdes, cfg.PdesWindow = workers, window
+func compareParallelTo(seq core.Result, cfg core.Config, workers int, bound float64) (RunComparison, error) {
+	cfg.Pdes = workers
 	return compareTo(seq, cfg, pdesBound(bound))
 }

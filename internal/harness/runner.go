@@ -12,7 +12,6 @@ import (
 	"consim/internal/core"
 	"consim/internal/obs"
 	"consim/internal/sched"
-	"consim/internal/sim"
 	"consim/internal/workload"
 )
 
@@ -43,20 +42,6 @@ type Options struct {
 	// sampled sweep can still include the ablation rows that need exact
 	// semantics. Configs that already set their own Sample keep it.
 	Sample core.SampleConfig
-	// Pdes enables the split-transaction parallel discrete-event engine
-	// inside every compatible simulation the runner executes
-	// (core.Config.Pdes): 0/1 keep the sequential engine, N>1 partitions
-	// each run's active cores into up to N domains advancing in bounded
-	// windows. Unlike Parallel this changes the simulated stream —
-	// results are statistical estimates gated by CompareParallelRun,
-	// deterministic per (seed, Pdes, PdesWindow).
-	// Configs that are incompatible (sampling, rebalancing, snapshots,
-	// trace sources) quietly run sequentially. Configs that already set
-	// their own Pdes keep it.
-	Pdes int
-	// PdesWindow overrides the parallel engine's window width in cycles
-	// (0 = core.DefaultPdesWindow).
-	PdesWindow sim.Cycle
 	// Obs attaches the observability sinks (live metrics, Chrome trace,
 	// manifests, progress). Each executed job acquires a tracer lane so
 	// the timeline shows one row per in-flight worker slot; memoized
@@ -278,7 +263,7 @@ func (r *Runner) execute(cfg core.Config) (core.Result, error) {
 
 // simulate builds and runs one system, counting the execution. Every
 // execution funnels through here, so this is where the runner-wide
-// engine settings apply: each to a copy of cfg, kept only if
+// sampling setting applies: to a copy of cfg, kept only if
 // core.Config.Validate accepts it, so the rows that need exact semantics
 // or another engine quietly run as configured instead of failing.
 // Configs that chose their own engine keep it.
@@ -286,14 +271,6 @@ func (r *Runner) simulate(cfg core.Config) (core.Result, error) {
 	if !cfg.Sample.Enabled() && r.opt.Sample.Enabled() {
 		c := cfg
 		c.Sample = r.opt.Sample
-		cfg = validOr(c, cfg)
-	}
-	if cfg.Pdes <= 1 && r.opt.Pdes > 1 {
-		c := cfg
-		c.Pdes = min(r.opt.Pdes, c.Cores) // the engine caps domains at active cores anyway
-		if c.PdesWindow == 0 {
-			c.PdesWindow = r.opt.PdesWindow
-		}
 		cfg = validOr(c, cfg)
 	}
 	r.sims.Add(1)

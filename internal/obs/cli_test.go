@@ -55,8 +55,8 @@ func TestCLIStartTimeSeries(t *testing.T) {
 	if o == nil || !o.Series || o.Man == nil || !o.Hooks().Series {
 		t.Fatalf("observer sinks missing: %+v", o)
 	}
-	s := NewSeries(1, 0, 1)
-	s.Begin(TSPhaseMeasure, 10, 0.1, 0, -1, 0)
+	s := NewSeries(1, 1)
+	s.Begin(TSPhaseMeasure, 10, 0.1, 0, -1)
 	s.VM(0, 100, 0.5, 1000)
 	if err := o.Man.Write(Manifest{Label: "wired", Series: s}); err != nil {
 		t.Fatal(err)

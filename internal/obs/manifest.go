@@ -77,13 +77,12 @@ type Manifest struct {
 	SampleWarmupFunctionalRefs uint64 `json:"sample_warmup_functional_refs,omitempty"`
 
 	// Split-transaction parallel-engine provenance: configured workers,
-	// domains formed, window geometry, barrier counts and where the
-	// spine's time went (worker waits, serial op replay). Absent for
-	// sequential runs — a -pdes number can always be told from a
-	// sequential one by these fields.
+	// domains formed, barrier counts and where the spine's time went
+	// (worker waits, serial op replay). Absent for sequential runs — a
+	// parallel-engine number can always be told from a sequential one by
+	// these fields.
 	PdesWorkers      int     `json:"pdes_workers,omitempty"`
 	PdesDomains      int     `json:"pdes_domains,omitempty"`
-	PdesWindowCycles uint64  `json:"pdes_window_cycles,omitempty"`
 	PdesWindows      uint64  `json:"pdes_windows,omitempty"`
 	PdesOps          uint64  `json:"pdes_ops,omitempty"`
 	PdesStalls       uint64  `json:"pdes_stalls,omitempty"`

@@ -77,8 +77,8 @@ func TestManifestStampsEnvironment(t *testing.T) {
 	if err := w.Write(Manifest{Label: "plain"}); err != nil {
 		t.Fatal(err)
 	}
-	series := NewSeries(1, 0, 1)
-	series.Begin(TSPhaseMeasure, 10, 0.1, 0, -1, 0)
+	series := NewSeries(1, 1)
+	series.Begin(TSPhaseMeasure, 10, 0.1, 0, -1)
 	series.VM(0, 100, 0.5, 1000)
 	if err := w.Write(Manifest{Label: "recorded", Series: series}); err != nil {
 		t.Fatal(err)
@@ -161,6 +161,13 @@ const pipelinedManifest = "testdata/manifest_v2_pdes_pipelined.jsonl"
 // fix.jsonl`): it carries timeseries, timeseries_run and timeseries_rows,
 // which Manifest no longer declares.
 const timeseriesManifest = "testdata/manifest_v2_timeseries.jsonl"
+
+// pdesSeriesManifest is one v3 line written by the last build whose CLI
+// ran the parallel engine (99e4c5f, `consim -workloads TPC-H -scale 16
+// -warm 2000 -meas 20000 -pdes 4 -timeseries -manifest m.jsonl`): it
+// carries pdes_window_cycles and the series' replay, dom_cycles and
+// dom_busy columns, which Manifest and Series no longer declare.
+const pdesSeriesManifest = "testdata/manifest_v3_pdes_timeseries.jsonl"
 
 // retiredBenchHistory is the frozen cmd/bench history: a JSON array of
 // objects that are not manifests, which no reader takes since PR 19.
@@ -270,6 +277,25 @@ func TestReadManifestsTimeseriesRecord(t *testing.T) {
 	}
 }
 
+// TestReadManifestsPdesSeriesRecord reads a -pdes run's record with its
+// per-domain series columns: it reads, and report still prints its
+// in-window/replay decomposition and its time series.
+func TestReadManifestsPdesSeriesRecord(t *testing.T) {
+	m := readOldRecord(t, pdesSeriesManifest, `"pdes_window_cycles":16384`, `"replay":[`, `"dom_cycles":[`, `"dom_busy":[`)
+	if m.Version != 3 || m.Refs != 87530 || m.PdesWorkers != 4 || m.Phase == nil || len(m.Phase.Domains) != 4 ||
+		m.Series == nil || m.Series.Rows() != 39 {
+		t.Fatalf("record mangled: %+v", m)
+	}
+	var rep strings.Builder
+	WritePhaseReport(&rep, m)
+	out := rep.String()
+	for _, want := range []string{"engine=pdes", "in-window", "replay", "time series (39 rows)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report of a v3 -pdes record missing %q:\n%s", want, out)
+		}
+	}
+}
+
 // FuzzReadManifests holds the manifest reader, and the report and diff
 // arithmetic downstream of it, to "an error or a clean read, never a
 // panic or a hang" on arbitrary sidecar bytes: negative seconds, zero
@@ -316,6 +342,11 @@ func FuzzReadManifests(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(timeseries)
+	pdesSeries, err := os.ReadFile(pdesSeriesManifest)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(pdesSeries)
 	f.Add([]byte(`{"version":3,"label":"series","refs":10,"wall_seconds":1,"phase":{"measure_seconds":1},` +
 		`"series":{"phase":["measure","bogus"],"cycle":[1,2],"wall":[0,1],"memq":[1],"rel_ci":[-1],"replay":[],` +
 		`"refs":[[1,0],[5]],"miss":[[0.5,-1]],"cpt":[[1e30,2]],"dom_cycles":[[1]]}}` + "\n"))

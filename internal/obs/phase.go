@@ -23,13 +23,14 @@ type PhaseProfile struct {
 	// of skipping between measured windows.
 	WarmupFFSeconds float64 `json:"warmup_ff_seconds,omitempty"`
 
-	// Split-transaction parallel engine (-pdes). PdesWindowSeconds is
-	// spine wall time inside windows (posting work, running its own
-	// domain stripe, waiting for workers); PdesReplaySeconds is the
-	// serial barrier op replay (the Amdahl term); PdesBarrierSeconds is
-	// the rest of the barrier (replica folds and resyncs, live metric
-	// publishes); PdesStallSeconds is the subset of window time the
-	// spine spent spinning on worker domains (load imbalance).
+	// Split-transaction parallel engine (core.Config.Pdes).
+	// PdesWindowSeconds is spine wall time inside windows (posting work,
+	// running its own domain stripe, waiting for workers);
+	// PdesReplaySeconds is the serial barrier op replay (the Amdahl term);
+	// PdesBarrierSeconds is the rest of the barrier (replica folds and
+	// resyncs, live metric publishes); PdesStallSeconds is the subset of
+	// window time the spine spent spinning on worker domains (load
+	// imbalance).
 	PdesWindowSeconds  float64 `json:"pdes_window_seconds,omitempty"`
 	PdesReplaySeconds  float64 `json:"pdes_replay_seconds,omitempty"`
 	PdesBarrierSeconds float64 `json:"pdes_barrier_seconds,omitempty"`
@@ -103,7 +104,8 @@ func (p *PhaseProfile) FFCostRatio(detailedRefs, skippedRefs uint64) float64 {
 }
 
 // ApplyFraction returns the serial barrier-replay share of wall
-// seconds — the Amdahl term bounding -pdes scaling (0 when not pdes).
+// seconds — the Amdahl term bounding parallel-engine scaling (0 when
+// not pdes).
 func (p *PhaseProfile) ApplyFraction(wallSeconds float64) float64 {
 	if wallSeconds <= 0 {
 		return 0

@@ -31,7 +31,7 @@ func pdesManifest() Manifest {
 // reportSeries is a three-row series in which VM 1 issues nothing in the
 // last row.
 func reportSeries() *Series {
-	s := NewSeries(2, 0, 3)
+	s := NewSeries(2, 3)
 	for _, r := range []struct {
 		phase TSPhase
 		memq  int
@@ -43,7 +43,7 @@ func reportSeries() *Series {
 		{TSPhaseMeasure, 6, [2]uint64{8192, 8192}, [2]float64{0.03, 0.06}, [2]float64{5200, 9100}},
 		{TSPhaseMeasure, 4, [2]uint64{8192, 0}, [2]float64{0.025, 0}, [2]float64{5100, 0}},
 	} {
-		s.Begin(r.phase, 0, 0, r.memq, -1, 0)
+		s.Begin(r.phase, 0, 0, r.memq, -1)
 		for v := range 2 {
 			s.VM(v, r.refs[v], r.miss[v], r.cpt[v])
 		}

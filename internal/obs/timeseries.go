@@ -60,7 +60,7 @@ func (p *TSPhase) UnmarshalText(b []byte) error {
 // value with no defined result, such as cycles per transaction over a
 // window without transactions, is stored as -1.
 //
-// The recording path (Begin, VM, Domain) only appends to columns that
+// The recording path (Begin, VM) only appends to columns that
 // NewSeries preallocated, so within that capacity it allocates nothing
 // and can sit on the simulator's live publish cadence.
 type Series struct {
@@ -69,9 +69,6 @@ type Series struct {
 	Wall  []float32 `json:"wall"`  // host seconds since the run started
 	MemQ  []uint32  `json:"memq"`  // memory-controller queue depth
 	RelCI []float32 `json:"rel_ci"`
-	// Replay is the pdes serial-replay seconds spent since the previous
-	// row (0 for the other engines).
-	Replay []float32 `json:"replay"`
 
 	// Per-VM columns, indexed [vm][row]: references issued since the
 	// previous row, that window's LLC miss rate and its cycles per
@@ -79,39 +76,24 @@ type Series struct {
 	Refs [][]uint64  `json:"refs"`
 	Miss [][]float32 `json:"miss"`
 	CPT  [][]float32 `json:"cpt"`
-
-	// Per-domain columns of a -pdes run, indexed [domain][row]: local
-	// clock advance and in-window busy seconds since the previous row.
-	DomCycles [][]uint64  `json:"dom_cycles,omitempty"`
-	DomBusy   [][]float32 `json:"dom_busy,omitempty"`
 }
 
-// NewSeries returns an empty series for nVM VMs and nDom pdes domains
-// (0 for the other engines) with room for rows rows.
-func NewSeries(nVM, nDom, rows int) *Series {
+// NewSeries returns an empty series for nVM VMs with room for rows rows.
+func NewSeries(nVM, rows int) *Series {
 	s := &Series{
-		Phase:  make([]TSPhase, 0, rows),
-		Cycle:  make([]uint64, 0, rows),
-		Wall:   make([]float32, 0, rows),
-		MemQ:   make([]uint32, 0, rows),
-		RelCI:  make([]float32, 0, rows),
-		Replay: make([]float32, 0, rows),
-		Refs:   make([][]uint64, nVM),
-		Miss:   make([][]float32, nVM),
-		CPT:    make([][]float32, nVM),
+		Phase: make([]TSPhase, 0, rows),
+		Cycle: make([]uint64, 0, rows),
+		Wall:  make([]float32, 0, rows),
+		MemQ:  make([]uint32, 0, rows),
+		RelCI: make([]float32, 0, rows),
+		Refs:  make([][]uint64, nVM),
+		Miss:  make([][]float32, nVM),
+		CPT:   make([][]float32, nVM),
 	}
 	for v := range nVM {
 		s.Refs[v] = make([]uint64, 0, rows)
 		s.Miss[v] = make([]float32, 0, rows)
 		s.CPT[v] = make([]float32, 0, rows)
-	}
-	if nDom > 0 {
-		s.DomCycles = make([][]uint64, nDom)
-		s.DomBusy = make([][]float32, nDom)
-		for d := range nDom {
-			s.DomCycles[d] = make([]uint64, 0, rows)
-			s.DomBusy[d] = make([]float32, 0, rows)
-		}
 	}
 	return s
 }
@@ -120,14 +102,13 @@ func NewSeries(nVM, nDom, rows int) *Series {
 func (s *Series) Rows() int { return len(s.Cycle) }
 
 // Begin appends a row's scalar columns. relCI < 0 marks a run without a
-// sampling CI. The caller then fills the row's VM and domain columns.
-func (s *Series) Begin(phase TSPhase, cycle uint64, wall float64, memq int, relCI, replay float64) {
+// sampling CI. The caller then fills the row's VM columns.
+func (s *Series) Begin(phase TSPhase, cycle uint64, wall float64, memq int, relCI float64) {
 	s.Phase = append(s.Phase, phase)
 	s.Cycle = append(s.Cycle, cycle)
 	s.Wall = append(s.Wall, finite(wall))
 	s.MemQ = append(s.MemQ, uint32(memq))
 	s.RelCI = append(s.RelCI, finite(relCI))
-	s.Replay = append(s.Replay, finite(replay))
 }
 
 // VM appends VM v's columns to the row Begin started.
@@ -135,12 +116,6 @@ func (s *Series) VM(v int, refs uint64, miss, cpt float64) {
 	s.Refs[v] = append(s.Refs[v], refs)
 	s.Miss[v] = append(s.Miss[v], finite(miss))
 	s.CPT[v] = append(s.CPT[v], finite(cpt))
-}
-
-// Domain appends pdes domain d's columns to the row Begin started.
-func (s *Series) Domain(d int, cycles uint64, busy float64) {
-	s.DomCycles[d] = append(s.DomCycles[d], cycles)
-	s.DomBusy[d] = append(s.DomBusy[d], finite(busy))
 }
 
 // finite narrows f to a float32, storing -1 for NaN and for values

@@ -10,18 +10,14 @@ import (
 // TestTimeSeriesRoundTrip records two rows, writes them inside a
 // manifest record and reads them back column by column.
 func TestTimeSeriesRoundTrip(t *testing.T) {
-	s := NewSeries(2, 2, 0)
-	s.Begin(TSPhaseWarmup, 1000, 0.5, 3, -1, 0)
+	s := NewSeries(2, 0)
+	s.Begin(TSPhaseWarmup, 1000, 0.5, 3, -1)
 	s.VM(0, 8192, 0.02, 5400)
 	s.VM(1, 4096, 0.10, 9100.5)
-	s.Domain(0, 1000, 0.25)
-	s.Domain(1, 990, 0.20)
 
-	s.Begin(TSPhaseMeasure, 2000, 1.25, 0, 0.04, 0.125)
+	s.Begin(TSPhaseMeasure, 2000, 1.25, 0, 0.04)
 	s.VM(0, 8192, math.NaN(), math.Inf(1)) // zero-transaction window
-	s.VM(1, 0, 0, 0)
-	s.Domain(0, 2000, 0.5)
-	s.Domain(1, 1980, 1e300) // beyond float32
+	s.VM(1, 0, 0, 1e300)                   // beyond float32
 	if s.Rows() != 2 {
 		t.Fatalf("Rows = %d, want 2", s.Rows())
 	}
@@ -49,8 +45,7 @@ func TestTimeSeriesRoundTrip(t *testing.T) {
 		!reflect.DeepEqual(got.Cycle, []uint64{1000, 2000}) ||
 		!reflect.DeepEqual(got.Wall, []float32{0.5, 1.25}) ||
 		!reflect.DeepEqual(got.MemQ, []uint32{3, 0}) ||
-		!reflect.DeepEqual(got.RelCI, []float32{-1, 0.04}) ||
-		!reflect.DeepEqual(got.Replay, []float32{0, 0.125}) {
+		!reflect.DeepEqual(got.RelCI, []float32{-1, 0.04}) {
 		t.Fatalf("scalar columns = %+v", got)
 	}
 	if !reflect.DeepEqual(got.Refs, [][]uint64{{8192, 8192}, {4096, 0}}) ||
@@ -58,11 +53,8 @@ func TestTimeSeriesRoundTrip(t *testing.T) {
 		t.Fatalf("VM columns = refs %v miss %v cpt %v", got.Refs, got.Miss, got.CPT)
 	}
 	// NaN and infinities are stored as -1, so the record stays valid JSON.
-	if got.Miss[0][1] != -1 || got.CPT[0][1] != -1 || got.DomBusy[1][1] != -1 {
-		t.Fatalf("non-finite values = miss %v cpt %v busy %v, want -1", got.Miss[0][1], got.CPT[0][1], got.DomBusy[1][1])
-	}
-	if !reflect.DeepEqual(got.DomCycles, [][]uint64{{1000, 2000}, {990, 1980}}) || got.DomBusy[0][0] != 0.25 {
-		t.Fatalf("domain columns = %v %v", got.DomCycles, got.DomBusy)
+	if got.Miss[0][1] != -1 || got.CPT[0][1] != -1 || got.CPT[1][1] != -1 {
+		t.Fatalf("non-finite values = miss %v cpt %v %v, want -1", got.Miss[0][1], got.CPT[0][1], got.CPT[1][1])
 	}
 }
 
@@ -70,9 +62,9 @@ func TestTimeSeriesRoundTrip(t *testing.T) {
 // and checks every row survives in order.
 func TestTimeSeriesGrowsPastPrealloc(t *testing.T) {
 	const capacity, total = 4, 11
-	s := NewSeries(1, 0, capacity)
+	s := NewSeries(1, capacity)
 	for i := range total {
-		s.Begin(TSPhaseMeasure, uint64(i)*100, float64(i), i, -1, 0)
+		s.Begin(TSPhaseMeasure, uint64(i)*100, float64(i), i, -1)
 		s.VM(0, uint64(i), 0.5, 100)
 	}
 	if s.Rows() != total || len(s.Refs[0]) != total {
@@ -86,19 +78,17 @@ func TestTimeSeriesGrowsPastPrealloc(t *testing.T) {
 }
 
 // TestRecorderZeroAllocSteadyState pins the recording hot path at zero
-// allocations: Begin/VM/Domain within the preallocated rows must be pure
+// allocations: Begin/VM within the preallocated rows must be pure
 // column appends, or -timeseries would break the simulator's
 // steady-state allocation budget.
 func TestRecorderZeroAllocSteadyState(t *testing.T) {
-	s := NewSeries(4, 2, 1<<12)
+	s := NewSeries(4, 1<<12)
 	var i uint64
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.Begin(TSPhaseMeasure, i, float64(i), 5, -1, 0)
+		s.Begin(TSPhaseMeasure, i, float64(i), 5, -1)
 		for v := 0; v < 4; v++ {
 			s.VM(v, i, 0.02, 5000)
 		}
-		s.Domain(0, i, 0.1)
-		s.Domain(1, i, 0.1)
 		i++
 	})
 	if allocs != 0 {

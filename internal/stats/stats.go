@@ -6,28 +6,20 @@
 // runs with a confidence half-width.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
-// Sample accumulates observations of one metric. Derived statistics are
-// cached between Adds: the harness formats every sample several times
-// (mean, CI, CV all in one report row), and the seed implementation
-// re-summed — and for Median re-sorted — the observations on every
-// call. The caches preserve the original arithmetic exactly: the mean
-// accumulates in Add order (the same float additions the per-call loop
-// performed) and Var/Median compute the same two-pass/sort results,
-// just at most once per mutation.
+// Sample accumulates observations of one metric. The variance is cached
+// between Adds: the harness formats every sample several times (mean,
+// CI, CV all in one report row). The cache preserves the original
+// arithmetic exactly: the mean accumulates in Add order (the same float
+// additions a per-call loop would perform) and Var computes the same
+// two-pass result, just at most once per mutation.
 type Sample struct {
 	xs  []float64
 	sum float64 // running total, accumulated in Add order
 
-	variance float64   // cached unbiased sample variance
-	varOK    bool      // variance is current
-	sorted   []float64 // cached ascending copy of xs (reused backing array)
-	sortOK   bool      // sorted is current
+	variance float64 // cached unbiased sample variance
+	varOK    bool    // variance is current
 }
 
 // Add appends an observation.
@@ -35,7 +27,6 @@ func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
 	s.sum += x
 	s.varOK = false
-	s.sortOK = false
 }
 
 // N returns the observation count.
@@ -102,55 +93,4 @@ func (s *Sample) CI95() float64 {
 		t = tTable95[df]
 	}
 	return t * s.Stddev() / math.Sqrt(float64(n))
-}
-
-// Min returns the smallest observation (0 for an empty sample).
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest observation (0 for an empty sample).
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Median returns the middle observation (mean of the middle two for even
-// counts; 0 for an empty sample).
-func (s *Sample) Median() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	if !s.sortOK {
-		s.sorted = append(s.sorted[:0], s.xs...)
-		sort.Float64s(s.sorted)
-		s.sortOK = true
-	}
-	if n%2 == 1 {
-		return s.sorted[n/2]
-	}
-	return (s.sorted[n/2-1] + s.sorted[n/2]) / 2
-}
-
-// String summarizes the sample for reports.
-func (s *Sample) String() string {
-	return fmt.Sprintf("%.4g ± %.2g (n=%d, cv=%.3f)", s.Mean(), s.CI95(), s.N(), s.CV())
 }

@@ -3,8 +3,7 @@ package stats
 import "math"
 
 // Welford accumulates a stream's mean and variance incrementally in O(1)
-// space (Welford's online algorithm, with Chan et al.'s pairwise update
-// for Merge). The sampled-simulation engine keeps one per (VM, metric)
+// space (Welford's online algorithm). The sampled-simulation engine keeps one per (VM, metric)
 // and feeds it one observation per detailed window, so the convergence
 // check never re-reads the window history; Sample is the brute-force
 // oracle its property tests compare against.
@@ -20,23 +19,6 @@ func (w *Welford) Add(x float64) {
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
 	w.m2 += delta * (x - w.mean)
-}
-
-// Merge folds another accumulator into this one (Chan et al.'s parallel
-// combination); the result summarizes the concatenated streams.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := float64(w.n + o.n)
-	delta := o.mean - w.mean
-	w.mean += delta * float64(o.n) / n
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/n
-	w.n += o.n
 }
 
 // N returns the observation count.

@@ -47,49 +47,6 @@ func TestWelfordMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestWelfordMergeOrderInvariant splits a stream into random chunks,
-// merges them in shuffled orders, and requires the merged accumulator to
-// match the sequential one and the oracle regardless of merge order.
-func TestWelfordMergeOrderInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(400)
-		xs := make([]float64, n)
-		var seq Welford
-		var oracle Sample
-		for i := range xs {
-			xs[i] = rng.NormFloat64()*10 + 3
-			seq.Add(xs[i])
-			oracle.Add(xs[i])
-		}
-		// Random chunking.
-		var chunks []Welford
-		for i := 0; i < n; {
-			size := 1 + rng.Intn(n-i)
-			var c Welford
-			for j := i; j < i+size; j++ {
-				c.Add(xs[j])
-			}
-			chunks = append(chunks, c)
-			i += size
-		}
-		rng.Shuffle(len(chunks), func(i, j int) { chunks[i], chunks[j] = chunks[j], chunks[i] })
-		var merged Welford
-		for _, c := range chunks {
-			merged.Merge(c)
-		}
-		if merged.N() != seq.N() {
-			t.Fatalf("trial %d: merged n=%d want %d", trial, merged.N(), seq.N())
-		}
-		if !closeEnough(merged.Mean(), oracle.Mean()) {
-			t.Fatalf("trial %d: merged mean %g vs oracle %g", trial, merged.Mean(), oracle.Mean())
-		}
-		if !closeEnough(merged.Var(), oracle.Var()) {
-			t.Fatalf("trial %d: merged var %g vs oracle %g", trial, merged.Var(), oracle.Var())
-		}
-	}
-}
-
 // TestWelfordEdgeCases pins the degenerate behaviours the sampled
 // engine's convergence check relies on.
 func TestWelfordEdgeCases(t *testing.T) {
@@ -139,20 +96,6 @@ func TestWelfordEdgeCases(t *testing.T) {
 		w.Add(1)
 		if !math.IsInf(w.RelCI95(), 1) {
 			t.Fatalf("zero-mean spread must report +Inf rel CI, got %g", w.RelCI95())
-		}
-	})
-	t.Run("merge empty", func(t *testing.T) {
-		var a, b Welford
-		a.Add(2)
-		a.Add(4)
-		before := a
-		a.Merge(b) // no-op
-		if a != before {
-			t.Fatalf("merging an empty accumulator changed state: %+v vs %+v", a, before)
-		}
-		b.Merge(a) // adopt
-		if b != before {
-			t.Fatalf("empty.Merge(x) must equal x: %+v vs %+v", b, before)
 		}
 	})
 	t.Run("negative variance clamp", func(t *testing.T) {

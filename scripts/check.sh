@@ -42,7 +42,7 @@ echo "== host-memory hints =="
 # huge-page advice are read-only: every on/off combination (a paper-scale
 # case on the advised table among them) leaves the same Result and
 # machine, without a race; the -short pass above skips the paper-scale
-# case, and the -pdes window workers run beside them.
+# case, and the parallel engine's window workers run beside them.
 go test -race -run 'Lookahead|Prefetch|ShardedReplayBitIdentical|PdesDeterministic|HugePages|LineIsInert' ./internal/core ./internal/coherence ./internal/prefetch
 
 echo "== allocation budgets =="
@@ -87,12 +87,18 @@ echo "$shards_out" | grep -q "flag provided but not defined: -shards" \
 	|| { echo "check.sh: consim -shards failed for another reason: $shards_out" >&2; exit 1; }
 # -pdes-pipeline (window/replay pipelining) and -pdes-replay-workers (the
 # bank-sharded replay) were deleted: neither was ever faster than the
-# serial replay (EXPERIMENTS.md "Parallel replay").
-for removed in -pdes-pipeline -pdes-replay-workers; do
-	removed_out=$(go run ./cmd/consim -pdes 2 "$removed" 2 2>&1) \
-		&& { echo "check.sh: consim accepted $removed" >&2; exit 1; }
-	echo "$removed_out" | grep -q -- "flag provided but not defined: $removed" \
-		|| { echo "check.sh: consim $removed failed for another reason: $removed_out" >&2; exit 1; }
+# serial replay (EXPERIMENTS.md "Parallel replay"). -pdes and
+# -pdes-window went from every subcommand: the parallel engine is never
+# faster and leaves its error bound off affinity placement, so it runs
+# only where a caller sets core.Config.Pdes.
+for sub in run tables ablate calibrate "trace replay"; do
+	for removed in -pdes -pdes-window -pdes-pipeline -pdes-replay-workers; do
+		# $sub stays unquoted: "trace replay" is two words.
+		removed_out=$(go run ./cmd/consim $sub "$removed" 2 2>&1) \
+			&& { echo "check.sh: consim $sub accepted $removed" >&2; exit 1; }
+		echo "$removed_out" | grep -q -- "flag provided but not defined: $removed" \
+			|| { echo "check.sh: consim $sub $removed failed for another reason: $removed_out" >&2; exit 1; }
+	done
 done
 # The time series lives in each run's manifest record: the separate
 # -timeseries file, its run-id join, its hand-written encoder and obs
@@ -165,30 +171,33 @@ rm -rf "$warm_dir"
 echo "== parallel (pdes) engine smoke =="
 # The split-transaction parallel engine must stay within the equivalence
 # bound of the sequential engine (single seed here; CI's nightly matrix
-# covers more), stay deterministic per seed, and leave -pdes-off runs
+# covers more), stay deterministic per seed, and leave sequential runs
 # untouched (golden fixtures above pin the sequential path bit-for-bit).
 go test -short -run 'TestPdesValidation|TestPdesDeterministic|TestPdesEquivalence' ./internal/core
-go test -short -run 'TestParallelEquivalence|TestRunnerPdesOption' ./internal/harness
-go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
-	-pdes 4 | grep -q "parallel:" \
-	|| { echo "check.sh: pdes run produced no provenance line" >&2; exit 1; }
+go test -short -run 'TestParallelEquivalence' ./internal/harness
+# An older -pdes run's record (pdes_window_cycles, per-domain series
+# columns) still reads, and obs report still prints its in-window/replay
+# decomposition and its time series.
+go test -run 'TestReadManifestsPdesSeriesRecord' ./internal/obs
 
 echo "== phase profiler smoke =="
-# A -pdes -timeseries run must record per-window telemetry rows in its
+# A -timeseries run must record per-window telemetry rows in its
 # manifest record and a phase profile whose obs report prints the
-# in-window/replay decomposition and the time series; obs diff of two
+# warmup/measure decomposition and the time series; obs diff of two
 # identical runs must exit clean (the wide threshold tolerates
 # wall-clock noise — the wiring is under test, not the machine).
 obs_dir=$(mktemp -d /tmp/consim_obs.XXXXXX)
 for i in 1 2; do
 	go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
-		-pdes 4 -timeseries -manifest "$obs_dir/m.jsonl" >/dev/null
+		-timeseries -manifest "$obs_dir/m.jsonl" >/dev/null
 done
 obs_report=$(go run ./cmd/consim obs report "$obs_dir/m.jsonl")
-echo "$obs_report" | grep -q "replay" \
-	|| { echo "check.sh: obs report missing the replay term: $obs_report" >&2; exit 1; }
-echo "$obs_report" | grep -q "in-window" \
-	|| { echo "check.sh: obs report missing the in-window term: $obs_report" >&2; exit 1; }
+echo "$obs_report" | grep -q "engine=sequential" \
+	|| { echo "check.sh: obs report missing the sequential engine tag: $obs_report" >&2; exit 1; }
+echo "$obs_report" | grep -q "^  warmup " \
+	|| { echo "check.sh: obs report missing the warmup term: $obs_report" >&2; exit 1; }
+echo "$obs_report" | grep -q "^  measure " \
+	|| { echo "check.sh: obs report missing the measure term: $obs_report" >&2; exit 1; }
 echo "$obs_report" | grep -q "time series ([0-9]* rows)" \
 	|| { echo "check.sh: obs report missing the time-series summary: $obs_report" >&2; exit 1; }
 go run ./cmd/consim obs diff -threshold 0.5 "$obs_dir/m.jsonl" >/dev/null \
