@@ -55,7 +55,6 @@ var commands = map[string]func([]string) error{
 	"trace info":   info,
 	"trace replay": simulating(parseReplay),
 	"obs report":   report,
-	"obs diff":     diff,
 }
 
 // dispatch runs the (two-word) subcommand args start with; run when they
@@ -148,16 +147,11 @@ func newRunFlags(name, operands string, scale int, warm, meas uint64) *runFlags 
 	return f
 }
 
-// withEngine returns cfg under the engine the flags select.
-func (f *runFlags) withEngine(cfg core.Config) core.Config {
-	cfg.Sample = f.opt.Sample
-	return cfg
-}
-
 // config returns the paper's machine around specs with the flags applied.
 func (f *runFlags) config(specs ...workload.Spec) core.Config {
-	cfg := f.withEngine(core.DefaultConfig(specs...))
+	cfg := core.DefaultConfig(specs...)
 	cfg.Scale, cfg.Seed, cfg.WarmupRefs, cfg.MeasureRefs = f.opt.Scale, f.opt.Seed, f.opt.WarmupRefs, f.opt.MeasureRefs
+	cfg.Sample = f.opt.Sample
 	return cfg
 }
 
@@ -174,7 +168,8 @@ type job struct {
 // subcommand refuses a command line with core.Config.Validate's message
 // before any sink starts.
 func (f *runFlags) job(cfgs []core.Config, exec func(*harness.Runner, []core.Config) error) (*job, error) {
-	probe := f.withEngine(core.DefaultConfig(workload.Specs()[workload.TPCH]))
+	probe := core.DefaultConfig(workload.Specs()[workload.TPCH])
+	probe.Sample = f.opt.Sample
 	for _, cfg := range append([]core.Config{probe}, cfgs...) {
 		if err := cfg.Validate(); err != nil {
 			return nil, err

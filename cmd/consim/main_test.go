@@ -54,6 +54,7 @@ func TestDispatch(t *testing.T) {
 		{"trace", `"trace" is not a command`},
 		{"obs frobnicate", `"obs frobnicate" is not a command`},
 		{"obs top", `"obs top" is not a command`},
+		{"obs diff a.jsonl", `"obs diff" is not a command`},
 		{"obs", `"obs" is not a command`},
 		{"bogus extra", `"bogus" is not a command`},
 		{"-h", flag.ErrHelp.Error()},
@@ -70,7 +71,6 @@ func TestDispatch(t *testing.T) {
 		{"-timeseries ts.jsonl -manifest m.jsonl", "usage: consim run: 1 operands"},
 		{"tables -exp T2 extra", "usage: consim tables: 1 operands"},
 		{"trace replay", "usage: consim trace replay: 0 operands"},
-		{"obs diff a b c", "usage: consim obs diff: 3 operands"},
 		{"ablate -exp A1,ZZ", `unknown ablation "ZZ" (want A1,A2,A3,A4,A5,A6)`},
 		{"tables -exp T2,F99", `unknown figure "F99"`},
 	} {

@@ -8,13 +8,10 @@ import (
 	"consim/internal/obs"
 )
 
-// consim obs is the reading side of -manifest: report renders one
-// recorded run's memory system, phases and time series, diff compares
-// two runs and exits 1 on a regression beyond -threshold (so it slots
-// into CI).
+// consim obs report is the reading side of -manifest: it renders a
+// recorded run's memory system, phases and time series.
 //
 //	consim obs report results/MANIFEST.jsonl    newest record (+ time series)
-//	consim obs diff old.jsonl new.jsonl         last run of each file
 
 // report renders the memory-system ledger and phase decomposition of one
 // manifest record, plus the per-VM summary of its time series when the
@@ -49,35 +46,6 @@ func report(args []string) error {
 			fmt.Println()
 		}
 		obs.WritePhaseReport(os.Stdout, m)
-	}
-	return nil
-}
-
-// diff compares two runs — the last two records of one file, or the
-// last record of each of two files — and fails on regressions.
-func diff(args []string) error {
-	fs := newFlagSet("obs diff", "MANIFEST [MANIFEST]")
-	thresh := fs.Float64("threshold", 0.05, "fractional throughput-regression threshold")
-	ops, err := parse(fs, args, 1, 2)
-	if err != nil {
-		return err
-	}
-	runs, err := obs.ReadRunSummaries(ops[0])
-	if err != nil {
-		return err
-	}
-	if len(ops) == 2 {
-		cur, err := obs.ReadRunSummaries(ops[1])
-		if err != nil {
-			return err
-		}
-		runs = append(runs, cur[len(cur)-1])
-	}
-	if len(runs) < 2 {
-		return fmt.Errorf("%s: need two records to diff, have %d", ops[0], len(runs))
-	}
-	if n := obs.DiffSummaries(os.Stdout, runs[len(runs)-2], runs[len(runs)-1], *thresh); n > 0 {
-		return fmt.Errorf("%d regression(s) beyond thresholds", n)
 	}
 	return nil
 }

@@ -27,8 +27,8 @@ func allocTestHooks() *obs.RunHooks {
 //
 // The run executes with live metrics AND a -timeseries recorder
 // attached: the observability layer's publish cadence (shard slot
-// writes, histogram observes, time-series column writes) is part of
-// the guarded path and must stay allocation-free too. So is the
+// writes, time-series column writes) is part of the guarded path and
+// must stay allocation-free too. So is the
 // lookahead prefetch, forced on here as paper-scale footprints have it.
 func TestSteadyStateAllocBudget(t *testing.T) {
 	specs := workload.Specs()

@@ -285,11 +285,14 @@ func (c Config) Validate() error {
 // dirCacheAssoc is the associativity of each home node's directory cache.
 const dirCacheAssoc = 8
 
-// validateUncore checks the memory controllers, the directory caches and
-// the mesh routers against the machine the core count derives. Zero
-// values are NewSystem's to default (corner controllers, 32768 entries,
-// 3-stage routers) and pass.
+// validateUncore checks the LLC capacity, the memory controllers, the
+// directory caches and the mesh routers against the machine the core
+// count derives. Zero values are NewSystem's to default (16 MB LLC,
+// corner controllers, 32768 entries, 3-stage routers) and pass.
 func (c Config) validateUncore() error {
+	if c.LLCBytes < 0 {
+		return fmt.Errorf("core: negative LLC capacity %d bytes (0 takes the default %d)", c.LLCBytes, DefaultLLCBytes)
+	}
 	if c.PipeStages < 0 {
 		return fmt.Errorf("core: negative router pipeline depth %d (0 takes the default %d)", c.PipeStages, DefaultPipeStages)
 	}

@@ -318,6 +318,8 @@ func TestValidateUncoreGeometry(t *testing.T) {
 		"negative dircache entries":    mod(func(c *Config) { c.DirCacheEntries = -8 }),
 		// mesh.NewModel panicked: "non-positive pipeline depth".
 		"negative router pipeline depth": mod(func(c *Config) { c.PipeStages = -1 }),
+		// llcGroupBytes floored it to a 16-line LLC per group.
+		"negative LLC capacity": mod(func(c *Config) { c.LLCBytes = -1 }),
 	}
 	for name, c := range bad {
 		if err := c.Validate(); err == nil {

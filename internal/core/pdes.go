@@ -82,7 +82,6 @@ const (
 type pdesOp struct {
 	t      sim.Cycle
 	addr   sim.Addr
-	lat    uint32 // in-window latency estimate (opFetch; feeds ObserveMissLat)
 	kind   uint8
 	core   uint8
 	vm     uint8
@@ -519,7 +518,7 @@ func (d *pdesDomain) issue(s *System, t sim.Cycle, li int) {
 		st.PrivMisses++
 		st.MissLatSum += lat
 		d.ops = append(d.ops, pdesOp{
-			t: t, addr: addr, lat: uint32(lat),
+			t: t, addr: addr,
 			kind: opFetch, core: uint8(c), vm: uint8(vmID),
 			region: uint8(s.regions[vmID].Of(blk)), write: acc.Write,
 		})
@@ -846,9 +845,6 @@ func (e *pdesEngine) applyOps() {
 		switch op.kind {
 		case opFetch:
 			s.applyFetch(op)
-			if s.hooks != nil {
-				s.hooks.ObserveMissLat(uint64(op.lat))
-			}
 		case opUpgrade:
 			s.applyUpgrade(op)
 		default:

@@ -134,8 +134,8 @@ type Result struct {
 // ManifestFor stamps a run manifest from a finished result: what was
 // simulated (label, workloads, organization, scale, seed, budgets) and
 // what it cost (simulated refs and cycles, host wall time). The caller
-// fills process-wide fields (CPU time, tool version, git revision) via
-// ManifestWriter.Write.
+// fills process-wide fields (time, host parallelism, tool version, git
+// revision) via ManifestWriter.Write.
 func ManifestFor(cfg Config, res Result, parallel int) obs.Manifest {
 	names := make([]string, len(cfg.Workloads))
 	for i, w := range cfg.Workloads {

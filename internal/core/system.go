@@ -159,6 +159,7 @@ type pubTotals struct {
 	refs, privMisses, llcMisses uint64
 	c2cClean, c2cDirty          uint64
 	invalidations, upgrades     uint64
+	privMissCycles              uint64
 }
 
 // livePublishMask throttles live metric publishes to one per 8192
@@ -686,20 +687,14 @@ func (s *System) runSequential(target uint64) {
 		m.Touch(acc.Block)
 		addr := m.AddrOf(acc.Block)
 		missesBefore := m.Stats.LLCMisses
-		privBefore := m.Stats.PrivMisses
 		lat := s.access(c, run.vmID, addr, acc.Write)
 		m.Stats.Refs++
 		s.globalRefs++
 		if m.Stats.LLCMisses != missesBefore {
 			m.Stats.RegionMisses[s.regions[run.vmID].Of(acc.Block)]++
 		}
-		if s.hooks != nil {
-			if m.Stats.PrivMisses != privBefore {
-				s.hooks.ObserveMissLat(uint64(lat))
-			}
-			if s.globalRefs&livePublishMask == 0 {
-				s.publishLive()
-			}
+		if s.hooks != nil && s.globalRefs&livePublishMask == 0 {
+			s.publishLive()
 		}
 
 		cs.refs++
@@ -829,6 +824,7 @@ func (s *System) publishLive() {
 		st := &m.Stats
 		t.refs += st.Refs
 		t.privMisses += st.PrivMisses
+		t.privMissCycles += uint64(st.MissLatSum)
 		t.llcMisses += st.LLCMisses
 		t.c2cClean += st.C2CClean
 		t.c2cDirty += st.C2CDirty
@@ -839,6 +835,7 @@ func (s *System) publishLive() {
 	h.AddCore(
 		t.refs-last.refs,
 		t.privMisses-last.privMisses,
+		t.privMissCycles-last.privMissCycles,
 		t.llcMisses-last.llcMisses,
 		t.c2cClean-last.c2cClean,
 		t.c2cDirty-last.c2cDirty,

@@ -52,11 +52,7 @@ type Manifest struct {
 	Refs        uint64  `json:"refs"`   // references simulated in the window
 	Cycles      uint64  `json:"cycles"` // measurement-window length
 	WallSeconds float64 `json:"wall_seconds"`
-	// CPUSeconds is the process-wide CPU time at completion (user +
-	// system); under a parallel sweep it reflects the whole process, not
-	// one job, and is recorded for throughput accounting.
-	CPUSeconds float64 `json:"cpu_seconds"`
-	Parallel   int     `json:"parallel,omitempty"`
+	Parallel    int     `json:"parallel,omitempty"`
 
 	// Interval-sampling provenance: window geometry, how much of the
 	// stream was measured in detail vs fast-forwarded, the worst per-VM
@@ -150,8 +146,8 @@ func OpenManifest(path string) (*ManifestWriter, error) {
 	return &ManifestWriter{f: f}, nil
 }
 
-// Write stamps the environment fields (time, tool, Go version, git
-// revision, CPU time) and appends m as one JSON line.
+// Write stamps the environment fields (time, host parallelism, tool, Go
+// version, git revision) and appends m as one JSON line.
 func (w *ManifestWriter) Write(m Manifest) error {
 	if m.Version == 0 {
 		m.Version = ManifestVersion
@@ -173,9 +169,6 @@ func (w *ManifestWriter) Write(m Manifest) error {
 	}
 	if m.GitRev == "" {
 		m.GitRev = buildRev()
-	}
-	if m.CPUSeconds == 0 {
-		m.CPUSeconds = ProcessCPUSeconds()
 	}
 	buf, err := json.Marshal(m)
 	if err != nil {

@@ -175,8 +175,7 @@ const retiredBenchHistory = "../../results/BENCH_consim.json"
 
 // readOldRecord reads path, a one-record fixture an older build wrote,
 // after checking it still carries fields, the removed fields it exists
-// to carry. It holds obs diff to taking the record as one run that is no
-// regression against itself, and returns the record.
+// to carry. It holds obs report to rendering the record, and returns it.
 func readOldRecord(t *testing.T, path string, fields ...string) Manifest {
 	t.Helper()
 	raw, err := os.ReadFile(path)
@@ -195,20 +194,17 @@ func readOldRecord(t *testing.T, path string, fields ...string) Manifest {
 	if len(ms) != 1 {
 		t.Fatalf("read %d records, want 1", len(ms))
 	}
-	runs, err := ReadRunSummaries(path)
-	if err != nil || len(runs) != 1 {
-		t.Fatalf("ReadRunSummaries: runs=%d err=%v", len(runs), err)
-	}
-	var diff strings.Builder
-	if n := DiffSummaries(&diff, runs[0], runs[0], 0.05); n != 0 {
-		t.Errorf("self-diff flagged %d regressions:\n%s", n, diff.String())
+	var rep strings.Builder
+	WritePhaseReport(&rep, ms[0])
+	if !strings.HasPrefix(rep.String(), "run "+ms[0].Label+"  engine=") {
+		t.Errorf("report of a parent-written record:\n%s", rep.String())
 	}
 	return ms[0]
 }
 
 // TestReadManifestsRemovedEngineFields holds the reading side to its
 // contract for sidecars that outlive a field: the record reads, the
-// unknown fields are ignored, and report and diff treat the run as the
+// unknown fields are ignored, and report treats the run as the
 // sequential run its results were bit-identical to.
 func TestReadManifestsRemovedEngineFields(t *testing.T) {
 	m := readOldRecord(t, removedEngineManifest,
@@ -227,7 +223,7 @@ func TestReadManifestsRemovedEngineFields(t *testing.T) {
 }
 
 // TestReadManifestsReplicatedRecord reads a record of a merged
-// replicate run: it reads, and report and diff take it as one run.
+// replicate run: it reads, and report takes it as one run.
 func TestReadManifestsReplicatedRecord(t *testing.T) {
 	m := readOldRecord(t, replicatedManifest, `"replicates":3`)
 	if m.Label != "TPC-H shared-4-way/affinity 1/64" || m.Refs != 12695 || m.Layers == nil || m.Layers.MemReads != 3840 {
@@ -242,7 +238,7 @@ func TestReadManifestsReplicatedRecord(t *testing.T) {
 
 // TestReadManifestsPipelinedRecord reads a record of a pipelined,
 // sharded-replay -pdes run: it reads as the -pdes run it was, and
-// report and diff take it as one run.
+// report takes it as one run.
 func TestReadManifestsPipelinedRecord(t *testing.T) {
 	m := readOldRecord(t, pipelinedManifest, `"pdes_pipelined":true`, `"pdes_pipeline_overlap_seconds":`,
 		`"pdes_replay_workers":2`, `"pdes_replay_parallel_seconds":`, `"pdes_replay_merge_seconds":`,
@@ -296,7 +292,7 @@ func TestReadManifestsPdesSeriesRecord(t *testing.T) {
 	}
 }
 
-// FuzzReadManifests holds the manifest reader, and the report and diff
+// FuzzReadManifests holds the manifest reader, and the report
 // arithmetic downstream of it, to "an error or a clean read, never a
 // panic or a hang" on arbitrary sidecar bytes: negative seconds, zero
 // wall time, domain and per-group lists of any length.
@@ -361,8 +357,6 @@ func FuzzReadManifests(f *testing.F) {
 		}
 		for _, m := range ms {
 			WritePhaseReport(io.Discard, m)
-			s := SummarizeManifest(m)
-			DiffSummaries(io.Discard, s, s, 0.05)
 		}
 	})
 }

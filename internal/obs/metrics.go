@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -19,16 +18,7 @@ const (
 	// (for per-run totals like cache hits since measurement start, the
 	// sum across workers is the live machine-wide figure).
 	Gauge
-	// Histogram values are observation distributions over power-of-two
-	// buckets; the value slot carries the observation count.
-	Histogram
 )
-
-// HistBuckets is the bucket count of every histogram: bucket i holds
-// observations v with bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i), with
-// the last bucket absorbing overflow. 2^30 cycles dwarfs any latency the
-// simulated machine can produce.
-const HistBuckets = 31
 
 // ID names a registered metric; it indexes every shard's slot array.
 type ID int
@@ -74,9 +64,6 @@ func (r *Registry) CounterID(name string) ID { return r.register(name, Counter) 
 // GaugeID registers (or looks up) a gauge.
 func (r *Registry) GaugeID(name string) ID { return r.register(name, Gauge) }
 
-// HistogramID registers (or looks up) a histogram.
-func (r *Registry) HistogramID(name string) ID { return r.register(name, Histogram) }
-
 // NewShard allocates a shard over the registered schema and freezes
 // further registration. Each simulation (or worker) owns one shard:
 // writes are uncontended, and readers aggregate across shards with
@@ -86,14 +73,6 @@ func (r *Registry) NewShard() *Shard {
 	defer r.mu.Unlock()
 	r.frozen = true
 	sh := &Shard{slots: make([]atomic.Uint64, len(r.kinds))}
-	for id, k := range r.kinds {
-		if k == Histogram {
-			if sh.hists == nil {
-				sh.hists = make([][]atomic.Uint64, len(r.kinds))
-			}
-			sh.hists[id] = make([]atomic.Uint64, HistBuckets)
-		}
-	}
 	r.shards = append(r.shards, sh)
 	return sh
 }
@@ -110,58 +89,11 @@ func (r *Registry) Value(id ID) uint64 {
 	return sum
 }
 
-// HistCounts returns a histogram's aggregated bucket counts.
-func (r *Registry) HistCounts(id ID) [HistBuckets]uint64 {
-	r.mu.Lock()
-	shards := r.shards
-	r.mu.Unlock()
-	var counts [HistBuckets]uint64
-	for _, sh := range shards {
-		if sh.hists == nil || sh.hists[id] == nil {
-			continue
-		}
-		for b := range counts {
-			counts[b] += sh.hists[id][b].Load()
-		}
-	}
-	return counts
-}
-
-// HistQuantile returns an upper-bound estimate of the q-quantile
-// (0 < q <= 1) of a histogram: the top of the first bucket at which the
-// cumulative count reaches q. Zero when the histogram is empty.
-func (r *Registry) HistQuantile(id ID, q float64) uint64 {
-	counts := r.HistCounts(id)
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	target := uint64(q * float64(total))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for b, c := range counts {
-		cum += c
-		if cum >= target {
-			if b == 0 {
-				return 0
-			}
-			return 1<<uint(b) - 1
-		}
-	}
-	return 1<<uint(HistBuckets) - 1
-}
-
 // Shard is one writer's slice of the registry. A shard's writer may be
 // any single goroutine at a time (slots are atomic, so even concurrent
 // writers merely contend); readers aggregate through the Registry.
 type Shard struct {
 	slots []atomic.Uint64
-	hists [][]atomic.Uint64 // non-nil only when histograms registered
 }
 
 // Add increments a counter slot. Allocation-free.
@@ -170,28 +102,21 @@ func (s *Shard) Add(id ID, n uint64) { s.slots[id].Add(n) }
 // Set publishes a gauge slot. Allocation-free.
 func (s *Shard) Set(id ID, v uint64) { s.slots[id].Store(v) }
 
-// Observe records one histogram observation. Allocation-free.
-func (s *Shard) Observe(id ID, v uint64) {
-	b := bits.Len64(v)
-	if b >= HistBuckets {
-		b = HistBuckets - 1
-	}
-	s.hists[id][b].Add(1)
-	s.slots[id].Add(1)
-}
-
 // SimMetrics is the standard simulator metric schema: the IDs every
 // System publishes through its RunHooks. Registering the schema on a
 // fresh registry is what NewObserver does. Every series has a reader:
-// -progress (Progress) reads Refs and MissLatency; the benchmark's
-// per-layer ledger (benchmark/trace.go, readCounts) reads the rest. A
-// run's memory-system counters reach a human through the run record
-// (Manifest.Layers), not through this registry.
+// -progress (Progress) reads Refs, PrivMisses and PrivMissCycles; the
+// benchmark's per-layer ledger (benchmark/trace.go, readCounts) reads the
+// rest. A run's per-VM results and memory-system counters reach a human
+// through the run record (Result, Manifest.Layers), not through this
+// registry.
 type SimMetrics struct {
 	// Hot-path counters, published as deltas on a cadence.
 	Refs, PrivMisses, LLCMisses ID
 	C2CClean, C2CDirty          ID
 	Invalidations, Upgrades     ID
+	// PrivMissCycles sums the latency of the misses PrivMisses counts.
+	PrivMissCycles ID
 	// Cache level gauges: 0=L0, 1=L1, 2=LLC banks.
 	LevelAccesses, LevelMisses, LevelEvictions [3]ID
 	// Coherence substrate.
@@ -199,8 +124,6 @@ type SimMetrics struct {
 	// Memory controllers (gauges; the name MemReads2 is kept because
 	// the benchmark compiles against it).
 	MemReads2, MemWritebacks, MemWaitCycles ID
-	// Latency distribution of private-cache misses.
-	MissLatency ID
 	// Warm-up and measurement wall time (microseconds), published once
 	// per run end.
 	PhaseWarmupMicros, PhaseMeasureMicros ID
@@ -213,6 +136,7 @@ func RegisterSimMetrics(reg *Registry) *SimMetrics {
 	m := &SimMetrics{
 		Refs:               reg.CounterID("sim_refs_total"),
 		PrivMisses:         reg.CounterID("sim_priv_misses_total"),
+		PrivMissCycles:     reg.CounterID("sim_priv_miss_cycles_total"),
 		LLCMisses:          reg.CounterID("sim_llc_misses_total"),
 		C2CClean:           reg.CounterID("sim_c2c_clean_total"),
 		C2CDirty:           reg.CounterID("sim_c2c_dirty_total"),
@@ -224,7 +148,6 @@ func RegisterSimMetrics(reg *Registry) *SimMetrics {
 		MemReads2:          reg.GaugeID("mem_reads"),
 		MemWritebacks:      reg.GaugeID("mem_writebacks"),
 		MemWaitCycles:      reg.GaugeID("mem_wait_cycles"),
-		MissLatency:        reg.HistogramID("miss_latency_cycles"),
 		PhaseWarmupMicros:  reg.GaugeID("phase_warmup_micros"),
 		PhaseMeasureMicros: reg.GaugeID("phase_measure_micros"),
 		Sims:               reg.CounterID("runner_sims_total"),

@@ -53,7 +53,7 @@ func TestRegistrationAfterFreezePanics(t *testing.T) {
 func TestConcurrentShardsSumExactly(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.CounterID("refs")
-	h := reg.HistogramID("lat")
+	g := reg.GaugeID("entries")
 
 	const workers = 8
 	const perWorker = 10_000
@@ -70,7 +70,7 @@ func TestConcurrentShardsSumExactly(t *testing.T) {
 				return
 			default:
 				reg.Value(c)
-				reg.HistQuantile(h, 0.5)
+				reg.Value(g)
 			}
 		}
 	}()
@@ -78,13 +78,13 @@ func TestConcurrentShardsSumExactly(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		go func(sh *Shard, seed uint64) {
+		go func(sh *Shard) {
 			defer wg.Done()
-			for j := 0; j < perWorker; j++ {
+			for j := 1; j <= perWorker; j++ {
 				sh.Add(c, 1)
-				sh.Observe(h, seed+uint64(j)%300)
+				sh.Set(g, uint64(j))
 			}
-		}(shards[i], uint64(i))
+		}(shards[i])
 	}
 	wg.Wait()
 	close(done)
@@ -92,36 +92,8 @@ func TestConcurrentShardsSumExactly(t *testing.T) {
 	if got := reg.Value(c); got != workers*perWorker {
 		t.Errorf("counter = %d, want %d", got, workers*perWorker)
 	}
-	if got := reg.Value(h); got != workers*perWorker {
-		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
-	}
-	counts := reg.HistCounts(h)
-	var total uint64
-	for _, n := range counts {
-		total += n
-	}
-	if total != workers*perWorker {
-		t.Errorf("bucket total = %d, want %d", total, workers*perWorker)
-	}
-}
-
-func TestHistQuantileBounds(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.HistogramID("lat")
-	sh := reg.NewShard()
-	if reg.HistQuantile(h, 0.5) != 0 {
-		t.Error("empty histogram quantile not 0")
-	}
-	// 100 observations of 150 land in bucket bits.Len64(150)=8, i.e.
-	// [128,256); every quantile reports the bucket's upper bound 255.
-	for i := 0; i < 100; i++ {
-		sh.Observe(h, 150)
-	}
-	if got := reg.HistQuantile(h, 0.50); got != 255 {
-		t.Errorf("p50 = %d, want 255", got)
-	}
-	if got := reg.HistQuantile(h, 0.99); got != 255 {
-		t.Errorf("p99 = %d, want 255", got)
+	if got := reg.Value(g); got != workers*perWorker {
+		t.Errorf("gauge sum = %d, want each shard's last publish summed, %d", got, workers*perWorker)
 	}
 }
 
@@ -129,12 +101,10 @@ func TestShardHotPathAllocationFree(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.CounterID("c")
 	g := reg.GaugeID("g")
-	h := reg.HistogramID("h")
 	sh := reg.NewShard()
 	allocs := testing.AllocsPerRun(1000, func() {
 		sh.Add(c, 1)
 		sh.Set(g, 42)
-		sh.Observe(h, 150)
 	})
 	if allocs != 0 {
 		t.Errorf("shard writes allocate: %v allocs/run", allocs)

@@ -1,12 +1,12 @@
 // Package obs is the simulator's observability layer: a sharded metrics
-// registry whose hot-path updates are allocation-free, a Chrome
-// trace-format event tracer for phase and runner-pool timing, JSONL run
-// manifests that stamp every result with its provenance, its
-// memory-system ledger and, with -timeseries, its per-window time series
-// (per-VM references, LLC miss rate and cycles per transaction, memory
-// queue depth, sampling CI and pdes domain progress, one row per live
-// publish), a live progress display for long sweeps, and an optional
-// pprof debug server.
+// registry of counters and gauges whose hot-path updates are
+// allocation-free, a Chrome trace-format event tracer for phase and
+// runner-pool timing, JSONL run manifests that stamp every result with
+// its provenance, its memory-system ledger and, with -timeseries, its
+// per-window time series (per-VM references, LLC miss rate and cycles
+// per transaction, memory queue depth and sampling CI, one row per live
+// publish), the report that renders one such record, a live progress
+// display for long sweeps, and an optional pprof debug server.
 //
 // The design splits responsibilities so the simulator's per-reference
 // path stays zero-alloc:
@@ -173,14 +173,12 @@ func (h *RunHooks) Phase(lane int, name string) func() {
 	return func() { h.Tr.End(lane) }
 }
 
-// ObserveMissLat records one private-miss latency into the histogram.
-func (h *RunHooks) ObserveMissLat(cycles uint64) { h.Sh.Observe(h.M.MissLatency, cycles) }
-
 // AddCore folds per-VM counter deltas into the shard's counters.
-func (h *RunHooks) AddCore(refs, privMisses, llcMisses, c2cClean, c2cDirty, invalidations, upgrades uint64) {
+func (h *RunHooks) AddCore(refs, privMisses, privMissCycles, llcMisses, c2cClean, c2cDirty, invalidations, upgrades uint64) {
 	sh, m := h.Sh, h.M
 	sh.Add(m.Refs, refs)
 	sh.Add(m.PrivMisses, privMisses)
+	sh.Add(m.PrivMissCycles, privMissCycles)
 	sh.Add(m.LLCMisses, llcMisses)
 	sh.Add(m.C2CClean, c2cClean)
 	sh.Add(m.C2CDirty, c2cDirty)

@@ -11,7 +11,7 @@ import (
 
 // Progress renders a live single-line status for a long sweep on
 // stderr: runs started/done/in-flight, simulated-reference throughput,
-// miss-latency percentiles, elapsed time and an ETA over the runs
+// mean private-miss latency, elapsed time and an ETA over the runs
 // requested so far. Because the runner memoizes and figures enqueue
 // work dynamically, the total is the number of runs *started*, so the
 // ETA firms up as the sweep's shape becomes known.
@@ -122,8 +122,8 @@ func (p *Progress) render() {
 		}
 		p.lastRefs, p.lastAt = refs, now
 		line += fmt.Sprintf(" | %s refs (%s/s)", humanCount(refs), humanCount(uint64(rate)))
-		if p50 := p.reg.HistQuantile(p.sim.MissLatency, 0.50); p50 > 0 {
-			line += fmt.Sprintf(" | missLat p50<=%d p99<=%d", p50, p.reg.HistQuantile(p.sim.MissLatency, 0.99))
+		if misses := p.reg.Value(p.sim.PrivMisses); misses > 0 {
+			line += fmt.Sprintf(" | missLat mean %.0f", float64(p.reg.Value(p.sim.PrivMissCycles))/float64(misses))
 		}
 	}
 

@@ -1,9 +1,9 @@
-// Cross-run analysis: run reports and run diffs.
+// Run reports.
 //
-// This file is the testable core of consim obs. It consumes the
+// This file is the testable core of consim obs report. It consumes the
 // run-manifest JSONL the toolchain writes (ManifestWriter), time series
-// included, and renders it for humans: a per-run memory-system,
-// phase/Amdahl and time-series report, and a two-run regression diff.
+// included, and renders one record for humans: its memory system,
+// phase/Amdahl decomposition and time series.
 package obs
 
 import (
@@ -12,15 +12,6 @@ import (
 	"math"
 	"sort"
 )
-
-// ApplyFractionGate is the absolute apply-fraction growth (in fraction
-// points) past which a pdes run counts as regressed: the serial replay
-// share is deterministic per configuration, so five points of growth is
-// structural, not noise.
-const ApplyFractionGate = 0.05
-
-// ---------------------------------------------------------------------
-// Phase report
 
 // WritePhaseReport renders one manifest record: the run header, the
 // memory-system ledger, the wall-time phase decomposition with its
@@ -214,133 +205,3 @@ func readable(s *Series) bool {
 	}
 	return true
 }
-
-// ---------------------------------------------------------------------
-// Diff
-
-// RunSummary is the engine-agnostic comparison surface `obs diff`
-// extracts from a manifest record. Absent metrics are NaN so a diff
-// only compares what both sides measured.
-type RunSummary struct {
-	Name string
-	Time string
-
-	WallSeconds   float64
-	RefsPerSec    float64
-	ApplyFraction float64 // pdes serial-replay share of wall
-	StallSeconds  float64 // pdes spine stall
-	SampleRelCI   float64 // sampled runs only
-	FFCostRatio   float64 // sampled runs only: ff cost per skipped ref vs detailed
-}
-
-func absent() float64 { return math.NaN() }
-
-// SummarizeManifest reduces one manifest record to its comparison
-// surface.
-func SummarizeManifest(m Manifest) RunSummary {
-	s := RunSummary{
-		Name:          m.Label,
-		Time:          m.Time,
-		WallSeconds:   m.WallSeconds,
-		RefsPerSec:    absent(),
-		ApplyFraction: absent(),
-		StallSeconds:  absent(),
-		SampleRelCI:   absent(),
-		FFCostRatio:   absent(),
-	}
-	if m.WallSeconds > 0 && m.Refs > 0 {
-		s.RefsPerSec = float64(m.Refs) / m.WallSeconds
-	}
-	switch {
-	case m.Phase != nil && m.Phase.Engine() == "pdes":
-		s.ApplyFraction = m.Phase.ApplyFraction(m.WallSeconds)
-		s.StallSeconds = m.Phase.PdesStallSeconds
-	case m.PdesWorkers > 0 && m.WallSeconds > 0:
-		s.ApplyFraction = m.PdesApplySeconds / m.WallSeconds
-		s.StallSeconds = m.PdesStallSeconds
-	}
-	if m.SampleWindows > 0 {
-		s.SampleRelCI = m.SampleRelCI
-		if m.Phase != nil {
-			if r := m.Phase.FFCostRatio(m.SampleDetailedRefs, m.SampleSkippedRefs); r > 0 {
-				s.FFCostRatio = r
-			}
-		}
-	}
-	return s
-}
-
-// ReadRunSummaries loads every run of the manifest JSONL file at path;
-// a file with no records is an error, since nothing can be diffed
-// against it.
-func ReadRunSummaries(path string) ([]RunSummary, error) {
-	ms, err := ReadManifests(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(ms) == 0 {
-		return nil, fmt.Errorf("%s: no manifest records", path)
-	}
-	out := make([]RunSummary, len(ms))
-	for i, m := range ms {
-		out[i] = SummarizeManifest(m)
-	}
-	return out, nil
-}
-
-// DiffSummaries renders a comparison of base (old) vs cur (new) and
-// returns the number of regressions beyond the thresholds: throughput
-// down by more than thresh (fractional, e.g. 0.05), apply fraction up
-// by more than ApplyFractionGate points, ff cost ratio up by more than
-// FFCostGateFrac relative.
-func DiffSummaries(w io.Writer, base, cur RunSummary, thresh float64) int {
-	fmt.Fprintf(w, "base: %s (%s)\n cur: %s (%s)\n", base.Name, base.Time, cur.Name, cur.Time)
-	regressions := 0
-	flag := func(bad bool, why string) string {
-		if !bad {
-			return ""
-		}
-		regressions++
-		return "  REGRESSION: " + why
-	}
-	both := func(a, b float64) bool { return !math.IsNaN(a) && !math.IsNaN(b) }
-
-	if both(base.WallSeconds, cur.WallSeconds) && base.WallSeconds > 0 {
-		d := (cur.WallSeconds - base.WallSeconds) / base.WallSeconds
-		fmt.Fprintf(w, "  %-16s %10.3f -> %10.3f  (%+.1f%%)\n", "wall_seconds", base.WallSeconds, cur.WallSeconds, 100*d)
-	}
-	if both(base.RefsPerSec, cur.RefsPerSec) && base.RefsPerSec > 0 {
-		d := (cur.RefsPerSec - base.RefsPerSec) / base.RefsPerSec
-		fmt.Fprintf(w, "  %-16s %10.0f -> %10.0f  (%+.1f%%)%s\n", "refs_per_sec", base.RefsPerSec, cur.RefsPerSec, 100*d,
-			flag(d < -thresh, fmt.Sprintf("throughput down %.1f%% (threshold %.0f%%)", -100*d, 100*thresh)))
-	}
-	if both(base.ApplyFraction, cur.ApplyFraction) {
-		d := cur.ApplyFraction - base.ApplyFraction
-		fmt.Fprintf(w, "  %-16s %10.3f -> %10.3f  (%+.1f pts)%s\n", "apply_fraction", base.ApplyFraction, cur.ApplyFraction, 100*d,
-			flag(d > ApplyFractionGate, fmt.Sprintf("serial replay share up %.1f points (gate %.0f)", 100*d, 100*ApplyFractionGate)))
-	}
-	if both(base.StallSeconds, cur.StallSeconds) {
-		fmt.Fprintf(w, "  %-16s %10.3f -> %10.3f\n", "stall_seconds", base.StallSeconds, cur.StallSeconds)
-	}
-	if both(base.SampleRelCI, cur.SampleRelCI) {
-		fmt.Fprintf(w, "  %-16s %10.4f -> %10.4f\n", "sample_rel_ci", base.SampleRelCI, cur.SampleRelCI)
-	}
-	if both(base.FFCostRatio, cur.FFCostRatio) && base.FFCostRatio > 0 {
-		d := (cur.FFCostRatio - base.FFCostRatio) / base.FFCostRatio
-		fmt.Fprintf(w, "  %-16s %10.3f -> %10.3f  (%+.1f%%)%s\n", "ff_cost_ratio", base.FFCostRatio, cur.FFCostRatio, 100*d,
-			flag(d > FFCostGateFrac, fmt.Sprintf("ff cost ratio up %.1f%% (gate %.0f%%)", 100*d, 100*FFCostGateFrac)))
-	}
-	if regressions == 0 {
-		fmt.Fprintf(w, "  no regressions beyond thresholds\n")
-	}
-	return regressions
-}
-
-// FFCostGateFrac is the relative growth in a sampled run's
-// fast-forward cost ratio that `obs diff` flags: the ratio is
-// a quotient of two wall-clock measurements, so it inherits both
-// phases' run-to-run noise; 20% relative keeps the gate quiet on a
-// loaded host while still catching a warming-walk deoptimization (the
-// walk's whole specialization margin over the generic path is of that
-// order).
-const FFCostGateFrac = 0.20

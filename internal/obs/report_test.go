@@ -102,121 +102,30 @@ func TestWritePhaseReportNoProfile(t *testing.T) {
 	}
 }
 
-func TestSummarizeManifest(t *testing.T) {
-	s := SummarizeManifest(pdesManifest())
-	if s.RefsPerSec != 500_000 {
-		t.Errorf("RefsPerSec = %v, want 500000", s.RefsPerSec)
-	}
-	if s.ApplyFraction != 0.3 {
-		t.Errorf("ApplyFraction = %v, want 0.3", s.ApplyFraction)
-	}
-	if s.StallSeconds != 0.2 {
-		t.Errorf("StallSeconds = %v, want 0.2", s.StallSeconds)
-	}
-	if !math.IsNaN(s.SampleRelCI) || !math.IsNaN(s.FFCostRatio) {
-		t.Errorf("absent metrics not NaN: %+v", s)
-	}
-
-	// Pre-phase manifests fall back to the pdes provenance fields.
-	old := Manifest{Label: "old", Refs: 100, WallSeconds: 2, PdesWorkers: 2, PdesApplySeconds: 0.5, PdesStallSeconds: 0.1}
-	s = SummarizeManifest(old)
-	if s.ApplyFraction != 0.25 || s.StallSeconds != 0.1 {
-		t.Errorf("legacy summary = %+v", s)
-	}
-}
-
-func TestDiffSummariesFlagsRegressions(t *testing.T) {
-	base := SummarizeManifest(pdesManifest())
-	cur := base
-	var b strings.Builder
-	if n := DiffSummaries(&b, base, cur, 0.05); n != 0 {
-		t.Fatalf("self-diff found %d regressions:\n%s", n, b.String())
-	}
-	if !strings.Contains(b.String(), "no regressions") {
-		t.Fatalf("missing all-clear note:\n%s", b.String())
-	}
-
-	cur.RefsPerSec = base.RefsPerSec * 0.8       // -20% throughput
-	cur.ApplyFraction = base.ApplyFraction + 0.1 // +10 points serial share
-	b.Reset()
-	if n := DiffSummaries(&b, base, cur, 0.05); n != 2 {
-		t.Fatalf("found %d regressions, want 2:\n%s", n, b.String())
-	}
-	if !strings.Contains(b.String(), "REGRESSION") {
-		t.Fatalf("missing regression marker:\n%s", b.String())
-	}
-
-	// A drop inside the threshold is not flagged.
-	cur = base
-	cur.RefsPerSec = base.RefsPerSec * 0.97
-	b.Reset()
-	if n := DiffSummaries(&b, base, cur, 0.05); n != 0 {
-		t.Fatalf("3%% drop flagged under 5%% threshold:\n%s", b.String())
-	}
-
-	// ff cost ratio: reported when both sides carry it, flagged past the
-	// relative gate.
-	base.FFCostRatio, cur = 0.75, base
-	cur.FFCostRatio = 0.80
-	b.Reset()
-	if n := DiffSummaries(&b, base, cur, 0.05); n != 0 {
-		t.Fatalf("within-gate ff cost growth flagged:\n%s", b.String())
-	}
-	if !strings.Contains(b.String(), "ff_cost_ratio") {
-		t.Fatalf("ff cost line missing:\n%s", b.String())
-	}
-	cur.FFCostRatio = 0.95
-	b.Reset()
-	if n := DiffSummaries(&b, base, cur, 0.05); n != 1 {
-		t.Fatalf("27%%-relative ff cost growth found %d regressions, want 1:\n%s", n, b.String())
-	}
-}
-
-func TestReadRunSummariesManifestJSONL(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "m.jsonl")
-	w, err := OpenManifest(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Write(pdesManifest()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Write(pdesManifest()); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	runs, err := ReadRunSummaries(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 {
-		t.Fatalf("len=%d, want 2", len(runs))
-	}
-	if runs[1].Name != "shared/affinity" {
-		t.Fatalf("summary = %+v", runs[1])
-	}
-}
-
+// TestReadRunSummariesErrors feeds the reader of run records, which obs
+// report reads through, the files that once went to the run-summary
+// reader: a blank file is no runs, and a malformed, missing or
+// non-JSONL file is an error.
 func TestReadRunSummariesErrors(t *testing.T) {
 	dir := t.TempDir()
 	empty := filepath.Join(dir, "empty.json")
 	os.WriteFile(empty, []byte("  \n"), 0o644)
-	if _, err := ReadRunSummaries(empty); err == nil {
-		t.Error("empty file did not error")
+	if ms, err := ReadManifests(empty); err != nil || len(ms) != 0 {
+		t.Errorf("blank file: %d records, err = %v, want none and no error", len(ms), err)
 	}
 	bad := filepath.Join(dir, "bad.json")
 	os.WriteFile(bad, []byte(`{"refs":}`), 0o644)
-	if _, err := ReadRunSummaries(bad); err == nil {
+	if _, err := ReadManifests(bad); err == nil {
 		t.Error("malformed manifest did not error")
 	}
-	if _, err := ReadRunSummaries(filepath.Join(dir, "nope.json")); err == nil {
+	if _, err := ReadManifests(filepath.Join(dir, "nope.json")); err == nil {
 		t.Error("missing file did not error")
 	}
 
 	// The retired cmd/bench history is a JSON array, which no reader
 	// takes any more: the error has to say which file, not hand back
-	// records that diff as all-absent.
-	_, err := ReadRunSummaries(retiredBenchHistory)
+	// all-zero records.
+	_, err := ReadManifests(retiredBenchHistory)
 	if err == nil || !strings.Contains(err.Error(), retiredBenchHistory) {
 		t.Errorf("bench history array: err = %v, want one naming %s", err, retiredBenchHistory)
 	}
@@ -253,8 +162,8 @@ func TestWritePhaseReportSampledWarmup(t *testing.T) {
 		if !strings.Contains(out, costLine) {
 			t.Errorf("%s: report missing %q in:\n%s", name, costLine, out)
 		}
-		if s := SummarizeManifest(m); math.Abs(s.FFCostRatio-0.25/140000/(0.25/40000)) > 1e-12 {
-			t.Errorf("%s: summary ff cost ratio %v counts more than the between-window skipping", name, s.FFCostRatio)
+		if r := m.Phase.FFCostRatio(m.SampleDetailedRefs, m.SampleSkippedRefs); math.Abs(r-0.25/140000/(0.25/40000)) > 1e-12 {
+			t.Errorf("%s: ff cost ratio %v counts more than the between-window skipping", name, r)
 		}
 	}
 }
