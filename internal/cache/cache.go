@@ -6,10 +6,11 @@
 // them.
 //
 // Storage is one []uint64 per cache, a set's ways contiguous and each way
-// one packed slot: tag<<32 | vm<<8 | state, an all-ones tag marking an
-// empty way. Host-memory latency, not compares, is what a set walk costs,
-// so everything a hit, a fill or an eviction needs sits in the words the
-// tag scan already pulled in (a 16-way set is two host cache lines).
+// one packed slot: ^tag<<32 | vm<<8 | state, the all-zero word marking an
+// empty way, so a freshly allocated array is an empty cache. Host-memory
+// latency, not compares, is what a set walk costs, so everything a hit, a
+// fill or an eviction needs sits in the words the tag scan already pulled
+// in (a 16-way set is two host cache lines).
 //
 // Recency invariant: every set is kept in recency order — way 0 is the
 // MRU line, each deeper way is older, and empty ways are compacted to the
@@ -118,36 +119,34 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// invalidTag marks an empty way in the packed tag field. Tags are line
-// numbers (addresses shifted right by the line bits), and blockOf rejects
-// addresses whose line number reaches the sentinel, so it can never
-// collide with a real tag.
-const invalidTag = ^uint32(0)
-
 // MaxLines is how many lines of physical address space a cache can tag:
-// line numbers 0 through MaxLines-1, the next being the empty-way
-// sentinel. vm.Layout keeps every VM region below it, so a configuration
-// can never reach blockOf's panic.
-const MaxLines = uint64(invalidTag)
+// line numbers 0 through MaxLines-1. The next one's complement is the
+// empty way's zero tag, so blockOf rejects it. vm.Layout keeps every VM
+// region below it, so a configuration can never reach blockOf's panic.
+const MaxLines = uint64(^uint32(0))
 
-// Slot layout: the 32-bit line number (a quarter-terabyte of modeled
-// physical space) in the high word, the inserting VM and the coherence
-// state in the low word's two low bytes.
+// Slot layout: the complement of the 32-bit line number (a
+// quarter-terabyte of modeled physical space) in the high word, the
+// inserting VM and the coherence state in the low word's two low bytes.
+// Storing the complement — the directory's ^key convention — makes the
+// all-zero word the empty way.
 const (
 	tagShift  = 32
 	vmShift   = 8
 	stateMask = 0xff
-	emptySlot = uint64(invalidTag) << tagShift
+	emptySlot = 0
 )
 
 func pack(tag uint32, st State, vm uint8) uint64 {
-	return uint64(tag)<<tagShift | uint64(vm)<<vmShift | uint64(st)
+	return uint64(^tag)<<tagShift | uint64(vm)<<vmShift | uint64(st)
 }
 
+// slotTag returns a slot's stored tag field: the complemented line
+// number, compared against ^blockOf(addr).
 func slotTag(v uint64) uint32 { return uint32(v >> tagShift) }
 
 func slotLine(v uint64) Line {
-	return Line{Tag: sim.Addr(v >> tagShift << sim.LineShift), State: State(v), VM: uint8(v >> vmShift)}
+	return Line{Tag: sim.Addr(uint64(^slotTag(v)) << sim.LineShift), State: State(v), VM: uint8(v >> vmShift)}
 }
 
 // Cache is a set-associative, LRU-replacement cache array.
@@ -178,7 +177,7 @@ type Cache struct {
 // far beyond the paper's configurations — rather than silently aliasing.
 func blockOf(addr sim.Addr) uint32 {
 	b := uint64(addr) >> sim.LineShift
-	if b >= uint64(invalidTag) {
+	if b >= MaxLines {
 		panic("cache: address exceeds packed 32-bit tag capacity")
 	}
 	return uint32(b)
@@ -221,28 +220,13 @@ func (c Config) lines() int {
 	return c.SizeBytes / sim.LineBytes
 }
 
-// init points an empty cache of geometry cfg at its ways.
+// init points an empty cache of geometry cfg at its ways, which are
+// zeroed: every way empty.
 func (c *Cache) init(cfg Config, slots []uint64) {
-	fillEmpty(slots)
 	c.cfg = cfg
 	c.assoc = cfg.Assoc
 	c.setMask = uint64(len(slots)/cfg.Assoc - 1)
 	c.slots = slots
-}
-
-// fillEmpty marks every slot empty: it seeds one slot and doubles the
-// filled prefix with copy. A scalar store loop's speed hung on where the
-// linker placed it (1.6x slower when its four instructions straddled a
-// 64-byte line), so unrelated code changes moved every machine's set-up
-// time; copy runs the runtime's memmove, whose placement never changes.
-func fillEmpty(slots []uint64) {
-	if len(slots) == 0 {
-		return
-	}
-	slots[0] = emptySlot
-	for n := 1; n < len(slots); n *= 2 {
-		copy(slots[n:], slots[:n])
-	}
 }
 
 // Config returns the geometry the cache was built with.
@@ -282,8 +266,9 @@ func (c *Cache) Lookup(addr sim.Addr) (Way, bool) {
 	t := blockOf(addr)
 	c.Accesses++
 	s, base := c.set(t)
+	k := ^t
 	for i, v := range s {
-		if slotTag(v) != t {
+		if slotTag(v) != k {
 			continue
 		}
 		copy(s[1:i+1], s[:i])
@@ -300,8 +285,9 @@ func (c *Cache) Lookup(addr sim.Addr) (Way, bool) {
 func (c *Cache) Probe(addr sim.Addr) (Way, bool) {
 	t := blockOf(addr)
 	s, base := c.set(t)
+	k := ^t
 	for i, v := range s {
-		if slotTag(v) == t {
+		if slotTag(v) == k {
 			return Way(base + i), true
 		}
 	}
@@ -328,19 +314,20 @@ func (c *Cache) Insert(addr sim.Addr, st State, vm uint8) (victim Line, evicted 
 func (c *Cache) InsertIfAbsent(addr sim.Addr, st State, vm uint8) (victim Line, evicted bool, w Way, inserted bool) {
 	la := blockOf(addr)
 	s, base := c.set(la)
+	k := ^la
 	vi := len(s) - 1
 	for i, v := range s {
-		if slotTag(v) == la {
+		if slotTag(v) == k {
 			return Line{}, false, Way(base + i), false
 		}
-		if slotTag(v) == invalidTag {
+		if v == emptySlot {
 			// Empty ways are compacted to the tail: nothing resident
 			// lies beyond the first one.
 			vi = i
 			break
 		}
 	}
-	if slotTag(s[vi]) != invalidTag {
+	if s[vi] != emptySlot {
 		if c.quota != nil {
 			vi = c.partitionVictim(s, vm)
 		}
@@ -359,8 +346,9 @@ func (c *Cache) InsertIfAbsent(addr sim.Addr, st State, vm uint8) (victim Line, 
 func (c *Cache) Invalidate(addr sim.Addr) (Line, bool) {
 	t := blockOf(addr)
 	s, _ := c.set(t)
+	k := ^t
 	for i, v := range s {
-		if slotTag(v) == t {
+		if slotTag(v) == k {
 			copy(s[i:], s[i+1:])
 			s[len(s)-1] = emptySlot
 			return slotLine(v), true
@@ -413,7 +401,7 @@ func (c *Cache) Resident() int {
 // written back.
 func (c *Cache) ForEach(fn func(*Line)) {
 	for _, v := range c.slots {
-		if slotTag(v) == invalidTag {
+		if v == emptySlot {
 			continue
 		}
 		l := slotLine(v)

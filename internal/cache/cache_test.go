@@ -121,6 +121,68 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
+// TestComplementTagEdges: a slot stores its line number complemented, so
+// the all-zero word is the empty way. Line 0 (stored as all ones) and the
+// largest taggable line, MaxLines-1 (stored as 1, next to the empty
+// marker), each round-trip through Insert, Lookup, WayTag, ForEach and
+// Invalidate beside a resident neighbour in the same set; line MaxLines,
+// whose complement is the empty marker, is refused.
+func TestComplementTagEdges(t *testing.T) {
+	for _, line := range []uint64{0, MaxLines - 1} {
+		c := small()
+		addr := sim.Addr(line << sim.LineShift)
+		other := sim.Addr((line ^ 4) << sim.LineShift) // same set of 4, other tag
+		want := Line{Tag: addr, State: Modified, VM: 7}
+		c.Insert(other, Shared, 1)
+		if _, evicted, w := c.Insert(addr, Modified, 7); evicted || c.WayTag(w) != addr || c.State(w) != Modified || c.WayVM(w) != 7 {
+			t.Fatalf("line %#x: Insert evicted %v, way reads %#x/%v/%d", line, evicted, c.WayTag(w), c.State(w), c.WayVM(w))
+		}
+		if _, ok := c.Lookup(other); !ok {
+			t.Fatalf("line %#x: neighbour lost", line)
+		}
+		if w, ok := c.Lookup(addr); !ok || c.WayTag(w) != addr {
+			t.Fatalf("line %#x: Lookup = %d, %v", line, w, ok)
+		}
+		var seen []Line
+		c.ForEach(func(l *Line) { seen = append(seen, *l) })
+		if len(seen) != 2 || seen[0] != want || seen[1] != (Line{Tag: other, State: Shared, VM: 1}) {
+			t.Fatalf("line %#x: ForEach visited %+v", line, seen)
+		}
+		if l, ok := c.Invalidate(addr); !ok || l != want {
+			t.Fatalf("line %#x: Invalidate = %+v, %v", line, l, ok)
+		}
+		if _, ok := c.Probe(addr); ok || c.Resident() != 1 {
+			t.Fatalf("line %#x: resident after Invalidate (%d lines left)", line, c.Resident())
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("line MaxLines, the empty marker's complement, was accepted")
+		}
+	}()
+	small().Lookup(sim.Addr(MaxLines << sim.LineShift))
+}
+
+// TestFreshSlabIsEmpty: a level's zeroed slab is already an empty cache,
+// with no fill pass: no line is resident and no set has a victim, also
+// under a way partition.
+func TestFreshSlabIsEmpty(t *testing.T) {
+	cfg := Config{SizeBytes: 64 * 64, Assoc: 4}
+	for i, c := range NewN(3, cfg) {
+		if i == 2 {
+			c.SetPartition([]int{1, 3})
+		}
+		if n := c.Resident(); n != 0 {
+			t.Fatalf("cache %d: %d resident lines in a fresh slab", i, n)
+		}
+		for set := 0; set < c.Lines()/cfg.Assoc; set++ {
+			if tag, ok := c.PeekVictimTag(sim.Addr(set)<<sim.LineShift, 1); ok {
+				t.Fatalf("cache %d set %d: fresh set names victim %#x", i, set, tag)
+			}
+		}
+	}
+}
+
 func TestProbeDoesNotTouchStats(t *testing.T) {
 	c := small()
 	c.Insert(0xc0, Shared, 0)
@@ -412,7 +474,7 @@ func (c *Cache) recency(t testing.TB) [][]Line {
 	for base := 0; base < len(c.slots); base += c.assoc {
 		var lines []Line
 		for i, v := range c.slots[base : base+c.assoc] {
-			if slotTag(v) == invalidTag {
+			if v == emptySlot {
 				continue
 			}
 			if i != len(lines) {

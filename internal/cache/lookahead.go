@@ -29,7 +29,7 @@ func (c *Cache) PrefetchSet(addr sim.Addr) {
 func (c *Cache) PeekVictimTag(addr sim.Addr, vm uint8) (sim.Addr, bool) {
 	s, _ := c.set(blockOf(addr))
 	vi := len(s) - 1
-	if slotTag(s[vi]) == invalidTag {
+	if s[vi] == emptySlot {
 		return 0, false
 	}
 	if c.quota != nil {

@@ -14,12 +14,12 @@ import (
 // 2·lines operations and never goes past them (new blocks are drawn from
 // a sparse space, so probe clusters form from hashing alone). It returns
 // the peak live count and checks after every operation that the flat
-// table's capacity is its first one, or dirCap(lines) once it has grown:
-// bounded traffic grows the table at most once.
+// table's capacity is dirCap(lines): the first operation, a fill,
+// allocates the bound's table, and bounded traffic never regrows it.
 func boundedOps(t *testing.T, flat *Directory, ref *RefDirectory, lines, ops int, seed uint64) (peak int) {
 	t.Helper()
 	rng := sim.NewRNG(seed)
-	first, bound := flat.Cap(), dirCap(lines)
+	bound := dirCap(lines)
 	var live []sim.Addr
 	for op := 0; op < ops; op++ {
 		if len(live) < lines && (len(live) == 0 || rng.Bool(0.75)) {
@@ -50,9 +50,8 @@ func boundedOps(t *testing.T, flat *Directory, ref *RefDirectory, lines, ops int
 		if flat.Len() != ref.Len() || flat.Len() != len(live) {
 			t.Fatalf("op %d: Len: flat=%d ref=%d live=%d", op, flat.Len(), ref.Len(), len(live))
 		}
-		if c := flat.Cap(); c != first && c != bound {
-			t.Fatalf("op %d: %d live of bound %d: capacity %d, want %d or %d",
-				op, len(live), lines, c, first, bound)
+		if c := flat.Cap(); c != bound {
+			t.Fatalf("op %d: %d live of bound %d: capacity %d, want %d", op, len(live), lines, c, bound)
 		}
 	}
 	checkParity(t, flat, ref)
@@ -60,25 +59,20 @@ func boundedOps(t *testing.T, flat *Directory, ref *RefDirectory, lines, ops int
 }
 
 // TestDirectoryBoundHoldsCapacity: a directory sized for lines entries
-// keeps its capacity under any traffic that stays within them, except
-// for the one jump to dirCap(lines) when the first allocation fills — and
-// it stays in parity with the map-backed oracle throughout.
+// owns no table until its first fill, then dirCap(lines) slots under any
+// traffic that stays within them — and it stays in parity with the
+// map-backed oracle throughout.
 func TestDirectoryBoundHoldsCapacity(t *testing.T) {
 	for _, lines := range []int{1, 100, 1535, 16_384, 49_152, 65_536, 262_144} {
 		if testing.Short() && lines > 65_536 {
 			continue
 		}
 		flat, ref := NewDirectoryFor(16, lines), NewRefDirectory(16)
-		first := flat.Cap()
+		if flat.Cap() != 0 {
+			t.Fatalf("bound %d: %d slots before the first fill, want none", lines, flat.Cap())
+		}
 		peak := boundedOps(t, flat, ref, lines, max(4*lines, 1000), uint64(lines))
-		want := first
-		if peak > first*3/4 {
-			want = dirCap(lines)
-		}
-		if flat.Cap() != want {
-			t.Errorf("bound %d, peak %d live: capacity %d, want %d", lines, peak, flat.Cap(), want)
-		}
-		t.Logf("bound %d: first %d slots, peak %d live, final %d slots", lines, first, peak, flat.Cap())
+		t.Logf("bound %d: peak %d live, %d slots", lines, peak, flat.Cap())
 	}
 }
 
@@ -93,8 +87,7 @@ func fillDistinct(flat *Directory, ref *RefDirectory, base, n int) {
 
 // TestDirectoryPastBoundDoubles: the bound's capacity holds lines+1
 // entries at its 3/4 load; the first entry past that load doubles the
-// table, whether the table was allocated at the bound (small bound) or
-// jumped there from the initial allocation (large bound).
+// table, for a bound below and one above dirInitialSlots.
 func TestDirectoryPastBoundDoubles(t *testing.T) {
 	for _, size := range []int{2048, 1 << 17} {
 		lines := size*3/4 - 1 // dirCap(lines) == size, exactly full at lines+1
@@ -114,18 +107,44 @@ func TestDirectoryPastBoundDoubles(t *testing.T) {
 	}
 }
 
-// TestDirectoryFirstAllocation: whatever the bound, the first allocation
-// is min(dirCap(lines), dirInitialSlots) — a paper-scale bound costs no
-// more up front than an unbounded directory — and no bound means
-// dirInitialSlots.
+// TestDirectoryFirstAllocation: a bounded directory owns no table before
+// its first insert — construction allocates the Directory alone, and
+// lookups, releases and walks of the empty directory find nothing — and
+// that insert allocates exactly dirCap(lines) slots, which filling the
+// bound never regrows. An unbounded directory starts at dirInitialSlots.
 func TestDirectoryFirstAllocation(t *testing.T) {
-	for _, lines := range []int{0, 1, 2, 3, 1000, 49_151, 49_152, 262_144, 1 << 30} {
-		want := dirInitialSlots
-		if lines > 0 {
-			want = min(dirCap(lines), dirInitialSlots)
+	if got := NewDirectory(16).Cap(); got != dirInitialSlots {
+		t.Errorf("NewDirectory: %d slots, want %d", got, dirInitialSlots)
+	}
+	for _, lines := range []int{1, 3, 1000, 49_151, 49_152, 262_144} {
+		if n := testing.AllocsPerRun(5, func() { NewDirectoryFor(16, lines) }); n != 1 {
+			t.Errorf("NewDirectoryFor(16, %d) made %v allocations, want 1 (no table)", lines, n)
 		}
-		if got := NewDirectoryFor(16, lines).Cap(); got != want || got > dirInitialSlots {
-			t.Errorf("NewDirectoryFor(16, %d): %d slots, want %d", lines, got, want)
+		d := NewDirectoryFor(16, lines)
+		addr := sim.Addr(12345) << sim.LineShift
+		d.PrefetchProbe(addr)
+		d.PrefetchRelease(addr)
+		d.Release(addr)
+		if _, ok := d.Probe(addr); ok {
+			t.Errorf("lines %d: empty directory finds a block", lines)
+		}
+		if _, ok := d.ProbeSlot(addr); ok {
+			t.Errorf("lines %d: empty directory finds a slot", lines)
+		}
+		if r, rep := d.ReplicationSnapshot(); r != 0 || rep != 0 || d.Len() != 0 || d.CheckInvariants() != nil {
+			t.Errorf("lines %d: empty directory walks to %d resident, %d replicated, %d live", lines, r, rep, d.Len())
+		}
+		if d.Cap() != 0 {
+			t.Fatalf("lines %d: %d slots before the first insert, want none", lines, d.Cap())
+		}
+		for i := 0; i < lines; i++ {
+			d.Get(sim.Addr(i) << sim.LineShift).AddL2(i % 16)
+			if d.Cap() != dirCap(lines) {
+				t.Fatalf("lines %d: %d slots after %d inserts, want %d", lines, d.Cap(), i+1, dirCap(lines))
+			}
+		}
+		if err := d.CheckInvariants(); err != nil || d.Len() != lines {
+			t.Fatalf("lines %d: %d live, %v", lines, d.Len(), err)
 		}
 	}
 	for lines, want := range map[int]int{1: 4, 2: 4, 3: 8, 5: 8, 6: 16, 49_151: 65_536, 49_152: 131_072, 262_144: 524_288} {
@@ -135,25 +154,33 @@ func TestDirectoryFirstAllocation(t *testing.T) {
 	}
 }
 
-// TestDirectoryBytes holds Bytes to the slot's real layout and to the
-// promise core's victim-hint gate rests on: a new directory's table is of
-// huge-page size exactly when the table at its bound is (an unbounded
-// one starts at 2 MB).
+// TestDirectoryBytes holds TableBytes to the slot's real layout, to the
+// table a directory actually allocates first, and to core's victim-hint
+// gate, which reads it for the bound: it reaches huge-page size at
+// exactly the bounds where a table capped at dirInitialSlots,
+// min(dirCap(lines), dirInitialSlots) slots, does — the predicate the
+// hints were measured under (an unbounded directory's 2 MB table always
+// passes).
 func TestDirectoryBytes(t *testing.T) {
 	if got := reflect.TypeOf(dirSlot{}).Size(); got != dirSlotBytes {
 		t.Fatalf("dirSlot is %d bytes, dirSlotBytes says %d", got, dirSlotBytes)
 	}
-	for _, lines := range []int{0, 1000, 32_767, 32_768, 49_151, 49_152, 262_144} {
+	for lines, huge := range map[int]bool{
+		0: true, 1000: false, 24_575: false, 24_576: true,
+		32_767: true, 32_768: true, 49_151: true, 49_152: true, 262_144: true,
+	} {
 		d := NewDirectoryFor(16, lines)
-		if d.Bytes() != d.Cap()*dirSlotBytes {
-			t.Errorf("lines %d: Bytes %d for %d slots", lines, d.Bytes(), d.Cap())
+		d.Get(0)
+		if got := TableBytes(lines); got != d.Cap()*dirSlotBytes {
+			t.Errorf("lines %d: TableBytes %d for a first table of %d slots", lines, got, d.Cap())
 		}
-		atBound := dirInitialSlots * dirSlotBytes
+		capped := dirInitialSlots
 		if lines > 0 {
-			atBound = dirCap(lines) * dirSlotBytes
+			capped = min(dirCap(lines), dirInitialSlots)
 		}
-		if got, want := d.Bytes() >= prefetch.HugePageBytes, atBound >= prefetch.HugePageBytes; got != want {
-			t.Errorf("lines %d: first table %d bytes, %d at the bound: huge-page size %v now, %v at the bound", lines, d.Bytes(), atBound, got, want)
+		if got, was := TableBytes(lines) >= prefetch.HugePageBytes, capped*dirSlotBytes >= prefetch.HugePageBytes; got != was || got != huge {
+			t.Errorf("lines %d: TableBytes %d: huge-page size %v, %v with the construction-time table, want %v",
+				lines, TableBytes(lines), got, was, huge)
 		}
 	}
 }

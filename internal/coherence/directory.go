@@ -122,8 +122,8 @@ const dirFree = 0
 // keeps the implementation simple and the behaviour identical.
 //
 // The table is sized from the lines the chip can hold (NewDirectoryFor):
-// an inclusive LLC bounds the live entries, so the first growth jumps
-// straight to the bound's capacity and the table never grows again.
+// an inclusive LLC bounds the live entries, so the first insert
+// allocates the bound's capacity and the table never grows again.
 // Doubling remains the only fallback, for traffic that passes the bound
 // and for directories built without one.
 //
@@ -144,15 +144,17 @@ type Directory struct {
 	grow  int  // growth threshold (3/4 load)
 	jump  int  // capacity of the first growth (dirCap of the bound); 0 doubles
 
+	// none is a bounded directory's table until its first insert: one
+	// free slot under a growth threshold of 0.
+	none [1]dirSlot
+
 	// Lookups counts directory accesses; used by tests and reports.
 	Lookups uint64
 }
 
-// dirInitialSlots caps the first allocation at 2 MB (2^16 slots of 32
-// B): a bound that asks for more (16 MB for the paper-scale chip) is
-// allocated only when the live entries fill 3/4 of this, so short runs
-// never pay for it and construction never zeroes a span that large. Must
-// be a power of two.
+// dirInitialSlots is an unbounded directory's first table, 2 MB (2^16
+// slots of 32 B), allocated at construction; a bounded one allocates its
+// bound's capacity instead. Must be a power of two.
 const dirInitialSlots = 1 << 16
 
 // dirCap returns the smallest power-of-two capacity whose 3/4 load holds
@@ -171,9 +173,9 @@ func dirCap(lines int) int {
 func NewDirectory(n int) *Directory { return NewDirectoryFor(n, 0) }
 
 // NewDirectoryFor returns a directory striped across n home nodes that
-// will hold at most lines live entries (0: unknown). The first allocation
-// is min(dirCap(lines), dirInitialSlots) and the first growth jumps to
-// dirCap(lines); later growths, and every growth without a bound, double.
+// will hold at most lines live entries (0: unknown). A bounded directory
+// owns no table until its first insert allocates dirCap(lines) slots;
+// growths past the bound, and every growth without one, double.
 func NewDirectoryFor(n, lines int) *Directory {
 	if n <= 0 || n > MaxNodes {
 		panic(fmt.Sprintf("coherence: invalid node count %d (1..%d)", n, MaxNodes))
@@ -183,12 +185,12 @@ func NewDirectoryFor(n, lines int) *Directory {
 		hm = n - 1
 	}
 	d := &Directory{nodes: n, homeMask: hm}
-	size := dirInitialSlots
 	if lines > 0 {
 		d.jump = dirCap(lines)
-		size = min(d.jump, dirInitialSlots)
+		d.slots, d.shift = d.none[:], 64
+		return d
 	}
-	d.resize(size)
+	d.resize(dirInitialSlots)
 	return d
 }
 
@@ -208,10 +210,14 @@ func (d *Directory) resize(n int) {
 // masks and two owners, padded to 32.
 const dirSlotBytes = 32
 
-// Bytes returns the table's size in host memory. It reaches
-// prefetch.HugePageBytes at construction exactly when the table, once at
-// its bound, is big enough for huge pages.
-func (d *Directory) Bytes() int { return len(d.slots) * dirSlotBytes }
+// TableBytes returns the size of the first table NewDirectoryFor(n,
+// lines) allocates: the bound's (an unbounded directory's for lines 0).
+func TableBytes(lines int) int {
+	if lines <= 0 {
+		return dirInitialSlots * dirSlotBytes
+	}
+	return dirCap(lines) * dirSlotBytes
+}
 
 // Nodes returns the number of home nodes.
 func (d *Directory) Nodes() int { return d.nodes }
@@ -278,7 +284,8 @@ func (d *Directory) insert(key uint64) *Entry {
 // rehash grows the table — the first time to the bound's capacity, after
 // that (or with no bound) by doubling — and reinserts every live slot.
 // The copy is a single pointer-free pass; with a bound the first growth
-// is also the last, since Release keeps the table at on-chip lines.
+// copies nothing and is also the last: Release keeps the table at
+// on-chip lines.
 func (d *Directory) rehash() {
 	old := d.slots
 	d.resize(max(2*len(old), d.jump))

@@ -4,7 +4,9 @@ import (
 	"runtime"
 	"testing"
 
+	"consim/internal/coherence"
 	"consim/internal/obs"
+	"consim/internal/sched"
 	"consim/internal/workload"
 )
 
@@ -78,23 +80,24 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 // holds is most of a short run's peak RSS. Each scale is built twice. The
 // first build may be the process's first and pay for the Zipf alias
 // tables (0.34 MB at scale 16, 5.45 MB at scale 1, with their
-// construction scratch); its budgets are the measured 1.97 MB and
-// 10.58 MB plus 10%, and hold whichever tests ran before. The second
+// construction scratch); its budgets are the measured 0.92 MB and
+// 8.48 MB plus 10%, and hold whichever tests ran before. The second
 // build shares the memoised tables, so its budgets are the table-free
-// 1.63 MB and 5.13 MB plus 10%: a memo that stops hitting fails them. The
+// 0.58 MB and 3.03 MB plus 10%: a memo that stops hitting fails them. The
 // count repeats to within a few kilobytes per build. Giving each node
 // back the directory cache sets it cannot index (3.75 MB) breaks all four.
-// The directory table is sized from the lines the LLC can hold: 1 MB at
-// scale 16, where the 2 MB table every machine once started with breaks
-// both scale-16 budgets; at scale 1 it starts at that 2 MB cap either way.
+// No directory table is built here: the first fill allocates it at the
+// bound (TestDirectoryTableAllocatedOnce), so a construction-time table —
+// the scale-16 machine's 1 MB one, or a 2 MB interim one at scale 1 —
+// breaks both budgets of its scale.
 func TestNewSystemHeapBudget(t *testing.T) {
 	specs := workload.Specs()
 	for _, tc := range []struct {
 		scale           int
 		first, repeated uint64
 	}{
-		{16, 2_170_000, 1_800_000},
-		{1, 11_630_000, 5_640_000},
+		{16, 1_020_000, 645_000},
+		{1, 9_330_000, 3_340_000},
 	} {
 		cfg := DefaultConfig(specs[workload.TPCW], specs[workload.SPECjbb],
 			specs[workload.TPCH], specs[workload.SPECweb])
@@ -115,6 +118,68 @@ func TestNewSystemHeapBudget(t *testing.T) {
 					tc.scale, i+1, got, budget)
 			}
 		}
+	}
+}
+
+// dirTableAllocs returns how many directory tables the process has
+// allocated, and their bytes, as the heap profile counts them: every
+// allocation made under coherence's (*Directory).resize, the one place a
+// table is made. runtime.GC publishes the allocations made before it.
+func dirTableAllocs(t *testing.T) (n, bytes int64) {
+	t.Helper()
+	runtime.GC()
+	size, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, size+64)
+	size, ok := runtime.MemProfile(recs, true)
+	if !ok {
+		t.Fatalf("heap profile outgrew its %d-record buffer", len(recs))
+	}
+	for _, r := range recs[:size] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if f.Function == "consim/internal/coherence.(*Directory).resize" {
+				n += r.AllocObjects
+				bytes += r.AllocBytes
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return n, bytes
+}
+
+// TestDirectoryTableAllocatedOnce profiles every allocation a paper-scale
+// machine makes from NewSystem through Run and counts its directory
+// tables: exactly one, of the bound's size, made by the first fill. A
+// table built at construction and outgrown by the run (a 2 MB table
+// filled and rehashed into the 16 MB one) makes two.
+func TestDirectoryTableAllocatedOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("seconds under -race; the full run keeps it")
+	}
+	cfg := fastCfg(4, sched.RoundRobin, workload.TPCW, workload.SPECjbb, workload.TPCH, workload.SPECweb)
+	cfg.Scale = 1
+	cfg.WarmupRefs, cfg.MeasureRefs = 10_000, 10_000
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	n0, b0 := dirTableAllocs(t)
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	n1, b1 := dirTableAllocs(t)
+	want := coherence.TableBytes(sys.dirBound())
+	if n, b := n1-n0, b1-b0; n != 1 || b != int64(want) {
+		t.Fatalf("NewSystem and Run allocated %d directory tables of %d bytes in all, want one of %d", n, b, want)
+	}
+	if got := dirSlotsOf(sys.dir) * 32; got != want {
+		t.Fatalf("run ended on a %d-byte table, want %d", got, want)
 	}
 }
 

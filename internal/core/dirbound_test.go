@@ -10,11 +10,16 @@ import (
 	"consim/internal/workload"
 )
 
-// dirSlotsOf returns the directory table's slot count. Capacity is not
-// part of the coherence API; reflection reads the length of its
-// unexported table.
+// dirSlotsOf returns the directory table's slot count, 0 while a bounded
+// directory owns no table (its slots are the embedded one-slot
+// placeholder). Capacity is not part of the coherence API; reflection
+// reads its unexported fields.
 func dirSlotsOf(d *coherence.Directory) int {
-	return reflect.ValueOf(d).Elem().FieldByName("slots").Len()
+	v := reflect.ValueOf(d).Elem()
+	if slots := v.FieldByName("slots"); slots.Pointer() != v.FieldByName("none").UnsafeAddr() {
+		return slots.Len()
+	}
+	return 0
 }
 
 // slotsFor is the table size a bound of lines live entries asks for: the
@@ -31,11 +36,11 @@ func slotsFor(lines int) int {
 // sequential and sampled engines and holds the directory to the bound
 // NewSystem sized it from: the bound counts the banks of exactly the
 // groups that host a thread (all of them under rebalancing), the live
-// entries never exceed it, and the table grows at most once — to the
-// bound's size — so the rehash chain is gone (checked every 2 000
-// references per core on the sequential engine, at the end on the
-// sampled one). checkGlobalConsistency then ties every live entry to a
-// resident line.
+// entries never exceed it, and the machine is built without a table and
+// allocates it once, at the bound's size, so no interim table or rehash
+// chain is left (checked every 2 000 references per core on the
+// sequential engine, at the end on the sampled one).
+// checkGlobalConsistency then ties every live entry to a resident line.
 func TestDirectoryWithinBound(t *testing.T) {
 	refs := uint64(20_000) // per core and phase; fills every scale-16 bound
 	if testing.Short() {
@@ -103,15 +108,16 @@ func TestDirectoryWithinBound(t *testing.T) {
 				t.Fatalf("%s: bound %d, want %d (%d groups of %d lines, footprint %d)",
 					name, bound, want, tc.groups, sys.banks[0].Lines(), sys.footprintBlocks())
 			}
-			first := dirSlotsOf(sys.dir)
+			if first := dirSlotsOf(sys.dir); first != 0 {
+				t.Fatalf("%s: NewSystem built a %d-slot directory table; the first fill allocates it", name, first)
+			}
 			check := func(at string) {
 				live, slots := sys.dir.Len(), dirSlotsOf(sys.dir)
 				if live > bound {
 					t.Fatalf("%s %s: %d live directory entries exceed the bound %d", name, at, live, bound)
 				}
-				if slots != first && slots != slotsFor(bound) {
-					t.Fatalf("%s %s: table grew %d -> %d slots; the bound allows only %d",
-						name, at, first, slots, slotsFor(bound))
+				if slots != slotsFor(bound) {
+					t.Fatalf("%s %s: table of %d slots; the bound asks for %d", name, at, slots, slotsFor(bound))
 				}
 			}
 			if sampled {
@@ -128,7 +134,7 @@ func TestDirectoryWithinBound(t *testing.T) {
 					check(fmt.Sprintf("at %d refs/core", n))
 				}
 			}
-			t.Logf("%s: bound %d, %d live, slots %d -> %d", name, bound, sys.dir.Len(), first, dirSlotsOf(sys.dir))
+			t.Logf("%s: bound %d, %d live, %d slots", name, bound, sys.dir.Len(), dirSlotsOf(sys.dir))
 			checkGlobalConsistency(t, sys)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"consim/internal/cache"
+	"consim/internal/coherence"
 	"consim/internal/sched"
 	"consim/internal/trace"
 	"consim/internal/workload"
@@ -121,7 +122,7 @@ func TestLookaheadBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				if cfg.Scale == 1 {
-					if b := sys.dir.Bytes(); b < 4<<20 {
+					if b := dirSlotsOf(sys.dir) * 32; b < 4<<20 {
 						t.Fatalf("paper-scale directory table is %d bytes, want a table holding an aligned 2 MB page", b)
 					}
 				}
@@ -145,8 +146,8 @@ func TestLookaheadBitIdentical(t *testing.T) {
 // footprint, so the paper-scale 4-VM mix is the one configuration in the
 // benchmark big enough for it, while the same mix at scale 16 and an
 // isolated paper-scale VM are not; fetchTM's victim hints turn on with a
-// directory table of huge-page size, which both paper-scale machines
-// have and the scale-16 mix's 1 MB table does not.
+// directory table of huge-page size at its bound, which both paper-scale
+// machines have and the scale-16 mix's 1 MB table does not.
 func TestLookaheadGate(t *testing.T) {
 	mix := fastCfg(4, sched.RoundRobin, workload.TPCW, workload.SPECjbb, workload.TPCH, workload.SPECweb)
 	iso := fastCfg(16, sched.Affinity, workload.TPCH)
@@ -170,7 +171,7 @@ func TestLookaheadGate(t *testing.T) {
 			t.Errorf("%s: lookahead %v with %d footprint blocks, want %v", tc.name, sys.lookahead, sys.footprintBlocks(), tc.lookahead)
 		}
 		if sys.victimHints != tc.hints {
-			t.Errorf("%s: victim hints %v with a %d-byte directory table, want %v", tc.name, sys.victimHints, sys.dir.Bytes(), tc.hints)
+			t.Errorf("%s: victim hints %v with a %d-byte directory table at the bound, want %v", tc.name, sys.victimHints, coherence.TableBytes(sys.dirBound()), tc.hints)
 		}
 	}
 }

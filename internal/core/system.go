@@ -269,7 +269,8 @@ func NewSystem(cfg Config) (*System, error) {
 			s.activeCores++
 		}
 	}
-	s.dir = coherence.NewDirectoryFor(cfg.Cores, s.dirBound())
+	bound := s.dirBound()
+	s.dir = coherence.NewDirectoryFor(cfg.Cores, bound)
 	if cfg.QoSPartition {
 		s.installPartitions()
 	}
@@ -281,7 +282,7 @@ func NewSystem(cfg Config) (*System, error) {
 	// Below huge-page size the table lives in the host's private caches,
 	// where the victim hints only cost (mix4_s16's 1 MB table ran 3.6%
 	// slower with them; EXPERIMENTS.md "Hint-only lookahead").
-	s.victimHints = s.dir.Bytes() >= prefetch.HugePageBytes
+	s.victimHints = coherence.TableBytes(bound) >= prefetch.HugePageBytes
 	if cfg.Pdes > 1 {
 		s.pdes = newPdesEngine(s)
 	}

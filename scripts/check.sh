@@ -64,12 +64,16 @@ go test -run 'TestMeshReplayNearUnloaded' ./internal/core
 # built once per process and shared, across goroutines too.
 go test -run 'TestDirCacheMatchesPerNodeFullSets' ./internal/coherence
 go test -run 'TestNewSystemHeapBudget' ./internal/core
-# The directory table is sized once from the lines the LLC can hold:
-# bounded traffic grows it at most once, to the bound, in parity with the
-# map oracle; NewDirectory keeps its doubling layout; simulated machines
-# (both scales, sequential and sampled) stay within the bound.
-go test -run 'TestDirectoryBoundHoldsCapacity|TestDirectoryPastBoundDoubles|TestDirectoryFirstAllocation|TestNewDirectoryUnchanged' ./internal/coherence
-go test -run 'TestDirectoryWithinBound' ./internal/core
+# The directory table is sized once from the lines the LLC can hold: a
+# bounded directory owns none until its first fill, which allocates the
+# bound's table, and bounded traffic never regrows it, in parity with the
+# map oracle; the victim-hint gate reads the bound's size; NewDirectory
+# keeps its doubling layout; simulated machines (both scales, sequential
+# and sampled) stay within the bound, and a paper-scale run allocates one
+# table. A cache slab is empty as allocated (complemented tags).
+go test -run 'TestDirectoryBoundHoldsCapacity|TestDirectoryPastBoundDoubles|TestDirectoryFirstAllocation|TestDirectoryBytes|TestNewDirectoryUnchanged' ./internal/coherence
+go test -run 'TestDirectoryWithinBound|TestDirectoryTableAllocatedOnce' ./internal/core
+go test -run 'TestComplementTagEdges|TestFreshSlabIsEmpty' ./internal/cache
 go test -race -count=10 -run 'TestZipfMemo|TestZipfThetaOneSharesEntry' ./internal/sim
 
 echo "== golden fixtures =="
