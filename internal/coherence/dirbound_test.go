@@ -12,10 +12,11 @@ import (
 // boundedOps drives flat and ref with an identical randomized stream of
 // fills and full evictions that climbs to lines live entries after about
 // 2·lines operations and never goes past them (new blocks are drawn from
-// a sparse space, so probe clusters form from hashing alone). It returns
-// the peak live count and checks after every operation that the flat
-// table's capacity is dirCap(lines): the first operation, a fill,
-// allocates the bound's table, and bounded traffic never regrows it.
+// the whole key domain below cache.MaxLines, so probe clusters form from
+// hashing alone). It returns the peak live count and checks after every
+// operation that the flat table's capacity is dirCap(lines): the first
+// operation, a fill, allocates the bound's table, and bounded traffic
+// never regrows it.
 func boundedOps(t *testing.T, flat *Directory, ref *RefDirectory, lines, ops int, seed uint64) (peak int) {
 	t.Helper()
 	rng := sim.NewRNG(seed)
@@ -23,7 +24,7 @@ func boundedOps(t *testing.T, flat *Directory, ref *RefDirectory, lines, ops int
 	var live []sim.Addr
 	for op := 0; op < ops; op++ {
 		if len(live) < lines && (len(live) == 0 || rng.Bool(0.75)) {
-			addr := sim.Addr(rng.Uint64n(1<<34)) << sim.LineShift
+			addr := sim.Addr(rng.Uint64n(cache.MaxLines)) << sim.LineShift
 			if _, ok := ref.Probe(addr); !ok {
 				live = append(live, addr)
 			}
@@ -42,7 +43,8 @@ func boundedOps(t *testing.T, flat *Directory, ref *RefDirectory, lines, ops int
 			live = live[:len(live)-1]
 			fe, _ := flat.Probe(addr)
 			re, _ := ref.Probe(addr)
-			*fe, *re = NewEntry(), NewEntry()
+			fe.Clear()
+			re.Clear()
 			flat.Release(addr)
 			ref.Release(addr)
 		}
@@ -154,33 +156,28 @@ func TestDirectoryFirstAllocation(t *testing.T) {
 	}
 }
 
-// TestDirectoryBytes holds TableBytes to the slot's real layout, to the
-// table a directory actually allocates first, and to core's victim-hint
-// gate, which reads it for the bound: it reaches huge-page size at
-// exactly the bounds where a table capped at dirInitialSlots,
-// min(dirCap(lines), dirInitialSlots) slots, does — the predicate the
-// hints were measured under (an unbounded directory's 2 MB table always
-// passes).
+// TestDirectoryBytes holds TableBytes to the slot's real layout (24
+// bytes: the tag lives in the entry's padding), to the table a directory
+// actually allocates first, and to where core's victim-hint gate,
+// TableBytes(bound) ≥ prefetch.HugePageBytes, switches on: at 49 152
+// lines, the first bound whose table (2^17 slots, 3 MB) passes 2 MB.
+// Bounds of 24 576–49 151 lines get a 1.5 MB table and no hints, as does
+// an unbounded directory's first table.
 func TestDirectoryBytes(t *testing.T) {
-	if got := reflect.TypeOf(dirSlot{}).Size(); got != dirSlotBytes {
-		t.Fatalf("dirSlot is %d bytes, dirSlotBytes says %d", got, dirSlotBytes)
+	if got := reflect.TypeOf(dirSlot{}).Size(); got != 24 || dirSlotBytes != 24 {
+		t.Fatalf("dirSlot is %d bytes, dirSlotBytes says %d, want 24", got, dirSlotBytes)
 	}
 	for lines, huge := range map[int]bool{
-		0: true, 1000: false, 24_575: false, 24_576: true,
-		32_767: true, 32_768: true, 49_151: true, 49_152: true, 262_144: true,
+		0: false, 1000: false, 24_575: false, 24_576: false,
+		32_767: false, 32_768: false, 49_151: false, 49_152: true, 262_144: true,
 	} {
 		d := NewDirectoryFor(16, lines)
 		d.Get(0)
 		if got := TableBytes(lines); got != d.Cap()*dirSlotBytes {
 			t.Errorf("lines %d: TableBytes %d for a first table of %d slots", lines, got, d.Cap())
 		}
-		capped := dirInitialSlots
-		if lines > 0 {
-			capped = min(dirCap(lines), dirInitialSlots)
-		}
-		if got, was := TableBytes(lines) >= prefetch.HugePageBytes, capped*dirSlotBytes >= prefetch.HugePageBytes; got != was || got != huge {
-			t.Errorf("lines %d: TableBytes %d: huge-page size %v, %v with the construction-time table, want %v",
-				lines, TableBytes(lines), got, was, huge)
+		if got := TableBytes(lines) >= prefetch.HugePageBytes; got != huge {
+			t.Errorf("lines %d: TableBytes %d: huge-page size %v, want %v", lines, TableBytes(lines), got, huge)
 		}
 	}
 }
@@ -197,7 +194,7 @@ func TestNewDirectoryUnchanged(t *testing.T) {
 	for i := 0; i < 220_000; i++ {
 		addr := sim.Addr(rng.Uint64n(1<<20)) << sim.LineShift
 		if e, ok := d.Probe(addr); ok && rng.Bool(0.3) {
-			*e = NewEntry()
+			e.Clear()
 			d.Release(addr)
 		} else {
 			d.Get(addr).AddL1(i % 16)

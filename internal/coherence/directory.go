@@ -21,6 +21,12 @@ import (
 // Entry is the directory's view of one cache line. The 64-bit sharer
 // masks support machines up to 64 cores / 64 bank groups (the paper's
 // chip uses 16; larger machines serve the §VII scaling studies).
+//
+// An entry in the directory's table also carries that table's tag for
+// it, in bytes the owner fields would otherwise leave as padding. Mutate
+// a table entry field by field, or Clear it; a whole-Entry store through
+// a pointer from Get, Probe or EntryAt overwrites the tag and frees the
+// slot under a live entry (CheckInvariants reports it).
 type Entry struct {
 	// L1Sharers is a bitmask over cores whose private hierarchy (L0/L1)
 	// holds the line.
@@ -32,6 +38,8 @@ type Entry struct {
 	L1Owner int8
 	// L2Owner is the LLC bank holding the line dirty, or -1.
 	L2Owner int8
+
+	tag uint32 // ^blockID in a Directory's table (dirFree: a free slot), else 0
 }
 
 // MaxNodes is the largest machine the sharer masks can describe.
@@ -39,6 +47,10 @@ const MaxNodes = 64
 
 // NewEntry returns an entry with no sharers and no owner.
 func NewEntry() Entry { return Entry{L1Owner: -1, L2Owner: -1} }
+
+// Clear drops every sharer and owner, keeping the entry's table tag: the
+// in-place form of storing NewEntry().
+func (e *Entry) Clear() { *e = Entry{L1Owner: -1, L2Owner: -1, tag: e.tag} }
 
 // OnChip reports whether any cache on the chip holds the line.
 func (e *Entry) OnChip() bool { return e.L1Sharers != 0 || e.L2Sharers != 0 }
@@ -98,21 +110,22 @@ func (e *Entry) OtherL2(b int) int {
 	return bits.TrailingZeros64(m)
 }
 
-// dirSlot is one bucket of the directory's open-addressing table: the
-// complemented block ID and the entry stored by value. The all-zero word
-// marks a free bucket, so a fresh table is a bare make with no fill pass;
-// the slot packs to 32 bytes (two per cache line), stays pointer-free (out
-// of the garbage collector's scan set) and makes the per-line state a
-// single cache-line-friendly read.
-type dirSlot struct {
-	tag uint64 // ^blockID; 0 (dirFree) for a free slot
-	e   Entry
-}
+// dirSlot is one bucket of the directory's open-addressing table: an
+// Entry stored by value, its tag (the block ID's 32-bit complement) in
+// the entry's own padding. The all-zero tag marks a free bucket, so a
+// fresh table is a bare make with no fill pass; the slot packs to 24
+// bytes (8 to 3 host lines, 2 of them straddling a line boundary), stays
+// pointer-free (out of the garbage collector's scan set) and makes the
+// per-line state a single read.
+type dirSlot = Entry
 
-// dirFree is a free slot's tag. Block IDs are line addresses shifted
-// right by the line bits, so the all-ones block — whose complement this
-// is — is unreachable.
+// dirFree is a free slot's tag. Keys are line numbers below
+// cache.MaxLines, the caches' own domain, so the all-ones line — whose
+// complement this is — is never a key.
 const dirFree = 0
+
+// keyOfTag returns the block ID a live slot's tag stands for.
+func keyOfTag(tag uint32) uint64 { return uint64(^tag) }
 
 // Directory is the chip-wide line directory. Entries live in a flat
 // open-addressed hash table keyed by block ID (linear probing, fibonacci
@@ -152,8 +165,8 @@ type Directory struct {
 	Lookups uint64
 }
 
-// dirInitialSlots is an unbounded directory's first table, 2 MB (2^16
-// slots of 32 B), allocated at construction; a bounded one allocates its
+// dirInitialSlots is an unbounded directory's first table, 1.5 MB (2^16
+// slots of 24 B), allocated at construction; a bounded one allocates its
 // bound's capacity instead. Must be a power of two.
 const dirInitialSlots = 1 << 16
 
@@ -195,10 +208,10 @@ func NewDirectoryFor(n, lines int) *Directory {
 }
 
 // resize installs a free table of n slots and its hash parameters. A
-// table of 2 MB or more is advised onto huge pages before anything
-// touches it: the buckets are hash-spread, so a 4 KB-paged table misses
-// the host TLB on nearly every probe, and each prefetch hint into it
-// pays a page walk before its line can even be requested.
+// table holding whole 2 MB pages is advised onto huge pages before
+// anything touches it: the buckets are hash-spread, so a 4 KB-paged
+// table misses the host TLB on nearly every probe, and each prefetch
+// hint into it pays a page walk before its line can even be requested.
 func (d *Directory) resize(n int) {
 	d.slots = make([]dirSlot, n)
 	prefetch.HugePages(d.slots)
@@ -206,9 +219,12 @@ func (d *Directory) resize(n int) {
 	d.grow = n * 3 / 4
 }
 
-// dirSlotBytes is a dirSlot's size: a tag word plus an Entry's two
-// masks and two owners, padded to 32.
-const dirSlotBytes = 32
+// dirSlotBytes is a dirSlot's size: an Entry's two masks, two owners
+// and the 32-bit tag in the 4 bytes after them, 24 in all.
+const dirSlotBytes = 24
+
+// hostLineBytes is the host cache line the prefetch hints fetch.
+const hostLineBytes = 64
 
 // TableBytes returns the size of the first table NewDirectoryFor(n,
 // lines) allocates: the bound's (an unbounded directory's for lines 0).
@@ -236,7 +252,23 @@ func (d *Directory) Home(addr sim.Addr) int {
 // hashing: block IDs are dense and strided, so the golden-ratio multiply
 // spreads them across the table before the power-of-two truncation.
 func (d *Directory) idx(key uint64) uint64 {
-	return (key * 0x9e3779b97f4a7c15) >> d.shift
+	return (key * fibMul) >> d.shift
+}
+
+// fibMul is 2^64 divided by the golden ratio, idx's multiplier.
+const fibMul = 0x9e3779b97f4a7c15
+
+// bucket returns addr's home bucket and its slot tag. Like the caches'
+// packed tags, the table's hold 32 bits: a line at or past
+// cache.MaxLines is a caller's error. The body spells out sim.BlockID
+// and idx, which keeps Probe and ProbeSlot, inlined into the
+// simulator's eviction paths, within the compiler's inlining budget.
+func (d *Directory) bucket(addr sim.Addr) (uint64, uint32) {
+	key := uint64(addr) >> sim.LineShift
+	if key >= cache.MaxLines {
+		panic("coherence: address exceeds packed 32-bit tag capacity")
+	}
+	return (key * fibMul) >> d.shift, ^uint32(key)
 }
 
 // Get returns the entry for addr, creating an empty one if absent.
@@ -248,37 +280,36 @@ func (d *Directory) idx(key uint64) uint64 {
 // operation instead of holding pointers across them.
 func (d *Directory) Get(addr sim.Addr) *Entry {
 	d.Lookups++
-	key := sim.BlockID(addr)
-	tag := ^key
+	i, tag := d.bucket(addr)
 	mask := uint64(len(d.slots) - 1)
-	for i := d.idx(key); ; i = (i + 1) & mask {
-		s := &d.slots[i]
-		if s.tag == tag {
-			return &s.e
+	for ; ; i = (i + 1) & mask {
+		e := &d.slots[i]
+		if e.tag == tag {
+			return e
 		}
-		if s.tag == dirFree {
+		if e.tag == dirFree {
 			if d.used >= d.grow {
 				d.rehash()
-				return d.insert(key)
+				return d.insert(tag)
 			}
 			d.used++
-			s.tag = tag
-			s.e = NewEntry()
-			return &s.e
+			*e = Entry{L1Owner: -1, L2Owner: -1, tag: tag}
+			return e
 		}
 	}
 }
 
-// insert places a key known to be absent and returns its entry.
-func (d *Directory) insert(key uint64) *Entry {
+// insert places a tag known to be absent and returns its entry.
+func (d *Directory) insert(tag uint32) *Entry {
 	mask := uint64(len(d.slots) - 1)
-	i := d.idx(key)
+	i := d.idx(keyOfTag(tag))
 	for d.slots[i].tag != dirFree {
 		i = (i + 1) & mask
 	}
 	d.used++
-	d.slots[i] = dirSlot{tag: ^key, e: NewEntry()}
-	return &d.slots[i].e
+	e := &d.slots[i]
+	*e = Entry{L1Owner: -1, L2Owner: -1, tag: tag}
+	return e
 }
 
 // rehash grows the table — the first time to the bound's capacity, after
@@ -295,7 +326,7 @@ func (d *Directory) rehash() {
 		if old[oi].tag == dirFree {
 			continue
 		}
-		i := d.idx(^old[oi].tag)
+		i := d.idx(keyOfTag(old[oi].tag))
 		for d.slots[i].tag != dirFree {
 			i = (i + 1) & mask
 		}
@@ -306,15 +337,14 @@ func (d *Directory) rehash() {
 // Probe returns the entry for addr without creating one. The returned
 // pointer has the same validity contract as Get's.
 func (d *Directory) Probe(addr sim.Addr) (*Entry, bool) {
-	key := sim.BlockID(addr)
-	tag := ^key
+	i, tag := d.bucket(addr)
 	mask := uint64(len(d.slots) - 1)
-	for i := d.idx(key); ; i = (i + 1) & mask {
-		s := &d.slots[i]
-		if s.tag == tag {
-			return &s.e, true
+	for ; ; i = (i + 1) & mask {
+		e := &d.slots[i]
+		if e.tag == tag {
+			return e, true
 		}
-		if s.tag == dirFree {
+		if e.tag == dirFree {
 			return nil, false
 		}
 	}
@@ -335,23 +365,39 @@ func (d *Directory) Release(addr sim.Addr) {
 // coming Get or ProbeSlot, so the table's DRAM miss overlaps other work
 // instead of stalling the walk behind an address only a tag compare
 // reveals. It changes no state (Lookups included). It covers a lookup,
-// whose probe sequence usually ends in the home bucket's host line; a
-// release reads on past it (PrefetchRelease).
+// whose probe sequence usually ends in the home bucket: both of its host
+// lines when the bucket straddles two (the tag, the bucket's last word,
+// then lies in the second). A release reads on past it
+// (PrefetchRelease).
 func (d *Directory) PrefetchProbe(addr sim.Addr) {
-	prefetch.Line(&d.slots[d.idx(sim.BlockID(addr))])
+	home, tag, _ := d.hintSlots(d.idx(sim.BlockID(addr)))
+	prefetch.Line(home)
+	prefetch.Line(tag)
 }
 
 // PrefetchRelease is PrefetchProbe ahead of a coming ReleaseSlot of
-// addr: beside the home bucket's host line it starts the next one. The
-// backward shift reads on from the entry's bucket to the first free one,
-// so it crosses into that line whenever the entry sits in the second of
-// its line's two 32-byte buckets or its cluster runs on; with only the
-// home line prefetched, that read was the release's remaining stall. It
-// changes no state.
+// addr: beside the home bucket's host lines it starts the line after
+// them. The backward shift reads on from the entry's bucket to the first
+// free one, so it crosses into that line whenever the entry sits near
+// its line's end or its cluster runs on; with only the home line
+// prefetched, that read was the release's remaining stall. It changes no
+// state.
 func (d *Directory) PrefetchRelease(addr sim.Addr) {
-	i := d.idx(sim.BlockID(addr))
-	prefetch.Line(&d.slots[i])
-	prefetch.Line(&d.slots[((i|1)+1)&uint64(len(d.slots)-1)])
+	home, tag, next := d.hintSlots(d.idx(sim.BlockID(addr)))
+	prefetch.Line(home)
+	prefetch.Line(tag)
+	prefetch.Line(next)
+}
+
+// hintSlots returns what the prefetch hints for bucket i start: the
+// bucket's first word, its tag (its last word) and the first bucket that
+// begins in the host line after the tag's, wrapping at the table's end.
+// Line arithmetic assumes a line-aligned table, which every table past
+// the allocator's small size classes is.
+func (d *Directory) hintSlots(i uint64) (home *dirSlot, tag *uint32, next *dirSlot) {
+	home = &d.slots[i]
+	end := (i*dirSlotBytes + dirSlotBytes - 1) | (hostLineBytes - 1) // last byte of the tag's line
+	return home, &home.tag, &d.slots[(end+dirSlotBytes)/dirSlotBytes&uint64(len(d.slots)-1)]
 }
 
 // ProbeSlot locates addr's table slot without creating one. Together with
@@ -360,27 +406,26 @@ func (d *Directory) PrefetchRelease(addr sim.Addr) {
 // index obeys the same validity contract as entry pointers: any insertion
 // or release may move slots.
 func (d *Directory) ProbeSlot(addr sim.Addr) (int, bool) {
-	key := sim.BlockID(addr)
-	tag := ^key
+	i, tag := d.bucket(addr)
 	mask := uint64(len(d.slots) - 1)
-	for i := d.idx(key); ; i = (i + 1) & mask {
-		s := &d.slots[i]
-		if s.tag == tag {
+	for ; ; i = (i + 1) & mask {
+		t := d.slots[i].tag
+		if t == tag {
 			return int(i), true
 		}
-		if s.tag == dirFree {
+		if t == dirFree {
 			return 0, false
 		}
 	}
 }
 
 // EntryAt returns the entry in slot i, as located by ProbeSlot.
-func (d *Directory) EntryAt(i int) *Entry { return &d.slots[i].e }
+func (d *Directory) EntryAt(i int) *Entry { return &d.slots[i] }
 
 // ReleaseSlot is Release for a line already located at slot i: it removes
 // the entry if the line has left the chip.
 func (d *Directory) ReleaseSlot(i int) {
-	if d.slots[i].e.OnChip() {
+	if d.slots[i].OnChip() {
 		return
 	}
 	d.used--
@@ -396,7 +441,7 @@ func (d *Directory) ReleaseSlot(i int) {
 		if s.tag == dirFree {
 			break
 		}
-		if (j-d.idx(^s.tag))&mask >= (j-hole)&mask {
+		if (j-d.idx(keyOfTag(s.tag)))&mask >= (j-hole)&mask {
 			d.slots[hole] = *s
 			hole = j
 		}
@@ -416,7 +461,7 @@ func (d *Directory) ReplicationSnapshot() (resident, replicated int) {
 		if d.slots[i].tag == dirFree {
 			continue
 		}
-		n := d.slots[i].e.L2Count()
+		n := d.slots[i].L2Count()
 		if n >= 1 {
 			resident++
 		}
@@ -427,21 +472,49 @@ func (d *Directory) ReplicationSnapshot() (resident, replicated int) {
 	return resident, replicated
 }
 
-// CheckInvariants validates protocol invariants over all entries and
-// returns the first violation found. Tests call this after randomized
-// traffic.
+// CheckInvariants validates protocol invariants over all entries, and
+// the table's own: as many live slots as Len, each reachable from its
+// home bucket without crossing a free one. It returns the first
+// violation found. Tests call this after randomized traffic; a
+// whole-Entry store through a table pointer, which frees a live slot,
+// breaks the table's.
 func (d *Directory) CheckInvariants() error {
+	// Walk the table cyclically from a free slot, tracking where the
+	// current cluster began: an entry is reachable iff its home bucket
+	// lies in its cluster at or before it.
+	mask := uint64(len(d.slots) - 1)
+	start := -1
 	for i := range d.slots {
 		if d.slots[i].tag == dirFree {
+			start = i
+			break
+		}
+	}
+	if start < 0 {
+		return fmt.Errorf("table of %d slots has no free slot", len(d.slots))
+	}
+	live, run := 0, uint64(0) // run: slots since the last free one
+	for k := range d.slots {
+		i := (uint64(start) + uint64(k)) & mask
+		if d.slots[i].tag == dirFree {
+			run = 0
 			continue
 		}
-		b, e := ^d.slots[i].tag, &d.slots[i].e
+		live++
+		run++
+		b, e := keyOfTag(d.slots[i].tag), &d.slots[i]
+		if (i-d.idx(b))&mask >= run {
+			return fmt.Errorf("block %#x in slot %d: unreachable from its home bucket %d past a free slot", b, i, d.idx(b))
+		}
 		if e.L1Owner >= 0 && !e.HasL1(int(e.L1Owner)) {
 			return fmt.Errorf("block %#x: L1 owner %d not in sharer mask %016x", b, e.L1Owner, e.L1Sharers)
 		}
 		if e.L2Owner >= 0 && !e.HasL2(int(e.L2Owner)) {
 			return fmt.Errorf("block %#x: L2 owner %d not in bank mask %016x", b, e.L2Owner, e.L2Sharers)
 		}
+	}
+	if live != d.used {
+		return fmt.Errorf("%d live slots, Len %d", live, d.used)
 	}
 	return nil
 }
@@ -458,10 +531,10 @@ func (d *Directory) StateDigest(h uint64) uint64 {
 			continue
 		}
 		h = cache.MixDigest(h, uint64(i))
-		h = cache.MixDigest(h, ^s.tag)
-		h = cache.MixDigest(h, s.e.L1Sharers)
-		h = cache.MixDigest(h, s.e.L2Sharers)
-		h = cache.MixDigest(h, uint64(uint8(s.e.L1Owner))|uint64(uint8(s.e.L2Owner))<<8)
+		h = cache.MixDigest(h, keyOfTag(s.tag))
+		h = cache.MixDigest(h, s.L1Sharers)
+		h = cache.MixDigest(h, s.L2Sharers)
+		h = cache.MixDigest(h, uint64(uint8(s.L1Owner))|uint64(uint8(s.L2Owner))<<8)
 	}
 	h = cache.MixDigest(h, uint64(d.used))
 	h = cache.MixDigest(h, d.Lookups)

@@ -9,7 +9,7 @@ import (
 
 // paperScaleDirectory fills a directory to the 4-VM mix's paper-scale
 // population — about 300k tracked lines, which the growth rule puts in a
-// 2^19-slot (16 MB) table — and returns the tracked addresses in a
+// 2^19-slot (12 MB) table — and returns the tracked addresses in a
 // shuffled order no hardware prefetcher can follow.
 func paperScaleDirectory(tb testing.TB) (*Directory, []sim.Addr) {
 	tb.Helper()

@@ -79,25 +79,25 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 // bitmaps. The figure sweep builds dozens of machines, and what a machine
 // holds is most of a short run's peak RSS. Each scale is built twice. The
 // first build may be the process's first and pay for the Zipf alias
-// tables (0.34 MB at scale 16, 5.45 MB at scale 1, with their
-// construction scratch); its budgets are the measured 0.92 MB and
-// 8.48 MB plus 10%, and hold whichever tests ran before. The second
+// tables (0.30 MB at scale 16, 4.67 MB at scale 1, with their
+// construction scratch); its budgets are the measured 0.88 MB and
+// 7.70 MB plus 10%, and hold whichever tests ran before. The second
 // build shares the memoised tables, so its budgets are the table-free
 // 0.58 MB and 3.03 MB plus 10%: a memo that stops hitting fails them. The
 // count repeats to within a few kilobytes per build. Giving each node
 // back the directory cache sets it cannot index (3.75 MB) breaks all four.
 // No directory table is built here: the first fill allocates it at the
 // bound (TestDirectoryTableAllocatedOnce), so a construction-time table —
-// the scale-16 machine's 1 MB one, or a 2 MB interim one at scale 1 —
-// breaks both budgets of its scale.
+// the scale-16 machine's 768 KB one, or a 1.5 MB interim one at scale 1
+// — breaks both budgets of its scale.
 func TestNewSystemHeapBudget(t *testing.T) {
 	specs := workload.Specs()
 	for _, tc := range []struct {
 		scale           int
 		first, repeated uint64
 	}{
-		{16, 1_020_000, 645_000},
-		{1, 9_330_000, 3_340_000},
+		{16, 970_000, 645_000},
+		{1, 8_470_000, 3_340_000},
 	} {
 		cfg := DefaultConfig(specs[workload.TPCW], specs[workload.SPECjbb],
 			specs[workload.TPCH], specs[workload.SPECweb])
@@ -153,9 +153,10 @@ func dirTableAllocs(t *testing.T) (n, bytes int64) {
 
 // TestDirectoryTableAllocatedOnce profiles every allocation a paper-scale
 // machine makes from NewSystem through Run and counts its directory
-// tables: exactly one, of the bound's size, made by the first fill. A
-// table built at construction and outgrown by the run (a 2 MB table
-// filled and rehashed into the 16 MB one) makes two.
+// tables: exactly one, of the bound's size (12 MB: 2^19 slots of 24
+// bytes), made by the first fill. A table built at construction and
+// outgrown by the run (a 1.5 MB table filled and rehashed into the 12 MB
+// one) makes two.
 func TestDirectoryTableAllocatedOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seconds under -race; the full run keeps it")
@@ -175,10 +176,13 @@ func TestDirectoryTableAllocatedOnce(t *testing.T) {
 	}
 	n1, b1 := dirTableAllocs(t)
 	want := coherence.TableBytes(sys.dirBound())
+	if want != 12<<20 {
+		t.Fatalf("paper-scale bound %d asks for a %d-byte table, want 12 MB", sys.dirBound(), want)
+	}
 	if n, b := n1-n0, b1-b0; n != 1 || b != int64(want) {
 		t.Fatalf("NewSystem and Run allocated %d directory tables of %d bytes in all, want one of %d", n, b, want)
 	}
-	if got := dirSlotsOf(sys.dir) * 32; got != want {
+	if got := dirTableBytesOf(sys.dir); got != want {
 		t.Fatalf("run ended on a %d-byte table, want %d", got, want)
 	}
 }

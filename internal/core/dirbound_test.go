@@ -22,6 +22,13 @@ func dirSlotsOf(d *coherence.Directory) int {
 	return 0
 }
 
+// dirTableBytesOf returns the directory table's size in bytes, 0 while
+// a bounded directory owns none.
+func dirTableBytesOf(d *coherence.Directory) int {
+	slots := reflect.ValueOf(d).Elem().FieldByName("slots")
+	return dirSlotsOf(d) * int(slots.Type().Elem().Size())
+}
+
 // slotsFor is the table size a bound of lines live entries asks for: the
 // smallest power of two whose 3/4 load holds lines+1.
 func slotsFor(lines int) int {

@@ -4,7 +4,7 @@ import "consim/internal/workload"
 
 // Host memory-level parallelism for the reference walk.
 //
-// At paper scale the simulated machine's metadata — a 16 MB directory
+// At paper scale the simulated machine's metadata — a 12 MB directory
 // table, 2 MB of LLC bank tags, the directory-cache tags, the footprint
 // bitmaps — lives in host DRAM, and a private miss reaches it
 // through a chain of dependent loads: the line's directory bucket, the

@@ -50,7 +50,7 @@ func lookaheadDigest(s *System) uint64 {
 // core may be handed another thread entirely), a trace-replay source
 // beside live generators (no ring to peek) and a partitioned LLC (the
 // bank victim comes from the VM's quota). The paper-scale case grows the
-// directory table to 16 MB, so the walk runs on the huge-page-advised
+// directory table to 12 MB, so the walk runs on the huge-page-advised
 // table (Directory.resize) with the lookahead gated on by footprint.
 func TestLookaheadBitIdentical(t *testing.T) {
 	mix := func() Config {
@@ -122,7 +122,7 @@ func TestLookaheadBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				if cfg.Scale == 1 {
-					if b := dirSlotsOf(sys.dir) * 32; b < 4<<20 {
+					if b := dirTableBytesOf(sys.dir); b < 4<<20 {
 						t.Fatalf("paper-scale directory table is %d bytes, want a table holding an aligned 2 MB page", b)
 					}
 				}

@@ -100,11 +100,20 @@ type Zipf struct {
 
 // zipfSlot is one alias-table bucket: the acceptance threshold for the
 // low 64 product bits and the rank to fall back to on rejection. Packing
-// both into one slot makes a sample a single table load.
+// both into one slot makes a sample a single table load. The threshold
+// is kept as two 32-bit halves so the slot packs to 12 bytes, where a
+// uint64 field would align it to 16; low half first, so on a
+// little-endian host the compiler reads both with one 8-byte load.
 type zipfSlot struct {
-	thresh uint64
-	alias  uint32
+	threshLo, threshHi uint32
+	alias              uint32
 }
+
+// thresh returns the slot's acceptance threshold.
+func (s zipfSlot) thresh() uint64 { return uint64(s.threshLo) | uint64(s.threshHi)<<32 }
+
+// setThresh stores t as the slot's acceptance threshold.
+func (s *zipfSlot) setThresh(t uint64) { s.threshLo, s.threshHi = uint32(t), uint32(t>>32) }
 
 // NewZipf returns a sampler over [0, n) with skew theta in (0, 1) U (1, inf).
 // theta near 0 approaches uniform; larger theta concentrates mass on low
@@ -116,8 +125,8 @@ type zipfSlot struct {
 // returns the same table. The first call in a process pays the O(n) pow
 // calls; later ones are a map lookup. The memo holds every table the
 // process has asked for, which for the workload models is at most two per
-// workload class per (scale, thread layout) — 194 560 16-byte slots,
-// about 3.1 MB, for the four classes at paper scale.
+// workload class per (scale, thread layout) — 194 560 12-byte slots,
+// about 2.3 MB, for the four classes at paper scale.
 func NewZipf(n uint64, theta float64) *Zipf {
 	if n == 0 {
 		panic("sim: Zipf over empty range")
@@ -205,7 +214,7 @@ func buildZipf(n uint64, theta float64) *Zipf {
 		s := work[ns-1]
 		ns--
 		l := work[n-uint64(nl)]
-		z.slots[s].thresh = fracToThresh(scaled[s])
+		z.slots[s].setThresh(fracToThresh(scaled[s]))
 		z.slots[s].alias = l
 		scaled[l] -= 1 - scaled[s]
 		if scaled[l] < 1 {
@@ -216,10 +225,10 @@ func buildZipf(n uint64, theta float64) *Zipf {
 	}
 	// Leftovers on either list hold mass 1 up to rounding: always accept.
 	for i := 0; i < ns; i++ {
-		z.slots[work[i]].thresh = ^uint64(0)
+		z.slots[work[i]].setThresh(^uint64(0))
 	}
 	for i := 0; i < nl; i++ {
-		z.slots[work[n-uint64(i)-1]].thresh = ^uint64(0)
+		z.slots[work[n-uint64(i)-1]].setThresh(^uint64(0))
 	}
 	return z
 }
@@ -241,7 +250,7 @@ func fracToThresh(p float64) uint64 {
 func (z *Zipf) Sample(r *RNG) uint64 {
 	hi, lo := bits.Mul64(r.Uint64(), z.n)
 	s := z.slots[hi]
-	if lo < s.thresh {
+	if lo < s.thresh() {
 		return hi
 	}
 	return uint64(s.alias)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -232,6 +233,20 @@ func TestZipfAliasMatchesAnalyticMasses(t *testing.T) {
 		tol := 5*math.Sqrt(want*(1-want)/draws) + 1e-4
 		if math.Abs(got-want) > tol {
 			t.Errorf("rank %d: freq %.5f, want %.5f (tol %.5f)", k, got, want, tol)
+		}
+	}
+}
+
+// TestZipfSlotPacked: an alias slot is its three 32-bit words, so the
+// paper-scale tables take 12 bytes a rank, not 16.
+func TestZipfSlotPacked(t *testing.T) {
+	if got := unsafe.Sizeof(zipfSlot{}); got != 12 {
+		t.Fatalf("zipfSlot is %d bytes, want 12", got)
+	}
+	var s zipfSlot
+	for _, th := range []uint64{0, 1, 1 << 32, 0xfedcba9876543210, ^uint64(0)} {
+		if s.setThresh(th); s.thresh() != th {
+			t.Errorf("threshold %#x reads back as %#x", th, s.thresh())
 		}
 	}
 }

@@ -128,3 +128,32 @@ func TestZipfMemoConcurrent(t *testing.T) {
 		t.Error("shared table differs from a fresh build")
 	}
 }
+
+// TestZipfStreamPinned pins the draws themselves: 10^6 Samples of every
+// workload class's private and shared table at scales 1 and 16, each
+// from its own fixed seed, fold to FNV-1a digests recorded before the
+// alias slot was repacked to 12 bytes. A layout change to the table
+// must leave every draw, not just its distribution, unchanged.
+func TestZipfStreamPinned(t *testing.T) {
+	want := []uint64{ // workloadZipfKeys order, theta == 1 pair dropped
+		0xff72333482af6f51, 0xd04538724ebba10b, 0xb861d96148a5a497, 0x026fca6e3827431f,
+		0x2cac35b8ce4a76ae, 0xe53b06e7c6bc6af9, 0x7c9721efa07336b4, 0xfd48cb2badee2e2b,
+		0x55f219c089fe78c1, 0x4fa4726d7136971a, 0xf39b94e2ba343bc0, 0x5fb9b91b6a51141e,
+		0x111b2d5b805720ec, 0x52c27bdc053792e1, 0xe86584aec93cef56, 0xa9593432591a0ae9,
+	}
+	keys := workloadZipfKeys()
+	keys = keys[:len(keys)-1]
+	if len(keys) != len(want) {
+		t.Fatalf("%d workload tables, %d recorded digests", len(keys), len(want))
+	}
+	for i, k := range keys {
+		z, r := sim.NewZipf(k.n, k.theta), sim.NewRNG(uint64(i)+1)
+		h := uint64(0xcbf29ce484222325)
+		for j := 0; j < 1_000_000; j++ {
+			h = (h ^ z.Sample(r)) * 0x100000001b3
+		}
+		if h != want[i] {
+			t.Errorf("NewZipf(%d, %v): draw digest %#x, want %#x", k.n, k.theta, h, want[i])
+		}
+	}
+}

@@ -70,10 +70,15 @@ go test -run 'TestNewSystemHeapBudget' ./internal/core
 # map oracle; the victim-hint gate reads the bound's size; NewDirectory
 # keeps its doubling layout; simulated machines (both scales, sequential
 # and sampled) stay within the bound, and a paper-scale run allocates one
-# table. A cache slab is empty as allocated (complemented tags).
+# table. A cache slab is empty as allocated (complemented tags). A
+# directory slot is 24 bytes (its 32-bit tag in the entry's padding): keys
+# stop at cache.MaxLines, a whole-Entry store is reported, the prefetch
+# hints cover straddling slots; a 12-byte alias slot draws as before.
 go test -run 'TestDirectoryBoundHoldsCapacity|TestDirectoryPastBoundDoubles|TestDirectoryFirstAllocation|TestDirectoryBytes|TestNewDirectoryUnchanged' ./internal/coherence
+go test -run 'TestDirectoryKeyDomain|TestWholeEntryStoreReported|TestPrefetchHintsCoverSlot' ./internal/coherence
 go test -run 'TestDirectoryWithinBound|TestDirectoryTableAllocatedOnce' ./internal/core
 go test -run 'TestComplementTagEdges|TestFreshSlabIsEmpty' ./internal/cache
+go test -run 'TestZipfStreamPinned|TestZipfSlotPacked' ./internal/sim
 go test -race -count=10 -run 'TestZipfMemo|TestZipfThetaOneSharesEntry' ./internal/sim
 
 echo "== golden fixtures =="
