@@ -52,9 +52,6 @@ type (
 	// SampleStats reports a sampled run's coverage and achieved
 	// confidence interval (Result.Sample); all-zero for detailed runs.
 	SampleStats = core.SampleStats
-	// PdesStats reports the split-transaction parallel engine's activity
-	// (Result.Pdes); all-zero for sequential runs.
-	PdesStats = core.PdesStats
 )
 
 // Workload modeling types.

@@ -152,8 +152,9 @@ type Config struct {
 	// cores into up to N worker domains that advance independently inside
 	// bounded time windows, replaying cross-domain coherence at each
 	// window barrier. This legitimately changes the simulated stream —
-	// results are statistical estimates gated by the equivalence harness
-	// (harness.CompareParallelRun), deterministic per (seed, Pdes).
+	// results are statistical estimates held to harness.DefaultPdesBound
+	// of the sequential run (TestParallelEquivalence), deterministic per
+	// (seed, Pdes).
 	// Incompatible with sampling, dynamic rebalancing, mid-run snapshots
 	// and trace sources.
 	Pdes int

@@ -33,8 +33,8 @@
 // perturbs the interleaving the way relaxed-synchronization simulators
 // (Graphite, Sniper, Pac-Sim — see PAPERS.md) accept and bound by
 // measurement. Accordingly its results are gated the way sampling is:
-// harness.CompareParallelRun quantifies the per-VM deviation from the
-// sequential engine (TestPdesEquivalence gates it), and runs are
+// TestPdesEquivalence and the harness's TestParallelEquivalence bound
+// the per-VM deviation from the sequential engine, and runs are
 // deterministic for a fixed (seed, Pdes) — domains, their
 // event orders, the op-log merge and the barrier cadence are all
 // reproducible, with no wall-clock input to any simulated value.
@@ -52,7 +52,6 @@ import (
 	"consim/internal/coherence"
 	"consim/internal/memctrl"
 	"consim/internal/mesh"
-	"consim/internal/obs"
 	"consim/internal/sim"
 	"consim/internal/vm"
 	"consim/internal/workload"
@@ -100,30 +99,16 @@ type pdesPending struct {
 // PdesStats reports what the parallel engine did during a run; all
 // fields are zero for the sequential engine.
 type PdesStats struct {
-	// Workers is the configured Pdes count, Domains the worker domains
-	// actually formed (bounded by the active-core count).
+	// Workers is the configured Pdes count.
 	Workers int `json:"workers,omitempty"`
-	Domains int `json:"domains,omitempty"`
-	// Windows counts barrier-to-barrier rounds, Ops the shared-tier
-	// operations replayed at barriers.
+	// Windows counts barrier-to-barrier rounds.
 	Windows uint64 `json:"windows,omitempty"`
-	Ops     uint64 `json:"ops,omitempty"`
-	// Stalls counts barriers where the spine waited on a worker domain,
-	// and StallSeconds the wall time it spent waiting — the engine's
-	// load-imbalance gauge.
-	Stalls       uint64  `json:"stalls,omitempty"`
+	// StallSeconds is the wall time the spine spent waiting on worker
+	// domains: the engine's load-imbalance gauge.
 	StallSeconds float64 `json:"stall_seconds,omitempty"`
 	// ApplySeconds is wall time spent in the serial barrier replay: the
 	// Amdahl term that bounds scaling.
 	ApplySeconds float64 `json:"apply_seconds,omitempty"`
-	// WindowSeconds is spine wall time inside windows (posting work,
-	// running its own domain stripe, waiting for workers — StallSeconds
-	// is the waiting subset); BarrierSeconds is the barrier's replica
-	// fold/resync and publish time outside the op replay. Together with
-	// ApplySeconds they decompose runUntil's wall time (the per-run
-	// PhaseProfile renders the decomposition).
-	WindowSeconds  float64 `json:"window_seconds,omitempty"`
-	BarrierSeconds float64 `json:"barrier_seconds,omitempty"`
 }
 
 // validatePdes rejects configurations the parallel engine cannot run
@@ -198,13 +183,6 @@ type pdesDomain struct {
 	pend     []pdesPending
 	ops      []pdesOp
 	switches uint64
-
-	// Phase accounting: wall time draining this domain's calendar and
-	// lifetime op-log length. Written by whichever executor runs the
-	// domain, read by the spine only after the window's completion
-	// handshake (wdone) — the same ordering that protects ops.
-	busySeconds float64
-	opsTotal    uint64
 }
 
 // pdesEngine owns the worker domains of one System.
@@ -227,9 +205,6 @@ type pdesEngine struct {
 	wg    sync.WaitGroup
 
 	opIdx []int // reusable merge cursors for the barrier replay
-
-	tr    *obs.Tracer
-	lanes []int
 }
 
 // newPdesEngine builds the engine for s (cfg.Pdes > 1 validated).
@@ -253,7 +228,6 @@ func newPdesEngine(s *System) *pdesEngine {
 		nd = len(active)
 	}
 	e.stats.Workers = cfg.Pdes
-	e.stats.Domains = nd
 	for d := 0; d < nd; d++ {
 		e.domains = append(e.domains, &pdesDomain{id: d})
 	}
@@ -303,19 +277,6 @@ func newPdesEngine(s *System) *pdesEngine {
 	return e
 }
 
-// attachTracer acquires one trace lane per worker domain. Idempotent; a
-// nil tracer leaves tracing off.
-func (e *pdesEngine) attachTracer(tr *obs.Tracer) {
-	if tr == nil || e.tr != nil {
-		return
-	}
-	e.tr = tr
-	e.lanes = make([]int, len(e.rings))
-	for w := range e.lanes {
-		e.lanes[w] = tr.AcquireLane()
-	}
-}
-
 // start seeds every domain calendar with its cores' first issue events,
 // syncs the replicas to the live contention state, and launches the
 // worker goroutines.
@@ -336,18 +297,12 @@ func (e *pdesEngine) start() {
 	}
 }
 
-// stop drains and joins the workers and releases their trace lanes.
+// stop drains and joins the workers.
 func (e *pdesEngine) stop() {
 	for _, r := range e.rings {
 		r.Close()
 	}
 	e.wg.Wait()
-	if e.tr != nil {
-		for _, lane := range e.lanes {
-			e.tr.ReleaseLane(lane)
-		}
-		e.tr = nil
-	}
 }
 
 // workerLoop runs executor w+1's domain stripe: park on the ring, drain
@@ -355,27 +310,14 @@ func (e *pdesEngine) stop() {
 // worker's done slot.
 func (e *pdesEngine) workerLoop(w int) {
 	defer e.wg.Done()
-	tr, lane := e.tr, 0
-	if tr != nil {
-		lane = e.lanes[w]
-	}
 	ring := e.rings[w]
 	for {
 		seq, ok := ring.Pop()
 		if !ok {
 			return
 		}
-		if tr != nil {
-			tr.Begin(lane, "window")
-		}
 		for i := w + 1; i < len(e.domains); i += e.execs {
-			d := e.domains[i]
-			t0 := time.Now()
-			d.run(e.s)
-			d.busySeconds += time.Since(t0).Seconds()
-		}
-		if tr != nil {
-			tr.End(lane)
+			e.domains[i].run(e.s)
 		}
 		e.wdone[w].Store(seq)
 	}
@@ -387,7 +329,6 @@ func (e *pdesEngine) workerLoop(w int) {
 // deterministically, since the window schedule is deterministic.
 func (e *pdesEngine) runUntil(target uint64) {
 	for !e.reached(target) {
-		winStart := time.Now()
 		h := e.nextHorizon()
 		for _, d := range e.domains {
 			d.horizon = h
@@ -395,7 +336,6 @@ func (e *pdesEngine) runUntil(target uint64) {
 		e.post()
 		e.runSpineStripe()
 		e.awaitWorkers()
-		e.stats.WindowSeconds += time.Since(winStart).Seconds()
 		e.barrier()
 	}
 	// Fold the cumulative footprint shadows so TouchedBlocks is exact at
@@ -419,10 +359,7 @@ func (e *pdesEngine) post() {
 // runSpineStripe drains the spine's own domain stripe of the window.
 func (e *pdesEngine) runSpineStripe() {
 	for i := 0; i < len(e.domains); i += e.execs {
-		d := e.domains[i]
-		t0 := time.Now()
-		d.run(e.s)
-		d.busySeconds += time.Since(t0).Seconds()
+		e.domains[i].run(e.s)
 	}
 }
 
@@ -464,7 +401,6 @@ func (e *pdesEngine) awaitWorkers() {
 		if e.wdone[w].Load() == e.wseq[w] {
 			continue
 		}
-		e.stats.Stalls++
 		start := time.Now()
 		for e.wdone[w].Load() != e.wseq[w] {
 			runtime.Gosched()
@@ -850,7 +786,6 @@ func (e *pdesEngine) applyOps() {
 		default:
 			s.applyEvictL1(op)
 		}
-		e.stats.Ops++
 	}
 	for _, d := range e.domains {
 		d.ops = d.ops[:0]
@@ -988,7 +923,6 @@ func (e *pdesEngine) foldWindow() sim.Cycle {
 	s := e.s
 	var maxT sim.Cycle
 	for _, d := range e.domains {
-		d.opsTotal += uint64(len(d.ops))
 		for i, b := range d.bankBusy {
 			if b > s.bankBusy[i] {
 				s.bankBusy[i] = b
@@ -1026,13 +960,11 @@ func (e *pdesEngine) foldWindow() sim.Cycle {
 // the merged op log, then resyncs the replicas for the next window.
 func (e *pdesEngine) barrier() {
 	s := e.s
-	barStart := time.Now()
 	maxT := e.foldWindow()
 
 	applyStart := time.Now()
 	e.applyOps()
-	applySec := time.Since(applyStart).Seconds()
-	e.stats.ApplySeconds += applySec
+	e.stats.ApplySeconds += time.Since(applyStart).Seconds()
 	e.stats.Windows++
 
 	// Commit the window's clock (maxT is at or past every logged op
@@ -1060,7 +992,6 @@ func (e *pdesEngine) barrier() {
 	if s.hooks != nil {
 		s.publishLive()
 	}
-	e.stats.BarrierSeconds += time.Since(barStart).Seconds() - applySec
 }
 
 // rebase records the replica counters' current values so the next

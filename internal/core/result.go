@@ -114,9 +114,8 @@ type Result struct {
 	Pdes PdesStats
 
 	// Phase decomposes WallSeconds by engine phase (warmup/measure
-	// split always; pdes window/replay/barrier and sample detailed/ff
-	// terms when those engines ran). Host-side provenance like
-	// WallSeconds.
+	// split always; pdes replay and sample detailed/ff terms when those
+	// engines ran). Host-side provenance like WallSeconds.
 	Phase obs.PhaseProfile
 
 	// Layers is the memory system's ledger (obs.Layers says over which
@@ -183,14 +182,6 @@ func ManifestFor(cfg Config, res Result, parallel int) obs.Manifest {
 
 		SampleWarmupDetailedRefs:   res.Sample.WarmupDetailedRefs,
 		SampleWarmupFunctionalRefs: res.Sample.WarmupFunctionalRefs,
-
-		PdesWorkers:      res.Pdes.Workers,
-		PdesDomains:      res.Pdes.Domains,
-		PdesWindows:      res.Pdes.Windows,
-		PdesOps:          res.Pdes.Ops,
-		PdesStalls:       res.Pdes.Stalls,
-		PdesStallSeconds: res.Pdes.StallSeconds,
-		PdesApplySeconds: res.Pdes.ApplySeconds,
 	}
 }
 

@@ -477,9 +477,6 @@ func (s *System) Run() (Result, error) {
 		defer h.RunEnd(lane)
 	}
 	if s.pdes != nil {
-		if h != nil {
-			s.pdes.attachTracer(h.Tr)
-		}
 		s.pdes.start()
 		defer s.pdes.stop()
 	} else {
@@ -564,7 +561,9 @@ func (s *System) Run() (Result, error) {
 	endPhase()
 	s.phaseProf.MeasureSeconds = s.simSeconds - measSimStart
 	window := s.now - measureStart
-	s.foldPhaseProfile()
+	if s.pdes != nil {
+		s.phaseProf.PdesReplaySeconds = s.pdes.stats.ApplySeconds
+	}
 	if h != nil {
 		h.SetPhaseProfile(&s.phaseProf)
 	}
@@ -604,27 +603,6 @@ func (s *System) Run() (Result, error) {
 		return res, fmt.Errorf("core: coherence invariant violated: %w", err)
 	}
 	return res, nil
-}
-
-// foldPhaseProfile folds the engines' phase timers into the run's
-// profile at measurement end.
-func (s *System) foldPhaseProfile() {
-	p := &s.phaseProf
-	if e := s.pdes; e != nil {
-		p.PdesWindowSeconds = e.stats.WindowSeconds
-		p.PdesReplaySeconds = e.stats.ApplySeconds
-		p.PdesBarrierSeconds = e.stats.BarrierSeconds
-		p.PdesStallSeconds = e.stats.StallSeconds
-		for i, d := range e.domains {
-			p.Domains = append(p.Domains, obs.DomainPhase{
-				Domain:      i,
-				Cores:       len(d.cores),
-				Cycles:      uint64(d.now),
-				Ops:         d.opsTotal,
-				BusySeconds: d.busySeconds,
-			})
-		}
-	}
 }
 
 // runUntil advances the system until every active core has issued at

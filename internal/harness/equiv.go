@@ -127,41 +127,11 @@ func sampleBound(target, achieved float64) float64 {
 }
 
 // DefaultPdesBound is the error budget parallel (pdes) runs are judged
-// against when the caller does not supply one: the worst per-VM
-// relative deviation on the tracked metrics must stay below it. The
-// parallel engine's error source is bounded cross-domain staleness (one
-// window), not sampling variance, so the bound is a fixed engineering
-// tolerance rather than a CI-derived quantity; measured deviations at
-// the default window sit under half of it across the workload classes.
+// against (TestParallelEquivalence, the benchmark's mix4_s16_pdes2):
+// the worst per-VM relative deviation on the tracked metrics must stay
+// below it. The parallel engine's error source is bounded cross-domain
+// staleness (one window), not sampling variance, so the bound is a fixed
+// engineering tolerance rather than a CI-derived quantity; measured
+// deviations at the default window sit under half of it across the
+// workload classes.
 const DefaultPdesBound = 0.12
-
-// pdesBound resolves a caller's bound (<= 0 selects DefaultPdesBound).
-func pdesBound(bound float64) float64 {
-	if bound <= 0 {
-		return DefaultPdesBound
-	}
-	return bound
-}
-
-// CompareParallelRun executes cfg sequentially and again under the
-// split-transaction parallel engine with the given worker count, and
-// reports the per-VM metric deviations against bound (<= 0 selects
-// DefaultPdesBound). The comparison reuses RunComparison: Full holds
-// the sequential run, Sampled the parallel one.
-func CompareParallelRun(cfg core.Config, workers int, bound float64) (RunComparison, error) {
-	seqCfg := cfg
-	seqCfg.Pdes = 0
-	seq, err := runCfg(seqCfg)
-	if err != nil {
-		return RunComparison{}, err
-	}
-	return compareParallelTo(seq, cfg, workers, bound)
-}
-
-// compareParallelTo is CompareParallelRun against seq, a sequential run
-// of cfg the caller already has: one reference can judge several worker
-// counts.
-func compareParallelTo(seq core.Result, cfg core.Config, workers int, bound float64) (RunComparison, error) {
-	cfg.Pdes = workers
-	return compareTo(seq, cfg, pdesBound(bound))
-}

@@ -22,7 +22,9 @@ func TestParallelEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, w := range workers {
-			cmp, err := compareParallelTo(seq, cfg, w, 0)
+			par := cfg
+			par.Pdes = w
+			cmp, err := compareTo(seq, par, DefaultPdesBound)
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, w, err)
 			}
@@ -30,8 +32,8 @@ func TestParallelEquivalence(t *testing.T) {
 			if ps.Workers != w || ps.Windows == 0 {
 				t.Fatalf("seed %d workers %d: parallel engine did not engage: %+v", seed, w, ps)
 			}
-			t.Logf("seed %d workers %d: domains=%d windows=%d ops=%d maxRelErr=%.3f bound=%.3f",
-				seed, w, ps.Domains, ps.Windows, ps.Ops, cmp.MaxRelErr, cmp.Bound)
+			t.Logf("seed %d workers %d: windows=%d maxRelErr=%.3f bound=%.3f",
+				seed, w, ps.Windows, cmp.MaxRelErr, cmp.Bound)
 			for _, d := range cmp.Deltas {
 				t.Logf("  vm%-2d %-8s missErr=%.3f cptErr=%.3f", d.VM, d.Name, d.Miss, d.Cpt)
 			}
@@ -40,25 +42,5 @@ func TestParallelEquivalence(t *testing.T) {
 					seed, w, cmp.MaxRelErr, cmp.Bound)
 			}
 		}
-	}
-}
-
-// TestCompareRunsDeriveTheirReference drives the exported comparison
-// (the equivalence test above shares one reference per seed through the
-// unexported half) on a short run:
-// it must build its own reference from a configuration that already
-// has the engine switched on.
-func TestCompareRunsDeriveTheirReference(t *testing.T) {
-	cfg := equivCfg(1)
-	cfg.WarmupRefs, cfg.MeasureRefs = 2_000, 10_000
-	cfg.Pdes = 4
-
-	cmp, err := CompareParallelRun(cfg, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.Full.Pdes.Workers != 0 || cmp.Sampled.Pdes.Workers != 2 || cmp.Bound != DefaultPdesBound || len(cmp.Deltas) == 0 {
-		t.Errorf("CompareParallelRun: reference %+v, parallel %+v, bound %v, %d deltas",
-			cmp.Full.Pdes, cmp.Sampled.Pdes, cmp.Bound, len(cmp.Deltas))
 	}
 }

@@ -32,7 +32,7 @@ type Manifest struct {
 	Tool      string `json:"tool"`
 	GoVersion string `json:"go_version"`
 	GitRev    string `json:"git_rev,omitempty"`
-	// Host parallelism at run time: scaling entries (pdes_*) can only be
+	// Host parallelism at run time: wall-time entries can only be
 	// compared across hosts with these recorded.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	NumCPU     int `json:"num_cpu,omitempty"`
@@ -71,19 +71,6 @@ type Manifest struct {
 	// whole warm-up was detailed.
 	SampleWarmupDetailedRefs   uint64 `json:"sample_warmup_detailed_refs,omitempty"`
 	SampleWarmupFunctionalRefs uint64 `json:"sample_warmup_functional_refs,omitempty"`
-
-	// Split-transaction parallel-engine provenance: configured workers,
-	// domains formed, barrier counts and where the spine's time went
-	// (worker waits, serial op replay). Absent for sequential runs — a
-	// parallel-engine number can always be told from a sequential one by
-	// these fields.
-	PdesWorkers      int     `json:"pdes_workers,omitempty"`
-	PdesDomains      int     `json:"pdes_domains,omitempty"`
-	PdesWindows      uint64  `json:"pdes_windows,omitempty"`
-	PdesOps          uint64  `json:"pdes_ops,omitempty"`
-	PdesStalls       uint64  `json:"pdes_stalls,omitempty"`
-	PdesStallSeconds float64 `json:"pdes_stall_seconds,omitempty"`
-	PdesApplySeconds float64 `json:"pdes_apply_seconds,omitempty"`
 
 	// Phase is the run's wall-time decomposition by engine phase (nil
 	// when telemetry was off or the record predates phase accounting).

@@ -150,7 +150,8 @@ const replicatedManifest = "testdata/manifest_v2_replicates3.jsonl"
 // -pdes window/replay pipelining (fd9b84a, `consim -workloads
 // TPC-H,SPECjbb -group 4 -scale 64 -warm 2000 -meas 8000 -pdes 2
 // -pdes-replay-workers 2 -pdes-pipeline`): it carries "pdes_pipelined",
-// "pdes_replay_workers" and the phase's pipeline-overlap, sharded-replay
+// "pdes_replay_workers", the pdes_* provenance fields, and the phase's
+// in-window, barrier, stall, per-domain, pipeline-overlap, sharded-replay
 // and ops-by-group fields, which Manifest and PhaseProfile no longer
 // declare.
 const pipelinedManifest = "testdata/manifest_v2_pdes_pipelined.jsonl"
@@ -165,8 +166,10 @@ const timeseriesManifest = "testdata/manifest_v2_timeseries.jsonl"
 // pdesSeriesManifest is one v3 line written by the last build whose CLI
 // ran the parallel engine (99e4c5f, `consim -workloads TPC-H -scale 16
 // -warm 2000 -meas 20000 -pdes 4 -timeseries -manifest m.jsonl`): it
-// carries pdes_window_cycles and the series' replay, dom_cycles and
-// dom_busy columns, which Manifest and Series no longer declare.
+// carries pdes_window_cycles, the pdes_* provenance fields, the phase's
+// in-window, barrier, stall and per-domain fields, and the series'
+// replay, dom_cycles and dom_busy columns, which Manifest, PhaseProfile
+// and Series no longer declare.
 const pdesSeriesManifest = "testdata/manifest_v3_pdes_timeseries.jsonl"
 
 // retiredBenchHistory is the frozen cmd/bench history: a JSON array of
@@ -237,23 +240,28 @@ func TestReadManifestsReplicatedRecord(t *testing.T) {
 }
 
 // TestReadManifestsPipelinedRecord reads a record of a pipelined,
-// sharded-replay -pdes run: it reads as the -pdes run it was, and
-// report takes it as one run.
+// sharded-replay -pdes run: it reads as the -pdes run it was, its engine
+// told by its replay seconds alone, and report takes it as one run.
 func TestReadManifestsPipelinedRecord(t *testing.T) {
 	m := readOldRecord(t, pipelinedManifest, `"pdes_pipelined":true`, `"pdes_pipeline_overlap_seconds":`,
 		`"pdes_replay_workers":2`, `"pdes_replay_parallel_seconds":`, `"pdes_replay_merge_seconds":`,
-		`"pdes_apply_ops_by_group":[`)
-	if m.Refs != 183631 || m.PdesWorkers != 2 || m.Phase == nil || len(m.Phase.Domains) != 2 {
+		`"pdes_apply_ops_by_group":[`, `"pdes_workers":2`, `"pdes_domains":`, `"pdes_ops":`,
+		`"pdes_window_seconds":`, `"pdes_barrier_seconds":`, `"domains":[`)
+	if m.Refs != 183631 || m.Phase == nil || m.Phase.PdesReplaySeconds <= 0 {
 		t.Fatalf("record mangled: %+v", m)
 	}
 	var rep strings.Builder
 	WritePhaseReport(&rep, m)
 	out := rep.String()
-	if !strings.Contains(out, "engine=pdes") {
-		t.Errorf("report of a pipelined record missing %q:\n%s", "engine=pdes", out)
+	for _, want := range []string{"engine=pdes", "apply fraction"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report of a pipelined record missing %q:\n%s", want, out)
+		}
 	}
-	if strings.Contains(out, "overlap") {
-		t.Errorf("report of a pipelined record still shows the overlap line:\n%s", out)
+	for _, gone := range []string{"overlap", "in-window", "dom 0"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("report of a pipelined record still shows %q:\n%s", gone, out)
+		}
 	}
 }
 
@@ -275,17 +283,18 @@ func TestReadManifestsTimeseriesRecord(t *testing.T) {
 
 // TestReadManifestsPdesSeriesRecord reads a -pdes run's record with its
 // per-domain series columns: it reads, and report still prints its
-// in-window/replay decomposition and its time series.
+// warmup/measure split, apply fraction and time series.
 func TestReadManifestsPdesSeriesRecord(t *testing.T) {
-	m := readOldRecord(t, pdesSeriesManifest, `"pdes_window_cycles":16384`, `"replay":[`, `"dom_cycles":[`, `"dom_busy":[`)
-	if m.Version != 3 || m.Refs != 87530 || m.PdesWorkers != 4 || m.Phase == nil || len(m.Phase.Domains) != 4 ||
+	m := readOldRecord(t, pdesSeriesManifest, `"pdes_window_cycles":16384`, `"replay":[`, `"dom_cycles":[`, `"dom_busy":[`,
+		`"pdes_workers":4`, `"pdes_stalls":`, `"pdes_window_seconds":`, `"domains":[`)
+	if m.Version != 3 || m.Refs != 87530 || m.Phase == nil || m.Phase.PdesReplaySeconds <= 0 ||
 		m.Series == nil || m.Series.Rows() != 39 {
 		t.Fatalf("record mangled: %+v", m)
 	}
 	var rep strings.Builder
 	WritePhaseReport(&rep, m)
 	out := rep.String()
-	for _, want := range []string{"engine=pdes", "in-window", "replay", "time series (39 rows)"} {
+	for _, want := range []string{"engine=pdes", "  warmup ", "  measure ", "apply fraction", "time series (39 rows)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report of a v3 -pdes record missing %q:\n%s", want, out)
 		}

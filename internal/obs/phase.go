@@ -8,10 +8,9 @@ package obs
 // time go" is answerable for any recorded run, not just a bench sweep.
 //
 // All fields are wall seconds measured inside the simulation loop (the
-// same clock as Result.WallSeconds), so the engine-specific terms sum
-// to the measured wall time up to loop bookkeeping (horizon scans,
-// footprint merges). Report renders the residual as "untracked" and
-// the covered fraction as "coverage".
+// same clock as Result.WallSeconds), so the warmup/measure split sums
+// to the measured wall time up to loop bookkeeping. Report renders the
+// residual as "untracked" and the covered fraction as "coverage".
 type PhaseProfile struct {
 	// WarmupSeconds and MeasureSeconds split the run's simulation wall
 	// time at the measurement boundary (every engine).
@@ -23,22 +22,10 @@ type PhaseProfile struct {
 	// of skipping between measured windows.
 	WarmupFFSeconds float64 `json:"warmup_ff_seconds,omitempty"`
 
-	// Split-transaction parallel engine (core.Config.Pdes).
-	// PdesWindowSeconds is spine wall time inside windows (posting work,
-	// running its own domain stripe, waiting for workers);
-	// PdesReplaySeconds is the serial barrier op replay (the Amdahl term);
-	// PdesBarrierSeconds is the rest of the barrier (replica folds and
-	// resyncs, live metric publishes); PdesStallSeconds is the subset of
-	// window time the spine spent spinning on worker domains (load
-	// imbalance).
-	PdesWindowSeconds  float64 `json:"pdes_window_seconds,omitempty"`
-	PdesReplaySeconds  float64 `json:"pdes_replay_seconds,omitempty"`
-	PdesBarrierSeconds float64 `json:"pdes_barrier_seconds,omitempty"`
-	PdesStallSeconds   float64 `json:"pdes_stall_seconds,omitempty"`
-	// Domains is the per-domain breakdown of in-window work. On a
-	// multi-core host domains run concurrently, so busy seconds sum to
-	// more than PdesWindowSeconds; the ratio is the achieved overlap.
-	Domains []DomainPhase `json:"domains,omitempty"`
+	// PdesReplaySeconds is the split-transaction parallel engine's
+	// (core.Config.Pdes) serial barrier op replay: the Amdahl term that
+	// bounds its scaling, inside the warmup/measure split.
+	PdesReplaySeconds float64 `json:"pdes_replay_seconds,omitempty"`
 
 	// Interval-sampling engine (-sample): wall time in detailed windows
 	// vs. functional fast-forward.
@@ -46,23 +33,11 @@ type PhaseProfile struct {
 	SampleFFSeconds       float64 `json:"sample_ff_seconds,omitempty"`
 }
 
-// DomainPhase is one pdes domain's share of the in-window work.
-type DomainPhase struct {
-	Domain int `json:"domain"`
-	Cores  int `json:"cores"`
-	// Cycles is how far the domain's local clock advanced; Ops the
-	// shared-tier operations it logged for barrier replay.
-	Cycles uint64 `json:"cycles"`
-	Ops    uint64 `json:"ops"`
-	// BusySeconds is wall time spent draining this domain's calendar.
-	BusySeconds float64 `json:"busy_seconds"`
-}
-
 // Engine names the engine the profile describes ("pdes", "sample", or
 // "" for the sequential engine).
 func (p *PhaseProfile) Engine() string {
 	switch {
-	case len(p.Domains) > 0 || p.PdesWindowSeconds > 0:
+	case p.PdesReplaySeconds > 0:
 		return "pdes"
 	case p.SampleDetailedSeconds > 0 || p.SampleFFSeconds > 0:
 		return "sample"
@@ -76,14 +51,10 @@ func (p *PhaseProfile) Zero() bool {
 	return p.WarmupSeconds == 0 && p.MeasureSeconds == 0 && p.Engine() == ""
 }
 
-// TrackedSeconds sums the engine-phase terms that should account for
-// the run's simulation wall time. For pdes that is window + replay +
-// barrier (stall is a subset of window time, not an addend); for the
-// other engines the warmup/measure split already covers the wall.
+// TrackedSeconds sums the phase terms that should account for the
+// run's simulation wall time: the warmup/measure split, which every
+// engine records and which the engine-specific terms subdivide.
 func (p *PhaseProfile) TrackedSeconds() float64 {
-	if p.Engine() == "pdes" {
-		return p.PdesWindowSeconds + p.PdesReplaySeconds + p.PdesBarrierSeconds
-	}
 	return p.WarmupSeconds + p.MeasureSeconds
 }
 

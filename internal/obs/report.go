@@ -15,9 +15,9 @@ import (
 
 // WritePhaseReport renders one manifest record: the run header, the
 // memory-system ledger, the wall-time phase decomposition with its
-// untracked residual and coverage, the per-domain imbalance breakdown,
-// and, when the record carries a time series, a per-VM trajectory
-// summary.
+// untracked residual and coverage (a parallel-engine record adds its
+// apply fraction), and, when the record carries a time series, a per-VM
+// trajectory summary.
 func WritePhaseReport(w io.Writer, m Manifest) {
 	engine := "sequential"
 	var p PhaseProfile
@@ -56,15 +56,7 @@ func WritePhaseReport(w io.Writer, m Manifest) {
 			"  fast-forward", p.WarmupFFSeconds, pct(p.WarmupFFSeconds), m.SampleWarmupDetailedRefs, m.SampleWarmupFunctionalRefs)
 	}
 	fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%\n", "measure", p.MeasureSeconds, pct(p.MeasureSeconds))
-	switch p.Engine() {
-	case "pdes":
-		fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%   (stall %.3fs, %.1f%%)\n",
-			"in-window", p.PdesWindowSeconds, pct(p.PdesWindowSeconds), p.PdesStallSeconds, pct(p.PdesStallSeconds))
-		fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%   serial op replay (Amdahl term)\n",
-			"replay", p.PdesReplaySeconds, pct(p.PdesReplaySeconds))
-		fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%   folds, resyncs, publishes\n",
-			"barrier", p.PdesBarrierSeconds, pct(p.PdesBarrierSeconds))
-	case "sample":
+	if p.Engine() == "sample" {
 		fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%   (%d refs/core measured)\n",
 			"detailed", p.SampleDetailedSeconds, pct(p.SampleDetailedSeconds), m.SampleDetailedRefs)
 		fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%   (%d refs/core skipped)\n",
@@ -90,17 +82,6 @@ func WritePhaseReport(w io.Writer, m Manifest) {
 	fmt.Fprintf(w, "  %-14s %8.3fs %5.1f%%   (coverage %.1f%% of wall)\n", "untracked", untracked, pct(untracked), cov)
 	if af := p.ApplyFraction(m.WallSeconds); af > 0 {
 		fmt.Fprintf(w, "  apply fraction %.3f -> Amdahl speedup bound %.1fx\n", af, 1/af)
-	}
-	if len(p.Domains) > 0 {
-		fmt.Fprintf(w, "domains (in-window busy; concurrent, so busy may exceed window time):\n")
-		for _, d := range p.Domains {
-			share := 0.0
-			if p.PdesWindowSeconds > 0 {
-				share = 100 * d.BusySeconds / p.PdesWindowSeconds
-			}
-			fmt.Fprintf(w, "  dom %-2d cores=%-2d cycles=%-12d ops=%-10d busy=%.3fs (%.0f%% of window)\n",
-				d.Domain, d.Cores, d.Cycles, d.Ops, d.BusySeconds, share)
-		}
 	}
 	writeSeriesSummary(w, m.Series)
 }

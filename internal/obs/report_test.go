@@ -15,15 +15,9 @@ func pdesManifest() Manifest {
 		GOMAXPROCS: 4, NumCPU: 8,
 		Seed: 42, Scale: 16,
 		Refs: 1_000_000, Cycles: 500_000, WallSeconds: 2.0,
-		PdesWorkers: 4, PdesDomains: 4,
 		Phase: &PhaseProfile{
 			WarmupSeconds: 0.4, MeasureSeconds: 1.6,
-			PdesWindowSeconds: 1.2, PdesReplaySeconds: 0.6,
-			PdesBarrierSeconds: 0.15, PdesStallSeconds: 0.2,
-			Domains: []DomainPhase{
-				{Domain: 0, Cores: 4, Cycles: 500_000, Ops: 9000, BusySeconds: 0.5},
-				{Domain: 1, Cores: 4, Cycles: 500_000, Ops: 8000, BusySeconds: 0.45},
-			},
+			PdesReplaySeconds: 0.6,
 		},
 	}
 }
@@ -51,6 +45,9 @@ func reportSeries() *Series {
 	return s
 }
 
+// TestWritePhaseReportPdes renders a parallel-engine record: its
+// warmup/measure split covers the wall, the apply fraction is its one
+// engine term, and the time series is summarized per VM.
 func TestWritePhaseReportPdes(t *testing.T) {
 	m := pdesManifest()
 	m.Series = reportSeries()
@@ -60,13 +57,10 @@ func TestWritePhaseReportPdes(t *testing.T) {
 	for _, want := range []string{
 		"engine=pdes",
 		"gomaxprocs=4",
-		"in-window",
-		"replay", "Amdahl",
-		"barrier",
+		"  warmup ", "  measure ",
 		"untracked",
-		"coverage",
-		"apply fraction 0.300",
-		"dom 0", "dom 1", "ops=9000",
+		"coverage 100.0% of wall",
+		"apply fraction 0.300 -> Amdahl speedup bound 3.3x",
 		"time series (3 rows)",
 		"measure=2", "warmup=1",
 		"vm 0  refs=20480", "miss 0.0200..0.0300 (mean 0.0250)",
@@ -76,6 +70,11 @@ func TestWritePhaseReportPdes(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q in:\n%s", want, out)
+		}
+	}
+	for _, gone := range []string{"in-window", "barrier", "dom 0"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("report still prints %q in:\n%s", gone, out)
 		}
 	}
 }

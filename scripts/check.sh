@@ -45,6 +45,11 @@ echo "== host-memory hints =="
 # case, and the parallel engine's window workers run beside them.
 go test -race -run 'Lookahead|Prefetch|ShardedReplayBitIdentical|PdesDeterministic|HugePages|LineIsInert' ./internal/core ./internal/coherence ./internal/prefetch
 
+echo "== inlining budget =="
+# The directory's lookups must stay inlined, at the eviction paths' call
+# sites too.
+scripts/inline_check.sh
+
 echo "== allocation budgets =="
 # Steady-state simulation loop must not allocate (perf regression guard).
 # TestSteadyStateAllocBudget runs with live metrics AND a -timeseries
@@ -191,10 +196,19 @@ echo "== parallel (pdes) engine smoke =="
 # untouched (golden fixtures above pin the sequential path bit-for-bit).
 go test -short -run 'TestPdesValidation|TestPdesDeterministic|TestPdesEquivalence' ./internal/core
 go test -short -run 'TestParallelEquivalence' ./internal/harness
-# An older -pdes run's record (pdes_window_cycles, per-domain series
-# columns) still reads, and obs report still prints its in-window/replay
-# decomposition and its time series.
+# An older -pdes run's record (pdes_window_cycles, the pdes_* provenance
+# fields, per-domain phase entries and series columns) still reads, and
+# obs report still prints its warmup/measure split, apply fraction and
+# time series.
 go test -run 'TestReadManifestsPdesSeriesRecord' ./internal/obs
+# The parallel engine's telemetry outside pdes.go is the four numbers the
+# benchmark reads (Result.Pdes Workers, Windows, StallSeconds and the
+# replay time behind ApplyFraction): its per-domain phase table, window
+# and barrier timers, worker trace lanes, manifest provenance fields and
+# the harness's comparison wrapper were deleted and must stay gone.
+if grep -rnwE 'DomainPhase|CompareParallelRun|compareParallelTo|pdesBound|attachTracer|PdesWindowSeconds|PdesBarrierSeconds|PdesDomains|PdesOps' --include='*.go' --exclude-dir=testdata .; then
+	echo "check.sh: a deleted parallel-engine telemetry symbol is back (above)" >&2; exit 1
+fi
 
 echo "== phase profiler smoke =="
 # A -timeseries run must record per-window telemetry rows in its
