@@ -129,16 +129,21 @@ func keyOfTag(tag uint32) uint64 { return uint64(^tag) }
 
 // Directory is the chip-wide line directory. Entries live in a flat
 // open-addressed hash table keyed by block ID (linear probing, fibonacci
-// hashing, power-of-two capacity, backward-shift deletion — no
+// hashing onto any number of home buckets, backward-shift deletion — no
 // tombstones). The striping across home nodes affects only where lookups
 // are routed (latency), not where state is stored, so a single table
 // keeps the implementation simple and the behaviour identical.
 //
+// Probing does not wrap: a fixed overflow tail of dirTail slots follows
+// the last home bucket, and the table's last slot is never filled, so
+// every probe sequence ends at a free slot without index arithmetic.
+//
 // The table is sized from the lines the chip can hold (NewDirectoryFor):
 // an inclusive LLC bounds the live entries, so the first insert
-// allocates the bound's capacity and the table never grows again.
-// Doubling remains the only fallback, for traffic that passes the bound
-// and for directories built without one.
+// allocates exactly the bound's home buckets and the table never grows
+// again. Doubling remains the fallback for traffic that passes the bound
+// and for directories built without one; a probe cluster that runs
+// through the whole tail doubles the tail instead, which moves no slot.
 //
 // This replaced a map[uint64]*Entry: the map allocated one heap Entry per
 // tracked line (the dominant steady-state allocation of a whole
@@ -151,35 +156,36 @@ type Directory struct {
 	nodes    int
 	homeMask int // nodes-1 when nodes is a power of two, else -1
 
-	slots []dirSlot
-	shift uint // 64 - log2(len(slots)); fibonacci-hash shift
-	used  int  // live slots
-	grow  int  // growth threshold (3/4 load)
-	jump  int  // capacity of the first growth (dirCap of the bound); 0 doubles
+	slots   []dirSlot // the home buckets, then the overflow tail
+	buckets uint64    // home buckets: idx's range
+	used    int       // live slots
+	grow    int       // growth threshold (3/4 load of the home buckets)
+	jump    int       // home buckets of the first growth (dirCap of the bound); 0 doubles
 
-	// none is a bounded directory's table until its first insert: one
-	// free slot under a growth threshold of 0.
-	none [1]dirSlot
+	// none is a bounded directory's table until its first insert: no
+	// home buckets, under a growth threshold of 0, and the free slots a
+	// prefetch hint on bucket 0 reaches.
+	none [4]dirSlot
 
 	// Lookups counts directory accesses; used by tests and reports.
 	Lookups uint64
 }
 
-// dirInitialSlots is an unbounded directory's first table, 1.5 MB (2^16
-// slots of 24 B), allocated at construction; a bounded one allocates its
-// bound's capacity instead. Must be a power of two.
+// dirInitialSlots is an unbounded directory's first home-bucket count,
+// 2^16 (1.5 MB of 24 B slots with its tail), allocated at construction;
+// a bounded one allocates its bound's capacity instead. A power of two,
+// so the home buckets equal a plain fibonacci shift's.
 const dirInitialSlots = 1 << 16
 
-// dirCap returns the smallest power-of-two capacity whose 3/4 load holds
-// lines+1 entries: the bound plus the one entry a fill creates before
-// its victim's release.
-func dirCap(lines int) int {
-	n := 2
-	for n*3/4 < lines+1 {
-		n *= 2
-	}
-	return n
-}
+// dirTail is the overflow tail's length. At the 3/4 load a cluster of L
+// or more slots occurs with probability about e^(-0.038·L) per bucket,
+// so a 1024-slot tail (24 KB) is outrun about once in 10^17 fills.
+const dirTail = 1024
+
+// dirCap returns the smallest home-bucket count whose 3/4 load holds
+// lines+1 entries, ⌈4(lines+1)/3⌉: the bound plus the one entry a fill
+// creates before its victim's release.
+func dirCap(lines int) int { return (4*(lines+1) + 2) / 3 }
 
 // NewDirectory returns a directory striped across n home nodes with no
 // bound on its live entries: it starts at dirInitialSlots and doubles.
@@ -187,8 +193,8 @@ func NewDirectory(n int) *Directory { return NewDirectoryFor(n, 0) }
 
 // NewDirectoryFor returns a directory striped across n home nodes that
 // will hold at most lines live entries (0: unknown). A bounded directory
-// owns no table until its first insert allocates dirCap(lines) slots;
-// growths past the bound, and every growth without one, double.
+// owns no table until its first insert allocates dirCap(lines) home
+// buckets; growths past the bound, and every growth without one, double.
 func NewDirectoryFor(n, lines int) *Directory {
 	if n <= 0 || n > MaxNodes {
 		panic(fmt.Sprintf("coherence: invalid node count %d (1..%d)", n, MaxNodes))
@@ -200,22 +206,22 @@ func NewDirectoryFor(n, lines int) *Directory {
 	d := &Directory{nodes: n, homeMask: hm}
 	if lines > 0 {
 		d.jump = dirCap(lines)
-		d.slots, d.shift = d.none[:], 64
+		d.slots = d.none[:]
 		return d
 	}
 	d.resize(dirInitialSlots)
 	return d
 }
 
-// resize installs a free table of n slots and its hash parameters. A
-// table holding whole 2 MB pages is advised onto huge pages before
-// anything touches it: the buckets are hash-spread, so a 4 KB-paged
-// table misses the host TLB on nearly every probe, and each prefetch
-// hint into it pays a page walk before its line can even be requested.
+// resize installs a free table of n home buckets and its tail. A table
+// holding whole 2 MB pages is advised onto huge pages before anything
+// touches it: the buckets are hash-spread, so a 4 KB-paged table misses
+// the host TLB on nearly every probe, and each prefetch hint into it
+// pays a page walk before its line can even be requested.
 func (d *Directory) resize(n int) {
-	d.slots = make([]dirSlot, n)
+	d.slots = make([]dirSlot, n+dirTail)
 	prefetch.HugePages(d.slots)
-	d.shift = 64 - uint(bits.TrailingZeros(uint(n)))
+	d.buckets = uint64(n)
 	d.grow = n * 3 / 4
 }
 
@@ -227,12 +233,13 @@ const dirSlotBytes = 24
 const hostLineBytes = 64
 
 // TableBytes returns the size of the first table NewDirectoryFor(n,
-// lines) allocates: the bound's (an unbounded directory's for lines 0).
+// lines) allocates, tail included: the bound's (an unbounded
+// directory's for lines 0).
 func TableBytes(lines int) int {
 	if lines <= 0 {
-		return dirInitialSlots * dirSlotBytes
+		return (dirInitialSlots + dirTail) * dirSlotBytes
 	}
-	return dirCap(lines) * dirSlotBytes
+	return (dirCap(lines) + dirTail) * dirSlotBytes
 }
 
 // Nodes returns the number of home nodes.
@@ -250,9 +257,12 @@ func (d *Directory) Home(addr sim.Addr) int {
 
 // idx returns the home bucket of a block ID. Fibonacci (multiplicative)
 // hashing: block IDs are dense and strided, so the golden-ratio multiply
-// spreads them across the table before the power-of-two truncation.
+// spreads them across all 64 bits, and the high word of the product with
+// the bucket count maps that onto the buckets — for a power-of-two count
+// exactly the product's top bits.
 func (d *Directory) idx(key uint64) uint64 {
-	return (key * fibMul) >> d.shift
+	hi, _ := bits.Mul64(key*fibMul, d.buckets)
+	return hi
 }
 
 // fibMul is 2^64 divided by the golden ratio, idx's multiplier.
@@ -268,7 +278,8 @@ func (d *Directory) bucket(addr sim.Addr) (uint64, uint32) {
 	if key >= cache.MaxLines {
 		panic("coherence: address exceeds packed 32-bit tag capacity")
 	}
-	return (key * fibMul) >> d.shift, ^uint32(key)
+	hi, _ := bits.Mul64(key*fibMul, d.buckets)
+	return hi, ^uint32(key)
 }
 
 // Get returns the entry for addr, creating an empty one if absent.
@@ -281,15 +292,13 @@ func (d *Directory) bucket(addr sim.Addr) (uint64, uint32) {
 func (d *Directory) Get(addr sim.Addr) *Entry {
 	d.Lookups++
 	i, tag := d.bucket(addr)
-	mask := uint64(len(d.slots) - 1)
-	for ; ; i = (i + 1) & mask {
+	for ; ; i++ {
 		e := &d.slots[i]
 		if e.tag == tag {
 			return e
 		}
 		if e.tag == dirFree {
-			if d.used >= d.grow {
-				d.rehash()
+			if d.used >= d.grow || int(i) == len(d.slots)-1 {
 				return d.insert(tag)
 			}
 			d.used++
@@ -299,17 +308,31 @@ func (d *Directory) Get(addr sim.Addr) *Entry {
 	}
 }
 
-// insert places a tag known to be absent and returns its entry.
+// insert places a tag known to be absent where Get's fast path cannot:
+// past the growth threshold it grows the table first.
 func (d *Directory) insert(tag uint32) *Entry {
-	mask := uint64(len(d.slots) - 1)
-	i := d.idx(keyOfTag(tag))
-	for d.slots[i].tag != dirFree {
-		i = (i + 1) & mask
+	if d.used >= d.grow {
+		d.rehash()
 	}
+	i := d.free(keyOfTag(tag)) // before indexing: free may extend the table
 	d.used++
 	e := &d.slots[i]
 	*e = Entry{L1Owner: -1, L2Owner: -1, tag: tag}
 	return e
+}
+
+// free returns the first free slot from key's home bucket on. If that is
+// the table's last slot, the cluster has run through the whole tail: the
+// tail doubles first, moving no slot, so the last slot stays free.
+func (d *Directory) free(key uint64) uint64 {
+	i := d.idx(key)
+	for d.slots[i].tag != dirFree {
+		i++
+	}
+	if int(i) == len(d.slots)-1 {
+		d.slots = append(d.slots, make([]dirSlot, len(d.slots)-int(d.buckets))...)
+	}
+	return i
 }
 
 // rehash grows the table — the first time to the bound's capacity, after
@@ -319,18 +342,13 @@ func (d *Directory) insert(tag uint32) *Entry {
 // on-chip lines.
 func (d *Directory) rehash() {
 	old := d.slots
-	d.resize(max(2*len(old), d.jump))
+	d.resize(max(2*int(d.buckets), d.jump))
 	d.jump = 0
-	mask := uint64(len(d.slots) - 1)
 	for oi := range old {
-		if old[oi].tag == dirFree {
-			continue
+		if old[oi].tag != dirFree {
+			i := d.free(keyOfTag(old[oi].tag))
+			d.slots[i] = old[oi]
 		}
-		i := d.idx(keyOfTag(old[oi].tag))
-		for d.slots[i].tag != dirFree {
-			i = (i + 1) & mask
-		}
-		d.slots[i] = old[oi]
 	}
 }
 
@@ -338,8 +356,7 @@ func (d *Directory) rehash() {
 // pointer has the same validity contract as Get's.
 func (d *Directory) Probe(addr sim.Addr) (*Entry, bool) {
 	i, tag := d.bucket(addr)
-	mask := uint64(len(d.slots) - 1)
-	for ; ; i = (i + 1) & mask {
+	for ; ; i++ {
 		e := &d.slots[i]
 		if e.tag == tag {
 			return e, true
@@ -389,15 +406,16 @@ func (d *Directory) PrefetchRelease(addr sim.Addr) {
 	prefetch.Line(next)
 }
 
-// hintSlots returns what the prefetch hints for bucket i start: the
+// hintSlots returns what the prefetch hints for home bucket i start: the
 // bucket's first word, its tag (its last word) and the first bucket that
-// begins in the host line after the tag's, wrapping at the table's end.
-// Line arithmetic assumes a line-aligned table, which every table past
-// the allocator's small size classes is.
+// begins in the host line after the tag's — at most 4 buckets on, which
+// past the last home bucket lies in the tail. Line arithmetic assumes a
+// line-aligned table, which every table past the allocator's small size
+// classes is.
 func (d *Directory) hintSlots(i uint64) (home *dirSlot, tag *uint32, next *dirSlot) {
 	home = &d.slots[i]
 	end := (i*dirSlotBytes + dirSlotBytes - 1) | (hostLineBytes - 1) // last byte of the tag's line
-	return home, &home.tag, &d.slots[(end+dirSlotBytes)/dirSlotBytes&uint64(len(d.slots)-1)]
+	return home, &home.tag, &d.slots[(end+dirSlotBytes)/dirSlotBytes]
 }
 
 // ProbeSlot locates addr's table slot without creating one. Together with
@@ -407,8 +425,7 @@ func (d *Directory) hintSlots(i uint64) (home *dirSlot, tag *uint32, next *dirSl
 // or release may move slots.
 func (d *Directory) ProbeSlot(addr sim.Addr) (int, bool) {
 	i, tag := d.bucket(addr)
-	mask := uint64(len(d.slots) - 1)
-	for ; ; i = (i + 1) & mask {
+	for ; ; i++ {
 		t := d.slots[i].tag
 		if t == tag {
 			return int(i), true
@@ -430,18 +447,15 @@ func (d *Directory) ReleaseSlot(i int) {
 	}
 	d.used--
 	// Backward-shift: walk the cluster after the hole; any entry whose
-	// home bucket lies at or before the hole (cyclically) moves into it,
-	// re-opening the hole at its old position.
-	mask := uint64(len(d.slots) - 1)
+	// home bucket lies at or before the hole moves into it, re-opening
+	// the hole at its old position. The free last slot ends the walk.
 	hole := uint64(i)
-	j := hole
-	for {
-		j = (j + 1) & mask
+	for j := hole + 1; ; j++ {
 		s := &d.slots[j]
 		if s.tag == dirFree {
 			break
 		}
-		if (j-d.idx(keyOfTag(s.tag)))&mask >= (j-hole)&mask {
+		if d.idx(keyOfTag(s.tag)) <= hole {
 			d.slots[hole] = *s
 			hole = j
 		}
@@ -474,37 +488,26 @@ func (d *Directory) ReplicationSnapshot() (resident, replicated int) {
 
 // CheckInvariants validates protocol invariants over all entries, and
 // the table's own: as many live slots as Len, each reachable from its
-// home bucket without crossing a free one. It returns the first
-// violation found. Tests call this after randomized traffic; a
-// whole-Entry store through a table pointer, which frees a live slot,
-// breaks the table's.
+// home bucket without crossing a free one, and the last slot free. It
+// returns the first violation found. Tests call this after randomized
+// traffic; a whole-Entry store through a table pointer, which frees a
+// live slot, breaks the table's.
 func (d *Directory) CheckInvariants() error {
-	// Walk the table cyclically from a free slot, tracking where the
-	// current cluster began: an entry is reachable iff its home bucket
-	// lies in its cluster at or before it.
-	mask := uint64(len(d.slots) - 1)
-	start := -1
+	if last := len(d.slots) - 1; d.slots[last].tag != dirFree {
+		return fmt.Errorf("the table's last slot %d is filled", last)
+	}
+	// An entry is reachable iff its home bucket lies in its cluster at
+	// or before it.
+	live, start := 0, uint64(0) // start: the current cluster's first slot
 	for i := range d.slots {
 		if d.slots[i].tag == dirFree {
-			start = i
-			break
-		}
-	}
-	if start < 0 {
-		return fmt.Errorf("table of %d slots has no free slot", len(d.slots))
-	}
-	live, run := 0, uint64(0) // run: slots since the last free one
-	for k := range d.slots {
-		i := (uint64(start) + uint64(k)) & mask
-		if d.slots[i].tag == dirFree {
-			run = 0
+			start = uint64(i) + 1
 			continue
 		}
 		live++
-		run++
 		b, e := keyOfTag(d.slots[i].tag), &d.slots[i]
-		if (i-d.idx(b))&mask >= run {
-			return fmt.Errorf("block %#x in slot %d: unreachable from its home bucket %d past a free slot", b, i, d.idx(b))
+		if h := d.idx(b); h < start || h > uint64(i) {
+			return fmt.Errorf("block %#x in slot %d: unreachable from its home bucket %d past a free slot", b, i, h)
 		}
 		if e.L1Owner >= 0 && !e.HasL1(int(e.L1Owner)) {
 			return fmt.Errorf("block %#x: L1 owner %d not in sharer mask %016x", b, e.L1Owner, e.L1Sharers)

@@ -93,10 +93,9 @@ func TestWholeEntryStoreReported(t *testing.T) {
 		t.Fatalf("after Clear: %v", err)
 	}
 
-	mask := len(d.slots) - 1
 	end := h
-	for d.slots[(end+1)&mask].tag != dirFree {
-		end = (end + 1) & mask
+	for d.slots[end+1].tag != dirFree {
+		end++
 	}
 	*d.EntryAt(end) = NewEntry()
 	if err := d.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "live slots") {
@@ -111,20 +110,27 @@ func TestWholeEntryStoreReported(t *testing.T) {
 }
 
 // TestPrefetchHintsCoverSlot: on a line-aligned table, the lines
-// PrefetchProbe starts (a bucket's first word and its tag) are every
-// host line the bucket spans, a straddling one's two included, and
-// PrefetchRelease's third is the line right after them — the first
-// bucket's when the home bucket ends the table.
+// PrefetchProbe starts (a home bucket's first word and its tag) are
+// every host line the bucket spans, a straddling one's two included, and
+// PrefetchRelease's third is the line right after them — a tail line
+// for the last home buckets, a power-of-two count and another alike.
 func TestPrefetchHintsCoverSlot(t *testing.T) {
-	d := NewDirectory(16)
+	for _, d := range []*Directory{NewDirectory(16), NewDirectoryFor(16, 49_152)} {
+		d.Get(0)
+		checkHintLines(t, d)
+	}
+}
+
+func checkHintLines(t *testing.T, d *Directory) {
+	t.Helper()
 	line := func(p unsafe.Pointer) uintptr { return uintptr(p) / hostLineBytes }
 	base := uintptr(unsafe.Pointer(&d.slots[0]))
 	if base%hostLineBytes != 0 {
 		t.Fatalf("table at %#x is not line-aligned", base)
 	}
-	last := line(unsafe.Pointer(&d.slots[len(d.slots)-1].tag))
-	straddles := 0
-	for i := range d.slots {
+	tail := line(unsafe.Pointer(&d.slots[d.buckets]))
+	straddles, intoTail := 0, 0
+	for i := range int(d.buckets) {
 		home, tag, next := d.hintSlots(uint64(i))
 		lo := line(unsafe.Pointer(&d.slots[i]))
 		hi := (uintptr(unsafe.Pointer(&d.slots[i])) + dirSlotBytes - 1) / hostLineBytes
@@ -135,15 +141,17 @@ func TestPrefetchHintsCoverSlot(t *testing.T) {
 		if hi != lo {
 			straddles++
 		}
-		want := hi + 1
-		if hi == last {
-			want = line(unsafe.Pointer(&d.slots[0]))
+		if got := line(unsafe.Pointer(next)); got != hi+1 {
+			t.Fatalf("slot %d ends in line %d; release hints line %d, want %d", i, hi, got, hi+1)
 		}
-		if got := line(unsafe.Pointer(next)); got != want {
-			t.Fatalf("slot %d ends in line %d; release hints line %d, want %d", i, hi, got, want)
+		if hi+1 >= tail {
+			intoTail++
 		}
 	}
-	if straddles != len(d.slots)/4 {
-		t.Errorf("%d of %d slots straddle two lines, want a quarter", straddles, len(d.slots))
+	if n := int(d.buckets); straddles != n/4 {
+		t.Errorf("%d of %d home buckets straddle two lines, want a quarter", straddles, n)
+	}
+	if intoTail == 0 {
+		t.Errorf("%d home buckets: no release hint reaches the tail", d.buckets)
 	}
 }

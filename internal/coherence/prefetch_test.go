@@ -7,21 +7,22 @@ import (
 	"consim/internal/sim"
 )
 
-// paperScaleDirectory fills a directory to the 4-VM mix's paper-scale
-// population — about 300k tracked lines, which the growth rule puts in a
-// 2^19-slot (12 MB) table — and returns the tracked addresses in a
-// shuffled order no hardware prefetcher can follow.
+// paperScaleDirectory builds the 4-VM mix's paper-scale directory — a
+// table bounded at 262 144 lines (16 MB of LLC), 349 527 home buckets
+// (8.0 MB) — fills it to the population that run ends with, 233 604
+// lines (2/3 load), and returns the tracked addresses in a shuffled
+// order no hardware prefetcher can follow.
 func paperScaleDirectory(tb testing.TB) (*Directory, []sim.Addr) {
 	tb.Helper()
-	const lines = 300_000
-	d := NewDirectory(16)
+	const bound, lines = 262_144, 233_604
+	d := NewDirectoryFor(16, bound)
 	addrs := make([]sim.Addr, lines)
 	for i := range addrs {
 		addrs[i] = sim.Addr(i) << sim.LineShift
 		d.Get(addrs[i]).AddL2(i % 16)
 	}
-	if d.Cap() != 1<<19 {
-		tb.Fatalf("table has %d slots, want 2^19", d.Cap())
+	if d.Cap() != dirCap(bound) {
+		tb.Fatalf("table has %d home buckets, want dirCap(%d) = %d", d.Cap(), bound, dirCap(bound))
 	}
 	rng := sim.NewRNG(7)
 	for i := len(addrs) - 1; i > 0; i-- {
@@ -33,10 +34,10 @@ func paperScaleDirectory(tb testing.TB) (*Directory, []sim.Addr) {
 
 // TestPrefetchIsInert: the prefetch entry points (PrefetchProbe,
 // PrefetchRelease, PrefetchSet) are hints, so tracked, untracked and
-// colliding addresses alike — and a release hint whose second line wraps
-// past the table's end — leave the directory (table layout, entries,
-// live count, Lookups) and the directory caches (tags, recency, hit/miss
-// counts) exactly as they were.
+// colliding addresses alike — and a release hint on the last home
+// bucket, whose third line lies in the tail — leave the directory (table
+// layout, entries, live count, Lookups) and the directory caches (tags,
+// recency, hit/miss counts) exactly as they were.
 func TestPrefetchIsInert(t *testing.T) {
 	d, addrs := paperScaleDirectory(t)
 	dc := NewDirCache(16, DirCacheConfig{Entries: 1024, Assoc: 8})
@@ -51,10 +52,9 @@ func TestPrefetchIsInert(t *testing.T) {
 		d.PrefetchRelease(a + sim.Addr(len(addrs))<<sim.LineShift)
 		dc.PrefetchSet(i%16, a)
 	}
-	// The release hint's second line wraps at the table's end: the last
-	// slot's successor line is the first.
+	// The last home bucket's release hint reaches into the tail.
 	b := uint64(len(addrs))
-	for d.idx(b) != uint64(d.Cap()-1) {
+	for d.idx(b) != d.buckets-1 {
 		b++
 	}
 	d.PrefetchRelease(sim.Addr(b) << sim.LineShift)

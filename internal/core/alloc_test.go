@@ -88,7 +88,7 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 // back the directory cache sets it cannot index (3.75 MB) breaks all four.
 // No directory table is built here: the first fill allocates it at the
 // bound (TestDirectoryTableAllocatedOnce), so a construction-time table —
-// the scale-16 machine's 768 KB one, or a 1.5 MB interim one at scale 1
+// the scale-16 machine's 536 KB one, or a 1.5 MB interim one at scale 1
 // — breaks both budgets of its scale.
 func TestNewSystemHeapBudget(t *testing.T) {
 	specs := workload.Specs()
@@ -150,10 +150,10 @@ func dirTableAllocs(t *testing.T) (n, bytes int64) {
 
 // TestDirectoryTableAllocatedOnce profiles every allocation a paper-scale
 // machine makes from NewSystem through Run and counts its directory
-// tables: exactly one, of the bound's size (12 MB: 2^19 slots of 24
-// bytes), made by the first fill. A table built at construction and
-// outgrown by the run (a 1.5 MB table filled and rehashed into the 12 MB
-// one) makes two.
+// tables: exactly one, of the bound's size (262 144 lines: 349 527 home
+// buckets and a 1 024-slot tail of 24 bytes, 8.0 MB), made by the first
+// fill. A table built at construction and outgrown by the run (a 1.5 MB
+// table filled and rehashed into the bound's) makes two.
 func TestDirectoryTableAllocatedOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seconds under -race; the full run keeps it")
@@ -172,12 +172,13 @@ func TestDirectoryTableAllocatedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	n1, b1 := dirTableAllocs(t)
-	want := coherence.TableBytes(sys.dirBound())
-	if want != 12<<20 {
-		t.Fatalf("paper-scale bound %d asks for a %d-byte table, want 12 MB", sys.dirBound(), want)
+	if sys.dirBound() != 262_144 {
+		t.Fatalf("paper-scale bound %d, want 262 144 lines", sys.dirBound())
 	}
-	if n, b := n1-n0, b1-b0; n != 1 || b != int64(want) {
-		t.Fatalf("NewSystem and Run allocated %d directory tables of %d bytes in all, want one of %d", n, b, want)
+	want := coherence.TableBytes(sys.dirBound())
+	// The allocator hands a large object whole 8 KB pages.
+	if n, b := n1-n0, b1-b0; n != 1 || b != int64(want+8191)&^8191 {
+		t.Fatalf("NewSystem and Run allocated %d directory tables of %d bytes in all, want one of %d (%d in pages)", n, b, want, int64(want+8191)&^8191)
 	}
 	if got := dirTableBytesOf(sys.dir); got != want {
 		t.Fatalf("run ended on a %d-byte table, want %d", got, want)

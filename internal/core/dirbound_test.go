@@ -11,7 +11,7 @@ import (
 )
 
 // dirSlotsOf returns the directory table's slot count, 0 while a bounded
-// directory owns no table (its slots are the embedded one-slot
+// directory owns no table (its slots are the embedded four-slot
 // placeholder). Capacity is not part of the coherence API; reflection
 // reads its unexported fields.
 func dirSlotsOf(d *coherence.Directory) int {
@@ -27,16 +27,6 @@ func dirSlotsOf(d *coherence.Directory) int {
 func dirTableBytesOf(d *coherence.Directory) int {
 	slots := reflect.ValueOf(d).Elem().FieldByName("slots")
 	return dirSlotsOf(d) * int(slots.Type().Elem().Size())
-}
-
-// slotsFor is the table size a bound of lines live entries asks for: the
-// smallest power of two whose 3/4 load holds lines+1.
-func slotsFor(lines int) int {
-	n := 2
-	for n*3/4 < lines+1 {
-		n *= 2
-	}
-	return n
 }
 
 // TestDirectoryWithinBound runs scale-16 and paper-scale machines on the
@@ -119,12 +109,12 @@ func TestDirectoryWithinBound(t *testing.T) {
 				t.Fatalf("%s: NewSystem built a %d-slot directory table; the first fill allocates it", name, first)
 			}
 			check := func(at string) {
-				live, slots := sys.dir.Len(), dirSlotsOf(sys.dir)
+				live, bytes := sys.dir.Len(), dirTableBytesOf(sys.dir)
 				if live > bound {
 					t.Fatalf("%s %s: %d live directory entries exceed the bound %d", name, at, live, bound)
 				}
-				if slots != slotsFor(bound) {
-					t.Fatalf("%s %s: table of %d slots; the bound asks for %d", name, at, slots, slotsFor(bound))
+				if want := coherence.TableBytes(bound); bytes != want {
+					t.Fatalf("%s %s: table of %d bytes; the bound asks for %d", name, at, bytes, want)
 				}
 			}
 			if sampled {

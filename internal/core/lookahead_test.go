@@ -6,6 +6,7 @@ import (
 
 	"consim/internal/cache"
 	"consim/internal/coherence"
+	"consim/internal/prefetch"
 	"consim/internal/sched"
 	"consim/internal/trace"
 	"consim/internal/workload"
@@ -49,9 +50,10 @@ func lookaheadDigest(s *System) uint64 {
 // (the peeked runnable is the rotated-in one), dynamic rebalancing (the
 // core may be handed another thread entirely), a trace-replay source
 // beside live generators (no ring to peek) and a partitioned LLC (the
-// bank victim comes from the VM's quota). The paper-scale case grows the
-// directory table to 12 MB, so the walk runs on the huge-page-advised
-// table (Directory.resize) with the lookahead gated on by footprint.
+// bank victim comes from the VM's quota). The paper-scale case fills the
+// 8.0 MB directory table its bound asks for, so the walk runs on the
+// huge-page-advised table (Directory.resize) with the lookahead gated on
+// by footprint.
 func TestLookaheadBitIdentical(t *testing.T) {
 	mix := func() Config {
 		cfg := fastCfg(4, sched.RoundRobin, workload.TPCW, workload.SPECjbb, workload.TPCH, workload.SPECweb)
@@ -142,27 +144,46 @@ func TestLookaheadBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLookaheadGate pins the two size rules: the lookahead turns on by
-// footprint, so the paper-scale 4-VM mix is the one configuration in the
-// benchmark big enough for it, while the same mix at scale 16 and an
-// isolated paper-scale VM are not; fetchTM's victim hints turn on with a
-// directory table of huge-page size at its bound, which both paper-scale
-// machines have and the scale-16 mix's 1 MB table does not.
+// TestLookaheadGate pins the two size rules on every benchmark
+// configuration, each to the decision it had when the directory's
+// capacity was a power of two. The lookahead turns on by footprint, so
+// the paper-scale 4-VM mix is the one configuration big enough for it.
+// fetchTM's victim hints turn on with a directory table of huge-page
+// size at its bound (coherence.TableBytes ≥ 2 MB): all three paper-scale
+// machines have one — isolated TPC-H on private LLCs only just, its
+// 65 536-line bound (the private banks of its four threads' cores) asking for
+// 87 383 home buckets and the tail, 2.02 MB — and no scale-16 machine
+// does, since even a bound of its whole LLC asks for a 0.5 MB table.
 func TestLookaheadGate(t *testing.T) {
-	mix := fastCfg(4, sched.RoundRobin, workload.TPCW, workload.SPECjbb, workload.TPCH, workload.SPECweb)
-	iso := fastCfg(16, sched.Affinity, workload.TPCH)
+	mix := func(scale int, pol sched.Policy) Config {
+		cfg := fastCfg(4, pol, workload.TPCW, workload.SPECjbb, workload.TPCH, workload.SPECweb)
+		cfg.Scale = scale
+		return cfg
+	}
+	iso := func(groupSize int) Config {
+		cfg := fastCfg(groupSize, sched.Affinity, workload.TPCH)
+		cfg.Scale = 1
+		return cfg
+	}
+	sampled := mix(16, sched.RoundRobin)
+	sampled.Sample = SampleConfig{WindowRefs: 5_000, FFRatio: 4, MaxRefs: 40_000}
+	pdes := mix(16, sched.Affinity)
+	pdes.Pdes = 2
+	first := fastCfg(1, sched.Affinity, workload.TPCW) // figsweep's first simulation
 	for _, tc := range []struct {
 		name      string
 		cfg       Config
-		scale     int
 		lookahead bool
 		hints     bool
 	}{
-		{"mix4 scale 1", mix, 1, true, true},
-		{"mix4 scale 16", mix, 16, false, false},
-		{"isolated TPC-H scale 1", iso, 1, false, true},
+		{"mix4_paper", mix(1, sched.RoundRobin), true, true},
+		{"iso_tpch_shared", iso(16), false, true},
+		{"iso_tpch_private", iso(1), false, true},
+		{"mix4_s16", mix(16, sched.RoundRobin), false, false},
+		{"mix4_s16_pdes2", pdes, false, false},
+		{"mix4_s16_sampled", sampled, false, false},
+		{"figsweep T2 TPC-W", first, false, false},
 	} {
-		tc.cfg.Scale = tc.scale
 		sys, err := NewSystem(tc.cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -172,6 +193,16 @@ func TestLookaheadGate(t *testing.T) {
 		}
 		if sys.victimHints != tc.hints {
 			t.Errorf("%s: victim hints %v with a %d-byte directory table at the bound, want %v", tc.name, sys.victimHints, coherence.TableBytes(sys.dirBound()), tc.hints)
+		}
+		t.Logf("%s: bound %d lines, table %d bytes", tc.name, sys.dirBound(), coherence.TableBytes(sys.dirBound()))
+		if tc.cfg.Scale == 16 {
+			llc := 0
+			for _, b := range sys.banks {
+				llc += b.Lines()
+			}
+			if b := coherence.TableBytes(llc); b >= prefetch.HugePageBytes {
+				t.Errorf("%s: a bound of the whole %d-line LLC asks for a %d-byte table, which would turn victim hints on", tc.name, llc, b)
+			}
 		}
 	}
 }

@@ -38,9 +38,6 @@ type Packet struct {
 	Injected sim.Cycle
 	// Delivered is set by the network when the tail flit ejects.
 	Delivered sim.Cycle
-	// Payload is opaque to the network; system models attach request
-	// context.
-	Payload any
 }
 
 // NetConfig sizes the flit-level network.
@@ -98,7 +95,6 @@ type Network struct {
 	InjectedPkts  uint64
 	DeliveredPkts uint64
 	LatencySum    sim.Cycle
-	FlitHops      uint64
 }
 
 // NewNetwork builds a flit-level mesh from cfg.

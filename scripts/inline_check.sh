@@ -1,7 +1,7 @@
 #!/bin/sh
 # The directory's lookups, (*Directory).Probe and ProbeSlot, sit a few
-# units under the compiler's inlining budget of 80 (costs 77 and 76 with
-# Go 1.24), and the access walk's eviction paths call ProbeSlot once per
+# units under the compiler's inlining budget of 80 (costs 70 and 69 with
+# Go 1.24; 77 and 76 while probing wrapped at a power-of-two mask), and the access walk's eviction paths call ProbeSlot once per
 # evicted line. A change that pushes either over the budget turns those
 # lookups into calls without failing any test: the compiler's -m report
 # must still say both can inline, and that every ProbeSlot call in
