@@ -53,7 +53,6 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	for c := range sys.cores {
 		if sys.cores[c].active {
 			sys.q.Push(0, c)
-			sys.pending[c] = true
 		}
 	}
 	sys.runUntil(cfg.WarmupRefs)

@@ -62,25 +62,12 @@ type Config struct {
 	Workloads []workload.Spec
 	// ThreadsPerVM is the thread count per workload (paper: 4).
 	ThreadsPerVM int
-	// VMThreads optionally overrides ThreadsPerVM per VM (one entry per
-	// workload), for the §VII study of consolidating workloads with
-	// different thread counts.
-	VMThreads []int
 	// TimesliceCycles enables the §VII over-committed mode: when the
 	// scheduled thread count exceeds the core count, threads time-share
 	// cores and the hypervisor rotates the running thread every
 	// TimesliceCycles. Zero (the paper's configuration) forbids
 	// over-commitment.
 	TimesliceCycles sim.Cycle
-	// SwitchCycles is the hypervisor context-switch cost charged at each
-	// timeslice rotation (default 500 when over-committed).
-	SwitchCycles sim.Cycle
-	// RebalanceCycles enables the §VII dynamic-scheduling study: every
-	// RebalanceCycles the hypervisor recomputes the thread placement
-	// (with a rotated seed, so Random placements churn) and migrates
-	// threads; migrated threads re-warm their new cores' private caches
-	// naturally. Zero (the paper's configuration) keeps bindings static.
-	RebalanceCycles sim.Cycle
 
 	// Scale divides all cache capacities and workload footprints by the
 	// same factor, preserving the capacity ratios that drive behaviour.
@@ -94,11 +81,6 @@ type Config struct {
 	// warm-up and measurement phases.
 	WarmupRefs  uint64
 	MeasureRefs uint64
-	// SnapshotRefs, if non-zero, takes the replication/occupancy
-	// snapshot once each core has issued this many measured references
-	// (the paper snapshots at 500M instructions). Zero snapshots at the
-	// end of measurement.
-	SnapshotRefs uint64
 
 	// Memory system; zero value gets DefaultConfig with the paper's 150
 	// cycles.
@@ -142,8 +124,7 @@ type Config struct {
 	// windows with functional fast-forward between them and early stop on
 	// per-VM CI convergence (see sample.go). The zero value runs the full
 	// detailed measurement, bit-identical to builds without the engine.
-	// Incompatible with dynamic rebalancing, over-commitment and mid-run
-	// snapshots.
+	// Incompatible with over-commitment.
 	Sample SampleConfig
 
 	// Pdes selects the split-transaction parallel discrete-event engine
@@ -155,8 +136,7 @@ type Config struct {
 	// results are statistical estimates held to harness.DefaultPdesBound
 	// of the sequential run (TestParallelEquivalence), deterministic per
 	// (seed, Pdes).
-	// Incompatible with sampling, dynamic rebalancing, mid-run snapshots
-	// and trace sources.
+	// Incompatible with sampling and trace sources.
 	Pdes int
 
 	// PdesReplayWorkers sharded the barrier replay by LLC bank group.
@@ -200,22 +180,8 @@ func DefaultConfig(specs ...workload.Spec) Config {
 	}
 }
 
-// ThreadsOf returns VM v's thread count under this configuration.
-func (c Config) ThreadsOf(v int) int {
-	if len(c.VMThreads) > 0 {
-		return c.VMThreads[v]
-	}
-	return c.ThreadsPerVM
-}
-
 // TotalThreads returns the machine's total scheduled thread count.
-func (c Config) TotalThreads() int {
-	n := 0
-	for v := range c.Workloads {
-		n += c.ThreadsOf(v)
-	}
-	return n
-}
+func (c Config) TotalThreads() int { return len(c.Workloads) * c.ThreadsPerVM }
 
 // Validate reports whether the configuration is runnable.
 func (c Config) Validate() error {
@@ -231,9 +197,6 @@ func (c Config) Validate() error {
 	if len(c.Workloads) > cache.MaxVMs {
 		return fmt.Errorf("core: %d VMs exceed the %d a cache line's VM tag tells apart", len(c.Workloads), cache.MaxVMs)
 	}
-	if len(c.VMThreads) > 0 && len(c.VMThreads) != len(c.Workloads) {
-		return fmt.Errorf("core: %d thread-count overrides for %d VMs", len(c.VMThreads), len(c.Workloads))
-	}
 	if len(c.Sources) > 0 && len(c.Sources) != len(c.Workloads) {
 		return fmt.Errorf("core: %d trace sources for %d VMs", len(c.Sources), len(c.Workloads))
 	}
@@ -247,10 +210,8 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	for v := range c.Workloads {
-		if c.ThreadsOf(v) <= 0 {
-			return fmt.Errorf("core: non-positive threads for VM %d", v)
-		}
+	if c.ThreadsPerVM <= 0 {
+		return fmt.Errorf("core: non-positive threads per VM %d", c.ThreadsPerVM)
 	}
 	if c.TotalThreads() > c.Cores {
 		if c.TimesliceCycles == 0 {
@@ -363,7 +324,7 @@ func (c Config) CoreCapacity() int {
 func (c Config) Placement() ([][]int, error) {
 	vmThreads := make([]int, len(c.Workloads))
 	for v := range vmThreads {
-		vmThreads[v] = c.ThreadsOf(v)
+		vmThreads[v] = c.ThreadsPerVM
 	}
 	return sched.AssignWithCapacity(c.Policy, c.Cores, c.GroupSize, c.CoreCapacity(), vmThreads, c.Seed^0xa5a5)
 }

@@ -32,8 +32,7 @@ func dirTableBytesOf(d *coherence.Directory) int {
 // TestDirectoryWithinBound runs scale-16 and paper-scale machines on the
 // sequential and sampled engines and holds the directory to the bound
 // NewSystem sized it from: the bound counts the banks of exactly the
-// groups that host a thread (all of them under rebalancing), the live
-// entries never exceed it, and the machine is built without a table and
+// groups that host a thread, the live entries never exceed it, and the machine is built without a table and
 // allocates it once, at the bound's size, so no interim table or rehash
 // chain is left (checked every 2 000 references per core on the
 // sequential engine, at the end on the sampled one).
@@ -53,9 +52,6 @@ func TestDirectoryWithinBound(t *testing.T) {
 	iso.WarmupRefs, iso.MeasureRefs = refs, refs
 	isoShared := iso
 	isoShared.GroupSize = 4
-	rebalance := isoShared
-	rebalance.Policy = sched.Random
-	rebalance.RebalanceCycles = 50_000
 	over := overcommitCfg(t, 6)
 	over.WarmupRefs, over.MeasureRefs = refs, refs
 
@@ -70,7 +66,6 @@ func TestDirectoryWithinBound(t *testing.T) {
 		{"s16/gs16/rr", mix(16, 16, sched.RoundRobin), 1},
 		{"s16/iso/gs1", iso, 4},
 		{"s16/iso/gs4", isoShared, 1},
-		{"s16/iso/gs4/rebalance", rebalance, 4},
 		{"s64/overcommit", over, 3}, // 24 threads, two per core on cores 0-11
 		{"paper/gs4/rr", mix(1, 4, sched.RoundRobin), 4},
 		{"paper/gs16/affinity", mix(1, 16, sched.Affinity), 1},
@@ -80,8 +75,8 @@ func TestDirectoryWithinBound(t *testing.T) {
 			continue // minutes under -race; the full run keeps it
 		}
 		for _, sampled := range []bool{false, true} {
-			if sampled && (tc.cfg.RebalanceCycles > 0 || tc.cfg.TimesliceCycles > 0) {
-				continue // sampling rejects rebalancing and over-commit
+			if sampled && tc.cfg.TimesliceCycles > 0 {
+				continue // sampling rejects over-commit
 			}
 			cfg := tc.cfg
 			name := tc.name

@@ -1,7 +1,7 @@
 package core
 
 // Tests for the §VII future-work extensions: larger machines (scaling
-// studies) and per-VM thread counts.
+// studies) and checkpoint replay.
 
 import (
 	"bytes"
@@ -64,77 +64,6 @@ func TestCoresBeyondMaskLimitRejected(t *testing.T) {
 	cfg.GroupSize = 4
 	if _, err := NewSystem(cfg); err == nil {
 		t.Fatal("128-core machine accepted beyond the 64-node mask limit")
-	}
-}
-
-func TestPerVMThreadCounts(t *testing.T) {
-	all := workload.Specs()
-	cfg := DefaultConfig(all[workload.SPECjbb], all[workload.TPCH])
-	cfg.VMThreads = []int{8, 4}
-	cfg.GroupSize = 4
-	cfg.Scale = 32
-	cfg.WarmupRefs = 20_000
-	cfg.MeasureRefs = 40_000
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asg := sys.Assignment()
-	if len(asg[0]) != 8 || len(asg[1]) != 4 {
-		t.Fatalf("thread counts = %d/%d, want 8/4", len(asg[0]), len(asg[1]))
-	}
-	res, err := sys.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every scheduled core ran to the measurement target, so the twelve
-	// threads issued at least 12x the per-core budget between them (fast
-	// cores run past their target until the slowest finishes — the
-	// paper's "restarted to keep the system at capacity").
-	total := res.VMs[0].Stats.Refs + res.VMs[1].Stats.Refs
-	if total < 12*cfg.MeasureRefs {
-		t.Errorf("total measured refs %d below 12x budget %d", total, 12*cfg.MeasureRefs)
-	}
-	perThread0 := float64(res.VMs[0].Stats.Refs) / 8
-	perThread1 := float64(res.VMs[1].Stats.Refs) / 4
-	if perThread0 <= 0 || perThread1 <= 0 {
-		t.Error("a VM made no progress")
-	}
-}
-
-func TestPerVMThreadValidation(t *testing.T) {
-	all := workload.Specs()
-	cfg := DefaultConfig(all[workload.TPCH], all[workload.TPCH])
-	cfg.VMThreads = []int{4} // wrong length
-	if cfg.Validate() == nil {
-		t.Error("mismatched VMThreads length accepted")
-	}
-	cfg.VMThreads = []int{4, 0}
-	if cfg.Validate() == nil {
-		t.Error("zero thread count accepted")
-	}
-	cfg.VMThreads = []int{12, 8} // 20 > 16
-	if cfg.Validate() == nil {
-		t.Error("over-committed VMThreads accepted")
-	}
-}
-
-func TestMixedThreadCountsWithPolicies(t *testing.T) {
-	all := workload.Specs()
-	for _, p := range sched.All() {
-		cfg := DefaultConfig(all[workload.TPCW], all[workload.TPCH], all[workload.SPECjbb])
-		cfg.VMThreads = []int{6, 4, 2}
-		cfg.Policy = p
-		cfg.Scale = 64
-		cfg.WarmupRefs = 5_000
-		cfg.MeasureRefs = 10_000
-		res := mustRun(t, cfg)
-		for i, want := range []float64{6, 4, 2} {
-			_ = want
-			if res.VMs[i].Stats.Refs == 0 {
-				t.Errorf("policy %v: vm %d idle", p, i)
-			}
-		}
 	}
 }
 

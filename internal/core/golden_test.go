@@ -41,7 +41,6 @@ type goldenDigest struct {
 	Label           string
 	Cycles          uint64
 	Switches        uint64
-	Migrations      uint64
 	ResidentLines   int
 	ReplicatedLines int
 	Occupancy       [][]int
@@ -57,7 +56,6 @@ func digestOf(res Result) goldenDigest {
 		Label:           res.Config.Label(),
 		Cycles:          uint64(res.Cycles),
 		Switches:        res.Switches,
-		Migrations:      res.Migrations,
 		ResidentLines:   res.Snapshot.ResidentLines,
 		ReplicatedLines: res.Snapshot.ReplicatedLines,
 		Occupancy:       res.Snapshot.Occupancy,

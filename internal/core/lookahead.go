@@ -73,9 +73,9 @@ func (s *System) peekRef(run runnable) (workload.Access, bool) {
 // node's directory-cache set.
 //
 // Nothing simulation-visible moves: the Prefetch* calls are hint
-// instructions. The reference may not be the one that issues next (a
-// rebalance or timeslice rotation put another thread on the core); that
-// only wastes the prefetched lines.
+// instructions. Placement is static and a timeslice rotation is decided
+// before the hint, so the reference is the one core c issues next unless
+// the phase ends first; an unused hint only wastes the prefetched lines.
 func (s *System) prefetchRef(c, vmID int, block uint64) {
 	m := s.vms[vmID]
 	m.PrefetchTouch(block)

@@ -25,10 +25,10 @@ func lookaheadDigest(s *System) uint64 {
 		h = cache.MixDigest(h, s.cores[c].rng.State())
 		h = cache.MixDigest(h, s.cores[c].refs)
 	}
-	for v, m := range s.vms {
+	for _, m := range s.vms {
 		h = cache.MixDigest(h, m.Gen.TotalRefs())
 		h = cache.MixDigest(h, m.TouchedBlocks())
-		for th := 0; th < s.cfg.ThreadsOf(v); th++ {
+		for th := 0; th < s.cfg.ThreadsPerVM; th++ {
 			for i := 0; i < 300; i++ {
 				a := m.Gen.Next(th)
 				h = cache.MixDigest(h, a.Block<<1)
@@ -46,11 +46,10 @@ func lookaheadDigest(s *System) uint64 {
 // victim hints each forced on and off, in all four combinations, must
 // produce the same Result and leave the same machine behind. The scale-16
 // cases flip the unexported switches NewSystem set. They cover every way
-// a prediction goes stale or a peek is unavailable: timeslice rotation
-// (the peeked runnable is the rotated-in one), dynamic rebalancing (the
-// core may be handed another thread entirely), a trace-replay source
-// beside live generators (no ring to peek) and a partitioned LLC (the
-// bank victim comes from the VM's quota). The paper-scale case fills the
+// a peek is unavailable or a hint unlike the plain mix's: timeslice
+// rotation (the peeked runnable is the rotated-in one), a trace-replay
+// source beside live generators (no ring to peek) and a partitioned LLC
+// (the bank victim comes from the VM's quota). The paper-scale case fills the
 // 8.0 MB directory table its bound asks for, so the walk runs on the
 // huge-page-advised table (Directory.resize) with the lookahead gated on
 // by footprint.
@@ -66,9 +65,6 @@ func TestLookaheadBitIdentical(t *testing.T) {
 	over.ThreadsPerVM = 8
 	over.TimesliceCycles = 5_000
 
-	reb := mix()
-	reb.RebalanceCycles = 50_000
-
 	qos := mix()
 	qos.QoSPartition = true
 
@@ -80,8 +76,8 @@ func TestLookaheadBitIdentical(t *testing.T) {
 	// live. Readers are stateful, so each system gets a fresh one.
 	replay := mix()
 	var capture bytes.Buffer
-	gen := workload.NewGenerator(replay.Workloads[0].Scaled(replay.Scale), replay.ThreadsOf(0), 99)
-	if _, err := trace.Capture(&capture, gen, replay.ThreadsOf(0), 15_000); err != nil {
+	gen := workload.NewGenerator(replay.Workloads[0].Scaled(replay.Scale), replay.ThreadsPerVM, 99)
+	if _, err := trace.Capture(&capture, gen, replay.ThreadsPerVM, 15_000); err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,7 +88,6 @@ func TestLookaheadBitIdentical(t *testing.T) {
 	}{
 		{"mix4", mix(), false},
 		{"overcommit", over, false},
-		{"rebalance", reb, false},
 		{"trace-replay", replay, true},
 		{"qos-partitioned", qos, false},
 		{"paper-scale", paper, false},

@@ -112,10 +112,8 @@ type PdesStats struct {
 }
 
 // validatePdes rejects configurations the parallel engine cannot run
-// soundly. Features that mutate shared state off the logged-op paths
-// (dynamic rebalancing), depend on a single global time line mid-run
-// (intra-run snapshots), or already own the run's engine choice
-// (sampling, trace sources) are refused rather than silently degraded.
+// soundly. Features that already own the run's engine choice (sampling,
+// trace sources) are refused rather than silently degraded.
 func (c Config) validatePdes() error {
 	if c.Pdes < 0 {
 		return fmt.Errorf("core: negative pdes worker count %d", c.Pdes)
@@ -131,12 +129,6 @@ func (c Config) validatePdes() error {
 	}
 	if c.Sample.Enabled() {
 		return fmt.Errorf("core: pdes and interval sampling are mutually exclusive engines")
-	}
-	if c.RebalanceCycles > 0 {
-		return fmt.Errorf("core: pdes does not support dynamic rebalancing")
-	}
-	if c.SnapshotRefs > 0 {
-		return fmt.Errorf("core: pdes does not support mid-run snapshots")
 	}
 	if len(c.Sources) > 0 {
 		return fmt.Errorf("core: pdes requires statistical generators, not trace sources")
@@ -501,7 +493,7 @@ func (d *pdesDomain) finish(s *System, at sim.Cycle, li, c, vmID int) {
 	next := at + sim.Cycle(cs.rng.Uint64n(s.thinkOf[vmID]))
 	if len(cs.queue) > 1 && next >= cs.sliceEnd {
 		cs.cur = (cs.cur + 1) % len(cs.queue)
-		next += s.switchCost()
+		next += switchCost
 		cs.sliceEnd = next + s.cfg.TimesliceCycles
 		d.switches++
 	}

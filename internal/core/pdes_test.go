@@ -86,8 +86,7 @@ func TestPdesValidation(t *testing.T) {
 		func(c *Config) { c.Pdes = -1 },
 		func(c *Config) { c.Pdes = c.Cores + 1 },
 		func(c *Config) { c.Pdes = 4; c.Sample.WindowRefs = 1000 },
-		func(c *Config) { c.Pdes = 4; c.RebalanceCycles = 100_000 },
-		func(c *Config) { c.Pdes = 4; c.SnapshotRefs = 1000 },
+		func(c *Config) { c.Pdes = 4; c.Sources = make([]workload.Source, len(c.Workloads)) },
 	}
 	for i, mut := range bad {
 		cfg := base

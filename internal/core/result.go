@@ -92,10 +92,9 @@ type Result struct {
 	MemAvgWait      float64 // mean controller-queue cycles per demand read
 	DirCacheHitRate float64
 
-	// Hypervisor activity over the whole run (warm-up included):
-	// timeslice rotations and threads moved by dynamic rebalancing.
-	Switches   uint64
-	Migrations uint64
+	// Switches counts hypervisor timeslice rotations over the whole run
+	// (warm-up included).
+	Switches uint64
 
 	// WallSeconds is host wall-clock time spent simulating; provenance
 	// for run manifests, not a simulated quantity.
@@ -159,19 +158,18 @@ func ManifestFor(cfg Config, res Result, parallel int) obs.Manifest {
 		Layers: layers,
 		Series: res.Series,
 
-		Label:        cfg.Label(),
-		Workloads:    names,
-		GroupSize:    cfg.GroupSize,
-		Policy:       cfg.Policy.String(),
-		Scale:        cfg.Scale,
-		Seed:         cfg.Seed,
-		WarmupRefs:   cfg.WarmupRefs,
-		MeasureRefs:  cfg.MeasureRefs,
-		SnapshotRefs: cfg.SnapshotRefs,
-		Refs:         refs,
-		Cycles:       uint64(res.Cycles),
-		WallSeconds:  res.WallSeconds,
-		Parallel:     parallel,
+		Label:       cfg.Label(),
+		Workloads:   names,
+		GroupSize:   cfg.GroupSize,
+		Policy:      cfg.Policy.String(),
+		Scale:       cfg.Scale,
+		Seed:        cfg.Seed,
+		WarmupRefs:  cfg.WarmupRefs,
+		MeasureRefs: cfg.MeasureRefs,
+		Refs:        refs,
+		Cycles:      uint64(res.Cycles),
+		WallSeconds: res.WallSeconds,
+		Parallel:    parallel,
 
 		SampleWindows:      res.Sample.Windows,
 		SampleWindowRefs:   cfg.Sample.WindowRefs,

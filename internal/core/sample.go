@@ -130,21 +130,15 @@ func (sa SampleStats) Provenance() string {
 }
 
 // validateSample rejects configurations the sampling engine cannot run
-// soundly: fast-forward holds simulated time still, so features keyed to
-// cycle counts (timeslice rotation, dynamic rebalancing) or to an
-// intra-window snapshot position would silently measure something else.
+// soundly: fast-forward holds simulated time still, so timeslice
+// rotation, which is keyed to cycle counts, would silently measure
+// something else.
 func (c Config) validateSample() error {
 	if !c.Sample.Enabled() {
 		return nil
 	}
-	if c.RebalanceCycles > 0 {
-		return fmt.Errorf("core: sampling is incompatible with dynamic rebalancing (RebalanceCycles)")
-	}
 	if c.TotalThreads() > c.Cores {
 		return fmt.Errorf("core: sampling is incompatible with over-committed scheduling")
-	}
-	if c.SnapshotRefs > 0 {
-		return fmt.Errorf("core: sampling is incompatible with a mid-run snapshot (SnapshotRefs)")
 	}
 	if c.Sample.FFRatio < 0 {
 		return fmt.Errorf("core: negative fast-forward ratio %d", c.Sample.FFRatio)

@@ -96,8 +96,6 @@ func TestSampleConfigDefaults(t *testing.T) {
 func TestSampleValidation(t *testing.T) {
 	base := sampledCfg()
 	for name, mutate := range map[string]func(*Config){
-		"rebalance": func(c *Config) { c.RebalanceCycles = 10_000 },
-		"snapshot":  func(c *Config) { c.SnapshotRefs = 1_000 },
 		"overcommit": func(c *Config) {
 			specs := workload.Specs()
 			for i := 0; i < 5; i++ {
@@ -196,7 +194,6 @@ func newSeededSystem(t testing.TB, cfg Config) *System {
 	for c := range sys.cores {
 		if sys.cores[c].active {
 			sys.q.Push(0, c)
-			sys.pending[c] = true
 		}
 	}
 	sys.setupTS()

@@ -10,7 +10,6 @@ import (
 	"consim/internal/mesh"
 	"consim/internal/obs"
 	"consim/internal/prefetch"
-	"consim/internal/sched"
 	"consim/internal/sim"
 	"consim/internal/vm"
 	"consim/internal/workload"
@@ -66,14 +65,9 @@ type System struct {
 
 	// Switches counts hypervisor timeslice rotations (over-commit mode).
 	Switches uint64
-	// Migrations counts threads moved by dynamic rebalancing.
-	Migrations uint64
 
-	nextRebalance sim.Cycle
-	rebalanceSeed uint64
-	pending       []bool // cores with an in-flight event
-	globalRefs    uint64
-	activeCores   int
+	globalRefs  uint64
+	activeCores int
 
 	now sim.Cycle
 	q   *sim.EventQueue
@@ -84,14 +78,6 @@ type System struct {
 	// Result.WallSeconds reflects simulation work and is not skewed by
 	// hook/trace/manifest publishing or snapshot accounting.
 	simSeconds float64
-
-	// Reusable scratch for rebalance and installPartitions; both fire
-	// every RebalanceCycles in the dynamic-scheduling study, and the
-	// per-call map/slice churn showed up in its profile.
-	scratchOldQueues [][]runnable
-	scratchThreads   []int
-	scratchPresent   []bool
-	scratchQuota     []int
 
 	// Observability: hooks publish live metrics on a cadence (and emit
 	// phase trace spans); lastPub re-bases counter deltas so sums over
@@ -228,7 +214,7 @@ func NewSystem(cfg Config) (*System, error) {
 		if len(cfg.Sources) > 0 && cfg.Sources[i] != nil {
 			srcs[i] = cfg.Sources[i]
 		} else {
-			srcs[i] = workload.NewGenerator(spec.Scaled(cfg.Scale), cfg.ThreadsOf(i), rootRNG.Uint64()+uint64(i))
+			srcs[i] = workload.NewGenerator(spec.Scaled(cfg.Scale), cfg.ThreadsPerVM, rootRNG.Uint64()+uint64(i))
 		}
 	}
 	bases, err := vm.Layout(srcs, 1<<20)
@@ -238,7 +224,7 @@ func NewSystem(cfg Config) (*System, error) {
 	for i, src := range srcs {
 		m := vm.New(i, src, bases[i])
 		s.vms = append(s.vms, m)
-		s.regions = append(s.regions, m.Gen.Spec().Regions(cfg.ThreadsOf(i)))
+		s.regions = append(s.regions, m.Gen.Spec().Regions(cfg.ThreadsPerVM))
 	}
 	asg, err := cfg.Placement()
 	if err != nil {
@@ -251,7 +237,6 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	capacity := cfg.CoreCapacity()
 	s.cores = make([]coreState, cfg.Cores)
-	s.pending = make([]bool, cfg.Cores)
 	for c := range s.cores {
 		s.cores[c].rng = sim.NewRNG(cfg.Seed ^ uint64(c)<<8 ^ 0x77)
 	}
@@ -274,10 +259,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.QoSPartition {
 		s.installPartitions()
 	}
-	if cfg.RebalanceCycles > 0 {
-		s.nextRebalance = cfg.RebalanceCycles
-		s.rebalanceSeed = cfg.Seed ^ 0xd15c
-	}
 	s.lookahead = s.footprintBlocks() >= lookaheadMinBlocks
 	// Below huge-page size the table lives in the host's private caches,
 	// where the victim hints only cost (mix4_s16's 1 MB table ran 3.6%
@@ -291,13 +272,12 @@ func NewSystem(cfg Config) (*System, error) {
 
 // dirBound returns the most directory entries the run can keep live. The
 // LLC is inclusive and the directory tracks on-chip lines only, so that
-// is at most what the banks of the groups hosting a thread can hold (any
-// group once rebalancing may move threads there), and never more than
-// the VMs' blocks.
+// is at most what the banks of the groups hosting a thread can hold, and
+// never more than the VMs' blocks.
 func (s *System) dirBound() int {
 	var hosts [coherence.MaxNodes]bool
 	for c := range s.cores {
-		if s.cores[c].active || s.cfg.RebalanceCycles > 0 {
+		if s.cores[c].active {
 			hosts[s.groupOf(c)] = true
 		}
 	}
@@ -308,69 +288,6 @@ func (s *System) dirBound() int {
 		}
 	}
 	return int(min(s.footprintBlocks(), uint64(lines)))
-}
-
-// rebalance recomputes the placement with a rotated seed and migrates
-// threads to their new cores. Cache contents stay where they were, so a
-// migrated thread pays natural re-warming misses (§VII's dynamic
-// scheduling study).
-func (s *System) rebalance() {
-	s.rebalanceSeed = s.rebalanceSeed*0x9e3779b97f4a7c15 + 1
-	if s.scratchThreads == nil {
-		s.scratchThreads = make([]int, len(s.vms))
-	}
-	vmThreads := s.scratchThreads
-	for v := range s.vms {
-		vmThreads[v] = s.cfg.ThreadsOf(v)
-	}
-	asg, err := sched.AssignWithCapacity(s.cfg.Policy, s.cfg.Cores, s.cfg.GroupSize,
-		s.cfg.CoreCapacity(), vmThreads, s.rebalanceSeed)
-	if err != nil {
-		return // placement unchanged; cannot happen with a validated config
-	}
-	// Snapshot the outgoing queues into reusable scratch; queues are at
-	// most CoreCapacity long, so membership checks below are linear scans
-	// rather than the per-call map[runnable]bool this replaced.
-	if s.scratchOldQueues == nil {
-		s.scratchOldQueues = make([][]runnable, s.cfg.Cores)
-	}
-	for c := range s.cores {
-		s.scratchOldQueues[c] = append(s.scratchOldQueues[c][:0], s.cores[c].queue...)
-		s.cores[c].queue = s.cores[c].queue[:0]
-		s.cores[c].cur = 0
-		s.cores[c].sliceEnd = s.now + s.cfg.TimesliceCycles
-	}
-	for v := range asg {
-		for t, c := range asg[v] {
-			run := runnable{vmID: v, thread: t}
-			s.cores[c].queue = append(s.cores[c].queue, run)
-			if !containsRunnable(s.scratchOldQueues[c], run) {
-				s.Migrations++
-			}
-		}
-	}
-	s.assignment = asg
-	// Re-seed events for cores the rebalance just populated.
-	for c := range s.cores {
-		s.cores[c].active = len(s.cores[c].queue) > 0
-		if s.cores[c].active && !s.pending[c] {
-			s.q.Push(s.now+1, c)
-			s.pending[c] = true
-		}
-	}
-	if s.cfg.QoSPartition {
-		s.installPartitions()
-	}
-}
-
-// containsRunnable reports whether queue holds run.
-func containsRunnable(queue []runnable, run runnable) bool {
-	for _, r := range queue {
-		if r == run {
-			return true
-		}
-	}
-	return false
 }
 
 // shareOf returns VM v's relative QoS share (1 when unweighted).
@@ -385,13 +302,8 @@ func (s *System) shareOf(v int) int {
 // threads are scheduled on the bank's core group, proportionally to
 // their QoS shares.
 func (s *System) installPartitions() {
-	// present and quota are reused across calls (SetPartition copies);
-	// this replaced a fresh map[int]bool and []int per bank per call.
-	if s.scratchPresent == nil {
-		s.scratchPresent = make([]bool, len(s.vms))
-		s.scratchQuota = make([]int, len(s.vms))
-	}
-	present, quota := s.scratchPresent, s.scratchQuota
+	// SetPartition copies quota, so one pair of slices serves every bank.
+	present, quota := make([]bool, len(s.vms)), make([]int, len(s.vms))
 	for g, bank := range s.banks {
 		nPresent := 0
 		for v := range present {
@@ -485,7 +397,6 @@ func (s *System) Run() (Result, error) {
 		for c := range s.cores {
 			if s.cores[c].active {
 				s.q.Push(0, c)
-				s.pending[c] = true
 			}
 		}
 	}
@@ -525,34 +436,19 @@ func (s *System) Run() (Result, error) {
 		}
 	}
 
-	// Measurement phase, with an optional mid-run snapshot. The sampled
-	// mode replaces the single detailed stretch with windows and
-	// fast-forward; its snapshot is always end-of-measurement (intra-
-	// window positions are rejected by validation).
+	// Measurement phase, then the replication/occupancy snapshot at its
+	// end. The sampled mode replaces the single detailed stretch with
+	// windows and fast-forward.
 	measSimStart := s.simSeconds
 	endPhase = s.phase(lane, "measure")
-	var snap Snapshot
 	if s.cfg.Sample.Enabled() {
 		s.runSampled(lane)
-		endSnap := s.phase(lane, "snapshot")
-		snap = s.takeSnapshot()
-		endSnap()
 	} else {
-		snapTaken := false
-		if s.cfg.SnapshotRefs > 0 && s.cfg.SnapshotRefs < s.cfg.MeasureRefs {
-			s.runUntil(s.cfg.WarmupRefs + s.cfg.SnapshotRefs)
-			endSnap := s.phase(lane, "snapshot")
-			snap = s.takeSnapshot()
-			endSnap()
-			snapTaken = true
-		}
 		s.runUntil(s.cfg.WarmupRefs + s.cfg.MeasureRefs)
-		if !snapTaken {
-			endSnap := s.phase(lane, "snapshot")
-			snap = s.takeSnapshot()
-			endSnap()
-		}
 	}
+	endSnap := s.phase(lane, "snapshot")
+	snap := s.takeSnapshot()
+	endSnap()
 	if h != nil {
 		// Flush the measurement tail while its rows still carry the
 		// measure tag.
@@ -581,7 +477,6 @@ func (s *System) Run() (Result, error) {
 		MemAvgWait:      s.mem.AvgWait(),
 		DirCacheHitRate: s.dirCache.HitRate(),
 		Switches:        s.Switches,
-		Migrations:      s.Migrations,
 		Series:          s.rec,
 	}
 	for i, m := range s.vms {
@@ -606,10 +501,7 @@ func (s *System) Run() (Result, error) {
 }
 
 // runUntil advances the system until every active core has issued at
-// least target references. With dynamic rebalancing enabled, threads
-// migrate between cores, so progress is tracked globally instead: the
-// loop runs until the machine has issued target references per
-// originally-active core in aggregate.
+// least target references.
 func (s *System) runUntil(target uint64) {
 	start := time.Now()
 	s.runLoop(target)
@@ -629,36 +521,16 @@ func (s *System) runLoop(target uint64) {
 // runSequential is the sequential engine's event loop: one event per
 // reference, everything timing-visible happens here in pop order.
 func (s *System) runSequential(target uint64) {
-	dynamic := s.cfg.RebalanceCycles > 0
 	remaining := 0
 	for c := range s.cores {
 		if s.cores[c].active && s.cores[c].refs < target {
 			remaining++
 		}
 	}
-	globalTarget := target * uint64(s.activeCores)
-	for s.q.Len() > 0 {
-		if dynamic {
-			if s.globalRefs >= globalTarget {
-				break
-			}
-		} else if remaining == 0 {
-			break
-		}
+	for remaining > 0 && s.q.Len() > 0 {
 		t, c := s.q.Pop()
-		s.pending[c] = false
 		s.now = t
-		if dynamic && s.now >= s.nextRebalance {
-			s.rebalance()
-			s.nextRebalance = s.now + s.cfg.RebalanceCycles
-		}
-		if len(s.cores[c].queue) == 0 {
-			continue // idled by a rebalance; its in-flight event is stale
-		}
 		cs := &s.cores[c]
-		if cs.cur >= len(cs.queue) {
-			cs.cur = 0
-		}
 		run := cs.queue[cs.cur]
 		m := s.vms[run.vmID]
 
@@ -685,12 +557,11 @@ func (s *System) runSequential(target uint64) {
 		// the hypervisor switch cost.
 		if len(cs.queue) > 1 && next >= cs.sliceEnd {
 			cs.cur = (cs.cur + 1) % len(cs.queue)
-			next += s.switchCost()
+			next += switchCost
 			cs.sliceEnd = next + s.cfg.TimesliceCycles
 			s.Switches++
 		}
 		s.q.Push(next, c)
-		s.pending[c] = true
 		// The core's next reference issues only after the other cores'
 		// pending events pop — one rotation of host time in which its
 		// metadata can travel from DRAM (lookahead.go).
@@ -857,13 +728,9 @@ func (s *System) pdesStats() PdesStats {
 	return s.pdes.stats
 }
 
-// switchCost returns the configured context-switch penalty.
-func (s *System) switchCost() sim.Cycle {
-	if s.cfg.SwitchCycles > 0 {
-		return s.cfg.SwitchCycles
-	}
-	return 500
-}
+// switchCost is the hypervisor's context-switch penalty, charged at
+// each timeslice rotation.
+const switchCost = sim.Cycle(500)
 
 // takeSnapshot captures the Figure 12/13 state.
 func (s *System) takeSnapshot() Snapshot {

@@ -195,15 +195,6 @@ func TestMissLatencyIncludesMemoryForThrashingWorkload(t *testing.T) {
 	}
 }
 
-func TestSnapshotMidRun(t *testing.T) {
-	cfg := fastCfg(4, sched.RoundRobin, workload.TPCH, workload.TPCH, workload.TPCH, workload.TPCH)
-	cfg.SnapshotRefs = cfg.MeasureRefs / 2
-	res := mustRun(t, cfg)
-	if res.Snapshot.At == 0 || res.Snapshot.ResidentLines == 0 {
-		t.Error("mid-run snapshot empty")
-	}
-}
-
 func TestIdleCoresStayIdle(t *testing.T) {
 	// Isolation run: 4 active cores; the other 12 must see no traffic
 	// through their private caches.

@@ -39,8 +39,8 @@ import (
 
 // warmCore is one active core's supply context: every per-reference
 // invariant of the fast-forward loop, hoisted. Valid for the whole run —
-// validateSample rejects rebalancing and over-commitment, so an active
-// core's runnable (and hence its VM and thread) is fixed.
+// placement is static and validateSample rejects over-commitment, so an
+// active core's runnable (and hence its VM and thread) is fixed.
 type warmCore struct {
 	m *vm.VM
 

@@ -64,8 +64,8 @@ func warmDiffConfigs(t *testing.T) map[string]func() Config {
 	}
 	base := sampledCfg()
 	var capture bytes.Buffer
-	gen := workload.NewGenerator(base.Workloads[0].Scaled(base.Scale), base.ThreadsOf(0), 99)
-	if _, err := trace.Capture(&capture, gen, base.ThreadsOf(0), 15_000); err != nil {
+	gen := workload.NewGenerator(base.Workloads[0].Scaled(base.Scale), base.ThreadsPerVM, 99)
+	if _, err := trace.Capture(&capture, gen, base.ThreadsPerVM, 15_000); err != nil {
 		t.Fatal(err)
 	}
 	cfgs["trace-replay"] = func() Config {
@@ -190,7 +190,6 @@ func BenchmarkWarmWalk(b *testing.B) {
 			for c := range sys.cores {
 				if sys.cores[c].active {
 					sys.q.Push(0, c)
-					sys.pending[c] = true
 				}
 			}
 			sys.runUntil(cfg.WarmupRefs)

@@ -22,9 +22,6 @@ type Options struct {
 	// WarmupRefs / MeasureRefs are per-core reference budgets.
 	WarmupRefs  uint64
 	MeasureRefs uint64
-	// SnapshotRefs positions the Figure 12/13 snapshot inside the
-	// measurement window (0 = at the end).
-	SnapshotRefs uint64
 	// Seed drives all randomness.
 	Seed uint64
 	// Parallel bounds the number of simulations in flight at once. Each
@@ -37,10 +34,10 @@ type Options struct {
 	// measurement windows with functional fast-forward between them and
 	// CI-convergence early stop. Sampled results are estimates — run
 	// manifests record the achieved confidence interval. Configs that are
-	// incompatible with sampling (dynamic rebalancing, over-committed
-	// scheduling, mid-run snapshots) quietly run fully detailed, so a
-	// sampled sweep can still include the ablation rows that need exact
-	// semantics. Configs that already set their own Sample keep it.
+	// incompatible with sampling (over-committed scheduling) quietly run
+	// fully detailed, so a sampled sweep can still include the ablation
+	// rows that need exact semantics. Configs that already set their own
+	// Sample keep it.
 	Sample core.SampleConfig
 	// Obs attaches the observability sinks (live metrics, Chrome trace,
 	// manifests, progress). Each executed job acquires a tracer lane so
@@ -156,7 +153,6 @@ func (r *Runner) config(specs []workload.Spec, groupSize int, policy sched.Polic
 	cfg.Seed = r.opt.Seed
 	cfg.WarmupRefs = r.opt.WarmupRefs
 	cfg.MeasureRefs = r.opt.MeasureRefs
-	cfg.SnapshotRefs = r.opt.SnapshotRefs
 	return cfg
 }
 

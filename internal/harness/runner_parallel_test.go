@@ -219,7 +219,6 @@ func TestRunKeyCoversEveryConfigField(t *testing.T) {
 	specs := workload.Specs()
 	build := func() core.Config {
 		cfg := core.DefaultConfig(specs[workload.TPCW], specs[workload.TPCH])
-		cfg.VMThreads = []int{4, 4}
 		cfg.QoSShares = []int{1, 2}
 		cfg.Workloads[0].Phases = []workload.Phase{{Name: "p", Refs: 1}}
 		return cfg

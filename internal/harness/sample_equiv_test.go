@@ -138,10 +138,11 @@ func TestRunnerSampleOption(t *testing.T) {
 	}
 }
 
-// TestRunnerSampleSkipsSnapshot checks that a config with a mid-run
-// snapshot, which core.Config.Validate refuses to sample, runs detailed
-// under a runner-wide Sample and still takes its snapshot.
-func TestRunnerSampleSkipsSnapshot(t *testing.T) {
+// TestRunnerSampleSkipsOvercommit checks that an over-committed config
+// (8 threads per VM, time-sliced cores), which core.Config.Validate
+// refuses to sample, runs detailed under a runner-wide Sample and still
+// rotates its threads.
+func TestRunnerSampleSkipsOvercommit(t *testing.T) {
 	r := NewRunner(Options{
 		Scale:       16,
 		WarmupRefs:  2_000,
@@ -150,15 +151,16 @@ func TestRunnerSampleSkipsSnapshot(t *testing.T) {
 		Sample:      core.SampleConfig{WindowRefs: 1_000},
 	})
 	cfg := equivCfg(1)
-	cfg.WarmupRefs, cfg.MeasureRefs, cfg.SnapshotRefs = 2_000, 10_000, 5_000
+	cfg.WarmupRefs, cfg.MeasureRefs = 2_000, 10_000
+	cfg.ThreadsPerVM, cfg.TimesliceCycles = 8, 5_000
 	res, err := r.simulate(cfg)
 	if err != nil {
-		t.Fatalf("snapshot config under runner-wide sampling: %v", err)
+		t.Fatalf("over-committed config under runner-wide sampling: %v", err)
 	}
 	if res.Sample.Windows != 0 {
-		t.Error("snapshot config was sampled; it must stay detailed")
+		t.Error("over-committed config was sampled; it must stay detailed")
 	}
-	if res.Snapshot.At == 0 {
-		t.Error("snapshot config took no snapshot")
+	if res.Switches == 0 {
+		t.Error("over-committed config recorded no timeslice rotation")
 	}
 }

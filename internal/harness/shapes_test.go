@@ -6,6 +6,7 @@ package harness
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"consim/internal/sched"
@@ -13,15 +14,18 @@ import (
 )
 
 // shapeRunner is larger than testRunner: shape assertions need enough
-// references for orderings to stabilize.
-func shapeRunner() *Runner {
+// references for orderings to stabilize. Every shape test shares the one
+// Runner, whose memo simulates a configuration once: F7 reads exactly
+// F5's runs, F12's three shared-4 columns are F5's runs too, and F11's
+// shared-4 column is F8's affinity cells.
+var shapeRunner = sync.OnceValue(func() *Runner {
 	return NewRunner(Options{
 		Scale:       16,
 		WarmupRefs:  40_000,
 		MeasureRefs: 80_000,
 		Seed:        1,
 	})
-}
+})
 
 func TestShapeAffinityBestForHomogeneousMixes(t *testing.T) {
 	if testing.Short() {

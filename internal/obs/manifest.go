@@ -44,9 +44,8 @@ type Manifest struct {
 	Scale     int      `json:"scale"`
 	Seed      uint64   `json:"seed"`
 
-	WarmupRefs   uint64 `json:"warmup_refs"`
-	MeasureRefs  uint64 `json:"measure_refs"`
-	SnapshotRefs uint64 `json:"snapshot_refs,omitempty"`
+	WarmupRefs  uint64 `json:"warmup_refs"`
+	MeasureRefs uint64 `json:"measure_refs"`
 
 	// Measured outcome and cost.
 	Refs        uint64  `json:"refs"`   // references simulated in the window

@@ -25,7 +25,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		{
 			Label: "TPC-W+SPECjbb shared/rr", Workloads: []string{"TPC-W", "SPECjbb"},
 			GroupSize: 16, Policy: "rr", Scale: 4, Seed: 7,
-			WarmupRefs: 1000, MeasureRefs: 2000, SnapshotRefs: 500,
+			WarmupRefs: 1000, MeasureRefs: 2000,
 			Refs: 96000, Cycles: 654321, WallSeconds: 1.5,
 			Parallel: 4,
 		},
@@ -172,6 +172,12 @@ const timeseriesManifest = "testdata/manifest_v2_timeseries.jsonl"
 // and Series no longer declare.
 const pdesSeriesManifest = "testdata/manifest_v3_pdes_timeseries.jsonl"
 
+// snapshotManifest is one v3 line written by the last build that could
+// move the Figure 12/13 snapshot inside the measurement window (9eb765e,
+// harness.Options{SnapshotRefs: 4000} on TPC-H at scale 64): it carries
+// "snapshot_refs":4000, which Manifest no longer declares.
+const snapshotManifest = "testdata/manifest_v3_snapshot_refs.jsonl"
+
 // retiredBenchHistory is the frozen cmd/bench history: a JSON array of
 // objects that are not manifests, which no reader takes since PR 19.
 const retiredBenchHistory = "../../results/BENCH_consim.json"
@@ -281,6 +287,22 @@ func TestReadManifestsTimeseriesRecord(t *testing.T) {
 	}
 }
 
+// TestReadManifestsSnapshotRefsRecord reads a record whose run took its
+// snapshot mid-window: it reads, and report prints it as the sequential
+// run it was, memory system included.
+func TestReadManifestsSnapshotRefsRecord(t *testing.T) {
+	m := readOldRecord(t, snapshotManifest, `"snapshot_refs":4000`)
+	if m.Version != 3 || m.Label != "TPC-H shared-4-way/affinity 1/64" || m.Refs != 32273 || m.Layers == nil {
+		t.Fatalf("record mangled: %+v", m)
+	}
+	var rep strings.Builder
+	WritePhaseReport(&rep, m)
+	out := rep.String()
+	if !strings.Contains(out, "engine=sequential") || !strings.Contains(out, "memory system") {
+		t.Errorf("report of a snapshot_refs record:\n%s", out)
+	}
+}
+
 // TestReadManifestsPdesSeriesRecord reads a -pdes run's record with its
 // per-domain series columns: it reads, and report still prints its
 // warmup/measure split, apply fraction and time series.
@@ -352,6 +374,11 @@ func FuzzReadManifests(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(pdesSeries)
+	snapshot, err := os.ReadFile(snapshotManifest)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snapshot)
 	f.Add([]byte(`{"version":3,"label":"series","refs":10,"wall_seconds":1,"phase":{"measure_seconds":1},` +
 		`"series":{"phase":["measure","bogus"],"cycle":[1,2],"wall":[0,1],"memq":[1],"rel_ci":[-1],"replay":[],` +
 		`"refs":[[1,0],[5]],"miss":[[0.5,-1]],"cpt":[[1e30,2]],"dom_cycles":[[1]]}}` + "\n"))

@@ -84,11 +84,6 @@ func (s Spec) mixFor(i int) phaseMix {
 	return m
 }
 
-// phaseLength returns the per-thread length of phase index i.
-func (s Spec) phaseLength(i int) uint64 {
-	return s.Phases[i%len(s.Phases)].Refs
-}
-
 // totalPhaseRefs returns the per-thread length of one full phase cycle.
 func (s Spec) totalPhaseRefs() uint64 {
 	var n uint64
