@@ -7,7 +7,7 @@
 //	consim [run] -mix 5 -group 1,4,16    one configuration, or a group sweep
 //	consim tables -exp T2,F8 -scale 16   Table II and Figures 2-13
 //	consim ablate|calibrate ...          ablation studies, Table II calibration
-//	consim trace|obs ...                 reference traces, run manifests
+//	consim obs report m.jsonl            run manifests
 //
 // run is the default when the first argument is a flag. Flags and
 // operands may come in either order; -h prints a subcommand's flags.
@@ -47,14 +47,11 @@ func main() {
 var errUsage = errors.New("usage")
 
 var commands = map[string]func([]string) error{
-	"run":          simulating(parseRun),
-	"tables":       simulating(parseTables),
-	"ablate":       simulating(parseAblate),
-	"calibrate":    simulating(parseCalibrate),
-	"trace record": record,
-	"trace info":   info,
-	"trace replay": simulating(parseReplay),
-	"obs report":   report,
+	"run":        simulating(parseRun),
+	"tables":     simulating(parseTables),
+	"ablate":     simulating(parseAblate),
+	"calibrate":  simulating(parseCalibrate),
+	"obs report": report,
 }
 
 // dispatch runs the (two-word) subcommand args start with; run when they
@@ -125,16 +122,13 @@ type runFlags struct {
 	sinks obs.CLI
 }
 
-// newRunFlags registers the shared set with the subcommand's budget
-// defaults. scale == 0 leaves out -scale and -parallel (trace replay: the
-// trace fixes the footprint, and it is one run).
-func newRunFlags(name, operands string, scale int, warm, meas uint64) *runFlags {
-	f := &runFlags{fs: newFlagSet(name, operands), opt: harness.Options{Scale: 1, Parallel: 1}}
+// newRunFlags registers the shared set with the subcommand's scale and
+// budget defaults.
+func newRunFlags(name string, scale int, warm, meas uint64) *runFlags {
+	f := &runFlags{fs: newFlagSet(name, "")}
 	fs, o, s := f.fs, &f.opt, &f.opt.Sample
-	if scale > 0 {
-		fs.IntVar(&o.Scale, "scale", scale, "divide cache capacities and footprints (1 = paper scale)")
-		fs.IntVar(&o.Parallel, "parallel", runtime.GOMAXPROCS(0), "independent simulations to keep in flight at once (across-run parallelism; never changes results)")
-	}
+	fs.IntVar(&o.Scale, "scale", scale, "divide cache capacities and footprints (1 = paper scale)")
+	fs.IntVar(&o.Parallel, "parallel", runtime.GOMAXPROCS(0), "independent simulations to keep in flight at once (across-run parallelism; never changes results)")
 	fs.Uint64Var(&o.Seed, "seed", 1, "random seed")
 	fs.Uint64Var(&o.WarmupRefs, "warm", warm, "warm-up references per core")
 	fs.Uint64Var(&o.MeasureRefs, "meas", meas, "measured references per core")

@@ -19,23 +19,12 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// simulators returns every simulating subcommand's parser, trace replay
-// reading a small trace recorded for the test.
-func simulators(t *testing.T) map[string]func([]string) (*job, error) {
-	t.Helper()
-	trc := filepath.Join(t.TempDir(), "t.trc")
-	if err := record([]string{"-out", trc, "-refs", "2000", "-scale", "64"}); err != nil {
-		t.Fatal(err)
-	}
-	return map[string]func([]string) (*job, error){
-		"run":       parseRun,
-		"tables":    parseTables,
-		"ablate":    parseAblate,
-		"calibrate": parseCalibrate,
-		"trace replay": func(args []string) (*job, error) {
-			return parseReplay(append([]string{trc}, args...))
-		},
-	}
+// simulators holds every simulating subcommand's parser.
+var simulators = map[string]func([]string) (*job, error){
+	"run":       parseRun,
+	"tables":    parseTables,
+	"ablate":    parseAblate,
+	"calibrate": parseCalibrate,
 }
 
 func errString(err error) string {
@@ -52,6 +41,9 @@ func TestDispatch(t *testing.T) {
 	}{
 		{"bogus", `"bogus" is not a command`},
 		{"trace", `"trace" is not a command`},
+		{"trace record -out t.trc", `"trace" is not a command`},
+		{"trace info t.trc", `"trace" is not a command`},
+		{"trace replay t.trc", `"trace" is not a command`},
 		{"obs frobnicate", `"obs frobnicate" is not a command`},
 		{"obs top", `"obs top" is not a command`},
 		{"obs diff a.jsonl", `"obs diff" is not a command`},
@@ -59,7 +51,6 @@ func TestDispatch(t *testing.T) {
 		{"bogus extra", `"bogus" is not a command`},
 		{"-h", flag.ErrHelp.Error()},
 		{"run -h", flag.ErrHelp.Error()},
-		{"trace replay -h", flag.ErrHelp.Error()},
 		{"obs report -h", flag.ErrHelp.Error()},
 		{"-shards 2", "usage: flag provided but not defined: -shards"},
 		{"-pdes 2", "usage: flag provided but not defined: -pdes"},
@@ -70,7 +61,6 @@ func TestDispatch(t *testing.T) {
 		// -timeseries takes no path: the old form leaves it as an operand.
 		{"-timeseries ts.jsonl -manifest m.jsonl", "usage: consim run: 1 operands"},
 		{"tables -exp T2 extra", "usage: consim tables: 1 operands"},
-		{"trace replay", "usage: consim trace replay: 0 operands"},
 		{"ablate -exp A1,ZZ", `unknown ablation "ZZ" (want A1,A2,A3,A4,A5,A6)`},
 		{"tables -exp T2,F99", `unknown figure "F99"`},
 	} {
@@ -84,7 +74,6 @@ func TestDispatch(t *testing.T) {
 // TestSubcommandArgs maps argument lists to the configurations and runner
 // options each subcommand would execute.
 func TestSubcommandArgs(t *testing.T) {
-	parsers := simulators(t)
 	opt := func(scale int, seed, warm, meas uint64, parallel int) harness.Options {
 		return harness.Options{Scale: scale, Seed: seed, WarmupRefs: warm, MeasureRefs: meas, Parallel: parallel}
 	}
@@ -104,10 +93,8 @@ func TestSubcommandArgs(t *testing.T) {
 			cfgs: []cfgView{{1, 32, 1, 20, 4}, {16, 32, 1, 20, 4}}},
 		{cmd: "calibrate", args: "-parallel 1 -gradient -only TPC-W -seed 7", opt: opt(1, 7, 600_000, 1_000_000, 1),
 			cfgs: []cfgView{{1, 1, 7, 1_000_000, 1}, {16, 1, 7, 1_000_000, 1}, {4, 1, 7, 1_000_000, 1}, {1, 1, 7, 1_000_000, 1}}},
-		{cmd: "trace replay", args: "-group 1 -seed 3", opt: opt(1, 3, 50_000, 100_000, 1),
-			cfgs: []cfgView{{1, 1, 3, 100_000, 1}}},
 	} {
-		j, err := parsers[tc.cmd](strings.Fields(tc.args))
+		j, err := simulators[tc.cmd](strings.Fields(tc.args))
 		if err != nil {
 			t.Fatalf("%s %s: %v", tc.cmd, tc.args, err)
 		}
@@ -127,7 +114,7 @@ func TestSubcommandArgs(t *testing.T) {
 // TestPdesFlags checks that no simulating subcommand takes the parallel
 // engine's flags: it runs only where a caller sets core.Config.Pdes.
 func TestPdesFlags(t *testing.T) {
-	for name, parse := range simulators(t) {
+	for name, parse := range simulators {
 		for _, removed := range []string{"-pdes", "-pdes-window"} {
 			_, err := parse([]string{removed, "8192"})
 			want := "usage: flag provided but not defined: " + removed
@@ -143,7 +130,6 @@ func TestPdesFlags(t *testing.T) {
 // configuration the subcommand runs itself, and an inconsistent one is
 // refused with core.Config.Validate's message, the same from all of them.
 func TestSampleFlags(t *testing.T) {
-	parsers := simulators(t)
 	for _, tc := range []struct {
 		args    string
 		want    uint64
@@ -155,7 +141,7 @@ func TestSampleFlags(t *testing.T) {
 		{args: "-sample 500 -sample-ci +Inf", wantErr: "core: CI target +Inf is not a finite non-negative number"},
 		{args: "-sample 1000 -sample-ratio -1", wantErr: "core: negative fast-forward ratio -1"},
 	} {
-		for name, parse := range parsers {
+		for name, parse := range simulators {
 			j, err := parse(strings.Fields(tc.args))
 			if got := errString(err); got != tc.wantErr {
 				t.Errorf("%s %q: error %q, want %q", name, tc.args, got, tc.wantErr)
@@ -179,36 +165,10 @@ func TestSampleFlags(t *testing.T) {
 // -timeseries and no -manifest: each refuses, naming both flags, before
 // it simulates.
 func TestTimeseriesNeedsManifest(t *testing.T) {
-	trc := filepath.Join(t.TempDir(), "t.trc")
-	if err := record([]string{"-out", trc, "-refs", "2000", "-scale", "64"}); err != nil {
-		t.Fatal(err)
-	}
-	for _, args := range [][]string{{"run"}, {"tables"}, {"ablate"}, {"calibrate"}, {"trace", "replay", trc}} {
+	for _, args := range [][]string{{"run"}, {"tables"}, {"ablate"}, {"calibrate"}} {
 		err := dispatch(append(args, "-timeseries"))
 		if got, want := errString(err), "obs: -timeseries requires -manifest"; !strings.HasPrefix(got, want) {
 			t.Errorf("%s -timeseries: error %q, want prefix %q", strings.Join(args, " "), got, want)
-		}
-	}
-}
-
-// TestTraceReplayFlagOrder checks that flags parse on either side of the
-// trace path.
-func TestTraceReplayFlagOrder(t *testing.T) {
-	trc := filepath.Join(t.TempDir(), "t.trc")
-	if err := record([]string{"-out", trc, "-refs", "2000", "-scale", "64"}); err != nil {
-		t.Fatal(err)
-	}
-	for _, args := range [][]string{
-		{trc, "-group", "1", "-policy", "rr", "-meas", "500"},
-		{"-group", "1", "-policy", "rr", "-meas", "500", trc},
-		{"-group", "1", trc, "-policy", "rr", "-meas", "500"},
-	} {
-		j, err := parseReplay(args)
-		if err != nil {
-			t.Fatalf("%q: %v", args, err)
-		}
-		if c := j.cfgs[0]; c.GroupSize != 1 || c.Policy.String() != "rr" || c.MeasureRefs != 500 || len(c.Sources) != 1 {
-			t.Errorf("%q: config group %d policy %s meas %d sources %d", args, c.GroupSize, c.Policy, c.MeasureRefs, len(c.Sources))
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 //	consim -workloads TPC-W,TPC-W,SPECjbb,SPECjbb -policy rr
 //	consim -mix 8 -group 1,4,16 -parallel 3
 func parseRun(args []string) (*job, error) {
-	f := newRunFlags("run", "", 1, 600_000, 1_000_000)
+	f := newRunFlags("run", 1, 600_000, 1_000_000)
 	fs := f.fs
 	mixID := fs.String("mix", "", "Table IV mix to run (1-9, A-D); overrides -workloads")
 	workloads := fs.String("workloads", "TPC-H", "comma-separated workload names (one VM each)")

@@ -31,7 +31,7 @@ func pickIDs(exp, kind string, known []string) ([]string, error) {
 // runner's one deduplicated work queue: shared baselines simulate once,
 // and -parallel bounds the simulations in flight across the batch.
 func parseTables(args []string) (*job, error) {
-	f := newRunFlags("tables", "", 1, 600_000, 1_000_000)
+	f := newRunFlags("tables", 1, 600_000, 1_000_000)
 	exp := f.fs.String("exp", "", "comma-separated artifact IDs (default: all of T2,F2..F13)")
 	format := f.fs.String("format", "text", "output format: text, md, csv, bars")
 	if _, err := parse(f.fs, args, 0, 0); err != nil {
@@ -68,7 +68,7 @@ func parseTables(args []string) (*job, error) {
 // parseAblate is consim ablate: the design-choice ablation studies, at
 // 1/4 scale by default.
 func parseAblate(args []string) (*job, error) {
-	f := newRunFlags("ablate", "", 4, 300_000, 500_000)
+	f := newRunFlags("ablate", 4, 300_000, 500_000)
 	exp := f.fs.String("exp", "", "comma-separated ablation IDs (default: all of A1..A6)")
 	if _, err := parse(f.fs, args, 0, 0); err != nil {
 		return nil, err
@@ -95,7 +95,7 @@ func parseAblate(args []string) (*job, error) {
 // private LLC configuration (Table II's reference setup), measured
 // against the paper's statistics, for tuning internal/workload/spec.go.
 func parseCalibrate(args []string) (*job, error) {
-	f := newRunFlags("calibrate", "", 1, 600_000, 1_000_000)
+	f := newRunFlags("calibrate", 1, 600_000, 1_000_000)
 	only := f.fs.String("only", "", "run a single workload by name")
 	gradient := f.fs.Bool("gradient", false, "also print the capacity gradient (miss rate and runtime at shared/shared-4/private)")
 	if _, err := parse(f.fs, args, 0, 0); err != nil {

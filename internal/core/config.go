@@ -100,12 +100,6 @@ type Config struct {
 	// Table III's 3-stage speculative pipeline). Used by ablations.
 	PipeStages int
 
-	// Sources optionally replaces each VM's statistical generator with a
-	// recorded reference stream (one entry per workload; nil entries
-	// fall back to the generator). This is the checkpoint-replay path:
-	// the same captured transactions run in every simulation.
-	Sources []workload.Source
-
 	// QoSPartition way-partitions every shared LLC bank among the VMs
 	// scheduled on its group — the performance-isolation mechanism the
 	// paper's conclusion calls for (and its §VI related work proposes).
@@ -136,7 +130,7 @@ type Config struct {
 	// results are statistical estimates held to harness.DefaultPdesBound
 	// of the sequential run (TestParallelEquivalence), deterministic per
 	// (seed, Pdes).
-	// Incompatible with sampling and trace sources.
+	// Incompatible with sampling.
 	Pdes int
 
 	// PdesReplayWorkers sharded the barrier replay by LLC bank group.
@@ -196,9 +190,6 @@ func (c Config) Validate() error {
 	}
 	if len(c.Workloads) > cache.MaxVMs {
 		return fmt.Errorf("core: %d VMs exceed the %d a cache line's VM tag tells apart", len(c.Workloads), cache.MaxVMs)
-	}
-	if len(c.Sources) > 0 && len(c.Sources) != len(c.Workloads) {
-		return fmt.Errorf("core: %d trace sources for %d VMs", len(c.Sources), len(c.Workloads))
 	}
 	if len(c.QoSShares) > 0 {
 		if len(c.QoSShares) != len(c.Workloads) {
@@ -322,11 +313,7 @@ func (c Config) CoreCapacity() int {
 // Placement returns the hypervisor's initial thread placement, the one
 // NewSystem starts from: for each VM, the cores its threads run on.
 func (c Config) Placement() ([][]int, error) {
-	vmThreads := make([]int, len(c.Workloads))
-	for v := range vmThreads {
-		vmThreads[v] = c.ThreadsPerVM
-	}
-	return sched.AssignWithCapacity(c.Policy, c.Cores, c.GroupSize, c.CoreCapacity(), vmThreads, c.Seed^0xa5a5)
+	return sched.AssignWithCapacity(c.Policy, c.Cores, c.GroupSize, c.CoreCapacity(), len(c.Workloads), c.ThreadsPerVM, c.Seed^0xa5a5)
 }
 
 // Groups returns the number of LLC bank groups.

@@ -138,37 +138,30 @@ func TestNewSystemErrors(t *testing.T) {
 	}
 }
 
-// lastBlockSource claims a footprint and references only its last block.
-type lastBlockSource struct {
-	spec   workload.Spec
-	blocks uint64
-}
-
-func (s lastBlockSource) Next(int) workload.Access { return workload.Access{Block: s.blocks - 1} }
-func (s lastBlockSource) Spec() workload.Spec      { return s.spec }
-func (s lastBlockSource) FootprintBlocks() uint64  { return s.blocks }
-func (s lastBlockSource) TotalRefs() uint64        { return 0 }
-
-// TestNewSystemRejectsUntaggableAddressSpace: a source whose footprint
+// TestNewSystemRejectsUntaggableAddressSpace: a workload whose footprint
 // reaches the caches' empty-way tag — alone, or laid out after another VM
 // — is an error naming the VM from NewSystem, not a panic in the first
-// access to its last block.
+// access to its last block. Every block of the specs below is private, so
+// at four threads a generator's footprint is ⌊Blocks/4⌋·4 + 3 lines (one
+// each for the minimal shared, migratory and scan regions).
 func TestNewSystemRejectsUntaggableAddressSpace(t *testing.T) {
 	specs := workload.Specs()
 	for _, tc := range []struct {
 		name   string
-		blocks []uint64
+		blocks []int
 		want   string
 	}{
-		{"one VM of 2^32 blocks", []uint64{1 << 32}, "VM 0 (TPC-H)"},
-		// VM 0's one block takes a whole 1 MB-aligned region.
-		{"two VMs past 2^32-1 lines", []uint64{1, cache.MaxLines - (1<<20)/64 + 1}, "VM 1 (SPECjbb)"},
+		{"one VM of 2^32+3 blocks", []int{1 << 32}, "VM 0 (TPC-H)"},
+		// VM 0's 7 lines take a whole 1 MB-aligned region, and VM 1's
+		// 2^32-1 would fill the taggable space alone.
+		{"two VMs past 2^32-1 lines", []int{4, int(cache.MaxLines)}, "VM 1 (SPECjbb)"},
 	} {
 		c := DefaultConfig(specs[workload.TPCH], specs[workload.SPECjbb])
 		c.Workloads = c.Workloads[:len(tc.blocks)]
 		c.MeasureRefs, c.WarmupRefs = 100, 0
 		for i, b := range tc.blocks {
-			c.Sources = append(c.Sources, lastBlockSource{spec: c.Workloads[i], blocks: b})
+			w := &c.Workloads[i]
+			w.Blocks, w.PrivFrac, w.SharedFrac, w.MigFrac, w.ScanFrac = b, 1, 0, 0, 0
 		}
 		_, err := NewSystem(c)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

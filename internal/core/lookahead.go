@@ -1,7 +1,5 @@
 package core
 
-import "consim/internal/workload"
-
 // Host memory-level parallelism for the reference walk.
 //
 // At paper scale the simulated machine's metadata — an 8.0 MB directory
@@ -54,16 +52,6 @@ func (s *System) footprintBlocks() uint64 {
 		fp += m.Gen.FootprintBlocks()
 	}
 	return fp
-}
-
-// peekRef returns the reference run's thread will issue next without
-// consuming it, or false when that is not known yet: the generator's ring
-// is drained, or the source is a trace replay, which has no ring to read.
-func (s *System) peekRef(run runnable) (workload.Access, bool) {
-	if g, ok := s.vms[run.vmID].Gen.(*workload.Generator); ok {
-		return g.Peek(run.thread)
-	}
-	return workload.Access{}, false
 }
 
 // prefetchRef starts the host-memory loads of the lines core c's coming

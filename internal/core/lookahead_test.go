@@ -1,14 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"consim/internal/cache"
 	"consim/internal/coherence"
 	"consim/internal/prefetch"
 	"consim/internal/sched"
-	"consim/internal/trace"
 	"consim/internal/workload"
 )
 
@@ -16,7 +14,7 @@ import (
 // write from the lookahead could have moved: the functional-plane digest
 // the warm-walk tests use (cache slots in recency order, directory table
 // layout and Lookups, directory caches, back-invalidations), each core's
-// think-time RNG cursor and progress, and each reference source's cursor
+// think-time RNG cursor and progress, and each generator's cursor
 // — observed by drawing past the next ring refill, which folds in the
 // generators' RNG streams and shared sampling cursors.
 func lookaheadDigest(s *System) uint64 {
@@ -47,12 +45,11 @@ func lookaheadDigest(s *System) uint64 {
 // produce the same Result and leave the same machine behind. The scale-16
 // cases flip the unexported switches NewSystem set. They cover every way
 // a peek is unavailable or a hint unlike the plain mix's: timeslice
-// rotation (the peeked runnable is the rotated-in one), a trace-replay
-// source beside live generators (no ring to peek) and a partitioned LLC
-// (the bank victim comes from the VM's quota). The paper-scale case fills the
-// 8.0 MB directory table its bound asks for, so the walk runs on the
-// huge-page-advised table (Directory.resize) with the lookahead gated on
-// by footprint.
+// rotation (the peeked runnable is the rotated-in one) and a partitioned
+// LLC (the bank victim comes from the VM's quota). The paper-scale case
+// fills the 8.0 MB directory table its bound asks for, so the walk runs
+// on the huge-page-advised table (Directory.resize) with the lookahead
+// gated on by footprint.
 func TestLookaheadBitIdentical(t *testing.T) {
 	mix := func() Config {
 		cfg := fastCfg(4, sched.RoundRobin, workload.TPCW, workload.SPECjbb, workload.TPCH, workload.SPECweb)
@@ -72,25 +69,14 @@ func TestLookaheadBitIdentical(t *testing.T) {
 	paper.Scale = 1
 	paper.WarmupRefs, paper.MeasureRefs = 10_000, 10_000
 
-	// VM 0 replays a capture of its own generator; the other three stay
-	// live. Readers are stateful, so each system gets a fresh one.
-	replay := mix()
-	var capture bytes.Buffer
-	gen := workload.NewGenerator(replay.Workloads[0].Scaled(replay.Scale), replay.ThreadsPerVM, 99)
-	if _, err := trace.Capture(&capture, gen, replay.ThreadsPerVM, 15_000); err != nil {
-		t.Fatal(err)
-	}
-
 	for _, tc := range []struct {
-		name   string
-		cfg    Config
-		replay bool
+		name string
+		cfg  Config
 	}{
-		{"mix4", mix(), false},
-		{"overcommit", over, false},
-		{"trace-replay", replay, true},
-		{"qos-partitioned", qos, false},
-		{"paper-scale", paper, false},
+		{"mix4", mix()},
+		{"overcommit", over},
+		{"qos-partitioned", qos},
+		{"paper-scale", paper},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if testing.Short() && tc.cfg.Scale == 1 {
@@ -98,14 +84,6 @@ func TestLookaheadBitIdentical(t *testing.T) {
 			}
 			run := func(lookahead, victims bool) (string, uint64) {
 				cfg := tc.cfg
-				if tc.replay {
-					rd, err := trace.NewReader(bytes.NewReader(capture.Bytes()))
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.Sources = make([]workload.Source, len(cfg.Workloads))
-					cfg.Sources[0] = rd
-				}
 				sys, err := NewSystem(cfg)
 				if err != nil {
 					t.Fatal(err)

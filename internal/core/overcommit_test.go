@@ -110,7 +110,7 @@ func TestOvercommitSlotLimit(t *testing.T) {
 }
 
 func TestSchedCapacityPlacement(t *testing.T) {
-	asg, err := sched.AssignWithCapacity(sched.Affinity, 16, 4, 2, []int{4, 4, 4, 4, 4, 4}, 1)
+	asg, err := sched.AssignWithCapacity(sched.Affinity, 16, 4, 2, 6, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestSchedCapacityPlacement(t *testing.T) {
 			}
 		}
 	}
-	if _, err := sched.AssignWithCapacity(sched.Affinity, 16, 4, 0, []int{4}, 1); err == nil {
+	if _, err := sched.AssignWithCapacity(sched.Affinity, 16, 4, 0, 1, 4, 1); err == nil {
 		t.Error("zero capacity accepted")
 	}
 }

@@ -54,7 +54,6 @@ import (
 	"consim/internal/mesh"
 	"consim/internal/sim"
 	"consim/internal/vm"
-	"consim/internal/workload"
 )
 
 // pdesWindow is the width, in cycles, of one parallel window. Windows
@@ -112,8 +111,8 @@ type PdesStats struct {
 }
 
 // validatePdes rejects configurations the parallel engine cannot run
-// soundly. Features that already own the run's engine choice (sampling,
-// trace sources) are refused rather than silently degraded.
+// soundly. Sampling, which already owns the run's engine choice, is
+// refused rather than silently degraded.
 func (c Config) validatePdes() error {
 	if c.Pdes < 0 {
 		return fmt.Errorf("core: negative pdes worker count %d", c.Pdes)
@@ -129,9 +128,6 @@ func (c Config) validatePdes() error {
 	}
 	if c.Sample.Enabled() {
 		return fmt.Errorf("core: pdes and interval sampling are mutually exclusive engines")
-	}
-	if len(c.Sources) > 0 {
-		return fmt.Errorf("core: pdes requires statistical generators, not trace sources")
 	}
 	return nil
 }
@@ -247,9 +243,7 @@ func newPdesEngine(s *System) *pdesEngine {
 	// concurrent ring refills race-free while preserving each cursor's
 	// collective pacing (see workload.DetachCursors).
 	for _, m := range s.vms {
-		if g, ok := m.Gen.(*workload.Generator); ok {
-			g.DetachCursors()
-		}
+		m.Gen.DetachCursors()
 	}
 
 	e.execs = runtime.GOMAXPROCS(0)

@@ -86,7 +86,6 @@ func TestPdesValidation(t *testing.T) {
 		func(c *Config) { c.Pdes = -1 },
 		func(c *Config) { c.Pdes = c.Cores + 1 },
 		func(c *Config) { c.Pdes = 4; c.Sample.WindowRefs = 1000 },
-		func(c *Config) { c.Pdes = 4; c.Sources = make([]workload.Source, len(c.Workloads)) },
 	}
 	for i, mut := range bad {
 		cfg := base

@@ -24,7 +24,7 @@
 // half-width is below cfg.Sample.CITarget — the live convergence
 // detection of Pac-Sim (PAPERS.md), driving the same counters the obs
 // registry publishes. Fast-forward consumes references from the same
-// sources as the detailed loop and draws no think times, so sampled runs
+// generators as the detailed loop and draws no think times, so sampled runs
 // are deterministic for a fixed (seed, window-config) pair.
 //
 // Result.Cycles remains the sum of detailed window spans (fast-forward
@@ -301,7 +301,7 @@ func (s *System) fastForward(perCore uint64) {
 }
 
 // ffRun streams perCore references per active core through the
-// functional plane: the workload sources supply them exactly as in a
+// functional plane: the workload generators supply them exactly as in a
 // detailed window, the access walk runs under ffTiming, and nothing
 // timing-visible moves — no event queue, no simulated time, no
 // think-time draws, no measurement counters. References rotate

@@ -209,20 +209,19 @@ func NewSystem(cfg Config) (*System, error) {
 
 	// Lay the VMs out in disjoint physical regions and place threads.
 	rootRNG := sim.NewRNG(cfg.Seed)
-	srcs := make([]workload.Source, len(cfg.Workloads))
+	gens := make([]*workload.Generator, len(cfg.Workloads))
+	fps := make([]uint64, len(cfg.Workloads))
+	names := make([]string, len(cfg.Workloads))
 	for i, spec := range cfg.Workloads {
-		if len(cfg.Sources) > 0 && cfg.Sources[i] != nil {
-			srcs[i] = cfg.Sources[i]
-		} else {
-			srcs[i] = workload.NewGenerator(spec.Scaled(cfg.Scale), cfg.ThreadsPerVM, rootRNG.Uint64()+uint64(i))
-		}
+		gens[i] = workload.NewGenerator(spec.Scaled(cfg.Scale), cfg.ThreadsPerVM, rootRNG.Uint64()+uint64(i))
+		fps[i], names[i] = gens[i].FootprintBlocks(), spec.Name
 	}
-	bases, err := vm.Layout(srcs, 1<<20)
+	bases, err := vm.Layout(fps, names, 1<<20)
 	if err != nil {
 		return nil, err
 	}
-	for i, src := range srcs {
-		m := vm.New(i, src, bases[i])
+	for i, gen := range gens {
+		m := vm.New(i, gen, bases[i])
 		s.vms = append(s.vms, m)
 		s.regions = append(s.regions, m.Gen.Spec().Regions(cfg.ThreadsPerVM))
 	}
@@ -567,7 +566,7 @@ func (s *System) runSequential(target uint64) {
 		// metadata can travel from DRAM (lookahead.go).
 		if s.lookahead {
 			nrun := cs.queue[cs.cur]
-			if na, ok := s.peekRef(nrun); ok {
+			if na, ok := s.vms[nrun.vmID].Gen.Peek(nrun.thread); ok {
 				s.prefetchRef(c, nrun.vmID, na.Block)
 			}
 		}

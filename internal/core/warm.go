@@ -17,10 +17,10 @@
 //     across every fast-forward;
 //   - references drain straight out of the workload generator's
 //     per-thread ring through a cached slice (one bounds-checked index
-//     per reference instead of an interface call plus cursor
-//     load/store), refilling through the generator's own cold path so
-//     shared-cursor draws happen at exactly the Next path's refill
-//     points;
+//     per reference instead of a call to Next, which does not inline,
+//     plus its cursor load/store), refilling through the generator's
+//     own cold path so shared-cursor draws happen at exactly the Next
+//     path's refill points;
 //   - the Bresenham interleave across cores is computed incrementally;
 //   - on footprints too big for the host caches, the lookahead prefetch
 //     shared with the detailed loop (lookahead.go) runs one context
@@ -29,7 +29,7 @@
 // The supply must hand accessTM the same references in the same order as
 // ffLoop (sample.go), the plain rotation kept as System.ffOracle:
 // warm_test.go holds the two to bit-identical cache, directory, dircache
-// and scratch-counter state, for ring and non-ring sources.
+// and scratch-counter state.
 package core
 
 import (
@@ -44,11 +44,9 @@ import (
 type warmCore struct {
 	m *vm.VM
 
-	// Ring-direct reference supply (statistical generator): ring aliases
-	// the generator's per-thread ring, whose backing array is stable
-	// across refills; pos mirrors the generator's cursor and is written
-	// back at loop exit.
-	gen  *workload.Generator // nil: fall back to the Source interface
+	// Ring-direct reference supply: ring aliases m.Gen's per-thread
+	// ring, whose backing array is stable across refills; pos mirrors
+	// the generator's cursor and is written back at loop exit.
 	ring []workload.Access
 	pos  int
 
@@ -74,17 +72,7 @@ func (s *System) warmSetup() {
 			continue
 		}
 		run := cs.queue[cs.cur]
-		m := s.vms[run.vmID]
-		wc := warmCore{
-			m:      m,
-			c:      c,
-			vmID:   run.vmID,
-			thread: run.thread,
-		}
-		if g, ok := m.Gen.(*workload.Generator); ok {
-			wc.gen = g
-		}
-		s.warm = append(s.warm, wc)
+		s.warm = append(s.warm, warmCore{m: s.vms[run.vmID], c: c, vmID: run.vmID, thread: run.thread})
 	}
 }
 
@@ -101,36 +89,28 @@ func (s *System) warmForward(bud []uint64) {
 		if wc.bud > rounds {
 			rounds = wc.bud
 		}
-		if wc.gen != nil {
-			// Re-sync the ring cursor: detailed windows consumed through
-			// the generator's Next path since the last fast-forward.
-			wc.ring, wc.pos = wc.gen.WarmRing(wc.thread)
-		}
+		// Re-sync the ring cursor: detailed windows consumed through the
+		// generator's Next path since the last fast-forward.
+		wc.ring, wc.pos = wc.m.Gen.WarmRing(wc.thread)
 	}
 	warmLoop(s, rounds)
 	for i := range wcs {
 		wc := &wcs[i]
-		if wc.gen != nil {
-			wc.gen.WarmSetPos(wc.thread, wc.pos)
-		}
+		wc.m.Gen.WarmSetPos(wc.thread, wc.pos)
 	}
 }
 
 // warmNext drains the generator ring directly (cold path: the
 // generator's own refill, so shared sampling cursors advance at exactly
-// the points the Next path would advance them), falling back to the
-// Source interface for non-generator sources.
+// the points the Next path would advance them).
 func warmNext(wc *warmCore) workload.Access {
-	if wc.gen == nil {
-		return wc.m.Gen.Next(wc.thread)
-	}
 	if wc.pos < len(wc.ring) {
 		a := wc.ring[wc.pos]
 		wc.pos++
 		return a
 	}
 	wc.pos = 1
-	return wc.gen.WarmRefill(wc.thread)
+	return wc.m.Gen.WarmRefill(wc.thread)
 }
 
 // warmLoop issues each context's budget spread evenly across the longest
@@ -152,8 +132,8 @@ func warmLoop(s *System, rounds uint64) {
 			wc.acc -= rounds
 			a := warmNext(wc)
 			// This context's next reference sits in the ring one full
-			// rotation ahead of its use (lookahead.go). Ring drained or
-			// non-ring source: nothing to peek.
+			// rotation ahead of its use (lookahead.go). Ring drained:
+			// nothing to peek.
 			if s.lookahead && wc.pos < len(wc.ring) {
 				s.prefetchRef(wc.c, wc.vmID, wc.ring[wc.pos].Block)
 			}

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"consim/internal/cache"
-	"consim/internal/trace"
-	"consim/internal/workload"
 )
 
 // warmStateDigest folds every piece of state fast-forward is allowed to
@@ -42,42 +39,18 @@ func warmStateDigest(s *System) uint64 {
 }
 
 // warmDiffConfigs enumerates the configurations the differential test
-// covers: three seeds, a QoS-partitioned variant (exercising the
-// partition-aware victim choice in the fused bank scan) and one where
-// VM 0 replays a capture of its own generator while the other three stay
-// live, so warmNext's ring and Source-interface paths both face the
-// oracle. Readers are stateful, so each call of an entry builds its
-// config afresh.
-func warmDiffConfigs(t *testing.T) map[string]func() Config {
-	cfgs := make(map[string]func() Config)
+// covers: three seeds and a QoS-partitioned variant (exercising the
+// partition-aware victim choice in the fused bank scan).
+func warmDiffConfigs() map[string]Config {
+	cfgs := make(map[string]Config)
 	for seed, name := range map[uint64]string{1: "seed1", 2: "seed2", 3: "seed3"} {
-		cfgs[name] = func() Config {
-			cfg := sampledCfg()
-			cfg.Seed = seed
-			return cfg
-		}
-	}
-	cfgs["qos-partitioned"] = func() Config {
 		cfg := sampledCfg()
-		cfg.QoSPartition = true
-		return cfg
+		cfg.Seed = seed
+		cfgs[name] = cfg
 	}
-	base := sampledCfg()
-	var capture bytes.Buffer
-	gen := workload.NewGenerator(base.Workloads[0].Scaled(base.Scale), base.ThreadsPerVM, 99)
-	if _, err := trace.Capture(&capture, gen, base.ThreadsPerVM, 15_000); err != nil {
-		t.Fatal(err)
-	}
-	cfgs["trace-replay"] = func() Config {
-		rd, err := trace.NewReader(bytes.NewReader(capture.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := sampledCfg()
-		cfg.Sources = make([]workload.Source, len(cfg.Workloads))
-		cfg.Sources[0] = rd
-		return cfg
-	}
+	qos := sampledCfg()
+	qos.QoSPartition = true
+	cfgs["qos-partitioned"] = qos
 	return cfgs
 }
 
@@ -87,22 +60,21 @@ func warmDiffConfigs(t *testing.T) map[string]func() Config {
 // states, VM tags, access counters, directory table layout and entries,
 // dircache contents and hit/miss accounting, warming scratch counters,
 // back-invalidations — matches the plain ffLoop rotation exactly, across
-// seeds, QoS partitioning and a non-generator source. Both sides run the
-// same access walk under ffTiming; what differs is how references reach
-// it (ring-direct draw and refill points, incremental Bresenham, the
-// lookahead). The detailed window between the fast-forwards exercises
-// the ring-cursor re-sync (the detailed loop consumes through the
-// generator's Next path in between).
+// seeds and QoS partitioning. Both sides run the same access walk under
+// ffTiming; what differs is how references reach it (ring-direct draw
+// and refill points, incremental Bresenham, the lookahead). The detailed
+// window between the fast-forwards exercises the ring-cursor re-sync
+// (the detailed loop consumes through the generator's Next path in
+// between).
 func TestWarmWalkDifferential(t *testing.T) {
-	for name, mk := range warmDiffConfigs(t) {
+	for name, cfg := range warmDiffConfigs() {
 		t.Run(name, func(t *testing.T) {
 			// The warm side also runs the shared lookahead (forced on: no
 			// test-sized footprint trips the gate) in its fast-forwards
 			// and detailed windows; the oracle side never does.
-			cfg := mk()
 			warm := newWarmSystem(t, cfg)
 			warm.lookahead = true
-			oracle := newWarmSystem(t, mk())
+			oracle := newWarmSystem(t, cfg)
 			oracle.ffOracle = true
 
 			if h1, h2 := warmStateDigest(warm), warmStateDigest(oracle); h1 != h2 {
@@ -115,16 +87,6 @@ func TestWarmWalkDifferential(t *testing.T) {
 			}
 			drive(warm)
 			drive(oracle)
-			// A replayed VM's cores draw through the Source interface,
-			// every other core straight from its generator's ring.
-			for i := range warm.warm {
-				wc := &warm.warm[i]
-				replayed := cfg.Sources != nil && cfg.Sources[wc.vmID] != nil
-				if (wc.gen == nil) != replayed {
-					t.Fatalf("core %d (vm %d, replayed=%v) is on the wrong supply path", wc.c, wc.vmID, replayed)
-				}
-			}
-
 			if h1, h2 := warmStateDigest(warm), warmStateDigest(oracle); h1 != h2 {
 				t.Errorf("warm supply diverged from ffLoop oracle: %#x vs %#x", h1, h2)
 			}
@@ -137,9 +99,9 @@ func TestWarmWalkDifferential(t *testing.T) {
 						v, warm.vms[v].Stats, oracle.vms[v].Stats)
 				}
 				// Nor may either side have consumed a different number of
-				// references from the VM's source.
+				// references from the VM's generator.
 				if a, b := warm.vms[v].Gen.TotalRefs(), oracle.vms[v].Gen.TotalRefs(); a != b {
-					t.Errorf("vm %d source consumed %d refs under the warm supply, %d under the oracle", v, a, b)
+					t.Errorf("vm %d generator consumed %d refs under the warm supply, %d under the oracle", v, a, b)
 				}
 			}
 		})

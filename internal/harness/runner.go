@@ -73,16 +73,9 @@ type configKey [sha256.Size]byte
 // keyBufs recycles the encoding buffers configKeyOf digests.
 var keyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// configKeyOf returns cfg's memo key, or false for a configuration the
-// runner must not memoize: one that replays a recorded stream (trace
-// replay is stateful, so its result is not a function of the config) or
-// one that does not encode.
+// configKeyOf returns cfg's memo key, or false for a configuration that
+// does not encode, which the runner then does not memoize.
 func configKeyOf(cfg *core.Config) (configKey, bool) {
-	for _, src := range cfg.Sources {
-		if src != nil {
-			return configKey{}, false
-		}
-	}
 	buf := keyBufs.Get().(*bytes.Buffer)
 	defer keyBufs.Put(buf)
 	buf.Reset()
@@ -140,9 +133,9 @@ func (r *Runner) Options() Options { return r.opt }
 
 // Sims returns how many simulations the runner has actually executed.
 // With memoization and single-flight deduplication this counts distinct
-// configurations (plus each trace-replay run, which is never memoized),
-// regardless of how many times figures or batches re-requested them;
-// tests use it to assert deduplication.
+// configurations (plus each run whose configuration does not encode,
+// which is never memoized), regardless of how many times figures or
+// batches re-requested them; tests use it to assert deduplication.
 func (r *Runner) Sims() uint64 { return r.sims.Load() }
 
 func (r *Runner) config(specs []workload.Spec, groupSize int, policy sched.Policy) core.Config {

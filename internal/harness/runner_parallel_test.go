@@ -212,9 +212,8 @@ func TestFigureBatchesHoldEveryRun(t *testing.T) {
 // into each workload spec and its phases, the memory controllers and
 // the sampling settings — and requires each change to move the memo
 // key: a field the key cannot see would let two different machines
-// share one result. Obs (instrumentation) and Sources (never memoized)
-// are the two exceptions. Two equal configurations built separately must
-// share a key.
+// share one result. Obs (instrumentation) is the one exception. Two
+// equal configurations built separately must share a key.
 func TestRunKeyCoversEveryConfigField(t *testing.T) {
 	specs := workload.Specs()
 	build := func() core.Config {
@@ -234,7 +233,7 @@ func TestRunKeyCoversEveryConfigField(t *testing.T) {
 	walk = func(v reflect.Value, path string) {
 		for i := 0; i < v.NumField(); i++ {
 			f, name := v.Field(i), path+v.Type().Field(i).Name
-			if name == "Obs" || name == "Sources" {
+			if name == "Obs" {
 				continue
 			}
 			if !f.CanSet() {
@@ -301,24 +300,5 @@ func TestRunConfigsDuplicateSimulatesOnce(t *testing.T) {
 		if r.Sims() != 2 {
 			t.Errorf("parallel %d: %d simulations for 2 distinct configs", parallel, r.Sims())
 		}
-	}
-}
-
-// TestRunConfigsNeverMemoizesSources runs two equal configurations that
-// replay a recorded stream: a source is stateful, so each simulates.
-func TestRunConfigsNeverMemoizesSources(t *testing.T) {
-	r := NewRunner(Options{Scale: 64, WarmupRefs: 500, MeasureRefs: 1_000, Seed: 1, Parallel: 1})
-	spec := workload.Specs()[workload.TPCH].Scaled(64)
-	cfgs := make([]core.Config, 2)
-	for i := range cfgs {
-		cfgs[i] = r.config([]workload.Spec{spec}, 4, sched.Affinity)
-		cfgs[i].Scale = 1 // spec pre-scaled
-		cfgs[i].Sources = []workload.Source{workload.NewGenerator(spec, 4, 42)}
-	}
-	if _, err := r.RunConfigs(cfgs); err != nil {
-		t.Fatal(err)
-	}
-	if r.Sims() != 2 || len(r.cache) != 0 {
-		t.Errorf("%d simulations and %d memo entries for two source-driven configs, want 2 and 0", r.Sims(), len(r.cache))
 	}
 }

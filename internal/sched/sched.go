@@ -61,36 +61,26 @@ func All() []Policy {
 	return []Policy{RoundRobin, Affinity, RRAffinity, Random}
 }
 
-// Assign places threads on cores. cores is the machine size, groupSize
-// the number of cores sharing one LLC bank group (cores are grouped
-// contiguously: group g covers [g*groupSize, (g+1)*groupSize)), and
-// vmThreads gives each VM's thread count. The result is
+// AssignWithCapacity places vms VMs of threads threads each on cores.
+// cores is the machine size, groupSize the number of cores sharing one
+// LLC bank group (cores are grouped contiguously: group g covers
+// [g*groupSize, (g+1)*groupSize)), and each core accepts up to capacity
+// threads — 1 is the paper's machine, which never over-commits; more
+// are time-sliced by the hypervisor, and the placement policies keep
+// their §III-D semantics over the multiplied core slots. The result is
 // assignment[vm][thread] = core. It fails if the demand exceeds the
-// machine (the paper never over-commits; see AssignWithCapacity for the
-// over-committed extension).
-func Assign(p Policy, cores, groupSize int, vmThreads []int, seed uint64) ([][]int, error) {
-	return AssignWithCapacity(p, cores, groupSize, 1, vmThreads, seed)
-}
-
-// AssignWithCapacity is the over-committed variant of Assign: each core
-// accepts up to capacity threads (the hypervisor will time-slice them).
-// The placement policies keep their §III-D semantics over the multiplied
-// core slots.
-func AssignWithCapacity(p Policy, cores, groupSize, capacity int, vmThreads []int, seed uint64) ([][]int, error) {
+// slots.
+func AssignWithCapacity(p Policy, cores, groupSize, capacity, vms, threads int, seed uint64) ([][]int, error) {
 	if cores <= 0 || groupSize <= 0 || cores%groupSize != 0 {
 		return nil, fmt.Errorf("sched: invalid machine %d cores / group %d", cores, groupSize)
 	}
 	if capacity <= 0 {
 		return nil, fmt.Errorf("sched: non-positive core capacity %d", capacity)
 	}
-	total := 0
-	for _, t := range vmThreads {
-		if t <= 0 {
-			return nil, fmt.Errorf("sched: VM with %d threads", t)
-		}
-		total += t
+	if vms < 0 || threads <= 0 {
+		return nil, fmt.Errorf("sched: %d VMs with %d threads", vms, threads)
 	}
-	if total > cores*capacity {
+	if total := vms * threads; total > cores*capacity {
 		return nil, fmt.Errorf("sched: %d threads exceed %d cores x %d slots", total, cores, capacity)
 	}
 
@@ -122,14 +112,14 @@ func AssignWithCapacity(p Policy, cores, groupSize, capacity int, vmThreads []in
 		return -1
 	}
 
-	out := make([][]int, len(vmThreads))
+	out := make([][]int, vms)
 	switch p {
 	case Affinity:
 		// Fill group by group so each VM occupies the fewest groups.
 		g := 0
-		for v, n := range vmThreads {
-			out[v] = make([]int, n)
-			for t := 0; t < n; t++ {
+		for v := range out {
+			out[v] = make([]int, threads)
+			for t := 0; t < threads; t++ {
 				g = nextWithSpace(g)
 				c, _ := take(g)
 				out[v][t] = c
@@ -138,9 +128,9 @@ func AssignWithCapacity(p Policy, cores, groupSize, capacity int, vmThreads []in
 	case RoundRobin:
 		// Each VM's threads go to consecutive distinct groups; VMs start
 		// at staggered offsets so groups fill evenly.
-		for v, n := range vmThreads {
-			out[v] = make([]int, n)
-			for t := 0; t < n; t++ {
+		for v := range out {
+			out[v] = make([]int, threads)
+			for t := 0; t < threads; t++ {
 				g := nextWithSpace((v + t) % groups)
 				c, _ := take(g)
 				out[v][t] = c
@@ -149,13 +139,13 @@ func AssignWithCapacity(p Policy, cores, groupSize, capacity int, vmThreads []in
 	case RRAffinity:
 		// Pairs of threads travel together round-robin.
 		pairStart := 0
-		for v, n := range vmThreads {
-			out[v] = make([]int, n)
-			for t := 0; t < n; t += 2 {
+		for v := range out {
+			out[v] = make([]int, threads)
+			for t := 0; t < threads; t += 2 {
 				g := nextWithSpace(pairStart % groups)
 				c, _ := take(g)
 				out[v][t] = c
-				if t+1 < n {
+				if t+1 < threads {
 					// Keep the pair together if the group still has
 					// space, else spill to the next group.
 					if c2, ok := take(g); ok {
@@ -181,9 +171,9 @@ func AssignWithCapacity(p Policy, cores, groupSize, capacity int, vmThreads []in
 			all[i], all[j] = all[j], all[i]
 		}
 		k := 0
-		for v, n := range vmThreads {
-			out[v] = make([]int, n)
-			for t := 0; t < n; t++ {
+		for v := range out {
+			out[v] = make([]int, threads)
+			for t := 0; t < threads; t++ {
 				out[v][t] = all[k]
 				k++
 			}

@@ -5,14 +5,24 @@ import (
 	"testing/quick"
 )
 
-// validAssignment checks the universal placement invariants: every thread
-// got a core, no core is double-booked, all cores are in range.
-func validAssignment(t *testing.T, asg [][]int, cores int, vmThreads []int) {
+// assign places vms 4-thread VMs on the paper's 16-core machine, one
+// thread per core.
+func assign(p Policy, groupSize, vms int, seed uint64) ([][]int, error) {
+	return AssignWithCapacity(p, 16, groupSize, 1, vms, 4, seed)
+}
+
+// validAssignment checks the universal placement invariants: every VM's
+// four threads got a core, no core is double-booked, all cores are in
+// range.
+func validAssignment(t *testing.T, asg [][]int, cores, vms int) {
 	t.Helper()
+	if len(asg) != vms {
+		t.Fatalf("%d VMs placed, want %d", len(asg), vms)
+	}
 	used := map[int]bool{}
 	for v, threads := range asg {
-		if len(threads) != vmThreads[v] {
-			t.Fatalf("vm %d got %d cores, want %d", v, len(threads), vmThreads[v])
+		if len(threads) != 4 {
+			t.Fatalf("vm %d got %d cores, want 4", v, len(threads))
 		}
 		for _, c := range threads {
 			if c < 0 || c >= cores {
@@ -34,22 +44,20 @@ func groupsOf(threads []int, groupSize int) map[int]int {
 	return g
 }
 
-var fourVMs = []int{4, 4, 4, 4}
-
 func TestAllPoliciesValid(t *testing.T) {
 	for _, p := range All() {
 		for _, gs := range []int{1, 2, 4, 8, 16} {
-			asg, err := Assign(p, 16, gs, fourVMs, 1)
+			asg, err := assign(p, gs, 4, 1)
 			if err != nil {
 				t.Fatalf("%v/gs%d: %v", p, gs, err)
 			}
-			validAssignment(t, asg, 16, fourVMs)
+			validAssignment(t, asg, 16, 4)
 		}
 	}
 }
 
 func TestAffinityPacksGroups(t *testing.T) {
-	asg, err := Assign(Affinity, 16, 4, fourVMs, 1)
+	asg, err := assign(Affinity, 4, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +69,7 @@ func TestAffinityPacksGroups(t *testing.T) {
 }
 
 func TestAffinityIsolationUsesOneGroup(t *testing.T) {
-	asg, err := Assign(Affinity, 16, 4, []int{4}, 1)
+	asg, err := assign(Affinity, 4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +79,7 @@ func TestAffinityIsolationUsesOneGroup(t *testing.T) {
 }
 
 func TestRoundRobinSpreadsThreads(t *testing.T) {
-	asg, err := Assign(RoundRobin, 16, 4, fourVMs, 1)
+	asg, err := assign(RoundRobin, 4, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +91,7 @@ func TestRoundRobinSpreadsThreads(t *testing.T) {
 }
 
 func TestRoundRobinIsolationSpreads(t *testing.T) {
-	asg, err := Assign(RoundRobin, 16, 4, []int{4}, 1)
+	asg, err := assign(RoundRobin, 4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +101,7 @@ func TestRoundRobinIsolationSpreads(t *testing.T) {
 }
 
 func TestRRAffinityPairsShareGroups(t *testing.T) {
-	asg, err := Assign(RRAffinity, 16, 4, fourVMs, 1)
+	asg, err := assign(RRAffinity, 4, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,9 +121,9 @@ func TestRRAffinityPairsShareGroups(t *testing.T) {
 }
 
 func TestRandomDeterministicPerSeed(t *testing.T) {
-	a, _ := Assign(Random, 16, 4, fourVMs, 5)
-	b, _ := Assign(Random, 16, 4, fourVMs, 5)
-	c, _ := Assign(Random, 16, 4, fourVMs, 6)
+	a, _ := assign(Random, 4, 4, 5)
+	b, _ := assign(Random, 4, 4, 5)
+	c, _ := assign(Random, 4, 4, 6)
 	same := func(x, y [][]int) bool {
 		for i := range x {
 			for j := range x[i] {
@@ -135,19 +143,19 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 }
 
 func TestAssignErrors(t *testing.T) {
-	if _, err := Assign(RoundRobin, 16, 4, []int{4, 4, 4, 4, 4}, 1); err == nil {
+	if _, err := assign(RoundRobin, 4, 5, 1); err == nil {
 		t.Error("over-commit accepted")
 	}
-	if _, err := Assign(RoundRobin, 16, 3, fourVMs, 1); err == nil {
+	if _, err := assign(RoundRobin, 3, 4, 1); err == nil {
 		t.Error("non-dividing group size accepted")
 	}
-	if _, err := Assign(RoundRobin, 0, 1, fourVMs, 1); err == nil {
+	if _, err := AssignWithCapacity(RoundRobin, 0, 1, 1, 4, 4, 1); err == nil {
 		t.Error("zero cores accepted")
 	}
-	if _, err := Assign(RoundRobin, 16, 4, []int{0}, 1); err == nil {
+	if _, err := AssignWithCapacity(RoundRobin, 16, 4, 1, 1, 0, 1); err == nil {
 		t.Error("zero-thread VM accepted")
 	}
-	if _, err := Assign(Policy(99), 16, 4, fourVMs, 1); err == nil {
+	if _, err := assign(Policy(99), 4, 4, 1); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
@@ -176,11 +184,7 @@ func TestAssignPropertyAllPoliciesAllShapes(t *testing.T) {
 		gsOpts := []int{1, 2, 4, 8, 16}
 		gs := gsOpts[int(rawGS)%len(gsOpts)]
 		nVMs := int(rawVMs)%4 + 1
-		vmThreads := make([]int, nVMs)
-		for i := range vmThreads {
-			vmThreads[i] = 4
-		}
-		asg, err := Assign(p, 16, gs, vmThreads, seed)
+		asg, err := assign(p, gs, nVMs, seed)
 		if err != nil {
 			return false
 		}

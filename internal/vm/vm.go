@@ -101,7 +101,7 @@ func (s *Stats) C2CDirtyShare() float64 {
 // VM is one consolidated guest.
 type VM struct {
 	ID    int
-	Gen   workload.Source
+	Gen   *workload.Generator
 	Base  sim.Addr // start of this VM's private physical region
 	Stats Stats
 
@@ -111,7 +111,7 @@ type VM struct {
 
 // New builds VM id for the given workload generator, placing its address
 // space at base.
-func New(id int, gen workload.Source, base sim.Addr) *VM {
+func New(id int, gen *workload.Generator, base sim.Addr) *VM {
 	if base%sim.LineBytes != 0 {
 		panic(fmt.Sprintf("vm: unaligned base %#x", base))
 	}
@@ -187,21 +187,20 @@ func (v *VM) MergeTouched(shadow []uint64) {
 // cumulative, matching the paper's whole-run block counts).
 func (v *VM) ResetStats() { v.Stats = Stats{} }
 
-// Layout places one region per source back to back from address 0, each
-// starting on an align-byte boundary (a multiple of the line size), and
-// returns the regions' bases. The caches tag only cache.MaxLines lines,
-// so a region reaching past the last of them is an error naming its VM —
-// returned before any VM sizes its footprint bitmap, however large the
-// footprints a source claims.
-func Layout(srcs []workload.Source, align sim.Addr) ([]sim.Addr, error) {
+// Layout places one region per footprint (in blocks; names[i] names VM
+// i's workload) back to back from address 0, each starting on an
+// align-byte boundary (a multiple of the line size), and returns the
+// regions' bases. The caches tag only cache.MaxLines lines, so a region
+// reaching past the last of them is an error naming its VM — returned
+// before any VM sizes its footprint bitmap, however large the footprints.
+func Layout(footprints []uint64, names []string, align sim.Addr) ([]sim.Addr, error) {
 	alignLines := uint64(align / sim.LineBytes)
-	bases := make([]sim.Addr, len(srcs))
+	bases := make([]sim.Addr, len(footprints))
 	var start uint64 // in lines
-	for i, src := range srcs {
-		fp := src.FootprintBlocks()
+	for i, fp := range footprints {
 		if fp > cache.MaxLines || start > cache.MaxLines-fp {
 			return nil, fmt.Errorf("vm: VM %d (%s) needs %d lines from line %d, past the %d lines the caches can tag",
-				i, src.Spec().Name, fp, start, cache.MaxLines)
+				i, names[i], fp, start, cache.MaxLines)
 		}
 		bases[i] = sim.Addr(start * sim.LineBytes)
 		start = (start + fp + alignLines - 1) / alignLines * alignLines

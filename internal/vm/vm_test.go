@@ -78,15 +78,6 @@ func TestResetStatsKeepsFootprint(t *testing.T) {
 	}
 }
 
-// footprintOnly is a Source of which Layout reads the footprint alone.
-type footprintOnly struct {
-	workload.Source
-	blocks uint64
-}
-
-func (s footprintOnly) FootprintBlocks() uint64 { return s.blocks }
-func (s footprintOnly) Spec() workload.Spec     { return workload.Spec{Name: "synthetic"} }
-
 // TestLayout: regions start on the alignment after the previous one ends,
 // and fill the taggable address space exactly to cache.MaxLines lines —
 // one VM or several — but not one line past it.
@@ -94,21 +85,22 @@ func TestLayout(t *testing.T) {
 	const align = 1 << 20
 	const alignLines = align / sim.LineBytes
 	gen := workload.NewGenerator(workload.Specs()[workload.TPCH].Scaled(64), 4, 1)
-	bases, err := Layout([]workload.Source{gen, gen}, align)
+	fp := gen.FootprintBlocks()
+	bases, err := Layout([]uint64{fp, fp}, []string{"TPC-H", "TPC-H"}, align)
 	if err != nil {
 		t.Fatal(err)
 	}
-	end := sim.Addr(gen.FootprintBlocks() * sim.LineBytes)
+	end := sim.Addr(fp * sim.LineBytes)
 	if bases[0] != 0 || bases[1]%align != 0 || bases[1] < end || bases[1]-end >= align {
 		t.Errorf("bases %#x for a region ending at %#x", bases, end)
 	}
 
 	fit := func(blocks ...uint64) error {
-		srcs := make([]workload.Source, len(blocks))
-		for i, b := range blocks {
-			srcs[i] = footprintOnly{blocks: b}
+		names := make([]string, len(blocks))
+		for i := range names {
+			names[i] = "synthetic"
 		}
-		_, err := Layout(srcs, align)
+		_, err := Layout(blocks, names, align)
 		return err
 	}
 	for _, tc := range []struct {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -19,31 +20,26 @@ func TestSpecsValidate(t *testing.T) {
 }
 
 func TestSpecValidateRejectsBadFractions(t *testing.T) {
-	s := specFor(t, TPCH)
-	s.PrivFrac = 0.9
-	s.SharedFrac = 0.9
-	if s.Validate() == nil {
-		t.Error("region fractions > 1 accepted")
-	}
-	s = specFor(t, TPCH)
-	s.PShared, s.PMig, s.PScan = 0.5, 0.5, 0.5
-	if s.Validate() == nil {
-		t.Error("reference mix > 1 accepted")
-	}
-	s = specFor(t, TPCH)
-	s.WriteFrac = 1.5
-	if s.Validate() == nil {
-		t.Error("fraction out of [0,1] accepted")
-	}
-	s = specFor(t, TPCH)
-	s.Blocks = 0
-	if s.Validate() == nil {
-		t.Error("zero footprint accepted")
-	}
-	s = specFor(t, TPCH)
-	s.MigBurst = 0
-	if s.Validate() == nil {
-		t.Error("zero burst accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mut := range map[string]func(*Spec){
+		"region fractions > 1":  func(s *Spec) { s.PrivFrac, s.SharedFrac = 0.9, 0.9 },
+		"reference mix > 1":     func(s *Spec) { s.PShared, s.PMig, s.PScan = 0.5, 0.5, 0.5 },
+		"fraction out of [0,1]": func(s *Spec) { s.WriteFrac = 1.5 },
+		"zero footprint":        func(s *Spec) { s.Blocks = 0 },
+		"zero burst":            func(s *Spec) { s.MigBurst = 0 },
+		"NaN PShared":           func(s *Spec) { s.PShared = nan },
+		"NaN WriteFrac":         func(s *Spec) { s.WriteFrac = nan },
+		"NaN PrivFrac":          func(s *Spec) { s.PrivFrac = nan },
+		"+Inf SweepSteady":      func(s *Spec) { s.SweepSteady = inf },
+		"NaN ThinkCycles":       func(s *Spec) { s.ThinkCycles = nan },
+		"+Inf ThinkCycles":      func(s *Spec) { s.ThinkCycles = inf },
+		"negative ThinkCycles":  func(s *Spec) { s.ThinkCycles = -1 },
+	} {
+		s := specFor(t, TPCH)
+		mut(&s)
+		if s.Validate() == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -334,9 +330,10 @@ func TestWriteFractionApproximate(t *testing.T) {
 func TestSpecRegionOfMatchesGenerator(t *testing.T) {
 	spec := specFor(t, TPCH).Scaled(64)
 	g := NewGenerator(spec, 4, 3)
+	regions := spec.Regions(4)
 	for i := 0; i < 20000; i++ {
 		a := g.Next(i % 4)
-		if spec.RegionOf(a.Block, 4) != g.RegionOf(a.Block) {
+		if regions.Of(a.Block) != g.RegionOf(a.Block) {
 			t.Fatalf("spec/generator region disagree for block %d", a.Block)
 		}
 	}

@@ -12,7 +12,10 @@ package workload
 // phase offset lets the experimenter align or misalign the phases of
 // co-scheduled workloads.
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Phase modulates the base reference mix for Refs references per thread.
 type Phase struct {
@@ -37,8 +40,8 @@ func (p Phase) Validate() error {
 		return fmt.Errorf("workload: phase %q with zero length", p.Name)
 	}
 	for _, m := range []float64{p.SharedMul, p.MigMul, p.ScanMul, p.WriteMul, p.SweepMul} {
-		if m < 0 {
-			return fmt.Errorf("workload: phase %q with negative multiplier", p.Name)
+		if math.IsNaN(m) || math.IsInf(m, 0) || m < 0 {
+			return fmt.Errorf("workload: phase %q with multiplier %v, not a finite non-negative number", p.Name, m)
 		}
 	}
 	return nil

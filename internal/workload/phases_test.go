@@ -1,6 +1,9 @@
 package workload
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func phasedSpec(t *testing.T) Spec {
 	t.Helper()
@@ -8,11 +11,17 @@ func phasedSpec(t *testing.T) Spec {
 }
 
 func TestPhaseValidate(t *testing.T) {
-	if (Phase{Name: "x", Refs: 0, SharedMul: 1, MigMul: 1, ScanMul: 1, WriteMul: 1}).Validate() == nil {
-		t.Error("zero-length phase accepted")
-	}
-	if (Phase{Name: "x", Refs: 10, SharedMul: -1, MigMul: 1, ScanMul: 1, WriteMul: 1}).Validate() == nil {
-		t.Error("negative multiplier accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, p := range map[string]Phase{
+		"zero-length phase":   {Name: "x", Refs: 0, SharedMul: 1, MigMul: 1, ScanMul: 1, WriteMul: 1},
+		"negative multiplier": {Name: "x", Refs: 10, SharedMul: -1, MigMul: 1, ScanMul: 1, WriteMul: 1},
+		"NaN multiplier":      {Name: "x", Refs: 10, SharedMul: 1, MigMul: nan, ScanMul: 1, WriteMul: 1},
+		"+Inf multiplier":     {Name: "x", Refs: 10, SharedMul: 1, MigMul: 1, ScanMul: inf, WriteMul: 1},
+		"NaN sweep":           {Name: "x", Refs: 10, SharedMul: 1, MigMul: 1, ScanMul: 1, WriteMul: 1, SweepMul: nan},
+	} {
+		if p.Validate() == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 	spec := phasedSpec(t)
 	if err := spec.Validate(); err != nil {

@@ -258,6 +258,9 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("workload %s: Zipf skew %v is not a finite non-negative number", s.Name, th)
 		}
 	}
+	if math.IsNaN(s.ThinkCycles) || math.IsInf(s.ThinkCycles, 0) || s.ThinkCycles < 0 {
+		return fmt.Errorf("workload %s: think time %v is not a finite non-negative number", s.Name, s.ThinkCycles)
+	}
 	for _, p := range s.Phases {
 		if err := p.Validate(); err != nil {
 			return err
@@ -269,7 +272,7 @@ func (s Spec) Validate() error {
 		s.SweepWarm, s.SweepSteady, s.SharedColdWarm, s.SharedColdSteady,
 		s.WriteFrac, s.WriteFracShared,
 	} {
-		if f < 0 || f > 1 {
+		if math.IsNaN(f) || f < 0 || f > 1 {
 			return fmt.Errorf("workload %s: fraction %v out of [0,1]", s.Name, f)
 		}
 	}
@@ -322,27 +325,19 @@ func ByName(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("workload: unknown workload %q", name)
 }
 
-// RegionOf classifies a footprint block index for this spec under the
-// given thread count (the region layout depends on how the private
-// partition splits). Trace replays use it to attribute misses to regions
-// without a live generator.
-func (s Spec) RegionOf(block uint64, threads int) Region {
-	return regionOf(layoutFor(s, threads), block)
-}
-
-// Regions caches the spec's region boundaries for repeated O(1)
-// classification. RegionOf recomputes the whole footprint layout per
-// call, which is far too expensive for the simulator's per-miss
-// accounting; build a Regions once and call Of in the loop.
+// Regions holds the spec's region boundaries under one thread count (the
+// layout depends on how the private partition splits), for O(1)
+// classification of footprint block indices in the simulator's per-miss
+// accounting.
 type Regions struct {
 	sharedBase, migBase, scanBase uint64
 }
 
-// Regions returns the cached classifier for this spec under the given
-// thread count. Of(block) agrees with RegionOf(block, threads) for every
-// block.
-func (s Spec) Regions(threads int) Regions {
-	l := layoutFor(s, threads)
+// Regions returns the classifier for this spec under the given thread
+// count. Of(block) agrees with the generator's RegionOf for every block.
+func (s Spec) Regions(threads int) Regions { return layoutFor(s, threads).regions() }
+
+func (l layout) regions() Regions {
 	return Regions{sharedBase: l.sharedBase, migBase: l.migBase, scanBase: l.scanBase}
 }
 

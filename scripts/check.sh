@@ -110,10 +110,9 @@ echo "$shards_out" | grep -q "flag provided but not defined: -shards" \
 # -pdes-window went from every subcommand: the parallel engine is never
 # faster and leaves its error bound off affinity placement, so it runs
 # only where a caller sets core.Config.Pdes.
-for sub in run tables ablate calibrate "trace replay"; do
+for sub in run tables ablate calibrate; do
 	for removed in -pdes -pdes-window -pdes-pipeline -pdes-replay-workers; do
-		# $sub stays unquoted: "trace replay" is two words.
-		removed_out=$(go run ./cmd/consim $sub "$removed" 2 2>&1) \
+		removed_out=$(go run ./cmd/consim "$sub" "$removed" 2 2>&1) \
 			&& { echo "check.sh: consim $sub accepted $removed" >&2; exit 1; }
 		echo "$removed_out" | grep -q -- "flag provided but not defined: $removed" \
 			|| { echo "check.sh: consim $sub $removed failed for another reason: $removed_out" >&2; exit 1; }
@@ -147,8 +146,19 @@ done
 if grep -rnwE 'RunSummary|SummarizeManifest|ReadRunSummaries|DiffSummaries|ApplyFractionGate|FFCostGateFrac|HistogramID|HistCounts|HistQuantile|HistBuckets|ObserveMissLat|ProcessCPUSeconds|CPUSeconds' --include='*.go' .; then
 	echo "check.sh: a deleted obs diff, histogram or CPU-time symbol is back (above)" >&2; exit 1
 fi
-# One binary: tables, ablate, calibrate, trace and obs are subcommands of
-# consim over one run-flag set, not mains of their own.
+# Checkpoint record/replay (internal/trace, consim trace record|info|replay)
+# was deleted: it recorded the statistical generator and replayed the
+# recording, a second stand-in for the same checkpoints that no figure,
+# study or benchmark workload used.
+for gone in record info replay; do
+	gone_out=$(go run ./cmd/consim trace $gone 2>&1) \
+		&& { echo "check.sh: consim accepted trace $gone" >&2; exit 1; }
+	echo "$gone_out" | grep -q "is not a command" \
+		|| { echo "check.sh: consim trace $gone failed for another reason: $gone_out" >&2; exit 1; }
+done
+test ! -e internal/trace || { echo "check.sh: internal/trace exists again" >&2; exit 1; }
+# One binary: tables, ablate, calibrate and obs are subcommands of consim
+# over one run-flag set, not mains of their own.
 cmds=$(go list ./cmd/...)
 [ "$cmds" = "consim/cmd/consim" ] \
 	|| { echo "check.sh: go list ./cmd/... prints $cmds, want consim/cmd/consim alone" >&2; exit 1; }
@@ -166,9 +176,8 @@ go run ./cmd/consim -workloads TPC-H -scale 16 -warm 2000 -meas 20000 \
 echo "== warm-walk smoke =="
 # Fast-forward's reference supply (warm.go) must hand the one access walk
 # the same references in the same order as the plain ffLoop oracle —
-# bit-identical cache tags/LRU, directory, dircache, RNG cursor — for
-# ring and trace-replay sources, with the shared lookahead prefetch
-# forced on, and an observed -sample -timeseries run must surface the
+# bit-identical cache tags/LRU, directory, dircache, RNG cursor — with
+# the shared lookahead prefetch forced on, and an observed -sample -timeseries run must surface the
 # fast-forward phase split, cost ratio and time series in its obs report,
 # read from the manifest alone.
 go test -short -run 'TestWarmWalkDifferential' ./internal/core
