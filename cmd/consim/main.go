@@ -1,6 +1,7 @@
 // Command consim is the simulator's one binary. Its simulating
 // subcommands share one run-flag set (budgets, seed, scale, -parallel,
-// the -sample engine, the observability sinks), one
+// the -sample engine, the observability sinks, the pprof profiles and
+// an optional pprof debug server, sinks.go), one
 // validation path (core.Config.Validate) and one batch pool (the harness
 // runner):
 //
@@ -25,7 +26,6 @@ import (
 
 	"consim/internal/core"
 	"consim/internal/harness"
-	"consim/internal/obs"
 	"consim/internal/workload"
 )
 
@@ -119,7 +119,7 @@ func parse(fs *flag.FlagSet, args []string, min, max int) ([]string, error) {
 type runFlags struct {
 	fs    *flag.FlagSet
 	opt   harness.Options
-	sinks obs.CLI
+	sinks sinkFlags
 }
 
 // newRunFlags registers the shared set with the subcommand's scale and
@@ -137,7 +137,7 @@ func newRunFlags(name string, scale int, warm, meas uint64) *runFlags {
 	fs.Float64Var(&s.CITarget, "sample-ci", 0, "stop once every per-VM metric's relative 95% CI half-width reaches this (default 0.05)")
 	fs.IntVar(&s.MinWindows, "sample-min-windows", 0, "fewest windows convergence may stop at (default 4)")
 	fs.Uint64Var(&s.MaxRefs, "sample-max-refs", 0, "per-core detailed-reference budget; stop when reached even unconverged (default: the measurement budget)")
-	f.sinks.Register(fs)
+	f.sinks.register(fs)
 	return f
 }
 
@@ -181,7 +181,7 @@ func simulating(parse func([]string) (*job, error)) func([]string) error {
 		if err != nil {
 			return err
 		}
-		o, stop, err := j.sinks.Start(stderr)
+		o, stop, err := j.sinks.start(stderr)
 		if err != nil {
 			return err
 		}

@@ -1,28 +1,30 @@
-package obs
+package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"runtime"
-	"runtime/pprof"
+	rpprof "runtime/pprof"
+	"time"
+
+	"consim/internal/obs"
 )
 
-// CLI is the uniform observability flag set shared by every consim
-// command. Register it on the command's FlagSet, then call Start after
-// flag parsing; the returned Observer (nil when no observability sink
-// was requested) threads into runner options or per-run Config hooks,
-// and the returned stop function flushes every sink.
-//
-//	var ocli obs.CLI
-//	ocli.Register(flag.CommandLine)
-//	flag.Parse()
-//	o, stop, err := ocli.Start(os.Stderr)
-//	...
-//	defer stop()
-type CLI struct {
+// sinkFlags is the observability flag set every simulating subcommand
+// shares. It lives in the command, not in package obs, so the library
+// and everything else that imports it link no network stack: only this
+// binary serves -debug-addr. register installs the flags; start, after
+// parsing, brings up the sinks and returns the Observer (nil when no
+// sink needs one) that threads into the runner options, and the stop
+// function that flushes every sink.
+type sinkFlags struct {
 	Progress   bool
 	TraceFile  string
 	Manifest   string
@@ -32,8 +34,8 @@ type CLI struct {
 	DebugAddr  string
 }
 
-// Register installs the flags on fs.
-func (c *CLI) Register(fs *flag.FlagSet) {
+// register installs the flags on fs.
+func (c *sinkFlags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Progress, "progress", false, "render a live job/throughput status line on stderr")
 	fs.StringVar(&c.TraceFile, "tracefile", "", "write a Chrome trace-format JSON timeline here (open in ui.perfetto.dev)")
 	fs.StringVar(&c.Manifest, "manifest", "", "append per-run provenance manifests to this JSONL file (e.g. results/manifests.jsonl)")
@@ -44,19 +46,16 @@ func (c *CLI) Register(fs *flag.FlagSet) {
 }
 
 // enabled reports whether any sink needing an Observer was requested.
-func (c *CLI) enabled() bool {
+func (c *sinkFlags) enabled() bool {
 	return c.Progress || c.TraceFile != "" || c.Manifest != ""
 }
 
-// Start brings up every requested sink. The Observer is nil when only
+// start brings up every requested sink. The Observer is nil when only
 // profiles and the pprof endpoint (or nothing) were requested; the stop
 // function is always valid and idempotent-safe to defer. Status notes go
 // to w. -timeseries without -manifest is an error: the series has
 // nowhere else to go.
-func (c *CLI) Start(w io.Writer) (*Observer, func() error, error) {
-	if w == nil {
-		w = os.Stderr
-	}
+func (c *sinkFlags) start(w io.Writer) (*obs.Observer, func() error, error) {
 	var cleanups []func() error
 	stop := func() error {
 		var first error
@@ -68,7 +67,7 @@ func (c *CLI) Start(w io.Writer) (*Observer, func() error, error) {
 		cleanups = nil
 		return first
 	}
-	fail := func(err error) (*Observer, func() error, error) {
+	fail := func(err error) (*obs.Observer, func() error, error) {
 		stop() //nolint:errcheck // the primary error wins
 		return nil, func() error { return nil }, err
 	}
@@ -81,13 +80,13 @@ func (c *CLI) Start(w io.Writer) (*Observer, func() error, error) {
 		if err != nil {
 			return fail(err)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+		if err := rpprof.StartCPUProfile(f); err != nil {
 			f.Close()
 			return fail(err)
 		}
 		path := c.CPUProfile
 		cleanups = append(cleanups, func() error {
-			pprof.StopCPUProfile()
+			rpprof.StopCPUProfile()
 			fmt.Fprintf(w, "[obs] cpu profile written to %s\n", path)
 			return f.Close()
 		})
@@ -100,7 +99,7 @@ func (c *CLI) Start(w io.Writer) (*Observer, func() error, error) {
 				return err
 			}
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			if err := rpprof.WriteHeapProfile(f); err != nil {
 				f.Close()
 				return err
 			}
@@ -109,7 +108,7 @@ func (c *CLI) Start(w io.Writer) (*Observer, func() error, error) {
 		})
 	}
 	if c.DebugAddr != "" {
-		addr, shutdown, err := StartDebugServer(c.DebugAddr)
+		addr, shutdown, err := startDebugServer(c.DebugAddr)
 		if err != nil {
 			return fail(err)
 		}
@@ -121,9 +120,9 @@ func (c *CLI) Start(w io.Writer) (*Observer, func() error, error) {
 		return nil, stop, nil
 	}
 
-	var tracer *Tracer
+	var tracer *obs.Tracer
 	if c.TraceFile != "" {
-		tracer = NewTracer()
+		tracer = obs.NewTracer()
 		path := c.TraceFile
 		cleanups = append(cleanups, func() error {
 			if err := tracer.WriteFile(path); err != nil {
@@ -133,21 +132,21 @@ func (c *CLI) Start(w io.Writer) (*Observer, func() error, error) {
 			return nil
 		})
 	}
-	var man *ManifestWriter
+	var man *obs.ManifestWriter
 	if c.Manifest != "" {
 		var err error
-		man, err = OpenManifest(c.Manifest)
+		man, err = obs.OpenManifest(c.Manifest)
 		if err != nil {
 			return fail(err)
 		}
 		cleanups = append(cleanups, man.Close)
 	}
-	var prog *Progress
+	var prog *obs.Progress
 	if c.Progress {
-		prog = NewProgress(w)
+		prog = obs.NewProgress(w)
 	}
 
-	o := NewObserver(tracer, man, prog)
+	o := obs.NewObserver(tracer, man, prog)
 	o.Series = c.TimeSeries
 
 	if prog != nil {
@@ -156,4 +155,43 @@ func (c *CLI) Start(w io.Writer) (*Observer, func() error, error) {
 		cleanups = append(cleanups, func() error { prog.Stop(); return nil })
 	}
 	return o, stop, nil
+}
+
+// startDebugServer serves net/http/pprof (profile, heap, goroutine,
+// trace) under /debug/pprof/ on addr, so a long sweep can be profiled
+// mid-flight with `go tool pprof http://addr/debug/pprof/profile`.
+//
+// It returns the bound address (resolving a ":0" request) and a
+// shutdown function that gracefully drains in-flight requests, closes
+// the listener, and waits for the serve loop to exit — the run ending
+// never leaks the listener or its goroutine.
+func startDebugServer(addr string) (string, func() error, error) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", nil, err
+	}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	shutdown := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		defer cancel()
+		err := srv.Shutdown(ctx)
+		if errors.Is(err, context.DeadlineExceeded) {
+			// A hung profile stream outlived the grace period; force it.
+			err = srv.Close()
+		}
+		if serr := <-served; serr != nil && !errors.Is(serr, http.ErrServerClosed) && err == nil {
+			err = serr
+		}
+		return err
+	}
+	return ln.Addr().String(), shutdown, nil
 }

@@ -1,18 +1,22 @@
-package obs
+package main
 
 import (
 	"flag"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"consim/internal/obs"
 )
 
 func TestCLIRegisterWiresFlags(t *testing.T) {
-	var c CLI
+	var c sinkFlags
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c.Register(fs)
+	c.register(fs)
 	err := fs.Parse([]string{
 		"-progress",
 		"-tracefile", "t.json",
@@ -28,15 +32,15 @@ func TestCLIRegisterWiresFlags(t *testing.T) {
 	if !c.Progress || c.TraceFile != "t.json" || c.Manifest != "m.jsonl" ||
 		!c.TimeSeries || c.CPUProfile != "cpu.pb" ||
 		c.MemProfile != "mem.pb" || c.DebugAddr != "127.0.0.1:0" {
-		t.Fatalf("parsed CLI = %+v", c)
+		t.Fatalf("parsed sinkFlags = %+v", c)
 	}
 	if !c.enabled() {
 		t.Fatal("full flag set not enabled")
 	}
-	if (&CLI{CPUProfile: "only.pb"}).enabled() {
-		t.Fatal("profile-only CLI should not need an Observer")
+	if (&sinkFlags{CPUProfile: "only.pb"}).enabled() {
+		t.Fatal("profile-only sinkFlags should not need an Observer")
 	}
-	if (&CLI{DebugAddr: "127.0.0.1:0"}).enabled() {
+	if (&sinkFlags{DebugAddr: "127.0.0.1:0"}).enabled() {
 		t.Fatal("-debug-addr alone serves pprof and should not need an Observer")
 	}
 }
@@ -47,24 +51,24 @@ func TestCLIRegisterWiresFlags(t *testing.T) {
 // before any sink starts.
 func TestCLIStartTimeSeries(t *testing.T) {
 	dir := t.TempDir()
-	c := CLI{Manifest: filepath.Join(dir, "m.jsonl"), TimeSeries: true}
-	o, stop, err := c.Start(&strings.Builder{})
+	c := sinkFlags{Manifest: filepath.Join(dir, "m.jsonl"), TimeSeries: true}
+	o, stop, err := c.start(&strings.Builder{})
 	if err != nil {
-		t.Fatalf("Start: %v", err)
+		t.Fatalf("start: %v", err)
 	}
 	if o == nil || !o.Series || o.Man == nil || !o.Hooks().Series {
 		t.Fatalf("observer sinks missing: %+v", o)
 	}
-	s := NewSeries(1, 1)
-	s.Begin(TSPhaseMeasure, 10, 0.1, 0, -1)
+	s := obs.NewSeries(1, 1)
+	s.Begin(obs.TSPhaseMeasure, 10, 0.1, 0, -1)
 	s.VM(0, 100, 0.5, 1000)
-	if err := o.Man.Write(Manifest{Label: "wired", Series: s}); err != nil {
+	if err := o.Man.Write(obs.Manifest{Label: "wired", Series: s}); err != nil {
 		t.Fatal(err)
 	}
 	if err := stop(); err != nil {
 		t.Fatalf("stop: %v", err)
 	}
-	ms, err := ReadManifests(c.Manifest)
+	ms, err := obs.ReadManifests(c.Manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +76,8 @@ func TestCLIStartTimeSeries(t *testing.T) {
 		t.Fatalf("manifest series = %+v", ms)
 	}
 
-	alone := CLI{TimeSeries: true, CPUProfile: filepath.Join(dir, "cpu.pb")}
-	_, _, err = alone.Start(&strings.Builder{})
+	alone := sinkFlags{TimeSeries: true, CPUProfile: filepath.Join(dir, "cpu.pb")}
+	_, _, err = alone.start(&strings.Builder{})
 	if err == nil || !strings.Contains(err.Error(), "-timeseries requires -manifest") {
 		t.Fatalf("-timeseries without -manifest: error %v", err)
 	}
@@ -82,17 +86,17 @@ func TestCLIStartTimeSeries(t *testing.T) {
 	}
 }
 
-// TestCLIStartDebugAddr checks Start brings the pprof endpoint up on an
+// TestCLIStartDebugAddr checks start brings the pprof endpoint up on an
 // ephemeral port without building an Observer (a pprof-only run
 // publishes no metrics), reports the bound address, and tears it down in
 // stop — twice in one process.
 func TestCLIStartDebugAddr(t *testing.T) {
 	for round := 1; round <= 2; round++ {
-		c := CLI{DebugAddr: "127.0.0.1:0"}
+		c := sinkFlags{DebugAddr: "127.0.0.1:0"}
 		var notes strings.Builder
-		o, stop, err := c.Start(&notes)
+		o, stop, err := c.start(&notes)
 		if err != nil {
-			t.Fatalf("round %d: Start: %v", round, err)
+			t.Fatalf("round %d: start: %v", round, err)
 		}
 		if o != nil {
 			t.Fatalf("round %d: -debug-addr alone built an Observer", round)
@@ -133,19 +137,69 @@ func TestCLIStartFailureCleansUp(t *testing.T) {
 	if err := os.WriteFile(blocked, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c := CLI{
+	c := sinkFlags{
 		CPUProfile: filepath.Join(dir, "cpu.pb"),
 		Manifest:   filepath.Join(blocked, "m.jsonl"), // parent is a file: MkdirAll fails
 	}
-	if _, _, err := c.Start(&strings.Builder{}); err == nil {
-		t.Fatal("Start with an unopenable manifest did not error")
+	if _, _, err := c.start(&strings.Builder{}); err == nil {
+		t.Fatal("start with an unopenable manifest did not error")
 	}
-	again := CLI{CPUProfile: filepath.Join(dir, "again.pb")}
-	_, stop, err := again.Start(&strings.Builder{})
+	again := sinkFlags{CPUProfile: filepath.Join(dir, "again.pb")}
+	_, stop, err := again.start(&strings.Builder{})
 	if err != nil {
-		t.Fatalf("CPU profile left running by the failed Start: %v", err)
+		t.Fatalf("CPU profile left running by the failed start: %v", err)
 	}
 	if err := stop(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDebugServerLifecycle starts the pprof server on an ephemeral port,
+// checks /debug/pprof/ answers, and verifies shutdown frees the port and
+// its goroutine (-debug-addr must not leak the listener when the run
+// ends). A second start in the same process must work as well.
+func TestDebugServerLifecycle(t *testing.T) {
+	for round := 1; round <= 2; round++ {
+		addr, shutdown, err := startDebugServer("127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("round %d: startDebugServer: %v", round, err)
+		}
+		if strings.HasSuffix(addr, ":0") {
+			t.Fatalf("round %d: bound address %q not resolved", round, addr)
+		}
+		resp, err := http.Get("http://" + addr + "/debug/pprof/")
+		if err != nil {
+			t.Fatalf("round %d: GET /debug/pprof/: %v", round, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
+			t.Fatalf("round %d: /debug/pprof/ = %s, body %.80q", round, resp.Status, body)
+		}
+		if resp, err := http.Get("http://" + addr + "/debug/vars"); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("round %d: /debug/vars = %s, want 404 (the registry dump is gone)", round, resp.Status)
+			}
+		}
+		if err := shutdown(); err != nil {
+			t.Fatalf("round %d: shutdown: %v", round, err)
+		}
+		if _, err := net.Dial("tcp", addr); err == nil {
+			t.Fatalf("round %d: listener still accepting after shutdown", round)
+		}
+	}
+}
+
+// TestRunDebugAddr drives run through dispatch with -debug-addr on an
+// ephemeral port: the command reports the endpoint and exits cleanly,
+// so the flag is still wired into the shared run-flag set.
+func TestRunDebugAddr(t *testing.T) {
+	var notes strings.Builder
+	stderr = &notes
+	defer func() { stderr = io.Discard }()
+	stdoutOf(t, "run", "-debug-addr", "127.0.0.1:0", "-workloads", "TPC-H", "-scale", "32", "-warm", "1000", "-meas", "4000")
+	if !strings.Contains(notes.String(), "[obs] pprof on http://") {
+		t.Fatalf("run -debug-addr did not report its endpoint: %q", notes.String())
 	}
 }

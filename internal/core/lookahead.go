@@ -32,8 +32,10 @@ package core
 // Both engines that walk references one core at a time call prefetchRef:
 // the detailed event loop (runSequential) after pushing a core's next
 // event, and the fast-forward warming loop (warmLoop) after drawing a
-// context's reference. The directory table is on huge pages
-// (Directory.resize), so a hint into it rarely pays a page walk first.
+// context's reference. Only the directory table's 2 MB-aligned interior
+// is advised onto huge pages (Directory.resize), and the table starts
+// wherever the allocator puts it: a hint into the interior rarely pays a
+// page walk first, one into the unaligned ends may.
 
 // lookaheadMinBlocks gates the lookahead on total modeled footprint:
 // below it the walked structures fit the host cache hierarchy, the

@@ -5,8 +5,10 @@
 // its provenance, its memory-system ledger and, with -timeseries, its
 // per-window time series (per-VM references, LLC miss rate and cycles
 // per transaction, memory queue depth and sampling CI, one row per live
-// publish), the report that renders one such record, a live progress
-// display for long sweeps, and an optional pprof debug server.
+// publish), the report that renders one such record, and a live
+// progress display for long sweeps. The flags that start these sinks,
+// the CPU and heap profiles and the optional pprof debug server belong
+// to the consim command: the package links no network stack.
 //
 // The design splits responsibilities so the simulator's per-reference
 // path stays zero-alloc:

@@ -162,6 +162,12 @@ test ! -e internal/trace || { echo "check.sh: internal/trace exists again" >&2; 
 cmds=$(go list ./cmd/...)
 [ "$cmds" = "consim/cmd/consim" ] \
 	|| { echo "check.sh: go list ./cmd/... prints $cmds, want consim/cmd/consim alone" >&2; exit 1; }
+# The library links no network stack: -debug-addr's pprof server is
+# cmd/consim's alone, so the benchmark, the examples and every test
+# binary do not pay net, net/http and crypto/tls's memory for it.
+netdeps=$(go list -deps . ./internal/... | grep -E '^(net|net/.*|crypto/tls)$' || true)
+[ -z "$netdeps" ] \
+	|| { echo "check.sh: the library links a network stack:" >&2; echo "$netdeps" >&2; exit 1; }
 
 echo "== sampled engine smoke =="
 # Interval sampling must engage (the provenance line appears), stay
